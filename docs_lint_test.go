@@ -82,9 +82,10 @@ func TestDocPackageComments(t *testing.T) {
 
 // TestDocExportedIdentifiers enforces doc comments on every exported
 // top-level identifier (types, funcs, methods, consts, vars) of the
-// public surface: the root rtcshare package and internal/server.
+// public surface — the root rtcshare package and internal/server — and
+// of internal/pairs, the relation types every layer exchanges.
 func TestDocExportedIdentifiers(t *testing.T) {
-	for _, dir := range []string{".", "internal/server"} {
+	for _, dir := range []string{".", "internal/server", "internal/pairs"} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

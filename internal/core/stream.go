@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 
 	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
@@ -28,9 +27,10 @@ import (
 // evaluation and a cursor-resumed page over the same graph epoch must
 // agree pair-for-pair, prefix included. The per-source re-drive gives
 // that for free — Builder.Seal sorts by (src, dst) and dedups, and the
-// stream emits the same set grouped by ascending source with a
-// per-source sort+dedup — which the differential streaming suite
-// enforces across layouts, planners and shard counts.
+// stream emits the same set grouped by ascending source, each source's
+// destinations ORed into one reusable vertex bitset (the dedup) and
+// popped in ascending bit order (the sort) — which the differential
+// streaming suite enforces across layouts, planners and shard counts.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -74,12 +74,12 @@ type ResultStream struct {
 	sealedPos int
 
 	clauses []*clauseStream
-	scratch *joinScratch // seenA = cross-clause per-source dedup
 
+	// acc holds the undelivered rest of source curSrc's run: the union
+	// of every clause's destinations for it.
+	acc     *pairs.RunAccumulator
 	nextSrc int
 	curSrc  graph.VID
-	run     []graph.VID
-	runPos  int
 
 	stats  StreamStats
 	done   bool
@@ -211,7 +211,7 @@ func (s *ResultStream) open(q rpq.Expr) error {
 		return err
 	}
 	qp := v.planner().Plan(q, clauses)
-	s.scratch = v.acquireScratch()
+	s.acc = pairs.NewRunAccumulator(v.g.NumVertices())
 	for i := range qp.Clauses {
 		cs, err := s.openClause(&qp.Clauses[i])
 		if err != nil {
@@ -308,8 +308,13 @@ func (s *ResultStream) Next(buf []pairs.Pair) (n int, done bool, err error) {
 		return s.nextSealed(buf)
 	}
 
+	if s.limit > 0 {
+		if left := int64(s.limit) - s.stats.Pairs; left < int64(len(buf)) {
+			buf = buf[:left]
+		}
+	}
 	for n < len(buf) {
-		if s.runPos >= len(s.run) {
+		if s.acc.Empty() {
 			if err := s.fillRun(); err != nil {
 				s.err = err
 				return n, true, err
@@ -318,20 +323,12 @@ func (s *ResultStream) Next(buf []pairs.Pair) (n int, done bool, err error) {
 				return n, true, nil
 			}
 		}
-		for s.runPos < len(s.run) && n < len(buf) {
-			buf[n] = pairs.Pair{Src: s.curSrc, Dst: s.run[s.runPos]}
-			n++
-			s.runPos++
-			s.stats.Pairs++
-			if s.limit > 0 && s.stats.Pairs >= int64(s.limit) {
-				s.done = true
-				return n, true, nil
-			}
-		}
+		k := s.acc.Drain(s.curSrc, buf[n:])
+		n += k
+		s.stats.Pairs += int64(k)
 	}
-	if s.runPos >= len(s.run) && s.nextSrc >= s.v.g.NumVertices() {
-		s.done = true
-	}
+	s.done = (s.limit > 0 && s.stats.Pairs >= int64(s.limit)) ||
+		(s.acc.Empty() && s.nextSrc >= s.v.g.NumVertices())
 	return n, s.done, nil
 }
 
@@ -360,30 +357,23 @@ func (s *ResultStream) nextSealed(buf []pairs.Pair) (int, bool, error) {
 }
 
 // fillRun advances to the next source vertex with a non-empty merged
-// run, producing it in sorted, duplicate-free order — one sealed CSR
-// run, built without sealing. Sets s.done when sources are exhausted.
+// run and leaves that run in s.acc — one sealed CSR run, built without
+// sealing. Sets s.done when sources are exhausted.
 func (s *ResultStream) fillRun() error {
 	numV := s.v.g.NumVertices()
-	seen := &s.scratch.seenA
 	for s.nextSrc < numV {
 		vi := graph.VID(s.nextSrc)
 		s.nextSrc++
 		if err := s.worker.checkpoint(1); err != nil {
 			return err
 		}
-		s.run = s.run[:0]
-		seen.reset()
 		for _, cs := range s.clauses {
-			var err error
-			s.run, err = cs.appendDsts(s, vi, s.run, seen)
-			if err != nil {
+			if err := cs.addDsts(s, vi, s.acc); err != nil {
 				return err
 			}
 		}
-		if len(s.run) > 0 {
-			slices.Sort(s.run)
+		if !s.acc.Empty() {
 			s.curSrc = vi
-			s.runPos = 0
 			s.stats.Sources++
 			return nil
 		}
@@ -392,31 +382,28 @@ func (s *ResultStream) fillRun() error {
 	return nil
 }
 
-// appendDsts appends source vi's destinations under this clause to out,
-// deduplicating across clauses through seen. It is the per-source slice
-// of exactly the work EvalBatchUnit/EvalBatchUnitFull + joinPost (or
-// AppendAllSeeded, for automaton plans) perform for vi.
-func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VID, seen *stampSet) ([]graph.VID, error) {
+// addDsts ORs source vi's destinations under this clause into out; the
+// accumulator is the dedup, within the clause and across clauses. It is
+// the per-source slice of exactly the work EvalBatchUnit/
+// EvalBatchUnitFull + joinPost (or AppendAllSeeded, for automaton plans)
+// perform for vi.
+func (cs *clauseStream) addDsts(s *ResultStream, vi graph.VID, out *pairs.RunAccumulator) error {
 	if cs.cp.Kind == plan.KindAutomaton {
 		if cs.seedable != nil && !cs.seedable[vi] {
-			return out, nil
+			return nil
 		}
 		cs.mids = cs.ev.AppendReachFrom(vi, cs.mids[:0])
 		s.stats.Rows += int64(len(cs.mids))
-		for _, dst := range cs.mids {
-			if seen.add(dst) {
-				out = append(out, dst)
-			}
-		}
-		return out, nil
+		out.AddAll(cs.mids)
+		return nil
 	}
 
 	vjs := cs.preG.DstsOf(vi)
 	if len(vjs) == 0 {
-		return out, nil
+		return nil
 	}
 	if err := s.worker.checkpoint(len(vjs)); err != nil {
-		return out, err
+		return err
 	}
 	s.stats.Rows += int64(len(vjs))
 
@@ -444,7 +431,7 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 				}
 				members := cs.structure.Members(int32(sk))
 				if err := s.worker.checkpoint(len(members)); err != nil {
-					return out, err
+					return err
 				}
 				s.stats.Rows += int64(len(members))
 				cs.mids = append(cs.mids, members...)
@@ -454,11 +441,11 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 		// Full-closure enumeration dedups the frontier itself (the
 		// redundant-1/-2 checks); seen8 plays EvalBatchUnitFull's seenV.
 		// The Star seeds above may duplicate frontier members, but the
-		// cross-clause stamp dedups the emitted run regardless.
+		// accumulator dedups the emitted run regardless.
 		for _, vj := range vjs {
 			from := cs.closure.From(vj)
 			if err := s.worker.checkpoint(len(from)); err != nil {
-				return out, err
+				return err
 			}
 			s.stats.Rows += int64(len(from))
 			for _, vk := range from {
@@ -472,16 +459,12 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 	// Post extension: joinPost's per-vi slice, with the same per-clause
 	// ReachFrom memo (spans into the pooled flat buffer).
 	if cs.postIsEps {
-		for _, vk := range cs.mids {
-			if seen.add(vk) {
-				out = append(out, vk)
-			}
-		}
-		return out, nil
+		out.AddAll(cs.mids)
+		return nil
 	}
 	for _, vk := range cs.mids {
 		if err := s.worker.checkpoint(1); err != nil {
-			return out, err
+			return err
 		}
 		span, ok := cs.sc.endSpans[vk]
 		if !ok {
@@ -492,13 +475,9 @@ func (cs *clauseStream) appendDsts(s *ResultStream, vi graph.VID, out []graph.VI
 		}
 		ends := cs.sc.endsBuf[span.start:span.end]
 		s.stats.Rows += int64(len(ends))
-		for _, vl := range ends {
-			if seen.add(vl) {
-				out = append(out, vl)
-			}
-		}
+		out.AddAll(ends)
 	}
-	return out, nil
+	return nil
 }
 
 // Close releases the stream's pooled resources and folds the worker's
@@ -525,10 +504,6 @@ func (s *ResultStream) release() {
 		}
 	}
 	s.clauses = nil
-	if s.scratch != nil {
-		s.v.releaseScratch(s.scratch)
-		s.scratch = nil
-	}
 	if s.worker != nil {
 		s.worker.setCancel(nil)
 		s.owner.absorb(s.worker)

@@ -373,8 +373,6 @@ func (b *Builder) Seal() *Relation {
 	return &Relation{numVertices: n, srcOffsets: offsets, dsts: dsts}
 }
 
-// RelationFromSet seals a mutable Set into a Relation over the given
-// VID space.
 // RelationFromCSR rebuilds a sealed relation from raw CSR columns,
 // validating them first (offsets monotone and spanning dsts, runs
 // strictly increasing, dsts in range) so columns loaded from disk can
@@ -387,6 +385,8 @@ func RelationFromCSR(numVertices int, srcOffsets []int32, dsts []graph.VID) (*Re
 	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}, nil
 }
 
+// RelationFromSet seals a mutable Set into a Relation over the given
+// VID space.
 func RelationFromSet(numVertices int, s *Set) *Relation {
 	b := NewBuilder(numVertices)
 	b.AddSet(s)

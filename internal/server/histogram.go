@@ -216,6 +216,13 @@ type latencyRecorder struct {
 	seal         histogram
 	page         histogram
 	other        histogram
+
+	// encode is, per serving path, the time a response spends after its
+	// wall_ns stamp: encoding the pairs and handing them to net/http
+	// (for a stream, summed over its pairs records). firstChunk is a
+	// stream's handler entry to its first pairs record flushed.
+	encode     [pathWitness + 1]histogram
+	firstChunk histogram
 }
 
 // observe records one finished request: wall time into the overall and
@@ -255,6 +262,16 @@ func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.
 			s.h.observe(time.Duration(s.ns))
 		}
 	}
+}
+
+// encodes renders the encode histograms of the paths that carry pairs,
+// keyed by path name.
+func (l *latencyRecorder) encodes() map[string]HistogramStats {
+	out := make(map[string]HistogramStats)
+	for _, p := range []resultPath{pathFastPath, pathFastLane, pathWindowed, pathDirect, pathStreamed} {
+		out[p.String()] = l.encode[p].snapshot()
+	}
+	return out
 }
 
 // stages renders the per-stage histograms.

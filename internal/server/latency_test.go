@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -179,7 +180,9 @@ func TestLatencyRecorderPaths(t *testing.T) {
 // windowed requests the per-stage breakdown must partition the
 // server-measured wall time — the stage sum lands within 5% of WallNS.
 // (The window wait dominates, and every other stage is measured, so the
-// unattributed remainder is just handler overhead.)
+// unattributed remainder is just handler overhead.) Encoding happens
+// after WallNS is stamped; the second half closes that account against
+// the /metrics encode histogram.
 func TestStageSumWithinWall(t *testing.T) {
 	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 256, Edges: 1024, Labels: 4, Seed: 7})
 	if err != nil {
@@ -212,6 +215,43 @@ func TestStageSumWithinWall(t *testing.T) {
 		if resp.Stages.CoalesceWaitNS <= 0 {
 			t.Fatalf("query %d: windowed request attributed no coalesce wait: %+v", i, resp.Stages)
 		}
+	}
+
+	// A response cannot carry its own encode time, so on the path where
+	// encoding is most of the request — a memo-warm 1000-pair page — the
+	// account closes across two outputs: the handler's wall is the
+	// response's wall_ns plus the encode histogram's sample, within 10%.
+	// Measured in-process; the best of a few attempts, since a GC cycle or
+	// a preemption between the two clocks is not the handler's time.
+	srv, query, _ := denseServer(t)
+	body, _ := json.Marshal(QueryRequest{Query: query, Limit: 1000, Offset: 4321})
+	encodeHist := &srv.lat.encode[pathFastPath]
+	best := 1.0
+	for attempt := 0; attempt < 10 && best > 0.10; attempt++ {
+		encodeBefore := encodeHist.sumNS.Load()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+		t0 := time.Now()
+		srv.ServeHTTP(rec, req)
+		handler := time.Since(t0).Nanoseconds()
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Path != "fast_path" || resp.Count != 1000 {
+			t.Fatalf("page rode %q with %d pairs, want a 1000-pair fast_path hit", resp.Path, resp.Count)
+		}
+		encode := encodeHist.sumNS.Load() - encodeBefore
+		if encode <= 0 {
+			t.Fatalf("attempt %d: no encode time observed", attempt)
+		}
+		best = min(best, math.Abs(float64(handler-resp.WallNS-encode))/float64(handler))
+	}
+	if best > 0.10 {
+		t.Fatalf("handler wall differs from wall_ns + encode by %.1f%% at best", 100*best)
+	}
+	if got := srv.MetricsSnapshot().Latency.Encode["fast_path"]; got.Count == 0 || got.MaxMS <= 0 {
+		t.Fatalf("/metrics encode.fast_path = %+v after fast-path pages", got)
 	}
 }
 

@@ -200,8 +200,8 @@ func New(engine Engine, opts Options) *Server {
 		probeStop: make(chan struct{}),
 	}
 	s.route("/query", methods{"GET": s.handleQuery, "POST": s.handleQuery})
-	s.route("/query/stream", methods{"GET": s.handleQueryStream, "POST": s.handleQueryStream})
-	s.route("/query/sse", methods{"GET": s.handleQuerySSE})
+	s.route("/query/stream", methods{"GET": s.streamHandler(false), "POST": s.streamHandler(false)})
+	s.route("/query/sse", methods{"GET": s.streamHandler(true)})
 	s.route("/update", methods{"POST": s.handleUpdate})
 	s.route("/explain", methods{"GET": s.handleExplain})
 	s.route("/healthz", methods{"GET": s.handleHealthz})
@@ -340,6 +340,8 @@ type QueryResponse struct {
 	// handler entry to response encoding.
 	WallNS int64 `json:"wall_ns"`
 	// Pairs is the page: [start, end] vertex pairs in (src, dst) order.
+	// The server writes it from the sealed columns (writePage) without
+	// building this slice; the field is what a client decodes into.
 	Pairs [][2]graph.VID `json:"pairs"`
 	// NextCursor is an opaque resumable token for the next page, present
 	// when the page did not exhaust the result. Resume by sending it
@@ -441,10 +443,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	pageStart := time.Now()
 	page := res.rel.Page(offset, req.Limit)
-	pairs := make([][2]graph.VID, len(page))
-	for i, p := range page {
-		pairs[i] = [2]graph.VID{p.Src, p.Dst}
-	}
 	res.stages.PageNS += time.Since(pageStart).Nanoseconds()
 	next := ""
 	if end := offset + len(page); end < res.rel.Len() && req.Limit > 0 {
@@ -452,18 +450,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wall := time.Since(handlerStart)
 	s.lat.observe(res.path, wall, &res.stages)
-	writeJSON(w, http.StatusOK, QueryResponse{
+	writePage(w, &QueryResponse{
 		Query:      req.Query,
 		Epoch:      res.epoch,
 		Total:      res.rel.Len(),
 		Offset:     offset,
-		Count:      len(pairs),
+		Count:      len(page),
 		Path:       res.path.String(),
 		Stages:     res.stages,
 		WallNS:     wall.Nanoseconds(),
-		Pairs:      pairs,
 		NextCursor: next,
-	})
+	}, page)
+	s.lat.encode[res.path].observe(time.Since(handlerStart) - wall)
 }
 
 // decodeQueryRequest parses a GET's query parameters or a POST's JSON
@@ -505,7 +503,9 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) (Que
 			dst  *graph.VID
 		}{{"src", &req.Src}, {"dst", &req.Dst}} {
 			if v := q.Get(p.name); v != "" {
-				n, err := strconv.Atoi(v)
+				// A vertex ID is a non-negative int32: a wider value must
+				// fail, not wrap to some other vertex.
+				n, err := strconv.ParseUint(v, 10, 31)
 				if err != nil {
 					writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", p.name, err))
 					return req, nil, false
@@ -874,6 +874,12 @@ type LatencyInfo struct {
 	// Stages holds one histogram per pipeline stage, counting requests
 	// in which the stage ran.
 	Stages StageHistograms `json:"stages"`
+	// Encode holds, per pair-carrying path (fast_path, fast_lane,
+	// windowed, direct, streamed), the time spent encoding and writing
+	// the response after wall_ns was stamped; FirstChunk is a stream's
+	// time from handler entry to its first pairs record flushed.
+	Encode     map[string]HistogramStats `json:"encode"`
+	FirstChunk HistogramStats            `json:"first_chunk"`
 	// ArrivalRateQPS and BatchOccupancy are the adaptive controller's
 	// rolling estimates; WindowMode is "fixed" or "adaptive";
 	// CurrentWindowMS is the window the controller would open now.
@@ -979,6 +985,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 			Streamed:        s.lat.streamed.snapshot(),
 			Witness:         s.lat.witness.snapshot(),
 			Stages:          s.lat.stages(),
+			Encode:          s.lat.encodes(),
+			FirstChunk:      s.lat.firstChunk.snapshot(),
 			ArrivalRateQPS:  rate,
 			BatchOccupancy:  occupancy,
 			WindowMode:      mode,

@@ -564,6 +564,12 @@ func TestServerAccessorsAndParamErrors(t *testing.T) {
 	for _, url := range []string{
 		ts.URL + "/query?q=a&limit=banana",
 		ts.URL + "/query?q=a&offset=banana",
+		// Vertex parameters are 32-bit and non-negative: 2^32 must not
+		// wrap to vertex 0 and answer for the wrong pair.
+		ts.URL + "/query?q=a&witness=1&src=4294967296&dst=1",
+		ts.URL + "/query?q=a&witness=1&src=0&dst=2147483648",
+		ts.URL + "/query?q=a&witness=1&src=-1&dst=1",
+		ts.URL + "/query?q=a&witness=1&src=0&dst=-7",
 		ts.URL + "/explain",
 		ts.URL + "/explain?q=((((",
 	} {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"rtcshare/internal/core"
-	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
 )
@@ -35,10 +35,8 @@ type streamMeta struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// streamChunk is one NDJSON pairs record / one "pairs" SSE event.
-type streamChunk struct {
-	Pairs [][2]graph.VID `json:"pairs"`
-}
+// A pairs record / "pairs" SSE event is {"pairs":[[src,dst],...]},
+// written by streamSink.pairs.
 
 // streamDone is the final NDJSON record / the "done" SSE event.
 type streamDone struct {
@@ -99,24 +97,19 @@ func (s *Server) decodeStreamRequest(w http.ResponseWriter, r *http.Request) (st
 	return query, expr, limit, true
 }
 
-// streamSink abstracts the NDJSON and SSE framings over one drain loop.
-type streamSink interface {
-	meta(streamMeta) error
-	chunk(streamChunk) error
-	done(streamDone) error
-	fail(streamError) error
-}
-
-// drainToSink runs the shared drain loop: open-time errors were already
+// drainToSink runs the drain loop: open-time errors were already
 // handled; this delivers chunks until done, limit, epoch-lag abort or a
 // stream error. Returns the pairs sent.
-func (s *Server) drainToSink(stream *core.ResultStream, query string, sink streamSink, start time.Time) int64 {
+func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *streamSink, start time.Time) int64 {
 	defer stream.Close()
-	if err := sink.meta(streamMeta{Query: query, Epoch: stream.Epoch()}); err != nil {
+	defer sink.release()
+	if err := sink.record("meta", streamMeta{Query: query, Epoch: stream.Epoch()}); err != nil {
 		return 0
 	}
 	buf := make([]pairs.Pair, s.opts.StreamChunk)
 	var sent int64
+	var encode time.Duration
+	defer func() { s.lat.encode[pathStreamed].observe(encode) }()
 	for {
 		// The lag guard: a pinned stream is always self-consistent, but
 		// past the configured lag the answer is declared too stale to
@@ -124,7 +117,7 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink strea
 		if lag := s.opts.StreamMaxLag; lag > 0 {
 			if cur := s.engine.Epoch(); cur > stream.Epoch()+lag {
 				s.epochAborts.Add(1)
-				_ = sink.fail(streamError{
+				_ = sink.record("error", streamError{
 					Error: fmt.Sprintf("stream pinned to epoch %d fell %d epochs behind (max lag %d): restart on the current graph",
 						stream.Epoch(), cur-stream.Epoch(), lag),
 					Code:         "epoch_lag",
@@ -136,21 +129,24 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink strea
 		}
 		n, done, err := stream.Next(buf)
 		if err != nil {
-			_ = sink.fail(streamError{Error: err.Error(), Code: "evaluation"})
+			_ = sink.record("error", streamError{Error: err.Error(), Code: "evaluation"})
 			return sent
 		}
 		if n > 0 {
-			out := make([][2]graph.VID, n)
-			for i, p := range buf[:n] {
-				out[i] = [2]graph.VID{p.Src, p.Dst}
-			}
-			if err := sink.chunk(streamChunk{Pairs: out}); err != nil {
+			t0 := time.Now()
+			err := sink.pairs(buf[:n])
+			t1 := time.Now()
+			encode += t1.Sub(t0)
+			if err != nil {
 				return sent // client went away
+			}
+			if sent == 0 {
+				s.lat.firstChunk.observe(t1.Sub(start))
 			}
 			sent += int64(n)
 		}
 		if done {
-			_ = sink.done(streamDone{
+			_ = sink.record("done", streamDone{
 				Done:      true,
 				PairsSent: sent,
 				Epoch:     stream.Epoch(),
@@ -182,106 +178,93 @@ func (s *Server) openStream(w http.ResponseWriter, r *http.Request, expr rpq.Exp
 	return stream, true
 }
 
-// ndjsonSink frames records as newline-delimited JSON, flushing after
-// every record so chunks reach the client as they are produced.
-type ndjsonSink struct {
+// streamSink frames stream records as NDJSON lines or, with sse set, as
+// Server-Sent Events (named events with one JSON data line each),
+// flushing after every record so chunks reach the client as they are
+// produced. Both framings build each record in one pooled buffer: pairs
+// records through the append-encoder, the cold records (meta, done,
+// error) through encoding/json.
+type streamSink struct {
 	w   http.ResponseWriter
 	f   http.Flusher
-	enc *json.Encoder
+	sse bool
+	wb  *wireBuf
 }
 
-func newNDJSONSink(w http.ResponseWriter) *ndjsonSink {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
+func newStreamSink(w http.ResponseWriter, sse bool) *streamSink {
+	h := w.Header()
+	h.Set("Content-Type", "application/x-ndjson")
+	if sse {
+		h.Set("Content-Type", "text/event-stream")
+		h.Set("Connection", "keep-alive")
+	}
+	h.Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	f, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return &ndjsonSink{w: w, f: f, enc: enc}
+	return &streamSink{w: w, f: f, sse: sse, wb: getWireBuf()}
 }
 
-func (n *ndjsonSink) write(v any) error {
-	if err := n.enc.Encode(v); err != nil {
+func (k *streamSink) release() { k.wb.release() }
+
+// begin starts a record in the sink's buffer.
+func (k *streamSink) begin(event string) []byte {
+	if !k.sse {
+		return k.wb.b[:0]
+	}
+	return append(append(append(k.wb.b[:0], "event: "...), event...), "\ndata: "...)
+}
+
+// end sends the record b, whose JSON already ends in a newline.
+func (k *streamSink) end(b []byte) error {
+	if k.sse {
+		b = append(b, '\n')
+	}
+	k.wb.b = b
+	if _, err := k.w.Write(b); err != nil {
 		return err
 	}
-	if n.f != nil {
-		n.f.Flush()
+	if k.f != nil {
+		k.f.Flush()
 	}
 	return nil
 }
 
-func (n *ndjsonSink) meta(m streamMeta) error   { return n.write(m) }
-func (n *ndjsonSink) chunk(c streamChunk) error { return n.write(c) }
-func (n *ndjsonSink) done(d streamDone) error   { return n.write(d) }
-func (n *ndjsonSink) fail(e streamError) error  { return n.write(e) }
-
-// sseSink frames records as Server-Sent Events: named events with one
-// JSON data line each.
-type sseSink struct {
-	w http.ResponseWriter
-	f http.Flusher
+// pairs sends one pairs record.
+func (k *streamSink) pairs(page []pairs.Pair) error {
+	b := appendPairs(append(k.begin("pairs"), `{"pairs":`...), page)
+	return k.end(append(b, '}', '\n'))
 }
 
-func newSSESink(w http.ResponseWriter) *sseSink {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	f, _ := w.(http.Flusher)
-	return &sseSink{w: w, f: f}
-}
-
-func (s *sseSink) event(name string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
+// record sends one cold record. HTML escaping follows the framing: SSE
+// data has always been json.Marshal's bytes, NDJSON lines an Encoder's
+// with escaping off.
+func (k *streamSink) record(event string, v any) error {
+	buf := bytes.NewBuffer(k.begin(event))
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(k.sse)
+	if err := enc.Encode(v); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data); err != nil {
-		return err
-	}
-	if s.f != nil {
-		s.f.Flush()
-	}
-	return nil
+	return k.end(buf.Bytes())
 }
 
-func (s *sseSink) meta(m streamMeta) error   { return s.event("meta", m) }
-func (s *sseSink) chunk(c streamChunk) error { return s.event("pairs", c) }
-func (s *sseSink) done(d streamDone) error   { return s.event("done", d) }
-func (s *sseSink) fail(e streamError) error  { return s.event("error", e) }
-
-// handleQueryStream serves GET/POST /query/stream: the result as NDJSON
-// — a meta record, pairs records, then a done or error record.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	query, expr, limit, ok := s.decodeStreamRequest(w, r)
-	if !ok {
-		return
+// streamHandler serves GET/POST /query/stream — the result as NDJSON: a
+// meta record, pairs records, then a done or error record — and, with
+// sse, GET /query/sse: the same drain framed as Server-Sent Events.
+func (s *Server) streamHandler(sse bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		query, expr, limit, ok := s.decodeStreamRequest(w, r)
+		if !ok {
+			return
+		}
+		stream, ok := s.openStream(w, r, expr, limit)
+		if !ok {
+			return
+		}
+		s.streams.Add(1)
+		sent := s.drainToSink(stream, query, newStreamSink(w, sse), start)
+		s.streamedPairs.Add(sent)
+		s.lat.observe(pathStreamed, time.Since(start), &core.StageTimer{})
 	}
-	stream, ok := s.openStream(w, r, expr, limit)
-	if !ok {
-		return
-	}
-	s.streams.Add(1)
-	sent := s.drainToSink(stream, query, newNDJSONSink(w), start)
-	s.streamedPairs.Add(sent)
-	s.lat.observe(pathStreamed, time.Since(start), &core.StageTimer{})
-}
-
-// handleQuerySSE serves GET /query/sse: the same drain framed as
-// Server-Sent Events (meta, pairs, done/error events).
-func (s *Server) handleQuerySSE(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	query, expr, limit, ok := s.decodeStreamRequest(w, r)
-	if !ok {
-		return
-	}
-	stream, ok := s.openStream(w, r, expr, limit)
-	if !ok {
-		return
-	}
-	s.streams.Add(1)
-	sent := s.drainToSink(stream, query, newSSESink(w), start)
-	s.streamedPairs.Add(sent)
-	s.lat.observe(pathStreamed, time.Since(start), &core.StageTimer{})
 }

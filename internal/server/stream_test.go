@@ -161,6 +161,11 @@ func TestServerCursorEpochGone(t *testing.T) {
 	}
 }
 
+// wireChunk is what a client decodes a pairs record into.
+type wireChunk struct {
+	Pairs [][2]graph.VID `json:"pairs"`
+}
+
 // streamRecords parses one NDJSON /query/stream response body into its
 // meta record, concatenated pairs, and done/error records.
 type streamRecords struct {
@@ -193,7 +198,7 @@ func parseNDJSON(t *testing.T, body []byte) streamRecords {
 			}
 			first = false
 		case probe["pairs"] != nil:
-			var c streamChunk
+			var c wireChunk
 			if err := json.Unmarshal(line, &c); err != nil {
 				t.Fatalf("bad pairs record: %v", err)
 			}
@@ -400,7 +405,7 @@ func TestServerSSE(t *testing.T) {
 	for _, e := range events[1:] {
 		switch e.event {
 		case "pairs":
-			var c streamChunk
+			var c wireChunk
 			if err := json.Unmarshal([]byte(e.data), &c); err != nil {
 				t.Fatal(err)
 			}
@@ -431,20 +436,6 @@ func TestServerSSE(t *testing.T) {
 	}
 }
 
-// recordingSink captures the drain loop's records for the epoch-lag
-// unit test.
-type recordingSink struct {
-	metas  []streamMeta
-	chunks []streamChunk
-	dones  []streamDone
-	fails  []streamError
-}
-
-func (r *recordingSink) meta(m streamMeta) error   { r.metas = append(r.metas, m); return nil }
-func (r *recordingSink) chunk(c streamChunk) error { r.chunks = append(r.chunks, c); return nil }
-func (r *recordingSink) done(d streamDone) error   { r.dones = append(r.dones, d); return nil }
-func (r *recordingSink) fail(e streamError) error  { r.fails = append(r.fails, e); return nil }
-
 // TestServerStreamEpochLagAbort: with StreamMaxLag configured, a
 // pinned stream whose engine races ahead is aborted with the
 // structured epoch_lag record naming both epochs.
@@ -467,20 +458,21 @@ func TestServerStreamEpochLagAbort(t *testing.T) {
 		}
 	}
 
-	sink := &recordingSink{}
-	srv.drainToSink(stream, "(b.c)+", sink, time.Now())
-	if len(sink.fails) != 1 {
-		t.Fatalf("fails = %+v, want exactly one", sink.fails)
+	rec := httptest.NewRecorder()
+	srv.drainToSink(stream, "(b.c)+", newStreamSink(rec, false), time.Now())
+	got := parseNDJSON(t, rec.Body.Bytes())
+	if got.fail == nil {
+		t.Fatalf("no error record in %s", rec.Body)
 	}
-	fail := sink.fails[0]
+	fail := *got.fail
 	if fail.Code != "epoch_lag" {
 		t.Fatalf("code %q, want epoch_lag", fail.Code)
 	}
 	if fail.PinnedEpoch != stream.Epoch() || fail.CurrentEpoch != engine.Epoch() {
 		t.Fatalf("epochs (%d, %d), want (%d, %d)", fail.PinnedEpoch, fail.CurrentEpoch, stream.Epoch(), engine.Epoch())
 	}
-	if len(sink.dones) != 0 {
-		t.Fatalf("aborted stream still sent done: %+v", sink.dones)
+	if got.done != nil {
+		t.Fatalf("aborted stream still sent done: %+v", got.done)
 	}
 	if srv.epochAborts.Load() == 0 {
 		t.Fatal("epoch abort not counted")
@@ -491,10 +483,10 @@ func TestServerStreamEpochLagAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink2 := &recordingSink{}
-	srv.drainToSink(stream2, "(b.c)+", sink2, time.Now())
-	if len(sink2.fails) != 0 || len(sink2.dones) != 1 {
-		t.Fatalf("current-epoch stream: fails %+v dones %+v", sink2.fails, sink2.dones)
+	rec2 := httptest.NewRecorder()
+	srv.drainToSink(stream2, "(b.c)+", newStreamSink(rec2, false), time.Now())
+	if got2 := parseNDJSON(t, rec2.Body.Bytes()); got2.fail != nil || got2.done == nil {
+		t.Fatalf("current-epoch stream: fail %+v done %+v", got2.fail, got2.done)
 	}
 }
 
@@ -731,7 +723,7 @@ func TestServerStreamDraining(t *testing.T) {
 }
 
 // TestServerStreamLagOverHTTPSinks drives the epoch-lag abort through
-// the real NDJSON and SSE framings (not the recording sink): the last
+// both framings: the last
 // NDJSON record must be the structured error, and the SSE body must end
 // with an "error" event naming both epochs.
 func TestServerStreamLagOverHTTPSinks(t *testing.T) {
@@ -758,7 +750,7 @@ func TestServerStreamLagOverHTTPSinks(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	srv.drainToSink(s1, "(b.c)+", newNDJSONSink(rec), time.Now())
+	srv.drainToSink(s1, "(b.c)+", newStreamSink(rec, false), time.Now())
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("ndjson Content-Type = %q", ct)
 	}
@@ -772,7 +764,7 @@ func TestServerStreamLagOverHTTPSinks(t *testing.T) {
 	}
 
 	rec2 := httptest.NewRecorder()
-	srv.drainToSink(s2, "(b.c)+", newSSESink(rec2), time.Now())
+	srv.drainToSink(s2, "(b.c)+", newStreamSink(rec2, true), time.Now())
 	body := rec2.Body.String()
 	if !strings.Contains(body, "event: error\n") {
 		t.Fatalf("sse abort body missing error event:\n%s", body)
