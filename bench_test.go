@@ -1,20 +1,17 @@
-// Benchmarks regenerating the paper's evaluation, one per table/figure,
-// plus ablations of the design choices called out in DESIGN.md.
+// Microbenchmarks, one per layer function the repository benchmark's
+// replay pins (benchmark/README.md, "Public functions the replay pins"),
+// each named Benchmark<Layer>_<Metric> after the `layer.metric` of the
+// traced run it explains — so `go test -bench` and
+// `bash benchmark/run.sh -trace 1` share a vocabulary. They time one
+// call on the paper's batch-unit shape Pre.R+.Post over RMAT_3; the
+// end-to-end numbers come from the benchmark, not from here.
 //
-// Run with: go test -bench=. -benchmem
-//
-// The benchmarks use reduced scales (2^8-vertex RMAT, 2 query sets) so
-// the full suite completes in minutes; the shapes (who wins, how ratios
-// move with degree and #RPQs) match the paper. For the full protocol use
-// cmd/rpqbench -paper. Custom metrics reported where time is not the
-// figure's y-axis: pairs (Fig. 12), vertices (Fig. 13).
+// Run with: go test -run=NONE -bench=. -benchmem .
 package rtcshare_test
 
 import (
 	"testing"
 
-	"rtcshare"
-	"rtcshare/internal/bench"
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/eval"
@@ -24,331 +21,158 @@ import (
 	"rtcshare/internal/rtc"
 	"rtcshare/internal/scc"
 	"rtcshare/internal/tc"
-	"rtcshare/internal/workload"
 )
 
-// benchScaleExp keeps each benchmark iteration sub-second.
-const benchScaleExp = 8
-
-func benchConfig() bench.RunConfig {
-	cfg := bench.DefaultConfig()
-	cfg.ScaleExp = benchScaleExp
-	cfg.NumSets = 2
-	cfg.RealVertices = 512
-	cfg.YagoVertices = 1024
-	return cfg
+// layerFixture is the batch unit l3.(l0.l1)+.l2 over RMAT_3 at 2^8
+// vertices, taken apart the way the replay takes a query apart: the
+// sealed side relation Pre_G, the edge-level reduced graph G_R and the
+// Post expression.
+type layerFixture struct {
+	g    *graph.Graph
+	r    rpq.Expr
+	post rpq.Expr
+	preG *pairs.Relation
+	gr   *graph.DiGraph
 }
 
-// mustRMAT builds the paper's RMAT_N at bench scale.
-func mustRMAT(b *testing.B, n int) *graph.Graph {
+func newLayerFixture(b *testing.B) layerFixture {
 	b.Helper()
-	g, err := datagen.PaperRMATN(n, benchScaleExp, 2022)
+	g, err := datagen.PaperRMATN(3, 8, 2022)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g
-}
-
-// mustWorkload draws numSets batch-unit sets over g's labels.
-func mustWorkload(b *testing.B, g *graph.Graph, numSets int) []workload.Set {
-	b.Helper()
-	sets, err := workload.Generate(g.Dict(), workload.DefaultConfig(numSets, 7))
-	if err != nil {
-		b.Fatal(err)
+	seal := func(q rpq.Expr) *pairs.Relation {
+		bld := pairs.NewBuilder(g.NumVertices())
+		eval.New(g, q, eval.Options{}).AppendAll(bld)
+		return bld.Seal()
 	}
-	return sets
+	fx := layerFixture{g: g, r: rpq.MustParse("l0.l1"), post: rpq.MustParse("l2")}
+	fx.preG = seal(rpq.MustParse("l3"))
+	fx.gr = rtc.EdgeReduceRel(g.NumVertices(), seal(fx.r))
+	return fx
 }
 
-// runSets evaluates the first k queries of each set with a fresh engine
-// per set, the paper's sharing discipline.
-func runSets(b *testing.B, g *graph.Graph, sets []workload.Set, k int, strategy core.Strategy) {
-	b.Helper()
-	for _, set := range sets {
-		engine := core.New(g, core.Options{Strategy: strategy})
-		for _, q := range set.Queries[:k] {
-			if _, err := engine.Evaluate(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// --- Table III: computing R+G (Full, on G_R) vs R̄+Ḡ (RTC, on Ḡ_R) ---
-
-func benchTableIIIGraph(b *testing.B) *graph.DiGraph {
-	g := mustRMAT(b, 3)
-	rg := eval.Evaluate(g, rtcshare.MustParseQuery("l0.l1"))
-	return rtc.EdgeReduce(g.NumVertices(), rg)
-}
-
-func BenchmarkTableIII_SharedData_Full(b *testing.B) {
-	gr := benchTableIIIGraph(b)
+// BenchmarkEval_RG explains eval.rg_ns: the automaton-product traversal
+// that evaluates the closure body R into a builder.
+func BenchmarkEval_RG(b *testing.B) {
+	fx := newLayerFixture(b)
+	bld := pairs.NewBuilder(fx.g.NumVertices())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		closure := tc.BFS(gr)
+		bld.Reset()
+		eval.New(fx.g, fx.r, eval.Options{}).AppendAll(bld)
+	}
+}
+
+// BenchmarkPairs_Seal explains pairs.seal_ns: sorting and deduplicating
+// R_G's rows into the sealed columns.
+func BenchmarkPairs_Seal(b *testing.B) {
+	fx := newLayerFixture(b)
+	bld := pairs.NewBuilder(fx.g.NumVertices())
+	ev := eval.New(fx.g, fx.r, eval.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ev.AppendAll(bld)
+		b.StartTimer()
+		bld.Seal()
+	}
+}
+
+// BenchmarkPairs_Page explains pairs.page_ns: one 1000-pair page from
+// the middle of a sealed result (the full closure of G_R, as a relation).
+func BenchmarkPairs_Page(b *testing.B) {
+	fx := newLayerFixture(b)
+	bld := pairs.NewBuilder(fx.g.NumVertices())
+	tc.BFS(fx.gr).Each(func(u, w graph.VID) bool {
+		bld.Add(u, w)
+		return true
+	})
+	rel := bld.Seal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel.Page(rel.Len()/2, 1000)
+	}
+}
+
+// BenchmarkSCC_Tarjan explains scc.tarjan_ns.
+func BenchmarkSCC_Tarjan(b *testing.B) {
+	fx := newLayerFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scc.Tarjan(fx.gr)
+	}
+}
+
+// BenchmarkSCC_Condense explains scc.condense_ns.
+func BenchmarkSCC_Condense(b *testing.B) {
+	fx := newLayerFixture(b)
+	comps := scc.Tarjan(fx.gr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scc.Condense(fx.gr, comps)
+	}
+}
+
+// BenchmarkTC_FullClosure explains tc.full_closure_ns: TC(G_R), the
+// structure FullSharing and NoSharing build (Table III's left column).
+func BenchmarkTC_FullClosure(b *testing.B) {
+	fx := newLayerFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		closure := tc.BFS(fx.gr)
 		b.ReportMetric(float64(closure.NumPairs()), "pairs")
 	}
 }
 
-func BenchmarkTableIII_SharedData_RTC(b *testing.B) {
-	gr := benchTableIIIGraph(b)
+// BenchmarkRTC_Compute explains rtc.compute_ns: Tarjan, condensation and
+// TC(Ḡ_R) with the zero-value algorithm (Table III's right column).
+func BenchmarkRTC_Compute(b *testing.B) {
+	fx := newLayerFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		structure := rtc.Compute(gr, rtc.BFSClosure)
+		structure := rtc.Compute(fx.gr, 0)
 		b.ReportMetric(float64(structure.NumSharedPairs()), "pairs")
 	}
 }
 
-// --- Table IV: dataset generation and statistics ---
-
-func BenchmarkTableIV_GenerateDatasets(b *testing.B) {
-	cfg := benchConfig()
+// BenchmarkCore_Join explains core.join_ns: Algorithm 2's
+// Pre_G ⋈ R̄+ ⋈ Post on prebuilt inputs.
+func BenchmarkCore_Join(b *testing.B) {
+	fx := newLayerFixture(b)
+	structure := rtc.Compute(fx.gr, 0)
+	engine := core.New(fx.g, core.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunTableIV(cfg)
+		rel, err := engine.EvalBatchUnit(fx.preG, structure, rpq.ClosurePlus, fx.post)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
+		b.ReportMetric(float64(rel.Len()), "rows_out")
 	}
 }
 
-// --- Fig. 10(a): query response time vs vertex degree (synthetic) ---
-
-func benchFig10a(b *testing.B, n int, strategy core.Strategy) {
-	g := mustRMAT(b, n)
-	sets := mustWorkload(b, g, 2)
+// BenchmarkCore_JoinFull explains the trace's core.join_full span: the
+// same join at vertex-pair level over the full closure.
+func BenchmarkCore_JoinFull(b *testing.B) {
+	fx := newLayerFixture(b)
+	closure := tc.BFS(fx.gr)
+	engine := core.New(fx.g, core.Options{Strategy: core.FullSharing})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runSets(b, g, sets, 4, strategy)
-	}
-}
-
-func BenchmarkFig10a_RMAT0_No(b *testing.B)   { benchFig10a(b, 0, core.NoSharing) }
-func BenchmarkFig10a_RMAT0_Full(b *testing.B) { benchFig10a(b, 0, core.FullSharing) }
-func BenchmarkFig10a_RMAT0_RTC(b *testing.B)  { benchFig10a(b, 0, core.RTCSharing) }
-func BenchmarkFig10a_RMAT3_No(b *testing.B)   { benchFig10a(b, 3, core.NoSharing) }
-func BenchmarkFig10a_RMAT3_Full(b *testing.B) { benchFig10a(b, 3, core.FullSharing) }
-func BenchmarkFig10a_RMAT3_RTC(b *testing.B)  { benchFig10a(b, 3, core.RTCSharing) }
-func BenchmarkFig10a_RMAT6_No(b *testing.B)   { benchFig10a(b, 6, core.NoSharing) }
-func BenchmarkFig10a_RMAT6_Full(b *testing.B) { benchFig10a(b, 6, core.FullSharing) }
-func BenchmarkFig10a_RMAT6_RTC(b *testing.B)  { benchFig10a(b, 6, core.RTCSharing) }
-
-// --- Fig. 10(b): query response time on real-dataset stand-ins ---
-
-func benchFig10b(b *testing.B, spec datagen.DatasetSpec, strategy core.Strategy) {
-	spec = spec.ScaledTo(512)
-	g, err := spec.Generate(11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sets := mustWorkload(b, g, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSets(b, g, sets, 4, strategy)
-	}
-}
-
-func BenchmarkFig10b_Yago2s_Full(b *testing.B) {
-	benchFig10b(b, datagen.Yago2sStandIn, core.FullSharing)
-}
-func BenchmarkFig10b_Yago2s_RTC(b *testing.B)    { benchFig10b(b, datagen.Yago2sStandIn, core.RTCSharing) }
-func BenchmarkFig10b_Robots_Full(b *testing.B)   { benchFig10b(b, datagen.Robots, core.FullSharing) }
-func BenchmarkFig10b_Robots_RTC(b *testing.B)    { benchFig10b(b, datagen.Robots, core.RTCSharing) }
-func BenchmarkFig10b_Advogato_Full(b *testing.B) { benchFig10b(b, datagen.Advogato, core.FullSharing) }
-func BenchmarkFig10b_Advogato_RTC(b *testing.B)  { benchFig10b(b, datagen.Advogato, core.RTCSharing) }
-func BenchmarkFig10b_Youtube_No(b *testing.B)    { benchFig10b(b, datagen.Youtube, core.NoSharing) }
-func BenchmarkFig10b_Youtube_Full(b *testing.B)  { benchFig10b(b, datagen.Youtube, core.FullSharing) }
-func BenchmarkFig10b_Youtube_RTC(b *testing.B)   { benchFig10b(b, datagen.Youtube, core.RTCSharing) }
-
-// --- Fig. 11: the Shared_Data and PreG⋈R+G parts in isolation ---
-
-// The Shared_Data part is TableIII above; this isolates the join part on
-// a fixed Pre_G and closure (Algorithm 2 vs the pair-level join).
-func benchFig11Join(b *testing.B, useRTC bool) {
-	g := mustRMAT(b, 4)
-	preG := pairs.RelationFromSet(g.NumVertices(), eval.Evaluate(g, rtcshare.MustParseQuery("l3")))
-	rg := eval.Evaluate(g, rtcshare.MustParseQuery("l0.l1"))
-	gr := rtc.EdgeReduce(g.NumVertices(), rg)
-	structure := rtc.Compute(gr, rtc.BFSClosure)
-	closure := tc.BFS(gr)
-	post := rtcshare.MustParseQuery("l2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine := core.New(g, core.Options{})
-		var err error
-		if useRTC {
-			_, err = engine.EvalBatchUnit(preG, structure, rpq.ClosurePlus, post)
-		} else {
-			_, err = engine.EvalBatchUnitFull(preG, closure, rpq.ClosurePlus, post)
-		}
+		rel, err := engine.EvalBatchUnitFull(fx.preG, closure, rpq.ClosurePlus, fx.post)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(rel.Len()), "rows_out")
 	}
 }
-
-func BenchmarkFig11_PreJoin_Full(b *testing.B) { benchFig11Join(b, false) }
-func BenchmarkFig11_PreJoin_RTC(b *testing.B)  { benchFig11Join(b, true) }
-
-// --- Fig. 12: shared data size (pairs); time is the computation cost ---
-
-func benchFig12(b *testing.B, n int, useRTC bool) {
-	g := mustRMAT(b, n)
-	rg := eval.Evaluate(g, rtcshare.MustParseQuery("l0.l1"))
-	gr := rtc.EdgeReduce(g.NumVertices(), rg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if useRTC {
-			s := rtc.Compute(gr, rtc.BFSClosure)
-			b.ReportMetric(float64(s.NumSharedPairs()), "pairs")
-		} else {
-			c := tc.BFS(gr)
-			b.ReportMetric(float64(c.NumPairs()), "pairs")
-		}
-	}
-}
-
-func BenchmarkFig12_RMAT1_Full(b *testing.B) { benchFig12(b, 1, false) }
-func BenchmarkFig12_RMAT1_RTC(b *testing.B)  { benchFig12(b, 1, true) }
-func BenchmarkFig12_RMAT5_Full(b *testing.B) { benchFig12(b, 5, false) }
-func BenchmarkFig12_RMAT5_RTC(b *testing.B)  { benchFig12(b, 5, true) }
-
-// --- Fig. 13: number of vertices |V_R| vs |V̄_R̄| ---
-
-func benchFig13(b *testing.B, n int) {
-	g := mustRMAT(b, n)
-	rg := eval.Evaluate(g, rtcshare.MustParseQuery("l0.l1"))
-	gr := rtc.EdgeReduce(g.NumVertices(), rg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comps := scc.Tarjan(gr)
-		b.ReportMetric(float64(gr.NumActive()), "VR")
-		b.ReportMetric(float64(comps.NumComponents()), "VbarR")
-	}
-}
-
-func BenchmarkFig13_RMAT1(b *testing.B) { benchFig13(b, 1) }
-func BenchmarkFig13_RMAT5(b *testing.B) { benchFig13(b, 5) }
-
-// --- Fig. 14: query response time vs #RPQs ---
-
-func benchFig14(b *testing.B, k int, strategy core.Strategy) {
-	g := mustRMAT(b, 3)
-	sets := mustWorkload(b, g, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSets(b, g, sets, k, strategy)
-	}
-}
-
-func BenchmarkFig14_1RPQ_No(b *testing.B)    { benchFig14(b, 1, core.NoSharing) }
-func BenchmarkFig14_1RPQ_Full(b *testing.B)  { benchFig14(b, 1, core.FullSharing) }
-func BenchmarkFig14_1RPQ_RTC(b *testing.B)   { benchFig14(b, 1, core.RTCSharing) }
-func BenchmarkFig14_10RPQ_No(b *testing.B)   { benchFig14(b, 10, core.NoSharing) }
-func BenchmarkFig14_10RPQ_Full(b *testing.B) { benchFig14(b, 10, core.FullSharing) }
-func BenchmarkFig14_10RPQ_RTC(b *testing.B)  { benchFig14(b, 10, core.RTCSharing) }
-
-// --- Fig. 15 isolates the amortisation: Shared_Data per set size ---
-
-func BenchmarkFig15_SharedDataAmortisation(b *testing.B) {
-	g := mustRMAT(b, 3)
-	sets := mustWorkload(b, g, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, set := range sets {
-			engine := core.New(g, core.Options{Strategy: core.RTCSharing})
-			for _, q := range set.Queries[:10] {
-				if _, err := engine.Evaluate(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := engine.Stats()
-			b.ReportMetric(float64(st.SharedData.Nanoseconds())/10, "shared-ns/rpq")
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §6) ---
-
-// AblationJoinDedup: Algorithm 2's union-at-each-join-step vs the naive
-// pair-level join, on identical inputs — covered by Fig11_PreJoin above;
-// this variant measures it end to end through the engine.
-func benchAblationDedup(b *testing.B, strategy core.Strategy) {
-	g := mustRMAT(b, 5)
-	sets := mustWorkload(b, g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSets(b, g, sets, 4, strategy)
-	}
-}
-
-func BenchmarkAblationJoinDedup_PairLevel(b *testing.B) { benchAblationDedup(b, core.FullSharing) }
-func BenchmarkAblationJoinDedup_SCCLevel(b *testing.B)  { benchAblationDedup(b, core.RTCSharing) }
-
-// AblationVertexReduction: computing the closure with and without the
-// vertex-level reduction.
-func BenchmarkAblationVertexReduction_Off(b *testing.B) {
-	gr := benchTableIIIGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc.BFS(gr)
-	}
-}
-
-func BenchmarkAblationVertexReduction_On(b *testing.B) {
-	gr := benchTableIIIGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comps := scc.Tarjan(gr)
-		cond := scc.Condense(gr, comps)
-		tc.BFS(cond)
-	}
-}
-
-// AblationTCAlgorithm: BFS vs Purdom vs Nuutila on the same graph.
-func benchTCAlgo(b *testing.B, algo func(*graph.DiGraph) *tc.Closure) {
-	gr := benchTableIIIGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo(gr)
-	}
-}
-
-func BenchmarkAblationTCAlgorithm_BFS(b *testing.B)     { benchTCAlgo(b, tc.BFS) }
-func BenchmarkAblationTCAlgorithm_Purdom(b *testing.B)  { benchTCAlgo(b, tc.Purdom) }
-func BenchmarkAblationTCAlgorithm_Nuutila(b *testing.B) { benchTCAlgo(b, tc.Nuutila) }
-
-// AblationRTCCache: the RTC cache on vs off across a query set with a
-// shared sub-query.
-func benchRTCCache(b *testing.B, disable bool) {
-	g := mustRMAT(b, 3)
-	sets := mustWorkload(b, g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine := core.New(g, core.Options{Strategy: core.RTCSharing, DisableCache: disable})
-		for _, q := range sets[0].Queries {
-			if _, err := engine.Evaluate(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblationRTCCache_On(b *testing.B)  { benchRTCCache(b, false) }
-func BenchmarkAblationRTCCache_Off(b *testing.B) { benchRTCCache(b, true) }
-
-// AblationDFA: NFA vs DFA product evaluation for NoSharing.
-func benchDFA(b *testing.B, useDFA bool) {
-	g := mustRMAT(b, 3)
-	q := rtcshare.MustParseQuery("l0.(l1.l2)+.l3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := eval.New(g, q, eval.Options{UseDFA: useDFA})
-		ev.EvaluateAll()
-	}
-}
-
-func BenchmarkAblationDFA_NFA(b *testing.B) { benchDFA(b, false) }
-func BenchmarkAblationDFA_DFA(b *testing.B) { benchDFA(b, true) }

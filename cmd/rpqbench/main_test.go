@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,7 +25,7 @@ func TestUnknownExperimentListsIDs(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for unknown experiment")
 	}
-	for _, id := range []string{"latency", "serve", "planner", "fig10a"} {
+	for _, id := range []string{"ablations", "table3", "fig10a", "fig16"} {
 		if !strings.Contains(err.Error(), id) {
 			t.Errorf("error %q does not list experiment %q", err, id)
 		}
@@ -52,41 +49,13 @@ func TestRunFigTiny(t *testing.T) {
 	}
 }
 
-func TestRunPlannerJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{
-		"-experiment", "planner", "-scale", "6", "-maxn", "1", "-sets", "1", "-rpqs", "2",
-		"-json", path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Experiment string `json:"experiment"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("wrote invalid JSON: %v", err)
-	}
-	if report.Experiment != "planner" {
-		t.Errorf("experiment = %q, want planner", report.Experiment)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                       // no experiment
 		{"-experiment", "bogus"}, // unknown id
-		{"-experiment", "fig10a", "-scale", "99"},    // bad config
-		{"-experiment", "all", "-json", "x.json"},    // -json needs one experiment
-		{"-experiment", "table4", "-json", "x.json"}, // no structured report
-		{"-experiment", "planner", "-scale", "6", "-maxn", "1", "-sets", "1",
-			"-json", "/nonexistent-dir/x.json"}, // unwritable path
-		{"-experiment", "latency", "-rates", "80,abc"},            // unparsable rate
-		{"-experiment", "latency", "-rates", "-5"},                // out-of-range rate
-		{"-experiment", "latency", "-latency-requests", "200000"}, // over the config cap
+		{"-experiment", "fig10a", "-scale", "99"}, // bad config
+		{"-experiment", "layout"},                 // retired experiment
+		{"-experiment", "table4", "-json", "x"},   // retired flag
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

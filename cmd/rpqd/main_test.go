@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -46,6 +47,52 @@ func TestRunFlagErrors(t *testing.T) {
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v): expected error", args)
+		}
+	}
+}
+
+// A stale sharded command line must fail loudly, with or without the
+// dash: the flag no longer exists, and a dashless typo is not silently
+// dropped.
+func TestRunRejectsStrayAndRemovedArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-demo", "shards=4"}, `unexpected argument "shards=4"`},
+		{[]string{"-demo", "-shards", "4"}, "flag provided but not defined: -shards"},
+	} {
+		err := run(context.Background(), tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// A daemon that cannot bind must not have initialised its store: the
+// listeners are bound before -data is opened, so a busy port leaves a
+// fresh directory empty (and no WAL handle behind).
+func TestRunBusyPortLeavesDataDirEmpty(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	for _, extra := range [][]string{
+		{"-addr", busy.Addr().String()},
+		{"-addr", "127.0.0.1:0", "-pprof", busy.Addr().String()},
+	} {
+		data := t.TempDir()
+		args := append([]string{"-demo", "-data", data}, extra...)
+		if err := run(context.Background(), args, io.Discard); err == nil {
+			t.Fatalf("run(%v): expected a bind error", args)
+		}
+		entries, err := os.ReadDir(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("run(%v) failed to bind but left %d entries in -data", args, len(entries))
 		}
 	}
 }

@@ -3,9 +3,12 @@ package rtcshare_test
 // The documentation gates of the repository, run by CI as a named step:
 // every Go package must carry a package-level doc comment, every
 // exported identifier of the public surface (the root rtcshare package
-// and internal/server) must be documented, and the local links of the
-// front-door markdown files must resolve. A missing comment or a broken
-// link fails the build, so the godoc pass cannot silently regress.
+// and internal/server) must be documented, the local links of the
+// front-door markdown files must resolve, every `rpqbench -experiment`
+// they quote must exist, and nothing they say may name a retired
+// configuration outside DESIGN §6's evidence paragraphs. A missing
+// comment, a broken link or a stale command line fails the build, so
+// the docs cannot silently regress.
 
 import (
 	"go/ast"
@@ -17,6 +20,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"rtcshare/internal/bench"
 )
 
 // goPackageDirs returns every directory under the repo root holding
@@ -178,6 +183,71 @@ func TestDocMarkdownLinks(t *testing.T) {
 			}
 			if _, err := os.Stat(target); err != nil {
 				t.Errorf("%s links to %q, which does not exist", doc, target)
+			}
+		}
+	}
+}
+
+// rpqbenchExperiment matches a quoted `rpqbench -experiment <id>`.
+var rpqbenchExperiment = regexp.MustCompile(`rpqbench -experiment ([A-Za-z0-9_]+)`)
+
+// TestDocExperimentsRegistered checks that every `rpqbench -experiment
+// <id>` the front-door documents quote names a registered experiment
+// (or the 'all' / 'list' pseudo-ids), so a retired experiment cannot
+// linger as a command line that no longer runs.
+func TestDocExperimentsRegistered(t *testing.T) {
+	valid := map[string]bool{"all": true, "list": true}
+	for _, e := range bench.Experiments() {
+		valid[e.ID] = true
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s missing: %v", doc, err)
+		}
+		for _, m := range rpqbenchExperiment.FindAllStringSubmatch(string(data), -1) {
+			if !valid[m[1]] {
+				t.Errorf("%s quotes `rpqbench -experiment %s`, which is not a registered experiment", doc, m[1])
+			}
+		}
+	}
+}
+
+// retiredNames are the configurations this repository deleted: the
+// per-experiment baseline files, the map-set layout, the shard flag and
+// the scatter seam. (Spelled in pieces so that a grep for the retired
+// identifiers over the Go sources stays empty.)
+var retiredNames = []*regexp.Regexp{
+	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
+	regexp.MustCompile("Layout" + "MapSet"),
+	regexp.MustCompile(`(^|[^A-Za-z-])-shards\b`),
+	regexp.MustCompile("Scatter" + "Hook"),
+}
+
+// TestDocRetiredNames checks that the documents describing the current
+// system — README, DESIGN and the verify skill — mention none of the
+// retired names, except inside DESIGN §6, whose evidence paragraphs
+// record what was deleted and why. (ROADMAP, CHANGES and ISSUE are
+// planning and history, and benchmark/README.md is frozen by the
+// benchmark contract; they are not linted.)
+func TestDocRetiredNames(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s missing: %v", doc, err)
+		}
+		evidence := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "## ") {
+				evidence = doc == "DESIGN.md" && strings.HasPrefix(line, "## 6.")
+			}
+			if evidence {
+				continue
+			}
+			for _, re := range retiredNames {
+				if m := re.FindString(line); m != "" {
+					t.Errorf("%s:%d mentions retired %q outside DESIGN §6", doc, i+1, strings.TrimSpace(m))
+				}
 			}
 		}
 	}

@@ -22,22 +22,20 @@ import (
 // ParallelRow is one (strategy, workers) wall-clock measurement of the
 // parallel batch sweep.
 type ParallelRow struct {
-	Strategy core.Strategy `json:"-"`
-	// Method is Strategy's name, for the JSON report.
-	Method string `json:"method"`
+	Strategy core.Strategy
 	// Workers is the fan-out; 1 is the serial EvaluateSet baseline.
-	Workers int `json:"workers"`
+	Workers int
 	// Wall is the best-of-reps wall-clock for the whole batch.
-	Wall time.Duration `json:"wall_ns"`
+	Wall time.Duration
 	// Speedup is serial Wall / this Wall within the strategy.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// Computes and Hits are the merged engine cache counters: Computes
 	// is the number of shared structures actually built (CacheMisses),
 	// Hits the number of reuses.
-	Computes int `json:"computes"`
-	Hits     int `json:"hits"`
+	Computes int
+	Hits     int
 	// ResultPairs totals the result sizes — a cross-run sanity check.
-	ResultPairs int `json:"result_pairs"`
+	ResultPairs int
 }
 
 // ParallelSweep is the full fig16 measurement.
@@ -103,7 +101,7 @@ func RunParallelBatch(cfg RunConfig) (*ParallelSweep, error) {
 	for _, strategy := range []core.Strategy{core.NoSharing, core.FullSharing, core.RTCSharing} {
 		var serialWall time.Duration
 		for _, workers := range workerCounts {
-			row := ParallelRow{Strategy: strategy, Method: strategy.String(), Workers: workers}
+			row := ParallelRow{Strategy: strategy, Workers: workers}
 			for rep := 0; rep < parallelReps; rep++ {
 				engine := core.New(g, core.Options{Strategy: strategy})
 				start := time.Now()

@@ -13,18 +13,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(w io.Writer, cfg RunConfig) error
-	// JSON, when non-nil, runs the experiment once, renders its text to
-	// w, and returns a JSON-serialisable report (rpqbench -json).
-	JSON func(w io.Writer, cfg RunConfig) (any, error)
-}
-
-// JSONReport is the envelope rpqbench -json writes: the experiment
-// identity plus its structured rows, so successive BENCH_*.json files
-// form a comparable perf trajectory across commits.
-type JSONReport struct {
-	Experiment string `json:"experiment"`
-	Title      string `json:"title"`
-	Report     any    `json:"report"`
 }
 
 // Experiments returns the registry of all reproducible tables/figures,
@@ -32,7 +20,6 @@ type JSONReport struct {
 func Experiments() []Experiment {
 	exps := []Experiment{
 		{ID: "ablations", Title: "Ablations: design choices of DESIGN.md §6", Run: runAblations},
-		{ID: "chaos", Title: "Chaos (beyond the paper): fault-injected serving — availability, degraded episodes, recovery", Run: runChaos, JSON: jsonChaos},
 		{ID: "table3", Title: "Table III: complexity of R+G vs R̄+Ḡ (measured)", Run: runTable3},
 		{ID: "table4", Title: "Table IV: dataset statistics", Run: runTable4},
 		{ID: "fig10a", Title: "Fig. 10(a): response time vs degree, synthetic", Run: synth((*DegreeSweep).RenderFig10)},
@@ -47,15 +34,7 @@ func Experiments() []Experiment {
 		{ID: "fig14b", Title: "Fig. 14(b): response time vs #RPQs, Advogato", Run: rpqSweep(false, (*RPQSweep).RenderFig14)},
 		{ID: "fig15a", Title: "Fig. 15(a): three-part split vs #RPQs, RMAT_3", Run: rpqSweep(true, (*RPQSweep).RenderFig15)},
 		{ID: "fig15b", Title: "Fig. 15(b): three-part split vs #RPQs, Advogato", Run: rpqSweep(false, (*RPQSweep).RenderFig15)},
-		{ID: "fig16", Title: "Fig. 16 (beyond the paper): parallel batch evaluation vs workers", Run: runParallel, JSON: jsonParallel},
-		{ID: "latency", Title: "Latency (beyond the paper): open-loop tail latency, fixed vs adaptive window × fast lane", Run: runLatency, JSON: jsonLatency},
-		{ID: "layout", Title: "Layout (beyond the paper): map-set vs columnar, bfs vs bitset closures", Run: runLayout, JSON: jsonLayout},
-		{ID: "persist", Title: "Persist (beyond the paper): cold-rebuild boot vs snapshot-restore boot", Run: runPersist, JSON: jsonPersist},
-		{ID: "planner", Title: "Planner (beyond the paper): cost-based vs rightmost-decompose", Run: runPlanner, JSON: jsonPlanner},
-		{ID: "serve", Title: "Serve (beyond the paper): closed-loop HTTP, batch coalescing on vs off", Run: runServe, JSON: jsonServe},
-		{ID: "shard", Title: "Shard (beyond the paper): label-partitioned in-process cluster vs single engine", Run: runShard, JSON: jsonShard},
-		{ID: "stream", Title: "Stream (beyond the paper): time-to-first-pair and delivery allocation, sealed vs pull-stream", Run: runStream, JSON: jsonStream},
-		{ID: "updates", Title: "Updates (beyond the paper): incremental maintenance vs rebuild-from-scratch", Run: runUpdates, JSON: jsonUpdates},
+		{ID: "fig16", Title: "Fig. 16 (beyond the paper): parallel batch evaluation vs workers", Run: runParallel},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
@@ -89,144 +68,13 @@ func runTable3(w io.Writer, cfg RunConfig) error {
 	return nil
 }
 
-func runChaos(w io.Writer, cfg RunConfig) error {
-	_, err := jsonChaos(w, cfg)
-	return err
-}
-
-func jsonChaos(w io.Writer, cfg RunConfig) (any, error) {
-	cs, err := RunChaosExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cs.RenderChaos(w)
-	return cs, nil
-}
-
 func runParallel(w io.Writer, cfg RunConfig) error {
-	_, err := jsonParallel(w, cfg)
-	return err
-}
-
-func jsonParallel(w io.Writer, cfg RunConfig) (any, error) {
 	ps, err := RunParallelBatch(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ps.RenderFig16(w)
-	return ps, nil
-}
-
-func runLayout(w io.Writer, cfg RunConfig) error {
-	_, err := jsonLayout(w, cfg)
-	return err
-}
-
-func jsonLayout(w io.Writer, cfg RunConfig) (any, error) {
-	ls, err := RunLayoutExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ls.RenderLayout(w)
-	return ls, nil
-}
-
-func runStream(w io.Writer, cfg RunConfig) error {
-	_, err := jsonStream(w, cfg)
-	return err
-}
-
-func jsonStream(w io.Writer, cfg RunConfig) (any, error) {
-	ss, err := RunStreamExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.RenderStream(w)
-	return ss, nil
-}
-
-func runPlanner(w io.Writer, cfg RunConfig) error {
-	_, err := jsonPlanner(w, cfg)
-	return err
-}
-
-func runPersist(w io.Writer, cfg RunConfig) error {
-	_, err := jsonPersist(w, cfg)
-	return err
-}
-
-func runUpdates(w io.Writer, cfg RunConfig) error {
-	_, err := jsonUpdates(w, cfg)
-	return err
-}
-
-func runServe(w io.Writer, cfg RunConfig) error {
-	_, err := jsonServe(w, cfg)
-	return err
-}
-
-func runLatency(w io.Writer, cfg RunConfig) error {
-	_, err := jsonLatency(w, cfg)
-	return err
-}
-
-func jsonLatency(w io.Writer, cfg RunConfig) (any, error) {
-	ls, err := RunLatencyExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ls.RenderLatency(w)
-	return ls, nil
-}
-
-func runShard(w io.Writer, cfg RunConfig) error {
-	_, err := jsonShard(w, cfg)
-	return err
-}
-
-func jsonShard(w io.Writer, cfg RunConfig) (any, error) {
-	ss, err := RunShardExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.RenderShard(w)
-	return ss, nil
-}
-
-func jsonServe(w io.Writer, cfg RunConfig) (any, error) {
-	ss, err := RunServeExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.RenderServe(w)
-	return ss, nil
-}
-
-func jsonPersist(w io.Writer, cfg RunConfig) (any, error) {
-	ps, err := RunPersistExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ps.RenderPersist(w)
-	return ps, nil
-}
-
-func jsonUpdates(w io.Writer, cfg RunConfig) (any, error) {
-	us, err := RunUpdatesExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	us.RenderUpdates(w)
-	return us, nil
-}
-
-func jsonPlanner(w io.Writer, cfg RunConfig) (any, error) {
-	ps, err := RunPlannerExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ps.RenderPlanner(w)
-	return ps, nil
+	return nil
 }
 
 func runTable4(w io.Writer, cfg RunConfig) error {

@@ -22,9 +22,7 @@ import (
 //
 //   - Side relations arrive as sealed pairs.Relation values, already
 //     grouped by start vertex (and, through the lazy transpose, by end
-//     vertex), so no per-call re-bucketing happens — the seed executor's
-//     bucketBySrc/bucketByDst live on only in the LayoutMapSet baseline
-//     (batchunit_legacy.go).
+//     vertex), so no per-call re-bucketing happens.
 //   - The stamp sets and the ResEq9 tuple buffer come from a per-engine
 //     pool (joinScratch), and results are emitted through pooled
 //     relation builders, so a warm engine's joins run allocation-free up

@@ -93,14 +93,13 @@ func (c differentialCase) queries(t *testing.T, dict *graph.Dict) []rpq.Expr {
 // the long-lived engine (incremental path: epoch-carried and patched
 // structures) must agree with a fresh engine rebuilt from scratch over
 // the updated graph AND with the compositional reference evaluator —
-// crossed over layouts, closure algorithms, planners, strategies and
+// crossed over closure algorithms, planners, strategies and
 // the incremental/rebuild maintenance policies.
 func TestDifferentialUpdates(t *testing.T) {
 	configs := []Options{
-		{}, // columnar, BFS closure, heuristic planner
-		{Layout: LayoutMapSet},
+		{}, // BFS closure, heuristic planner
 		{TCAlgo: rtc.BitsetClosure},
-		{Layout: LayoutMapSet, TCAlgo: rtc.NuutilaClosure},
+		{TCAlgo: rtc.NuutilaClosure},
 		{Planner: PlannerCostBased, TCAlgo: rtc.PurdomClosure},
 		{Strategy: FullSharing},
 		{DisableIncremental: true}, // rebuild-on-update fallback policy
@@ -231,26 +230,18 @@ func TestDifferentialStrategiesMatchReference(t *testing.T) {
 			}
 		}
 
-		// The data plane must never change answers: the seed's map-set
-		// executor, the bitset closure hybrid, their combination, and the
-		// columnar executor's native relation results all run the same
-		// oracle. (The columnar default is already covered above.)
-		for _, opts := range []Options{
-			{Layout: LayoutMapSet},
-			{TCAlgo: rtc.BitsetClosure},
-			{Layout: LayoutMapSet, TCAlgo: rtc.BitsetClosure},
-			{Strategy: FullSharing, Layout: LayoutMapSet},
-		} {
-			engine := New(g, opts)
-			for i, q := range qs {
-				got, err := engine.Evaluate(q)
-				if err != nil {
-					t.Fatalf("seed %d/%d %+v: evaluate %q: %v", c.graphSeed, c.workSeed, opts, q, err)
-				}
-				if !got.Equal(want[i]) {
-					t.Errorf("seed %d/%d %+v: %q: engine %d pairs, reference %d pairs",
-						c.graphSeed, c.workSeed, opts, q, got.Len(), want[i].Len())
-				}
+		// The data plane must never change answers: the bitset closure
+		// hybrid and the executor's native relation results run the same
+		// oracle. (The BFS default is already covered above.)
+		bitsetEngine := New(g, Options{TCAlgo: rtc.BitsetClosure})
+		for i, q := range qs {
+			got, err := bitsetEngine.Evaluate(q)
+			if err != nil {
+				t.Fatalf("seed %d/%d bitset: evaluate %q: %v", c.graphSeed, c.workSeed, q, err)
+			}
+			if !got.Equal(want[i]) {
+				t.Errorf("seed %d/%d bitset: %q: engine %d pairs, reference %d pairs",
+					c.graphSeed, c.workSeed, q, got.Len(), want[i].Len())
 			}
 		}
 		relEngine := New(g, Options{TCAlgo: rtc.BitsetClosure})

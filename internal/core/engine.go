@@ -85,36 +85,6 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// Layout selects the executor's relation representation — the data
-// plane under the unchanged query API.
-type Layout int
-
-const (
-	// LayoutColumnar is the default: sub-query results are sealed into
-	// immutable columnar pairs.Relation values (CSR by start vertex with
-	// a lazily built end-vertex transpose). Batch units probe the frozen
-	// columns as contiguous runs, sealed relations are shared across
-	// batch units, queries and engines without copying, and join scratch
-	// (stamp sets, tuple buffers, relation builders) is pooled on the
-	// engine so steady-state batch evaluation allocates almost nothing.
-	LayoutColumnar Layout = iota
-	// LayoutMapSet is the seed executor, preserved as the baseline of
-	// the rpqbench layout experiment: sub-query results are map-backed
-	// pairs.Set values, re-bucketed by start (or end) vertex on every
-	// batch-unit call, and every join inserts through a hash table.
-	LayoutMapSet
-)
-
-func (l Layout) String() string {
-	switch l {
-	case LayoutColumnar:
-		return "columnar"
-	case LayoutMapSet:
-		return "mapset"
-	}
-	return fmt.Sprintf("Layout(%d)", int(l))
-}
-
 // PlannerMode selects how DNF clauses are planned before execution.
 type PlannerMode = plan.Mode
 
@@ -135,10 +105,6 @@ type Options struct {
 	// Planner selects heuristic (the paper's rightmost-forward pipeline)
 	// or cost-based clause planning. Default: PlannerHeuristic.
 	Planner PlannerMode
-	// Layout selects the executor's relation representation. Default:
-	// LayoutColumnar (sealed columnar relations); LayoutMapSet is the
-	// seed's map-based executor, kept for the layout ablation.
-	Layout Layout
 	// TCAlgo selects the transitive-closure algorithm used on the
 	// (reduced) graph. Default: BFS, matching Table III.
 	TCAlgo rtc.TCAlgorithm
@@ -153,9 +119,8 @@ type Options struct {
 	DisableCache bool
 	// DisableIncremental makes ApplyUpdates drop every affected cached
 	// structure instead of patching it incrementally — the
-	// rebuild-on-update fallback, exposed so the updates benchmark and
-	// the differential suite can compare the two maintenance policies on
-	// one code path.
+	// rebuild-on-update fallback, exposed so the differential suite can
+	// compare the two maintenance policies on one code path.
 	DisableIncremental bool
 }
 
@@ -249,12 +214,6 @@ type engineShared struct {
 	// panic-isolation tests use. Copied to forks; install via
 	// SetEvalHook before serving starts.
 	evalHook func(query string)
-
-	// scatter, when non-nil, routes shared-structure and sub-relation
-	// work to the engine shard owning the labels involved — the sharded
-	// coordinator's seam (scatter.go). Copied to forks like evalHook;
-	// install via SetScatterHook before serving starts.
-	scatter ScatterHook
 }
 
 // engineVersion is everything whose lifetime is bounded by one graph
@@ -267,18 +226,13 @@ type engineVersion struct {
 	g     *graph.Graph
 	epoch uint64
 
-	// subMu guards subSets, the per-version memo of sub-query results the
-	// LayoutMapSet executor uses (the seed's behaviour: map-backed pair
-	// sets, engine-local, dying with the version), and subRels, the
-	// columnar executor's *overflow* memo: sealed relations normally
-	// memoise in the SharedCache's relation region, shared across
-	// engines, but when the region's budget declines retention the
-	// version keeps the relation here — bounded by the version's
-	// lifetime, exactly the seed's discipline — so a full shared region
-	// degrades to per-engine memoisation, never to recomputing every
-	// batch unit.
+	// subMu guards subRels, the executor's *overflow* memo: sealed
+	// relations normally memoise in the SharedCache's relation region,
+	// shared across engines, but when the region's budget declines
+	// retention the version keeps the relation here — bounded by the
+	// version's lifetime — so a full shared region degrades to per-engine
+	// memoisation, never to recomputing every batch unit.
 	subMu   sync.Mutex
-	subSets map[string]*pairs.Set
 	subRels map[string]*pairs.Relation
 
 	// scratchPool holds joinScratch values — the generation-stamped sets
@@ -359,7 +313,6 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 		engineShared: sh,
 		g:            g,
 		epoch:        epoch,
-		subSets:      make(map[string]*pairs.Set),
 		subRels:      make(map[string]*pairs.Relation),
 		evalFree:     make(map[string][]*eval.Evaluator),
 	}
@@ -394,7 +347,6 @@ func (e *Engine) forkVersion(v *engineVersion) *Engine {
 			summaries: make(map[string]SharedSummary),
 			calib:     e.calib,
 			evalHook:  e.evalHook,
-			scatter:   e.scatter,
 		},
 	}
 	f.ver.Store(newEngineVersion(&f.engineShared, v.g, v.epoch))
@@ -438,7 +390,6 @@ func (e *Engine) ClearCaches() {
 	e.mu.Unlock()
 	v := e.version()
 	v.subMu.Lock()
-	v.subSets = make(map[string]*pairs.Set)
 	v.subRels = make(map[string]*pairs.Relation)
 	v.subMu.Unlock()
 	v.evalMu.Lock()
@@ -489,11 +440,9 @@ func (e *Engine) Evaluate(q rpq.Expr) (*pairs.Set, error) {
 }
 
 // EvaluateRel computes Q_G and returns it in the executor's native
-// sealed form: on the columnar layout the result relation is handed
-// over as-is — no hash-set materialisation at the boundary — which is
-// the cheapest way to consume large results (iterate with Each/EachSrc,
-// probe with Contains). On LayoutMapSet engines the map pipeline runs
-// and its set is sealed once at the end.
+// sealed form: the result relation is handed over as-is — no hash-set
+// materialisation at the boundary — which is the cheapest way to consume
+// large results (iterate with Each/EachSrc, probe with Contains).
 func (e *Engine) EvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	rel, _, err := e.EvaluateRelEpoch(q)
 	return rel, err
@@ -513,15 +462,14 @@ func (e *Engine) EvaluateRelEpoch(q rpq.Expr) (*pairs.Relation, uint64, error) {
 }
 
 // CachedResult returns the memoised top-level result of q at the
-// engine's current graph epoch, if the columnar result cache holds a
+// engine's current graph epoch, if the result cache holds a
 // completed one — the query service's non-blocking fast path: a hit
 // answers a request instantly, without entering the batch coalescer's
 // window. A miss reports false without computing anything. Non-caching
-// engines (NoSharing, DisableCache) and LayoutMapSet engines always
-// miss.
+// engines (NoSharing, DisableCache) always miss.
 func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	v := e.version()
-	if e.opts.Layout == LayoutMapSet || !v.shouldCache() {
+	if !v.shouldCache() {
 		return nil, 0, false
 	}
 	key := q.String()
@@ -576,16 +524,6 @@ func (e *Engine) CostCalibration() (factor float64, samples int) {
 func (v *engineVersion) evaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	if v.evalHook != nil {
 		v.evalHook(q.String())
-	}
-	if v.opts.Layout == LayoutMapSet {
-		set, err := v.evaluatePlannedMap(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		rel := pairs.RelationFromSet(v.g.NumVertices(), set)
-		v.addRemainder(time.Since(t0))
-		return rel, nil
 	}
 	return v.evaluateRelCached(q)
 }
@@ -765,10 +703,9 @@ func (sh *engineShared) maxClauses() int {
 func (v *engineVersion) planner() *plan.Planner {
 	v.plannerOnce.Do(func() {
 		v.qplanner = plan.New(v.g, plan.Config{
-			Mode:          v.opts.Planner,
-			SharedCached:  v.sharedStructureCached,
-			ColumnarJoins: v.opts.Layout == LayoutColumnar,
-			Calibration:   v.calib,
+			Mode:         v.opts.Planner,
+			SharedCached: v.sharedStructureCached,
+			Calibration:  v.calib,
 		})
 	})
 	return v.qplanner
@@ -781,12 +718,6 @@ func (v *engineVersion) planner() *plan.Planner {
 func (v *engineVersion) sharedStructureCached(r rpq.Expr) bool {
 	if !v.shouldCache() {
 		return false
-	}
-	if h := v.scatter; h != nil {
-		// Sharded coordinator: the structures live on the owning shards,
-		// so sunk cost is whatever the cluster already holds at this
-		// version's epoch.
-		return h.StructureCached(v.epoch, r)
 	}
 	key := r.String()
 	switch v.opts.Strategy {

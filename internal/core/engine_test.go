@@ -429,7 +429,6 @@ func TestCachedResultFastPath(t *testing.T) {
 	for _, opts := range []Options{
 		{DisableCache: true},
 		{Strategy: NoSharing},
-		{Layout: LayoutMapSet},
 	} {
 		ne := New(g, opts)
 		if _, err := ne.EvaluateRel(q); err != nil {

@@ -112,34 +112,16 @@ func (e *Engine) ExplainAnalyze(q rpq.Expr) (*Plan, error) {
 	e.mu.Unlock()
 	v := e.version()
 
-	var (
-		obs       planObserver
-		resultLen int
-		err       error
-		start     = time.Now()
-	)
-	// The analyzed run executes on the engine's configured layout, so
-	// the actuals reflect the executor that real queries use.
-	if e.opts.Layout == LayoutMapSet {
-		res, mErr := v.evaluatePlannedMap(q, &obs)
-		if mErr == nil {
-			resultLen = res.Len()
-		}
-		err = mErr
-	} else {
-		rel, cErr := v.evaluatePlanned(q, &obs)
-		if cErr == nil {
-			resultLen = rel.Len()
-		}
-		err = cErr
-	}
+	var obs planObserver
+	start := time.Now()
+	rel, err := v.evaluatePlanned(q, &obs)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	p := v.describePlan(obs.plan)
 	p.Analyzed = true
-	p.ActualResultPairs = resultLen
+	p.ActualResultPairs = rel.Len()
 	p.ActualTime = elapsed
 	for i := range p.Clauses {
 		act := obs.actuals[i]

@@ -27,7 +27,6 @@ func TestExplainGoldenFigure1(t *testing.T) {
 	cases := []struct {
 		name    string
 		planner PlannerMode
-		layout  Layout
 		query   string
 		clauses []clauseGold
 	}{
@@ -77,32 +76,16 @@ func TestExplainGoldenFigure1(t *testing.T) {
 			},
 		},
 		{
-			name:    "star closure cost-based keeps the shared plan on columnar",
+			name:    "star closure cost-based keeps the shared plan",
 			planner: PlannerCostBased,
-			// Under the seed's map executor the seeded product traversal
-			// undercut the shared plan here and the bypass fired (the
-			// LayoutMapSet case below still pins that). The columnar
-			// executor's join tuples cost half as much, which prices the
-			// shared pipeline under the bypass's deviation margin — so on
-			// the default layout the recalibrated model keeps the paper's
-			// shared/forward plan.
+			// Pre = a is two edges and Post = ε, so the seeded product
+			// traversal is cheap — but join tuples cost half a traversal
+			// step (plan.joinTuple), which prices the shared pipeline
+			// under the bypass's deviation margin: the model keeps the
+			// paper's shared/forward plan.
 			query: "a.(b.c)*",
 			clauses: []clauseGold{
 				{"a.(b.c)*", "shared", "forward", 0, "a", "b.c", "*", "ε"},
-			},
-		},
-		{
-			name:    "star closure cost-based takes the automaton bypass on the map layout",
-			planner: PlannerCostBased,
-			layout:  LayoutMapSet,
-			// Pre = a is two edges and Post = ε: against map-join tuple
-			// costs one seeded product traversal is predicted decisively
-			// below building any shared structure, so the bypass clears
-			// the deviation margin — the PR-2 cost model preserved
-			// exactly.
-			query: "a.(b.c)*",
-			clauses: []clauseGold{
-				{"a.(b.c)*", "automaton", "forward", 0, "a", "b.c", "*", "ε"},
 			},
 		},
 		{
@@ -117,7 +100,7 @@ func TestExplainGoldenFigure1(t *testing.T) {
 
 	g := fixtures.Figure1()
 	for _, tc := range cases {
-		e := New(g, Options{Strategy: RTCSharing, Planner: tc.planner, Layout: tc.layout})
+		e := New(g, Options{Strategy: RTCSharing, Planner: tc.planner})
 		p, err := e.ExplainQuery(tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

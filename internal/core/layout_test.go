@@ -5,57 +5,7 @@ import (
 
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/rtc"
 )
-
-// fig1Queries is a small batch over the paper's worked example: the
-// Example 1 query plus star/backward-ish variants so the gate exercises
-// the whole join surface.
-func fig1Queries(t testing.TB) []rpq.Expr {
-	t.Helper()
-	var qs []rpq.Expr
-	for _, s := range []string{"d.(b.c)+.c", "a.(b.c)*", "d.(b.c)+", "(b.c)+.c"} {
-		qs = append(qs, rpq.MustParse(s))
-	}
-	return qs
-}
-
-// layoutAllocs measures steady-state allocations per batch evaluation on
-// a warm engine of the given configuration.
-func layoutAllocs(t testing.TB, opts Options) float64 {
-	t.Helper()
-	g := fixtures.Figure1()
-	e := New(g, opts)
-	qs := fig1Queries(t)
-	run := func() {
-		for _, q := range qs {
-			if _, err := e.Evaluate(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	run() // warm caches, pools and evaluators
-	return testing.AllocsPerRun(50, run)
-}
-
-// TestLayoutAllocGateFigure1 is the CI allocation gate of the columnar
-// refactor: on the paper's Fig. 1 fixture the columnar executor must
-// never allocate more than the seed's map executor per warm batch —
-// with both the BFS and the bitset closure. A regression here means the
-// pooling broke or a hot path regained a per-call allocation.
-func TestLayoutAllocGateFigure1(t *testing.T) {
-	mapAllocs := layoutAllocs(t, Options{Layout: LayoutMapSet})
-	colAllocs := layoutAllocs(t, Options{Layout: LayoutColumnar})
-	colBitsetAllocs := layoutAllocs(t, Options{Layout: LayoutColumnar, TCAlgo: rtc.BitsetClosure})
-	t.Logf("allocs per warm batch: map+bfs=%.1f columnar+bfs=%.1f columnar+bitset=%.1f",
-		mapAllocs, colAllocs, colBitsetAllocs)
-	if colAllocs > mapAllocs {
-		t.Errorf("columnar layout allocates more than the map layout: %.1f > %.1f", colAllocs, mapAllocs)
-	}
-	if colBitsetAllocs > mapAllocs {
-		t.Errorf("columnar+bitset allocates more than the map layout: %.1f > %.1f", colBitsetAllocs, mapAllocs)
-	}
-}
 
 // Warm columnar batch evaluation must be close to allocation-free: the
 // stamp sets, tuple buffers, builders and evaluators are all pooled, so
@@ -82,7 +32,7 @@ func TestColumnarSteadyStateAllocations(t *testing.T) {
 
 // When the shared relation region's budget is exhausted, the engine
 // falls back to its own overflow memo: sub-queries still evaluate once
-// per engine (the seed's discipline), never once per batch unit.
+// per engine, never once per batch unit.
 func TestRelationOverflowMemo(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{})

@@ -30,7 +30,7 @@ import (
 // stream emits the same set grouped by ascending source, each source's
 // destinations ORed into one reusable vertex bitset (the dedup) and
 // popped in ascending bit order (the sort) — which the differential
-// streaming suite enforces across layouts, planners and shard counts.
+// streaming suite enforces across strategies and planners.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -68,8 +68,8 @@ type ResultStream struct {
 	limit int
 
 	// sealed, when non-nil, backs the stream with an already-sealed
-	// relation (memo-warm fast path, LayoutMapSet fallback, and the
-	// sharded gather) instead of the per-source re-drive.
+	// relation (the memo-warm fast path) instead of the per-source
+	// re-drive.
 	sealed    *pairs.Relation
 	sealedPos int
 
@@ -130,11 +130,9 @@ type rtcHandle interface {
 // so Next touches only immutable version-local state: a caller may
 // drop any lock that guarded the open before draining the stream.
 //
-// A memo-warm query streams from its cached sealed relation; a
-// LayoutMapSet engine evaluates sealed and streams from the result
-// (the map executor has no columnar runs to re-drive). Everything else
-// streams live: the batch-unit join is re-driven one source vertex at a
-// time, with a cancellation checkpoint per source run.
+// A memo-warm query streams from its cached sealed relation; everything
+// else streams live: the batch-unit join is re-driven one source vertex
+// at a time, with a cancellation checkpoint per source run.
 func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions) (rs *ResultStream, err error) {
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -142,10 +140,7 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 		}
 	}
 	if rel, epoch, ok := e.CachedResult(q); ok {
-		s := StreamFromRelation(rel, epoch)
-		s.query = q
-		s.limit = opts.Limit
-		return s, nil
+		return &ResultStream{sealed: rel, epoch: epoch, query: q, limit: opts.Limit}, nil
 	}
 
 	worker := e.Fork()
@@ -163,20 +158,6 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 		asPanicError(q.String(), r, &err)
 	}()
 
-	if e.opts.Layout == LayoutMapSet {
-		rel, epoch, serr := worker.EvaluateRelEpoch(q)
-		worker.setCancel(nil)
-		e.absorb(worker)
-		handoff = true
-		if serr != nil {
-			return nil, serr
-		}
-		s := StreamFromRelation(rel, epoch)
-		s.query = q
-		s.limit = opts.Limit
-		return s, nil
-	}
-
 	v := worker.version()
 	s := &ResultStream{
 		owner:  e,
@@ -193,14 +174,6 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 	}
 	handoff = true
 	return s, nil
-}
-
-// StreamFromRelation wraps an already-sealed relation as a ResultStream
-// at the given epoch — the memo-warm fast path, and how a sharded
-// cluster streams its gathered result without holding the cluster
-// barrier for the stream's lifetime.
-func StreamFromRelation(rel *pairs.Relation, epoch uint64) *ResultStream {
-	return &ResultStream{sealed: rel, epoch: epoch}
 }
 
 // open plans q and resolves every clause's inputs eagerly.
@@ -242,7 +215,7 @@ func (s *ResultStream) openClause(cp *plan.ClausePlan) (*clauseStream, error) {
 	}
 
 	bu := cp.Unit
-	preG, err := v.innerEvaluateRel(bu.Pre)
+	preG, err := v.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return cs, err
 	}
@@ -544,13 +517,6 @@ func (e *Engine) AskCounted(ctx context.Context, q rpq.Expr) (found bool, epoch 
 
 	v := worker.version()
 	epoch = v.epoch
-	if e.opts.Layout == LayoutMapSet {
-		rel, rerr := worker.EvaluateRel(q)
-		if rerr != nil {
-			return false, epoch, 0, rerr
-		}
-		return rel.Len() > 0, epoch, int64(rel.Len()), nil
-	}
 	found, rows, err = v.askPlanned(q)
 	return found, epoch, rows, err
 }
@@ -612,7 +578,7 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 	}
 
 	bu := cp.Unit
-	preG, err := v.innerEvaluateRel(bu.Pre)
+	preG, err := v.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return false, err
 	}
@@ -631,7 +597,7 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 		}
 	}
 	if cp.Direction == plan.Backward {
-		postG, err := v.innerEvaluateRel(bu.Post)
+		postG, err := v.subEvaluateRel(bu.Post)
 		if err != nil {
 			return false, err
 		}

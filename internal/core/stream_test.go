@@ -70,7 +70,7 @@ func pairsEqual(got, want []pairs.Pair) bool {
 }
 
 // TestStreamMatchesSealedDifferential is the core oracle: across random
-// graphs × workloads × strategies × planners × layouts, a live stream
+// graphs × workloads × strategies × planners, a live stream
 // must reproduce the sealed relation's exact (src, dst) order — prefix
 // equality, not just set equality — through awkward buffer sizes, and
 // the memo-warm sealed-backed stream must agree with both.
@@ -85,7 +85,6 @@ func TestStreamMatchesSealedDifferential(t *testing.T) {
 			{Strategy: RTCSharing, Planner: PlannerCostBased},
 			{Strategy: FullSharing, Planner: PlannerCostBased},
 			{Strategy: NoSharing, Planner: PlannerHeuristic},
-			{Layout: LayoutMapSet},
 		}
 		for _, opts := range configs {
 			sealedEngine := New(g, opts)
@@ -358,7 +357,6 @@ func TestAskMatchesSealed(t *testing.T) {
 			{Strategy: RTCSharing, Planner: PlannerCostBased},
 			{Strategy: FullSharing, Planner: PlannerCostBased},
 			{Strategy: NoSharing, Planner: PlannerHeuristic},
-			{Layout: LayoutMapSet},
 		} {
 			engine := New(g, opts)
 			oracle := New(g, opts)

@@ -53,7 +53,7 @@ func DeleteEdge(src graph.VID, label string, dst graph.VID) GraphUpdate {
 // epoch, the effective edge changes, and the fate of every cached
 // structure and relation that existed at the old epoch — the
 // carried/patched/dropped split is the observable form of the §9
-// maintenance policy, and the updates benchmark reports it.
+// maintenance policy (the benchmark's core.carried/patched/dropped).
 type UpdateResult struct {
 	// Epoch is the graph epoch after the batch (unchanged if the batch
 	// was wholly ineffective).

@@ -101,7 +101,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 	)
 	plan := newUpdateStressPlan(t, numBatches, batchSize)
 
-	for _, opts := range []Options{{}, {Layout: LayoutMapSet}, {DisableIncremental: true}} {
+	for _, opts := range []Options{{}, {DisableIncremental: true}} {
 		engine := New(plan.g, opts)
 
 		var (

@@ -170,9 +170,8 @@ func TestApplyUpdatesForkPinsVersion(t *testing.T) {
 	}
 }
 
-func TestApplyUpdatesMapLayoutAndStrategies(t *testing.T) {
+func TestApplyUpdatesStrategies(t *testing.T) {
 	for _, opts := range []Options{
-		{Layout: LayoutMapSet},
 		{Strategy: FullSharing},
 		{Strategy: NoSharing},
 	} {

@@ -109,9 +109,7 @@ func TestHeuristicModeIsRightmostForward(t *testing.T) {
 func TestCostBasedPicksBackwardForSelectivePost(t *testing.T) {
 	// The paper-scale RMAT_3 graph: dense enough that a three-label Post
 	// chain fans out hard, so driving the join from the Post side is
-	// predicted (much) cheaper than the forward default. These are the
-	// exact shapes the `rpqbench -experiment planner` selpost/selpre
-	// workloads draw.
+	// predicted (much) cheaper than the forward default.
 	g, err := datagen.PaperRMATN(3, 9, 2025)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,6 @@ type Config struct {
 	// structure for a sub-query R is already cached — a sunk cost the
 	// model then excludes. Nil means never cached.
 	SharedCached func(r rpq.Expr) bool
-	// ColumnarJoins marks an executor whose batch-unit joins probe
-	// sealed columnar relations instead of re-bucketed map sets; the
-	// cost model then charges join tuples at the columnar rate
-	// (columnarJoinTuple vs mapJoinTuple).
-	ColumnarJoins bool
 	// Calibration, when non-nil, supplies the measured-cardinality
 	// correction factor applied to the chosen plan's absolute
 	// estimates. Relative candidate comparison stays uncalibrated (a
@@ -102,33 +97,18 @@ const buildDiscount = 0.25
 // regardless of what the asymptotic estimates say. The automaton bypass
 // is exempt: it removes work (no structure, no side relations) rather
 // than adding any, so it may compete at any scale. The floor is
-// expressed in tuple units and scaled by the layout's per-tuple cost,
-// so switching executors moves the absolute cost threshold but not the
-// "how much real work" threshold it encodes.
+// expressed in tuple units and scaled by joinTuple.
 const deviationFloor = 200
 
-// mapJoinTuple and columnarJoinTuple are the per-tuple costs of the
-// batch-unit join pipeline. The model's original unit was one map-join
-// tuple touch (iterate a hash map in random order, re-bucket per call,
-// insert results through a hash table), so the map executor stays at
-// 1.0 and the PR-2 cost model is its special case. The columnar
-// executor walks sealed CSR runs sequentially and appends results into
-// pooled builders; the rpqbench layout experiment (BENCH_layout.json)
-// puts its join phase at roughly half the map cost per tuple, hence
-// 0.5. Only the ratio matters to plan choice: cheaper join tuples shift
-// the bypass/shared break-even toward shared plans.
-const (
-	mapJoinTuple      = 1.0
-	columnarJoinTuple = 0.5
-)
-
-// joinTuple returns the per-tuple join cost for the configured layout.
-func (p *Planner) joinTuple() float64 {
-	if p.cfg.ColumnarJoins {
-		return columnarJoinTuple
-	}
-	return mapJoinTuple
-}
+// joinTuple is the per-tuple cost of the batch-unit join pipeline, in
+// the model's original unit: one hash-table tuple touch, which is also
+// what a traversal step is charged. The executor walks sealed CSR runs
+// sequentially and appends results into pooled builders, which the
+// layout measurement recorded in DESIGN §6 put at roughly half that
+// cost. Only the ratio to the traversal terms matters to plan choice:
+// cheaper join tuples shift the bypass/shared break-even toward shared
+// plans.
+const joinTuple = 0.5
 
 // Plan plans a query whose DNF clauses have already been computed (the
 // engine owns the DNF bound, so the conversion stays there).
@@ -159,7 +139,7 @@ func (p *Planner) PlanClause(clause rpq.Expr) ClausePlan {
 	// bypass. The heuristic default only loses to a candidate that beats
 	// it by the deviation margin.
 	candidates := []ClausePlan{p.automatonPlan(clause, rightmost)}
-	if def.Est.Cost >= deviationFloor*p.joinTuple()*p.est.v {
+	if def.Est.Cost >= deviationFloor*joinTuple*p.est.v {
 		for _, u := range units {
 			if u.Anchor != rightmost.Anchor {
 				candidates = append(candidates, p.sharedPlan(clause, u, Forward))
@@ -196,9 +176,8 @@ func (p *Planner) PlanClauseAsk(clause rpq.Expr) ClausePlan {
 	}
 	pre := p.est.Expr(cp.Unit.Pre)
 	post := p.est.Expr(cp.Unit.Post)
-	jt := p.joinTuple()
-	fwd := p.est.evalCost(cp.Unit.Pre) + pre.Pairs*jt
-	bwd := p.est.evalCost(cp.Unit.Pre) + p.est.evalCost(cp.Unit.Post) + post.Pairs*jt
+	fwd := p.est.evalCost(cp.Unit.Pre) + pre.Pairs*joinTuple
+	bwd := p.est.evalCost(cp.Unit.Pre) + p.est.evalCost(cp.Unit.Post) + post.Pairs*joinTuple
 	if bwd < fwd {
 		cp.Direction = Backward
 	} else {
@@ -224,13 +203,13 @@ func (p *Planner) calibrate(cp ClausePlan) ClausePlan {
 // CheapCostBound is the admission threshold under which a planned
 // clause counts as cheap: the planner's deviation floor — the cost
 // below which alternative shared plans are not even considered because
-// constant factors dominate — expressed in absolute cost units for the
-// configured layout. Since plan estimates are calibrated by measured
-// cardinality error while this bound is fixed in true-work units, a
+// constant factors dominate — expressed in absolute cost units. Since
+// plan estimates are calibrated by measured cardinality error while
+// this bound is fixed in true-work units, a
 // workload the model underestimates shrinks the set of queries that
 // classify cheap, exactly as it should.
 func (p *Planner) CheapCostBound() float64 {
-	return deviationFloor * p.joinTuple() * p.est.NumVertices()
+	return deviationFloor * joinTuple * p.est.NumVertices()
 }
 
 // automatonPlan costs evaluating the whole clause by product traversal.
@@ -259,11 +238,9 @@ func (p *Planner) automatonPlan(clause rpq.Expr, unit rpq.BatchUnit) ClausePlan 
 //	backward: |Post_G| + Dsts(Post)·fanin(R+)   (mirror, deduped per v_l)
 //	          each tuple extended by Pre's per-vertex fan-in
 //
-// Join tuples are charged at the layout's per-tuple rate (joinTuple):
-// the columnar executor streams sealed CSR runs, the map executor
-// re-buckets and hashes. Traversal terms — the side relations it must
-// materialise, the memoised Post traversals, and (unless cached)
-// evaluating R and closing its reduced graph — are layout-independent.
+// Join tuples are charged at the joinTuple rate; traversal terms — the
+// side relations it must materialise, the memoised Post traversals, and
+// (unless cached) evaluating R and closing its reduced graph — at 1.
 func (p *Planner) sharedPlan(clause rpq.Expr, unit rpq.BatchUnit, dir Direction) ClausePlan {
 	pre := p.est.Expr(unit.Pre)
 	post := p.est.Expr(unit.Post)
@@ -276,7 +253,6 @@ func (p *Planner) sharedPlan(clause rpq.Expr, unit rpq.BatchUnit, dir Direction)
 		shared = (p.est.evalCost(unit.R) + r.Pairs + tc.Pairs) * buildDiscount
 	}
 
-	jt := p.joinTuple()
 	var cost, out float64
 	switch dir {
 	case Forward:
@@ -286,14 +262,14 @@ func (p *Planner) sharedPlan(clause rpq.Expr, unit rpq.BatchUnit, dir Direction)
 		// Post traversals run once per distinct v_k (memoised), each
 		// paying the adjacency-scan factor like any traversal.
 		distinctVk := math.Min(mid, p.est.NumVertices())
-		cost = p.est.evalCost(unit.Pre) + shared + mid*(1+postFan)*jt +
+		cost = p.est.evalCost(unit.Pre) + shared + mid*(1+postFan)*joinTuple +
 			distinctVk*postFan*p.est.scanFactor()
 		out = mid * postFan
 	case Backward:
 		fanin := tc.Pairs / math.Max(tc.Dsts, 1)
 		mid := post.Pairs + post.Dsts*fanin
 		preFan := pre.Pairs / math.Max(pre.Dsts, 1)
-		cost = p.est.evalCost(unit.Pre) + p.est.evalCost(unit.Post) + shared + mid*(1+preFan)*jt
+		cost = p.est.evalCost(unit.Pre) + p.est.evalCost(unit.Post) + shared + mid*(1+preFan)*joinTuple
 		out = mid * preFan
 	}
 	vv := p.est.NumVertices() * p.est.NumVertices()

@@ -118,7 +118,7 @@ const (
 // results are identical to what the windowed path would return at that
 // epoch.
 type coalescer struct {
-	engine Engine
+	engine *core.Engine
 	opts   Options
 	ctrl   *windowController
 
@@ -168,7 +168,7 @@ type coalescer struct {
 
 // newCoalescer starts the dispatcher pool: opts.MaxInFlight goroutines
 // each evaluating one sealed batch at a time.
-func newCoalescer(engine Engine, opts Options) *coalescer {
+func newCoalescer(engine *core.Engine, opts Options) *coalescer {
 	c := &coalescer{
 		engine:     engine,
 		opts:       opts,
@@ -262,7 +262,7 @@ func (c *coalescer) submit(ctx context.Context, key string, expr rpq.Expr) resul
 		// immediately, one evaluation per request. Concurrent identical
 		// requests may still deduplicate inside the engine's cache; the
 		// batch-level guarantees (one epoch per window, window dedup)
-		// are gone, which is exactly what the serve experiment measures.
+		// are gone.
 		c.direct.Add(1)
 		var st core.StageTimer
 		rel, epoch, err := c.engine.EvaluateRelTimedCtx(ctx, expr, &st)

@@ -37,7 +37,6 @@ import (
 	"rtcshare/internal/core"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/shard"
 	"rtcshare/internal/store"
 )
 
@@ -56,7 +55,7 @@ type Options struct {
 	MaxWindow time.Duration
 	// DisableFastLane turns off the priority fast lane: with it set,
 	// every non-memo-warm query rides a coalescing window, however
-	// cheap. The latency experiment's ablation leg.
+	// cheap (rpqd -no-fastlane).
 	DisableFastLane bool
 	// FastLaneSlots is the number of reserved fast-lane evaluation
 	// slots. Default 1: one cheap query at a time bypasses the window;
@@ -84,8 +83,7 @@ type Options struct {
 	// and warms the cache). Default 30s.
 	RequestTimeout time.Duration
 	// DisableCoalescing evaluates every request immediately on the
-	// shared engine, skipping the window — the serve experiment's
-	// baseline leg.
+	// shared engine, skipping the window (rpqd -no-coalesce).
 	DisableCoalescing bool
 	// Persist, when set, routes POST /update through the persistent
 	// engine (apply + durable WAL append, plus its automatic-snapshot
@@ -159,7 +157,7 @@ func (o Options) withDefaults() Options {
 // engine. Create one with New, serve it with net/http, and Close it to
 // drain the coalescer on shutdown.
 type Server struct {
-	engine Engine
+	engine *core.Engine
 	opts   Options
 	coal   *coalescer
 	mux    *http.ServeMux
@@ -185,11 +183,10 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New returns a Server over engine — a single *core.Engine or a
-// *shard.Cluster, anything satisfying the Engine surface. The engine may
-// be shared with non-HTTP users; ApplyUpdates through either side keeps
-// both epoch-consistent.
-func New(engine Engine, opts Options) *Server {
+// New returns a Server over engine. The engine may be shared with
+// non-HTTP users; ApplyUpdates through either side keeps both
+// epoch-consistent.
+func New(engine *core.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		engine:    engine,
@@ -262,7 +259,7 @@ func (s *Server) route(path string, m methods) {
 }
 
 // Engine returns the engine the server evaluates on.
-func (s *Server) Engine() Engine { return s.engine }
+func (s *Server) Engine() *core.Engine { return s.engine }
 
 // Options returns the server's effective (default-filled) options.
 func (s *Server) Options() Options { return s.opts }
@@ -933,14 +930,10 @@ type Metrics struct {
 	// Persistence reports the store's bookkeeping and how the engine
 	// booted; nil (omitted) when the server runs without -data.
 	Persistence *store.PersistInfo `json:"persistence,omitempty"`
-	// Shards holds one row per engine shard (cache counters plus the
-	// scatter traffic routed to it); omitted when the server runs a
-	// single unsharded engine.
-	Shards []shard.Stats `json:"shards,omitempty"`
 }
 
 // MetricsSnapshot returns what GET /metrics serves, for in-process
-// consumers (the serve benchmark reads CrossEpochHits through it).
+// consumers.
 func (s *Server) MetricsSnapshot() Metrics {
 	g := s.engine.Graph()
 	st := s.engine.Stats()
@@ -950,13 +943,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if s.coal.ctrl.adaptive() {
 		mode = "adaptive"
 	}
-	var shards []shard.Stats
-	if sp, ok := s.engine.(shardStatsProvider); ok {
-		shards = sp.ShardStats()
-	}
 	return Metrics{
-		Shards: shards,
-		Epoch:  s.engine.Epoch(),
+		Epoch: s.engine.Epoch(),
 		Graph: GraphInfo{
 			Vertices: g.NumVertices(),
 			Edges:    g.NumEdges(),

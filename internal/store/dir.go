@@ -41,7 +41,7 @@ func OpenDir(dir string) (*Dir, error) {
 
 // OpenDirFaulty is OpenDir with an Injector wired into the directory's
 // write, sync and rename sites — the fault-injection entry point the
-// rotation-invariant tests and the chaos experiment use. inj may be
+// rotation-invariant tests and the chaos property test use. inj may be
 // nil, which is exactly OpenDir. The open itself is never injected:
 // faults model a failing medium under a running store, not a store that
 // cannot even be opened.

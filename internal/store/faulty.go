@@ -18,9 +18,8 @@ import (
 // rotation and WAL tail-repair machinery against real files. Production
 // builds pay nothing: a nil Injector compiles to the direct calls.
 
-// ErrInjected marks a failure manufactured by an Injector. Tests and
-// the chaos experiment match on it with errors.Is to tell injected
-// faults from real ones.
+// ErrInjected marks a failure manufactured by an Injector. Tests match
+// on it with errors.Is to tell injected faults from real ones.
 var ErrInjected = errors.New("store: injected fault")
 
 // FaultOp identifies one class of file operation an Injector can fail.

@@ -50,7 +50,6 @@ import (
 	"rtcshare/internal/rpq"
 	"rtcshare/internal/rtc"
 	"rtcshare/internal/server"
-	"rtcshare/internal/shard"
 	"rtcshare/internal/store"
 )
 
@@ -153,23 +152,8 @@ const (
 	// BitsetClosure is a density-selected hybrid: a word-parallel bitset
 	// DP over the condensation in reverse topological order for dense
 	// reduced graphs, a worker-parallel per-source frontier BFS for
-	// sparse ones. Typically the fastest choice on closure-heavy
-	// workloads (see BENCH_layout.json).
+	// sparse ones.
 	BitsetClosure = rtc.BitsetClosure
-)
-
-// Layout selects the engine executor's relation representation
-// (Options.Layout).
-type Layout = core.Layout
-
-const (
-	// LayoutColumnar is the default: sub-query results are sealed into
-	// immutable columnar relations (CSR runs, lazily transposed) that
-	// batch units probe directly and engines share without copying.
-	LayoutColumnar = core.LayoutColumnar
-	// LayoutMapSet is the seed's map-based executor, kept as the
-	// baseline of the rpqbench layout experiment.
-	LayoutMapSet = core.LayoutMapSet
 )
 
 // Options configure an Engine. The zero value selects RTCSharing with
@@ -321,42 +305,6 @@ func EvaluateParallel(g *Graph, query string, workers int) (*Result, error) {
 	return eval.New(g, expr, eval.Options{}).EvaluateAllParallel(workers), nil
 }
 
-// ShardedEngine is a label-partitioned, in-process cluster of engine
-// shards behind one coordinator. The coordinator decomposes each
-// query's clause plans exactly as a single engine would, but scatters
-// every shared-structure build (R+, R_G) and clause sub-relation to the
-// shard owning that sub-expression's label set, gathers the sealed
-// columnar relations back, and runs the anchor joins locally — so N
-// shards hold N disjoint slices of the closure-cache working set while
-// results stay pair-for-pair identical to a single engine. Updates fan
-// out to every shard under a cluster-epoch barrier: no batch ever mixes
-// shard epochs. A ShardedEngine satisfies ServerEngine, so rpqd serves
-// it exactly like a single engine (rpqd -shards N). See DESIGN.md §14.
-type ShardedEngine = shard.Cluster
-
-// ShardOptions configure NewShardedEngine: the shard count, the
-// label-set partitioner (nil = FNV-1a hashing) and the engine options
-// applied identically to the coordinator and every shard.
-type ShardOptions = shard.Options
-
-// ShardPartitioner assigns a sub-expression's sorted label set to a
-// shard; plug a custom one into ShardOptions to encode placement
-// knowledge (hot labels on dedicated shards, say).
-type ShardPartitioner = shard.Partitioner
-
-// ShardStats is one shard's observability row under /metrics: its cache
-// counters plus the scatter traffic routed to it.
-type ShardStats = shard.Stats
-
-// NewShardedEngine returns a label-partitioned cluster of
-// opts.Shards engine shards over g, behind a coordinator implementing
-// ServerEngine.
-func NewShardedEngine(g *Graph, opts ShardOptions) *ShardedEngine { return shard.New(g, opts) }
-
-// ServerEngine is the evaluation surface the HTTP server consumes; both
-// a single *Engine and a *ShardedEngine satisfy it.
-type ServerEngine = server.Engine
-
 // Server is the rpqd HTTP/JSON query service over one engine: a batch
 // coalescer admits concurrent POST /query requests into a bounded
 // time/size window, deduplicates them by query string, evaluates the
@@ -420,7 +368,7 @@ type ServerRuntimeInfo = server.RuntimeInfo
 type CoalescerStats = server.CoalescerStats
 
 // ResultStream is a pull-based, epoch-pinned enumeration of one query's
-// result, opened with Engine.OpenStream (or ShardedEngine.OpenStream).
+// result, opened with Engine.OpenStream.
 // It yields (src, dst) pairs in exactly the sealed relation's
 // (src, dst) order without materialising the top-level relation: the
 // shared inputs (reduced closures, sub-relations) resolve at open time
@@ -462,11 +410,10 @@ type WitnessResponse = server.WitnessResponse
 // epoch aborts (stale cursors plus lag-aborted streams).
 type StreamingInfo = server.StreamingInfo
 
-// NewServer returns the rpqd HTTP handler over engine — a single
-// *Engine or a *ShardedEngine. The engine may be shared with in-process
-// users; updates through either side keep both epoch-consistent. Close
-// the server to drain its coalescer.
-func NewServer(engine ServerEngine, opts ServerOptions) *Server {
+// NewServer returns the rpqd HTTP handler over engine. The engine may be
+// shared with in-process users; updates through either side keep both
+// epoch-consistent. Close the server to drain its coalescer.
+func NewServer(engine *Engine, opts ServerOptions) *Server {
 	return server.New(engine, opts)
 }
 
@@ -474,7 +421,7 @@ func NewServer(engine ServerEngine, opts ServerOptions) *Server {
 // ctx is cancelled, then shuts down gracefully: the listener closes,
 // in-flight requests and the pending coalescing window finish, and nil
 // is returned. A non-nil error is a listen or serve failure.
-func Serve(ctx context.Context, addr string, engine ServerEngine, opts ServerOptions) error {
+func Serve(ctx context.Context, addr string, engine *Engine, opts ServerOptions) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -485,7 +432,7 @@ func Serve(ctx context.Context, addr string, engine ServerEngine, opts ServerOpt
 // ServeListener is Serve over an existing listener — the form that lets
 // callers bind port 0 and read the chosen address back. The listener is
 // closed when ServeListener returns.
-func ServeListener(ctx context.Context, l net.Listener, engine ServerEngine, opts ServerOptions) error {
+func ServeListener(ctx context.Context, l net.Listener, engine *Engine, opts ServerOptions) error {
 	srv := server.New(engine, opts)
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
