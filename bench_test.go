@@ -15,6 +15,7 @@ import (
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/eval"
+	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
@@ -153,6 +154,34 @@ func BenchmarkCore_Join(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rel, err := engine.EvalBatchUnit(fx.preG, structure, rpq.ClosurePlus, fx.post)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rel.Len()), "rows_out")
+	}
+}
+
+// BenchmarkCore_JoinSparse is core.join_ns at the other extreme:
+// a.b+.c over 2^20 vertices of which a few hundred have edges
+// (fixtures.SparseChains), 310 result pairs. Its ns/op and B/op must
+// follow the output, not |V|; TestRowKernelSparseMemoryGate holds B/op
+// under 16 MiB.
+func BenchmarkCore_JoinSparse(b *testing.B) {
+	const numV = 1 << 20
+	g := fixtures.SparseChains(numV, 10, 32)
+	seal := func(q string) *pairs.Relation {
+		bld := pairs.NewBuilder(numV)
+		eval.New(g, rpq.MustParse(q), eval.Options{}).AppendAll(bld)
+		return bld.Seal()
+	}
+	preG := seal("a")
+	structure := rtc.Compute(rtc.EdgeReduceRel(numV, seal("b")), 0)
+	post := rpq.MustParse("c")
+	engine := core.New(g, core.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel, err := engine.EvalBatchUnit(preG, structure, rpq.ClosurePlus, post)
 		if err != nil {
 			b.Fatal(err)
 		}

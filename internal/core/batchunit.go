@@ -12,13 +12,15 @@ import (
 )
 
 // This file implements the batch-unit joins over the columnar layout:
-// Algorithm 2 for RTCSharing and the pair-level counterpart for
-// FullSharing. The relations ResEq7, ResEq8 and ResEq10 of the paper are
-// sets; they are realised here with generation-stamped arrays, grouped
-// by the start vertex v_i, so that a membership test is one array read.
-// The set *semantics* (which unions happen where, and therefore which
-// redundant/useless operations each method performs) exactly follows
-// Section IV-B; only the data plane differs from the paper's pseudocode:
+// Algorithm 2 for RTCSharing — forward through the row kernel of
+// rowkernel.go, backward below — and the pair-level counterpart for
+// FullSharing. In the pair-level and backward joins the relations
+// ResEq7, ResEq8 and ResEq10 of the paper are sets realised with
+// generation-stamped arrays, grouped by the start vertex v_i, so that a
+// membership test is one array read. The set *semantics* (which unions
+// happen where, and therefore which redundant/useless operations each
+// method performs) exactly follows Section IV-B; only the data plane
+// differs from the paper's pseudocode:
 //
 //   - Side relations arrive as sealed pairs.Relation values, already
 //     grouped by start vertex (and, through the lazy transpose, by end
@@ -108,84 +110,27 @@ func (e *engineVersion) releaseBuilder(b *pairs.Builder) {
 }
 
 // EvalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
-// the join pipeline of equations (6)–(10) over the RTC, eliminating
+// the join pipeline of equations (6)–(10) over the RTC, with Post pushed
+// through the condensation — each source's result row is the union of
+// per-component rows over its Pre-ends (rowkernel.go, which maps the
+// useless-1/2 and redundant-1/2 eliminations onto those rows).
 //
-//   - useless-1 operations: R+ is explored only from end vertices of
-//     Pre_G tuples (the iteration runs over Pre_G, line 4);
-//   - redundant-1 operations: Pre_G tuples with equal start vertex whose
-//     ends share an SCC collapse at ResEq7 (lines 6–7);
-//   - redundant-2 operations: tuples whose ends lie in different SCCs
-//     reaching a common SCC collapse at ResEq8 (lines 9–10);
-//   - useless-2 operations: members of distinct SCCs are disjoint, so
-//     ResEq9 inserts perform no duplicate check (line 12).
-//
-// Pre_G arrives as a sealed relation: the per-start runs the loop wants
-// are its frozen columns, walked in ascending start order with no
-// bucketing pass. It is exported so benchmarks can measure the join in
-// isolation; query evaluation reaches it through Engine.Evaluate.
+// Pre_G arrives as a sealed relation: the per-start runs the kernel
+// wants are its frozen columns, walked in ascending start order with no
+// bucketing pass. The result is emitted straight into exact-size sealed
+// columns. The Post traversals are Remainder time; everything else —
+// the row DFS, the ORs, the emission — is PreJoin. It is exported so
+// benchmarks can measure the join in isolation; query evaluation
+// reaches it through Engine.Evaluate. Nothing is cached across calls.
 func (e *engineVersion) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	joinStart := time.Now()
-
-	sc := e.acquireScratch()
-	seen7 := &sc.seenA // the ResEq7 union, per v_i
-	seen8 := &sc.seenB // the ResEq8 union, per v_i
-
-	// ResEq9 is an append-only list (useless-2 elimination), grouped by
-	// v_i because the relation's runs are walked in vertex order. A
-	// cancellation checkpoint runs per Pre_G group and per expanded SCC:
-	// one v_i can expand O(|V|) pairs, so group granularity alone would
-	// not bound the stop latency.
-	var cancelErr error
-	resEq9 := sc.resEq9[:0]
-	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
-		if cancelErr = e.checkpoint(len(vjs)); cancelErr != nil {
-			return false
-		}
-		seen7.reset()
-		seen8.reset()
-		if typ == rpq.ClosureStar {
-			// Pre·R*·Post ⊇ Pre·Post: seed ResEq9 with this v_i's Pre_G
-			// tuples (Algorithm 2 lines 2–3).
-			for _, vj := range vjs {
-				resEq9 = append(resEq9, pairs.Pair{Src: vi, Dst: vj})
-			}
-		}
-		for _, vj := range vjs {
-			// Line 5: s_j ← SCC containing v_j; v_j ∉ V_R starts no R+ path.
-			sj := structure.CompOf(vj)
-			if sj < 0 {
-				continue
-			}
-			// Lines 6–7: union into ResEq7; repeats are redundant-1.
-			if !seen7.add(sj) {
-				continue
-			}
-			// Line 8: σ_{START_S=s_j} R̄+_Ḡ.
-			for _, sk := range structure.ReachableFrom(sj) {
-				// Lines 9–10: union into ResEq8; repeats are redundant-2.
-				if !seen8.add(int32(sk)) {
-					continue
-				}
-				// Lines 11–12: expand members with no duplicate check.
-				members := structure.Members(int32(sk))
-				if cancelErr = e.checkpoint(len(members)); cancelErr != nil {
-					return false
-				}
-				for _, vk := range members {
-					resEq9 = append(resEq9, pairs.Pair{Src: vi, Dst: vk})
-				}
-			}
-		}
-		return true
-	})
-	sc.resEq9 = resEq9 // keep the grown buffer pooled
-	e.addPreJoin(time.Since(joinStart))
-	if cancelErr != nil {
-		e.releaseScratch(sc)
-		return nil, cancelErr
-	}
-
-	return e.joinPost(sc, post)
+	start := time.Now()
+	k := e.acquireKernel(structure, typ, post)
+	rel, err := k.seal(preG)
+	postNS := k.postNS
+	e.releaseKernel(k)
+	e.addRemainder(postNS)
+	e.addPreJoin(time.Since(start) - postNS)
+	return rel, err
 }
 
 // EvalBatchUnitFull is FullSharing's batch-unit evaluation: the same
@@ -240,13 +185,14 @@ func (e *engineVersion) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Clos
 	return e.joinPost(sc, post)
 }
 
-// EvalBatchUnitBackward is the mirror image of EvalBatchUnit, chosen by
-// the cost-based planner when Post_G is far more selective than Pre_G:
-// the join is driven from Post's start vertices through the *transposed*
-// RTC, and Pre_G — already materialised — is joined in last from the
-// destination side. The elimination structure is Algorithm 2's under
-// transposition: SCC collapses play the redundant-1/2 roles per distinct
-// result end vertex v_l, and member expansion needs no duplicate check.
+// EvalBatchUnitBackward is Algorithm 2 driven from the other side,
+// chosen by the cost-based planner when Post_G is far more selective
+// than Pre_G: the join is driven from Post's start vertices through the
+// *transposed* RTC, and Pre_G — already materialised — is joined in last
+// from the destination side. The elimination structure is Algorithm 2's
+// member-expansion form under transposition: SCC collapses play the
+// redundant-1/2 roles per distinct result end vertex v_l, and member
+// expansion needs no duplicate check.
 // Both relations arrive sealed, so the end-vertex runs this direction
 // wants are Post_G's transposed columns — built once per relation, then
 // reused by every batch unit that probes the same Post.
@@ -356,8 +302,8 @@ func (e *engineVersion) EvalBatchUnitFullBackward(preG *pairs.Relation, closure 
 
 // joinPreBackward finishes a backward batch unit: sc.resEq9 holds (v_l,
 // v_j) tuples grouped by v_l, and every Pre_G tuple (v_i, v_j) extends
-// one to a result (v_i, v_l). Like the forward joinPost this is
-// Remainder time (the strategies share it identically); the duplicate
+// one to a result (v_i, v_l). Like joinPost this is Remainder time
+// (the strategies share it identically); the duplicate
 // check on v_i per v_l mirrors joinPost's on v_l per v_i. Pre_G is
 // walked end-vertex-first through its transposed columns — one lazy
 // build per relation, in place of the seed's per-call re-bucketing.
@@ -392,14 +338,14 @@ func (e *engineVersion) joinPreBackward(sc *joinScratch, preG *pairs.Relation) (
 	return resEq10, nil
 }
 
-// joinPost implements equations (9)→(10) — Algorithm 2 lines 13–16: for
+// joinPost implements equations (9)→(10) — Algorithm 2 lines 13–16 — at
+// vertex-pair level, for the FullSharing and NoSharing baselines: for
 // every (v_i, v_k) of the Pre·R{+,*} result, extend by the paths
 // satisfying Post from v_k (EvalRestrictedRPQ), unioning into ResEq10.
-// Both sharing strategies run this identically; it is Remainder time.
-// sc.resEq9 must be grouped by Src, which both join implementations
-// guarantee; the per-v_i duplicate stamps mean every emitted pair is
-// unique, so the result goes straight into a pooled builder and is
-// sealed once. The scratch is released on return.
+// It is Remainder time. sc.resEq9 must be grouped by Src, which
+// EvalBatchUnitFull guarantees; the per-v_i duplicate stamps mean every
+// emitted pair is unique, so the result goes straight into a pooled
+// builder and is sealed once. The scratch is released on return.
 func (e *engineVersion) joinPost(sc *joinScratch, post rpq.Expr) (*pairs.Relation, error) {
 	t0 := time.Now()
 	defer func() { e.addRemainder(time.Since(t0)) }()

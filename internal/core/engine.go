@@ -131,9 +131,12 @@ type Options struct {
 //     for RTCSharing, TC(G_R) for FullSharing. Evaluating R_G is excluded
 //     (both methods do it identically; it lands in Remainder).
 //   - PreJoin: the Pre_G ⋈ R+_G join — Algorithm 2 lines 4–12 for
-//     RTCSharing, the vertex-pair-level join for FullSharing.
+//     RTCSharing, the vertex-pair-level join for FullSharing. RTCSharing
+//     pushes Post through the condensation, so its PreJoin also holds
+//     the component-row ORs and the emission that replace the Post join.
 //   - Remainder: everything both methods share — DNF conversion,
-//     evaluating Pre_G and R_G, the Post join, and result unions.
+//     evaluating Pre_G and R_G, the Post traversals (and, for
+//     FullSharing, the pair-level Post join), and result unions.
 type Stats struct {
 	SharedData time.Duration
 	PreJoin    time.Duration
@@ -236,11 +239,13 @@ type engineVersion struct {
 	subRels map[string]*pairs.Relation
 
 	// scratchPool holds joinScratch values — the generation-stamped sets
-	// and tuple buffers of the batch-unit joins — and builderPool holds
-	// relation builders sized to this version's vertex space. Both are
+	// and tuple buffers of the pair-level and backward joins — kernelPool
+	// holds the forward RTC join's row kernels, and builderPool holds
+	// relation builders sized to this version's vertex space. All are
 	// version-local free lists: steady-state batch evaluation reuses the
 	// same columns instead of allocating per call.
 	scratchPool sync.Pool
+	kernelPool  sync.Pool
 	builderPool sync.Pool
 
 	// evalMu guards evalFree, a free list of automaton-product
@@ -317,6 +322,7 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 		evalFree:     make(map[string][]*eval.Evaluator),
 	}
 	v.scratchPool.New = func() any { return &joinScratch{} }
+	v.kernelPool.New = func() any { return &rowKernel{} }
 	v.builderPool.New = func() any { return pairs.NewBuilder(g.NumVertices()) }
 	return v
 }
@@ -552,27 +558,65 @@ func (e *Engine) EvaluateSet(qs []rpq.Expr) ([]*pairs.Set, error) {
 }
 
 // EvalBatchUnit exposes the columnar Algorithm 2 join on the engine's
-// current graph version; see engineVersion.EvalBatchUnit.
+// current graph version; see engineVersion.EvalBatchUnit. Inputs over
+// another vertex space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	return e.version().EvalBatchUnit(preG, structure, typ, post)
+	v := e.version()
+	if err := v.checkSpaces(preG, nil, len(structure.Components().CompOf)); err != nil {
+		return nil, err
+	}
+	return v.EvalBatchUnit(preG, structure, typ, post)
 }
 
 // EvalBatchUnitFull exposes FullSharing's pair-level join; see
-// engineVersion.EvalBatchUnitFull.
+// engineVersion.EvalBatchUnitFull. Inputs over another vertex space than
+// the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	return e.version().EvalBatchUnitFull(preG, closure, typ, post)
+	v := e.version()
+	if err := v.checkSpaces(preG, nil, closure.NumVertices()); err != nil {
+		return nil, err
+	}
+	return v.EvalBatchUnitFull(preG, closure, typ, post)
 }
 
 // EvalBatchUnitBackward exposes the backward RTC join; see
-// engineVersion.EvalBatchUnitBackward.
+// engineVersion.EvalBatchUnitBackward. Inputs over another vertex space
+// than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitBackward(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	return e.version().EvalBatchUnitBackward(preG, structure, typ, postG)
+	v := e.version()
+	if err := v.checkSpaces(preG, postG, len(structure.Components().CompOf)); err != nil {
+		return nil, err
+	}
+	return v.EvalBatchUnitBackward(preG, structure, typ, postG)
 }
 
 // EvalBatchUnitFullBackward exposes the backward full-closure join; see
-// engineVersion.EvalBatchUnitFullBackward.
+// engineVersion.EvalBatchUnitFullBackward. Inputs over another vertex
+// space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitFullBackward(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	return e.version().EvalBatchUnitFullBackward(preG, closure, typ, postG)
+	v := e.version()
+	if err := v.checkSpaces(preG, postG, closure.NumVertices()); err != nil {
+		return nil, err
+	}
+	return v.EvalBatchUnitFullBackward(preG, closure, typ, postG)
+}
+
+// checkSpaces verifies, before a join starts, that Pre_G, Post_G (when
+// given) and the closure structure all cover the graph's vertex space:
+// a mismatch would otherwise index out of range in the middle of the
+// join.
+func (v *engineVersion) checkSpaces(preG, postG *pairs.Relation, structureVertices int) error {
+	n := v.g.NumVertices()
+	if got := preG.NumVertices(); got != n {
+		return fmt.Errorf("core: Pre_G covers %d vertices, the graph has %d", got, n)
+	}
+	if postG != nil && postG.NumVertices() != n {
+		return fmt.Errorf("core: Post_G covers %d vertices, the graph has %d", postG.NumVertices(), n)
+	}
+	if structureVertices != n {
+		return fmt.Errorf("core: the closure structure covers %d vertices, the graph has %d", structureVertices, n)
+	}
+	return nil
 }
 
 // addShared, addPreJoin and addRemainder attribute elapsed time to the

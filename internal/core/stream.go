@@ -101,21 +101,21 @@ type clauseStream struct {
 	evKey    string
 	seedable []bool
 
-	// KindShared: the resolved side inputs.
+	// KindShared: Pre_G, plus the row kernel under RTCSharing or the full
+	// closure and its Post evaluator under Full/NoSharing.
 	preG      *pairs.Relation
-	structure rtcHandle
+	kernel    *rowKernel
 	closure   *tc.Closure
-	post      rpq.Expr
 	postIsEps bool
 	postEv    *eval.Evaluator
 	postKey   string
 
-	sc   *joinScratch // seenA/seenB = per-source ResEq7/ResEq8 stamps
+	sc   *joinScratch // seenB = per-source frontier stamps; the Post memo
 	mids []graph.VID  // per-source Pre⋈R{+,*} frontier
 }
 
-// rtcHandle is the slice of the RTC interface the re-drive needs; it
-// keeps clauseStream testable without building real structures.
+// rtcHandle is the slice of the RTC interface the ASK probes need; it
+// keeps them testable without building real structures.
 type rtcHandle interface {
 	CompOf(v graph.VID) int32
 	ReachableFrom(sid int32) []graph.VID
@@ -220,21 +220,20 @@ func (s *ResultStream) openClause(cp *plan.ClausePlan) (*clauseStream, error) {
 		return cs, err
 	}
 	cs.preG = preG
-	switch v.opts.Strategy {
-	case RTCSharing:
+	if v.opts.Strategy == RTCSharing {
 		structure, err := v.getRTC(bu.R)
 		if err != nil {
 			return cs, err
 		}
-		cs.structure = structure
-	default: // FullSharing, NoSharing
-		closure, err := v.getFullClosure(bu.R)
-		if err != nil {
-			return cs, err
-		}
-		cs.closure = closure
+		cs.kernel = v.acquireKernel(structure, bu.Type, bu.Post)
+		return cs, nil
 	}
-	cs.post = bu.Post
+	// FullSharing, NoSharing
+	closure, err := v.getFullClosure(bu.R)
+	if err != nil {
+		return cs, err
+	}
+	cs.closure = closure
 	_, cs.postIsEps = bu.Post.(rpq.Epsilon)
 	if !cs.postIsEps {
 		cs.postEv, cs.postKey = v.acquireEvaluator(bu.Post)
@@ -357,9 +356,12 @@ func (s *ResultStream) fillRun() error {
 
 // addDsts ORs source vi's destinations under this clause into out; the
 // accumulator is the dedup, within the clause and across clauses. It is
-// the per-source slice of exactly the work EvalBatchUnit/
-// EvalBatchUnitFull + joinPost (or AppendAllSeeded, for automaton plans)
-// perform for vi.
+// the per-source slice of exactly the work EvalBatchUnit's row kernel,
+// EvalBatchUnitFull + joinPost, or AppendAllSeeded (for automaton plans)
+// perform for vi. Under RTCSharing a row is built on the first source
+// that needs it and reused by every later one, so a source's cost
+// follows its distinct rows, not the closure behind them; Rows counts
+// the kernel's words ORed and Post ends traversed.
 func (cs *clauseStream) addDsts(s *ResultStream, vi graph.VID, out *pairs.RunAccumulator) error {
 	if cs.cp.Kind == plan.KindAutomaton {
 		if cs.seedable != nil && !cs.seedable[vi] {
@@ -380,51 +382,36 @@ func (cs *clauseStream) addDsts(s *ResultStream, vi graph.VID, out *pairs.RunAcc
 	}
 	s.stats.Rows += int64(len(vjs))
 
-	// Pre ⋈ R{+,*}: the per-vi frontier, exactly EvalBatchUnit's resEq9
-	// group for vi (RTCSharing) or EvalBatchUnitFull's (Full/NoSharing).
+	if k := cs.kernel; k != nil {
+		work0 := k.work
+		if _, err := k.gather(vjs); err != nil {
+			return err
+		}
+		err := k.orRun(out)
+		s.stats.Rows += k.work - work0
+		return err
+	}
+
+	// Pre ⋈ R{+,*}: the per-vi frontier, exactly EvalBatchUnitFull's
+	// resEq9 group for vi. Full-closure enumeration dedups the frontier
+	// itself (the redundant-1/-2 checks); seen plays EvalBatchUnitFull's
+	// seenV. The Star seeds may duplicate frontier members, but the
+	// accumulator dedups the emitted run regardless.
 	cs.mids = cs.mids[:0]
-	seen7, seen8 := &cs.sc.seenA, &cs.sc.seenB
-	seen7.reset()
-	seen8.reset()
+	seen := &cs.sc.seenB
+	seen.reset()
 	if cs.cp.Unit.Type == rpq.ClosureStar {
 		cs.mids = append(cs.mids, vjs...)
 	}
-	if cs.structure != nil {
-		for _, vj := range vjs {
-			sj := cs.structure.CompOf(vj)
-			if sj < 0 {
-				continue
-			}
-			if !seen7.add(sj) {
-				continue
-			}
-			for _, sk := range cs.structure.ReachableFrom(sj) {
-				if !seen8.add(int32(sk)) {
-					continue
-				}
-				members := cs.structure.Members(int32(sk))
-				if err := s.worker.checkpoint(len(members)); err != nil {
-					return err
-				}
-				s.stats.Rows += int64(len(members))
-				cs.mids = append(cs.mids, members...)
-			}
+	for _, vj := range vjs {
+		from := cs.closure.From(vj)
+		if err := s.worker.checkpoint(len(from)); err != nil {
+			return err
 		}
-	} else {
-		// Full-closure enumeration dedups the frontier itself (the
-		// redundant-1/-2 checks); seen8 plays EvalBatchUnitFull's seenV.
-		// The Star seeds above may duplicate frontier members, but the
-		// accumulator dedups the emitted run regardless.
-		for _, vj := range vjs {
-			from := cs.closure.From(vj)
-			if err := s.worker.checkpoint(len(from)); err != nil {
-				return err
-			}
-			s.stats.Rows += int64(len(from))
-			for _, vk := range from {
-				if seen8.add(vk) {
-					cs.mids = append(cs.mids, vk)
-				}
+		s.stats.Rows += int64(len(from))
+		for _, vk := range from {
+			if seen.add(vk) {
+				cs.mids = append(cs.mids, vk)
 			}
 		}
 	}
@@ -474,6 +461,9 @@ func (s *ResultStream) release() {
 		}
 		if cs.sc != nil {
 			s.v.releaseScratch(cs.sc)
+		}
+		if cs.kernel != nil {
+			s.v.releaseKernel(cs.kernel)
 		}
 	}
 	s.clauses = nil

@@ -47,6 +47,33 @@ func Figure1() *graph.Graph {
 	return b.Build()
 }
 
+// SparseChains builds a graph over numVertices vertices of which only a
+// few hundred have edges, spread evenly across the VID space: each of
+// the sources source vertices has an "a" edge to the head of its own
+// "b" chain of chainLen vertices, and every chain vertex has one "c"
+// edge to a target of its own. a.b+.c therefore has
+// sources·(chainLen−1) pairs and a.b*.c sources·chainLen, however large
+// the space — the shape that tells a join whose memory follows its
+// output from one that allocates per vertex or per row of |V| bits.
+// numVertices must be at least sources·(2·chainLen+1).
+func SparseChains(numVertices, sources, chainLen int) *graph.Graph {
+	b := graph.NewBuilder(numVertices)
+	stride := numVertices / sources
+	for i := 0; i < sources; i++ {
+		src := i * stride
+		head := src + 1
+		b.MustAddEdge(graph.VID(src), "a", graph.VID(head))
+		for j := 0; j < chainLen; j++ {
+			v := head + j
+			if j+1 < chainLen {
+				b.MustAddEdge(graph.VID(v), "b", graph.VID(v+1))
+			}
+			b.MustAddEdge(graph.VID(v), "c", graph.VID(head+chainLen+j))
+		}
+	}
+	return b.Build()
+}
+
 // RandomGraph draws a uniform random edge-labeled multigraph with n
 // vertices, m edge attempts (duplicates collapse) and the given label
 // alphabet. It is shared by property tests across the repository.

@@ -87,12 +87,40 @@ func DiGraphFromCSR(numVertices int, offsets []int32, dsts []VID) *DiGraph {
 
 	revOffsets, revTargets := TransposeCSR(numVertices, offsets, dsts)
 	d.rev = adjacency{offsets: revOffsets, targets: revTargets}
+	d.indexActive()
+	return d
+}
 
-	for v := 0; v < numVertices; v++ {
+// indexActive records the vertices incident to at least one edge, once
+// both adjacencies are in place.
+func (d *DiGraph) indexActive() {
+	for v := 0; v < d.numVertices; v++ {
 		if d.fwd.degree(VID(v)) > 0 || d.rev.degree(VID(v)) > 0 {
 			d.active = append(d.active, VID(v))
 		}
 	}
+}
+
+// DiGraphFromRuns builds a DiGraph from a src-grouped CSR whose runs are
+// duplicate-free but in any order — what a stamp-deduplicated walk
+// produces. Two counting-sort passes replace a comparison sort: the
+// transpose of the input has sorted runs because sources are walked
+// ascending, and it is the reverse adjacency; transposing it back gives
+// the forward adjacency with sorted runs. The input columns are not
+// retained.
+func DiGraphFromRuns(numVertices int, offsets []int32, dsts []VID) *DiGraph {
+	if len(offsets) != numVertices+1 {
+		panic("graph: CSR offsets length mismatch")
+	}
+	revOffsets, revTargets := TransposeCSR(numVertices, offsets, dsts)
+	fwdOffsets, fwdTargets := TransposeCSR(numVertices, revOffsets, revTargets)
+	d := &DiGraph{
+		numVertices: numVertices,
+		numEdges:    len(dsts),
+		fwd:         adjacency{offsets: fwdOffsets, targets: fwdTargets},
+		rev:         adjacency{offsets: revOffsets, targets: revTargets},
+	}
+	d.indexActive()
 	return d
 }
 
@@ -200,12 +228,7 @@ func (b *DiBuilder) Build() *DiGraph {
 		return int(a.Src) - int(b.Src)
 	})
 	d.rev = buildCSR(n, es, true)
-
-	for v := 0; v < n; v++ {
-		if d.fwd.degree(VID(v)) > 0 || d.rev.degree(VID(v)) > 0 {
-			d.active = append(d.active, VID(v))
-		}
-	}
+	d.indexActive()
 	b.srcs, b.dsts = nil, nil
 	return d
 }

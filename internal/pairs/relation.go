@@ -385,6 +385,19 @@ func RelationFromCSR(numVertices int, srcOffsets []int32, dsts []graph.VID) (*Re
 	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}, nil
 }
 
+// RelationFromSortedRuns adopts CSR columns a producer wrote already
+// sealed — offsets exact, every run strictly ascending, every
+// destination in range — as a Relation, with no validation and no copy:
+// the in-process counterpart of RelationFromCSR, as
+// graph.DiGraphFromCSR is of graph.ValidateCSR. The caller must not
+// modify the columns afterwards.
+func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
+	if len(srcOffsets) != numVertices+1 {
+		panic("pairs: CSR offsets length mismatch")
+	}
+	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}
+}
+
 // RelationFromSet seals a mutable Set into a Relation over the given
 // VID space.
 func RelationFromSet(numVertices int, s *Set) *Relation {

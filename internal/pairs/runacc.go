@@ -57,8 +57,83 @@ func (a *RunAccumulator) AddAll(vs []graph.VID) {
 	}
 }
 
+// OrWords ORs in a run held as words — the form DrainWords produces:
+// words[i] holds destinations 64·idx[i] … 64·idx[i]+63. It costs one OR
+// per word, however many destinations each word holds.
+func (a *RunAccumulator) OrWords(idx []int32, words []uint64) {
+	for i, wi := range idx {
+		w := words[i]
+		if w == 0 {
+			continue
+		}
+		if a.words[wi] == 0 {
+			a.dirty = append(a.dirty, wi)
+		}
+		a.words[wi] |= w
+	}
+}
+
 // Empty reports whether no destination is waiting to be drained.
 func (a *RunAccumulator) Empty() bool { return len(a.dirty) == 0 }
+
+// Count returns how many destinations are waiting to be drained.
+func (a *RunAccumulator) Count() int {
+	n := 0
+	for _, wi := range a.dirty[a.pos:] {
+		n += bits.OnesCount64(a.words[wi])
+	}
+	return n
+}
+
+// Reset empties the accumulator without draining it.
+func (a *RunAccumulator) Reset() {
+	for _, wi := range a.dirty {
+		a.words[wi] = 0
+	}
+	a.dirty, a.pos, a.ordered = a.dirty[:0], 0, false
+}
+
+// DrainWords appends the run's non-zero words in ascending word order to
+// idx and words — a compact copy OrWords can OR back in — and empties
+// the accumulator. It must not follow a partial Drain.
+func (a *RunAccumulator) DrainWords(idx []int32, words []uint64) ([]int32, []uint64) {
+	if !a.ordered {
+		a.order()
+	}
+	for _, wi := range a.dirty {
+		if w := a.words[wi]; w != 0 {
+			idx = append(idx, wi)
+			words = append(words, w)
+			a.words[wi] = 0
+		}
+	}
+	a.dirty, a.pos, a.ordered = a.dirty[:0], 0, false
+	return idx, words
+}
+
+// DrainAppend appends every remaining destination, ascending, to dst and
+// empties the accumulator.
+func (a *RunAccumulator) DrainAppend(dst []graph.VID) []graph.VID {
+	if !a.ordered {
+		a.order()
+	}
+	for _, wi := range a.dirty[a.pos:] {
+		dst = AppendWordBits(dst, wi, a.words[wi])
+		a.words[wi] = 0
+	}
+	a.dirty, a.pos, a.ordered = a.dirty[:0], 0, false
+	return dst
+}
+
+// AppendWordBits appends the destinations word w holds at word index
+// wi, ascending, to dst.
+func AppendWordBits(dst []graph.VID, wi int32, w uint64) []graph.VID {
+	base := graph.VID(wi) << 6
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, base+graph.VID(bits.TrailingZeros64(w)))
+	}
+	return dst
+}
 
 // Drain pops the smallest remaining destinations, ascending, into buf
 // as pairs (src, dst) and returns how many it wrote — fewer than

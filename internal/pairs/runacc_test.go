@@ -73,6 +73,59 @@ func TestRunAccumulatorMatchesSortDedupe(t *testing.T) {
 	}
 }
 
+// TestRunAccumulatorWords: a run drained as words and ORed back in —
+// alone, and unioned with other runs — is the same destination set;
+// Count is its size; DrainAppend and Reset both leave the accumulator
+// empty; AppendWordBits decodes a word run to the same destinations.
+func TestRunAccumulatorWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, numV := range []int{1, 65, 1000, 4097} {
+		acc, other := NewRunAccumulator(numV), NewRunAccumulator(numV)
+		for _, density := range []float64{0, 0.01, 0.3, 2} {
+			var a, b []graph.VID
+			for i := 0; i < int(density*float64(numV)); i++ {
+				a = append(a, graph.VID(rng.Intn(numV)))
+				b = append(b, graph.VID(rng.Intn(numV)))
+			}
+			acc.AddAll(a)
+			idx, words := acc.DrainWords(nil, nil)
+			if !acc.Empty() {
+				t.Fatalf("|V|=%d: DrainWords left the accumulator non-empty", numV)
+			}
+			if !slices.IsSorted(idx) {
+				t.Fatalf("|V|=%d: word indexes %v not ascending", numV, idx)
+			}
+			var decoded []graph.VID
+			for i, wi := range idx {
+				decoded = AppendWordBits(decoded, wi, words[i])
+			}
+			want := slices.Compact(slices.Sorted(slices.Values(a)))
+			if !slices.Equal(decoded, want) {
+				t.Fatalf("|V|=%d: decoded words %v, want %v", numV, decoded, want)
+			}
+
+			other.AddAll(b)
+			other.OrWords(idx, words)
+			union := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(a), b...))))
+			if got := other.Count(); got != len(union) {
+				t.Fatalf("|V|=%d: Count = %d, want %d", numV, got, len(union))
+			}
+			if got := other.DrainAppend(nil); !slices.Equal(got, union) {
+				t.Fatalf("|V|=%d: OrWords union drained %v, want %v", numV, got, union)
+			}
+			if !other.Empty() || other.Count() != 0 {
+				t.Fatalf("|V|=%d: DrainAppend left the accumulator non-empty", numV)
+			}
+
+			other.OrWords(idx, words)
+			other.Reset()
+			if !other.Empty() || len(other.DrainAppend(nil)) != 0 {
+				t.Fatalf("|V|=%d: Reset left destinations behind", numV)
+			}
+		}
+	}
+}
+
 // TestRunAccumulatorAddAll: AddAll is Add over a slice, unions included.
 func TestRunAccumulatorAddAll(t *testing.T) {
 	acc := NewRunAccumulator(200)

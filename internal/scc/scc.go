@@ -164,11 +164,27 @@ func Tarjan(d *graph.DiGraph) *Components {
 // one vertex per SCC, one self-loop per component containing at least one
 // intra-component edge, and one edge s_k → s_l per pair of components
 // connected by at least one edge of d.
+//
+// No edge list is staged and nothing is comparison-sorted: d's CSR is
+// walked component by component, a stamp per target component keeps
+// each run duplicate-free, and graph.DiGraphFromRuns orders the runs by
+// counting sort.
 func Condense(d *graph.DiGraph, c *Components) *graph.DiGraph {
-	b := graph.NewDiBuilderCap(c.NumComponents(), d.NumEdges())
-	d.Edges(func(src, dst graph.VID) bool {
-		b.AddEdge(c.CompOf[src], c.CompOf[dst])
-		return true
-	})
-	return b.Build()
+	k := c.NumComponents()
+	offsets := make([]int32, k+1)
+	var targets []graph.VID
+	// stamp[t] == s+1 once component s has emitted an edge to t.
+	stamp := make([]int32, k)
+	for s, members := range c.Members {
+		for _, v := range members {
+			for _, w := range d.Successors(v) {
+				if t := c.CompOf[w]; stamp[t] != int32(s)+1 {
+					stamp[t] = int32(s) + 1
+					targets = append(targets, t)
+				}
+			}
+		}
+		offsets[s+1] = int32(len(targets))
+	}
+	return graph.DiGraphFromRuns(k, offsets, targets)
 }

@@ -3,6 +3,7 @@ package scc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,57 @@ func TestTarjanAgainstNaive(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// condenseOracle is the condensation built the obvious way: every edge
+// of d mapped through CompOf into a DiBuilder, which sorts and dedups.
+func condenseOracle(d *graph.DiGraph, c *Components) *graph.DiGraph {
+	b := graph.NewDiBuilder(c.NumComponents())
+	d.Edges(func(src, dst graph.VID) bool {
+		b.AddEdge(c.CompOf[src], c.CompOf[dst])
+		return true
+	})
+	return b.Build()
+}
+
+// sameDiGraph compares two digraphs adjacency by adjacency, both
+// directions, plus the active vertex list.
+func sameDiGraph(a, b *graph.DiGraph) bool {
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() ||
+		!slices.Equal(a.ActiveVertices(), b.ActiveVertices()) {
+		return false
+	}
+	for v := graph.VID(0); int(v) < a.NumVertices(); v++ {
+		if !slices.Equal(a.Successors(v), b.Successors(v)) || !slices.Equal(a.Predecessors(v), b.Predecessors(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: Condense's stamp walk produces exactly the DiBuilder
+// condensation — self-loops, multi-edges between two components
+// collapsed, and components with no condensation edge at all — on random
+// graphs from edgeless to dense.
+func TestCondenseMatchesBuilderOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		b := graph.NewDiBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
+		}
+		d := b.Build()
+		c := Tarjan(d)
+		if !sameDiGraph(Condense(d, c), condenseOracle(d, c)) {
+			t.Logf("seed %d: condensation differs from the DiBuilder oracle", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
