@@ -48,13 +48,13 @@
 // reports the ladder rung: "ok", "degraded" (with the reason) or
 // "draining" during graceful shutdown.
 //
-// With -data, every effective update batch is fsynced to a write-ahead
-// log before the client hears 200, and a snapshot (graph plus the cached
-// closure structures) is written on graceful shutdown, on
+// With -data, every accepted update batch is fsynced to a write-ahead
+// log before it is applied and the client hears 200, and a snapshot of
+// the graph at its epoch is written on graceful shutdown, on
 // POST /admin/snapshot, and every -snapshot-every batches. The next boot
-// restores the snapshot — closures included, so the first queries hit a
-// warm cache — and replays the log tail; a snapshot in -data wins over
-// -graph.
+// loads the snapshot and replays the log tail, landing on the exact
+// pre-crash epoch; closure structures rebuild on first use. A snapshot
+// in -data wins over -graph.
 //
 // Concurrent /query requests landing within one coalescing window
 // (-window, sealed early at -max-batch distinct queries) are
@@ -209,9 +209,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		persist, engine = p, p.Engine
 		if info.RestoredSnapshot {
-			fmt.Fprintf(out, "rpqd: restored %s: snapshot epoch %d (%d RTCs, %d closures, %d relations), replayed %d batches (%d updates), epoch %d, %.1fms\n",
-				*dataDir, info.SnapshotEpoch, info.RestoredRTCs, info.RestoredClosures, info.RestoredRelations,
-				info.ReplayedBatches, info.ReplayedUpdates, info.Epoch, info.LoadMillis)
+			fmt.Fprintf(out, "rpqd: restored %s: snapshot epoch %d, replayed %d batches (%d updates), epoch %d, %.1fms\n",
+				*dataDir, info.SnapshotEpoch, info.ReplayedBatches, info.ReplayedUpdates, info.Epoch, info.LoadMillis)
 		} else {
 			fmt.Fprintf(out, "rpqd: initialised %s from seed graph (anchor snapshot at epoch %d, %.1fms)\n",
 				*dataDir, info.Epoch, info.LoadMillis)

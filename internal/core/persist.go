@@ -1,211 +1,25 @@
 package core
 
-import (
-	"fmt"
-	"strings"
+import "rtcshare/internal/graph"
 
-	"rtcshare/internal/graph"
-	"rtcshare/internal/pairs"
-	"rtcshare/internal/rtc"
-	"rtcshare/internal/tc"
-)
-
-// SnapshotState is the persistable state of one engine at one graph
-// epoch: the frozen graph, the epoch number, and every completed shared
-// structure the cache held at that epoch — RTCs and full closures keyed
-// by their sub-query text, sealed relations keyed by query text. It is
-// what internal/store serialises; Engine.SnapshotState captures one and
-// RestoreEngine rebuilds an engine from one. The structure maps carry
-// both strategies' structures regardless of the engine's own Strategy,
-// so a snapshot is strategy-agnostic: the restoring engine installs all
-// of them and simply reads the region its strategy uses.
-type SnapshotState struct {
-	Graph *graph.Graph
-	Epoch uint64
-
-	// RTCs maps sub-query text R to its reduced transitive closure.
-	RTCs map[string]*rtc.RTC
-	// Fulls maps sub-query text R to the full closure R+_G.
-	Fulls map[string]*tc.Closure
-	// Relations maps (sub-)query text to its sealed columnar result.
-	Relations map[string]*pairs.Relation
-}
-
-// SnapshotState captures the engine's current graph version plus every
-// completed, retained cache entry at that version's epoch. Entries still
-// in flight and entries at other epochs are skipped — the snapshot
-// describes exactly one graph version. Concurrent evaluations may keep
-// running; a concurrent ApplyUpdates should be excluded by the caller
-// (store.Persistent serialises the two) so the captured epoch is the
-// one the write-ahead log continues from.
-func (e *Engine) SnapshotState() *SnapshotState {
-	v := e.version()
-	st := &SnapshotState{
-		Graph:     v.g,
-		Epoch:     v.epoch,
-		RTCs:      make(map[string]*rtc.RTC),
-		Fulls:     make(map[string]*tc.Closure),
-		Relations: make(map[string]*pairs.Relation),
-	}
-	e.cache.exportCompleted(v.epoch, func(region CacheRegion, key string, val any) {
-		switch region {
-		case RegionStructure:
-			if r, ok := strings.CutPrefix(key, nsRTC); ok {
-				if sv, ok := val.(*rtcValue); ok {
-					st.RTCs[r] = sv.structure
-				}
-			} else if r, ok := strings.CutPrefix(key, nsFull); ok {
-				if sv, ok := val.(*fullValue); ok {
-					st.Fulls[r] = sv.closure
-				}
-			}
-		case RegionRelation:
-			if rel, ok := val.(*pairs.Relation); ok {
-				st.Relations[key] = rel
-			}
-		}
-	})
-	return st
-}
-
-// RestoreEngine rebuilds an engine from a snapshot: a fresh SharedCache
-// is pinned to the snapshot's epoch, the engine is constructed over the
-// snapshot's graph, and every persisted structure is installed as a
-// completed cache entry — so the first queries after a restart hit the
-// cache instead of recomputing closures, and a subsequent ApplyUpdates
-// (the WAL replay) migrates them under the normal carry/patch/drop
-// rules. Structures are sanity-checked against the graph's vertex count;
-// relations are installed best-effort under the relation-region budget.
-// Non-caching configurations (NoSharing, DisableCache) restore the graph
-// and epoch only.
-func RestoreEngine(st *SnapshotState, opts Options) (*Engine, error) {
-	if st == nil || st.Graph == nil {
-		return nil, fmt.Errorf("core: restore: snapshot has no graph")
-	}
-	n := st.Graph.NumVertices()
+// NewAtEpoch returns an Engine over g whose graph epoch starts at epoch
+// instead of 0, with a fresh, empty SharedCache pinned to that epoch. It
+// is how internal/store boots an engine from a snapshot: the snapshot
+// holds only the graph and its epoch, the write-ahead log replays on top
+// through ApplyUpdates, and every shared structure is rebuilt on demand
+// through the normal cache path.
+func NewAtEpoch(g *graph.Graph, epoch uint64, opts Options) *Engine {
 	cache := NewSharedCache()
-	cache.epoch.Store(st.Epoch)
-	e := NewWithCache(st.Graph, opts, cache)
-	if !e.shouldCache() {
-		return e, nil
-	}
-	for r, s := range st.RTCs {
-		if len(s.Components().CompOf) != n {
-			return nil, fmt.Errorf("core: restore: RTC %q spans %d vertices, graph has %d", r, len(s.Components().CompOf), n)
-		}
-		cache.installStructure(nsRTC+r, &rtcValue{structure: s, summary: restoredRTCSummary(r, s)})
-	}
-	for r, cl := range st.Fulls {
-		if cl.NumVertices() != n {
-			return nil, fmt.Errorf("core: restore: closure %q spans %d vertices, graph has %d", r, cl.NumVertices(), n)
-		}
-		cache.installStructure(nsFull+r, &fullValue{closure: cl, summary: restoredFullSummary(r, cl)})
-	}
-	for q, rel := range st.Relations {
-		if rel.NumVertices() != n {
-			return nil, fmt.Errorf("core: restore: relation %q spans %d vertices, graph has %d", q, rel.NumVertices(), n)
-		}
-		cache.installRelation(q, rel)
-	}
-	return e, nil
+	cache.epoch.Store(epoch)
+	return NewWithCache(g, opts, cache)
 }
 
-// restoredRTCSummary rebuilds the SharedSummary of a restored RTC from
-// the structure itself. Every field is derivable: the summaries are
-// reporting metadata, so snapshots do not store them. Tarjan assigns a
-// component to exactly the active vertices of G_R, so
-// NumActiveVertices() equals the |V_R| computeRTC records.
-func restoredRTCSummary(r string, s *rtc.RTC) SharedSummary {
-	return SharedSummary{
-		R:                   r,
-		SharedPairs:         s.NumSharedPairs(),
-		ReducedVertices:     s.NumReducedVertices(),
-		EdgeReducedVertices: s.Components().NumActiveVertices(),
-		AvgSCCSize:          s.Components().AverageSize(),
-	}
-}
-
-// restoredFullSummary is restoredRTCSummary for a full closure, matching
-// the fields the incremental patch path reports (NumActive for both
-// vertex counts).
-func restoredFullSummary(r string, cl *tc.Closure) SharedSummary {
-	active := cl.NumActive()
-	return SharedSummary{
-		R:                   r,
-		SharedPairs:         cl.NumPairs(),
-		ReducedVertices:     active,
-		EdgeReducedVertices: active,
-	}
-}
-
-// exportCompleted calls fn for every completed, error-free, retained
-// entry of both regions whose epoch matches exactly. fn runs outside the
-// shard locks. Iteration order is unspecified (the persistence layer
-// sorts keys for deterministic bytes).
-func (c *SharedCache) exportCompleted(epoch uint64, fn func(region CacheRegion, key string, val any)) {
-	type kv struct {
-		key string
-		val any
-	}
-	collect := func(region CacheRegion, shards *[cacheShards]cacheShard) {
-		for i := range shards {
-			s := &shards[i]
-			var done []kv
-			s.mu.Lock()
-			for key, e := range s.entries {
-				if e.epoch != epoch {
-					continue
-				}
-				select {
-				case <-e.done:
-					if e.err == nil && e.retained {
-						done = append(done, kv{key: key, val: e.val})
-					}
-				default:
-					// In flight: not part of this epoch's durable state.
-				}
-			}
-			s.mu.Unlock()
-			for _, it := range done {
-				fn(region, it.key, it.val)
-			}
-		}
-	}
-	collect(RegionStructure, &c.shards)
-	collect(RegionRelation, &c.relShards)
-}
-
-// installStructure places an already-computed structure value under key
-// at the cache's current epoch, as a completed retained entry. An
-// existing entry wins: a reader that raced a fresh computation in is at
-// least as current as the restored copy.
-func (c *SharedCache) installStructure(key string, val any) {
-	s := c.shard(key)
-	epoch := c.epoch.Load()
-	s.mu.Lock()
-	if _, exists := s.entries[key]; !exists {
-		s.entries[key] = completedEntry(epoch, val, true)
-	}
-	s.mu.Unlock()
-}
-
-// installRelation is installStructure for the relation region, charged
-// against the region budget; it reports whether the relation was
-// actually retained (a declined or raced install is simply not restored
-// — the next use recomputes it, which is correct, just colder).
-func (c *SharedCache) installRelation(key string, val any) bool {
-	if !c.admitRelation(val) {
-		return false
-	}
-	s := c.relShard(key)
-	epoch := c.epoch.Load()
-	s.mu.Lock()
-	if _, exists := s.entries[key]; exists {
-		s.mu.Unlock()
-		c.evictRelation(val)
-		return false
-	}
-	s.entries[key] = completedEntry(epoch, val, true)
-	s.mu.Unlock()
-	return true
+// GraphEpoch returns the current graph version and its epoch, read from
+// one pinned version so the pair is consistent even while an
+// ApplyUpdates races the call. A snapshot writer should still exclude
+// concurrent updates (store.Persistent serialises the two) so the
+// captured epoch is the one the write-ahead log continues from.
+func (e *Engine) GraphEpoch() (*graph.Graph, uint64) {
+	v := e.version()
+	return v.g, v.epoch
 }

@@ -8,155 +8,78 @@ import (
 	"rtcshare/internal/rpq"
 )
 
-// persistWarmQueries populate every cache region: RTC structures,
-// memoised relations, and (under FullSharing) full closures.
-var persistWarmQueries = []string{"b.c", "d.(b.c)+.c", "(b.c)*", "a.(e.f)*"}
-
-func warmSnapshotEngine(t *testing.T, opts Options) *Engine {
-	t.Helper()
-	e := New(fixtures.Figure1(), opts)
-	for _, q := range persistWarmQueries {
-		if _, err := e.EvaluateRel(rpq.MustParse(q)); err != nil {
-			t.Fatalf("warm %s: %v", q, err)
-		}
+// TestNewAtEpoch pins the boot path a snapshot takes: an engine started
+// at epoch 7 answers like one started at 0, reports epoch 7, advances
+// from there, and builds its structures on demand without cross-epoch
+// reuse.
+func TestNewAtEpoch(t *testing.T) {
+	g := fixtures.Figure1()
+	want := New(g, Options{})
+	e := NewAtEpoch(g, 7, Options{})
+	if e.Epoch() != 7 {
+		t.Fatalf("Epoch() = %d, want 7", e.Epoch())
 	}
-	return e
-}
-
-func TestSnapshotStateRestoreRoundTrip(t *testing.T) {
-	for _, strat := range []Strategy{RTCSharing, FullSharing} {
-		e := warmSnapshotEngine(t, Options{Strategy: strat})
-		st := e.SnapshotState()
-		if st.Epoch != e.Epoch() {
-			t.Fatalf("%v: snapshot epoch %d, engine %d", strat, st.Epoch, e.Epoch())
-		}
-		if len(st.RTCs)+len(st.Fulls) == 0 || len(st.Relations) == 0 {
-			t.Fatalf("%v: empty snapshot: %d RTCs, %d fulls, %d relations",
-				strat, len(st.RTCs), len(st.Fulls), len(st.Relations))
-		}
-		r, err := RestoreEngine(st, Options{Strategy: strat})
+	if got, epoch := e.GraphEpoch(); got != g || epoch != 7 {
+		t.Fatalf("GraphEpoch() = (%p, %d), want (%p, 7)", got, epoch, g)
+	}
+	for _, q := range []string{"b.c", "d.(b.c)+.c", "(b.c)*"} {
+		w, err := want.EvaluateRel(rpq.MustParse(q))
 		if err != nil {
-			t.Fatalf("%v: restore: %v", strat, err)
+			t.Fatal(err)
 		}
-		for _, q := range persistWarmQueries {
-			want, err := e.EvaluateRel(rpq.MustParse(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.EvaluateRel(rpq.MustParse(q))
-			if err != nil {
-				t.Fatalf("%v: restored engine: %s: %v", strat, q, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%v: %s: restored answers differ", strat, q)
-			}
+		got, err := e.EvaluateRel(rpq.MustParse(q))
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
-		// Every structure came from the snapshot: zero misses, and no
-		// cross-epoch reuse.
-		c := r.Cache().Counters()
-		if c.Misses != 0 || c.RelMisses != 0 {
-			t.Errorf("%v: restored engine recomputed: %d misses, %d relation misses", strat, c.Misses, c.RelMisses)
-		}
-		if c.CrossEpochHits != 0 {
-			t.Errorf("%v: CrossEpochHits = %d", strat, c.CrossEpochHits)
-		}
-		// The restored structures report real summaries (derived, not
-		// stored).
-		for _, s := range r.SharedSummaries() {
-			if s.R == "" || s.SharedPairs < 0 {
-				t.Errorf("%v: bad restored summary %+v", strat, s)
-			}
+		if !got.Equal(w) {
+			t.Errorf("%s: answers differ from an engine started at epoch 0", q)
 		}
 	}
-}
-
-// TestSnapshotStateSkipsStaleEpochs pins that a snapshot describes
-// exactly one graph version: entries computed before an update are not
-// exported.
-func TestSnapshotStateSkipsStaleEpochs(t *testing.T) {
-	e := warmSnapshotEngine(t, Options{})
-	res, err := e.ApplyUpdates([]GraphUpdate{{Op: OpInsertEdge, Src: 0, Dst: 9, Label: "b"}})
+	res, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(0, "b", 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.SnapshotState()
-	if st.Epoch != res.Epoch {
-		t.Fatalf("snapshot epoch %d, want %d", st.Epoch, res.Epoch)
+	if res.Epoch != 8 || e.Epoch() != 8 {
+		t.Fatalf("update reached epoch %d (engine %d), want 8", res.Epoch, e.Epoch())
 	}
-	for key := range st.Relations {
-		if _, _, ok := e.CachedResult(rpq.MustParse(key)); !ok {
-			t.Errorf("snapshot exported %q which the cache no longer serves", key)
-		}
+	if _, err := e.EvaluateRel(rpq.MustParse("d.(b.c)+.c")); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Cache().Counters(); c.Misses == 0 || c.CrossEpochHits != 0 {
+		t.Fatalf("cache counters %+v: want on-demand builds and no cross-epoch hits", c)
 	}
 }
 
-func TestRestoreEngineRejectsMismatchedStructures(t *testing.T) {
-	st := warmSnapshotEngine(t, Options{}).SnapshotState()
-	small := graph.NewBuilder(2)
-	small.AddEdge(0, "b", 1)
-	stSmall := *st
-	stSmall.Graph = small.Build()
-	if _, err := RestoreEngine(&stSmall, Options{}); err == nil {
-		t.Error("RTCs spanning the wrong vertex count were accepted")
-	}
-	stFulls := *st
-	stFulls.RTCs = nil
-	stFulls.Fulls = warmSnapshotEngine(t, Options{Strategy: FullSharing}).SnapshotState().Fulls
-	stFulls.Graph = small.Build()
-	stFulls.Relations = nil
-	if _, err := RestoreEngine(&stFulls, Options{}); err == nil {
-		t.Error("closures spanning the wrong vertex count were accepted")
-	}
-	stRels := *st
-	stRels.RTCs = nil
-	stRels.Graph = small.Build()
-	if _, err := RestoreEngine(&stRels, Options{}); err == nil {
-		t.Error("relations spanning the wrong vertex count were accepted")
-	}
-	if _, err := RestoreEngine(nil, Options{}); err == nil {
-		t.Error("nil snapshot was accepted")
-	}
-	if _, err := RestoreEngine(&SnapshotState{}, Options{}); err == nil {
-		t.Error("graphless snapshot was accepted")
-	}
-}
-
-// TestRestoreEngineNonCaching pins the documented degradation: a
-// non-caching configuration restores graph and epoch only.
-func TestRestoreEngineNonCaching(t *testing.T) {
-	st := warmSnapshotEngine(t, Options{}).SnapshotState()
-	e, err := RestoreEngine(st, Options{Strategy: NoSharing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Epoch() != st.Epoch {
-		t.Fatalf("epoch %d, want %d", e.Epoch(), st.Epoch)
-	}
-	if _, err := e.EvaluateRel(rpq.MustParse("b.c")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInstallStructureExistingWins pins the race rule: an entry already
-// in the cache is not replaced by a restored copy.
-func TestInstallStructureExistingWins(t *testing.T) {
-	e := warmSnapshotEngine(t, Options{})
-	st := e.SnapshotState()
-	r, err := RestoreEngine(st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := range st.RTCs {
-		r.Cache().installStructure(nsRTC+key, &rtcValue{})
-	}
-	for _, q := range persistWarmQueries {
-		if _, err := r.EvaluateRel(rpq.MustParse(q)); err != nil {
-			t.Fatalf("after duplicate install: %s: %v", q, err)
+// TestGraphEpochConsistentUnderUpdates: GraphEpoch reads the graph and
+// the epoch from one pinned version, so a reader racing ApplyUpdates
+// never sees a graph from one epoch paired with another's number. Every
+// batch inserts one new edge, so the edge count follows the epoch.
+func TestGraphEpochConsistentUnderUpdates(t *testing.T) {
+	const n, rounds = 64, 40
+	e := New(graph.NewBuilder(n).Build(), Options{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			if _, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(graph.VID(i), "a", graph.VID(i+1))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		if g, epoch := e.GraphEpoch(); uint64(g.NumEdges()) != epoch {
+			t.Errorf("epoch %d paired with a graph of %d edges", epoch, g.NumEdges())
+			<-done
+			return
 		}
 	}
-	for key, rel := range st.Relations {
-		if r.Cache().installRelation(key, rel) {
-			t.Errorf("installRelation(%q) replaced an existing entry", key)
-		}
+	if e.Epoch() != rounds {
+		t.Fatalf("epoch %d after %d effective batches", e.Epoch(), rounds)
 	}
 }

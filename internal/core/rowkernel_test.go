@@ -305,9 +305,10 @@ func TestRowKernelCancelInsideDFS(t *testing.T) {
 }
 
 // TestRowKernelRejectsCyclicCondensation: an RTC whose condensation has
-// a cycle between distinct components — which only a corrupt structure,
-// such as a damaged snapshot, can hold — fails the join with an error
-// instead of looping or panicking.
+// a cycle between distinct components — which rtc.Compute never builds,
+// but a caller assembling parts through rtc.FromParts can hand to the
+// exported EvalBatchUnit — fails the join with an error instead of
+// looping or panicking.
 func TestRowKernelRejectsCyclicCondensation(t *testing.T) {
 	const k = 12 // a ring longer than lightReach, so the DFS walks it
 	g := graph.NewBuilder(k).Build()

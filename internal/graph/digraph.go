@@ -126,10 +126,10 @@ func DiGraphFromRuns(numVertices int, offsets []int32, dsts []VID) *DiGraph {
 
 // CSR returns the forward adjacency's raw columns: the successors of v
 // are targets[offsets[v]:offsets[v+1]], sorted ascending. The slices
-// alias internal storage and must not be modified — this is the
-// serialization hook; a DiGraph is rebuilt from the columns with
-// DiGraphFromCSR (after graph.ValidateCSR for columns from outside the
-// process, since DiGraphFromCSR trusts its input).
+// alias internal storage and must not be modified; a DiGraph is rebuilt
+// from the columns with DiGraphFromCSR (after graph.ValidateCSR for
+// columns from outside the process, since DiGraphFromCSR trusts its
+// input).
 func (d *DiGraph) CSR() (offsets []int32, targets []VID) {
 	return d.fwd.offsets, d.fwd.targets
 }

@@ -1,7 +1,6 @@
 package pairs
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -373,23 +372,10 @@ func (b *Builder) Seal() *Relation {
 	return &Relation{numVertices: n, srcOffsets: offsets, dsts: dsts}
 }
 
-// RelationFromCSR rebuilds a sealed relation from raw CSR columns,
-// validating them first (offsets monotone and spanning dsts, runs
-// strictly increasing, dsts in range) so columns loaded from disk can
-// never break the binary searches or index out of range. The relation
-// shares the given slices; the caller must not modify them afterwards.
-func RelationFromCSR(numVertices int, srcOffsets []int32, dsts []graph.VID) (*Relation, error) {
-	if err := graph.ValidateCSR(numVertices, numVertices, srcOffsets, dsts, true); err != nil {
-		return nil, fmt.Errorf("pairs: relation CSR: %w", err)
-	}
-	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}, nil
-}
-
 // RelationFromSortedRuns adopts CSR columns a producer wrote already
 // sealed — offsets exact, every run strictly ascending, every
-// destination in range — as a Relation, with no validation and no copy:
-// the in-process counterpart of RelationFromCSR, as
-// graph.DiGraphFromCSR is of graph.ValidateCSR. The caller must not
+// destination in range — as a Relation, with no validation and no copy,
+// as graph.DiGraphFromCSR does for a DiGraph. The caller must not
 // modify the columns afterwards.
 func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
 	if len(srcOffsets) != numVertices+1 {

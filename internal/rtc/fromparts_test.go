@@ -36,10 +36,7 @@ func TestFromPartsRoundTrip(t *testing.T) {
 	if _, err := FromParts(r.Components(), small, r.Closure()); err == nil {
 		t.Error("condensation with the wrong SID space accepted")
 	}
-	badClosure, err := tc.ClosureFromCSR(0, []int32{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	badClosure := tc.BFS(graph.NewDiBuilder(0).Build())
 	if _, err := FromParts(r.Components(), r.Condensation(), badClosure); err == nil {
 		t.Error("closure with the wrong SID space accepted")
 	}

@@ -133,13 +133,14 @@ func ComputeCheck(gr *graph.DiGraph, algo TCAlgorithm, check tc.Checkpoint) (*RT
 	return &RTC{comps: comps, condensation: cond, closure: closure}, nil
 }
 
-// FromParts reassembles an RTC from its three structures — the SCC
-// decomposition of G_R, the condensation Ḡ_R, and TC(Ḡ_R) — checking
-// only that the three agree on the SID space (each part validates its
-// own internals on deserialization). The condensation is required even
-// though queries never read it directly: InsertEdges patches an RTC by
-// remapping the old condensation's edges through SCC merges, so a
-// restored RTC without it could not be maintained incrementally.
+// FromParts assembles an RTC from its three structures — the SCC
+// decomposition of G_R, the condensation Ḡ_R, and TC(Ḡ_R) — built by
+// the caller, checking only that the three agree on the SID space.
+// Nothing else is validated: parts that Compute would never produce (a
+// condensation with a cycle, say) are accepted, which is how tests hand
+// the join deliberately malformed structures. The condensation is
+// required because the join walks it and InsertEdges remaps its edges
+// through SCC merges.
 func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.Closure) (*RTC, error) {
 	k := comps.NumComponents()
 	if condensation.NumVertices() != k {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rtcshare/internal/core"
+	"rtcshare/internal/graph"
 )
 
 const (
@@ -121,13 +122,13 @@ func (d *Dir) fileRename(oldpath, newpath string) error {
 }
 
 // LoadSnapshot implements Store.
-func (d *Dir) LoadSnapshot() (*core.SnapshotState, error) {
+func (d *Dir) LoadSnapshot() (*graph.Graph, uint64, error) {
 	data, err := os.ReadFile(d.path(snapshotFile))
 	if os.IsNotExist(err) {
-		return nil, ErrNoSnapshot
+		return nil, 0, ErrNoSnapshot
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: read snapshot: %w", err)
+		return nil, 0, fmt.Errorf("store: read snapshot: %w", err)
 	}
 	return decodeSnapshotFile(data)
 }
@@ -140,16 +141,16 @@ func (d *Dir) LoadSnapshot() (*core.SnapshotState, error) {
 // the commit point) and, if the rotation was reached, marks the log for
 // repair — the old records it may still hold are superseded by the
 // snapshot already committed.
-func (d *Dir) WriteSnapshot(st *core.SnapshotState) error {
+func (d *Dir) WriteSnapshot(g *graph.Graph, epoch uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	data := encodeSnapshotFile(st)
+	data := encodeSnapshotFile(g, epoch)
 	if err := d.atomicWrite(snapshotFile, data); err != nil {
 		return err
 	}
 	d.stats.SnapshotBytes = int64(len(data))
-	d.stats.SnapshotEpoch = st.Epoch
+	d.stats.SnapshotEpoch = epoch
 	d.stats.SnapshotsWritten++
 
 	return d.rotateWALLocked()

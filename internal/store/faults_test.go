@@ -70,8 +70,8 @@ func TestDirSnapshotFaultKeepsPreviousSnapshot(t *testing.T) {
 			}
 			defer d.Close()
 
-			first := core.New(fixtures.Figure1(), core.Options{}).SnapshotState()
-			if err := d.WriteSnapshot(first); err != nil {
+			first := core.New(fixtures.Figure1(), core.Options{})
+			if err := d.WriteSnapshot(first.GraphEpoch()); err != nil {
 				t.Fatal(err)
 			}
 
@@ -83,26 +83,26 @@ func TestDirSnapshotFaultKeepsPreviousSnapshot(t *testing.T) {
 			if op == OpWrite {
 				inj.ShortWrites(true) // tear the temp file, the nastier variant
 			}
-			if err := d.WriteSnapshot(second.SnapshotState()); err == nil {
+			if err := d.WriteSnapshot(second.GraphEpoch()); err == nil {
 				t.Fatal("injected snapshot fault reported success")
 			} else if !errors.Is(err, ErrInjected) {
 				t.Fatalf("fault not tagged ErrInjected: %v", err)
 			}
 
-			got, err := d.LoadSnapshot()
+			_, gotEpoch, err := d.LoadSnapshot()
 			if err != nil {
 				t.Fatalf("previous snapshot unreadable after failed commit: %v", err)
 			}
-			if got.Epoch != first.Epoch {
-				t.Fatalf("snapshot epoch %d after failed commit, want previous %d", got.Epoch, first.Epoch)
+			if gotEpoch != first.Epoch() {
+				t.Fatalf("snapshot epoch %d after failed commit, want previous %d", gotEpoch, first.Epoch())
 			}
 
 			inj.Disarm()
-			if err := d.WriteSnapshot(second.SnapshotState()); err != nil {
+			if err := d.WriteSnapshot(second.GraphEpoch()); err != nil {
 				t.Fatalf("commit after fault cleared: %v", err)
 			}
-			if got, err := d.LoadSnapshot(); err != nil || got.Epoch != second.Epoch() {
-				t.Fatalf("post-recovery snapshot: epoch %v, err %v", got, err)
+			if _, gotEpoch, err := d.LoadSnapshot(); err != nil || gotEpoch != second.Epoch() {
+				t.Fatalf("post-recovery snapshot: epoch %v, err %v", gotEpoch, err)
 			}
 		})
 	}
@@ -241,12 +241,12 @@ func TestDirRotationFaultKeepsLogConsistent(t *testing.T) {
 	}
 	// Rename #1 commits the snapshot; rename #2 is the log rotation.
 	inj.FailNth(OpRename, 2)
-	err = d.WriteSnapshot(eng.SnapshotState())
+	err = d.WriteSnapshot(eng.GraphEpoch())
 	if err == nil {
 		t.Fatal("injected rotation fault reported success")
 	}
-	if got, lerr := d.LoadSnapshot(); lerr != nil || got.Epoch != eng.Epoch() {
-		t.Fatalf("snapshot lost to a rotation fault: epoch %v, err %v", got, lerr)
+	if _, gotEpoch, lerr := d.LoadSnapshot(); lerr != nil || gotEpoch != eng.Epoch() {
+		t.Fatalf("snapshot lost to a rotation fault: epoch %v, err %v", gotEpoch, lerr)
 	}
 
 	// Appends after the failed rotation repair the tail first; the old

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rtcshare/internal/core"
+	"rtcshare/internal/graph"
 )
 
 // This file is the I/O fault-injection seam of the store: a seedable
@@ -183,15 +184,15 @@ func (f *Faulty) fail(ops ...FaultOp) error {
 }
 
 // LoadSnapshot implements Store (never injected).
-func (f *Faulty) LoadSnapshot() (*core.SnapshotState, error) { return f.inner.LoadSnapshot() }
+func (f *Faulty) LoadSnapshot() (*graph.Graph, uint64, error) { return f.inner.LoadSnapshot() }
 
 // WriteSnapshot implements Store: a snapshot commit performs writes,
 // syncs and renames, so any armed fault can fail it.
-func (f *Faulty) WriteSnapshot(st *core.SnapshotState) error {
+func (f *Faulty) WriteSnapshot(g *graph.Graph, epoch uint64) error {
 	if err := f.fail(OpWrite, OpSync, OpRename); err != nil {
 		return err
 	}
-	return f.inner.WriteSnapshot(st)
+	return f.inner.WriteSnapshot(g, epoch)
 }
 
 // AppendBatch implements Store: a WAL append is a write plus a sync.

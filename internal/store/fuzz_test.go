@@ -5,36 +5,31 @@ import (
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/fixtures"
-	"rtcshare/internal/rpq"
 )
 
 // FuzzSnapshotLoad holds the loader to its contract: arbitrary bytes
-// produce either a valid SnapshotState or an error — never a panic, and
-// never an allocation not backed by input bytes. The seeds include a
-// fully valid warmed snapshot so mutation explores the deep decode
-// paths (CSR validation, structure reassembly), not just header checks.
+// produce either a valid graph and epoch or an error — never a panic,
+// and never an allocation not backed by input bytes. The seeds include
+// a fully valid version-2 file, so mutation explores the deep decode
+// paths (graph.FromFlat's CSR validation), not just header checks, and
+// a version-1 header, which must be refused.
 func FuzzSnapshotLoad(f *testing.F) {
-	e := core.New(fixtures.Figure1(), core.Options{})
-	for _, q := range []string{"b.c", "(b.c)+"} {
-		if _, err := e.EvaluateRel(rpq.MustParse(q)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	valid := encodeSnapshotFile(e.SnapshotState())
+	valid := encodeSnapshotFile(fixtures.Figure1(), 5)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
+	f.Add(snapshotHeaderOnly(1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeSnapshotFile(data)
+		g, epoch, err := decodeSnapshotFile(data)
 		if err != nil {
 			return
 		}
-		// Whatever decodes must also restore: the validators guarantee
-		// structurally sound state, so RestoreEngine may not reject it.
-		if _, rerr := core.RestoreEngine(st, core.Options{}); rerr != nil {
-			t.Fatalf("decoded snapshot failed restore: %v", rerr)
+		// The format has one encoding per graph and epoch, so whatever
+		// decodes re-encodes to exactly the bytes it came from.
+		if string(encodeSnapshotFile(g, epoch)) != string(data) {
+			t.Fatal("decoded snapshot does not re-encode to its input")
 		}
 	})
 }

@@ -21,9 +21,9 @@ var ErrDegraded = errors.New("store: degraded (read-only)")
 // Options configures a Persistent engine's compaction policy.
 type Options struct {
 	// SnapshotEvery triggers an automatic snapshot after this many
-	// effective (logged) update batches; 0 means snapshots happen only on
-	// explicit Snapshot calls (e.g. rpqd's /admin/snapshot and graceful
-	// shutdown).
+	// effective update batches since the last snapshot, counting the log
+	// tail replayed at boot; 0 means snapshots happen only on explicit
+	// Snapshot calls (e.g. rpqd's /admin/snapshot and graceful shutdown).
 	SnapshotEvery int
 }
 
@@ -69,24 +69,16 @@ type RecoveryInfo struct {
 	ReplayedUpdates int `json:"replayed_updates"`
 	// Epoch is the engine's graph epoch after recovery.
 	Epoch uint64 `json:"epoch"`
-	// RestoredRTCs / RestoredClosures / RestoredRelations count the
-	// cached structures installed from the snapshot (warm-start state the
-	// first queries hit instead of recomputing).
-	RestoredRTCs      int `json:"restored_rtcs"`
-	RestoredClosures  int `json:"restored_closures"`
-	RestoredRelations int `json:"restored_relations"`
 	// LoadMillis is the wall-clock of the whole recovery (load + replay).
 	LoadMillis float64 `json:"load_ms"`
 }
 
 // SnapshotInfo describes one written snapshot — the /admin/snapshot
-// response body.
+// response body: the graph epoch it pinned, the file's size in bytes,
+// and the wall-clock of the write.
 type SnapshotInfo struct {
 	Epoch      uint64  `json:"epoch"`
 	Bytes      int64   `json:"bytes"`
-	RTCs       int     `json:"rtcs"`
-	Closures   int     `json:"closures"`
-	Relations  int     `json:"relations"`
 	WallMillis float64 `json:"wall_ms"`
 }
 
@@ -111,30 +103,27 @@ type PersistInfo struct {
 }
 
 // Open boots a Persistent engine from s. If s holds a snapshot, the
-// engine is restored from it and the WAL tail (records past the
-// snapshot's epoch) is replayed through the normal ApplyUpdates path, so
-// the recovered state — graph, epoch, and migrated cache — is identical
-// to an engine that lived through those batches. Without a snapshot this
-// is a cold boot: seed must be non-nil, the engine starts from it, and
-// an initial snapshot is written so the WAL has an anchor.
+// engine starts over its graph at its epoch and the WAL tail (records
+// past the snapshot's epoch) is replayed through the normal ApplyUpdates
+// path, so the recovered graph and epoch are identical to an engine that
+// lived through those batches; the cache starts empty and fills on
+// demand. A snapshot that cannot be read — corrupt, or written in an
+// older format version — is an error even when seed is non-nil: falling
+// back to the seed would discard the log beside it. Without a snapshot
+// this is a cold boot: seed must be non-nil, the engine starts from it,
+// and an initial snapshot is written so the WAL has an anchor.
 func Open(s Store, seed *graph.Graph, opts core.Options, popts Options) (*Persistent, RecoveryInfo, error) {
 	start := time.Now()
 	var info RecoveryInfo
 	var eng *core.Engine
 
-	st, err := s.LoadSnapshot()
+	g, epoch, err := s.LoadSnapshot()
 	switch {
 	case err == nil:
-		eng, err = core.RestoreEngine(st, opts)
-		if err != nil {
-			return nil, info, err
-		}
+		eng = core.NewAtEpoch(g, epoch, opts)
 		info.RestoredSnapshot = true
-		info.SnapshotEpoch = st.Epoch
-		info.RestoredRTCs = len(st.RTCs)
-		info.RestoredClosures = len(st.Fulls)
-		info.RestoredRelations = len(st.Relations)
-		err = s.ReplayBatches(st.Epoch, func(b LoggedBatch) error {
+		info.SnapshotEpoch = epoch
+		err = s.ReplayBatches(epoch, func(b LoggedBatch) error {
 			res, err := eng.ApplyUpdates(b.Updates)
 			if err != nil {
 				return fmt.Errorf("store: replay epoch %d: %w", b.Epoch, err)
@@ -162,7 +151,9 @@ func Open(s Store, seed *graph.Graph, opts core.Options, popts Options) (*Persis
 		return nil, info, err
 	}
 
-	p := &Persistent{Engine: eng, store: s, snapshotEvery: popts.SnapshotEvery}
+	// The replayed tail counts toward the auto-snapshot bound, so crash
+	// cycles shorter than SnapshotEvery cannot grow the log without limit.
+	p := &Persistent{Engine: eng, store: s, snapshotEvery: popts.SnapshotEvery, sinceSnapshot: info.ReplayedBatches}
 	if !info.RestoredSnapshot {
 		// Anchor the log: WAL epochs are relative to a snapshot epoch, so
 		// a cold boot persists its seed state before accepting updates.
@@ -219,7 +210,7 @@ func (p *Persistent) ApplyUpdates(updates []core.GraphUpdate) (core.UpdateResult
 	return res, nil
 }
 
-// Snapshot captures the engine's current state, writes it as the new
+// Snapshot writes the engine's current graph and epoch as the new
 // snapshot and resets the log.
 func (p *Persistent) Snapshot() (SnapshotInfo, error) {
 	p.mu.Lock()
@@ -229,19 +220,16 @@ func (p *Persistent) Snapshot() (SnapshotInfo, error) {
 
 func (p *Persistent) snapshotLocked() (SnapshotInfo, error) {
 	start := time.Now()
-	st := p.Engine.SnapshotState()
-	if err := p.store.WriteSnapshot(st); err != nil {
+	g, epoch := p.Engine.GraphEpoch()
+	if err := p.store.WriteSnapshot(g, epoch); err != nil {
 		p.snapshotErrors++
 		p.degradeLocked("snapshot commit failed", err)
 		return SnapshotInfo{}, err
 	}
 	p.sinceSnapshot = 0
 	return SnapshotInfo{
-		Epoch:      st.Epoch,
+		Epoch:      epoch,
 		Bytes:      p.store.Stats().SnapshotBytes,
-		RTCs:       len(st.RTCs),
-		Closures:   len(st.Fulls),
-		Relations:  len(st.Relations),
 		WallMillis: float64(time.Since(start).Nanoseconds()) / 1e6,
 	}, nil
 }

@@ -4,17 +4,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
 
-	"rtcshare/internal/core"
 	"rtcshare/internal/graph"
-	"rtcshare/internal/pairs"
-	"rtcshare/internal/rtc"
-	"rtcshare/internal/scc"
-	"rtcshare/internal/tc"
 )
 
-// Snapshot file layout, version 1. A 32-byte header:
+// Snapshot file layout, version 2. A 32-byte header:
 //
 //	[8]byte  magic "RPQSNAP1"
 //	u32      format version
@@ -22,20 +16,19 @@ import (
 //	u32      CRC-32C (Castagnoli) of the body
 //	u64      body length in bytes
 //
-// followed by the body: the graph's flat CSR columns (label names in LID
-// order, then per label the forward and reverse offsets/targets slabs),
-// then the cached structures — RTCs (CompOf, members CSR, condensation
-// CSR, closure CSR per entry), full closures and sealed relations — each
-// section length-prefixed, keys sorted so identical state encodes to
-// identical bytes. Everything variable-size is a length-prefixed int32
-// slab: the loader reads each slab with one copy and re-slices it, never
-// re-deriving what the writer already laid out. Label names are
-// length-prefixed raw bytes, so labels the text format rejects
-// (whitespace, leading '#') round-trip unharmed.
+// followed by the body: the frozen graph's flat CSR columns — the vertex
+// count, the label count, then per label in LID order its name and its
+// forward and reverse offsets/targets slabs. Every slab is a
+// length-prefixed int32 run the loader reads with one copy and hands to
+// graph.FromFlat, never re-deriving what the writer already laid out.
+// Label names are length-prefixed raw bytes, so labels the text format
+// rejects (whitespace, leading '#') round-trip unharmed. A file of any
+// other version is refused, never read as a graph: recovery must not
+// guess at a layout it does not know.
 
 const (
 	snapshotMagic   = "RPQSNAP1"
-	snapshotVersion = 1
+	snapshotVersion = 2
 	snapshotHeader  = 8 + 4 + 8 + 4 + 8
 )
 
@@ -45,30 +38,22 @@ const maxSnapshotVertices = math.MaxInt32
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// encodeSnapshotFile serialises st into the version-1 snapshot format.
-func encodeSnapshotFile(st *core.SnapshotState) []byte {
-	body := encodeSnapshotBody(st)
+// encodeSnapshotFile serialises g at epoch into the version-2 format.
+// The same graph always encodes to the same bytes.
+func encodeSnapshotFile(g *graph.Graph, epoch uint64) []byte {
+	body := encodeSnapshotBody(g)
 	h := &encoder{buf: make([]byte, 0, snapshotHeader+len(body))}
 	h.buf = append(h.buf, snapshotMagic...)
 	h.u32(snapshotVersion)
-	h.u64(st.Epoch)
+	h.u64(epoch)
 	h.u32(crc32.Checksum(body, castagnoli))
 	h.u64(uint64(len(body)))
 	return append(h.buf, body...)
 }
 
-func encodeSnapshotBody(st *core.SnapshotState) []byte {
+func encodeSnapshotBody(g *graph.Graph) []byte {
 	e := &encoder{}
-	f := st.Graph.Flatten()
+	f := g.Flatten()
 	e.u64(uint64(f.NumVertices))
 	e.u32(uint32(len(f.Labels)))
 	for i, name := range f.Labels {
@@ -78,92 +63,53 @@ func encodeSnapshotBody(st *core.SnapshotState) []byte {
 		e.i32s(f.Rev[i].Offsets)
 		e.i32s(f.Rev[i].Targets)
 	}
-
-	rtcKeys := sortedKeys(st.RTCs)
-	e.u32(uint32(len(rtcKeys)))
-	for _, key := range rtcKeys {
-		s := st.RTCs[key]
-		e.str(key)
-		comps := s.Components()
-		e.i32s(comps.CompOf)
-		memOffsets := make([]int32, len(comps.Members)+1)
-		var memFlat []int32
-		for sid, row := range comps.Members {
-			memFlat = append(memFlat, row...)
-			memOffsets[sid+1] = int32(len(memFlat))
-		}
-		e.i32s(memOffsets)
-		e.i32s(memFlat)
-		condOffsets, condTargets := s.Condensation().CSR()
-		e.i32s(condOffsets)
-		e.i32s(condTargets)
-		closOffsets, closTargets := s.Closure().CSR()
-		e.i32s(closOffsets)
-		e.i32s(closTargets)
-	}
-
-	fullKeys := sortedKeys(st.Fulls)
-	e.u32(uint32(len(fullKeys)))
-	for _, key := range fullKeys {
-		e.str(key)
-		offsets, targets := st.Fulls[key].CSR()
-		e.i32s(offsets)
-		e.i32s(targets)
-	}
-
-	relKeys := sortedKeys(st.Relations)
-	e.u32(uint32(len(relKeys)))
-	for _, key := range relKeys {
-		e.str(key)
-		offsets, dsts := st.Relations[key].CSR()
-		e.i32s(offsets)
-		e.i32s(dsts)
-	}
 	return e.buf
 }
 
 // decodeSnapshotFile parses and validates a snapshot file. Arbitrary
 // bytes yield an error, never a panic or an unbounded allocation: the
 // header frames and checksums the body, the codec bounds-checks every
-// read, and every CSR slab passes the structural validators before any
-// structure is assembled around it.
-func decodeSnapshotFile(data []byte) (*core.SnapshotState, error) {
+// read, and graph.FromFlat validates every CSR slab before the graph is
+// assembled around it.
+func decodeSnapshotFile(data []byte) (*graph.Graph, uint64, error) {
 	d := &decoder{buf: data}
 	magic := d.take(len(snapshotMagic))
 	if d.err != nil || string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("store: not a snapshot file (bad magic)")
+		return nil, 0, fmt.Errorf("store: not a snapshot file (bad magic)")
 	}
 	version := d.u32()
 	epoch := d.u64()
 	crc := d.u32()
 	bodyLen := d.u64()
 	if d.err != nil {
-		return nil, fmt.Errorf("store: snapshot header truncated: %w", d.err)
+		return nil, 0, fmt.Errorf("store: snapshot header truncated: %w", d.err)
 	}
 	if version != snapshotVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d (want %d)", version, snapshotVersion)
+		return nil, 0, fmt.Errorf("store: unsupported snapshot version %d (want %d)", version, snapshotVersion)
 	}
 	if bodyLen != uint64(d.remaining()) {
-		return nil, fmt.Errorf("store: snapshot declares %d body bytes, file holds %d", bodyLen, d.remaining())
+		return nil, 0, fmt.Errorf("store: snapshot declares %d body bytes, file holds %d", bodyLen, d.remaining())
 	}
 	body := data[d.off:]
 	if got := crc32.Checksum(body, castagnoli); got != crc {
-		return nil, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", crc, got)
+		return nil, 0, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", crc, got)
 	}
-	return decodeSnapshotBody(body, epoch)
+	g, err := decodeSnapshotBody(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	return g, epoch, nil
 }
 
-func decodeSnapshotBody(body []byte, epoch uint64) (*core.SnapshotState, error) {
+func decodeSnapshotBody(body []byte) (*graph.Graph, error) {
 	d := &decoder{buf: body}
-
 	nv := d.u64()
 	if d.err == nil && nv > maxSnapshotVertices {
 		return nil, fmt.Errorf("store: snapshot declares %d vertices (limit %d)", nv, int64(maxSnapshotVertices))
 	}
-	n := int(nv)
 	numLabels := d.count(4)
 	f := &graph.FlatGraph{
-		NumVertices: n,
+		NumVertices: int(nv),
 		Labels:      make([]string, numLabels),
 		Fwd:         make([]graph.FlatCSR, numLabels),
 		Rev:         make([]graph.FlatCSR, numLabels),
@@ -176,101 +122,14 @@ func decodeSnapshotBody(body []byte, epoch uint64) (*core.SnapshotState, error) 
 	if d.err != nil {
 		return nil, d.err
 	}
+	if d.remaining() != 0 {
+		return nil, fmt.Errorf("store: %d trailing bytes after snapshot body", d.remaining())
+	}
 	g, err := graph.FromFlat(f)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot graph: %w", err)
 	}
-
-	st := &core.SnapshotState{
-		Graph:     g,
-		Epoch:     epoch,
-		RTCs:      make(map[string]*rtc.RTC),
-		Fulls:     make(map[string]*tc.Closure),
-		Relations: make(map[string]*pairs.Relation),
-	}
-
-	numRTCs := d.count(4)
-	for i := 0; i < numRTCs && d.err == nil; i++ {
-		key := d.str()
-		compOf := d.i32s()
-		memOffsets := d.i32s()
-		memFlat := d.i32s()
-		condOffsets := d.i32s()
-		condTargets := d.i32s()
-		closOffsets := d.i32s()
-		closTargets := d.i32s()
-		if d.err != nil {
-			break
-		}
-		if len(compOf) != n {
-			return nil, fmt.Errorf("store: RTC %q: CompOf spans %d vertices, graph has %d", key, len(compOf), n)
-		}
-		k := len(memOffsets) - 1
-		if k < 0 {
-			return nil, fmt.Errorf("store: RTC %q: empty members offsets", key)
-		}
-		if err := graph.ValidateCSR(k, n, memOffsets, memFlat, true); err != nil {
-			return nil, fmt.Errorf("store: RTC %q members: %w", key, err)
-		}
-		rows := make([][]graph.VID, k)
-		for s := 0; s < k; s++ {
-			rows[s] = memFlat[memOffsets[s]:memOffsets[s+1]]
-		}
-		comps, err := scc.FromParts(compOf, rows)
-		if err != nil {
-			return nil, fmt.Errorf("store: RTC %q: %w", key, err)
-		}
-		if err := graph.ValidateCSR(k, k, condOffsets, condTargets, true); err != nil {
-			return nil, fmt.Errorf("store: RTC %q condensation: %w", key, err)
-		}
-		cond := graph.DiGraphFromCSR(k, condOffsets, condTargets)
-		clos, err := tc.ClosureFromCSR(k, closOffsets, closTargets)
-		if err != nil {
-			return nil, fmt.Errorf("store: RTC %q closure: %w", key, err)
-		}
-		r, err := rtc.FromParts(comps, cond, clos)
-		if err != nil {
-			return nil, fmt.Errorf("store: RTC %q: %w", key, err)
-		}
-		st.RTCs[key] = r
-	}
-
-	numFulls := d.count(4)
-	for i := 0; i < numFulls && d.err == nil; i++ {
-		key := d.str()
-		offsets := d.i32s()
-		targets := d.i32s()
-		if d.err != nil {
-			break
-		}
-		clos, err := tc.ClosureFromCSR(n, offsets, targets)
-		if err != nil {
-			return nil, fmt.Errorf("store: closure %q: %w", key, err)
-		}
-		st.Fulls[key] = clos
-	}
-
-	numRels := d.count(4)
-	for i := 0; i < numRels && d.err == nil; i++ {
-		key := d.str()
-		offsets := d.i32s()
-		dsts := d.i32s()
-		if d.err != nil {
-			break
-		}
-		rel, err := pairs.RelationFromCSR(n, offsets, dsts)
-		if err != nil {
-			return nil, fmt.Errorf("store: relation %q: %w", key, err)
-		}
-		st.Relations[key] = rel
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after snapshot body", d.remaining())
-	}
-	return st, nil
+	return g, nil
 }
 
 // snapshotFileEpoch reads just the header of a snapshot file — the

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,7 +15,7 @@ import (
 )
 
 // warmQueries drives a fixed workload through an engine so its cache
-// holds RTCs, closures and sealed relations worth snapshotting.
+// holds RTCs and sealed relations — none of which a snapshot carries.
 var warmQueries = []string{"b.c", "d.(b.c)+.c", "(b.c)*", "a.(e.f)*"}
 
 func warmedEngine(t *testing.T) *core.Engine {
@@ -43,62 +47,67 @@ func sameAnswers(t *testing.T, want, got *core.Engine) {
 	}
 }
 
+// snapshotHeaderOnly builds a 32-byte header declaring version and an
+// empty, correctly checksummed body.
+func snapshotHeaderOnly(version uint32) []byte {
+	b := []byte(snapshotMagic)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint64(b, 3)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(nil, castagnoli))
+	return binary.LittleEndian.AppendUint64(b, 0)
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	e := warmedEngine(t)
-	st := e.SnapshotState()
-	if len(st.RTCs) == 0 || len(st.Relations) == 0 {
-		t.Fatalf("warm engine snapshot holds no structures (RTCs=%d rels=%d) — workload no longer caches?",
-			len(st.RTCs), len(st.Relations))
+	if _, err := e.ApplyUpdates([]core.GraphUpdate{core.InsertEdge(0, "b", 9)}); err != nil {
+		t.Fatal(err)
 	}
+	g, epoch := e.GraphEpoch()
 
-	data := encodeSnapshotFile(st)
-	got, err := decodeSnapshotFile(data)
+	got, gotEpoch, err := decodeSnapshotFile(encodeSnapshotFile(g, epoch))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Epoch != st.Epoch {
-		t.Fatalf("epoch: want %d, got %d", st.Epoch, got.Epoch)
+	if gotEpoch != epoch {
+		t.Fatalf("epoch: want %d, got %d", epoch, gotEpoch)
 	}
-	if got.Graph.NumVertices() != st.Graph.NumVertices() || got.Graph.NumEdges() != st.Graph.NumEdges() {
+	if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
 		t.Fatalf("graph shape changed: want %d/%d, got %d/%d",
-			st.Graph.NumVertices(), st.Graph.NumEdges(), got.Graph.NumVertices(), got.Graph.NumEdges())
-	}
-	if len(got.RTCs) != len(st.RTCs) || len(got.Fulls) != len(st.Fulls) || len(got.Relations) != len(st.Relations) {
-		t.Fatalf("structure counts changed: want %d/%d/%d, got %d/%d/%d",
-			len(st.RTCs), len(st.Fulls), len(st.Relations), len(got.RTCs), len(got.Fulls), len(got.Relations))
-	}
-	for key, rel := range st.Relations {
-		if !rel.Equal(got.Relations[key]) {
-			t.Fatalf("relation %q changed across round trip", key)
-		}
+			g.NumVertices(), g.NumEdges(), got.NumVertices(), got.NumEdges())
 	}
 
-	restored, err := core.RestoreEngine(got, core.Options{})
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
+	restored := core.NewAtEpoch(got, gotEpoch, core.Options{})
 	if restored.Epoch() != e.Epoch() {
 		t.Fatalf("restored epoch %d, want %d", restored.Epoch(), e.Epoch())
 	}
 	sameAnswers(t, e, restored)
-	// The restored answers above must come from the installed structures,
-	// not recomputation: every warm query should hit, not miss.
+	// Nothing was carried over: the restored engine built every
+	// structure it used, at its own epoch.
 	c := restored.Cache().Counters()
-	if c.Misses != 0 {
-		t.Fatalf("restored engine recomputed %d structures; warm queries should hit the installed cache", c.Misses)
+	if c.Misses == 0 {
+		t.Fatal("restored engine served the warm workload without building a structure")
 	}
 	if c.CrossEpochHits != 0 {
 		t.Fatalf("CrossEpochHits = %d after restore, want 0", c.CrossEpochHits)
 	}
 }
 
+// TestSnapshotHoldsOnlyTheGraph: a warm cache does not change a single
+// byte of the snapshot.
+func TestSnapshotHoldsOnlyTheGraph(t *testing.T) {
+	cold := core.New(fixtures.Figure1(), core.Options{})
+	warm := warmedEngine(t)
+	if a, b := encodeSnapshotFile(cold.GraphEpoch()), encodeSnapshotFile(warm.GraphEpoch()); string(a) != string(b) {
+		t.Fatalf("warm snapshot is %d bytes, cold %d: the cache leaked into the file", len(b), len(a))
+	}
+}
+
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	e := warmedEngine(t)
-	st := e.SnapshotState()
-	a := encodeSnapshotFile(st)
-	b := encodeSnapshotFile(e.SnapshotState())
+	a := encodeSnapshotFile(e.GraphEpoch())
+	b := encodeSnapshotFile(e.GraphEpoch())
 	if string(a) != string(b) {
-		t.Fatal("same state encoded to different bytes; keys not sorted?")
+		t.Fatal("same state encoded to different bytes")
 	}
 }
 
@@ -120,21 +129,20 @@ func TestSnapshotOddLabels(t *testing.T) {
 	}
 	g := b.Build()
 
-	st := &core.SnapshotState{Graph: g, Epoch: 7}
-	got, err := decodeSnapshotFile(encodeSnapshotFile(st))
+	got, _, err := decodeSnapshotFile(encodeSnapshotFile(g, 7))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Graph.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges: want %d, got %d", g.NumEdges(), got.Graph.NumEdges())
+	if got.NumEdges() != g.NumEdges() {
+		t.Fatalf("edges: want %d, got %d", g.NumEdges(), got.NumEdges())
 	}
 	for _, l := range odd {
-		lid, ok := got.Graph.Dict().Lookup(l)
+		lid, ok := got.Dict().Lookup(l)
 		if !ok {
 			t.Fatalf("label %q lost across round trip", l)
 		}
 		want, _ := g.Dict().Lookup(l)
-		if got.Graph.LabelEdgeCount(lid) != g.LabelEdgeCount(want) {
+		if got.LabelEdgeCount(lid) != g.LabelEdgeCount(want) {
 			t.Fatalf("label %q edge count changed", l)
 		}
 	}
@@ -142,7 +150,7 @@ func TestSnapshotOddLabels(t *testing.T) {
 
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	e := warmedEngine(t)
-	data := encodeSnapshotFile(e.SnapshotState())
+	data := encodeSnapshotFile(e.GraphEpoch())
 
 	cases := map[string]func([]byte) []byte{
 		"empty":        func(b []byte) []byte { return nil },
@@ -161,23 +169,69 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		cp := append([]byte(nil), data...)
-		if _, err := decodeSnapshotFile(mutate(cp)); err == nil {
+		if _, _, err := decodeSnapshotFile(mutate(cp)); err == nil {
 			t.Errorf("%s: decode accepted corrupt snapshot", name)
 		}
 	}
 }
 
+// TestSnapshotDecodeErrorsMentionSection: a body that passes the
+// header's length and checksum but whose graph columns are unsound must
+// fail in graph.FromFlat, and the error must say it was the graph
+// section that refused it.
 func TestSnapshotDecodeErrorsMentionSection(t *testing.T) {
-	st := warmedEngine(t).SnapshotState()
-	// A body whose graph section declares 1 vertex but whose RTC sections
-	// came from the 10-vertex fixture must fail CompOf validation, and
-	// the error must say which section refused it.
-	mixed := &core.SnapshotState{Graph: graph.NewBuilder(1).Build(), Epoch: 1, RTCs: st.RTCs}
-	_, err := decodeSnapshotFile(encodeSnapshotFile(mixed))
+	e := &encoder{}
+	e.u64(2) // two vertices
+	e.u32(1) // one label
+	e.str("a")
+	e.i32s([]int32{0, 1, 1}) // forward offsets
+	e.i32s([]int32{5})       // forward target 5: out of range
+	e.i32s([]int32{0, 0, 1})
+	e.i32s([]int32{0})
+	h := &encoder{}
+	h.buf = append(h.buf, snapshotMagic...)
+	h.u32(snapshotVersion)
+	h.u64(1)
+	h.u32(crc32.Checksum(e.buf, castagnoli))
+	h.u64(uint64(len(e.buf)))
+
+	_, _, err := decodeSnapshotFile(append(h.buf, e.buf...))
 	if err == nil {
-		t.Fatal("decode accepted RTC spanning more vertices than the graph")
+		t.Fatal("decode accepted a graph with an out-of-range target")
 	}
-	if !strings.Contains(err.Error(), "RTC") {
+	if !strings.Contains(err.Error(), "snapshot graph") {
 		t.Fatalf("error does not locate the failing section: %v", err)
+	}
+}
+
+// TestSnapshotRejectsVersion1: a version-1 file (whose body also held
+// the cache) is refused with an error naming both versions, and Open
+// does not fall back to the seed graph over it — that would silently
+// drop the write-ahead log beside the snapshot.
+func TestSnapshotRejectsVersion1(t *testing.T) {
+	if _, _, err := decodeSnapshotFile(snapshotHeaderOnly(1)); err == nil ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
+		t.Fatalf("decode of a v1 header: err = %v, want an error naming versions 1 and 2", err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snapshotHeaderOnly(1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	p, _, err := Open(d, fixtures.Figure1(), core.Options{}, Options{})
+	if err == nil {
+		p.Close()
+		t.Fatal("Open cold-booted from the seed over a version-1 snapshot")
+	}
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open error does not name the refused version: %v", err)
+	}
+	if s := d.Stats(); s.SnapshotsWritten != 0 {
+		t.Fatalf("Open wrote %d snapshots over the refused file", s.SnapshotsWritten)
 	}
 }

@@ -1,19 +1,19 @@
-// Package store persists engine state so rpqd can restart without
-// rebuilding the world from a text edge list: a versioned, checksummed
-// binary snapshot of one engine epoch (graph CSR columns, label dict,
-// and the cached RTCs / closures / sealed relations, all laid out as
-// flat slabs loadable in a single read), plus a write-ahead log of
-// epoch-tagged GraphUpdate batches with CRC-per-record framing, fsync on
-// commit and a truncated-tail-tolerant reader. Recovery is
-// load-snapshot + replay-WAL-tail and reproduces the in-memory state
-// exactly: the replayed batches advance the engine through the same
-// epochs the live process went through, migrating the restored
-// structures under the normal carry/patch/drop rules.
+// Package store makes an engine's graph durable so rpqd can restart
+// without re-reading a text edge list: a versioned, checksummed binary
+// snapshot of one graph epoch (the frozen graph's CSR columns and label
+// dictionary, laid out as flat slabs loadable in a single read), plus a
+// write-ahead log of epoch-tagged GraphUpdate batches with
+// CRC-per-record framing, fsync on commit and a truncated-tail-tolerant
+// reader. Recovery is load-snapshot + replay-WAL-tail: the engine starts
+// at the snapshot's epoch with an empty cache, and the replayed batches
+// advance it through the same epochs the live process went through, so
+// the recovered graph and epoch are exactly the ones clients last saw.
+// Shared structures are not persisted; they rebuild on first use.
 //
 // The Store interface keeps backends pluggable; Dir is the file-system
 // backend (one snapshot file plus one log file in a directory, rotated
 // atomically via temp-file + rename). Persistent wraps a core.Engine so
-// every applied batch is logged before the call returns, with optional
+// every accepted batch is logged before it is applied, with optional
 // automatic snapshot compaction every N batches. See DESIGN.md §11 for
 // the formats and the recovery invariants.
 package store
@@ -22,6 +22,7 @@ import (
 	"errors"
 
 	"rtcshare/internal/core"
+	"rtcshare/internal/graph"
 )
 
 // ErrNoSnapshot is returned by Store.LoadSnapshot when the backend holds
@@ -49,12 +50,12 @@ type LoggedBatch struct {
 // leaves old-epoch records in the log, which ReplayBatches' afterEpoch
 // filter skips.
 type Store interface {
-	// LoadSnapshot reads and decodes the current snapshot, or
-	// ErrNoSnapshot when none exists.
-	LoadSnapshot() (*core.SnapshotState, error)
-	// WriteSnapshot atomically replaces the snapshot with st and resets
-	// the update log (records at epochs ≤ st.Epoch are superseded).
-	WriteSnapshot(st *core.SnapshotState) error
+	// LoadSnapshot reads and decodes the current snapshot's graph and
+	// epoch, or returns ErrNoSnapshot when none exists.
+	LoadSnapshot() (*graph.Graph, uint64, error)
+	// WriteSnapshot atomically replaces the snapshot with g at epoch and
+	// resets the update log (records at epochs ≤ epoch are superseded).
+	WriteSnapshot(g *graph.Graph, epoch uint64) error
 	// AppendBatch durably appends one update batch tagged with the epoch
 	// the engine reached by applying it; it returns only after the
 	// record is committed (fsync).

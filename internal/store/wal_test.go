@@ -99,7 +99,7 @@ func TestDirAppendReplayStats(t *testing.T) {
 	}
 	defer d.Close()
 
-	if _, err := d.LoadSnapshot(); err != ErrNoSnapshot {
+	if _, _, err := d.LoadSnapshot(); err != ErrNoSnapshot {
 		t.Fatalf("empty dir LoadSnapshot: %v, want ErrNoSnapshot", err)
 	}
 
@@ -192,8 +192,8 @@ func TestDirSnapshotRotatesWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := warmedEngine(t).SnapshotState()
-	if err := d.WriteSnapshot(st); err != nil {
+	g, epoch := warmedEngine(t).GraphEpoch()
+	if err := d.WriteSnapshot(g, epoch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,7 +201,7 @@ func TestDirSnapshotRotatesWAL(t *testing.T) {
 	if s.WALRecords != 0 || s.WALBytes != 0 {
 		t.Fatalf("WAL not reset by snapshot: %+v", s)
 	}
-	if s.SnapshotsWritten != 1 || s.SnapshotEpoch != st.Epoch || s.SnapshotBytes == 0 {
+	if s.SnapshotsWritten != 1 || s.SnapshotEpoch != epoch || s.SnapshotBytes == 0 {
 		t.Fatalf("snapshot stats wrong: %+v", s)
 	}
 	if err := d.ReplayBatches(0, func(LoggedBatch) error {
@@ -211,20 +211,20 @@ func TestDirSnapshotRotatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := d.LoadSnapshot()
+	gotG, gotEpoch, err := d.LoadSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != st.Epoch || got.Graph.NumEdges() != st.Graph.NumEdges() {
-		t.Fatalf("loaded snapshot differs: epoch %d/%d", got.Epoch, st.Epoch)
+	if gotEpoch != epoch || gotG.NumEdges() != g.NumEdges() {
+		t.Fatalf("loaded snapshot differs: epoch %d/%d", gotEpoch, epoch)
 	}
 
 	// The append fd must point at the fresh log.
-	if err := d.AppendBatch(st.Epoch+1, []core.GraphUpdate{core.InsertEdge(0, "a", 1)}); err != nil {
+	if err := d.AppendBatch(epoch+1, []core.GraphUpdate{core.InsertEdge(0, "a", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	var n int
-	if err := d.ReplayBatches(st.Epoch, func(LoggedBatch) error { n++; return nil }); err != nil {
+	if err := d.ReplayBatches(epoch, func(LoggedBatch) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -239,7 +239,7 @@ func TestDirSnapshotRotatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if s := d2.Stats(); s.SnapshotEpoch != st.Epoch || s.WALRecords != 1 {
+	if s := d2.Stats(); s.SnapshotEpoch != epoch || s.WALRecords != 1 {
 		t.Fatalf("reopened stats: %+v", s)
 	}
 }
@@ -274,7 +274,7 @@ func TestOpenDirErrors(t *testing.T) {
 	if got := d.Stats().SnapshotEpoch; got != 0 {
 		t.Errorf("unreadable header yielded epoch %d, want 0", got)
 	}
-	if _, err := d.LoadSnapshot(); err == nil {
+	if _, _, err := d.LoadSnapshot(); err == nil {
 		t.Error("garbage snapshot loaded")
 	}
 }
@@ -288,7 +288,7 @@ func TestDirLoadSnapshotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := warmedEngine(t)
-	if err := d.WriteSnapshot(e.SnapshotState()); err != nil {
+	if err := d.WriteSnapshot(e.GraphEpoch()); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -307,7 +307,7 @@ func TestDirLoadSnapshotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := d2.LoadSnapshot(); err == nil {
+	if _, _, err := d2.LoadSnapshot(); err == nil {
 		t.Error("corrupted snapshot body loaded")
 	}
 }

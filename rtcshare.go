@@ -458,9 +458,9 @@ type RMATConfig = datagen.RMATConfig
 // distribution; see RMATConfig.
 func GenerateRMAT(cfg RMATConfig) (*Graph, error) { return datagen.RMAT(cfg) }
 
-// Store is a persistence backend for engine state: one snapshot slot
-// (the full engine state at one graph epoch, closures included) plus an
-// append-only, CRC-framed log of update batches. OpenStore returns the
+// Store is a persistence backend for an engine's graph: one snapshot
+// slot (the frozen graph at one epoch) plus an append-only, CRC-framed
+// log of update batches. OpenStore returns the
 // file-directory implementation; the interface keeps other backends
 // pluggable.
 type Store = store.Store
@@ -483,13 +483,14 @@ type PersistentEngine = store.Persistent
 type PersistOptions = store.Options
 
 // RecoveryInfo describes how a PersistentEngine reached its boot state:
-// whether a snapshot was restored (and from which epoch), how many
-// logged batches were replayed on top, how many cached closure
-// structures came back warm, and the recovery wall-clock.
+// whether a snapshot was loaded (and at which epoch), how many logged
+// batches were replayed on top, the epoch reached, and the recovery
+// wall-clock. Recovery restores the graph and epoch only; closure
+// structures rebuild on first use.
 type RecoveryInfo = store.RecoveryInfo
 
-// SnapshotInfo describes one written snapshot: the epoch it pinned, its
-// size, and how many cached structures it carries. It is the
+// SnapshotInfo describes one written snapshot: the graph epoch it
+// pinned, its size in bytes, and the write's wall-clock. It is the
 // POST /admin/snapshot response body.
 type SnapshotInfo = store.SnapshotInfo
 
@@ -509,12 +510,12 @@ var ErrNoSnapshot = store.ErrNoSnapshot
 func OpenStore(dir string) (Store, error) { return store.OpenDir(dir) }
 
 // OpenEngine boots a PersistentEngine from s. With a resident snapshot,
-// the engine restores the graph, epoch and cached closure structures
-// from it and replays the update-log tail through the normal update
-// path — recovered state is identical to never having stopped, and the
-// first queries hit the restored structures instead of recomputing
-// them. With an empty store this is a cold boot: seed must be non-nil
-// and an initial snapshot is written to anchor the log.
+// the engine starts over the snapshot's graph at its epoch and replays
+// the update-log tail through the normal update path — the recovered
+// graph and epoch are identical to never having stopped, and closure
+// structures rebuild on first use. With an empty store this is a cold
+// boot: seed must be non-nil and an initial snapshot is written to
+// anchor the log. An unreadable snapshot is an error, never a cold boot.
 func OpenEngine(s Store, seed *Graph, opts Options, popts PersistOptions) (*PersistentEngine, RecoveryInfo, error) {
 	return store.Open(s, seed, opts, popts)
 }
