@@ -1,12 +1,12 @@
-// Command rpqd serves regular path queries over HTTP, coalescing
-// concurrent requests into shared evaluation batches.
+// Command rpqd serves regular path queries over HTTP; concurrent
+// requests share closure structures, and identical ones share whole
+// evaluations, through the engine's cache.
 //
 // Usage:
 //
 //	rpqd -graph g.txt                       # serve g.txt on :8080
 //	rpqd -demo                              # serve the paper's Fig. 1 graph
-//	rpqd -graph g.txt -addr :9090 -window 2ms -max-batch 64
-//	rpqd -graph g.txt -no-coalesce          # per-request evaluation baseline
+//	rpqd -graph g.txt -addr :9090 -max-inflight 4 -max-queued 128
 //	rpqd -graph g.txt -data ./state         # durable: WAL every update batch
 //	rpqd -data ./state                      # restart from the stored snapshot
 //	rpqd -demo -pprof :6060                 # also serve net/http/pprof on loopback
@@ -22,7 +22,7 @@
 //	POST /update   {"updates":[{"op":"insert","src":1,"label":"a","dst":2}]}
 //	GET  /explain?q=…                       # the plan, without executing
 //	GET  /healthz                           # ok | degraded | draining + epoch
-//	GET  /metrics                           # cache/coalescing/epoch/store counters
+//	GET  /metrics                           # cache/admission/epoch/store counters
 //	POST /admin/snapshot                    # compact the log into a snapshot
 //
 // A wrong method on any endpoint answers 405 with an Allow header.
@@ -38,8 +38,9 @@
 // error record (0 = pinned streams always run to completion).
 //
 // Failure handling: a client that disconnects (or times out) abandons
-// its query, and a batch every waiter abandoned is cancelled instead of
-// computed; an evaluator panic is isolated to its own query (a query
+// its query, whose evaluation stops at its next checkpoint (a client
+// waiting on that same evaluation takes the computation over); an
+// evaluator panic is isolated to its own query (a query
 // string that keeps crashing is quarantined and rejected with 422); a
 // WAL or snapshot write failure drops the daemon to a read-only
 // degraded mode — /update answers 503 with Retry-After while /query
@@ -56,16 +57,15 @@
 // pre-crash epoch; closure structures rebuild on first use. A snapshot
 // in -data wins over -graph.
 //
-// Concurrent /query requests landing within one coalescing window
-// (-window, sealed early at -max-batch distinct queries) are
-// deduplicated and evaluated as one engine batch, so they share closure
-// structures and describe one graph epoch; /update advances the epoch
-// without ever mixing versions inside a batch. The default window is
-// adaptive: it tracks the arrival rate and batch occupancy between
-// -min-window and -max-window; pass -window 2ms for a fixed window.
-// Planner-cheap queries additionally bypass the window on a reserved
-// fast-lane slot unless -no-fastlane is set. SIGINT/SIGTERM shut down
-// gracefully: in-flight requests and the pending window finish first.
+// A /query whose result is memoised at the current epoch is paged from
+// the memo at once. Any other query is evaluated on its own request,
+// pinned to one graph epoch; -max-inflight bounds how many evaluate at
+// once (default GOMAXPROCS) and -max-queued how many wait for a slot
+// before the rest are shed with 503 and Retry-After. Concurrent queries
+// share closure structures, and identical ones one evaluation, through
+// the engine's cache; /update advances the epoch without ever mixing
+// versions inside an evaluation. SIGINT/SIGTERM shut down gracefully:
+// in-flight and queued requests finish first.
 //
 // -pprof serves net/http/pprof on a separate listener. Bare ":port"
 // addresses are bound to 127.0.0.1 so profiles are never exposed
@@ -105,16 +105,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		demo        = fs.Bool("demo", false, "serve the paper's Fig. 1 example graph instead of -graph")
 		strategy    = fs.String("strategy", "rtc", "evaluation strategy: rtc, full or no")
 		planner     = fs.String("planner", "heuristic", "clause planner: heuristic or cost")
-		window      = fs.Duration("window", 0, "coalescing window (0 = adaptive between -min-window and -max-window)")
-		minWindow   = fs.Duration("min-window", 100*time.Microsecond, "adaptive window lower bound")
-		maxWindow   = fs.Duration("max-window", 4*time.Millisecond, "adaptive window upper bound")
-		noFastLane  = fs.Bool("no-fastlane", false, "disable the planner-cheap fast lane")
-		maxBatch    = fs.Int("max-batch", 64, "seal a batch at this many distinct queries")
-		workers     = fs.Int("workers", 0, "batch evaluation fan-out (0 = GOMAXPROCS)")
-		maxInFlight = fs.Int("max-inflight", 1, "batches evaluating concurrently")
-		maxQueued   = fs.Int("max-queued", 8, "sealed batches awaiting a slot before 503")
+		maxInFlight = fs.Int("max-inflight", 0, "queries evaluating concurrently (0 = GOMAXPROCS)")
+		maxQueued   = fs.Int("max-queued", 0, "queries waiting for an evaluation slot before 503 (0 = default 64)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-request timeout")
-		noCoalesce  = fs.Bool("no-coalesce", false, "evaluate each request immediately (baseline)")
 		streamChunk = fs.Int("stream-chunk", 0, "pairs per /query/stream and /query/sse chunk (0 = default 512)")
 		streamLag   = fs.Uint64("stream-max-lag", 0, "abort an epoch-pinned stream once the graph advances this many epochs past it (0 = never)")
 		dataDir     = fs.String("data", "", "persistence directory (snapshot + update log); a resident snapshot wins over -graph")
@@ -219,28 +212,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		engine = rtcshare.NewEngine(g, eopts)
 	}
 	opts := rtcshare.ServerOptions{
-		Persist:           persist,
-		Window:            *window,
-		MinWindow:         *minWindow,
-		MaxWindow:         *maxWindow,
-		DisableFastLane:   *noFastLane,
-		MaxBatch:          *maxBatch,
-		Workers:           *workers,
-		MaxInFlight:       *maxInFlight,
-		MaxQueuedBatches:  *maxQueued,
-		RequestTimeout:    *timeout,
-		DisableCoalescing: *noCoalesce,
-		ProbeInterval:     *probeEvery,
-		StreamChunk:       *streamChunk,
-		StreamMaxLag:      *streamLag,
+		Persist:        persist,
+		MaxInFlight:    *maxInFlight,
+		MaxQueued:      *maxQueued,
+		RequestTimeout: *timeout,
+		ProbeInterval:  *probeEvery,
+		StreamChunk:    *streamChunk,
+		StreamMaxLag:   *streamLag,
 	}
 
 	fmt.Fprintf(out, "rpqd: graph %s\n", engine.Graph().Stats())
-	windowDesc := fmt.Sprintf("window %v", *window)
-	if *window == 0 {
-		windowDesc = fmt.Sprintf("window adaptive [%v, %v]", *minWindow, *maxWindow)
-	}
-	fmt.Fprintf(out, "rpqd: serving on http://%s (%s, max-batch %d)\n", l.Addr(), windowDesc, *maxBatch)
+	fmt.Fprintf(out, "rpqd: serving on http://%s (strategy %s, planner %s)\n", l.Addr(), *strategy, *planner)
 	err = rtcshare.ServeListener(ctx, l, engine, opts)
 	if persist != nil {
 		// Graceful shutdown: compact the log into a final snapshot so the

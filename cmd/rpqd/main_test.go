@@ -51,9 +51,9 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// A stale sharded command line must fail loudly, with or without the
-// dash: the flag no longer exists, and a dashless typo is not silently
-// dropped.
+// A stale command line — the sharded cluster's, or the coalescing
+// window's — must fail loudly, with or without the dash: the flags no
+// longer exist, and a dashless typo is not silently dropped.
 func TestRunRejectsStrayAndRemovedArguments(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -61,6 +61,8 @@ func TestRunRejectsStrayAndRemovedArguments(t *testing.T) {
 	}{
 		{[]string{"-demo", "shards=4"}, `unexpected argument "shards=4"`},
 		{[]string{"-demo", "-shards", "4"}, "flag provided but not defined: -shards"},
+		{[]string{"-demo", "-window", "2ms"}, "flag provided but not defined: -window"},
+		{[]string{"-demo", "-no-coalesce"}, "flag provided but not defined: -no-coalesce"},
 	} {
 		err := run(context.Background(), tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -113,7 +115,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	out := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-graph", path, "-addr", "127.0.0.1:0", "-window", "1ms"}, out)
+		done <- run(ctx, []string{"-graph", path, "-addr", "127.0.0.1:0"}, out)
 	}()
 
 	// Wait for the listen line and extract the bound address.
@@ -187,37 +189,6 @@ func TestRunDemoGraph(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "|V|=10") {
 		t.Fatalf("demo graph is not Fig. 1: %q", out.String())
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-// TestRunAdaptiveBootLine: with the default -window 0 the boot line
-// advertises the adaptive range instead of a fixed duration.
-func TestRunAdaptiveBootLine(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-demo", "-addr", "127.0.0.1:0", "-min-window", "200µs", "-max-window", "3ms"}, out)
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(out.String(), "serving on") {
-		select {
-		case err := <-done:
-			t.Fatalf("rpqd exited early: %v", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never came up")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !strings.Contains(out.String(), "window adaptive [200µs, 3ms]") {
-		t.Fatalf("boot line does not advertise the adaptive window: %q", out.String())
 	}
 	cancel()
 	if err := <-done; err != nil {

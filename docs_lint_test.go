@@ -215,9 +215,10 @@ func TestDocExperimentsRegistered(t *testing.T) {
 
 // retiredNames are the configurations this repository deleted: the
 // per-experiment baseline files, the map-set layout, the shard flag, the
-// scatter seam and the warm restore of cached structures from a
-// snapshot. (Spelled in pieces so that a grep for the retired
-// identifiers over the Go sources stays empty.)
+// scatter seam, the warm restore of cached structures from a snapshot,
+// and the server's coalescing window and fast lane. (Spelled in pieces
+// so that a grep for the retired identifiers over the Go sources stays
+// empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -226,6 +227,11 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("Restore" + "Engine"),
 	regexp.MustCompile("Snapshot" + "State"),
 	regexp.MustCompile("restored" + "_rtcs"),
+	regexp.MustCompile(`(^|[^A-Za-z-])-no-` + `coalesce\b`),
+	regexp.MustCompile(`(^|[^A-Za-z-])-win` + `dow\b`),
+	regexp.MustCompile("DisableFast" + "Lane"),
+	regexp.MustCompile("FastLane" + "Slots"),
+	regexp.MustCompile("CheapCost" + "Bound"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

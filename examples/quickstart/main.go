@@ -3,8 +3,9 @@
 // Builds the Fig. 1 graph, evaluates the query d·(b·c)+·c from Example 1,
 // walks through the two-level graph reduction of Section III — printing
 // the intermediate artifacts the paper's Examples 3–6 show — and then
-// runs the same graph as a service: an in-process rpqd server fed a
-// coalesced multi-client batch, the serving story of DESIGN.md §10.
+// runs the same graph as a service: an in-process rpqd server whose
+// concurrent clients share one evaluation, the serving story of
+// DESIGN.md §10.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -17,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"rtcshare"
 )
@@ -81,8 +81,8 @@ func main() {
 }
 
 // serveIt runs the Fig. 1 graph as a service: rpqd's handler on an
-// ephemeral port, a burst of concurrent clients whose requests land in
-// one coalescing window, and the /metrics view of what was shared.
+// ephemeral port, four clients asking the Example 1 query at once, and
+// the cache counters that show the four shared one evaluation.
 func serveIt(g *rtcshare.Graph) {
 	fmt.Println("\nrunning it as a service (rpqd in-process):")
 
@@ -91,29 +91,28 @@ func serveIt(g *rtcshare.Graph) {
 		panic(err)
 	}
 	base := "http://" + l.Addr().String()
+	served := rtcshare.NewEngine(g, rtcshare.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		// The same server `rpqd -demo` runs; a fixed 5ms window so the
-		// whole burst below lands in one batch. The fast lane is off
-		// because every Fig. 1 query is planner-cheap — with the default
-		// options all four would bypass the window, which is the right
-		// production behavior but the wrong demo of coalescing.
-		done <- rtcshare.ServeListener(ctx, l, rtcshare.NewEngine(g, rtcshare.Options{}),
-			rtcshare.ServerOptions{Window: 5 * time.Millisecond, DisableFastLane: true})
+		// The same server `rpqd -demo` runs, with its default options.
+		done <- rtcshare.ServeListener(ctx, l, served, rtcshare.ServerOptions{})
 	}()
 
-	// Four "users" fire concurrently: two ask the Example 1 query, two
-	// ask other queries over the same closure (b·c)+. The coalescer
-	// dedups the repeats and evaluates the window as ONE engine batch,
-	// so all four share the RTC of R = b·c and one graph epoch.
-	queries := []string{"d·(b·c)+·c", "d·(b·c)+·c", "a·(b·c)+", "(b·c)+"}
+	// Four "users" ask the Example 1 query at the same moment. Each
+	// request that finds no memoised result evaluates it, but the
+	// engine's cache runs every shared computation — the RTC of
+	// R = b·c, each sub-result, the result itself — once, and hands it
+	// to every request waiting on it.
+	const query = "d·(b·c)+·c"
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i, q := range queries {
+	for i := range 4 {
 		wg.Add(1)
-		go func(i int, q string) {
+		go func(i int) {
 			defer wg.Done()
-			body, _ := json.Marshal(map[string]any{"query": q, "limit": 3})
+			<-start
+			body, _ := json.Marshal(map[string]any{"query": query})
 			resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				panic(err)
@@ -121,37 +120,26 @@ func serveIt(g *rtcshare.Graph) {
 			defer resp.Body.Close()
 			var qr struct {
 				Epoch uint64     `json:"epoch"`
-				Total int        `json:"total"`
+				Path  string     `json:"path"`
 				Pairs [][2]int32 `json:"pairs"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 				panic(err)
 			}
-			fmt.Printf("  client %d: %-12s epoch=%d total=%d first pairs=%v\n",
-				i, q, qr.Epoch, qr.Total, qr.Pairs)
-		}(i, q)
+			fmt.Printf("  client %d: epoch=%d path=%-9s pairs=%v\n", i, qr.Epoch, qr.Path, qr.Pairs)
+		}(i)
 	}
+	close(start)
 	wg.Wait()
 
-	// What the window did, from the service's own metrics endpoint.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
+	// What the four requests cost, against one evaluation on its own.
+	solo := rtcshare.NewEngine(g, rtcshare.Options{})
+	if _, err := solo.EvaluateQueryRel(query); err != nil {
 		panic(err)
 	}
-	var m struct {
-		Coalescer struct {
-			Submitted    int64 `json:"submitted"`
-			Batches      int64 `json:"batches"`
-			DedupHits    int64 `json:"dedup_hits"`
-			FastPathHits int64 `json:"fast_path_hits"`
-		} `json:"coalescer"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		panic(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("  coalescing: %d requests -> %d batch(es), %d dedup hit(s), %d fast-path hit(s)\n",
-		m.Coalescer.Submitted, m.Coalescer.Batches, m.Coalescer.DedupHits, m.Coalescer.FastPathHits)
+	four, one := served.Cache().Counters(), solo.Cache().Counters()
+	fmt.Printf("  4 requests computed %d closure structure(s) and %d sub-result(s); one evaluation alone computes %d and %d\n",
+		four.Misses, four.RelMisses, one.Misses, one.RelMisses)
 
 	cancel()
 	if err := <-done; err != nil {

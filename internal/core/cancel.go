@@ -14,7 +14,7 @@ import (
 // cancellation: a context attached to a private fork (the same
 // single-writer discipline as StageTimer) and amortized checkpoints in
 // the loops that dominate evaluation time — closure builds and
-// batch-unit joins. A query abandoned by every client stops consuming
+// batch-unit joins. A query whose client walked away stops consuming
 // CPU within one checkpoint interval instead of running to completion.
 
 // checkpointRows is the amortized cancellation interval: the context is
@@ -39,7 +39,7 @@ type cancelState struct {
 // setCancel attaches (or, with nil, detaches) a cancellation context to
 // this engine. Must only be used on private forks, before the
 // evaluation starts, by the goroutine that will run it — the discipline
-// EvaluateBatchParallelRelCtx and EvaluateRelTimedCtx follow.
+// EvaluateRelTimedCtx follows.
 func (e *Engine) setCancel(ctx context.Context) {
 	if ctx == nil {
 		e.cancel = nil
@@ -79,7 +79,8 @@ func (sh *engineShared) checkpointFn() tc.Checkpoint {
 // single query. The batch evaluators and the singleflight compute
 // boundaries convert panics into this error so one pathological query
 // poisons only its own result — never the worker goroutine, the
-// dispatcher, or a co-waiter parked on the same in-flight structure.
+// request's handler, or a co-waiter parked on the same in-flight
+// structure.
 // The serving layer uses Query to quarantine the offending input.
 type QueryPanicError struct {
 	// Query is the canonical text of the query (or sub-query) whose
@@ -137,8 +138,8 @@ func (e *Engine) SetEvalHook(hook func(query string)) {
 // cancellation: the evaluation runs on a private fork with ctx attached,
 // aborting at the next checkpoint once ctx is done. Either ctx or st
 // may be nil. Panics during the evaluation are recovered into a
-// *QueryPanicError, so the serving layer's direct and fast-lane paths
-// are panic-isolated exactly like the batch path.
+// *QueryPanicError, so a /query that crashes the evaluator fails alone.
+// This is the serving layer's cold-query entry point.
 func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageTimer) (rel *pairs.Relation, epoch uint64, err error) {
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -128,38 +128,6 @@ func TestCancellationStopsCPU(t *testing.T) {
 	}
 }
 
-// TestBatchParallelRelCtxCancelled: the batch entry point honours a
-// context cancelled mid-flight across all its workers, and a fresh call
-// on the same engine still succeeds.
-func TestBatchParallelRelCtxCancelled(t *testing.T) {
-	e, _ := heavyFixture(t)
-	qs := []rpq.Expr{
-		rpq.MustParse("(l0|l1)+.(l1|l2)+"),
-		rpq.MustParse("(l1|l2)+.(l0|l2)+"),
-		rpq.MustParse("(l0|l2)+.(l0|l1)+"),
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := e.EvaluateBatchParallelRelCtx(ctx, qs, 2, nil)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		// Cancellation may have lost the race with a fast evaluation; a
-		// nil error is acceptable, anything else must be the context's.
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("batch err = %v, want context.Canceled or nil", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled batch did not return")
-	}
-	if _, _, err := e.EvaluateBatchParallelRelCtx(context.Background(), qs, 2, nil); err != nil {
-		t.Fatalf("batch after cancelled batch: %v", err)
-	}
-}
-
 // TestPanicIsolatedToQuery: a panic raised inside one query's
 // evaluation surfaces as *QueryPanicError carrying the query text, and
 // the engine — including its singleflight cache — stays fully usable
@@ -193,7 +161,7 @@ func TestPanicIsolatedToQuery(t *testing.T) {
 	// The batch path: the poisoned query fails the batch call with the
 	// panic error (recovered, not propagated), workers survive.
 	qs := []rpq.Expr{rpq.MustParse("b.c"), rpq.MustParse(poison), rpq.MustParse("c.a")}
-	if _, _, err := e.EvaluateBatchParallelRelCtx(context.Background(), qs, 2, nil); !errors.As(err, &pe) {
+	if _, _, err := e.EvaluateBatchParallelRel(qs, 2); !errors.As(err, &pe) {
 		t.Fatalf("batch err = %v, want *QueryPanicError", err)
 	}
 

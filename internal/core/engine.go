@@ -470,8 +470,8 @@ func (e *Engine) EvaluateRelEpoch(q rpq.Expr) (*pairs.Relation, uint64, error) {
 // CachedResult returns the memoised top-level result of q at the
 // engine's current graph epoch, if the result cache holds a
 // completed one — the query service's non-blocking fast path: a hit
-// answers a request instantly, without entering the batch coalescer's
-// window. A miss reports false without computing anything. Non-caching
+// answers a request instantly, without taking an evaluation slot. A
+// miss reports false without computing anything. Non-caching
 // engines (NoSharing, DisableCache) always miss.
 func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	v := e.version()
@@ -493,29 +493,6 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	e.stats.Queries++
 	e.mu.Unlock()
 	return rel, v.epoch, true
-}
-
-// QueryCost plans q against the engine's current graph version and
-// returns the planner's calibrated cost estimate plus the admission
-// classification: cheap means the estimate sits below the planner's
-// deviation floor — the same threshold under which the cost-based
-// planner considers alternatives interchangeable — so the serving
-// layer can let the query bypass batching without risking a heavy
-// closure build on the reserved slot. Because the planner's
-// cached-structure probe treats already-built closures as sunk cost, a
-// memo-warm or structure-warm heavy query classifies cheap, which is
-// exactly the fast-lane admission rule.
-func (e *Engine) QueryCost(q rpq.Expr) (cost float64, cheap bool, err error) {
-	v := e.version()
-	clauses, err := rpq.ToDNFLimit(q, v.maxClauses())
-	if err != nil {
-		return 0, false, err
-	}
-	qp := v.planner().Plan(q, clauses)
-	for i := range qp.Clauses {
-		cost += qp.Clauses[i].Est.Cost
-	}
-	return cost, cost < v.planner().CheapCostBound(), nil
 }
 
 // CostCalibration returns the planner cost model's current

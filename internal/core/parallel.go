@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -37,93 +36,34 @@ import (
 // single graph epoch (the -race update stress test asserts exactly
 // this).
 func (e *Engine) EvaluateBatchParallel(qs []rpq.Expr, workers int) ([]*pairs.Set, error) {
-	results, _, err := evalBatchPinned(e, nil, qs, workers, nil, (*Engine).Evaluate)
+	results, _, err := evalBatchPinned(e, qs, workers, (*Engine).Evaluate)
 	return results, err
 }
 
 // EvaluateBatchParallelRel is EvaluateBatchParallel in the executor's
 // native sealed form, additionally returning the graph epoch the whole
-// batch was pinned to. This is the batch demux hook of the query
-// service's coalescer: the server evaluates one deduplicated batch,
-// fans the sealed relations back out to the waiting requests, and
-// stamps every response with the one epoch the batch guarantee already
-// provides — all results of one call describe a single graph version.
+// batch was pinned to: all results of one call describe a single graph
+// version.
 func (e *Engine) EvaluateBatchParallelRel(qs []rpq.Expr, workers int) ([]*pairs.Relation, uint64, error) {
-	return evalBatchPinned(e, nil, qs, workers, nil, (*Engine).EvaluateRel)
-}
-
-// EvaluateBatchParallelRelTimed is EvaluateBatchParallelRel with
-// per-query stage attribution: timers[i], when non-nil, receives the
-// engine-side stage breakdown (plan / closure-build / join / seal /
-// other) of qs[i]. A worker evaluates one query at a time on a private
-// fork, so attaching the query's timer to the fork for the duration of
-// that evaluation gives every timer exactly one writer — no allocation
-// and no synchronisation beyond the Stats mutex the hot path already
-// takes. timers may be nil (untimed) but must otherwise have len(qs).
-func (e *Engine) EvaluateBatchParallelRelTimed(qs []rpq.Expr, workers int, timers []*StageTimer) ([]*pairs.Relation, uint64, error) {
-	return e.EvaluateBatchParallelRelCtx(nil, qs, workers, timers)
-}
-
-// EvaluateBatchParallelRelCtx is EvaluateBatchParallelRelTimed with
-// cooperative cancellation: ctx (when non-nil) is attached to every
-// worker fork, and each evaluation polls it at the engine's amortized
-// checkpoints — closure-build loops, batch-unit joins, clause
-// boundaries — so a batch whose clients have all walked away stops
-// burning CPU within one checkpoint interval. The first ctx error
-// aborts the batch and is returned. ctx may be nil (uncancellable) and
-// timers may be nil (untimed); this is the coalescer's batch demux
-// entry point.
-func (e *Engine) EvaluateBatchParallelRelCtx(ctx context.Context, qs []rpq.Expr, workers int, timers []*StageTimer) ([]*pairs.Relation, uint64, error) {
-	if timers != nil && len(timers) != len(qs) {
-		timers = nil
-	}
-	return evalBatchPinned(e, ctx, qs, workers, timers, (*Engine).EvaluateRel)
+	return evalBatchPinned(e, qs, workers, (*Engine).EvaluateRel)
 }
 
 // evalBatchPinned is the shared skeleton of the parallel batch
 // evaluators: pin one graph version, fan the queries over forked
-// workers (each fork pinned to that version, with ctx attached when
-// cancellable), fold the workers' Stats back into the receiver, and
-// return the results in input order plus the pinned epoch. A panic
-// while evaluating one query is recovered into a *QueryPanicError and
-// aborts the batch like any other error — the worker goroutine, and
-// with it the serving daemon, survives.
-func evalBatchPinned[T any](e *Engine, ctx context.Context, qs []rpq.Expr, workers int, timers []*StageTimer, eval func(*Engine, rpq.Expr) (T, error)) ([]T, uint64, error) {
+// workers (each fork pinned to that version), fold the workers' Stats
+// back into the receiver, and return the results in input order plus
+// the pinned epoch. A panic while evaluating one query is recovered
+// into a *QueryPanicError and aborts the batch like any other error —
+// the worker goroutine survives.
+func evalBatchPinned[T any](e *Engine, qs []rpq.Expr, workers int, eval func(*Engine, rpq.Expr) (T, error)) ([]T, uint64, error) {
 	n := len(qs)
 	pinned := e.version()
 	if n == 0 {
 		return nil, pinned.epoch, nil
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, pinned.epoch, err
-		}
-	}
-	// evalTimed runs one query on a worker fork with that query's stage
-	// timer (if any) attached for the duration. The fork is private and
-	// evaluates one query at a time, so the timer has a single writer;
-	// the deferred detach keeps a panicking query from leaking its timer
-	// onto the fork's next evaluation.
-	evalTimed := func(worker *Engine, i int) (res T, err error) {
-		timed := timers != nil && timers[i] != nil
-		if timed {
-			worker.setStages(timers[i])
-		}
-		defer func() {
-			// recover must run directly in this deferred function; the
-			// helper then folds a non-nil panic value into err.
-			r := recover()
-			if timed {
-				worker.setStages(nil)
-			}
-			asPanicError(qs[i].String(), r, &err)
-		}()
+	evalOne := func(worker *Engine, i int) (res T, err error) {
+		defer recoverPanic(qs[i].String(), &err)
 		return eval(worker, qs[i])
-	}
-	newWorker := func() *Engine {
-		worker := e.forkVersion(pinned)
-		worker.setCancel(ctx)
-		return worker
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -133,10 +73,10 @@ func evalBatchPinned[T any](e *Engine, ctx context.Context, qs []rpq.Expr, worke
 	}
 	if workers <= 1 {
 		// Serial fallback, still pinned to one version via a fork.
-		worker := newWorker()
+		worker := e.forkVersion(pinned)
 		out := make([]T, n)
 		for i := range qs {
-			res, err := evalTimed(worker, i)
+			res, err := evalOne(worker, i)
 			if err != nil {
 				e.absorb(worker)
 				return nil, pinned.epoch, err
@@ -156,7 +96,7 @@ func evalBatchPinned[T any](e *Engine, ctx context.Context, qs []rpq.Expr, worke
 		wg      sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
-		engines[w] = newWorker()
+		engines[w] = e.forkVersion(pinned)
 		wg.Add(1)
 		go func(w int, worker *Engine) {
 			defer wg.Done()
@@ -165,7 +105,7 @@ func evalBatchPinned[T any](e *Engine, ctx context.Context, qs []rpq.Expr, worke
 				if i >= n || aborted.Load() {
 					return
 				}
-				res, err := evalTimed(worker, i)
+				res, err := evalOne(worker, i)
 				if err != nil {
 					errs[w] = err
 					aborted.Store(true)

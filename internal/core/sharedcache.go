@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -169,8 +171,10 @@ func (c *SharedCache) CurrentEpoch() uint64 { return c.epoch.Load() }
 // comment's epoch rules).
 //
 // If fn fails, every waiter receives the error and the entry is dropped,
-// so a later call retries the computation. fn runs without any cache
-// lock held and may itself call GetOrCompute with different keys.
+// so a later call retries the computation — except a cancellation
+// error, which waiters never inherit (see getOrCompute). fn runs
+// without any cache lock held and may itself call GetOrCompute with
+// different keys.
 func (c *SharedCache) GetOrCompute(epoch uint64, key string, fn func() (any, error)) (val any, computed bool, err error) {
 	val, computed, _, err = c.getOrCompute(c.shard(key), &c.hits, &c.misses, epoch, key, fn, nil, nil)
 	return val, computed, err
@@ -221,28 +225,32 @@ func (c *SharedCache) evictRelation(val any) {
 // entry (waiters still receive the value, marked unretained) so later
 // calls recompute. evict, when non-nil, runs when a completed retained
 // entry is dropped, returning its budget charge.
+//
+// A waiter does not inherit the computing caller's cancellation: fn
+// polls its own caller's context, so a context.Canceled or
+// DeadlineExceeded from it says that caller walked away, not that the
+// value cannot be computed. The failed entry is already dropped, so
+// the waiter retries and computes (or joins a newer flight) under its
+// own context.
 func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, epoch uint64, key string, fn func() (any, error), admit func(any) bool, evict func(any)) (val any, computed, retained bool, err error) {
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		switch {
-		case e.epoch == epoch:
-			s.mu.Unlock()
+	// Same epoch: a normal hit, waiting out an in-flight computation.
+	for e, ok := s.entries[key]; ok && e.epoch == epoch; e, ok = s.entries[key] {
+		s.mu.Unlock()
+		<-e.done
+		if e.epoch != epoch {
+			// Unreachable by construction (entry epochs are fixed at
+			// creation); counted so a future regression is loud.
+			c.crossEpochHits.Add(1)
+		}
+		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
 			hits.Add(1)
-			<-e.done
-			if e.epoch != epoch {
-				// Unreachable by construction (entry epochs are fixed at
-				// creation); counted so a future regression is loud.
-				c.crossEpochHits.Add(1)
-			}
 			return e.val, false, e.retained, e.err
-		case e.epoch < epoch:
-			// Stale entry from before an update: evict and recompute. An
-			// in-flight stale computation is detached, not interrupted —
-			// its waiters still get their (old-epoch) value, but it will
-			// not land in the map or charge the budget.
-			c.staleEvictions.Add(1)
-			c.dropEntryLocked(s, key, e, evict)
-		default:
+		}
+		s.mu.Lock()
+	}
+	if e, ok := s.entries[key]; ok {
+		if e.epoch > epoch {
 			// The caller is pinned to an older graph version than the
 			// resident entry. Compute privately: the straggler may not
 			// reuse the newer value, and must not evict it either.
@@ -251,6 +259,12 @@ func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, ep
 			val, err = fn()
 			return val, true, false, err
 		}
+		// Stale entry from before an update: evict and recompute. An
+		// in-flight stale computation is detached, not interrupted — its
+		// waiters still get their (old-epoch) value, but it will not land
+		// in the map or charge the budget.
+		c.staleEvictions.Add(1)
+		c.dropEntryLocked(s, key, e, evict)
 	}
 	e := &cacheEntry{epoch: epoch, done: make(chan struct{})}
 	s.entries[key] = e
@@ -320,8 +334,7 @@ func (c *SharedCache) Lookup(epoch uint64, key string) (any, bool) {
 // LookupRelation is Lookup against the relation region: the completed
 // sealed relation for key at the caller's epoch, never blocking and
 // never computing. The query service's fast path uses it to answer a
-// request from the memoised result without entering the coalescing
-// window.
+// request from the memoised result without taking an evaluation slot.
 func (c *SharedCache) LookupRelation(epoch uint64, key string) (any, bool) {
 	s := c.relShard(key)
 	s.mu.Lock()

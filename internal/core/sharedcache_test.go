@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtcshare/internal/pairs"
 )
@@ -133,6 +135,64 @@ func TestSharedCacheErrorRetryConcurrent(t *testing.T) {
 
 	if succeeded.Load() != 1 {
 		t.Fatalf("successful compute ran %d times, want exactly 1", succeeded.Load())
+	}
+}
+
+// TestSharedCacheWaiterIgnoresLeaderCancel: a singleflight waiter does
+// not inherit the computing caller's cancellation. The leader's fn
+// blocks while a waiter parks on its flight, then fails with a
+// cancellation error; the leader sees that error, and the waiter gets
+// the value from its own recompute.
+func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
+	for _, cancelErr := range []error{context.Canceled, fmt.Errorf("evaluating: %w", context.DeadlineExceeded)} {
+		cache := NewSharedCache()
+		started := make(chan struct{})
+		release := make(chan struct{})
+		leaderErr := make(chan error, 1)
+		go func() {
+			_, _, err := cache.GetOrCompute(0, "k", func() (any, error) {
+				close(started)
+				<-release
+				return nil, cancelErr
+			})
+			leaderErr <- err
+		}()
+		<-started
+
+		var waiterComputes atomic.Int64
+		type outcome struct {
+			v        any
+			computed bool
+			err      error
+		}
+		waiter := make(chan outcome, 1)
+		go func() {
+			v, computed, err := cache.GetOrCompute(0, "k", func() (any, error) {
+				waiterComputes.Add(1)
+				return 42, nil
+			})
+			waiter <- outcome{v, computed, err}
+		}()
+		// Let the waiter park on the leader's flight before it fails.
+		// Nothing signals the parking; a waiter that arrived late would
+		// compute on its own and pass anyway, so the sleep only makes the
+		// case under test the likely one.
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+
+		if err := <-leaderErr; !errors.Is(err, cancelErr) {
+			t.Fatalf("leader err = %v, want %v", err, cancelErr)
+		}
+		got := <-waiter
+		if got.err != nil || got.v != 42 || !got.computed {
+			t.Fatalf("waiter after leader's %v: v=%v computed=%v err=%v, want its own 42", cancelErr, got.v, got.computed, got.err)
+		}
+		if n := waiterComputes.Load(); n != 1 {
+			t.Fatalf("waiter computed %d times, want 1", n)
+		}
+		if v, ok := cache.Lookup(0, "k"); !ok || v != 42 {
+			t.Fatalf("waiter's value not cached: %v, %v", v, ok)
+		}
 	}
 }
 

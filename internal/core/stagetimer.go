@@ -10,24 +10,24 @@ import (
 // StageTimer is the per-request latency breakdown of one query
 // evaluation: a flat struct of nanosecond counters, one per pipeline
 // stage, cheap enough to thread through the hot path without
-// allocating. The serving layer attributes the queue and coalesce-wait
-// stages; the engine attributes plan, closure-build, join, seal and
-// the traversal/union remainder (Other); the HTTP handler attributes
-// paging. The stages partition the work, so their sum tracks the wall
-// time of the request end to end.
+// allocating. The serving layer attributes the queue stage; the engine
+// attributes plan, closure-build, join, seal and the traversal/union
+// remainder (Other); the HTTP handler attributes paging. The stages
+// partition the work, so their sum tracks the wall time of the request
+// end to end.
 //
 // A StageTimer is not safe for concurrent writers. The engine
 // guarantees single-writer use by attaching a timer only to private
 // worker forks (one evaluation at a time); see EvaluateRelTimed and
-// EvaluateBatchParallelRelTimed.
+// EvaluateRelTimedCtx.
 type StageTimer struct {
-	// QueueNS is time spent sealed but waiting for a dispatcher slot.
+	// QueueNS is time spent waiting for an evaluation slot.
 	QueueNS int64 `json:"queue_ns"`
-	// CoalesceWaitNS is time spent in the open coalescing window,
-	// waiting for company before the batch sealed.
+	// CoalesceWaitNS is always 0: the server no longer holds requests
+	// in a coalescing window. The field stays so the /query response
+	// keeps its shape.
 	CoalesceWaitNS int64 `json:"coalesce_wait_ns"`
-	// PlanNS covers DNF conversion, clause planning and admission
-	// classification.
+	// PlanNS covers DNF conversion and clause planning.
 	PlanNS int64 `json:"plan_ns"`
 	// ClosureBuildNS covers computing the shared closure structure —
 	// TC(Ḡ_R) for RTCSharing, TC(G_R) for FullSharing — or waiting for
@@ -73,10 +73,9 @@ func (e *Engine) setStages(st *StageTimer) {
 }
 
 // EvaluateRelTimed is EvaluateRelEpoch with per-stage attribution into
-// st: the single-query timed entry the serving layer's fast lane and
-// no-coalescing paths use. The evaluation runs on a private fork so the
-// timer has exactly one writer; the fork's Stats fold back into the
-// receiver as usual. A nil st degenerates to EvaluateRelEpoch.
+// st. The evaluation runs on a private fork so the timer has exactly
+// one writer; the fork's Stats fold back into the receiver as usual. A
+// nil st degenerates to EvaluateRelEpoch.
 func (e *Engine) EvaluateRelTimed(q rpq.Expr, st *StageTimer) (*pairs.Relation, uint64, error) {
 	if st == nil {
 		return e.EvaluateRelEpoch(q)

@@ -102,88 +102,19 @@ func TestEvaluateRelTimedDetaches(t *testing.T) {
 	}
 }
 
-// TestBatchParallelRelTimed: the timed batch entry fills one timer per
-// query and returns identical relations to the untimed batch.
-func TestBatchParallelRelTimed(t *testing.T) {
-	g := fixtures.Figure1()
-	qs := []rpq.Expr{
-		rpq.MustParse("a"),
-		rpq.MustParse("d.(b.c)+.c"),
-		rpq.MustParse("(a.b)*.b+"),
-	}
-	want, _, err := New(g, Options{}).EvaluateBatchParallelRel(qs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := New(g, Options{})
-	timers := make([]*StageTimer, len(qs))
-	for i := range timers {
-		timers[i] = &StageTimer{}
-	}
-	rels, _, err := e.EvaluateBatchParallelRelTimed(qs, 2, timers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		gotP, wantP := rels[i].Sorted(), want[i].Sorted()
-		if len(gotP) != len(wantP) {
-			t.Fatalf("query %d: %v != %v", i, gotP, wantP)
-		}
-		for j := range gotP {
-			if gotP[j] != wantP[j] {
-				t.Fatalf("query %d: %v != %v", i, gotP, wantP)
-			}
-		}
-		if timers[i].Sum() <= 0 {
-			t.Errorf("query %d: empty stage timer", i)
-		}
-	}
-
-	// A mismatched timer slice is ignored rather than misattributed.
-	if _, _, err := e.EvaluateBatchParallelRelTimed(qs, 2, timers[:1]); err != nil {
-		t.Fatalf("short timer slice: %v", err)
-	}
-}
-
-// TestQueryCost: planner-estimated cost classifies tiny-graph queries as
-// cheap, errors propagate, and the calibration accessor starts neutral
-// and moves only after ExplainAnalyze observations.
-func TestQueryCost(t *testing.T) {
+// TestCalibrationSharedAcrossForks: the calibration accessor starts
+// neutral, and forks observe into the same calibration state, so
+// serving workers recalibrate the family.
+func TestCalibrationSharedAcrossForks(t *testing.T) {
 	e := New(fixtures.Figure1(), Options{})
-	cost, cheap, err := e.QueryCost(rpq.MustParse("d.(b.c)+.c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 || !cheap {
-		t.Fatalf("Figure1 query should classify cheap with positive cost: cost=%v cheap=%v", cost, cheap)
-	}
-
-	limited := New(fixtures.Figure1(), Options{MaxDNFClauses: 1})
-	if _, _, err := limited.QueryCost(rpq.MustParse("a|b")); err == nil {
-		t.Fatal("DNF-limit overflow should surface as a QueryCost error")
-	}
-
 	if f, n := e.CostCalibration(); f != 1 || n != 0 {
 		t.Fatalf("fresh engine calibration = (%v, %d), want (1, 0)", f, n)
 	}
-	if _, err := e.ExplainAnalyze(rpq.MustParse("d.(b.c)+.c")); err != nil {
-		t.Fatal(err)
-	}
-	if f, n := e.CostCalibration(); n == 0 || f <= 0 {
-		t.Fatalf("calibration after ExplainAnalyze = (%v, %d), want samples > 0", f, n)
-	}
-}
-
-// TestCalibrationSharedAcrossForks: forks observe into the same
-// calibration state, so serving workers recalibrate the family.
-func TestCalibrationSharedAcrossForks(t *testing.T) {
-	e := New(fixtures.Figure1(), Options{})
 	w := e.Fork()
 	if _, err := w.ExplainAnalyze(rpq.MustParse("(b.c)+")); err != nil {
 		t.Fatal(err)
 	}
-	if _, n := e.CostCalibration(); n == 0 {
-		t.Fatal("fork's ExplainAnalyze observation did not reach the parent's calibration")
+	if f, n := e.CostCalibration(); n == 0 || f <= 0 {
+		t.Fatalf("fork's ExplainAnalyze observation did not reach the parent's calibration: (%v, %d)", f, n)
 	}
 }

@@ -13,7 +13,7 @@ const calibAlpha = 0.2
 // calibMaxRatio clamps a single observed actual/estimated ratio (and
 // the resulting factor) to [1/64, 64]: beyond that the estimate is not
 // being recalibrated, it is being replaced, and a multiplicative
-// correction that large would swamp every admission threshold.
+// correction that large would swamp every reported estimate.
 const calibMaxRatio = 64.0
 
 // Calibration is the planner cost model's feedback loop: an
@@ -21,9 +21,9 @@ const calibMaxRatio = 64.0
 // between actual and estimated output cardinalities as measured by
 // ExplainAnalyze. The resulting Factor multiplies the chosen plan's
 // absolute estimates — uniformly, so relative plan choice is
-// unaffected, but everything keyed to absolute cost (the serving
-// layer's fast-lane admission, EXPLAIN's reported numbers) tracks the
-// workload instead of the model's birth constants.
+// unaffected, but everything keyed to absolute cost (EXPLAIN's
+// reported numbers) tracks the workload instead of the model's birth
+// constants.
 //
 // Log space makes over- and under-estimation symmetric: a 4x over- and
 // a 4x under-estimate cancel, rather than averaging to "over".

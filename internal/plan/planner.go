@@ -200,18 +200,6 @@ func (p *Planner) calibrate(cp ClausePlan) ClausePlan {
 	return cp
 }
 
-// CheapCostBound is the admission threshold under which a planned
-// clause counts as cheap: the planner's deviation floor — the cost
-// below which alternative shared plans are not even considered because
-// constant factors dominate — expressed in absolute cost units. Since
-// plan estimates are calibrated by measured cardinality error while
-// this bound is fixed in true-work units, a
-// workload the model underestimates shrinks the set of queries that
-// classify cheap, exactly as it should.
-func (p *Planner) CheapCostBound() float64 {
-	return deviationFloor * joinTuple * p.est.NumVertices()
-}
-
 // automatonPlan costs evaluating the whole clause by product traversal.
 func (p *Planner) automatonPlan(clause rpq.Expr, unit rpq.BatchUnit) ClausePlan {
 	out := p.est.Expr(clause)

@@ -25,7 +25,7 @@ import (
 )
 
 // This file tests the fault-tolerance surface end to end: cancellation
-// through the coalescer, panic isolation and quarantine over HTTP, the
+// through admission, panic isolation and quarantine over HTTP, the
 // degradation ladder under injected store faults, and the chaos
 // property gate — the serving stack under concurrent queries, updates
 // and a fault scripter must stay correct, degrade honestly, and recover
@@ -96,7 +96,6 @@ func persistentServer(t *testing.T, g *graph.Graph, seed int64) (*store.Injector
 	}
 	srv := New(p.Engine, Options{
 		Persist:       p,
-		Window:        time.Millisecond,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv)
@@ -109,94 +108,105 @@ func persistentServer(t *testing.T, g *graph.Graph, seed int64) (*store.Injector
 }
 
 // TestSubmitExpiredContext: a request whose context is already done is
-// refused before admission — no evaluation runs, no batch forms, the
-// abandoned counter ticks — and afterwards the seal-reason split still
-// accounts for every batch (Batches == window + size + flush seals).
+// refused before it takes a slot — no evaluation runs, no slot or queue
+// place is held, the abandoned counter ticks — and a live request after
+// it evaluates normally on the direct path.
 func TestSubmitExpiredContext(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
 	var evals atomic.Int64
 	eng.SetEvalHook(func(string) { evals.Add(1) })
-	srv := New(eng, Options{Window: time.Millisecond, DisableFastLane: true})
+	srv := New(eng, Options{})
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := srv.coal.submit(ctx, "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
+	res := srv.adm.submit(ctx, "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
 	if !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("expired-ctx submit err = %v, want context.Canceled", res.err)
 	}
-	st := srv.coal.stats()
-	if st.Abandoned != 1 {
-		t.Fatalf("Abandoned = %d, want 1", st.Abandoned)
+	if st := srv.adm.stats(); st.Abandoned != 1 || st.Direct != 0 {
+		t.Fatalf("stats = %+v, want 1 abandoned and no direct evaluation", st)
 	}
 	if evals.Load() != 0 {
 		t.Fatalf("expired-ctx submit ran %d evaluations", evals.Load())
 	}
-	if st.Batches != 0 || st.BatchQueries != 0 {
-		t.Fatalf("expired-ctx submit formed a batch: %+v", st)
+	if held, queued := len(srv.adm.slots), srv.adm.waiting.Load(); held != 0 || queued != 0 {
+		t.Fatalf("expired-ctx submit left %d slots and %d queue places held", held, queued)
 	}
 
-	// A live request still coalesces normally...
-	res = srv.coal.submit(context.Background(), "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
-	if res.err != nil {
-		t.Fatalf("live submit after expired one: %v", res.err)
+	res = srv.adm.submit(context.Background(), "d.(b.c)+.c", rpq.MustParse("d.(b.c)+.c"))
+	if res.err != nil || res.path != pathDirect {
+		t.Fatalf("live submit after expired one: path %v, err %v", res.path, res.err)
 	}
-	// ...and the seal-reason split stays consistent: every evaluated
-	// batch is attributed to exactly one seal cause.
-	eventually(t, 2*time.Second, "seal reasons account for all batches", func() bool {
-		st := srv.coal.stats()
-		return st.Batches >= 1 && st.Batches == st.SealedByWindow+st.SealedBySize+st.SealedByFlush
-	})
+	if evals.Load() == 0 {
+		t.Fatal("live submit ran no evaluation")
+	}
 }
 
-// TestAbandonedBatchCancelled: a sealed batch whose every waiter walked
-// away is cancelled instead of evaluated. The dispatcher is wedged on a
-// first batch (eval hook blocks), a second batch seals and queues, its
-// only waiter times out, and the batch must be skipped and counted —
-// never handed to the engine.
+// TestAbandonedBatchCancelled: a cold query whose client walks away
+// while it waits for a slot is cancelled instead of evaluated. Over
+// HTTP, the only slot is wedged on a first query (eval hook blocks), a
+// second client's request queues behind it and then disconnects; its
+// queue place is given back at once, the abandonment is counted, and
+// the query is never handed to the engine — not even once the slot
+// frees. A later live request for the same text evaluates normally.
 func TestAbandonedBatchCancelled(t *testing.T) {
-	eng := core.New(fixtures.Figure1(), core.Options{})
-	release := make(chan struct{})
-	entered := make(chan struct{}, 4)
-	var abandonedEvaluated atomic.Int64
-	eng.SetEvalHook(func(q string) {
-		switch q {
-		case "a.b":
-			entered <- struct{}{}
-			<-release
-		case "b.c":
-			abandonedEvaluated.Add(1)
-		}
-	})
-	srv := New(eng, Options{
-		Window:          time.Millisecond,
-		DisableFastLane: true,
-		MaxInFlight:     1,
-	})
-	defer srv.Close()
-
-	blockerDone := make(chan result, 1)
-	go func() {
-		blockerDone <- srv.coal.submit(context.Background(), "a.b", rpq.MustParse("a.b"))
+	eng, entered, release, evaluations := blockingEngine(fixtures.Figure1(), "a.b")
+	srv := New(eng, Options{MaxInFlight: 1, MaxQueued: 1})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
 	}()
-	<-entered // the dispatcher is now wedged inside the first batch
+	// Runs before the server shuts down, so a failing assertion never
+	// leaves Close waiting on the wedged evaluation.
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	held := submitAsync(srv.adm, context.Background(), "a.b")
+	<-entered // the only slot is now wedged inside the first evaluation
+
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res := srv.coal.submit(ctx, "b.c", rpq.MustParse("b.c"))
-	if !errors.Is(res.err, context.DeadlineExceeded) {
-		t.Fatalf("abandoned waiter err = %v, want context.DeadlineExceeded", res.err)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query",
+		strings.NewReader(`{"query":"b.c"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	close(release)
-	if res := <-blockerDone; res.err != nil {
-		t.Fatalf("blocked batch result: %v", res.err)
+	req.Header.Set("Content-Type", "application/json")
+	clientErr := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientErr <- err
+	}()
+	eventually(t, 5*time.Second, "abandoning request queued", func() bool { return srv.adm.waiting.Load() == 1 })
+	cancel()
+	if err := <-clientErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("disconnecting client: err = %v, want context.Canceled", err)
 	}
-	eventually(t, 2*time.Second, "abandoned batch counted as cancelled", func() bool {
-		return srv.coal.stats().BatchesCancelled >= 1
+	eventually(t, 5*time.Second, "abandoned waiter leaves the queue", func() bool {
+		return srv.adm.waiting.Load() == 0 && srv.adm.stats().Abandoned == 1
 	})
-	if n := abandonedEvaluated.Load(); n != 0 {
-		t.Fatalf("abandoned batch was still evaluated %d times", n)
+
+	free()
+	if r := <-held; r.err != nil {
+		t.Fatalf("wedged query: %v", r.err)
+	}
+	if n := evaluations("b.c"); n != 0 {
+		t.Fatalf("abandoned query was still evaluated %d times", n)
+	}
+	if r, status := postQuery(t, ts.URL, QueryRequest{Query: "b.c"}); status != http.StatusOK || r.Path != "direct" {
+		t.Fatalf("live retry of the abandoned query: status %d path %q, want 200 direct", status, r.Path)
+	}
+	if n := evaluations("b.c"); n != 1 {
+		t.Fatalf("live retry ran %d evaluations, want 1", n)
+	}
+	if st := srv.adm.stats(); st.Abandoned != 1 || st.Direct != 2 {
+		t.Fatalf("stats = %+v, want 1 abandoned and 2 direct", st)
 	}
 }
 
@@ -216,7 +226,7 @@ func TestPanicStormQuarantine(t *testing.T) {
 			panic("injected evaluator fault")
 		}
 	})
-	srv := New(eng, Options{Window: time.Millisecond})
+	srv := New(eng, Options{})
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -272,7 +282,7 @@ func TestPanicStormQuarantine(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := srv.coal.stats()
+	st := srv.adm.stats()
 	if st.Panics < int64(quarantineAfter) {
 		t.Fatalf("Panics = %d, want >= %d", st.Panics, quarantineAfter)
 	}
@@ -343,7 +353,7 @@ func TestUpdateDegradedThenRearm(t *testing.T) {
 // outranks any degraded state.
 func TestHealthzDraining(t *testing.T) {
 	eng := core.New(fixtures.Figure1(), core.Options{})
-	srv := New(eng, Options{Window: time.Millisecond})
+	srv := New(eng, Options{})
 	srv.Close()
 
 	rec := httptest.NewRecorder()
@@ -463,7 +473,7 @@ func TestChaosServerProperty(t *testing.T) {
 	}
 	// Worker panics interleave with the I/O faults: one poison query
 	// string crashes its evaluation every time; isolation must confine
-	// it to 500s (then 422s once quarantined) while co-batched healthy
+	// it to 500s (then 422s once quarantined) while concurrent healthy
 	// queries keep verifying against the oracle.
 	const poison = "(c.b.a)+"
 	p.Engine.SetEvalHook(func(q string) {
@@ -473,7 +483,6 @@ func TestChaosServerProperty(t *testing.T) {
 	})
 	srv := New(p.Engine, Options{
 		Persist:       p,
-		Window:        500 * time.Microsecond,
 		ProbeInterval: 5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv)
@@ -643,7 +652,7 @@ func TestChaosServerProperty(t *testing.T) {
 	if hits := srv.MetricsSnapshot().Cache.CrossEpochHits; hits != 0 {
 		t.Fatalf("CrossEpochHits = %d after chaos, want 0", hits)
 	}
-	if st := srv.coal.stats(); st.Panics < 1 {
+	if st := srv.adm.stats(); st.Panics < 1 {
 		t.Fatalf("Panics = %d after the poison storm, want >= 1", st.Panics)
 	}
 

@@ -142,13 +142,9 @@ func (h *histogram) snapshot() HistogramStats {
 type resultPath int
 
 const (
-	// pathWindowed rode a coalescing window and a dispatcher slot.
-	pathWindowed resultPath = iota
 	// pathFastPath was answered from the epoch-tagged result memo.
-	pathFastPath
-	// pathFastLane classified cheap and evaluated on the reserved slot.
-	pathFastLane
-	// pathDirect was evaluated immediately (DisableCoalescing).
+	pathFastPath resultPath = iota
+	// pathDirect was evaluated on the request's own goroutine.
 	pathDirect
 	// pathAsk answered an existence probe (/query?ask=1) through the
 	// engine's short-circuiting ASK evaluator.
@@ -158,16 +154,14 @@ const (
 	pathStreamed
 	// pathWitness reconstructed a label-path witness (/query?witness=1).
 	pathWitness
+
+	numPaths
 )
 
 func (p resultPath) String() string {
 	switch p {
-	case pathWindowed:
-		return "windowed"
 	case pathFastPath:
 		return "fast_path"
-	case pathFastLane:
-		return "fast_lane"
 	case pathDirect:
 		return "direct"
 	case pathAsk:
@@ -187,7 +181,6 @@ func (p resultPath) String() string {
 // than being diluted by the paths that skip it.
 type StageHistograms struct {
 	Queue        HistogramStats `json:"queue"`
-	CoalesceWait HistogramStats `json:"coalesce_wait"`
 	Plan         HistogramStats `json:"plan"`
 	ClosureBuild HistogramStats `json:"closure_build"`
 	Join         HistogramStats `json:"join"`
@@ -199,17 +192,10 @@ type StageHistograms struct {
 // latencyRecorder aggregates per-request latencies server-side: one
 // overall histogram, one per serving path, and one per pipeline stage.
 type latencyRecorder struct {
-	overall  histogram
-	fastPath histogram
-	fastLane histogram
-	windowed histogram
-	direct   histogram
-	ask      histogram
-	streamed histogram
-	witness  histogram
+	overall histogram
+	paths   [numPaths]histogram
 
 	queue        histogram
-	coalesceWait histogram
 	plan         histogram
 	closureBuild histogram
 	join         histogram
@@ -221,7 +207,7 @@ type latencyRecorder struct {
 	// wall_ns stamp: encoding the pairs and handing them to net/http
 	// (for a stream, summed over its pairs records). firstChunk is a
 	// stream's handler entry to its first pairs record flushed.
-	encode     [pathWitness + 1]histogram
+	encode     [numPaths]histogram
 	firstChunk histogram
 }
 
@@ -229,28 +215,12 @@ type latencyRecorder struct {
 // per-path histograms, each non-zero stage into its stage histogram.
 func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.StageTimer) {
 	l.overall.observe(wall)
-	switch path {
-	case pathFastPath:
-		l.fastPath.observe(wall)
-	case pathFastLane:
-		l.fastLane.observe(wall)
-	case pathDirect:
-		l.direct.observe(wall)
-	case pathAsk:
-		l.ask.observe(wall)
-	case pathStreamed:
-		l.streamed.observe(wall)
-	case pathWitness:
-		l.witness.observe(wall)
-	default:
-		l.windowed.observe(wall)
-	}
+	l.paths[path].observe(wall)
 	for _, s := range []struct {
 		ns int64
 		h  *histogram
 	}{
 		{st.QueueNS, &l.queue},
-		{st.CoalesceWaitNS, &l.coalesceWait},
 		{st.PlanNS, &l.plan},
 		{st.ClosureBuildNS, &l.closureBuild},
 		{st.JoinNS, &l.join},
@@ -268,7 +238,7 @@ func (l *latencyRecorder) observe(path resultPath, wall time.Duration, st *core.
 // keyed by path name.
 func (l *latencyRecorder) encodes() map[string]HistogramStats {
 	out := make(map[string]HistogramStats)
-	for _, p := range []resultPath{pathFastPath, pathFastLane, pathWindowed, pathDirect, pathStreamed} {
+	for _, p := range []resultPath{pathFastPath, pathDirect, pathStreamed} {
 		out[p.String()] = l.encode[p].snapshot()
 	}
 	return out
@@ -278,7 +248,6 @@ func (l *latencyRecorder) encodes() map[string]HistogramStats {
 func (l *latencyRecorder) stages() StageHistograms {
 	return StageHistograms{
 		Queue:        l.queue.snapshot(),
-		CoalesceWait: l.coalesceWait.snapshot(),
 		Plan:         l.plan.snapshot(),
 		ClosureBuild: l.closureBuild.snapshot(),
 		Join:         l.join.snapshot(),

@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the query quarantine: an LRU of query strings that have
-// panicked the evaluator. A panic is recovered and isolated (the other
-// queries in the batch still get answers), but a query that keeps
-// crashing is a poison pill — re-admitting it burns an evaluation slot
-// and a recovery per attempt, and under retry-happy clients that is a
-// crash loop by proxy. After quarantineAfter crashes the coalescer
-// rejects the exact query string up front with ErrQuarantined, which
+// panicked the evaluator. A panic is recovered and isolated (concurrent
+// queries still get answers), but a query that keeps crashing is a
+// poison pill — re-admitting it burns an evaluation slot and a recovery
+// per attempt, and under retry-happy clients that is a crash loop by
+// proxy. After quarantineAfter crashes admission rejects the exact
+// query string up front with ErrQuarantined, which
 // rpqd maps to 422: the request is well-formed but the server refuses
 // to evaluate it again.
 

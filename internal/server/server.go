@@ -1,20 +1,19 @@
 // Package server implements rpqd's HTTP/JSON query service over a
-// single epoch-versioned core.Engine — the serving layer that turns
-// independent client requests into the shared evaluation batches the
-// paper's RTCSharing is built for.
+// single epoch-versioned core.Engine.
 //
-// The heart is the batch coalescer (coalescer.go): concurrent
-// POST /query requests are admitted into a bounded time/size window,
-// deduplicated by query string, evaluated in one
-// Engine.EvaluateBatchParallelRel call — so unrelated clients share the
-// R_G / R+ structures within a single graph epoch — and demultiplexed
-// back to their waiters, with per-request limit/offset paging over the
-// sealed columnar results. POST /update drives Engine.ApplyUpdates, so
-// in-flight batches stay epoch-consistent under concurrent ingest;
-// GET /explain plans without executing; GET /healthz and GET /metrics
-// expose liveness, the engine's cache counters and the coalescing
-// statistics. See DESIGN.md §10 for the window semantics and the
-// epoch-consistency argument.
+// A POST /query is served one of two ways (admission.go): a result
+// already memoised at the current epoch is paged straight from the
+// engine's result memo; any other query is evaluated on the request's
+// own goroutine, under its own context, bounded by an evaluation-slot
+// semaphore. Unrelated clients still share the R_G / R+ structures —
+// and concurrent identical queries share one evaluation — through the
+// engine's singleflight SharedCache, one level below the server. Each
+// evaluation is pinned to one graph epoch, and results page by
+// limit/offset or cursor over the sealed columnar relation.
+// POST /update drives Engine.ApplyUpdates; GET /explain plans without
+// executing; GET /healthz and GET /metrics expose liveness, the
+// engine's cache counters and the admission statistics. See DESIGN.md
+// §10 for the serving paths and the epoch-consistency argument.
 //
 // The package is internal; the public surface is rtcshare.NewServer,
 // rtcshare.Serve and rtcshare.ServerOptions.
@@ -43,48 +42,17 @@ import (
 // Options configure a Server. The zero value gets the documented
 // defaults, filled in by NewServer.
 type Options struct {
-	// Window bounds how long the first query of a batch waits for
-	// company before the batch seals. A positive value fixes the window
-	// (the reproducible behavior benchmarks pin); the default, 0, lets
-	// the adaptive controller tune it from the observed arrival rate
-	// and batch occupancy within [MinWindow, MaxWindow].
-	Window time.Duration
-	// MinWindow and MaxWindow bound the adaptive window controller.
-	// Defaults 100µs and 4ms; ignored when Window > 0.
-	MinWindow time.Duration
-	MaxWindow time.Duration
-	// DisableFastLane turns off the priority fast lane: with it set,
-	// every non-memo-warm query rides a coalescing window, however
-	// cheap (rpqd -no-fastlane).
-	DisableFastLane bool
-	// FastLaneSlots is the number of reserved fast-lane evaluation
-	// slots. Default 1: one cheap query at a time bypasses the window;
-	// when the lane is busy, cheap queries fall back to the window
-	// (which batches and dedups them). Not a queue — the lane never
-	// convoys.
-	FastLaneSlots int
-	// MaxBatch seals a batch early once it holds this many DISTINCT
-	// queries (deduplicated waiters do not count). Default 64.
-	MaxBatch int
-	// Workers is the fan-out of each batch's EvaluateBatchParallelRel
-	// call. Default 0 = GOMAXPROCS.
-	Workers int
-	// MaxInFlight is the number of sealed batches evaluating
-	// concurrently — the evaluation slots of the admission control.
-	// Default 1: one batch at a time, internally parallel; while it
-	// runs, the next window accumulates.
+	// MaxInFlight bounds the cold queries evaluating at once: each runs
+	// on its own request's goroutine holding one slot. Memo hits take no
+	// slot. Default 0 = GOMAXPROCS.
 	MaxInFlight int
-	// MaxQueuedBatches bounds the sealed batches awaiting a slot;
-	// beyond it new batches are rejected with 503. Default 8.
-	MaxQueuedBatches int
-	// RequestTimeout bounds how long one /query request waits for its
-	// result before giving up with 503 (the evaluation itself is not
-	// interrupted — its result still serves the batch's other waiters
-	// and warms the cache). Default 30s.
+	// MaxQueued bounds the cold queries waiting for a slot; beyond it a
+	// request is rejected with 503 and Retry-After. Default 64.
+	MaxQueued int
+	// RequestTimeout bounds one /query request, queue wait and
+	// evaluation together; on expiry the evaluation stops at its next
+	// checkpoint and the request answers 503. Default 30s.
 	RequestTimeout time.Duration
-	// DisableCoalescing evaluates every request immediately on the
-	// shared engine, skipping the window (rpqd -no-coalesce).
-	DisableCoalescing bool
 	// Persist, when set, routes POST /update through the persistent
 	// engine (apply + durable WAL append, plus its automatic-snapshot
 	// policy) and enables POST /admin/snapshot and the /metrics
@@ -113,32 +81,11 @@ type Options struct {
 
 // withDefaults fills the zero fields with the documented defaults.
 func (o Options) withDefaults() Options {
-	if o.Window < 0 {
-		o.Window = 0 // adaptive
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 100 * time.Microsecond
-	}
-	if o.MaxWindow <= 0 {
-		o.MaxWindow = 4 * time.Millisecond
-	}
-	if o.MaxWindow < o.MinWindow {
-		o.MaxWindow = o.MinWindow
-	}
-	if o.FastLaneSlots <= 0 {
-		o.FastLaneSlots = 1
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
+		o.MaxInFlight = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxQueuedBatches <= 0 {
-		o.MaxQueuedBatches = 8
+	if o.MaxQueued <= 0 {
+		o.MaxQueued = 64
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -152,20 +99,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the rpqd HTTP handler: the batch coalescer plus the
-// /query, /update, /explain, /healthz and /metrics endpoints over one
-// engine. Create one with New, serve it with net/http, and Close it to
-// drain the coalescer on shutdown.
+// Server is the rpqd HTTP handler: query admission plus the /query,
+// /update, /explain, /healthz and /metrics endpoints over one engine.
+// Create one with New, serve it with net/http, and Close it to drain
+// in-flight queries on shutdown.
 type Server struct {
 	engine *core.Engine
 	opts   Options
-	coal   *coalescer
+	adm    *admission
 	mux    *http.ServeMux
 	start  time.Time
 	lat    latencyRecorder
 
 	// draining flips on Close so /healthz reports the shutdown to load
-	// balancers while in-flight batches finish.
+	// balancers while in-flight queries finish.
 	draining atomic.Bool
 
 	// Streaming-delivery counters, published under /metrics "streaming".
@@ -191,7 +138,7 @@ func New(engine *core.Engine, opts Options) *Server {
 	s := &Server{
 		engine:    engine,
 		opts:      opts,
-		coal:      newCoalescer(engine, opts),
+		adm:       newAdmission(engine, opts),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		probeStop: make(chan struct{}),
@@ -269,17 +216,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close drains the coalescer: in-flight and pending batches finish and
-// answer their waiters, new queries are rejected with 503, /healthz
-// flips to "draining", and the degraded-probe loop stops. It does not
-// close HTTP listeners — pair it with http.Server.Shutdown, as
+// Close drains query admission: admitted cold queries, running or
+// queued, finish and answer, new queries are rejected with 503,
+// /healthz flips to "draining", and the degraded-probe loop stops. It
+// does not close HTTP listeners — pair it with http.Server.Shutdown, as
 // rtcshare.Serve does.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
 		close(s.probeStop)
 		s.probeWG.Wait()
-		s.coal.close()
+		s.adm.close()
 	})
 	return nil
 }
@@ -325,9 +272,8 @@ type QueryResponse struct {
 	// Offset echoes the effective offset; Count is len(Pairs).
 	Offset int `json:"offset"`
 	Count  int `json:"count"`
-	// Path is how the request was served: "fast_path" (result memo),
-	// "fast_lane" (cheap-classified, reserved slot), "windowed"
-	// (coalescing batch) or "direct" (coalescing disabled).
+	// Path is how the request was served: "fast_path" (result memo) or
+	// "direct" (evaluated on the request).
 	Path string `json:"path"`
 	// Stages is the per-stage latency breakdown of this request; the
 	// stages partition WallNS (fast-path hits do no attributed work, so
@@ -412,7 +358,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cur = &c
 	}
 
-	res := s.coal.submit(ctx, req.Query, expr)
+	res := s.adm.submit(ctx, req.Query, expr)
 	if res.err != nil {
 		status := queryStatus(res.err)
 		if status == http.StatusServiceUnavailable {
@@ -813,7 +759,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Draining outranks degraded: the process is leaving the pool
 		// either way, and a load balancer must stop routing to it.
 		resp.Status = "draining"
-		resp.Reason = "server closing: in-flight batches finishing, new queries shed"
+		resp.Reason = "server closing: in-flight queries finishing, new queries shed"
 		status = http.StatusServiceUnavailable
 	case s.opts.Persist != nil:
 		if degraded, reason, since := s.opts.Persist.Degraded(); degraded {
@@ -853,17 +799,14 @@ type TimingInfo struct {
 }
 
 // LatencyInfo is the /metrics latency section: request-latency
-// histograms (overall, split by serving path, and per pipeline stage)
-// plus the coalescing controller's gauges. All histogram fields are
-// HistogramStats; the section's key set is stable whether or not any
-// requests have been observed.
+// histograms, overall, split by serving path, and per pipeline stage.
+// All histogram fields are HistogramStats; the section's key set is
+// stable whether or not any requests have been observed.
 type LatencyInfo struct {
-	// Overall covers every /query request; FastPath, FastLane, Windowed,
-	// Direct, Ask, Streamed and Witness split it by serving path.
+	// Overall covers every /query request; FastPath, Direct, Ask,
+	// Streamed and Witness split it by serving path.
 	Overall  HistogramStats `json:"overall"`
 	FastPath HistogramStats `json:"fast_path"`
-	FastLane HistogramStats `json:"fast_lane"`
-	Windowed HistogramStats `json:"windowed"`
 	Direct   HistogramStats `json:"direct"`
 	Ask      HistogramStats `json:"ask"`
 	Streamed HistogramStats `json:"streamed"`
@@ -871,19 +814,12 @@ type LatencyInfo struct {
 	// Stages holds one histogram per pipeline stage, counting requests
 	// in which the stage ran.
 	Stages StageHistograms `json:"stages"`
-	// Encode holds, per pair-carrying path (fast_path, fast_lane,
-	// windowed, direct, streamed), the time spent encoding and writing
-	// the response after wall_ns was stamped; FirstChunk is a stream's
-	// time from handler entry to its first pairs record flushed.
+	// Encode holds, per pair-carrying path (fast_path, direct,
+	// streamed), the time spent encoding and writing the response after
+	// wall_ns was stamped; FirstChunk is a stream's time from handler
+	// entry to its first pairs record flushed.
 	Encode     map[string]HistogramStats `json:"encode"`
 	FirstChunk HistogramStats            `json:"first_chunk"`
-	// ArrivalRateQPS and BatchOccupancy are the adaptive controller's
-	// rolling estimates; WindowMode is "fixed" or "adaptive";
-	// CurrentWindowMS is the window the controller would open now.
-	ArrivalRateQPS  float64 `json:"arrival_rate_qps"`
-	BatchOccupancy  float64 `json:"batch_occupancy"`
-	WindowMode      string  `json:"window_mode"`
-	CurrentWindowMS float64 `json:"current_window_ms"`
 }
 
 // RuntimeInfo is the /metrics runtime section: the Go runtime's vitals,
@@ -915,13 +851,13 @@ func runtimeInfo() RuntimeInfo {
 	return info
 }
 
-// Metrics is the body of GET /metrics: the coalescing statistics, the
+// Metrics is the body of GET /metrics: the admission statistics, the
 // shared cache's counters (including the epoch and the CrossEpochHits
 // tripwire), the engine's timing split and the graph shape.
 type Metrics struct {
 	Epoch     uint64             `json:"epoch"`
 	Graph     GraphInfo          `json:"graph"`
-	Coalescer CoalescerStats     `json:"coalescer"`
+	Admission AdmissionStats     `json:"admission"`
 	Cache     core.CacheCounters `json:"cache"`
 	Timing    TimingInfo         `json:"timing"`
 	Latency   LatencyInfo        `json:"latency"`
@@ -938,11 +874,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	g := s.engine.Graph()
 	st := s.engine.Stats()
 	calibFactor, calibSamples := s.engine.CostCalibration()
-	rate, occupancy, window := s.coal.ctrl.gauges()
-	mode := "fixed"
-	if s.coal.ctrl.adaptive() {
-		mode = "adaptive"
-	}
 	return Metrics{
 		Epoch: s.engine.Epoch(),
 		Graph: GraphInfo{
@@ -950,7 +881,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 			Edges:    g.NumEdges(),
 			Labels:   g.NumLabels(),
 		},
-		Coalescer:   s.coal.stats(),
+		Admission:   s.adm.stats(),
 		Cache:       s.engine.Cache().Counters(),
 		Persistence: s.persistInfo(),
 		Timing: TimingInfo{
@@ -964,21 +895,15 @@ func (s *Server) MetricsSnapshot() Metrics {
 			CostCalibrationSamples: calibSamples,
 		},
 		Latency: LatencyInfo{
-			Overall:         s.lat.overall.snapshot(),
-			FastPath:        s.lat.fastPath.snapshot(),
-			FastLane:        s.lat.fastLane.snapshot(),
-			Windowed:        s.lat.windowed.snapshot(),
-			Direct:          s.lat.direct.snapshot(),
-			Ask:             s.lat.ask.snapshot(),
-			Streamed:        s.lat.streamed.snapshot(),
-			Witness:         s.lat.witness.snapshot(),
-			Stages:          s.lat.stages(),
-			Encode:          s.lat.encodes(),
-			FirstChunk:      s.lat.firstChunk.snapshot(),
-			ArrivalRateQPS:  rate,
-			BatchOccupancy:  occupancy,
-			WindowMode:      mode,
-			CurrentWindowMS: float64(window) / nsPerMS,
+			Overall:    s.lat.overall.snapshot(),
+			FastPath:   s.lat.paths[pathFastPath].snapshot(),
+			Direct:     s.lat.paths[pathDirect].snapshot(),
+			Ask:        s.lat.paths[pathAsk].snapshot(),
+			Streamed:   s.lat.paths[pathStreamed].snapshot(),
+			Witness:    s.lat.paths[pathWitness].snapshot(),
+			Stages:     s.lat.stages(),
+			Encode:     s.lat.encodes(),
+			FirstChunk: s.lat.firstChunk.snapshot(),
 		},
 		Streaming: StreamingInfo{
 			Streams:       s.streams.Load(),

@@ -2,16 +2,14 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
@@ -38,22 +36,32 @@ func testServer(t *testing.T, g *graph.Graph, opts Options) (*Server, *httptest.
 // postQuery issues one POST /query and decodes the response.
 func postQuery(t *testing.T, base string, req QueryRequest) (QueryResponse, int) {
 	t.Helper()
+	out, status, err := tryQuery(base, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, status
+}
+
+// tryQuery is postQuery for goroutines other than the test's own: it
+// returns the transport or decoding error instead of failing the test.
+func tryQuery(base string, req QueryRequest) (QueryResponse, int, error) {
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /query: %v", err)
+		return QueryResponse{}, 0, fmt.Errorf("POST /query: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var e errorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return QueryResponse{}, resp.StatusCode
+		return QueryResponse{}, resp.StatusCode, nil
 	}
 	var out QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding /query response: %v", err)
+		return QueryResponse{}, resp.StatusCode, fmt.Errorf("decoding /query response: %w", err)
 	}
-	return out, resp.StatusCode
+	return out, resp.StatusCode, nil
 }
 
 // pairsOf converts a response page to a pair list.
@@ -96,7 +104,7 @@ func TestServerQueryMatchesSerial(t *testing.T) {
 		want[q] = rel
 	}
 
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	const clients = 16
 	var wg sync.WaitGroup
@@ -147,7 +155,7 @@ func TestServerPaging(t *testing.T) {
 		t.Fatalf("fixture query too small to page: %d pairs", full.Len())
 	}
 
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 	var got []pairs.Pair
 	for offset := 0; ; {
 		resp, status := postQuery(t, ts.URL, QueryRequest{Query: q, Limit: 2, Offset: offset})
@@ -178,7 +186,7 @@ func TestServerPaging(t *testing.T) {
 // is visible to subsequent queries, with an advanced epoch.
 func TestServerUpdateEndpoint(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	before, status := postQuery(t, ts.URL, QueryRequest{Query: "e+"})
 	if status != http.StatusOK {
@@ -242,7 +250,7 @@ func TestServerUpdateEndpoint(t *testing.T) {
 // /query form, and the error statuses.
 func TestServerEndpoints(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 
 	var health HealthResponse
 	getJSON(t, ts.URL+"/healthz", &health)
@@ -276,7 +284,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	var m Metrics
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Graph.Vertices != 10 || m.Coalescer.Submitted == 0 {
+	if m.Graph.Vertices != 10 || m.Admission.Submitted == 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	if m.Cache.CrossEpochHits != 0 {
@@ -318,246 +326,17 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-// TestCoalescerWindowPartialBatch: the window timer must seal and
-// evaluate a partial batch (far below MaxBatch).
-func TestCoalescerWindowPartialBatch(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 20 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	var wg sync.WaitGroup
-	queries := []string{"a", "b·c", "e·f"}
-	results := make([]result, len(queries))
-	start := time.Now()
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q string) {
-			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
-		}(i, q)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("query %d: %v", i, r.err)
-		}
-	}
-	st := c.stats()
-	if st.Batches != 1 || st.SealedByWindow != 1 || st.BatchDistinct != 3 {
-		t.Fatalf("expected one window-sealed batch of 3: %+v", st)
-	}
-	if elapsed < 15*time.Millisecond {
-		t.Fatalf("batch sealed before the window expired: %v", elapsed)
-	}
-}
-
-// TestCoalescerDedup: two waiters on the same query string must ride
-// ONE evaluation and receive the same sealed relation.
-func TestCoalescerDedup(t *testing.T) {
-	g := fixtures.Figure1()
-	engine := core.New(g, core.Options{})
-	c := newCoalescer(engine, Options{
-		Window: 15 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	const q = "d·(b·c)+·c"
-	var wg sync.WaitGroup
-	results := make([]result, 2)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
-		}(i)
-	}
-	wg.Wait()
-
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("waiter %d: %v", i, r.err)
-		}
-	}
-	if results[0].rel != results[1].rel {
-		t.Fatalf("dedup waiters got different relations")
-	}
-	if results[0].epoch != results[1].epoch {
-		t.Fatalf("dedup waiters got different epochs")
-	}
-	st := c.stats()
-	if st.DedupHits != 1 || st.BatchDistinct != 1 || st.BatchQueries != 2 {
-		t.Fatalf("expected 1 dedup hit on 1 distinct query with 2 waiters: %+v", st)
-	}
-}
-
-// TestCoalescerSizeSeal: reaching MaxBatch distinct queries seals the
-// batch long before the window expires.
-func TestCoalescerSizeSeal(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 10 * time.Second, MaxBatch: 2, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	var wg sync.WaitGroup
-	for _, q := range []string{"a", "b"} {
-		wg.Add(1)
-		go func(q string) {
-			defer wg.Done()
-			if r := c.submit(context.Background(), q, rpq.MustParse(q)); r.err != nil {
-				t.Errorf("%s: %v", q, r.err)
-			}
-		}(q)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("size-capped batch did not seal before the window")
-	}
-	if st := c.stats(); st.SealedBySize != 1 {
-		t.Fatalf("expected a size seal: %+v", st)
-	}
-}
-
-// TestCoalescerAdmission: with zero evaluation slots and a zero-length
-// queue, a sealed batch is rejected with ErrOverloaded; after close,
-// submits are rejected with ErrShuttingDown.
-func TestCoalescerAdmission(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 1, Workers: 1,
-		MaxInFlight: 0, MaxQueuedBatches: 0,
-	})
-	r := c.submit(context.Background(), "a", rpq.MustParse("a"))
-	if !errors.Is(r.err, ErrOverloaded) {
-		t.Fatalf("expected ErrOverloaded, got %v", r.err)
-	}
-	if st := c.stats(); st.Rejected == 0 {
-		t.Fatalf("rejection not counted: %+v", st)
-	}
-	c.close()
-	r = c.submit(context.Background(), "a", rpq.MustParse("a"))
-	if !errors.Is(r.err, ErrShuttingDown) {
-		t.Fatalf("expected ErrShuttingDown after close, got %v", r.err)
-	}
-}
-
-// TestCoalescerRequestTimeout: a waiter whose context expires while the
-// window is still open walks away with the context error.
-func TestCoalescerRequestTimeout(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: 500 * time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	r := c.submit(ctx, "a", rpq.MustParse("a"))
-	if !errors.Is(r.err, context.DeadlineExceeded) {
-		t.Fatalf("expected DeadlineExceeded, got %v", r.err)
-	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatalf("timed-out waiter blocked for the whole window")
-	}
-	if st := c.stats(); st.Abandoned != 1 {
-		t.Fatalf("abandonment not counted: %+v", st)
-	}
-}
-
-// TestServerCloseFlushesPending: Close must flush the open window —
-// already-admitted waiters get real results, later submits are
-// rejected.
-func TestServerCloseFlushesPending(t *testing.T) {
-	g := fixtures.Figure1()
-	srv := New(core.New(g, core.Options{}), Options{Window: 10 * time.Second, MaxBatch: 100})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	got := make(chan QueryResponse, 1)
-	status := make(chan int, 1)
-	go func() {
-		resp, st := postQuery(t, ts.URL, QueryRequest{Query: "d·(b·c)+·c"})
-		got <- resp
-		status <- st
-	}()
-	// Wait for the request to land in the window, then close.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.coal.stats().Submitted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	srv.Close()
-
-	select {
-	case resp := <-got:
-		if st := <-status; st != http.StatusOK || resp.Total != 2 {
-			t.Fatalf("flushed query: status %d, total %d", st, resp.Total)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("flushed waiter never answered")
-	}
-	if _, st := postQuery(t, ts.URL, QueryRequest{Query: "a"}); st != http.StatusServiceUnavailable {
-		t.Fatalf("post-close query: status %d, want 503", st)
-	}
-}
-
-// TestCoalescerFastPath: a result memoised at the current epoch is
-// served without forming a batch at all.
-func TestCoalescerFastPath(t *testing.T) {
-	g := fixtures.Figure1()
-	c := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	const q = "d·(b·c)+·c"
-	first := c.submit(context.Background(), q, rpq.MustParse(q))
-	if first.err != nil {
-		t.Fatal(first.err)
-	}
-	batchesBefore := c.stats().Batches
-	second := c.submit(context.Background(), q, rpq.MustParse(q))
-	if second.err != nil {
-		t.Fatal(second.err)
-	}
-	st := c.stats()
-	if st.FastPathHits != 1 {
-		t.Fatalf("expected one fast-path hit: %+v", st)
-	}
-	if st.Batches != batchesBefore {
-		t.Fatalf("fast path formed a batch: %+v", st)
-	}
-	if second.rel != first.rel {
-		t.Fatalf("fast path returned a different relation")
-	}
-}
-
 // TestServerAccessorsAndParamErrors covers the small surface the other
 // tests skip: the accessors, GET-parameter validation, and the explain
 // error paths.
 func TestServerAccessorsAndParamErrors(t *testing.T) {
 	g := fixtures.Figure1()
-	srv, ts := testServer(t, g, Options{Window: time.Millisecond})
+	srv, ts := testServer(t, g, Options{MaxQueued: 3})
 
 	if srv.Engine() == nil || srv.Engine().Graph().NumVertices() != 10 {
 		t.Fatal("Engine accessor broken")
 	}
-	if got := srv.Options(); got.Window != time.Millisecond || got.MaxBatch != 64 {
+	if got := srv.Options(); got.MaxQueued != 3 || got.MaxInFlight != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Options accessor lost the effective options: %+v", got)
 	}
 
@@ -613,88 +392,11 @@ func TestServerAccessorsAndParamErrors(t *testing.T) {
 	}
 }
 
-// TestCoalescerErrorIsolation: a query failing at evaluation time must
-// not fail the valid queries co-batched with it — each waiter gets its
-// own per-query outcome.
-func TestCoalescerErrorIsolation(t *testing.T) {
-	g := fixtures.Figure1()
-	// MaxDNFClauses 1 makes any alternation-heavy query fail at
-	// evaluation (parse-valid, DNF-bound error).
-	engine := core.New(g, core.Options{MaxDNFClauses: 1})
-	c := newCoalescer(engine, Options{
-		Window: 15 * time.Millisecond, MaxBatch: 100, Workers: 2,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	defer c.close()
-
-	queries := []string{"a", "(a|b)·(c|d)", "b·c"}
-	results := make([]result, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q string) {
-			defer wg.Done()
-			results[i] = c.submit(context.Background(), q, rpq.MustParse(q))
-		}(i, q)
-	}
-	wg.Wait()
-
-	if results[1].err == nil {
-		t.Fatal("DNF-bound query did not fail")
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].err != nil {
-			t.Fatalf("valid query %q failed with its neighbour's error: %v", queries[i], results[i].err)
-		}
-		if results[i].rel == nil {
-			t.Fatalf("valid query %q got no relation", queries[i])
-		}
-	}
-	if st := c.stats(); st.EvalErrors != 1 {
-		t.Fatalf("expected one recorded eval error: %+v", st)
-	}
-}
-
-// TestCoalescerClosedAllPaths: after close, every admission path —
-// window, fast path (warm memo), and DisableCoalescing — rejects with
-// ErrShuttingDown.
-func TestCoalescerClosedAllPaths(t *testing.T) {
-	g := fixtures.Figure1()
-	const q = "d·(b·c)+·c"
-
-	engine := core.New(g, core.Options{})
-	c := newCoalescer(engine, Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4,
-	})
-	// Warm the result memo so a post-close submit would hit the fast
-	// path if it were allowed to.
-	if r := c.submit(context.Background(), q, rpq.MustParse(q)); r.err != nil {
-		t.Fatal(r.err)
-	}
-	if _, _, ok := engine.CachedResult(rpq.MustParse(q)); !ok {
-		t.Fatal("memo did not warm")
-	}
-	c.close()
-	if r := c.submit(context.Background(), q, rpq.MustParse(q)); !errors.Is(r.err, ErrShuttingDown) {
-		t.Fatalf("fast path served after close: %v", r.err)
-	}
-
-	d := newCoalescer(core.New(g, core.Options{}), Options{
-		Window: time.Millisecond, MaxBatch: 100, Workers: 1,
-		MaxInFlight: 1, MaxQueuedBatches: 4, DisableCoalescing: true,
-	})
-	d.close()
-	if r := d.submit(context.Background(), q, rpq.MustParse(q)); !errors.Is(r.err, ErrShuttingDown) {
-		t.Fatalf("DisableCoalescing path served after close: %v", r.err)
-	}
-}
-
 // TestServerHugeLimit: a pathological limit must page safely, not
 // panic the handler.
 func TestServerHugeLimit(t *testing.T) {
 	g := fixtures.Figure1()
-	_, ts := testServer(t, g, Options{Window: time.Millisecond})
+	_, ts := testServer(t, g, Options{})
 	resp, status := postQuery(t, ts.URL, QueryRequest{Query: "(b·c)+", Limit: int(^uint(0) >> 1), Offset: 1})
 	if status != http.StatusOK {
 		t.Fatalf("huge limit: status %d", status)

@@ -17,8 +17,8 @@ import (
 // newline-delimited JSON chunks, GET /query/sse as Server-Sent Events.
 // Both open one epoch-pinned pull stream (Engine.OpenStream) and drain
 // it chunk by chunk, so the response starts after the shared inputs
-// resolve — before the first pair the windowed path would have to seal a
-// full relation for — and the server's peak memory per stream is one
+// resolve — before the first pair /query would have to seal a full
+// relation for — and the server's peak memory per stream is one
 // chunk, not one result.
 //
 // Epoch semantics: the stream answers entirely at the graph epoch

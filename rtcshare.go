@@ -305,29 +305,26 @@ func EvaluateParallel(g *Graph, query string, workers int) (*Result, error) {
 	return eval.New(g, expr, eval.Options{}).EvaluateAllParallel(workers), nil
 }
 
-// Server is the rpqd HTTP/JSON query service over one engine: a batch
-// coalescer admits concurrent POST /query requests into a bounded
-// time/size window, deduplicates them by query string, evaluates the
-// window as ONE engine batch — so unrelated clients share closure
-// structures within a single graph epoch — and demultiplexes the sealed
-// results back to the waiting requests with limit/offset paging.
-// POST /update drives Engine.ApplyUpdates; GET /explain, /healthz and
-// /metrics expose plans, liveness, cache counters and coalescing
-// statistics. A Server is an http.Handler; create one with NewServer
-// and serve it yourself, or use Serve for the whole lifecycle. See
-// DESIGN.md §10.
+// Server is the rpqd HTTP/JSON query service over one engine. A
+// POST /query whose result is memoised at the current epoch is paged
+// from the memo; any other query is evaluated on its own request under
+// a bounded number of evaluation slots, pinned to one graph epoch.
+// Unrelated clients share closure structures, and identical concurrent
+// queries one evaluation, through the engine's cache. POST /update
+// drives Engine.ApplyUpdates; GET /explain, /healthz and /metrics
+// expose plans, liveness, cache counters and admission statistics. A
+// Server is an http.Handler; create one with NewServer and serve it
+// yourself, or use Serve for the whole lifecycle. See DESIGN.md §10.
 type Server = server.Server
 
-// ServerOptions configure a Server: the coalescing window (fixed when
-// positive, adaptive within [MinWindow, MaxWindow] when zero), the
-// distinct-size cap, the priority fast lane (DisableFastLane,
-// FastLaneSlots), the batch fan-out, the admission control (max
-// in-flight batches, queued-batch bound, per-request timeout) and the
-// coalescing-off switch. The zero value gets the documented defaults.
+// ServerOptions configure a Server: admission control (concurrent
+// evaluations, queued-request bound, per-request timeout), the
+// persistent engine behind /update, and streaming delivery. The zero
+// value gets the documented defaults.
 type ServerOptions = server.Options
 
 // ServerMetrics is the GET /metrics payload: the graph epoch and shape,
-// the coalescing statistics, the shared-cache counters (including the
+// the admission statistics, the shared-cache counters (including the
 // CrossEpochHits tripwire), the engine's timing split, the latency
 // histograms (ServerLatencyInfo) and the Go runtime vitals
 // (ServerRuntimeInfo).
@@ -335,9 +332,9 @@ type ServerMetrics = server.Metrics
 
 // StageTimer is the per-request latency breakdown a /query response
 // carries (QueryResponse.Stages) and EvaluateRelTimed fills: one
-// nanosecond counter per pipeline stage (queue, coalesce-wait, plan,
-// closure-build, join, seal, page, other). The stages partition the
-// request's wall time.
+// nanosecond counter per pipeline stage (queue, plan, closure-build,
+// join, seal, page, other; coalesce-wait is always 0). The stages
+// partition the request's wall time.
 type StageTimer = core.StageTimer
 
 // HistogramStats is one log-bucketed latency histogram as /metrics
@@ -352,9 +349,8 @@ type StageHistograms = server.StageHistograms
 
 // ServerLatencyInfo is the latency section of /metrics: the overall
 // request-latency histogram, its split by serving path (fast_path,
-// fast_lane, windowed, direct), the per-stage histograms, and the
-// adaptive window controller's gauges (arrival rate, batch occupancy,
-// current window).
+// direct, ask, streamed, witness), the per-stage histograms, and the
+// encode and first-chunk histograms.
 type ServerLatencyInfo = server.LatencyInfo
 
 // ServerRuntimeInfo is the runtime section of /metrics: goroutine
@@ -362,10 +358,10 @@ type ServerLatencyInfo = server.LatencyInfo
 // latency spikes are correlated against.
 type ServerRuntimeInfo = server.RuntimeInfo
 
-// CoalescerStats is the batch coalescer's activity snapshot inside
-// ServerMetrics: admissions, dedup hits, batch sizes and seal reasons,
-// rejections and timeouts.
-type CoalescerStats = server.CoalescerStats
+// AdmissionStats is the admission section of ServerMetrics: queries
+// submitted, served from the memo or evaluated, rejected, abandoned,
+// failed, panicked and quarantined.
+type AdmissionStats = server.AdmissionStats
 
 // ResultStream is a pull-based, epoch-pinned enumeration of one query's
 // result, opened with Engine.OpenStream.
@@ -412,15 +408,15 @@ type StreamingInfo = server.StreamingInfo
 
 // NewServer returns the rpqd HTTP handler over engine. The engine may be
 // shared with in-process users; updates through either side keep both
-// epoch-consistent. Close the server to drain its coalescer.
+// epoch-consistent. Close the server to drain its in-flight queries.
 func NewServer(engine *Engine, opts ServerOptions) *Server {
 	return server.New(engine, opts)
 }
 
 // Serve listens on addr and serves the rpqd HTTP API over engine until
 // ctx is cancelled, then shuts down gracefully: the listener closes,
-// in-flight requests and the pending coalescing window finish, and nil
-// is returned. A non-nil error is a listen or serve failure.
+// in-flight and queued requests finish, and nil is returned. A non-nil
+// error is a listen or serve failure.
 func Serve(ctx context.Context, addr string, engine *Engine, opts ServerOptions) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

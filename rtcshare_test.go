@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"rtcshare"
 )
@@ -321,7 +320,7 @@ func TestPublicMutableGraph(t *testing.T) {
 }
 
 // TestPublicServe boots the HTTP service through the public surface
-// (NewEngine + ServeListener), issues a coalesced query and an update,
+// (NewEngine + ServeListener), issues a query and an update,
 // and shuts down cleanly.
 func TestPublicServe(t *testing.T) {
 	g := fig1(t)
@@ -335,7 +334,7 @@ func TestPublicServe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- rtcshare.ServeListener(ctx, l, engine, rtcshare.ServerOptions{Window: time.Millisecond})
+		done <- rtcshare.ServeListener(ctx, l, engine, rtcshare.ServerOptions{})
 	}()
 
 	resp, err := http.Post(base+"/query", "application/json",
