@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	rpq -graph g.txt [-strategy rtc|full|no] [-planner heuristic|cost]
-//	    [-explain] [-stats] [-limit N] query...
+//	rpq -graph g.txt [-strategy rtc|full|no] [-explain] [-stats]
+//	    [-limit N] query...
 //
 // The graph file uses the text edge-list format ("src label dst" lines,
 // optional "%vertices N" directive). Each query is an RPQ such as
@@ -11,12 +11,9 @@
 // several queries, closure structures are shared between them exactly as
 // the engine shares them across a multiple-RPQ set.
 //
-// -planner cost enables the cost-based clause planner: every closure
-// anchor is considered in both join directions, plus a direct-automaton
-// bypass, priced by cardinality estimates from the graph's per-label
-// statistics. The default heuristic planner is the paper's pipeline
-// (rightmost closure, forward join). -explain prints each query's chosen
-// plan with estimated vs actual cardinalities (the query still runs).
+// -explain prints each query's plan — the paper's pipeline: split at the
+// rightmost closure, join forward — with estimated vs actual
+// cardinalities (the query still runs).
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 	"rtcshare/internal/core"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
-	"rtcshare/internal/plan"
 )
 
 func main() {
@@ -40,11 +36,9 @@ func run(args []string) error {
 	var (
 		graphPath = fs.String("graph", "", "path to the graph file (required)")
 		strategy  = fs.String("strategy", "rtc", "evaluation strategy: rtc, full or no")
-		planner   = fs.String("planner", "heuristic", "clause planner: heuristic (rightmost-forward) or cost")
 		explain   = fs.Bool("explain", false, "print each query's plan with estimated vs actual cardinalities")
 		stats     = fs.Bool("stats", false, "print the timing split and sharing statistics")
 		limit     = fs.Int("limit", 20, "print at most this many result pairs per query (0 = all)")
-		useDFA    = fs.Bool("dfa", false, "determinise query automata before traversal")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,10 +50,6 @@ func run(args []string) error {
 		return fmt.Errorf("no queries given")
 	}
 	strat, err := parseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
-	mode, err := plan.ParseMode(*planner)
 	if err != nil {
 		return err
 	}
@@ -75,7 +65,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("graph: %s\n", g.Stats())
 
-	engine := core.New(g, core.Options{Strategy: strat, Planner: mode, UseDFA: *useDFA})
+	engine := core.New(g, core.Options{Strategy: strat})
 	for _, q := range fs.Args() {
 		if *explain {
 			p, err := engine.ExplainAnalyzeQuery(q)

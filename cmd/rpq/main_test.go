@@ -37,20 +37,17 @@ func TestRunWithStatsAndLimit(t *testing.T) {
 	if err := run([]string{"-graph", path, "-stats", "-limit", "1", "b+", "a.b"}); err != nil {
 		t.Error(err)
 	}
-	if err := run([]string{"-graph", path, "-limit", "0", "-dfa", "b+"}); err != nil {
+	if err := run([]string{"-graph", path, "-limit", "0", "b+"}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestRunExplainAndPlanner: -explain prints the planner's plan for
+// closure and closure-free queries alike.
 func TestRunExplainAndPlanner(t *testing.T) {
 	path := writeTestGraph(t)
-	for _, planner := range []string{"heuristic", "cost"} {
-		if err := run([]string{"-graph", path, "-planner", planner, "-explain", "a.b+.c", "a.b"}); err != nil {
-			t.Errorf("planner %s: %v", planner, err)
-		}
-		if err := run([]string{"-graph", path, "-planner", planner, "a.b+.c"}); err != nil {
-			t.Errorf("planner %s evaluate: %v", planner, err)
-		}
+	if err := run([]string{"-graph", path, "-explain", "a.b+.c", "a.b"}); err != nil {
+		t.Error(err)
 	}
 	if err := run([]string{"-graph", path, "-explain", "(("}); err == nil {
 		t.Error("explain on a parse error must fail")
@@ -63,7 +60,9 @@ func TestRunErrors(t *testing.T) {
 		{},               // no -graph
 		{"-graph", path}, // no queries
 		{"-graph", path, "-strategy", "bogus", "a"},
-		{"-graph", path, "-planner", "bogus", "a"},
+		// Retired flags: one planner, no DFA determinisation.
+		{"-graph", path, "-planner", "cost", "a"},
+		{"-graph", path, "-dfa", "a"},
 		{"-graph", path, "(("}, // parse error
 		{"-graph", filepath.Join(t.TempDir(), "missing.txt"), "a"},
 	}

@@ -20,7 +20,7 @@
 //	GET  /query/stream?q=…&limit=…          # the result as NDJSON chunks
 //	GET  /query/sse?q=…                     # same, framed as Server-Sent Events
 //	POST /update   {"updates":[{"op":"insert","src":1,"label":"a","dst":2}]}
-//	GET  /explain?q=…                       # the plan, without executing
+//	GET  /explain?q=…[&analyze=1]           # the plan; analyze=1 also runs it
 //	GET  /healthz                           # ok | degraded | draining + epoch
 //	GET  /metrics                           # cache/admission/epoch/store counters
 //	POST /admin/snapshot                    # compact the log into a snapshot
@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		graphPath   = fs.String("graph", "", "path to the graph file (text edge-list format)")
 		demo        = fs.Bool("demo", false, "serve the paper's Fig. 1 example graph instead of -graph")
 		strategy    = fs.String("strategy", "rtc", "evaluation strategy: rtc, full or no")
-		planner     = fs.String("planner", "heuristic", "clause planner: heuristic or cost")
 		maxInFlight = fs.Int("max-inflight", 0, "queries evaluating concurrently (0 = GOMAXPROCS)")
 		maxQueued   = fs.Int("max-queued", 0, "queries waiting for an evaluation slot before 503 (0 = default 64)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-request timeout")
@@ -158,15 +157,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown strategy %q (want rtc, full or no)", *strategy)
 	}
-	var mode rtcshare.PlannerMode
-	switch *planner {
-	case "heuristic":
-		mode = rtcshare.PlannerHeuristic
-	case "cost":
-		mode = rtcshare.PlannerCostBased
-	default:
-		return fmt.Errorf("unknown planner %q (want heuristic or cost)", *planner)
-	}
 
 	// Bind before opening the store: OpenEngine writes an anchor snapshot
 	// into a fresh -data directory, so an unbindable address must fail
@@ -185,7 +175,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "rpqd: pprof on http://%s/debug/pprof/\n", pl.Addr())
 	}
 
-	eopts := rtcshare.Options{Strategy: strat, Planner: mode}
+	eopts := rtcshare.Options{Strategy: strat}
 	var (
 		engine  *rtcshare.Engine
 		persist *rtcshare.PersistentEngine
@@ -222,7 +212,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "rpqd: graph %s\n", engine.Graph().Stats())
-	fmt.Fprintf(out, "rpqd: serving on http://%s (strategy %s, planner %s)\n", l.Addr(), *strategy, *planner)
+	fmt.Fprintf(out, "rpqd: serving on http://%s (strategy %s)\n", l.Addr(), *strategy)
 	err = rtcshare.ServeListener(ctx, l, engine, opts)
 	if persist != nil {
 		// Graceful shutdown: compact the log into a final snapshot so the

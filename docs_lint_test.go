@@ -216,9 +216,10 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // retiredNames are the configurations this repository deleted: the
 // per-experiment baseline files, the map-set layout, the shard flag, the
 // scatter seam, the warm restore of cached structures from a snapshot,
-// and the server's coalescing window and fast lane. (Spelled in pieces
-// so that a grep for the retired identifiers over the Go sources stays
-// empty.)
+// the server's coalescing window and fast lane, and the cost-based
+// planner, closure-algorithm, DFA and cache-off knobs. (Spelled in
+// pieces so that a grep for the retired identifiers over the Go sources
+// stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -232,6 +233,13 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("DisableFast" + "Lane"),
 	regexp.MustCompile("FastLane" + "Slots"),
 	regexp.MustCompile("CheapCost" + "Bound"),
+	regexp.MustCompile("PlannerCost" + "Based"),
+	regexp.MustCompile(`TC` + `Algo\b`),
+	regexp.MustCompile("Use" + "DFA"),
+	regexp.MustCompile("Disable" + "Cache"),
+	regexp.MustCompile("Bitset" + "Closure"),
+	regexp.MustCompile(`(^|[^A-Za-z-])-plan` + `ner\b`),
+	regexp.MustCompile(`(^|[^A-Za-z-])-d` + `fa\b`),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

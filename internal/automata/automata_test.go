@@ -59,10 +59,6 @@ func TestNFAMatchBasics(t *testing.T) {
 		if got := n.Match(lids(t, tc.word...)); got != tc.want {
 			t.Errorf("NFA(%q).Match(%v) = %v, want %v", tc.expr, tc.word, got, tc.want)
 		}
-		d := Determinize(n)
-		if got := d.Match(lids(t, tc.word...)); got != tc.want {
-			t.Errorf("DFA(%q).Match(%v) = %v, want %v", tc.expr, tc.word, got, tc.want)
-		}
 	}
 }
 
@@ -76,8 +72,12 @@ func TestUnknownLabelIsDead(t *testing.T) {
 			t.Errorf("zzz matched %q", l)
 		}
 	}
-	if len(n.Labels()) != 0 {
-		t.Errorf("live labels = %v, want none", n.Labels())
+	for st := 0; st < n.NumStates(); st++ {
+		for _, a := range n.Arcs(st) {
+			if a.Label != deadLabel {
+				t.Errorf("state %d has live arc %v, want only dead ones", st, a)
+			}
+		}
 	}
 	// Unknown-label alternative must not poison the rest.
 	n2 := Compile(rpq.MustParse("zzz|a"), testDict)
@@ -117,26 +117,7 @@ func TestArcsSortedAndDeduped(t *testing.T) {
 	}
 }
 
-func TestDFADense(t *testing.T) {
-	n := Compile(rpq.MustParse("(a|b)+.c"), testDict)
-	d := Determinize(n)
-	if d.NumStates() == 0 {
-		t.Fatal("no DFA states")
-	}
-	a, _ := testDict.Lookup("a")
-	dLbl, _ := testDict.Lookup("d")
-	if d.Step(0, a) < 0 {
-		t.Error("Step(0,a) dead, want live")
-	}
-	if d.Step(0, dLbl) != -1 {
-		t.Error("Step(0,d) live, want dead")
-	}
-	if d.Step(0, graph.LID(99)) != -1 {
-		t.Error("Step on unseen label must be dead")
-	}
-}
-
-// Property: NFA, DFA and the reference AST matcher agree on random
+// Property: the NFA and the reference AST matcher agree on random
 // expressions and random words.
 func TestAutomataAgreeWithReference(t *testing.T) {
 	labels := []string{"a", "b", "c"}
@@ -144,7 +125,6 @@ func TestAutomataAgreeWithReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := rpq.RandomExpr(rng, labels, 3)
 		n := Compile(e, testDict)
-		d := Determinize(n)
 		for i := 0; i < 30; i++ {
 			w := rpq.RandomWord(rng, labels, 6)
 			ids := make([]graph.LID, len(w))
@@ -155,10 +135,6 @@ func TestAutomataAgreeWithReference(t *testing.T) {
 			want := rpq.Match(e, w)
 			if n.Match(ids) != want {
 				t.Logf("NFA disagrees: expr=%q word=%v want=%v", e, w, want)
-				return false
-			}
-			if d.Match(ids) != want {
-				t.Logf("DFA disagrees: expr=%q word=%v want=%v", e, w, want)
 				return false
 			}
 		}

@@ -1,7 +1,6 @@
 // Package automata compiles RPQ expressions to finite automata for the
 // pattern-matching half of RPQ evaluation (Section II-B). Queries compile
-// to a Thompson NFA whose ε-transitions are eliminated at construction,
-// and can further be determinised to a DFA by subset construction.
+// to a Thompson NFA whose ε-transitions are eliminated at construction.
 //
 // Automaton transitions are keyed by graph label IDs (graph.LID): a query
 // label that does not occur in the target graph's dictionary compiles to
@@ -84,37 +83,6 @@ func (n *NFA) Match(word []graph.LID) bool {
 		}
 	}
 	return false
-}
-
-// LabelDir is a (label, direction) pair: the alphabet symbol of a 2RPQ
-// automaton.
-type LabelDir struct {
-	Label   graph.LID
-	Inverse bool
-}
-
-// Labels returns the sorted distinct (label, direction) pairs on live
-// transitions.
-func (n *NFA) Labels() []LabelDir {
-	set := make(map[LabelDir]bool)
-	for _, arcs := range n.arcs {
-		for _, a := range arcs {
-			if a.Label != deadLabel {
-				set[LabelDir{a.Label, a.Inverse}] = true
-			}
-		}
-	}
-	out := make([]LabelDir, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
-		}
-		return !out[i].Inverse && out[j].Inverse
-	})
-	return out
 }
 
 // thompsonBuilder constructs a classical Thompson automaton with

@@ -23,9 +23,8 @@ type AblationRow struct {
 }
 
 // RunAblations measures the design choices DESIGN.md calls out, on the
-// RMAT_3 workload: SCC-level vs pair-level joins, vertex-level reduction
-// on/off, the three TC algorithms, the RTC cache on/off, and NFA vs DFA
-// product evaluation.
+// RMAT_3 workload: SCC-level vs pair-level joins and vertex-level
+// reduction on/off.
 func RunAblations(cfg RunConfig) ([]AblationRow, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -57,8 +56,8 @@ func RunAblations(cfg RunConfig) ([]AblationRow, error) {
 		add("join-dedup", variant, m.PreJoin, "PreG⋈R+G part only")
 	}
 
-	// 2. Vertex-level reduction on/off, and 3. TC algorithm choice —
-	//    both on the shared sub-queries' reduced graphs.
+	// 2. Vertex-level reduction on/off, on the shared sub-queries'
+	//    reduced graphs.
 	grs := make([]*graph.DiGraph, 0, len(sets))
 	for _, set := range sets {
 		rg := eval.Evaluate(g, set.R)
@@ -76,48 +75,6 @@ func RunAblations(cfg RunConfig) ([]AblationRow, error) {
 		comps := scc.Tarjan(gr)
 		tc.BFS(scc.Condense(gr, comps))
 	}), "the RTC")
-	add("tc-algorithm", "bfs", timeAll(func(gr *graph.DiGraph) { tc.BFS(gr) }), "on G_R")
-	add("tc-algorithm", "purdom", timeAll(func(gr *graph.DiGraph) { tc.Purdom(gr) }), "on G_R")
-	add("tc-algorithm", "nuutila", timeAll(func(gr *graph.DiGraph) { tc.Nuutila(gr) }), "on G_R")
-
-	// 4. RTC cache on/off across each query set.
-	for _, disable := range []bool{false, true} {
-		t0 := time.Now()
-		for _, set := range sets {
-			engine := core.New(g, core.Options{Strategy: core.RTCSharing, DisableCache: disable})
-			queries := set.Queries
-			if cfg.NumRPQs < len(queries) {
-				queries = queries[:cfg.NumRPQs]
-			}
-			for _, q := range queries {
-				if _, err := engine.Evaluate(q); err != nil {
-					return nil, err
-				}
-			}
-		}
-		variant := "on"
-		if disable {
-			variant = "off"
-		}
-		add("rtc-cache", variant, time.Since(t0), fmt.Sprintf("%d RPQs/set", cfg.NumRPQs))
-	}
-
-	// 5. NFA vs DFA product evaluation on the full queries.
-	for _, useDFA := range []bool{false, true} {
-		t0 := time.Now()
-		for _, set := range sets {
-			for _, q := range set.Queries[:cfg.NumRPQs] {
-				ev := eval.New(g, q, eval.Options{UseDFA: useDFA})
-				ev.EvaluateAll()
-			}
-		}
-		variant := "nfa"
-		if useDFA {
-			variant = "dfa"
-		}
-		add("product-automaton", variant, time.Since(t0), "single-query traversal")
-	}
-
 	return rows, nil
 }
 

@@ -205,9 +205,9 @@ func TestAblations(t *testing.T) {
 	for _, r := range rows {
 		names[r.Name]++
 	}
-	want := map[string]int{
-		"join-dedup": 2, "vertex-reduction": 2, "tc-algorithm": 3,
-		"rtc-cache": 2, "product-automaton": 2,
+	want := map[string]int{"join-dedup": 2, "vertex-reduction": 2}
+	if len(names) != len(want) {
+		t.Errorf("ablations %v, want exactly %v", names, want)
 	}
 	for name, n := range want {
 		if names[name] != n {

@@ -12,10 +12,9 @@ import (
 )
 
 // This file implements the batch-unit joins over the columnar layout:
-// Algorithm 2 for RTCSharing — forward through the row kernel of
-// rowkernel.go, backward below — and the pair-level counterpart for
-// FullSharing. In the pair-level and backward joins the relations
-// ResEq7, ResEq8 and ResEq10 of the paper are sets realised with
+// Algorithm 2 for RTCSharing through the row kernel of rowkernel.go, and
+// the pair-level counterpart for FullSharing. In the pair-level join the
+// relations ResEq9 and ResEq10 of the paper are sets realised with
 // generation-stamped arrays, grouped by the start vertex v_i, so that a
 // membership test is one array read. The set *semantics* (which unions
 // happen where, and therefore which redundant/useless operations each
@@ -23,8 +22,7 @@ import (
 // differs from the paper's pseudocode:
 //
 //   - Side relations arrive as sealed pairs.Relation values, already
-//     grouped by start vertex (and, through the lazy transpose, by end
-//     vertex), so no per-call re-bucketing happens.
+//     grouped by start vertex, so no per-call re-bucketing happens.
 //   - The stamp sets and the ResEq9 tuple buffer come from a per-engine
 //     pool (joinScratch), and results are emitted through pooled
 //     relation builders, so a warm engine's joins run allocation-free up
@@ -183,159 +181,6 @@ func (e *engineVersion) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Clos
 	}
 
 	return e.joinPost(sc, post)
-}
-
-// EvalBatchUnitBackward is Algorithm 2 driven from the other side,
-// chosen by the cost-based planner when Post_G is far more selective
-// than Pre_G: the join is driven from Post's start vertices through the
-// *transposed* RTC, and Pre_G — already materialised — is joined in last
-// from the destination side. The elimination structure is Algorithm 2's
-// member-expansion form under transposition: SCC collapses play the
-// redundant-1/2 roles per distinct result end vertex v_l, and member
-// expansion needs no duplicate check.
-// Both relations arrive sealed, so the end-vertex runs this direction
-// wants are Post_G's transposed columns — built once per relation, then
-// reused by every batch unit that probes the same Post.
-func (e *engineVersion) EvalBatchUnitBackward(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	joinStart := time.Now()
-
-	sc := e.acquireScratch()
-	seen7 := &sc.seenA // transposed ResEq7, per v_l
-	seen8 := &sc.seenB // transposed ResEq8, per v_l
-
-	// resEq9 holds (v_l, v_j): the R{+,*} ⋈ Post_G tuples transposed,
-	// grouped by the result end vertex v_l.
-	var cancelErr error
-	resEq9 := sc.resEq9[:0]
-	postG.EachDst(func(vl graph.VID, vks []graph.VID) bool {
-		if cancelErr = e.checkpoint(len(vks)); cancelErr != nil {
-			return false
-		}
-		seen7.reset()
-		seen8.reset()
-		if typ == rpq.ClosureStar {
-			// Pre·R*·Post ⊇ Pre·Post: the zero-iteration paths join Pre
-			// directly to Post's start vertices (v_j = v_k).
-			for _, vk := range vks {
-				resEq9 = append(resEq9, pairs.Pair{Src: vl, Dst: vk})
-			}
-		}
-		for _, vk := range vks {
-			sk := structure.CompOf(vk)
-			if sk < 0 {
-				continue // v_k ∉ V_R ends no R+ path
-			}
-			if !seen7.add(sk) {
-				continue
-			}
-			for _, sj := range structure.ReachableInto(sk) {
-				if !seen8.add(int32(sj)) {
-					continue
-				}
-				members := structure.Members(int32(sj))
-				if cancelErr = e.checkpoint(len(members)); cancelErr != nil {
-					return false
-				}
-				for _, vj := range members {
-					resEq9 = append(resEq9, pairs.Pair{Src: vl, Dst: vj})
-				}
-			}
-		}
-		return true
-	})
-	sc.resEq9 = resEq9
-	e.addPreJoin(time.Since(joinStart))
-	if cancelErr != nil {
-		e.releaseScratch(sc)
-		return nil, cancelErr
-	}
-
-	return e.joinPreBackward(sc, preG)
-}
-
-// EvalBatchUnitFullBackward is the backward join over the full closure:
-// pair-level enumeration through the transposed closure with duplicate
-// checks everywhere, exactly as EvalBatchUnitFull is the pair-level
-// forward join.
-func (e *engineVersion) EvalBatchUnitFullBackward(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	joinStart := time.Now()
-
-	sc := e.acquireScratch()
-	seenV := &sc.seenA
-
-	var cancelErr error
-	resEq9 := sc.resEq9[:0]
-	postG.EachDst(func(vl graph.VID, vks []graph.VID) bool {
-		if cancelErr = e.checkpoint(len(vks)); cancelErr != nil {
-			return false
-		}
-		seenV.reset()
-		if typ == rpq.ClosureStar {
-			for _, vk := range vks {
-				if seenV.add(vk) {
-					resEq9 = append(resEq9, pairs.Pair{Src: vl, Dst: vk})
-				}
-			}
-		}
-		for _, vk := range vks {
-			into := closure.Into(vk)
-			if cancelErr = e.checkpoint(len(into)); cancelErr != nil {
-				return false
-			}
-			for _, vj := range into {
-				if seenV.add(vj) {
-					resEq9 = append(resEq9, pairs.Pair{Src: vl, Dst: vj})
-				}
-			}
-		}
-		return true
-	})
-	sc.resEq9 = resEq9
-	e.addPreJoin(time.Since(joinStart))
-	if cancelErr != nil {
-		e.releaseScratch(sc)
-		return nil, cancelErr
-	}
-
-	return e.joinPreBackward(sc, preG)
-}
-
-// joinPreBackward finishes a backward batch unit: sc.resEq9 holds (v_l,
-// v_j) tuples grouped by v_l, and every Pre_G tuple (v_i, v_j) extends
-// one to a result (v_i, v_l). Like joinPost this is Remainder time
-// (the strategies share it identically); the duplicate
-// check on v_i per v_l mirrors joinPost's on v_l per v_i. Pre_G is
-// walked end-vertex-first through its transposed columns — one lazy
-// build per relation, in place of the seed's per-call re-bucketing.
-// The scratch is released on return.
-func (e *engineVersion) joinPreBackward(sc *joinScratch, preG *pairs.Relation) (*pairs.Relation, error) {
-	t0 := time.Now()
-	defer func() { e.addRemainder(time.Since(t0)) }()
-	defer e.releaseScratch(sc)
-
-	out := e.acquireBuilder()
-	seenVi := &sc.seenA
-	resEq9 := sc.resEq9
-	for i := 0; i < len(resEq9); {
-		vl := resEq9[i].Src
-		seenVi.reset()
-		for ; i < len(resEq9) && resEq9[i].Src == vl; i++ {
-			vj := resEq9[i].Dst
-			srcs := preG.SrcsOf(vj)
-			if err := e.checkpoint(len(srcs) + 1); err != nil {
-				e.releaseBuilder(out)
-				return nil, err
-			}
-			for _, vi := range srcs {
-				if seenVi.add(vi) {
-					out.Add(vi, vl)
-				}
-			}
-		}
-	}
-	resEq10 := out.Seal()
-	e.releaseBuilder(out)
-	return resEq10, nil
 }
 
 // joinPost implements equations (9)→(10) — Algorithm 2 lines 13–16 — at

@@ -124,8 +124,8 @@ func asPanicError(query string, r any, err *error) {
 }
 
 // SetEvalHook installs a hook called with the canonical query text at
-// the start of every EvaluateRel-pipeline evaluation on this engine and
-// every fork created afterwards. It exists for fault injection: the
+// the start of every EvaluateRel-pipeline or ExplainAnalyze evaluation
+// on this engine and every fork created afterwards. It exists for fault injection: the
 // chaos tests and the panic-isolation storm make the hook panic for
 // chosen query strings to prove the recovery and quarantine machinery.
 // Install before the engine starts serving; the hook is copied, not

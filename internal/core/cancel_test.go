@@ -172,3 +172,39 @@ func TestPanicIsolatedToQuery(t *testing.T) {
 		t.Fatalf("query after fault removed: %v", err)
 	}
 }
+
+// TestExplainAnalyzeCtxGuards: the serving entry point of EXPLAIN ANALYZE
+// refuses a done context before any work, stops a running analysis at a
+// checkpoint, recovers a panic into *QueryPanicError, and folds the
+// fork's accounting back into the engine.
+func TestExplainAnalyzeCtxGuards(t *testing.T) {
+	e := New(fixtures.Figure1(), Options{})
+	poison := "a.b"
+	e.SetEvalHook(func(q string) {
+		if q == poison {
+			panic("injected evaluator fault")
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.ExplainAnalyzeCtx(ctx, rpq.MustParse("d.(b.c)+.c")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	var pe *QueryPanicError
+	if _, err := e.ExplainAnalyzeCtx(context.Background(), rpq.MustParse(poison)); !errors.As(err, &pe) {
+		t.Fatalf("poisoned: err = %v, want *QueryPanicError", err)
+	}
+	p, err := e.ExplainAnalyzeCtx(context.Background(), rpq.MustParse("d.(b.c)+.c"))
+	if err != nil || !p.Analyzed || p.ActualResultPairs != 2 {
+		t.Fatalf("healthy analyze: plan %+v, err %v", p, err)
+	}
+	if q := e.Stats().Queries; q != 2 {
+		t.Errorf("engine counted %d queries, want the 2 analyses that started", q)
+	}
+
+	heavy, q := heavyFixture(t)
+	cc := &countingCtx{Context: context.Background(), failAfter: 2}
+	if _, err := heavy.ExplainAnalyzeCtx(cc, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-run: err = %v, want context.Canceled", err)
+	}
+}

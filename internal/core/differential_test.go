@@ -9,7 +9,6 @@ import (
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/rtc"
 	"rtcshare/internal/workload"
 )
 
@@ -93,14 +92,11 @@ func (c differentialCase) queries(t *testing.T, dict *graph.Dict) []rpq.Expr {
 // the long-lived engine (incremental path: epoch-carried and patched
 // structures) must agree with a fresh engine rebuilt from scratch over
 // the updated graph AND with the compositional reference evaluator —
-// crossed over closure algorithms, planners, strategies and
-// the incremental/rebuild maintenance policies.
+// crossed over strategies and the incremental/rebuild maintenance
+// policies.
 func TestDifferentialUpdates(t *testing.T) {
 	configs := []Options{
-		{}, // BFS closure, heuristic planner
-		{TCAlgo: rtc.BitsetClosure},
-		{TCAlgo: rtc.NuutilaClosure},
-		{Planner: PlannerCostBased, TCAlgo: rtc.PurdomClosure},
+		{},
 		{Strategy: FullSharing},
 		{DisableIncremental: true}, // rebuild-on-update fallback policy
 	}
@@ -199,7 +195,6 @@ func TestDifferentialStrategiesMatchReference(t *testing.T) {
 	if len(cases) < 20 {
 		t.Fatalf("only %d graph/workload combinations, want ≥ 20", len(cases))
 	}
-	planners := []PlannerMode{PlannerHeuristic, PlannerCostBased}
 	for _, c := range cases {
 		g := c.graph(t)
 		qs := c.queries(t, g.Dict())
@@ -210,41 +205,23 @@ func TestDifferentialStrategiesMatchReference(t *testing.T) {
 			want[i] = eval.Reference(g, q)
 		}
 
-		// Every strategy × planner combination must agree with the
-		// oracle: the cost-based planner may pick different anchors,
-		// backward joins or automaton bypasses, but never different
-		// results.
+		// Every strategy must agree with the oracle.
 		for _, strategy := range strategies() {
-			for _, planner := range planners {
-				engine := New(g, Options{Strategy: strategy, Planner: planner})
-				for i, q := range qs {
-					got, err := engine.Evaluate(q)
-					if err != nil {
-						t.Fatalf("seed %d/%d %v/%v: evaluate %q: %v", c.graphSeed, c.workSeed, strategy, planner, q, err)
-					}
-					if !got.Equal(want[i]) {
-						t.Errorf("seed %d/%d %v/%v: %q: engine %d pairs, reference %d pairs",
-							c.graphSeed, c.workSeed, strategy, planner, q, got.Len(), want[i].Len())
-					}
+			engine := New(g, Options{Strategy: strategy})
+			for i, q := range qs {
+				got, err := engine.Evaluate(q)
+				if err != nil {
+					t.Fatalf("seed %d/%d %v: evaluate %q: %v", c.graphSeed, c.workSeed, strategy, q, err)
+				}
+				if !got.Equal(want[i]) {
+					t.Errorf("seed %d/%d %v: %q: engine %d pairs, reference %d pairs",
+						c.graphSeed, c.workSeed, strategy, q, got.Len(), want[i].Len())
 				}
 			}
 		}
 
-		// The data plane must never change answers: the bitset closure
-		// hybrid and the executor's native relation results run the same
-		// oracle. (The BFS default is already covered above.)
-		bitsetEngine := New(g, Options{TCAlgo: rtc.BitsetClosure})
-		for i, q := range qs {
-			got, err := bitsetEngine.Evaluate(q)
-			if err != nil {
-				t.Fatalf("seed %d/%d bitset: evaluate %q: %v", c.graphSeed, c.workSeed, q, err)
-			}
-			if !got.Equal(want[i]) {
-				t.Errorf("seed %d/%d bitset: %q: engine %d pairs, reference %d pairs",
-					c.graphSeed, c.workSeed, q, got.Len(), want[i].Len())
-			}
-		}
-		relEngine := New(g, Options{TCAlgo: rtc.BitsetClosure})
+		// The executor's native relation results run the same oracle.
+		relEngine := New(g, Options{})
 		for i, q := range qs {
 			got, err := relEngine.EvaluateRel(q)
 			if err != nil {
@@ -256,19 +233,15 @@ func TestDifferentialStrategiesMatchReference(t *testing.T) {
 			}
 		}
 
-		// The parallel path must agree with the same oracle under both
-		// planners.
-		for _, planner := range planners {
-			engine := New(g, Options{Planner: planner})
-			got, err := engine.EvaluateBatchParallel(qs, 4)
-			if err != nil {
-				t.Fatalf("seed %d/%d parallel/%v: %v", c.graphSeed, c.workSeed, planner, err)
-			}
-			for i := range qs {
-				if !got[i].Equal(want[i]) {
-					t.Errorf("seed %d/%d parallel/%v: %q: got %d pairs, reference %d pairs",
-						c.graphSeed, c.workSeed, planner, qs[i], got[i].Len(), want[i].Len())
-				}
+		// The parallel path must agree with the same oracle.
+		got, err := New(g, Options{}).EvaluateBatchParallel(qs, 4)
+		if err != nil {
+			t.Fatalf("seed %d/%d parallel: %v", c.graphSeed, c.workSeed, err)
+		}
+		for i := range qs {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("seed %d/%d parallel: %q: got %d pairs, reference %d pairs",
+					c.graphSeed, c.workSeed, qs[i], got[i].Len(), want[i].Len())
 			}
 		}
 	}

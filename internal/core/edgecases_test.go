@@ -179,11 +179,11 @@ func TestEvaluateSetOrderPreserved(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	g := fixtures.Figure1()
-	e := New(g, Options{Strategy: FullSharing, UseDFA: true})
+	e := New(g, Options{Strategy: FullSharing, MaxDNFClauses: 7})
 	if e.Graph() != g {
 		t.Error("Graph accessor wrong")
 	}
-	if e.Options().Strategy != FullSharing || !e.Options().UseDFA {
+	if e.Options().Strategy != FullSharing || e.Options().MaxDNFClauses != 7 {
 		t.Error("Options accessor wrong")
 	}
 }

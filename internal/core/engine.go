@@ -85,38 +85,13 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// PlannerMode selects how DNF clauses are planned before execution.
-type PlannerMode = plan.Mode
-
-const (
-	// PlannerHeuristic is the paper's fixed pipeline: rightmost closure
-	// anchor, forward join. This is the default.
-	PlannerHeuristic = plan.Heuristic
-	// PlannerCostBased enumerates every closure anchor in both join
-	// directions plus the direct-automaton bypass and picks the cheapest
-	// by estimated cardinality.
-	PlannerCostBased = plan.CostBased
-)
-
 // Options configure an Engine.
 type Options struct {
 	// Strategy selects the evaluation method. Default: RTCSharing.
 	Strategy Strategy
-	// Planner selects heuristic (the paper's rightmost-forward pipeline)
-	// or cost-based clause planning. Default: PlannerHeuristic.
-	Planner PlannerMode
-	// TCAlgo selects the transitive-closure algorithm used on the
-	// (reduced) graph. Default: BFS, matching Table III.
-	TCAlgo rtc.TCAlgorithm
-	// UseDFA determinises query automata before graph traversal.
-	UseDFA bool
 	// MaxDNFClauses bounds the DNF conversion; 0 means
 	// rpq.DefaultMaxClauses.
 	MaxDNFClauses int
-	// DisableCache turns off sharing of the closure structures across
-	// batch units (the BenchmarkAblationRTCCache ablation). NoSharing
-	// behaves as if it were always set (it never shares).
-	DisableCache bool
 	// DisableIncremental makes ApplyUpdates drop every affected cached
 	// structure instead of patching it incrementally — the
 	// rebuild-on-update fallback, exposed so the differential suite can
@@ -199,12 +174,6 @@ type engineShared struct {
 	// single writer; see StageTimer.
 	stages *StageTimer
 
-	// calib is the planner's cost recalibration state, fed by
-	// ExplainAnalyze cardinality error. The pointer is shared across
-	// Fork/forkVersion and survives graph updates, so observations from
-	// any worker recalibrate the whole engine family.
-	calib *plan.Calibration
-
 	// cancel, when non-nil, is the cooperative-cancellation state of the
 	// evaluation running on this engine. Like stages it is only ever
 	// attached to private forks (one evaluation, one goroutine), so it
@@ -213,9 +182,9 @@ type engineShared struct {
 	cancel *cancelState
 
 	// evalHook, when non-nil, runs at the start of every
-	// EvaluateRel-pipeline evaluation — the fault-injection seam the
-	// panic-isolation tests use. Copied to forks; install via
-	// SetEvalHook before serving starts.
+	// EvaluateRel-pipeline or ExplainAnalyze evaluation — the
+	// fault-injection seam the panic-isolation tests use. Copied to
+	// forks; install via SetEvalHook before serving starts.
 	evalHook func(query string)
 }
 
@@ -239,11 +208,11 @@ type engineVersion struct {
 	subRels map[string]*pairs.Relation
 
 	// scratchPool holds joinScratch values — the generation-stamped sets
-	// and tuple buffers of the pair-level and backward joins — kernelPool
-	// holds the forward RTC join's row kernels, and builderPool holds
-	// relation builders sized to this version's vertex space. All are
-	// version-local free lists: steady-state batch evaluation reuses the
-	// same columns instead of allocating per call.
+	// and tuple buffers of the pair-level join and the ASK probe —
+	// kernelPool holds the forward RTC join's row kernels, and
+	// builderPool holds relation builders sized to this version's vertex
+	// space. All are version-local free lists: steady-state batch
+	// evaluation reuses the same columns instead of allocating per call.
 	scratchPool sync.Pool
 	kernelPool  sync.Pool
 	builderPool sync.Pool
@@ -291,11 +260,11 @@ func New(g *graph.Graph, opts Options) *Engine {
 // strategy may share one cache: a sub-query computed by any of them is
 // reused by all, which extends the paper's intra-batch sharing across
 // concurrent query streams. The cache must not be shared between
-// engines with different graphs, strategies or TC algorithms — the
-// cache key is the sub-query text, which does not encode those. (After
-// ApplyUpdates the updated engine's epoch diverges from engines still
-// on the old graph; the epoch rules keep them correct, at the price of
-// no sharing between them.)
+// engines with different graphs or strategies — the cache key is the
+// sub-query text, which does not encode those. (After ApplyUpdates the
+// updated engine's epoch diverges from engines still on the old graph;
+// the epoch rules keep them correct, at the price of no sharing between
+// them.)
 func NewWithCache(g *graph.Graph, opts Options, cache *SharedCache) *Engine {
 	if cache == nil {
 		cache = NewSharedCache()
@@ -305,7 +274,6 @@ func NewWithCache(g *graph.Graph, opts Options, cache *SharedCache) *Engine {
 			opts:      opts,
 			cache:     cache,
 			summaries: make(map[string]SharedSummary),
-			calib:     plan.NewCalibration(),
 		},
 	}
 	e.ver.Store(newEngineVersion(&e.engineShared, g, cache.CurrentEpoch()))
@@ -351,7 +319,6 @@ func (e *Engine) forkVersion(v *engineVersion) *Engine {
 			opts:      e.opts,
 			cache:     e.cache,
 			summaries: make(map[string]SharedSummary),
-			calib:     e.calib,
 			evalHook:  e.evalHook,
 		},
 	}
@@ -471,8 +438,8 @@ func (e *Engine) EvaluateRelEpoch(q rpq.Expr) (*pairs.Relation, uint64, error) {
 // engine's current graph epoch, if the result cache holds a
 // completed one — the query service's non-blocking fast path: a hit
 // answers a request instantly, without taking an evaluation slot. A
-// miss reports false without computing anything. Non-caching
-// engines (NoSharing, DisableCache) always miss.
+// miss reports false without computing anything. NoSharing engines
+// never cache, so they always miss.
 func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	v := e.version()
 	if !v.shouldCache() {
@@ -493,13 +460,6 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	e.stats.Queries++
 	e.mu.Unlock()
 	return rel, v.epoch, true
-}
-
-// CostCalibration returns the planner cost model's current
-// recalibration factor and the number of ExplainAnalyze observations
-// behind it. Factor 1 means uncalibrated (or perfectly estimated).
-func (e *Engine) CostCalibration() (factor float64, samples int) {
-	return e.calib.Factor(), e.calib.Samples()
 }
 
 // evaluateRel runs the EvaluateRel pipeline entirely against this
@@ -539,7 +499,7 @@ func (e *Engine) EvaluateSet(qs []rpq.Expr) ([]*pairs.Set, error) {
 // another vertex space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	v := e.version()
-	if err := v.checkSpaces(preG, nil, len(structure.Components().CompOf)); err != nil {
+	if err := v.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
 		return nil, err
 	}
 	return v.EvalBatchUnit(preG, structure, typ, post)
@@ -550,45 +510,19 @@ func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq
 // the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	v := e.version()
-	if err := v.checkSpaces(preG, nil, closure.NumVertices()); err != nil {
+	if err := v.checkSpaces(preG, closure.NumVertices()); err != nil {
 		return nil, err
 	}
 	return v.EvalBatchUnitFull(preG, closure, typ, post)
 }
 
-// EvalBatchUnitBackward exposes the backward RTC join; see
-// engineVersion.EvalBatchUnitBackward. Inputs over another vertex space
-// than the graph's are rejected with an error.
-func (e *Engine) EvalBatchUnitBackward(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	v := e.version()
-	if err := v.checkSpaces(preG, postG, len(structure.Components().CompOf)); err != nil {
-		return nil, err
-	}
-	return v.EvalBatchUnitBackward(preG, structure, typ, postG)
-}
-
-// EvalBatchUnitFullBackward exposes the backward full-closure join; see
-// engineVersion.EvalBatchUnitFullBackward. Inputs over another vertex
-// space than the graph's are rejected with an error.
-func (e *Engine) EvalBatchUnitFullBackward(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, postG *pairs.Relation) (*pairs.Relation, error) {
-	v := e.version()
-	if err := v.checkSpaces(preG, postG, closure.NumVertices()); err != nil {
-		return nil, err
-	}
-	return v.EvalBatchUnitFullBackward(preG, closure, typ, postG)
-}
-
-// checkSpaces verifies, before a join starts, that Pre_G, Post_G (when
-// given) and the closure structure all cover the graph's vertex space:
-// a mismatch would otherwise index out of range in the middle of the
-// join.
-func (v *engineVersion) checkSpaces(preG, postG *pairs.Relation, structureVertices int) error {
+// checkSpaces verifies, before a join starts, that Pre_G and the closure
+// structure both cover the graph's vertex space: a mismatch would
+// otherwise index out of range in the middle of the join.
+func (v *engineVersion) checkSpaces(preG *pairs.Relation, structureVertices int) error {
 	n := v.g.NumVertices()
 	if got := preG.NumVertices(); got != n {
 		return fmt.Errorf("core: Pre_G covers %d vertices, the graph has %d", got, n)
-	}
-	if postG != nil && postG.NumVertices() != n {
-		return fmt.Errorf("core: Post_G covers %d vertices, the graph has %d", postG.NumVertices(), n)
 	}
 	if structureVertices != n {
 		return fmt.Errorf("core: the closure structure covers %d vertices, the graph has %d", structureVertices, n)
@@ -700,7 +634,7 @@ func (v *engineVersion) acquireEvaluator(q rpq.Expr) (*eval.Evaluator, string) {
 		return ev, key
 	}
 	v.evalMu.Unlock()
-	return eval.New(v.g, q, eval.Options{UseDFA: v.opts.UseDFA}), key
+	return eval.New(v.g, q, eval.Options{}), key
 }
 
 // releaseEvaluator returns an evaluator to the free list for reuse.
@@ -719,23 +653,18 @@ func (sh *engineShared) maxClauses() int {
 
 // planner returns this version's clause planner, building it on first
 // use from the version's graph statistics. The cached-structure probe
-// makes sunk closure costs visible to the cost model, so a warm cache
-// biases the planner toward anchors whose structures already exist.
+// lets the plan report, and the cost estimate exclude, closure
+// structures that already exist.
 func (v *engineVersion) planner() *plan.Planner {
 	v.plannerOnce.Do(func() {
-		v.qplanner = plan.New(v.g, plan.Config{
-			Mode:         v.opts.Planner,
-			SharedCached: v.sharedStructureCached,
-			Calibration:  v.calib,
-		})
+		v.qplanner = plan.New(v.g, plan.Config{SharedCached: v.sharedStructureCached})
 	})
 	return v.qplanner
 }
 
 // sharedStructureCached reports whether the shared closure structure for
 // r is already in the cache — at this version's epoch — under the
-// engine's strategy. Non-caching engines (NoSharing, DisableCache)
-// never have sunk structures.
+// engine's strategy. NoSharing engines never have sunk structures.
 func (v *engineVersion) sharedStructureCached(r rpq.Expr) bool {
 	if !v.shouldCache() {
 		return false

@@ -9,7 +9,6 @@ import (
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/rtc"
 )
 
 func strategies() []Strategy {
@@ -243,22 +242,6 @@ func TestNoSharingMatchesFullSharingOnSingleQuery(t *testing.T) {
 	}
 }
 
-func TestDisableCache(t *testing.T) {
-	g := fixtures.Figure1()
-	e := New(g, Options{Strategy: RTCSharing, DisableCache: true})
-	for i := 0; i < 2; i++ {
-		if _, err := e.EvaluateQuery("d.(b.c)+.c"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Stats().CacheHits != 0 {
-		t.Errorf("CacheHits = %d, want 0 with cache disabled", e.Stats().CacheHits)
-	}
-	if e.Stats().CacheMisses != 2 {
-		t.Errorf("CacheMisses = %d, want 2", e.Stats().CacheMisses)
-	}
-}
-
 func TestSharedSummaries(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{Strategy: RTCSharing})
@@ -288,30 +271,6 @@ func TestSharedSummaries(t *testing.T) {
 	}
 	if got := ef.SharedPairsTotal(); got != 10 {
 		t.Errorf("FullSharing shared pairs = %d, want 10 (Example 4)", got)
-	}
-}
-
-func TestTCAlgoOptions(t *testing.T) {
-	g := fixtures.Figure1()
-	want := eval.Evaluate(g, rpq.MustParse("d.(b.c)+.c"))
-	for _, algo := range []rtc.TCAlgorithm{rtc.BFSClosure, rtc.PurdomClosure, rtc.NuutilaClosure} {
-		e := New(g, Options{Strategy: RTCSharing, TCAlgo: algo})
-		got, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil || !got.Equal(want) {
-			t.Errorf("algo %v wrong (err=%v)", algo, err)
-		}
-	}
-}
-
-func TestUseDFAOption(t *testing.T) {
-	g := fixtures.Figure1()
-	want := eval.Evaluate(g, rpq.MustParse("d.(b.c)+.c"))
-	for _, s := range strategies() {
-		e := New(g, Options{Strategy: s, UseDFA: true})
-		got, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil || !got.Equal(want) {
-			t.Errorf("%v with DFA wrong (err=%v)", s, err)
-		}
 	}
 }
 
@@ -425,17 +384,12 @@ func TestCachedResultFastPath(t *testing.T) {
 		t.Fatal("stale epoch served from CachedResult")
 	}
 
-	// Non-caching configurations always miss, even warm.
-	for _, opts := range []Options{
-		{DisableCache: true},
-		{Strategy: NoSharing},
-	} {
-		ne := New(g, opts)
-		if _, err := ne.EvaluateRel(q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := ne.CachedResult(q); ok {
-			t.Fatalf("options %+v reported a cached result", opts)
-		}
+	// A non-caching engine always misses, even warm.
+	ne := New(g, Options{Strategy: NoSharing})
+	if _, err := ne.EvaluateRel(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := ne.CachedResult(q); ok {
+		t.Fatal("NoSharing reported a cached result")
 	}
 }

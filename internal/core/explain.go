@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -10,9 +11,10 @@ import (
 )
 
 // Plan describes how the engine would evaluate a query: the DNF clauses,
-// the planner's chosen physical execution per clause (anchor closure,
-// join direction, shared-structure vs direct automaton) with estimated
-// cardinalities, and which closure structures are already cached.
+// the planner's physical execution per clause (the rightmost-closure
+// batch unit joined through a shared structure, or the automaton
+// product) with estimated cardinalities, and which closure structures
+// are already cached.
 // Explain builds a Plan without executing anything; ExplainAnalyze also
 // runs the query and fills in the actual cardinalities.
 type Plan struct {
@@ -20,8 +22,6 @@ type Plan struct {
 	Query string
 	// Strategy that would execute the plan.
 	Strategy Strategy
-	// Planner is the planning mode that produced it.
-	Planner PlannerMode
 	// Clauses are the DNF batch units in evaluation order.
 	Clauses []PlanClause
 
@@ -44,13 +44,9 @@ type PlanClause struct {
 	// Kind is the physical operator: "shared" (batch-unit join through a
 	// closure structure) or "automaton" (direct product traversal).
 	Kind string
-	// Direction is "forward" or "backward" for shared plans.
-	Direction string
 	// Anchor is the index of the chosen closure among the clause's
 	// outermost closures, left to right; -1 when the clause has none.
 	Anchor int
-	// Candidates is how many physical alternatives the planner weighed.
-	Candidates int
 	// SharedCached reports whether the closure structure for R is
 	// already in the engine's cache (an RTC for RTCSharing, a full
 	// closure for FullSharing; always false for NoSharing).
@@ -64,12 +60,11 @@ type PlanClause struct {
 	EstCost                                            float64
 	EstPrePairs, EstClosurePairs, EstPostPairs, EstOut float64
 
-	// ActualPrePairs / ActualPostPairs are the materialised side-relation
-	// sizes (-1 when that side was not materialised); ActualPairs is the
-	// clause's result size; ActualTime its execution time. Set by
-	// ExplainAnalyze only.
-	ActualPrePairs, ActualPostPairs, ActualPairs int
-	ActualTime                                   time.Duration
+	// ActualPrePairs is the materialised Pre relation's size (-1 when the
+	// clause materialised none); ActualPairs is the clause's result size;
+	// ActualTime its execution time. Set by ExplainAnalyze only.
+	ActualPrePairs, ActualPairs int
+	ActualTime                  time.Duration
 }
 
 // ExplainQuery parses and plans a query without executing it.
@@ -111,6 +106,9 @@ func (e *Engine) ExplainAnalyze(q rpq.Expr) (*Plan, error) {
 	e.stats.Queries++
 	e.mu.Unlock()
 	v := e.version()
+	if v.evalHook != nil {
+		v.evalHook(q.String())
+	}
 
 	var obs planObserver
 	start := time.Now()
@@ -126,20 +124,37 @@ func (e *Engine) ExplainAnalyze(q rpq.Expr) (*Plan, error) {
 	for i := range p.Clauses {
 		act := obs.actuals[i]
 		p.Clauses[i].ActualPrePairs = act.Pre
-		p.Clauses[i].ActualPostPairs = act.Post
 		p.Clauses[i].ActualPairs = act.Result
 		p.Clauses[i].ActualTime = act.Elapsed
-		// Measured cardinality error recalibrates the planner's absolute
-		// cost scale: every analyzed clause is one observation of how far
-		// the estimator's output prediction sat from reality.
-		e.calib.Observe(p.Clauses[i].EstOut, float64(act.Result))
 	}
 	return p, nil
 }
 
+// ExplainAnalyzeCtx is ExplainAnalyze with cooperative cancellation: the
+// query runs on a private fork with ctx (which may be nil) attached,
+// aborting at the next checkpoint once ctx is done, and a panic during
+// it is recovered into a *QueryPanicError. It is the serving layer's
+// /explain?analyze=1 entry point, guarded like EvaluateRelTimedCtx.
+func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, q rpq.Expr) (p *Plan, err error) {
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+	}
+	worker := e.Fork()
+	worker.setCancel(ctx)
+	defer func() {
+		r := recover()
+		worker.setCancel(nil)
+		e.absorb(worker)
+		asPanicError(q.String(), r, &err)
+	}()
+	return worker.ExplainAnalyze(q)
+}
+
 // describePlan renders a logical QueryPlan into the public Plan form.
 func (e *engineVersion) describePlan(qp *plan.QueryPlan) *Plan {
-	p := &Plan{Query: qp.Query.String(), Strategy: e.opts.Strategy, Planner: qp.Mode}
+	p := &Plan{Query: qp.Query.String(), Strategy: e.opts.Strategy}
 	for _, cp := range qp.Clauses {
 		bu := cp.Unit
 		pc := PlanClause{
@@ -149,23 +164,20 @@ func (e *engineVersion) describePlan(qp *plan.QueryPlan) *Plan {
 			Type:            bu.Type.String(),
 			Post:            bu.Post.String(),
 			Kind:            cp.Kind.String(),
-			Direction:       cp.Direction.String(),
 			Anchor:          bu.Anchor,
-			Candidates:      cp.Candidates,
 			EstCost:         cp.Est.Cost,
 			EstPrePairs:     cp.Est.PrePairs,
 			EstClosurePairs: cp.Est.ClosurePairs,
 			EstPostPairs:    cp.Est.PostPairs,
 			EstOut:          cp.Est.OutPairs,
 			ActualPrePairs:  -1,
-			ActualPostPairs: -1,
 		}
 		if bu.Type != rpq.ClosureNone {
 			pc.PreHasKleene = rpq.HasKleene(bu.Pre)
 			// The cached flag is the state the planner saw at plan time
 			// (for an analyzed plan, before execution populated the
-			// cache). The planner's probe already excludes engines that
-			// never reuse structures (NoSharing, DisableCache).
+			// cache). The planner's probe already excludes NoSharing
+			// engines, which never reuse structures.
 			pc.SharedCached = cp.SharedCached
 		}
 		p.Clauses = append(p.Clauses, pc)
@@ -176,8 +188,8 @@ func (e *engineVersion) describePlan(qp *plan.QueryPlan) *Plan {
 // String renders the plan as an indented tree.
 func (p *Plan) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "plan for %s (strategy %s, planner %s, %d clause(s))\n",
-		p.Query, p.Strategy, p.Planner, len(p.Clauses))
+	fmt.Fprintf(&sb, "plan for %s (strategy %s, %d clause(s))\n",
+		p.Query, p.Strategy, len(p.Clauses))
 	for i, c := range p.Clauses {
 		fmt.Fprintf(&sb, "  clause %d: %s\n", i+1, c.Clause)
 		if c.Type == rpq.ClosureNone.String() {
@@ -186,14 +198,10 @@ func (p *Plan) String() string {
 			p.writeActuals(&sb, c)
 			continue
 		}
-		fmt.Fprintf(&sb, "    Pre=%s  R=%s  Type=%s  Post=%s  (anchor %d of %d candidate plan(s))\n",
-			c.Pre, c.R, c.Type, c.Post, c.Anchor, c.Candidates)
-		fmt.Fprintf(&sb, "    exec: %s", c.Kind)
-		if c.Kind == plan.KindShared.String() {
-			fmt.Fprintf(&sb, " %s", c.Direction)
-		}
-		fmt.Fprintf(&sb, "  est cost %.0f  est |Pre|=%.0f |R+|=%.0f |Post|=%.0f out=%.0f\n",
-			c.EstCost, c.EstPrePairs, c.EstClosurePairs, c.EstPostPairs, c.EstOut)
+		fmt.Fprintf(&sb, "    Pre=%s  R=%s  Type=%s  Post=%s  (anchor %d)\n",
+			c.Pre, c.R, c.Type, c.Post, c.Anchor)
+		fmt.Fprintf(&sb, "    exec: %s  est cost %.0f  est |Pre|=%.0f |R+|=%.0f |Post|=%.0f out=%.0f\n",
+			c.Kind, c.EstCost, c.EstPrePairs, c.EstClosurePairs, c.EstPostPairs, c.EstOut)
 		if c.PreHasKleene {
 			fmt.Fprintf(&sb, "    Pre contains Kleene closures: recursive evaluation\n")
 		}
@@ -219,9 +227,6 @@ func (p *Plan) writeActuals(sb *strings.Builder, c PlanClause) {
 	fmt.Fprintf(sb, "    actual: %d pairs in %v", c.ActualPairs, c.ActualTime)
 	if c.ActualPrePairs >= 0 {
 		fmt.Fprintf(sb, "  |Pre_G|=%d", c.ActualPrePairs)
-	}
-	if c.ActualPostPairs >= 0 {
-		fmt.Fprintf(sb, "  |Post_G|=%d", c.ActualPostPairs)
 	}
 	sb.WriteByte('\n')
 }

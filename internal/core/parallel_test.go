@@ -261,10 +261,10 @@ func TestEvaluateBatchParallelDegenerate(t *testing.T) {
 	}
 }
 
-// TestExplainDisableCacheIgnoresSharedEntries pins the Explain fix: an
+// TestExplainNoSharingIgnoresSharedEntries pins the Explain fix: an
 // engine that will never reuse structures must not report a sibling's
 // cached entry as its own.
-func TestExplainDisableCacheIgnoresSharedEntries(t *testing.T) {
+func TestExplainNoSharingIgnoresSharedEntries(t *testing.T) {
 	g := stressGraph(t, 31)
 	cache := NewSharedCache()
 	warm := NewWithCache(g, Options{}, cache)
@@ -272,13 +272,13 @@ func TestExplainDisableCacheIgnoresSharedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := NewWithCache(g, Options{DisableCache: true}, cache)
+	cold := NewWithCache(g, Options{Strategy: NoSharing}, cache)
 	plan, err := cold.ExplainQuery("l0.(l1.l2)+.l3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Clauses[0].SharedCached {
-		t.Errorf("DisableCache engine reports SharedCached=true, but evaluation will recompute")
+		t.Errorf("NoSharing engine reports SharedCached=true, but evaluation will recompute")
 	}
 
 	// The sharing sibling does see it.

@@ -35,12 +35,12 @@ type fullValue struct {
 }
 
 // clauseActuals records what one clause execution really did, for the
-// estimated-vs-actual comparison EXPLAIN ANALYZE reports. Pre and Post
-// are -1 when that side was not materialised as a relation.
+// estimated-vs-actual comparison EXPLAIN ANALYZE reports. Pre is -1
+// when the clause materialised no Pre relation.
 type clauseActuals struct {
-	Result    int
-	Pre, Post int
-	Elapsed   time.Duration
+	Result  int
+	Pre     int
+	Elapsed time.Duration
 }
 
 // planObserver captures the chosen plan and per-clause actuals of one
@@ -53,11 +53,9 @@ type planObserver struct {
 // evaluateSharing implements Algorithm 1 (RTCSharing) and its FullSharing
 // counterpart, split into plan → execute: convert the query to DNF
 // treating outermost Kleene closures as literals, plan each clause
-// (anchor closure, join direction, shared-structure vs direct
-// automaton), execute the clause plans, and union the results. Under the
-// default heuristic planner the plans are exactly Algorithm 1's —
-// rightmost closure, forward join — so the paper's pipeline is the
-// special case the cost-based mode deviates from only on estimated wins.
+// (Algorithm 1's split at the rightmost closure, or the automaton
+// product for a closure-free clause), execute the clause plans, and
+// union the results.
 //
 // The executor runs on sealed columnar relations; the public result is a
 // mutable Set, materialised once at this boundary.
@@ -78,7 +76,7 @@ func (e *engineVersion) evaluateSharing(q rpq.Expr) (*pairs.Set, error) {
 // labels it mentions, so the epoch migration's label-disjointness rule
 // applies to it verbatim, and a query untouched by an update batch is
 // answered from the carried sealed relation with zero recomputation.
-// Non-caching engines (NoSharing, DisableCache) evaluate directly.
+// NoSharing engines evaluate directly.
 func (e *engineVersion) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 	if !e.shouldCache() {
 		return e.evaluatePlanned(q, nil)
@@ -167,13 +165,12 @@ func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.R
 // the executor half of the plan/execute split: all physical decisions
 // were made by the planner, and this switch only dispatches them.
 func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActuals, error) {
-	act := clauseActuals{Pre: -1, Post: -1}
+	act := clauseActuals{Pre: -1}
 
 	if cp.Kind == plan.KindAutomaton {
-		// Algorithm 1 line 6 (closure-free clause) and the planner's
-		// bypass for selective closure clauses: one product traversal,
-		// seeded with the first-step candidates when admissible, emitting
-		// straight into a pooled builder sealed once.
+		// Algorithm 1 line 6 (closure-free clause): one product
+		// traversal, seeded with the first-step candidates when
+		// admissible, emitting straight into a pooled builder sealed once.
 		t0 := time.Now()
 		ev, key := e.acquireEvaluator(cp.Clause)
 		b := e.acquireBuilder()
@@ -187,23 +184,14 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 		return clauseG, act, nil
 	}
 
-	// Algorithm 1 line 8: the side relations evaluate recursively (they
-	// may contain further Kleene closures when the anchor is not the
-	// rightmost closure).
+	// Algorithm 1 line 8: Pre evaluates recursively (it may contain
+	// further Kleene closures left of the rightmost one).
 	bu := cp.Unit
 	preG, err := e.subEvaluateRel(bu.Pre)
 	if err != nil {
 		return nil, act, err
 	}
 	act.Pre = preG.Len()
-
-	var postG *pairs.Relation
-	if cp.Direction == plan.Backward {
-		if postG, err = e.subEvaluateRel(bu.Post); err != nil {
-			return nil, act, err
-		}
-		act.Post = postG.Len()
-	}
 
 	var clauseG *pairs.Relation
 	switch e.opts.Strategy {
@@ -212,12 +200,7 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 		if err != nil {
 			return nil, act, err
 		}
-		if cp.Direction == plan.Backward {
-			clauseG, err = e.EvalBatchUnitBackward(preG, r, bu.Type, postG)
-		} else {
-			clauseG, err = e.EvalBatchUnit(preG, r, bu.Type, bu.Post)
-		}
-		if err != nil {
+		if clauseG, err = e.EvalBatchUnit(preG, r, bu.Type, bu.Post); err != nil {
 			return nil, act, err
 		}
 	case FullSharing, NoSharing:
@@ -230,12 +213,7 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 		if err != nil {
 			return nil, act, err
 		}
-		if cp.Direction == plan.Backward {
-			clauseG, err = e.EvalBatchUnitFullBackward(preG, closure, bu.Type, postG)
-		} else {
-			clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post)
-		}
-		if err != nil {
+		if clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post); err != nil {
 			return nil, act, err
 		}
 	}
@@ -301,9 +279,9 @@ func (e *engineVersion) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 
 // shouldCache reports whether shared structures and sub-results may be
 // reused across queries. NoSharing never caches — that is its defining
-// property — and DisableCache turns reuse off for the ablation study.
+// property.
 func (sh *engineShared) shouldCache() bool {
-	return sh.opts.Strategy != NoSharing && !sh.opts.DisableCache
+	return sh.opts.Strategy != NoSharing
 }
 
 // getRTC returns the shared RTC for R, computing it on first use
@@ -372,7 +350,7 @@ func (e *engineVersion) computeRTC(r rpq.Expr) (*rtcValue, error) {
 	// engine's cancellation checkpoint (if any): it is the dominant cost
 	// of an RTC, so an abandoned query stops here, not after.
 	t0 := time.Now()
-	structure, err := rtc.ComputeCheck(gr, e.opts.TCAlgo, e.checkpointFn()) // line 11: Compute_RTC
+	structure, err := rtc.ComputeCheck(gr, e.checkpointFn()) // line 11: Compute_RTC
 	e.addShared(time.Since(t0))
 	if err != nil {
 		return nil, err

@@ -101,20 +101,3 @@ func TestEvaluateRelTimedDetaches(t *testing.T) {
 		t.Fatalf("untimed evaluation mutated a detached timer: %+v -> %+v", snap, st)
 	}
 }
-
-// TestCalibrationSharedAcrossForks: the calibration accessor starts
-// neutral, and forks observe into the same calibration state, so
-// serving workers recalibrate the family.
-func TestCalibrationSharedAcrossForks(t *testing.T) {
-	e := New(fixtures.Figure1(), Options{})
-	if f, n := e.CostCalibration(); f != 1 || n != 0 {
-		t.Fatalf("fresh engine calibration = (%v, %d), want (1, 0)", f, n)
-	}
-	w := e.Fork()
-	if _, err := w.ExplainAnalyze(rpq.MustParse("(b.c)+")); err != nil {
-		t.Fatal(err)
-	}
-	if f, n := e.CostCalibration(); n == 0 || f <= 0 {
-		t.Fatalf("fork's ExplainAnalyze observation did not reach the parent's calibration: (%v, %d)", f, n)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/plan"
 	"rtcshare/internal/rpq"
+	"rtcshare/internal/rtc"
 	"rtcshare/internal/tc"
 )
 
@@ -30,7 +31,7 @@ import (
 // stream emits the same set grouped by ascending source, each source's
 // destinations ORed into one reusable vertex bitset (the dedup) and
 // popped in ascending bit order (the sort) — which the differential
-// streaming suite enforces across strategies and planners.
+// streaming suite enforces across strategies.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -88,10 +89,8 @@ type ResultStream struct {
 }
 
 // clauseStream is the per-clause producer: the resolved inputs of one
-// planned clause, re-driven one source vertex at a time. Shared-plan
-// clauses always execute in forward orientation — streaming must emit
-// in ascending source order, which only the Pre-driven loop yields; the
-// backward direction remains an ASK-only optimisation.
+// planned clause, re-driven one source vertex at a time. The Pre-driven
+// join yields exactly the ascending source order a stream must emit.
 type clauseStream struct {
 	cp plan.ClausePlan
 
@@ -112,15 +111,6 @@ type clauseStream struct {
 
 	sc   *joinScratch // seenB = per-source frontier stamps; the Post memo
 	mids []graph.VID  // per-source Pre⋈R{+,*} frontier
-}
-
-// rtcHandle is the slice of the RTC interface the ASK probes need; it
-// keeps them testable without building real structures.
-type rtcHandle interface {
-	CompOf(v graph.VID) int32
-	ReachableFrom(sid int32) []graph.VID
-	ReachableInto(sid int32) []graph.VID
-	Members(sid int32) []graph.VID
 }
 
 // OpenStream opens a pull-based stream over the result of q, pinned to
@@ -195,10 +185,7 @@ func (s *ResultStream) open(q rpq.Expr) error {
 	return nil
 }
 
-// openClause resolves one planned clause's inputs. Shared plans run
-// forward regardless of the planned direction: the stream's contract is
-// ascending source order, which the Post-driven backward loop cannot
-// produce incrementally.
+// openClause resolves one planned clause's inputs.
 func (s *ResultStream) openClause(cp *plan.ClausePlan) (*clauseStream, error) {
 	v := s.v
 	cs := &clauseStream{cp: *cp}
@@ -484,10 +471,7 @@ func (e *Engine) Ask(ctx context.Context, q rpq.Expr) (bool, uint64, error) {
 // AskCounted is Ask plus the rows-scanned counter the short-circuit
 // tests assert on: the probe stops within one source expansion of the
 // first hit, so rows stays far below the full evaluation's row count on
-// any non-trivial answer. Clause probes follow the planner's ASK
-// direction choice (PlanClauseAsk): a selective Post drives the probe
-// backward through the transposed structure, reaching a first hit
-// without expanding Pre's whole fan-out.
+// any non-trivial answer.
 func (e *Engine) AskCounted(ctx context.Context, q rpq.Expr) (found bool, epoch uint64, rows int64, err error) {
 	if rel, ep, ok := e.CachedResult(q); ok {
 		return rel.Len() > 0, ep, 0, nil
@@ -520,7 +504,7 @@ func (v *engineVersion) askPlanned(q rpq.Expr) (bool, int64, error) {
 	}
 	var rows int64
 	for _, clause := range clauses {
-		cp := v.planner().PlanClauseAsk(clause)
+		cp := v.planner().PlanClause(clause)
 		found, err := v.askClause(&cp, &rows)
 		if err != nil {
 			return false, rows, err
@@ -573,7 +557,7 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 		return false, err
 	}
 	var (
-		structure rtcHandle
+		structure *rtc.RTC
 		closure   *tc.Closure
 	)
 	switch v.opts.Strategy {
@@ -586,19 +570,12 @@ func (v *engineVersion) askClause(cp *plan.ClausePlan, rows *int64) (bool, error
 			return false, err
 		}
 	}
-	if cp.Direction == plan.Backward {
-		postG, err := v.subEvaluateRel(bu.Post)
-		if err != nil {
-			return false, err
-		}
-		return v.askBackward(cp, preG, postG, structure, closure, rows)
-	}
 	return v.askForward(cp, preG, structure, closure, rows)
 }
 
 // askForward drives the existence probe from Pre's side, stopping at
 // the first (vi, vl): the forward stream's fillRun, truncated.
-func (v *engineVersion) askForward(cp *plan.ClausePlan, preG *pairs.Relation, structure rtcHandle, closure *tc.Closure, rows *int64) (found bool, err error) {
+func (v *engineVersion) askForward(cp *plan.ClausePlan, preG *pairs.Relation, structure *rtc.RTC, closure *tc.Closure, rows *int64) (found bool, err error) {
 	var postEv *eval.Evaluator
 	_, postIsEps := cp.Unit.Post.(rpq.Epsilon)
 	if !postIsEps {
@@ -666,77 +643,6 @@ func (v *engineVersion) askForward(cp *plan.ClausePlan, preG *pairs.Relation, st
 						continue
 					}
 					if hasPost(vk) {
-						found = true
-						return false
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found, err
-}
-
-// askBackward drives the existence probe from Post's side through the
-// transposed structure, probing Pre's end-vertex runs — cheaper when
-// Post is far more selective than Pre, which is exactly when
-// PlanClauseAsk picks it.
-func (v *engineVersion) askBackward(cp *plan.ClausePlan, preG, postG *pairs.Relation, structure rtcHandle, closure *tc.Closure, rows *int64) (found bool, err error) {
-	sc := v.acquireScratch()
-	defer v.releaseScratch(sc)
-	seen7, seen8 := &sc.seenA, &sc.seenB
-
-	// hasPre reports whether any Pre tuple ends at vj.
-	hasPre := func(vj graph.VID) bool {
-		*rows++
-		return len(preG.SrcsOf(vj)) > 0
-	}
-
-	postG.EachDst(func(vl graph.VID, vks []graph.VID) bool {
-		if err = v.checkpoint(len(vks)); err != nil {
-			return false
-		}
-		*rows += int64(len(vks))
-		seen7.reset()
-		seen8.reset()
-		if cp.Unit.Type == rpq.ClosureStar {
-			for _, vk := range vks {
-				if hasPre(vk) {
-					found = true
-					return false
-				}
-			}
-		}
-		for _, vk := range vks {
-			if structure != nil {
-				sk := structure.CompOf(vk)
-				if sk < 0 || !seen7.add(sk) {
-					continue
-				}
-				for _, sj := range structure.ReachableInto(sk) {
-					if !seen8.add(int32(sj)) {
-						continue
-					}
-					for _, vj := range structure.Members(int32(sj)) {
-						if hasPre(vj) {
-							found = true
-							return false
-						}
-					}
-					if err = v.checkpoint(1); err != nil {
-						return false
-					}
-				}
-			} else {
-				into := closure.Into(vk)
-				if err = v.checkpoint(len(into)); err != nil {
-					return false
-				}
-				for _, vj := range into {
-					if !seen8.add(vj) {
-						continue
-					}
-					if hasPre(vj) {
 						found = true
 						return false
 					}

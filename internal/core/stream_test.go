@@ -70,7 +70,7 @@ func pairsEqual(got, want []pairs.Pair) bool {
 }
 
 // TestStreamMatchesSealedDifferential is the core oracle: across random
-// graphs × workloads × strategies × planners, a live stream
+// graphs × workloads × strategies, a live stream
 // must reproduce the sealed relation's exact (src, dst) order — prefix
 // equality, not just set equality — through awkward buffer sizes, and
 // the memo-warm sealed-backed stream must agree with both.
@@ -81,10 +81,9 @@ func TestStreamMatchesSealedDifferential(t *testing.T) {
 		qs := c.queries(t, g.Dict())
 
 		configs := []Options{
-			{Strategy: RTCSharing, Planner: PlannerHeuristic},
-			{Strategy: RTCSharing, Planner: PlannerCostBased},
-			{Strategy: FullSharing, Planner: PlannerCostBased},
-			{Strategy: NoSharing, Planner: PlannerHeuristic},
+			{Strategy: RTCSharing},
+			{Strategy: FullSharing},
+			{Strategy: NoSharing},
 		}
 		for _, opts := range configs {
 			sealedEngine := New(g, opts)
@@ -184,7 +183,7 @@ func TestStreamPinnedAcrossUpdates(t *testing.T) {
 		rpq.MustParse("l1.l0*.l2?"),
 		rpq.MustParse("l2|^l0+"),
 	}
-	for _, opts := range []Options{{}, {Strategy: FullSharing}, {Planner: PlannerCostBased}} {
+	for _, opts := range []Options{{}, {Strategy: FullSharing}} {
 		engine := New(g, opts)
 		g0 := engine.Graph()
 		oracles := make([]*pairsSet, len(queries))
@@ -353,10 +352,9 @@ func TestAskMatchesSealed(t *testing.T) {
 		g := c.graph(t)
 		qs := c.queries(t, g.Dict())
 		for _, opts := range []Options{
-			{Strategy: RTCSharing, Planner: PlannerHeuristic},
-			{Strategy: RTCSharing, Planner: PlannerCostBased},
-			{Strategy: FullSharing, Planner: PlannerCostBased},
-			{Strategy: NoSharing, Planner: PlannerHeuristic},
+			{Strategy: RTCSharing},
+			{Strategy: FullSharing},
+			{Strategy: NoSharing},
 		} {
 			engine := New(g, opts)
 			oracle := New(g, opts)
@@ -434,54 +432,6 @@ func TestAskShortCircuits(t *testing.T) {
 	}
 	if !found || rows != 0 {
 		t.Fatalf("cached ask = (%v, %d rows), want (true, 0)", found, rows)
-	}
-}
-
-// TestAskBackwardProbe forces the cost-based ASK planner into the
-// backward direction with a hugely selective Post, and checks the probe
-// still answers correctly with a small row count.
-func TestAskBackwardProbe(t *testing.T) {
-	const n = 80
-	b := graph.NewBuilder(n)
-	// Dense Pre: many pre-edges per vertex, so the forward plan's
-	// Pre⋈R+ join term (|Pre|·jt) dwarfs the backward plan's extra
-	// eval of the one-edge Post, forcing the planner backward.
-	for i := 0; i < n; i++ {
-		for k := 0; k < 8; k++ {
-			b.MustAddEdge(graph.VID(i), "pre", graph.VID((i*7+k+1)%n))
-		}
-		b.MustAddEdge(graph.VID(i), "l0", graph.VID((i+1)%n))
-	}
-	// Selective Post: exactly one edge.
-	b.MustAddEdge(3, "post", 4)
-	g := b.Build()
-
-	engine := New(g, Options{Planner: PlannerCostBased})
-	q := rpq.MustParse("pre.l0+.post")
-	found, _, rows, err := engine.AskCounted(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("ask(pre.l0+.post) = false, want true")
-	}
-	want, err := New(g, Options{}).EvaluateRel(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("fixture broken: sealed result empty")
-	}
-	if rows > 5*n {
-		t.Fatalf("backward ask scanned %d rows, want ≤ %d", rows, 5*n)
-	}
-	// The uncounted wrapper agrees.
-	found2, epoch, err := engine.Ask(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found2 || epoch != engine.Epoch() {
-		t.Fatalf("Ask = (%v, %d), want (true, %d)", found2, epoch, engine.Epoch())
 	}
 }
 

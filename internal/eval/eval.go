@@ -20,14 +20,9 @@ import (
 	"rtcshare/internal/rpq"
 )
 
-// Options configure evaluation.
-type Options struct {
-	// UseDFA determinises the query automaton before traversal. The
-	// product space shrinks (one state per (vertex, DFA state)) at the
-	// cost of subset construction; the ablation benchmark
-	// BenchmarkAblationDFA quantifies the trade.
-	UseDFA bool
-}
+// Options configure evaluation. There are none; the struct survives
+// because the benchmark replay pins the New(g, e, Options{}) signature.
+type Options struct{}
 
 // Evaluator evaluates one compiled query over one graph, possibly from
 // many different start-vertex sets. It reuses traversal scratch space
@@ -36,8 +31,6 @@ type Evaluator struct {
 	g    *graph.Graph
 	expr rpq.Expr
 	nfa  *automata.NFA
-	dfa  *automata.DFA
-	opts Options
 
 	numStates int
 	// stamp[state*|V|+v] == generation marks (v, state) visited for the
@@ -65,14 +58,10 @@ type prodState struct {
 }
 
 // New compiles e against g's label dictionary and returns an Evaluator.
-func New(g *graph.Graph, e rpq.Expr, opts Options) *Evaluator {
-	ev := &Evaluator{g: g, expr: e, opts: opts}
+func New(g *graph.Graph, e rpq.Expr, _ Options) *Evaluator {
+	ev := &Evaluator{g: g, expr: e}
 	ev.nfa = automata.Compile(e, g.Dict())
 	ev.numStates = ev.nfa.NumStates()
-	if opts.UseDFA {
-		ev.dfa = automata.Determinize(ev.nfa)
-		ev.numStates = ev.dfa.NumStates()
-	}
 	ev.stamp = make([]uint32, ev.numStates*g.NumVertices())
 	return ev
 }
@@ -124,7 +113,7 @@ func (ev *Evaluator) EvaluateAllParallel(workers int) *pairs.Set {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			worker := New(ev.g, ev.expr, ev.opts)
+			worker := New(ev.g, ev.expr, Options{})
 			out := pairs.NewSet()
 			for v := w; v < n; v += workers {
 				worker.fromVertex(graph.VID(v), out)
@@ -230,28 +219,6 @@ func (ev *Evaluator) traverse(start graph.VID, emit func(graph.VID)) {
 	ev.stack = ev.stack[:0]
 	mark(0, start)
 	ev.stack = append(ev.stack, prodState{v: start, state: 0})
-
-	if ev.opts.UseDFA {
-		for len(ev.stack) > 0 {
-			top := ev.stack[len(ev.stack)-1]
-			ev.stack = ev.stack[:len(ev.stack)-1]
-			if ev.dfa.IsAccept(int(top.state)) {
-				emit(top.v)
-			}
-			for _, ld := range ev.dfa.Labels() {
-				next := ev.dfa.StepDir(int(top.state), ld)
-				if next < 0 {
-					continue
-				}
-				for _, w := range ev.neighbors(top.v, ld.Label, ld.Inverse) {
-					if mark(int32(next), w) {
-						ev.stack = append(ev.stack, prodState{v: w, state: int32(next)})
-					}
-				}
-			}
-		}
-		return
-	}
 
 	for len(ev.stack) > 0 {
 		top := ev.stack[len(ev.stack)-1]

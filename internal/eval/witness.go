@@ -40,28 +40,6 @@ func (ev *Evaluator) AnyFrom(start graph.VID) bool {
 	mark(0, start)
 	ev.stack = append(ev.stack, prodState{v: start, state: 0})
 
-	if ev.opts.UseDFA {
-		for len(ev.stack) > 0 {
-			top := ev.stack[len(ev.stack)-1]
-			ev.stack = ev.stack[:len(ev.stack)-1]
-			if ev.dfa.IsAccept(int(top.state)) {
-				return true
-			}
-			for _, ld := range ev.dfa.Labels() {
-				next := ev.dfa.StepDir(int(top.state), ld)
-				if next < 0 {
-					continue
-				}
-				for _, w := range ev.neighbors(top.v, ld.Label, ld.Inverse) {
-					if mark(int32(next), w) {
-						ev.stack = append(ev.stack, prodState{v: w, state: int32(next)})
-					}
-				}
-			}
-		}
-		return false
-	}
-
 	for len(ev.stack) > 0 {
 		top := ev.stack[len(ev.stack)-1]
 		ev.stack = ev.stack[:len(ev.stack)-1]
@@ -100,9 +78,7 @@ func (ev *Evaluator) AnyFrom(start graph.VID) bool {
 // The search is a BFS over the (vertex, NFA-state) product with parent
 // tracking, so the first accepting (dst, ·) dequeued is reached by a
 // minimal number of edges. It allocates two int32 columns over the
-// product space per call and builds no new shared structures. The NFA
-// is used even on UseDFA evaluators: witness reconstruction wants arc
-// labels, which the NFA carries directly.
+// product space per call and builds no new shared structures.
 func (ev *Evaluator) Witness(src, dst graph.VID) (path []rpq.Label, ok bool) {
 	n := ev.g.NumVertices()
 	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {

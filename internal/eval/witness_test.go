@@ -58,13 +58,10 @@ func TestAnyFromMatchesReference(t *testing.T) {
 			hasSrc[graph.VID(src)] = true
 			return true
 		})
-		for _, opts := range []Options{{}, {UseDFA: true}} {
-			ev := New(g, q, opts)
-			for v := 0; v < g.NumVertices(); v++ {
-				got := ev.AnyFrom(graph.VID(v))
-				if got != hasSrc[graph.VID(v)] {
-					t.Errorf("%q opts=%+v: AnyFrom(%d) = %v, reference says %v", qs, opts, v, got, hasSrc[graph.VID(v)])
-				}
+		ev := New(g, q, Options{})
+		for v := 0; v < g.NumVertices(); v++ {
+			if got := ev.AnyFrom(graph.VID(v)); got != hasSrc[graph.VID(v)] {
+				t.Errorf("%q: AnyFrom(%d) = %v, reference says %v", qs, v, got, hasSrc[graph.VID(v)])
 			}
 		}
 	}
@@ -170,11 +167,5 @@ func TestWitnessEdgeCases(t *testing.T) {
 	ev2 := New(g, rpq.MustParse("d.(b.c)+.c"), Options{})
 	if _, ok := ev2.Witness(0, 1); ok {
 		t.Error("Witness(0,1) returned ok for a non-member pair")
-	}
-	// DFA evaluators still reconstruct witnesses (over the NFA arcs).
-	ev3 := New(g, rpq.MustParse("(b.c)+"), Options{UseDFA: true})
-	path, ok = ev3.Witness(2, 6)
-	if !ok || !frontierWalk(t, g, 2, 6, path) {
-		t.Fatalf("DFA Witness(2,6) = %v, %v; want a valid walk", path, ok)
 	}
 }

@@ -15,8 +15,7 @@ import (
 // a relation as cache-friendly column slices instead of iterating a
 // hash map in random order and re-bucketing it per call. A dst-side
 // transpose (the mirror CSR) is built lazily on first SrcsOf/EachDst
-// and cached, so the backward joins pay for it once per relation, not
-// once per batch unit.
+// and cached, so it is paid for once per relation.
 //
 // Relations are safe for concurrent use: the columns never change after
 // Seal, and the transpose is guarded by a Once. Callers must not modify

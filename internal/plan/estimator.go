@@ -16,10 +16,9 @@ type Card struct {
 
 // Estimator predicts RPQ result cardinalities from the per-label
 // statistics the graph computed at Build time. All estimates are coarse
-// — uniformity and independence assumptions throughout — but they are
-// consistent, so comparing candidate plans by them is meaningful even
-// when the absolute numbers are off. An Estimator is immutable and safe
-// for concurrent use.
+// — uniformity and independence assumptions throughout — and EXPLAIN
+// ANALYZE reports them beside the actual sizes. An Estimator is
+// immutable and safe for concurrent use.
 type Estimator struct {
 	v      float64 // |V|
 	avgDeg float64 // |E| / |V|: the adjacency-scan factor of traversals

@@ -1,24 +1,13 @@
-// Package plan is the engine's logical query planner: it decides, per
-// DNF clause, which batch-unit split to execute and how, instead of
-// hard-wiring Algorithm 1's rightmost-closure, forward-only pipeline.
+// Package plan is the engine's logical query planner: it fixes, per DNF
+// clause, the physical operator the executor runs and records the
+// cardinality estimates EXPLAIN compares with the actual sizes.
 //
-// A clause Pre·R{+,*}·Post admits several physical executions:
-//
-//   - shared-structure forward (the paper): evaluate Pre_G, join through
-//     the shared closure of R from the Pre side, extend by Post;
-//   - shared-structure backward: evaluate Post_G, join through the
-//     transposed closure from the Post side, extend by Pre — cheaper
-//     when Post is far more selective than Pre;
-//   - direct automaton: evaluate the whole clause by product traversal,
-//     bypassing closure materialisation — cheaper for clauses so
-//     selective that building any shared structure is wasted work.
-//
-// With several outermost closures in a clause, every one is a candidate
-// anchor (rpq.DecomposeAll); the cost-based mode enumerates all of them
-// in both directions and picks the cheapest by estimated cardinality,
-// while the heuristic mode reproduces the paper's rightmost-forward
-// choice exactly. Estimates come from the per-label statistics
-// internal/graph computes at Build time.
+// The plan is Algorithm 1's: a clause with an outermost Kleene closure
+// splits at its rightmost one into a batch unit Pre·R{+,*}·Post, which
+// joins forward from Pre through the shared closure structure of R
+// (Algorithm 2); a closure-free clause evaluates by automaton-product
+// traversal. Estimates come from the per-label statistics internal/graph
+// computes at Build time.
 package plan
 
 import (
@@ -27,67 +16,12 @@ import (
 	"rtcshare/internal/rpq"
 )
 
-// Mode selects how clauses are planned.
-type Mode int
-
-const (
-	// Heuristic is the paper's fixed pipeline: rightmost closure anchor,
-	// forward execution, shared structure whenever a closure exists.
-	Heuristic Mode = iota
-	// CostBased enumerates every (anchor, direction) candidate plus the
-	// direct-automaton bypass and picks the cheapest by estimated cost.
-	CostBased
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Heuristic:
-		return "heuristic"
-	case CostBased:
-		return "cost"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode parses the CLI spelling of a planner mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "heuristic":
-		return Heuristic, nil
-	case "cost":
-		return CostBased, nil
-	}
-	return 0, fmt.Errorf("plan: unknown planner mode %q (want heuristic or cost)", s)
-}
-
-// Direction is the side a shared-structure join is driven from.
-type Direction int
-
-const (
-	// Forward drives the join from Pre_G's end vertices (Algorithm 2).
-	Forward Direction = iota
-	// Backward drives the join from Post_G's start vertices through the
-	// transposed closure.
-	Backward
-)
-
-func (d Direction) String() string {
-	switch d {
-	case Forward:
-		return "forward"
-	case Backward:
-		return "backward"
-	}
-	return fmt.Sprintf("Direction(%d)", int(d))
-}
-
 // NodeKind is the physical operator a clause executes as.
 type NodeKind int
 
 const (
 	// KindAutomaton evaluates the whole clause by automaton-product
-	// traversal — the only option for closure-free clauses, and the
-	// bypass for clauses too selective to amortise a shared structure.
+	// traversal — the operator for closure-free clauses.
 	KindAutomaton NodeKind = iota
 	// KindShared evaluates the clause as a batch unit joining through a
 	// shared closure structure.
@@ -107,8 +41,7 @@ func (k NodeKind) String() string {
 // Estimates are the planner's cardinality and cost predictions for one
 // clause plan, kept so EXPLAIN can show estimated-vs-actual.
 type Estimates struct {
-	// Cost is the model's unit-less work estimate for the chosen
-	// execution; candidates within one clause are compared on it.
+	// Cost is the model's unit-less work estimate for the clause.
 	Cost float64
 	// PrePairs, ClosurePairs, PostPairs estimate |Pre_G|, |R+_G| (over
 	// the reduced graph's vertex space) and |Post_G| for shared-structure
@@ -124,22 +57,15 @@ type ClausePlan struct {
 	Clause rpq.Expr
 	// Kind selects the physical operator.
 	Kind NodeKind
-	// Direction is the join direction for KindShared (Forward for
-	// KindAutomaton, where it is meaningless).
-	Direction Direction
 	// Unit is the batch-unit split executed by KindShared; for
 	// KindAutomaton on a closure-free clause it is the ClosureNone unit.
 	Unit rpq.BatchUnit
-	// Candidates is how many (anchor, direction) + bypass alternatives
-	// the planner considered for this clause.
-	Candidates int
 	// SharedCached records whether the closure structure for Unit.R was
-	// already cached when the plan was made (KindShared only) — the
-	// sunk-cost input to the cost model, captured here so EXPLAIN
-	// ANALYZE reports the state the planner saw, not the state after
-	// execution populated the cache.
+	// already cached when the plan was made (KindShared only), captured
+	// here so EXPLAIN ANALYZE reports the state the planner saw, not the
+	// state after execution populated the cache.
 	SharedCached bool
-	// Est are the planner's predictions for the chosen candidate.
+	// Est are the planner's predictions for the clause.
 	Est Estimates
 }
 
@@ -147,6 +73,5 @@ type ClausePlan struct {
 // per DNF clause, evaluated in order and unioned.
 type QueryPlan struct {
 	Query   rpq.Expr
-	Mode    Mode
 	Clauses []ClausePlan
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
@@ -12,7 +11,7 @@ import (
 
 // skewedGraph builds a graph where label "p" is abundant, "r" forms a
 // medium cycle structure, and "q" is a single edge — the asymmetry the
-// cost-based planner should exploit.
+// estimator should see.
 func skewedGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(64)
@@ -88,15 +87,15 @@ func TestEstimatorComposites(t *testing.T) {
 
 func TestHeuristicModeIsRightmostForward(t *testing.T) {
 	g := fixtures.Figure1()
-	p := New(g, Config{Mode: Heuristic})
+	p := New(g, Config{})
 	clause := rpq.MustParse("a+.b+.c")
 	cp := p.PlanClause(clause)
-	if cp.Kind != KindShared || cp.Direction != Forward {
-		t.Fatalf("heuristic plan = %s/%s, want shared/forward", cp.Kind, cp.Direction)
+	if cp.Kind != KindShared {
+		t.Fatalf("plan kind = %s, want shared", cp.Kind)
 	}
 	want := rpq.Decompose(clause)
 	if cp.Unit.R.String() != want.R.String() || cp.Unit.Anchor != want.Anchor {
-		t.Errorf("heuristic anchor = %q (#%d), want rightmost %q (#%d)",
+		t.Errorf("anchor = %q (#%d), want rightmost %q (#%d)",
 			cp.Unit.R, cp.Unit.Anchor, want.R, want.Anchor)
 	}
 
@@ -106,51 +105,13 @@ func TestHeuristicModeIsRightmostForward(t *testing.T) {
 	}
 }
 
-func TestCostBasedPicksBackwardForSelectivePost(t *testing.T) {
-	// The paper-scale RMAT_3 graph: dense enough that a three-label Post
-	// chain fans out hard, so driving the join from the Post side is
-	// predicted (much) cheaper than the forward default.
-	g, err := datagen.PaperRMATN(3, 9, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(g, Config{Mode: CostBased})
-
-	sel := p.PlanClause(rpq.MustParse("l3.l0+.l3.l3.l3"))
-	if sel.Kind != KindShared || sel.Direction != Backward {
-		t.Fatalf("selective-Post plan = %s/%s, want shared/backward (est %+v)", sel.Kind, sel.Direction, sel.Est)
-	}
-	if sel.Candidates < 3 {
-		t.Errorf("candidates = %d, want ≥ 3 (bypass + both directions)", sel.Candidates)
-	}
-
-	// The mirrored selpre shape: the forward default is already right.
-	sym := p.PlanClause(rpq.MustParse("l3.l3.l3.l0+.l3"))
-	if sym.Kind != KindShared || sym.Direction != Forward {
-		t.Errorf("selective-Pre plan = %s/%s, want shared/forward default", sym.Kind, sym.Direction)
-	}
-}
-
-func TestCostBasedFloorKeepsDefaultOnSmallGraphs(t *testing.T) {
-	// On the small skewed graph every clause costs well under the
-	// deviation floor, so the cost-based planner sticks to the paper's
-	// pipeline even though Post "q" is a single edge — constant factors
-	// would eat any predicted win at this scale.
-	g := skewedGraph(t)
-	p := New(g, Config{Mode: CostBased})
-	sel := p.PlanClause(rpq.MustParse("p.r+.q"))
-	if sel.Kind != KindShared || sel.Direction != Forward {
-		t.Errorf("small-graph plan = %s/%s, want shared/forward default (est %+v)", sel.Kind, sel.Direction, sel.Est)
-	}
-}
-
+// TestCostBasedSharedCachedSunkCost: the cost estimate of a shared plan
+// excludes the build of a structure that is already cached, and the plan
+// records what the planner saw.
 func TestCostBasedSharedCachedSunkCost(t *testing.T) {
 	g := skewedGraph(t)
 	cached := false
-	p := New(g, Config{
-		Mode:         CostBased,
-		SharedCached: func(r rpq.Expr) bool { return cached },
-	})
+	p := New(g, Config{SharedCached: func(r rpq.Expr) bool { return cached }})
 	clause := rpq.MustParse("p.r+.q")
 	cold := p.PlanClause(clause)
 	cached = true
@@ -158,11 +119,14 @@ func TestCostBasedSharedCachedSunkCost(t *testing.T) {
 	if warm.Est.Cost >= cold.Est.Cost {
 		t.Errorf("cached-structure cost %v not below cold cost %v", warm.Est.Cost, cold.Est.Cost)
 	}
+	if cold.SharedCached || !warm.SharedCached {
+		t.Errorf("SharedCached cold=%v warm=%v, want false then true", cold.SharedCached, warm.SharedCached)
+	}
 }
 
 func TestPlanWholeQuery(t *testing.T) {
 	g := fixtures.Figure1()
-	p := New(g, Config{Mode: CostBased})
+	p := New(g, Config{})
 	q := rpq.MustParse("(a|b).c+|d")
 	clauses, err := rpq.ToDNF(q)
 	if err != nil {
@@ -172,7 +136,7 @@ func TestPlanWholeQuery(t *testing.T) {
 	if len(qp.Clauses) != 3 {
 		t.Fatalf("planned %d clauses, want 3", len(qp.Clauses))
 	}
-	if qp.Mode != CostBased || qp.Query.String() != q.String() {
+	if qp.Query.String() != q.String() {
 		t.Errorf("plan header %+v wrong", qp)
 	}
 	auto := 0
@@ -181,32 +145,16 @@ func TestPlanWholeQuery(t *testing.T) {
 			auto++
 		}
 	}
-	if auto < 1 {
-		t.Error("the closure-free clause d must be an automaton plan")
+	if auto != 1 {
+		t.Errorf("%d automaton plans, want exactly the closure-free clause d", auto)
 	}
 }
 
-func TestModeAndKindStrings(t *testing.T) {
-	if Heuristic.String() != "heuristic" || CostBased.String() != "cost" {
-		t.Error("Mode strings wrong")
-	}
-	if Forward.String() != "forward" || Backward.String() != "backward" {
-		t.Error("Direction strings wrong")
-	}
+func TestKindStrings(t *testing.T) {
 	if KindAutomaton.String() != "automaton" || KindShared.String() != "shared" {
 		t.Error("NodeKind strings wrong")
 	}
-	if Mode(9).String() == "" || Direction(9).String() == "" || NodeKind(9).String() == "" {
+	if NodeKind(9).String() == "" {
 		t.Error("unknown enum values should still format")
-	}
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{{"heuristic", Heuristic, true}, {"cost", CostBased, true}, {"", 0, false}, {"rightmost", 0, false}} {
-		got, err := ParseMode(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
-		}
 	}
 }

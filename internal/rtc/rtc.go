@@ -20,72 +20,14 @@ import (
 	"rtcshare/internal/tc"
 )
 
-// TCAlgorithm selects how the transitive closure of the condensation is
-// computed. BFSClosure is the default; the alternatives exist for the
-// related-work comparison and the ablation benchmarks.
+// TCAlgorithm names the transitive-closure algorithm of the
+// condensation; BFSClosure is the only one. The type survives because
+// the benchmark replay pins the Compute(gr, 0) signature.
 type TCAlgorithm int
 
-const (
-	// BFSClosure runs a per-vertex BFS over Ḡ_R (Table III's
-	// O(|V̄_R|·|Ē_R|) computation).
-	BFSClosure TCAlgorithm = iota
-	// PurdomClosure runs Purdom's SCC-based algorithm [12].
-	PurdomClosure
-	// NuutilaClosure runs Nuutila's interleaved algorithm [13].
-	NuutilaClosure
-	// BitsetClosure runs the density-selected hybrid of tc.Bitset: a
-	// word-parallel flat-slab bitset DP in reverse topological order for
-	// dense condensations, a worker-parallel per-source frontier BFS for
-	// sparse ones.
-	BitsetClosure
-)
-
-func (a TCAlgorithm) String() string {
-	switch a {
-	case BFSClosure:
-		return "bfs"
-	case PurdomClosure:
-		return "purdom"
-	case NuutilaClosure:
-		return "nuutila"
-	case BitsetClosure:
-		return "bitset"
-	}
-	return "unknown"
-}
-
-// closureFunc returns the tc implementation for the algorithm. The
-// bitset hybrid gets the topo-aware entry point: Compute always hands
-// it a condensation whose SIDs are already in reverse topological
-// order, so the second Tarjan pass tc.Bitset would run is skipped.
-func (a TCAlgorithm) closureFunc() func(*graph.DiGraph) *tc.Closure {
-	switch a {
-	case PurdomClosure:
-		return tc.Purdom
-	case NuutilaClosure:
-		return tc.Nuutila
-	case BitsetClosure:
-		return tc.BitsetTopo
-	default:
-		return tc.BFS
-	}
-}
-
-// closureCheckFunc is closureFunc for the checkpointed variants: the
-// same algorithm selection, with a cancellation checkpoint threaded
-// into the closure build.
-func (a TCAlgorithm) closureCheckFunc() func(*graph.DiGraph, tc.Checkpoint) (*tc.Closure, error) {
-	switch a {
-	case PurdomClosure:
-		return tc.PurdomCheck
-	case NuutilaClosure:
-		return tc.NuutilaCheck
-	case BitsetClosure:
-		return tc.BitsetTopoCheck
-	default:
-		return tc.BFSCheck
-	}
-}
+// BFSClosure runs a per-vertex BFS over Ḡ_R (Table III's
+// O(|V̄_R|·|Ē_R|) computation).
+const BFSClosure TCAlgorithm = 0
 
 // EdgeReduce performs the edge-level reduction G → G_R: every vertex pair
 // of R_G becomes one unlabeled edge (Section III-A). numVertices is |V|
@@ -109,24 +51,19 @@ type RTC struct {
 
 // Compute builds the RTC from the edge-level reduced graph G_R:
 // Tarjan's SCCs [14], the condensation Ḡ_R, and TC(Ḡ_R).
-func Compute(gr *graph.DiGraph, algo TCAlgorithm) *RTC {
-	comps := scc.Tarjan(gr)
-	cond := scc.Condense(gr, comps)
-	return &RTC{
-		comps:        comps,
-		condensation: cond,
-		closure:      algo.closureFunc()(cond),
-	}
+func Compute(gr *graph.DiGraph, _ TCAlgorithm) *RTC {
+	r, _ := ComputeCheck(gr, nil)
+	return r
 }
 
 // ComputeCheck is Compute with a cancellation checkpoint threaded into
 // the closure build — the dominant cost of an RTC on large reductions.
 // The Tarjan and condensation passes run to completion regardless; a
 // checkpoint abort surfaces as the checkpoint's error with a nil RTC.
-func ComputeCheck(gr *graph.DiGraph, algo TCAlgorithm, check tc.Checkpoint) (*RTC, error) {
+func ComputeCheck(gr *graph.DiGraph, check tc.Checkpoint) (*RTC, error) {
 	comps := scc.Tarjan(gr)
 	cond := scc.Condense(gr, comps)
-	closure, err := algo.closureCheckFunc()(cond, check)
+	closure, err := tc.BFSCheck(cond, check)
 	if err != nil {
 		return nil, err
 	}
@@ -162,12 +99,6 @@ func EdgeReduceRel(numVertices int, rg *pairs.Relation) *graph.DiGraph {
 	return graph.DiGraphFromCSR(numVertices, offsets, dsts)
 }
 
-// ComputeFromResult builds the RTC directly from an evaluation result
-// R_G, performing the edge-level reduction first.
-func ComputeFromResult(numVertices int, rg *pairs.Set, algo TCAlgorithm) *RTC {
-	return Compute(EdgeReduce(numVertices, rg), algo)
-}
-
 // Components exposes the SCC decomposition (the SCC(V, S) relation of
 // Theorem 2).
 func (r *RTC) Components() *scc.Components { return r.comps }
@@ -196,13 +127,6 @@ func (r *RTC) NumSharedPairs() int { return r.closure.NumPairs() }
 // ReachableFrom returns the SIDs reachable from sid by a path of length
 // ≥ 1 in Ḡ_R, sorted. The caller must not modify the returned slice.
 func (r *RTC) ReachableFrom(sid int32) []graph.VID { return r.closure.From(sid) }
-
-// ReachableInto returns the SIDs that reach sid by a path of length ≥ 1
-// in Ḡ_R, sorted — the reverse selection σ_{END_S=sid} R̄+_Ḡ that the
-// backward batch-unit join drives from. The transposed closure is built
-// lazily on first use and shared. The caller must not modify the
-// returned slice.
-func (r *RTC) ReachableInto(sid int32) []graph.VID { return r.closure.Into(sid) }
 
 // Reachable reports whether (u, w) ∈ R+_G using Theorem 1: the SCC of u
 // must reach the SCC of w in TC(Ḡ_R).

@@ -14,17 +14,17 @@ import (
 )
 
 // buildFig1RTC computes the RTC for R = b·c on the paper's Fig. 1 graph.
-func buildFig1RTC(t *testing.T, algo TCAlgorithm) (*graph.Graph, *RTC) {
+func buildFig1RTC(t *testing.T) (*graph.Graph, *RTC) {
 	t.Helper()
 	g := fixtures.Figure1()
 	rg := eval.Evaluate(g, rpq.MustParse("b.c"))
-	return g, ComputeFromResult(g.NumVertices(), rg, algo)
+	return g, Compute(EdgeReduce(g.NumVertices(), rg), BFSClosure)
 }
 
 // TestPaperExample6 reproduces Example 6: TC(Ḡ_{b·c}) has three pairs,
 // and its expansion equals TC(G_{b·c}) from Example 4.
 func TestPaperExample6(t *testing.T) {
-	_, r := buildFig1RTC(t, BFSClosure)
+	_, r := buildFig1RTC(t)
 	if got := r.NumSharedPairs(); got != 3 {
 		t.Fatalf("|TC(Ḡ)| = %d, want 3", got)
 	}
@@ -58,7 +58,7 @@ func TestLemma1OnFigure1(t *testing.T) {
 }
 
 func TestReachable(t *testing.T) {
-	_, r := buildFig1RTC(t, BFSClosure)
+	_, r := buildFig1RTC(t)
 	cases := []struct {
 		u, w graph.VID
 		want bool
@@ -75,7 +75,7 @@ func TestReachable(t *testing.T) {
 }
 
 func TestCompOfAndMembers(t *testing.T) {
-	_, r := buildFig1RTC(t, BFSClosure)
+	_, r := buildFig1RTC(t)
 	if r.CompOf(0) != -1 {
 		t.Error("v0 should be outside V_R")
 	}
@@ -92,22 +92,6 @@ func TestCompOfAndMembers(t *testing.T) {
 	}
 	if r.CompOf(6) == s || r.CompOf(3) == s {
 		t.Error("v6/v3 must be in different SCCs from v2")
-	}
-}
-
-func TestAllTCAlgorithmsAgree(t *testing.T) {
-	for _, algo := range []TCAlgorithm{BFSClosure, PurdomClosure, NuutilaClosure} {
-		_, r := buildFig1RTC(t, algo)
-		if got := r.NumSharedPairs(); got != 3 {
-			t.Errorf("%v: |TC(Ḡ)| = %d, want 3", algo, got)
-		}
-	}
-}
-
-func TestTCAlgorithmString(t *testing.T) {
-	if BFSClosure.String() != "bfs" || PurdomClosure.String() != "purdom" ||
-		NuutilaClosure.String() != "nuutila" || TCAlgorithm(9).String() != "unknown" {
-		t.Error("TCAlgorithm strings wrong")
 	}
 }
 
@@ -129,29 +113,24 @@ func TestTheorem1(t *testing.T) {
 			t.Logf("Lemma 1 failed for R=%q", r)
 			return false
 		}
-		for _, algo := range []TCAlgorithm{BFSClosure, PurdomClosure, NuutilaClosure} {
-			rtc := Compute(gr, algo)
-			if !rtc.Expand().Equal(plus) { // Theorem 1
-				t.Logf("Theorem 1 failed for R=%q algo=%v", r, algo)
-				return false
-			}
-			if rtc.ExpandedSize() != plus.Len() {
-				return false
-			}
-			// Reachable must agree with membership.
-			ok := true
-			plus.Each(func(u, w graph.VID) bool {
-				if !rtc.Reachable(u, w) {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
+		rtc := Compute(gr, BFSClosure)
+		if !rtc.Expand().Equal(plus) { // Theorem 1
+			t.Logf("Theorem 1 failed for R=%q", r)
+			return false
 		}
-		return true
+		if rtc.ExpandedSize() != plus.Len() {
+			return false
+		}
+		// Reachable must agree with membership.
+		ok := true
+		plus.Each(func(u, w graph.VID) bool {
+			if !rtc.Reachable(u, w) {
+				ok = false
+				return false
+			}
+			return true
+		})
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -196,8 +175,7 @@ func TestRTCNoLargerThanFullClosure(t *testing.T) {
 
 // Property: the zero-copy CSR reduction from a sealed relation builds
 // exactly the digraph the pair-set reduction builds, and RTCs computed
-// over either — with any closure algorithm, including the new bitset
-// hybrid — agree.
+// over either agree.
 func TestEdgeReduceRelMatchesEdgeReduce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -231,14 +209,8 @@ func TestEdgeReduceRelMatchesEdgeReduce(t *testing.T) {
 				}
 			}
 		}
-		for _, algo := range []TCAlgorithm{BFSClosure, BitsetClosure} {
-			a := Compute(got, algo)
-			b := Compute(want, BFSClosure)
-			if !a.Closure().Equal(b.Closure()) || !a.Expand().Equal(b.Expand()) {
-				return false
-			}
-		}
-		return true
+		a, b := Compute(got, BFSClosure), Compute(want, BFSClosure)
+		return a.Closure().Equal(b.Closure()) && a.Expand().Equal(b.Expand())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,8 @@ type result struct {
 // Concurrent identical cold queries still run one evaluation: the
 // engine's SharedCache singleflights every closure structure and every
 // top-level result, and a waiter never inherits the cancellation of
-// the request that computes.
+// the request that computes. GET /explain?analyze=1 executes its query
+// too, so it passes the same gate (analyze) and shares the slots.
 type admission struct {
 	engine    *core.Engine
 	slots     chan struct{}
@@ -80,51 +81,84 @@ func newAdmission(engine *core.Engine, opts Options) *admission {
 // request carried — the quarantine's identity.
 func (a *admission) submit(ctx context.Context, key string, expr rpq.Expr) result {
 	a.submitted.Add(1)
-	// A request whose context is already done (client gone, or the
-	// deadline burned up in handler parsing) must not take a slot:
-	// nobody would read the result.
-	if err := ctx.Err(); err != nil {
-		a.abandoned.Add(1)
+	if err := a.check(ctx, key); err != nil {
 		return result{err: err}
-	}
-	if a.closed.Load() {
-		a.rejected.Add(1)
-		return result{err: ErrShuttingDown}
-	}
-	if a.quar.blocked(key) {
-		a.quarantineRejected.Add(1)
-		return result{err: ErrQuarantined}
 	}
 	if rel, epoch, ok := a.engine.CachedResult(expr); ok {
 		a.fastPathHits.Add(1)
 		return result{rel: rel, epoch: epoch, path: pathFastPath}
 	}
+	res := result{path: pathDirect}
+	res.err = a.run(ctx, key, &res.stages, func() (err error) {
+		a.direct.Add(1)
+		res.rel, res.epoch, err = a.engine.EvaluateRelTimedCtx(ctx, expr, &res.stages)
+		return err
+	})
+	return res
+}
 
+// analyze runs an EXPLAIN ANALYZE of expr through the same gate as a
+// cold query: it holds an evaluation slot, runs under ctx, and a panic
+// counts toward key's quarantine.
+func (a *admission) analyze(ctx context.Context, key string, expr rpq.Expr) (plan *core.Plan, err error) {
+	if err := a.check(ctx, key); err != nil {
+		return nil, err
+	}
+	err = a.run(ctx, key, &core.StageTimer{}, func() (err error) {
+		plan, err = a.engine.ExplainAnalyzeCtx(ctx, expr)
+		return err
+	})
+	return plan, err
+}
+
+// check refuses a request up front: one whose context is already done
+// (client gone, or the deadline burned up in handler parsing) must not
+// take a slot — nobody would read the result — and neither may one that
+// arrives after close or carries a quarantined query string.
+func (a *admission) check(ctx context.Context, key string) error {
+	if err := ctx.Err(); err != nil {
+		a.abandoned.Add(1)
+		return err
+	}
+	if a.closed.Load() {
+		a.rejected.Add(1)
+		return ErrShuttingDown
+	}
+	if a.quar.blocked(key) {
+		a.quarantineRejected.Add(1)
+		return ErrQuarantined
+	}
+	return nil
+}
+
+// run admits one evaluation, waits for a slot (the wait lands in st's
+// queue stage), runs eval holding it, and classifies
+// eval's error: an abandonment, or an evaluation error whose recovered
+// panic counts toward key's quarantine.
+func (a *admission) run(ctx context.Context, key string, st *core.StageTimer, eval func() error) error {
 	if !a.enter() {
 		a.rejected.Add(1)
-		return result{err: ErrShuttingDown}
+		return ErrShuttingDown
 	}
 	defer a.inFlight.Done()
-	res := result{path: pathDirect}
-	if err := a.acquire(ctx, &res.stages); err != nil {
-		return result{err: err}
+	if err := a.acquire(ctx, st); err != nil {
+		return err
 	}
 	defer func() { <-a.slots }()
-	a.direct.Add(1)
-	res.rel, res.epoch, res.err = a.engine.EvaluateRelTimedCtx(ctx, expr, &res.stages)
+	err := eval()
 	switch {
-	case res.err == nil:
-	case ctx.Err() != nil && errors.Is(res.err, ctx.Err()):
+	case err == nil:
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		a.abandoned.Add(1)
 	default:
 		a.evalErrors.Add(1)
 		var pe *core.QueryPanicError
-		if errors.As(res.err, &pe) {
+		if errors.As(err, &pe) {
 			a.panics.Add(1)
 			a.quar.note(key)
 		}
 	}
-	return res
+	return err
 }
 
 // enter admits one cold query, unless close has begun.
@@ -183,10 +217,11 @@ type AdmissionStats struct {
 	FastPathHits int64 `json:"fast_path_hits"`
 	Direct       int64 `json:"direct"`
 
-	// Rejected counts queries shed with 503 (overload or shutdown);
-	// Abandoned counts requests whose context ended before their
-	// answer — refused with an already-expired context, timed out in the
-	// queue, or cancelled mid-evaluation; EvalErrors counts failed
+	// The counters below also cover /explain?analyze=1, which passes
+	// the same gate. Rejected counts queries shed with 503 (overload or
+	// shutdown); Abandoned counts requests whose context ended before
+	// their answer — refused with an already-expired context, timed out
+	// in the queue, or cancelled mid-evaluation; EvalErrors counts failed
 	// evaluations, Panics the recovered evaluator panics among them.
 	Rejected   int64 `json:"rejected"`
 	Abandoned  int64 `json:"abandoned"`

@@ -351,3 +351,94 @@ func TestServerCloseFlushesPending(t *testing.T) {
 		t.Fatalf("post-close query: status %d, want 503", status)
 	}
 }
+
+// TestExplainAnalyzeAdmitted: GET /explain?analyze=1 executes its query,
+// so it passes the cold-query gate. With the one slot held and the one
+// queue place taken it is shed with 503 + Retry-After and never
+// evaluated, while plain /explain, which executes nothing, still
+// answers; once the slot frees it runs. A query that panics the
+// evaluator under analysis answers 500 and, after repeated crashes, is
+// quarantined with 422.
+func TestExplainAnalyzeAdmitted(t *testing.T) {
+	eng, entered, release, evaluations := blockingEngine(fixtures.Figure1(), "a.b")
+	srv := New(eng, Options{MaxInFlight: 1, MaxQueued: 1})
+	ts := httptest.NewServer(srv)
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer func() {
+		free() // a failed assertion must not leave Close waiting on the held query
+		ts.Close()
+		srv.Close()
+	}()
+	explain := func(query string) (*http.Response, ExplainResponse) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/explain?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body ExplainResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp, body
+	}
+
+	held := submitAsync(srv.adm, context.Background(), "a.b")
+	<-entered
+	queued := submitAsync(srv.adm, context.Background(), "b.c")
+	eventually(t, 5*time.Second, "second cold query queued", func() bool { return srv.adm.waiting.Load() == 1 })
+
+	if resp, _ := explain("q=e.f&analyze=1"); resp.StatusCode != http.StatusServiceUnavailable ||
+		resp.Header.Get("Retry-After") != retryAfterSeconds {
+		t.Fatalf("analyze beyond the queue: status %d Retry-After %q, want 503 and %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), retryAfterSeconds)
+	}
+	if n := evaluations("e.f"); n != 0 {
+		t.Fatalf("the shed analyze request was evaluated %d times", n)
+	}
+	if resp, body := explain("q=e.f"); resp.StatusCode != http.StatusOK || body.Analyzed {
+		t.Fatalf("plain explain while the slot is held: status %d analyzed %v, want 200 unanalyzed", resp.StatusCode, body.Analyzed)
+	}
+
+	free()
+	for name, ch := range map[string]<-chan result{"held": held, "queued": queued} {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("%s query: %v", name, r.err)
+		}
+	}
+	if resp, body := explain("q=e.f&analyze=1"); resp.StatusCode != http.StatusOK || !body.Analyzed {
+		t.Fatalf("analyze with a free slot: status %d analyzed %v, want 200 analyzed", resp.StatusCode, body.Analyzed)
+	}
+	if n := evaluations("e.f"); n != 1 {
+		t.Fatalf("admitted analyze evaluated %d times, want 1", n)
+	}
+
+	poisoned := core.New(fixtures.Figure1(), core.Options{})
+	poisoned.SetEvalHook(func(q string) {
+		if q == "c.a" {
+			panic("injected evaluator fault")
+		}
+	})
+	psrv := New(poisoned, Options{})
+	pts := httptest.NewServer(psrv)
+	defer func() {
+		pts.Close()
+		psrv.Close()
+	}()
+	for i, want := range []int{http.StatusInternalServerError, http.StatusInternalServerError, http.StatusUnprocessableEntity} {
+		resp, err := http.Get(pts.URL + "/explain?q=c.a&analyze=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("poisoned analyze %d: status %d, want %d", i, resp.StatusCode, want)
+		}
+	}
+	if st := psrv.adm.stats(); st.Panics != 2 || st.QuarantineRejected != 1 {
+		t.Fatalf("stats = %+v, want 2 panics and 1 quarantine rejection", st)
+	}
+}

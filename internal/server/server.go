@@ -11,7 +11,8 @@
 // evaluation is pinned to one graph epoch, and results page by
 // limit/offset or cursor over the sealed columnar relation.
 // POST /update drives Engine.ApplyUpdates; GET /explain plans without
-// executing; GET /healthz and GET /metrics expose liveness, the
+// executing (with analyze=1 it also runs the query, admitted like a cold
+// /query); GET /healthz and GET /metrics expose liveness, the
 // engine's cache counters and the admission statistics. See DESIGN.md
 // §10 for the serving paths and the epoch-consistency argument.
 //
@@ -49,9 +50,9 @@ type Options struct {
 	// MaxQueued bounds the cold queries waiting for a slot; beyond it a
 	// request is rejected with 503 and Retry-After. Default 64.
 	MaxQueued int
-	// RequestTimeout bounds one /query request, queue wait and
-	// evaluation together; on expiry the evaluation stops at its next
-	// checkpoint and the request answers 503. Default 30s.
+	// RequestTimeout bounds one /query (or /explain?analyze=1) request,
+	// queue wait and evaluation together; on expiry the evaluation stops
+	// at its next checkpoint and the request answers 503. Default 30s.
 	RequestTimeout time.Duration
 	// Persist, when set, routes POST /update through the persistent
 	// engine (apply + durable WAL append, plus its automatic-snapshot
@@ -360,11 +361,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	res := s.adm.submit(ctx, req.Query, expr)
 	if res.err != nil {
-		status := queryStatus(res.err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		}
-		writeError(w, status, res.err)
+		writeQueryError(w, res.err)
 		return
 	}
 	offset := req.Offset
@@ -481,11 +478,7 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) (Que
 func (s *Server) serveAsk(w http.ResponseWriter, req QueryRequest, expr rpq.Expr, ctx context.Context, handlerStart time.Time) {
 	found, epoch, rows, err := s.engine.AskCounted(ctx, expr)
 	if err != nil {
-		status := queryStatus(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		}
-		writeError(w, status, err)
+		writeQueryError(w, err)
 		return
 	}
 	s.asks.Add(1)
@@ -549,6 +542,16 @@ func queryStatus(err error) int {
 		// Evaluation-time query errors (e.g. the DNF bound).
 		return http.StatusBadRequest
 	}
+}
+
+// writeQueryError answers a failed evaluation with queryStatus's code,
+// plus Retry-After when the failure is a transient 503.
+func writeQueryError(w http.ResponseWriter, err error) {
+	status := queryStatus(err)
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	writeError(w, status, err)
 }
 
 // isPanicError reports whether err is a recovered evaluator panic.
@@ -650,13 +653,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 // ExplainResponse is the body of GET /explain?q=…: the engine's plan
 // for the query. Plain explain never executes; with analyze=1 the
-// query runs and the Analyzed/Actual* fields report measured
-// cardinalities — each analyzed clause also feeds the planner's cost
-// calibration.
+// query runs — admitted like a cold /query: it holds an evaluation
+// slot, runs under the request timeout, and a crash counts toward the
+// query's quarantine — and the Analyzed/Actual* fields report measured
+// cardinalities.
 type ExplainResponse struct {
 	Query    string          `json:"query"`
 	Strategy string          `json:"strategy"`
-	Planner  string          `json:"planner"`
 	Analyzed bool            `json:"analyzed"`
 	Clauses  []ExplainClause `json:"clauses"`
 	// ActualResultPairs and ActualMillis are set when Analyzed.
@@ -672,7 +675,6 @@ type ExplainClause struct {
 	Type         string  `json:"type,omitempty"`
 	Post         string  `json:"post,omitempty"`
 	Kind         string  `json:"kind"`
-	Direction    string  `json:"direction,omitempty"`
 	SharedCached bool    `json:"shared_cached"`
 	EstCost      float64 `json:"est_cost"`
 	EstOutPairs  float64 `json:"est_out_pairs"`
@@ -687,24 +689,35 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing q parameter"))
 		return
 	}
-	explain := s.engine.ExplainQuery
+	analyze := false
 	switch v := r.URL.Query().Get("analyze"); v {
 	case "", "0", "false":
 	case "1", "true":
-		explain = s.engine.ExplainAnalyzeQuery
+		analyze = true
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad analyze value %q (want 0 or 1)", v))
 		return
 	}
-	plan, err := explain(q)
+	expr, err := rpq.Parse(q)
 	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	var plan *core.Plan
+	if analyze {
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		defer cancel()
+		if plan, err = s.adm.analyze(ctx, q, expr); err != nil {
+			writeQueryError(w, err)
+			return
+		}
+	} else if plan, err = s.engine.Explain(expr); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := ExplainResponse{
 		Query:    plan.Query,
 		Strategy: plan.Strategy.String(),
-		Planner:  plan.Planner.String(),
 		Analyzed: plan.Analyzed,
 	}
 	if plan.Analyzed {
@@ -719,7 +732,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Type:         c.Type,
 			Post:         c.Post,
 			Kind:         c.Kind,
-			Direction:    c.Direction,
 			SharedCached: c.SharedCached,
 			EstCost:      c.EstCost,
 			EstOutPairs:  c.EstOut,
@@ -782,8 +794,7 @@ type GraphInfo struct {
 }
 
 // TimingInfo is the engine's accumulated three-part split, in
-// milliseconds, plus its query and cache counters and the planner's
-// cost-calibration state.
+// milliseconds, plus its query and cache counters.
 type TimingInfo struct {
 	Queries          int     `json:"queries"`
 	SharedDataMillis float64 `json:"shared_data_ms"`
@@ -791,11 +802,6 @@ type TimingInfo struct {
 	RemainderMillis  float64 `json:"remainder_ms"`
 	CacheHits        int     `json:"cache_hits"`
 	CacheMisses      int     `json:"cache_misses"`
-	// CostCalibrationFactor is the planner's measured-cardinality
-	// correction (1 = uncalibrated); CostCalibrationSamples the
-	// ExplainAnalyze observations behind it.
-	CostCalibrationFactor  float64 `json:"cost_calibration_factor"`
-	CostCalibrationSamples int     `json:"cost_calibration_samples"`
 }
 
 // LatencyInfo is the /metrics latency section: request-latency
@@ -873,7 +879,6 @@ type Metrics struct {
 func (s *Server) MetricsSnapshot() Metrics {
 	g := s.engine.Graph()
 	st := s.engine.Stats()
-	calibFactor, calibSamples := s.engine.CostCalibration()
 	return Metrics{
 		Epoch: s.engine.Epoch(),
 		Graph: GraphInfo{
@@ -885,14 +890,12 @@ func (s *Server) MetricsSnapshot() Metrics {
 		Cache:       s.engine.Cache().Counters(),
 		Persistence: s.persistInfo(),
 		Timing: TimingInfo{
-			Queries:                st.Queries,
-			SharedDataMillis:       float64(st.SharedData) / float64(time.Millisecond),
-			PreJoinMillis:          float64(st.PreJoin) / float64(time.Millisecond),
-			RemainderMillis:        float64(st.Remainder) / float64(time.Millisecond),
-			CacheHits:              st.CacheHits,
-			CacheMisses:            st.CacheMisses,
-			CostCalibrationFactor:  calibFactor,
-			CostCalibrationSamples: calibSamples,
+			Queries:          st.Queries,
+			SharedDataMillis: float64(st.SharedData) / float64(time.Millisecond),
+			PreJoinMillis:    float64(st.PreJoin) / float64(time.Millisecond),
+			RemainderMillis:  float64(st.Remainder) / float64(time.Millisecond),
+			CacheHits:        st.CacheHits,
+			CacheMisses:      st.CacheMisses,
 		},
 		Latency: LatencyInfo{
 			Overall:    s.lat.overall.snapshot(),

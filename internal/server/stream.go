@@ -162,17 +162,12 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *stre
 // error is still possible).
 func (s *Server) openStream(w http.ResponseWriter, r *http.Request, expr rpq.Expr, limit int) (*core.ResultStream, bool) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		writeError(w, http.StatusServiceUnavailable, ErrShuttingDown)
+		writeQueryError(w, ErrShuttingDown)
 		return nil, false
 	}
 	stream, err := s.engine.OpenStream(r.Context(), expr, core.StreamOptions{Limit: limit})
 	if err != nil {
-		status := queryStatus(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		}
-		writeError(w, status, err)
+		writeQueryError(w, err)
 		return nil, false
 	}
 	return stream, true

@@ -3,42 +3,20 @@ package tc
 import "rtcshare/internal/graph"
 
 // Checkpoint is a cooperative-cancellation probe threaded into closure
-// construction: the algorithms call it with an approximate count of
-// rows (closure pairs, successor-set words) produced since the last
-// call, and a non-nil return aborts the build with that error. The
-// engine layer passes an amortized context poll; nil means
-// uncancellable and costs nothing.
+// construction: the BFS calls it with an approximate count of rows
+// (closure pairs) produced since the last call, and a non-nil return
+// aborts the build with that error. The engine layer passes an
+// amortized context poll; nil means uncancellable and costs nothing.
 //
 // A Checkpoint is invoked only from the goroutine that called the
-// closure function — the worker-parallel sparse-BFS path of the bitset
-// hybrid checks at its phase boundaries instead of inside the workers —
-// so implementations need not be safe for concurrent use.
+// closure function, so implementations need not be safe for concurrent
+// use.
 type Checkpoint func(rows int) error
 
 // BFSCheck is BFS with a cancellation checkpoint consulted once per
 // source vertex.
 func BFSCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
 	return bfs(d, check)
-}
-
-// PurdomCheck is Purdom with a cancellation checkpoint consulted once
-// per condensation component and once per expanded successor list.
-func PurdomCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	return purdom(d, check)
-}
-
-// NuutilaCheck is Nuutila with a cancellation checkpoint consulted once
-// per component and once per expanded successor list.
-func NuutilaCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	return nuutila(d, check)
-}
-
-// BitsetTopoCheck is BitsetTopo with a cancellation checkpoint: the
-// dense word-parallel DP checks once per row, the worker-parallel
-// sparse path at its phase boundaries (the checkpoint contract is
-// single-goroutine), and the expansion once per successor list.
-func BitsetTopoCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	return bitsetTopo(d, check)
 }
 
 // checkRows consults a possibly-nil checkpoint.

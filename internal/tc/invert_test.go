@@ -9,8 +9,8 @@ import (
 	"rtcshare/internal/graph"
 )
 
-// Property: Into(w) lists exactly the sources whose From contains w,
-// sorted; Inverted is an involution sharing the original; NumPairs is
+// Property: Inverted().From(w) lists exactly the sources whose From
+// contains w, sorted; Inverted is an involution sharing the original; NumPairs is
 // preserved.
 func TestInvertedClosure(t *testing.T) {
 	f := func(seed int64) bool {
@@ -29,7 +29,7 @@ func TestInvertedClosure(t *testing.T) {
 			return false // involution must return the original, not a copy
 		}
 		for w := 0; w < n; w++ {
-			into := c.Into(graph.VID(w))
+			into := inv.From(graph.VID(w))
 			for i := 1; i < len(into); i++ {
 				if into[i] <= into[i-1] {
 					return false

@@ -1,34 +1,17 @@
-// Package tc computes transitive closures of unlabeled digraphs.
-//
-// Four algorithms are provided:
-//
-//   - BFS: a per-vertex breadth-first search, O(|V|·|E|). This is the
-//     closure computation the paper assigns to both methods in Table III
-//     (FullSharing runs it on G_R, RTCSharing on the much smaller Ḡ_R).
-//   - Purdom: Purdom's SCC-based algorithm [12] — components, topological
-//     order, then successor-set union over the condensation.
-//   - Nuutila: Nuutila's improvement [13] — successor sets are built
-//     during Tarjan's traversal, exploiting the reverse topological
-//     emission order, with no separate condensation pass.
-//   - Bitset: a hybrid chosen by condensation density (bitset.go) — a
-//     word-parallel flat-slab bitset DP in reverse topological order for
-//     dense condensations, a worker-parallel per-source frontier BFS for
-//     sparse ones.
-//
-// All four produce identical Closures; properties in tc_test.go enforce
-// it. The closure follows the paper's semantics: (u, w) ∈ TC iff a path
-// of length ≥ 1 leads from u to w, so (u, u) requires a cycle through u.
+// Package tc computes transitive closures of unlabeled digraphs by a
+// per-vertex breadth-first search, O(|V|·|E|) — the closure computation
+// the paper assigns to both methods in Table III (FullSharing runs it on
+// G_R, RTCSharing on the much smaller Ḡ_R). The closure follows the
+// paper's semantics: (u, w) ∈ TC iff a path of length ≥ 1 leads from u
+// to w, so (u, u) requires a cycle through u.
 package tc
 
 import (
-	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
-	"rtcshare/internal/scc"
 )
 
 // Closure is the transitive closure of a digraph: for each vertex, the
@@ -56,16 +39,10 @@ func (c *Closure) NumPairs() int { return c.numPairs }
 // caller must not modify the returned slice.
 func (c *Closure) From(u graph.VID) []graph.VID { return c.succ[u] }
 
-// Into returns the vertices that reach w, sorted ascending — From on the
-// transposed closure. The transpose is built lazily on first use (one
-// O(pairs) pass) and cached; it backs the backward batch-unit join,
-// which drives the Pre ⋈ R+ ⋈ Post pipeline from the Post side. The
-// caller must not modify the returned slice.
-func (c *Closure) Into(w graph.VID) []graph.VID { return c.Inverted().From(w) }
-
 // Inverted returns the transposed closure: (u, w) ∈ c iff (w, u) ∈
 // Inverted. It is computed once, concurrently-safely, and shared by all
-// callers. The transpose of the transpose is the original closure.
+// callers. The transpose of the transpose is the original closure. The
+// benchmark replay pins this method (tc.invert_ns).
 func (c *Closure) Inverted() *Closure {
 	c.invOnce.Do(func() {
 		inv := &Closure{numVertices: c.numVertices, numPairs: c.numPairs, inv: c}
@@ -192,148 +169,6 @@ func bfs(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
 		c.succ[u] = reach
 		c.numPairs += len(reach)
 		lastRows = len(reach) + 1
-	}
-	return c, nil
-}
-
-// bitset is a fixed-width bitmap over component IDs.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int32)      { b[i>>6] |= 1 << uint(i&63) }
-func (b bitset) get(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-
-func (b bitset) or(other bitset) {
-	for i := range b {
-		b[i] |= other[i]
-	}
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Purdom computes the closure with Purdom's algorithm [12]: find SCCs,
-// condense, walk components in topological order unioning successor
-// sets, then expand component reachability back to vertex pairs
-// (the expansion is Lemma 3's Cartesian product).
-func Purdom(d *graph.DiGraph) *Closure {
-	c, _ := purdom(d, nil)
-	return c
-}
-
-// purdom is Purdom with an optional per-component checkpoint.
-func purdom(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	comps := scc.Tarjan(d)
-	cond := scc.Condense(d, comps)
-	k := comps.NumComponents()
-
-	// Tarjan emits components in reverse topological order, so SIDs
-	// 0..k-1 are already a valid processing order (all successors of a
-	// component have smaller SIDs).
-	reach := make([]bitset, k)
-	words := (k + 63) / 64
-	for s := int32(0); s < int32(k); s++ {
-		if err := checkRows(check, words); err != nil {
-			return nil, err
-		}
-		r := newBitset(k)
-		for _, t := range cond.Successors(s) {
-			r.set(t)
-			if t != s {
-				r.or(reach[t])
-			}
-		}
-		reach[s] = r
-	}
-	return expand(d.NumVertices(), comps, reach, check)
-}
-
-// Nuutila computes the closure with Nuutila's interleaved algorithm [13]:
-// Tarjan's DFS and successor-set construction run in one pass, relying on
-// the fact that when a component is emitted every component it can reach
-// has already been emitted.
-func Nuutila(d *graph.DiGraph) *Closure {
-	c, _ := nuutila(d, nil)
-	return c
-}
-
-// nuutila is Nuutila with an optional per-component checkpoint.
-func nuutila(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	comps := scc.Tarjan(d)
-	k := comps.NumComponents()
-	reach := make([]bitset, k)
-
-	// Single pass in emission order (reverse topological): for each
-	// component, fold in the reach sets of the components its member
-	// edges point to. This is the interleaving Nuutila describes, with
-	// the DFS already folded into Tarjan.
-	words := (k + 63) / 64
-	for s := int32(0); s < int32(k); s++ {
-		if err := checkRows(check, words); err != nil {
-			return nil, err
-		}
-		r := newBitset(k)
-		for _, u := range comps.Members[s] {
-			for _, w := range d.Successors(u) {
-				t := comps.CompOf[w]
-				r.set(t)
-				if t != s {
-					r.or(reach[t])
-				}
-			}
-		}
-		reach[s] = r
-	}
-	return expand(d.NumVertices(), comps, reach, check)
-}
-
-// expand converts component-level reachability to the vertex-level
-// closure: u reaches every member of every component in reach[comp(u)]
-// (Lemma 3 / Theorem 1). check, when non-nil, is consulted once per
-// expanded successor list.
-func expand(numVertices int, comps *scc.Components, reach []bitset, check Checkpoint) (*Closure, error) {
-	c := &Closure{numVertices: numVertices, succ: make([][]graph.VID, numVertices)}
-	k := comps.NumComponents()
-
-	// Precompute the expanded successor list per component once; all its
-	// members share it (Lemma 2). Each list is sized exactly before
-	// filling — expansion runs once per shared structure, so its
-	// allocations are warm-path.
-	expanded := make([][]graph.VID, k)
-	for s := int32(0); s < int32(k); s++ {
-		if reach[s].count() == 0 {
-			continue
-		}
-		size := 0
-		for t := int32(0); t < int32(k); t++ {
-			if reach[s].get(t) {
-				size += len(comps.Members[t])
-			}
-		}
-		if err := checkRows(check, size+1); err != nil {
-			return nil, err
-		}
-		out := make([]graph.VID, 0, size)
-		for t := int32(0); t < int32(k); t++ {
-			if reach[s].get(t) {
-				out = append(out, comps.Members[t]...)
-			}
-		}
-		slices.Sort(out)
-		expanded[s] = out
-	}
-	for _, vs := range comps.Members {
-		for _, u := range vs {
-			s := comps.CompOf[u]
-			c.succ[u] = expanded[s]
-			c.numPairs += len(expanded[s])
-		}
 	}
 	return c, nil
 }

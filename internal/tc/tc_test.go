@@ -7,7 +7,6 @@ import (
 
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
-	"rtcshare/internal/scc"
 )
 
 func digraph(n int, edges [][2]graph.VID) *graph.DiGraph {
@@ -27,104 +26,55 @@ func TestPaperExample4(t *testing.T) {
 		pairs.Pair{Src: 4, Dst: 2}, pairs.Pair{Src: 4, Dst: 4}, pairs.Pair{Src: 4, Dst: 6},
 		pairs.Pair{Src: 5, Dst: 3}, pairs.Pair{Src: 5, Dst: 5},
 	)
-	for name, algo := range algorithms() {
-		got := algo(gbc)
-		if !got.ToPairs().Equal(want) {
-			t.Errorf("%s: TC = %v, want %v", name, got.ToPairs().Sorted(), want.Sorted())
-		}
-		if got.NumPairs() != 10 {
-			t.Errorf("%s: NumPairs = %d, want 10", name, got.NumPairs())
-		}
+	got := BFS(gbc)
+	if !got.ToPairs().Equal(want) {
+		t.Errorf("TC = %v, want %v", got.ToPairs().Sorted(), want.Sorted())
 	}
-}
-
-func algorithms() map[string]func(*graph.DiGraph) *Closure {
-	return map[string]func(*graph.DiGraph) *Closure{
-		"BFS":     BFS,
-		"Purdom":  Purdom,
-		"Nuutila": Nuutila,
-		"Bitset":  Bitset,
-		// BitsetTopo falls back to Bitset off the reverse-topological
-		// precondition, so it is total; condensation-shaped inputs that
-		// exercise its fast paths are covered in bitset_test.go.
-		"BitsetTopo": BitsetTopo,
-		// The two halves of Bitset, forced regardless of what the density
-		// heuristic would pick, so both stay correct on every shape.
-		"BitsetDense": func(d *graph.DiGraph) *Closure {
-			comps := scc.Tarjan(d)
-			if comps.NumComponents() == 0 {
-				return Bitset(d)
-			}
-			c, _ := bitsetDense(d.NumVertices(), comps, scc.Condense(d, comps), nil)
-			return c
-		},
-		"BitsetSparse": func(d *graph.DiGraph) *Closure {
-			comps := scc.Tarjan(d)
-			if comps.NumComponents() == 0 {
-				return Bitset(d)
-			}
-			c, _ := bitsetSparse(d.NumVertices(), comps, scc.Condense(d, comps), nil)
-			return c
-		},
+	if got.NumPairs() != 10 {
+		t.Errorf("NumPairs = %d, want 10", got.NumPairs())
 	}
 }
 
 func TestSelfLoopSemantics(t *testing.T) {
 	// (u,u) ∈ TC only via a cycle: path length ≥ 1.
-	d := digraph(3, [][2]graph.VID{{0, 1}})
-	for name, algo := range algorithms() {
-		c := algo(d)
-		if c.Reachable(0, 0) {
-			t.Errorf("%s: (0,0) reachable without a cycle", name)
-		}
-		if !c.Reachable(0, 1) {
-			t.Errorf("%s: (0,1) missing", name)
-		}
-		if c.Reachable(1, 0) {
-			t.Errorf("%s: (1,0) present, edges are directed", name)
-		}
+	c := BFS(digraph(3, [][2]graph.VID{{0, 1}}))
+	if c.Reachable(0, 0) {
+		t.Error("(0,0) reachable without a cycle")
 	}
-	loop := digraph(2, [][2]graph.VID{{0, 0}})
-	for name, algo := range algorithms() {
-		if !algo(loop).Reachable(0, 0) {
-			t.Errorf("%s: self-loop lost", name)
-		}
+	if !c.Reachable(0, 1) {
+		t.Error("(0,1) missing")
+	}
+	if c.Reachable(1, 0) {
+		t.Error("(1,0) present, edges are directed")
+	}
+	if !BFS(digraph(2, [][2]graph.VID{{0, 0}})).Reachable(0, 0) {
+		t.Error("self-loop lost")
 	}
 }
 
 func TestChain(t *testing.T) {
-	d := digraph(4, [][2]graph.VID{{0, 1}, {1, 2}, {2, 3}})
-	for name, algo := range algorithms() {
-		c := algo(d)
-		if c.NumPairs() != 6 { // 0→{1,2,3}, 1→{2,3}, 2→{3}
-			t.Errorf("%s: NumPairs = %d, want 6", name, c.NumPairs())
-		}
-		if got := c.From(0); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-			t.Errorf("%s: From(0) = %v", name, got)
-		}
-		if got := c.From(3); len(got) != 0 {
-			t.Errorf("%s: From(3) = %v, want empty", name, got)
-		}
+	c := BFS(digraph(4, [][2]graph.VID{{0, 1}, {1, 2}, {2, 3}}))
+	if c.NumPairs() != 6 { // 0→{1,2,3}, 1→{2,3}, 2→{3}
+		t.Errorf("NumPairs = %d, want 6", c.NumPairs())
+	}
+	if got := c.From(0); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Errorf("From(0) = %v", got)
+	}
+	if got := c.From(3); len(got) != 0 {
+		t.Errorf("From(3) = %v, want empty", got)
 	}
 }
 
 func TestCycleIsComplete(t *testing.T) {
-	d := digraph(3, [][2]graph.VID{{0, 1}, {1, 2}, {2, 0}})
-	for name, algo := range algorithms() {
-		c := algo(d)
-		if c.NumPairs() != 9 {
-			t.Errorf("%s: NumPairs = %d, want 9 (complete relation on a cycle)", name, c.NumPairs())
-		}
+	c := BFS(digraph(3, [][2]graph.VID{{0, 1}, {1, 2}, {2, 0}}))
+	if c.NumPairs() != 9 {
+		t.Errorf("NumPairs = %d, want 9 (complete relation on a cycle)", c.NumPairs())
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	d := digraph(5, nil)
-	for name, algo := range algorithms() {
-		c := algo(d)
-		if c.NumPairs() != 0 {
-			t.Errorf("%s: NumPairs = %d, want 0", name, c.NumPairs())
-		}
+	if c := BFS(digraph(5, nil)); c.NumPairs() != 0 {
+		t.Errorf("NumPairs = %d, want 0", c.NumPairs())
 	}
 }
 
@@ -153,14 +103,17 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestClosureEqual(t *testing.T) {
-	d := digraph(3, [][2]graph.VID{{0, 1}, {1, 2}})
-	a, b := BFS(d), Purdom(d)
-	if !a.Equal(b) {
+	a := BFS(digraph(3, [][2]graph.VID{{0, 1}, {1, 2}}))
+	byHand := &Closure{numVertices: 3, succ: [][]graph.VID{{1, 2}, {2}, nil}, numPairs: 3}
+	if !a.Equal(byHand) {
 		t.Error("Equal false negative")
 	}
 	c := BFS(digraph(3, [][2]graph.VID{{0, 1}}))
 	if a.Equal(c) {
 		t.Error("Equal false positive")
+	}
+	if a.Equal(&Closure{numVertices: 3, succ: [][]graph.VID{{1}, {2}, {0}}, numPairs: 3}) {
+		t.Error("Equal false positive on equal pair counts")
 	}
 }
 
@@ -198,7 +151,7 @@ func floydWarshall(d *graph.DiGraph) *pairs.Set {
 	return out
 }
 
-// Property: all three algorithms agree with Floyd-Warshall.
+// Property: BFS agrees with Floyd-Warshall.
 func TestAlgorithmsAgainstFloydWarshall(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -208,12 +161,9 @@ func TestAlgorithmsAgainstFloydWarshall(t *testing.T) {
 			b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
 		}
 		d := b.Build()
-		want := floydWarshall(d)
-		for name, algo := range algorithms() {
-			if !algo(d).ToPairs().Equal(want) {
-				t.Logf("%s disagrees with Floyd-Warshall (n=%d)", name, n)
-				return false
-			}
+		if !BFS(d).ToPairs().Equal(floydWarshall(d)) {
+			t.Logf("BFS disagrees with Floyd-Warshall (n=%d)", n)
+			return false
 		}
 		return true
 	}
@@ -232,24 +182,18 @@ func TestClosureInvariants(t *testing.T) {
 		for i := rng.Intn(60); i > 0; i-- {
 			b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
 		}
-		d := b.Build()
-		for _, algo := range algorithms() {
-			c := algo(d)
-			total := 0
-			for v := 0; v < n; v++ {
-				s := c.From(graph.VID(v))
-				total += len(s)
-				for i := 1; i < len(s); i++ {
-					if s[i] <= s[i-1] {
-						return false
-					}
+		c := BFS(b.Build())
+		total := 0
+		for v := 0; v < n; v++ {
+			s := c.From(graph.VID(v))
+			total += len(s)
+			for i := 1; i < len(s); i++ {
+				if s[i] <= s[i-1] {
+					return false
 				}
 			}
-			if total != c.NumPairs() {
-				return false
-			}
 		}
-		return true
+		return total == c.NumPairs()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,6 @@ import (
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/rtc"
 	"rtcshare/internal/server"
 	"rtcshare/internal/store"
 )
@@ -138,45 +137,10 @@ const (
 	NoSharing = core.NoSharing
 )
 
-// TCAlgorithm selects the transitive-closure algorithm for the reduced
-// graph.
-type TCAlgorithm = rtc.TCAlgorithm
-
-const (
-	// BFSClosure is a per-vertex BFS (the paper's Table III default).
-	BFSClosure = rtc.BFSClosure
-	// PurdomClosure is Purdom's SCC-based algorithm (BIT 1970).
-	PurdomClosure = rtc.PurdomClosure
-	// NuutilaClosure is Nuutila's interleaved algorithm (IPL 1994).
-	NuutilaClosure = rtc.NuutilaClosure
-	// BitsetClosure is a density-selected hybrid: a word-parallel bitset
-	// DP over the condensation in reverse topological order for dense
-	// reduced graphs, a worker-parallel per-source frontier BFS for
-	// sparse ones.
-	BitsetClosure = rtc.BitsetClosure
-)
-
-// Options configure an Engine. The zero value selects RTCSharing with
-// the heuristic planner, a BFS closure, no DFA determinisation and the
-// default DNF bound.
+// Options configure an Engine. The zero value selects RTCSharing and
+// the default DNF bound. Every clause is planned as the paper does:
+// split at its rightmost outermost Kleene closure and join forward.
 type Options = core.Options
-
-// PlannerMode selects how the engine plans DNF clauses before executing
-// them (Options.Planner).
-type PlannerMode = core.PlannerMode
-
-const (
-	// PlannerHeuristic is the paper's fixed pipeline: split each clause
-	// at its rightmost outermost Kleene closure and join forward. This
-	// is the default.
-	PlannerHeuristic = core.PlannerHeuristic
-	// PlannerCostBased enumerates every closure anchor in both join
-	// directions plus a direct-automaton bypass, prices the candidates
-	// with cardinality estimates from the graph's per-label statistics,
-	// and picks the cheapest. Results are identical to PlannerHeuristic;
-	// only the execution strategy changes.
-	PlannerCostBased = core.PlannerCostBased
-)
 
 // Stats is the engine's accumulated timing split: SharedData (computing
 // the shared closure structure), PreJoin (the Pre_G ⋈ R+_G join) and
@@ -254,9 +218,10 @@ type CacheCounters = core.CacheCounters
 func NewSharedCache() *SharedCache { return core.NewSharedCache() }
 
 // Plan is the output of Engine.Explain / Engine.ExplainQuery: the DNF
-// clauses, the planner's chosen execution per clause (anchor closure,
-// join direction, shared-structure vs direct automaton) with estimated
-// cardinalities, and which shared structures are already cached.
+// clauses, the execution per clause (the rightmost-closure batch unit
+// joined through a shared structure, or the automaton product) with
+// estimated cardinalities, and which shared structures are already
+// cached.
 // Explaining never executes or mutates anything;
 // Engine.ExplainAnalyze / Engine.ExplainAnalyzeQuery additionally run
 // the query and fill in the actual cardinalities.
@@ -271,7 +236,7 @@ func NewEngine(g *Graph, opts Options) *Engine { return core.New(g, opts) }
 // NewEngineWithCache returns an engine over g backed by an existing
 // SharedCache, so independently created engines (one per request
 // goroutine, say) share closure structures. All engines on one cache
-// must use the same graph, strategy and TC algorithm.
+// must use the same graph and strategy.
 func NewEngineWithCache(g *Graph, opts Options, cache *SharedCache) *Engine {
 	return core.NewWithCache(g, opts, cache)
 }

@@ -155,33 +155,20 @@ func TestPublicExplain(t *testing.T) {
 	if plan.String() == "" {
 		t.Error("empty plan rendering")
 	}
-}
 
-func TestPublicPlannerModes(t *testing.T) {
-	g := fig1(t)
 	want, err := rtcshare.Evaluate(g, "d.(b.c)+.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []rtcshare.PlannerMode{rtcshare.PlannerHeuristic, rtcshare.PlannerCostBased} {
-		e := rtcshare.NewEngine(g, rtcshare.Options{Planner: mode})
-		got, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil {
-			t.Fatalf("planner %v: %v", mode, err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("planner %v: %d pairs, want %d", mode, got.Len(), want.Len())
-		}
-		plan, err := e.ExplainAnalyzeQuery("d.(b.c)+.c")
-		if err != nil {
-			t.Fatalf("planner %v explain analyze: %v", mode, err)
-		}
-		if !plan.Analyzed || plan.ActualResultPairs != want.Len() {
-			t.Errorf("planner %v: analyzed plan %+v, want %d actual pairs", mode, plan, want.Len())
-		}
-		if plan.Clauses[0].Kind == "" || plan.Clauses[0].Direction == "" {
-			t.Errorf("planner %v: plan missing kind/direction: %+v", mode, plan.Clauses[0])
-		}
+	analyzed, err := e.ExplainAnalyzeQuery("d.(b.c)+.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !analyzed.Analyzed || analyzed.ActualResultPairs != want.Len() {
+		t.Errorf("analyzed plan %+v, want %d actual pairs", analyzed, want.Len())
+	}
+	if analyzed.Clauses[0].Kind != "shared" {
+		t.Errorf("closure clause planned as %q, want shared", analyzed.Clauses[0].Kind)
 	}
 }
 
@@ -193,17 +180,6 @@ func TestPublicInverseLabels(t *testing.T) {
 	}
 	if res.Len() != 1 || !res.Contains(4, 7) {
 		t.Fatalf("(^d)_G = %v, want {(4,7)}", res.Sorted())
-	}
-}
-
-func TestPublicTCAlgorithms(t *testing.T) {
-	g := fig1(t)
-	for _, algo := range []rtcshare.TCAlgorithm{rtcshare.BFSClosure, rtcshare.PurdomClosure, rtcshare.NuutilaClosure} {
-		e := rtcshare.NewEngine(g, rtcshare.Options{TCAlgo: algo})
-		res, err := e.EvaluateQuery("d.(b.c)+.c")
-		if err != nil || res.Len() != 2 {
-			t.Errorf("algo %v: res=%v err=%v", algo, res, err)
-		}
 	}
 }
 
