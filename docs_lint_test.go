@@ -216,10 +216,10 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // retiredNames are the configurations this repository deleted: the
 // per-experiment baseline files, the map-set layout, the shard flag, the
 // scatter seam, the warm restore of cached structures from a snapshot,
-// the server's coalescing window and fast lane, and the cost-based
-// planner, closure-algorithm, DFA and cache-off knobs. (Spelled in
-// pieces so that a grep for the retired identifiers over the Go sources
-// stays empty.)
+// the server's coalescing window and fast lane, the cost-based planner,
+// closure-algorithm, DFA and cache-off knobs, and incremental closure
+// maintenance with its off switch. (Spelled in pieces so that a grep for
+// the retired identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -240,6 +240,8 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("Bitset" + "Closure"),
 	regexp.MustCompile(`(^|[^A-Za-z-])-plan` + `ner\b`),
 	regexp.MustCompile(`(^|[^A-Za-z-])-d` + `fa\b`),
+	regexp.MustCompile("Disable" + "Incremental"),
+	regexp.MustCompile("Dyn" + "Closure"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

@@ -13,9 +13,9 @@
 // compares RTCSharing with evaluating each query independently — then
 // keeps the dashboard alive while new edges stream in through
 // Engine.ApplyUpdates: each update batch bumps the engine onto a new
-// graph epoch, incrementally patching the follows+ structure (inserts
-// on "follows") and carrying everything the batch didn't touch, instead
-// of recomputing the world.
+// graph epoch, dropping the follows+ structure (rebuilt by the next
+// dashboard pass) and carrying everything the batch didn't touch,
+// instead of recomputing the world.
 //
 // Run with: go run ./examples/social
 package main
@@ -79,8 +79,8 @@ func main() {
 
 	// Live ingest: the dashboard engine stays up while follower edges
 	// stream in. Every batch lands through ApplyUpdates — the follows+
-	// RTC is patched in place (never recomputed), the mentions-only
-	// structures are carried across the epoch untouched, and queries
+	// RTC is dropped and rebuilt once by the next pass, cached relations
+	// over other labels are carried across the epoch untouched, and queries
 	// running concurrently would keep answering against the epoch they
 	// started on.
 	engine := rtcshare.NewEngine(g, rtcshare.Options{})
@@ -94,8 +94,8 @@ func main() {
 			dst := rtcshare.VID(rng.Intn(2048))
 			updates = append(updates, rtcshare.InsertEdge(src, follows, dst))
 		}
-		// The occasional retraction exercises the fallback: deletes drop
-		// the affected structures for recompute on demand.
+		// A retraction is handled like an insert: the affected structures
+		// drop and are recomputed on demand.
 		if batch == 2 {
 			updates = append(updates, rtcshare.DeleteEdge(updates[0].Src, follows, updates[0].Dst))
 		}
@@ -104,9 +104,9 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("\nepoch %d: +%d/-%d edges in %v (structures: %d patched, %d carried, %d dropped; relations: %d carried)\n",
+		fmt.Printf("\nepoch %d: +%d/-%d edges in %v (structures: %d carried, %d dropped; relations: %d carried)\n",
 			res.Epoch, res.Inserted, res.Deleted, time.Since(start).Round(time.Microsecond),
-			res.Patched, res.Carried, res.Dropped, res.RelCarried)
+			res.Carried, res.Dropped, res.RelCarried)
 		runDashboard(engine)
 	}
 

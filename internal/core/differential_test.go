@@ -89,20 +89,18 @@ func (c differentialCase) queries(t *testing.T, dict *graph.Dict) []rpq.Expr {
 
 // TestDifferentialUpdates is the update-oracle differential test:
 // random insert/delete sequences on RMAT graphs, and after every batch
-// the long-lived engine (incremental path: epoch-carried and patched
-// structures) must agree with a fresh engine rebuilt from scratch over
+// the long-lived engine (epoch-carried entries plus structures rebuilt
+// after a drop) must agree with a fresh engine rebuilt from scratch over
 // the updated graph AND with the compositional reference evaluator —
-// crossed over strategies and the incremental/rebuild maintenance
-// policies.
+// crossed over the three strategies.
 func TestDifferentialUpdates(t *testing.T) {
 	configs := []Options{
 		{},
 		{Strategy: FullSharing},
-		{DisableIncremental: true}, // rebuild-on-update fallback policy
+		{Strategy: NoSharing},
 	}
-	// The queries keep single-label closure bodies in play (the patched
-	// path) next to multi-label bodies and closure-free clauses (the
-	// carry/drop paths).
+	// The queries mix single-label and multi-label closure bodies with
+	// closure-free clauses, so each batch both carries and drops.
 	queries := []rpq.Expr{
 		rpq.MustParse("l0+"),
 		rpq.MustParse("l0+.l1"),
@@ -151,8 +149,8 @@ func TestDifferentialUpdates(t *testing.T) {
 
 		for _, opts := range configs {
 			engine := New(g, opts)
-			// Warm the caches so the migration has structures to carry,
-			// patch and drop.
+			// Warm the caches so the sweep has structures to carry and
+			// drop.
 			for _, q := range queries {
 				if _, err := engine.Evaluate(q); err != nil {
 					t.Fatalf("seed %d %+v: warmup %q: %v", caseSeed, opts, q, err)
@@ -166,7 +164,7 @@ func TestDifferentialUpdates(t *testing.T) {
 				for _, q := range queries {
 					got, err := engine.Evaluate(q)
 					if err != nil {
-						t.Fatalf("seed %d %+v batch %d: incremental %q: %v", caseSeed, opts, b, q, err)
+						t.Fatalf("seed %d %+v batch %d: long-lived %q: %v", caseSeed, opts, b, q, err)
 					}
 					fresh, err := rebuilt.Evaluate(q)
 					if err != nil {
@@ -174,7 +172,7 @@ func TestDifferentialUpdates(t *testing.T) {
 					}
 					want := eval.Reference(engine.Graph(), q)
 					if !got.Equal(want) {
-						t.Errorf("seed %d %+v batch %d: %q: incremental %d pairs, reference %d",
+						t.Errorf("seed %d %+v batch %d: %q: long-lived %d pairs, reference %d",
 							caseSeed, opts, b, q, got.Len(), want.Len())
 					}
 					if !fresh.Equal(want) {

@@ -34,8 +34,8 @@
 //
 // An Engine is no longer pinned to one frozen graph: ApplyUpdates
 // (update.go) applies a batch of edge inserts/deletes, freezes a new
-// graph version, advances the SharedCache's epoch (carrying, patching or
-// dropping each cached structure) and atomically swaps the engine onto
+// graph version, advances the SharedCache's epoch (carrying or dropping
+// each cached structure) and atomically swaps the engine onto
 // the new version. Everything whose lifetime is bounded by one graph
 // version — the graph itself, sub-result memos, evaluator free lists,
 // join-scratch and builder pools, the planner with its statistics —
@@ -92,11 +92,6 @@ type Options struct {
 	// MaxDNFClauses bounds the DNF conversion; 0 means
 	// rpq.DefaultMaxClauses.
 	MaxDNFClauses int
-	// DisableIncremental makes ApplyUpdates drop every affected cached
-	// structure instead of patching it incrementally — the
-	// rebuild-on-update fallback, exposed so the differential suite can
-	// compare the two maintenance policies on one code path.
-	DisableIncremental bool
 }
 
 // Stats is the paper's timing and size accounting for a sequence of

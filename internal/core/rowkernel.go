@@ -206,8 +206,8 @@ func (k *rowKernel) span(h int32) (lo, hi int32) {
 // ensure fills Row(c) and the rows of everything c reaches, by an
 // iterative DFS over Ḡ_R finishing components in post-order, so a row
 // is built only after the rows of its successors. It relies on Ḡ_R being
-// acyclic apart from self-loops, not on SID order: an RTC patched by
-// InsertEdges is not numbered topologically.
+// acyclic apart from self-loops, not on SID order: an RTC assembled
+// through rtc.FromParts need not be numbered topologically.
 func (k *rowKernel) ensure(c int32) error {
 	if k.comps[c] != 0 || k.light(c) {
 		return nil

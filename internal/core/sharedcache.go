@@ -56,9 +56,8 @@ import (
 // A cross-epoch value is therefore never returned; CacheCounters records
 // CrossEpochHits as a regression tripwire and the -race stress suite
 // asserts it stays zero. AdvanceEpoch flips the whole cache to a new
-// epoch in one sweep, giving the updater a migration hook per surviving
-// entry (carry a structure unchanged, install an incrementally patched
-// one, or drop it).
+// epoch in one sweep, asking the updater per surviving entry whether to
+// keep it (carried to the new epoch unchanged) or drop it.
 type SharedCache struct {
 	seed      maphash.Seed
 	epoch     atomic.Uint64
@@ -129,14 +128,6 @@ type cacheEntry struct {
 	// callers (including singleflight waiters) to keep the value
 	// themselves if they want it memoised.
 	retained bool
-}
-
-// completedEntry returns an already-resolved entry, as AdvanceEpoch
-// installs for migrated values.
-func completedEntry(epoch uint64, val any, retained bool) *cacheEntry {
-	e := &cacheEntry{epoch: epoch, val: val, retained: retained, done: make(chan struct{})}
-	close(e.done)
-	return e
 }
 
 // NewSharedCache returns an empty cache at epoch 0.
@@ -354,8 +345,8 @@ func (c *SharedCache) LookupRelation(epoch uint64, key string) (any, bool) {
 	}
 }
 
-// CacheRegion names the two cache regions for AdvanceEpoch's migration
-// callback.
+// CacheRegion names the two cache regions for AdvanceEpoch's keep
+// predicate.
 type CacheRegion int
 
 const (
@@ -366,43 +357,32 @@ const (
 )
 
 // AdvanceEpoch moves the cache to a new graph epoch and sweeps both
-// regions. Only entries computed at exactly fromEpoch — the updating
-// engine's pre-update epoch, the one graph version its deltas describe
-// — are offered to the migrate callback, which decides their fate:
-// return (newVal, true) to install newVal under the new epoch (carry a
-// structure unchanged, or hand back an incrementally patched copy), or
-// (_, false) to drop the entry. Entries at any OTHER old epoch (a
-// straggler's late install, or a diverged engine's) are dropped
-// unconditionally: the caller's deltas say nothing about them, so
-// carrying or patching them would smuggle a multi-epoch-stale value
-// into the new epoch. A nil migrate drops everything. In-flight entries
-// are detached: their waiters still receive the old-epoch result, but
-// the entry leaves the map, so it can never serve a new-epoch reader —
-// which is what makes the flip atomic from the readers' point of view:
-// an evaluation is entirely pre-epoch or entirely post-epoch, never a
-// mixture.
+// regions, returning the new epoch. Only completed entries computed at
+// exactly fromEpoch — the updating engine's pre-update epoch, the one
+// graph version its deltas describe — are offered to keep: a kept entry
+// is re-stamped at the new epoch in its slot, with the same value and
+// the same relation-budget charge, and any other entry is dropped.
+// Entries at any OTHER old epoch (a straggler's late install, or a
+// diverged engine's) are dropped unconditionally: the caller's deltas
+// say nothing about them, so carrying them would smuggle a
+// multi-epoch-stale value into the new epoch. A nil keep drops
+// everything. In-flight entries are detached: their waiters still
+// receive the old-epoch result, but the entry leaves the map, so it can
+// never serve a new-epoch reader — which is what makes the flip atomic
+// from the readers' point of view: an evaluation is entirely pre-epoch
+// or entirely post-epoch, never a mixture.
 //
-// The migrate callback runs OUTSIDE the shard locks (incremental
-// patches are O(closure pairs); holding a shard lock for that long
-// would head-of-line-block concurrent readers). A migrated value is
-// installed only if no new-epoch reader has raced a fresh computation
-// into the slot meanwhile. Migrated relation-region entries are
-// re-admitted against the budget; relDeclined reports how many migrated
-// relations did NOT survive (budget decline or lost race), so the
-// caller's carried-counters can stay truthful. The new epoch is
-// returned; the caller (Engine.ApplyUpdates) installs it in its new
-// engine version only after this sweep completes.
-func (c *SharedCache) AdvanceEpoch(fromEpoch uint64, migrate func(region CacheRegion, key string, val any) (any, bool)) (newEpoch uint64, relDeclined int) {
-	newEpoch = c.epoch.Add(1)
-	type candidate struct {
-		key string
-		val any
-	}
-	sweep := func(region CacheRegion, shards *[cacheShards]cacheShard, admit func(any) bool, evict func(any)) int {
-		declined := 0
+// keep runs under the shard lock, so it must be cheap and must not call
+// back into the cache. The re-stamp installs a fresh completed entry
+// rather than mutating the old one, so an entry's epoch stays fixed at
+// creation for readers still holding it. The caller
+// (Engine.ApplyUpdates) installs the new epoch in its new engine version
+// only after this sweep completes.
+func (c *SharedCache) AdvanceEpoch(fromEpoch uint64, keep func(region CacheRegion, key string) bool) uint64 {
+	newEpoch := c.epoch.Add(1)
+	sweep := func(region CacheRegion, shards *[cacheShards]cacheShard, evict func(any)) {
 		for i := range shards {
 			s := &shards[i]
-			var cands []candidate
 			s.mu.Lock()
 			for key, e := range s.entries {
 				if e.epoch >= newEpoch {
@@ -415,46 +395,18 @@ func (c *SharedCache) AdvanceEpoch(fromEpoch uint64, migrate func(region CacheRe
 					delete(s.entries, key)
 					continue
 				}
-				if e.err != nil {
-					delete(s.entries, key)
+				if e.err == nil && e.epoch == fromEpoch && keep != nil && keep(region, key) {
+					s.entries[key] = &cacheEntry{epoch: newEpoch, done: e.done, val: e.val, retained: true}
 					continue
 				}
 				c.dropEntryLocked(s, key, e, evict)
-				if migrate != nil && e.epoch == fromEpoch {
-					cands = append(cands, candidate{key: key, val: e.val})
-				}
 			}
 			s.mu.Unlock()
-
-			for _, cd := range cands {
-				nv, keep := migrate(region, cd.key, cd.val)
-				if !keep {
-					continue
-				}
-				if admit != nil && !admit(nv) {
-					declined++
-					continue
-				}
-				s.mu.Lock()
-				if _, exists := s.entries[cd.key]; !exists {
-					s.entries[cd.key] = completedEntry(newEpoch, nv, true)
-				} else {
-					// A new-epoch reader computed the key fresh while we
-					// migrated: its value is at least as current, so the
-					// migrated copy is discarded (and un-charged).
-					if evict != nil {
-						evict(nv)
-					}
-					declined++
-				}
-				s.mu.Unlock()
-			}
 		}
-		return declined
 	}
-	sweep(RegionStructure, &c.shards, nil, nil)
-	relDeclined = sweep(RegionRelation, &c.relShards, c.admitRelation, c.evictRelation)
-	return newEpoch, relDeclined
+	sweep(RegionStructure, &c.shards, nil)
+	sweep(RegionRelation, &c.relShards, c.evictRelation)
+	return newEpoch
 }
 
 // Len returns the number of cached structure entries, including

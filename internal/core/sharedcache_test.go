@@ -288,7 +288,7 @@ func TestRelationRegionBudget(t *testing.T) {
 }
 
 // TestSharedCacheEpochRules pins the three epoch access rules and the
-// AdvanceEpoch sweep, including relation-budget uncharging.
+// AdvanceEpoch sweep, including relation-budget uncharging on a drop.
 func TestSharedCacheEpochRules(t *testing.T) {
 	cache := NewSharedCache()
 	if _, _, err := cache.GetOrCompute(0, "k", func() (any, error) { return "v0", nil }); err != nil {
@@ -308,22 +308,15 @@ func TestSharedCacheEpochRules(t *testing.T) {
 		t.Fatalf("same-epoch access = (%v, %v, %v)", v, computed, err)
 	}
 
-	// AdvanceEpoch migrates the structure (as a patched value) and drops
-	// the relation, uncharging its budget.
-	newEpoch, relDeclined := cache.AdvanceEpoch(0, func(region CacheRegion, key string, val any) (any, bool) {
-		if region == RegionStructure && key == "k" {
-			return "v1", true
-		}
-		return nil, false
-	})
-	if newEpoch != 1 || cache.CurrentEpoch() != 1 {
+	// AdvanceEpoch keeps the structure and drops the relation,
+	// uncharging its budget.
+	if newEpoch := cache.AdvanceEpoch(0, func(region CacheRegion, key string) bool {
+		return region == RegionStructure && key == "k"
+	}); newEpoch != 1 || cache.CurrentEpoch() != 1 {
 		t.Fatalf("epoch after advance = %d / %d, want 1", newEpoch, cache.CurrentEpoch())
 	}
-	if relDeclined != 0 {
-		t.Fatalf("relDeclined = %d, want 0 (the relation was dropped, not declined)", relDeclined)
-	}
-	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v1" {
-		t.Fatalf("migrated entry = (%v, %v), want v1 at epoch 1", v, ok)
+	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v0" {
+		t.Fatalf("kept entry = (%v, %v), want v0 at epoch 1", v, ok)
 	}
 	if _, ok := cache.Lookup(0, "k"); ok {
 		t.Fatal("Lookup returned a value across epochs")
@@ -338,7 +331,7 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	if err != nil || !computed || v.(string) != "vOld" {
 		t.Fatalf("straggler access = (%v, %v, %v)", v, computed, err)
 	}
-	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v1" {
+	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v0" {
 		t.Fatalf("straggler evicted the newer entry: (%v, %v)", v, ok)
 	}
 
@@ -359,7 +352,7 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	}
 
 	// Provenance guard: a late install at an epoch OLDER than the
-	// updater's pre-update epoch must never be migrated — the updater's
+	// updater's pre-update epoch must never be kept — the updater's
 	// deltas describe only the fromEpoch graph, so a carry would smuggle
 	// a multi-epoch-stale value into the new epoch.
 	if _, _, err := cache.GetOrCompute(0, "k3", func() (any, error) { return "twoBehind", nil }); err != nil {
@@ -368,18 +361,60 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	if _, _, err := cache.GetOrCompute(1, "k4", func() (any, error) { return "oneBehind", nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _ = cache.AdvanceEpoch(1, func(region CacheRegion, key string, val any) (any, bool) {
+	if newEpoch := cache.AdvanceEpoch(1, func(region CacheRegion, key string) bool {
 		if key == "k3" {
-			t.Error("migrate offered an entry older than fromEpoch")
+			t.Error("keep offered an entry older than fromEpoch")
 		}
-		return val, true // carry everything offered
-	}); cache.CurrentEpoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", cache.CurrentEpoch())
+		return true // carry everything offered
+	}); newEpoch != 2 {
+		t.Fatalf("epoch = %d, want 2", newEpoch)
 	}
 	if _, ok := cache.Lookup(2, "k3"); ok {
 		t.Fatal("multi-epoch-stale entry survived the sweep")
 	}
 	if v, ok := cache.Lookup(2, "k4"); !ok || v.(string) != "oneBehind" {
 		t.Fatalf("fromEpoch entry not carried: (%v, %v)", v, ok)
+	}
+}
+
+// TestSharedCacheEpochRulesCarryKeepsCharge: a relation kept across
+// AdvanceEpoch stays resident under its original budget charge — no
+// uncharge, no second admission — and is served at the new epoch
+// without recomputing; dropping it later returns the charge exactly.
+func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
+	cache := NewSharedCache()
+	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
+	if _, _, _, err := cache.GetOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
+		t.Fatal(err)
+	}
+	charged := cache.relPairs.Load()
+	if charged != relationCost(rel) {
+		t.Fatalf("relPairs = %d, want %d", charged, relationCost(rel))
+	}
+
+	cache.AdvanceEpoch(0, func(region CacheRegion, _ string) bool { return region == RegionRelation })
+	if got := cache.relPairs.Load(); got != charged {
+		t.Fatalf("resident pairs %d after the carry, want %d", got, charged)
+	}
+	val, computed, retained, err := cache.GetOrComputeRelation(1, "r", func() (any, error) {
+		t.Error("carried relation recomputed")
+		return nil, nil
+	})
+	if err != nil || computed || !retained || val != any(rel) {
+		t.Fatalf("new-epoch access = (%p, computed %v, retained %v, %v), want the carried relation", val, computed, retained, err)
+	}
+	if v, ok := cache.LookupRelation(1, "r"); !ok || v != any(rel) {
+		t.Fatalf("LookupRelation at the new epoch = (%v, %v)", v, ok)
+	}
+	if _, ok := cache.LookupRelation(0, "r"); ok {
+		t.Fatal("LookupRelation served the carried entry at the old epoch")
+	}
+
+	cache.AdvanceEpoch(1, nil)
+	if cache.RelLen() != 0 || cache.relPairs.Load() != 0 {
+		t.Fatalf("dropped relation still resident: len=%d pairs=%d", cache.RelLen(), cache.relPairs.Load())
+	}
+	if cc := cache.Counters(); cc.CrossEpochHits != 0 {
+		t.Fatalf("CrossEpochHits = %d, want 0", cc.CrossEpochHits)
 	}
 }

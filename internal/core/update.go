@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rtcshare/internal/graph"
-	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
 )
 
@@ -52,8 +52,8 @@ func DeleteEdge(src graph.VID, label string, dst graph.VID) GraphUpdate {
 // UpdateResult reports what one ApplyUpdates batch did: the new graph
 // epoch, the effective edge changes, and the fate of every cached
 // structure and relation that existed at the old epoch — the
-// carried/patched/dropped split is the observable form of the §9
-// maintenance policy (the benchmark's core.carried/patched/dropped).
+// carried/dropped split is the observable form of the §9 carry-or-drop
+// policy (the benchmark's core.carried/dropped).
 type UpdateResult struct {
 	// Epoch is the graph epoch after the batch (unchanged if the batch
 	// was wholly ineffective).
@@ -63,29 +63,24 @@ type UpdateResult struct {
 	Inserted, Deleted int
 
 	// Carried counts closure structures moved to the new epoch untouched
-	// (their sub-query mentions no updated label); Patched counts
-	// structures maintained incrementally (single-label closure bodies
-	// under insert-only deltas); Dropped counts structures invalidated
-	// for recompute-on-demand (deletes and multi-label hard cases — the
-	// fallback half of the policy).
-	Carried, Patched, Dropped int
+	// (their sub-query mentions no updated label); Dropped counts the
+	// rest, which the next query that needs them rebuilds.
+	Carried, Dropped int
 	// RelCarried / RelDropped are the same split for cached sub-query
-	// relations (relations are never patched: rebuilding one from the
-	// new graph costs a single sub-query evaluation).
+	// relations.
 	RelCarried, RelDropped int
 
-	// MigrateTime is the wall-clock spent sweeping and patching the
-	// cache; FreezeTime the wall-clock spent freezing the new graph
-	// version.
+	// MigrateTime is the wall-clock spent sweeping the cache; FreezeTime
+	// the wall-clock spent freezing the new graph version.
 	MigrateTime, FreezeTime time.Duration
 }
 
 // ApplyUpdates applies a batch of edge updates to the engine's graph:
 // it mutates the engine's live mutable graph, freezes a new immutable
-// graph version, advances the SharedCache to a new epoch — deciding for
-// every cached structure whether to carry it unchanged, patch it
-// incrementally or drop it — and atomically swaps the engine onto the
-// new version. Queries already in flight finish against the old version
+// graph version, advances the SharedCache to a new epoch — carrying
+// every cached entry whose sub-query mentions no updated label and
+// dropping the rest — and atomically swaps the engine onto the new
+// version. Queries already in flight finish against the old version
 // (and its structures, which the epoch rules keep them from mixing with
 // new ones); queries started after the swap see the new graph.
 //
@@ -107,31 +102,30 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 		return UpdateResult{Epoch: v.epoch}, err
 	}
 
-	// Apply, keeping only the effective deltas: the migration below
-	// reasons about what actually changed per label.
+	// Apply, keeping only the labels an effective change touched: the
+	// sweep below carries exactly the entries that mention none of them.
 	res := UpdateResult{Epoch: v.epoch}
-	inserted := make(map[string][]pairs.Pair)
-	deleted := make(map[string]bool)
+	touched := make(map[string]bool)
 	for _, u := range updates {
+		var changed bool
+		var err error
 		switch u.Op {
 		case OpInsertEdge:
-			added, err := e.live.InsertEdge(u.Src, u.Label, u.Dst)
-			if err != nil {
-				return res, err
-			}
-			if added {
-				inserted[u.Label] = append(inserted[u.Label], pairs.Pair{Src: u.Src, Dst: u.Dst})
+			changed, err = e.live.InsertEdge(u.Src, u.Label, u.Dst)
+			if changed {
 				res.Inserted++
 			}
 		case OpDeleteEdge:
-			removed, err := e.live.DeleteEdge(u.Src, u.Label, u.Dst)
-			if err != nil {
-				return res, err
-			}
-			if removed {
-				deleted[u.Label] = true
+			changed, err = e.live.DeleteEdge(u.Src, u.Label, u.Dst)
+			if changed {
 				res.Deleted++
 			}
+		}
+		if err != nil {
+			return res, err
+		}
+		if changed {
+			touched[u.Label] = true
 		}
 	}
 	if res.Inserted+res.Deleted == 0 {
@@ -142,27 +136,14 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 	newG := e.live.Freeze()
 	res.FreezeTime = time.Since(t0)
 
-	touched := make(map[string]bool, len(inserted)+len(deleted))
-	for l := range inserted {
-		touched[l] = true
-	}
-	for l := range deleted {
-		touched[l] = true
-	}
-
 	t0 = time.Now()
 	// Only entries computed at this engine's pre-update epoch are
-	// migrated — they are the ones the effective deltas describe;
+	// offered — they are the ones the effective deltas describe;
 	// anything older (straggler installs, diverged engines) is dropped
 	// by the sweep itself.
-	newEpoch, relDeclined := e.cache.AdvanceEpoch(v.epoch, func(region CacheRegion, key string, val any) (any, bool) {
-		return e.migrateEntry(&res, region, key, val, touched, inserted, deleted)
+	newEpoch := e.cache.AdvanceEpoch(v.epoch, func(region CacheRegion, key string) bool {
+		return res.keep(region, key, touched)
 	})
-	// Relations the sweep could not actually retain (budget decline, or
-	// a fresh new-epoch computation won the slot) move from carried to
-	// dropped so the reported split matches what is resident.
-	res.RelCarried -= relDeclined
-	res.RelDropped += relDeclined
 	res.MigrateTime = time.Since(t0)
 	res.Epoch = newEpoch
 	e.ver.Store(newEngineVersion(&e.engineShared, newG, newEpoch))
@@ -202,111 +183,39 @@ func validateUpdates(updates []GraphUpdate, n graph.VID) error {
 	return nil
 }
 
-// migrateEntry decides one cached entry's fate across an epoch advance.
-// It runs outside the cache's shard locks (patching is O(closure
-// pairs)) but under updMu; it must not call back into the cache.
-func (e *Engine) migrateEntry(res *UpdateResult, region CacheRegion, key string, val any, touched map[string]bool, inserted map[string][]pairs.Pair, deleted map[string]bool) (any, bool) {
-	switch region {
-	case RegionRelation:
-		// A memoised sub-query relation survives iff its expression
-		// mentions no updated label; otherwise the next use re-evaluates
-		// it against the new graph (one sub-query — no closure work).
-		expr, err := rpq.Parse(key)
-		if err == nil && labelsDisjoint(expr, touched) {
-			res.RelCarried++
-			return val, true
+// keep decides one cached entry's fate across an epoch advance and
+// counts it: the entry is carried iff its sub-query mentions no updated
+// label — an RPQ result depends only on the adjacency of the labels it
+// mentions — and dropped otherwise, to be rebuilt by the next query
+// that needs it. Inserts drop too: rebuilding a structure on first use
+// costs one Compute, less than patching it eagerly inside the update
+// (DESIGN §9). It runs under a cache shard lock and must not call back
+// into the cache.
+func (res *UpdateResult) keep(region CacheRegion, key string, touched map[string]bool) bool {
+	// A structure key is nsRTC or nsFull (each ending in '\x00') before
+	// the sub-query text; a relation key is the bare text.
+	if region == RegionStructure {
+		_, key, _ = strings.Cut(key, "\x00")
+	}
+	expr, err := rpq.Parse(key)
+	carried := err == nil
+	if carried {
+		for _, l := range rpq.Labels(expr) {
+			if touched[l] {
+				carried = false
+				break
+			}
 		}
+	}
+	switch {
+	case region == RegionRelation && carried:
+		res.RelCarried++
+	case region == RegionRelation:
 		res.RelDropped++
-		return nil, false
-
-	case RegionStructure:
-		switch sv := val.(type) {
-		case *rtcValue:
-			expr, err := rpq.Parse(sv.summary.R)
-			if err != nil {
-				break
-			}
-			if labelsDisjoint(expr, touched) {
-				res.Carried++
-				return val, true
-			}
-			if delta, ok := e.structureDelta(expr, inserted, deleted); ok {
-				patched := sv.structure.InsertEdges(delta)
-				res.Patched++
-				return &rtcValue{
-					structure: patched,
-					summary: SharedSummary{
-						R:                   sv.summary.R,
-						SharedPairs:         patched.NumSharedPairs(),
-						ReducedVertices:     patched.NumReducedVertices(),
-						EdgeReducedVertices: patched.NumActiveVertices(),
-						AvgSCCSize:          patched.Components().AverageSize(),
-					},
-				}, true
-			}
-		case *fullValue:
-			expr, err := rpq.Parse(sv.summary.R)
-			if err != nil {
-				break
-			}
-			if labelsDisjoint(expr, touched) {
-				res.Carried++
-				return val, true
-			}
-			if delta, ok := e.structureDelta(expr, inserted, deleted); ok {
-				patched := sv.closure.InsertEdges(delta)
-				active := patched.NumActive()
-				res.Patched++
-				return &fullValue{
-					closure: patched,
-					summary: SharedSummary{
-						R:                   sv.summary.R,
-						SharedPairs:         patched.NumPairs(),
-						ReducedVertices:     active,
-						EdgeReducedVertices: active,
-					},
-				}, true
-			}
-		}
+	case carried:
+		res.Carried++
+	default:
+		res.Dropped++
 	}
-	res.Dropped++
-	return nil, false
-}
-
-// structureDelta maps the update batch onto G_R edge inserts for a
-// closure body R, reporting whether incremental maintenance applies.
-// The tractable case is a single-label R (by far the common closure
-// body: R_G is exactly the label's edge relation, so a graph edge
-// insert IS a G_R edge insert — reversed for an inverse label) with no
-// effective delete of that label; everything else — deletes, and
-// multi-label bodies whose R_G delta would need re-evaluating R — falls
-// back to dropping the structure.
-func (e *Engine) structureDelta(r rpq.Expr, inserted map[string][]pairs.Pair, deleted map[string]bool) ([]pairs.Pair, bool) {
-	if e.opts.DisableIncremental {
-		return nil, false
-	}
-	lbl, isLabel := r.(rpq.Label)
-	if !isLabel || deleted[lbl.Name] {
-		return nil, false
-	}
-	ins := inserted[lbl.Name]
-	if !lbl.Inverse {
-		return ins, true
-	}
-	rev := make([]pairs.Pair, len(ins))
-	for i, p := range ins {
-		rev[i] = pairs.Pair{Src: p.Dst, Dst: p.Src}
-	}
-	return rev, true
-}
-
-// labelsDisjoint reports whether none of expr's labels were touched by
-// the update batch.
-func labelsDisjoint(expr rpq.Expr, touched map[string]bool) bool {
-	for _, l := range rpq.Labels(expr) {
-		if touched[l] {
-			return false
-		}
-	}
-	return true
+	return carried
 }

@@ -101,84 +101,82 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 	)
 	plan := newUpdateStressPlan(t, numBatches, batchSize)
 
-	for _, opts := range []Options{{}, {DisableIncremental: true}} {
-		engine := New(plan.g, opts)
+	engine := New(plan.g, Options{})
 
-		var (
-			wg        sync.WaitGroup
-			mu        sync.Mutex
-			seen      []int // epochs observed by readers, for monotonic sanity
-			torn      int
-			evalErrs  []error
-			updateErr error
-		)
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		seen      []int // epochs observed by readers, for monotonic sanity
+		torn      int
+		evalErrs  []error
+		updateErr error
+	)
 
-		// Mutator: applies every batch, interleaving with the readers.
+	// Mutator: applies every batch, interleaving with the readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, batch := range plan.batches {
+			if _, err := engine.ApplyUpdates(batch); err != nil {
+				updateErr = err
+				return
+			}
+		}
+	}()
+
+	// Readers: parallel batch evaluations whose joint result must
+	// equal exactly one epoch's oracle.
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, batch := range plan.batches {
-				if _, err := engine.ApplyUpdates(batch); err != nil {
-					updateErr = err
+			for round := 0; round < readRounds; round++ {
+				results, err := engine.EvaluateBatchParallel(plan.queries, 2)
+				if err != nil {
+					mu.Lock()
+					evalErrs = append(evalErrs, err)
+					mu.Unlock()
 					return
 				}
+				k := plan.epochOf(results)
+				mu.Lock()
+				if k < 0 {
+					torn++
+				} else {
+					seen = append(seen, k)
+				}
+				mu.Unlock()
 			}
 		}()
+	}
+	wg.Wait()
 
-		// Readers: parallel batch evaluations whose joint result must
-		// equal exactly one epoch's oracle.
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for round := 0; round < readRounds; round++ {
-					results, err := engine.EvaluateBatchParallel(plan.queries, 2)
-					if err != nil {
-						mu.Lock()
-						evalErrs = append(evalErrs, err)
-						mu.Unlock()
-						return
-					}
-					k := plan.epochOf(results)
-					mu.Lock()
-					if k < 0 {
-						torn++
-					} else {
-						seen = append(seen, k)
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
+	if updateErr != nil {
+		t.Fatalf("ApplyUpdates: %v", updateErr)
+	}
+	for _, err := range evalErrs {
+		t.Errorf("evaluate: %v", err)
+	}
+	if torn > 0 {
+		t.Errorf("%d torn reads (results matching no single epoch oracle)", torn)
+	}
+	if len(seen) == 0 {
+		t.Fatal("readers observed nothing")
+	}
 
-		if updateErr != nil {
-			t.Fatalf("%+v: ApplyUpdates: %v", opts, updateErr)
-		}
-		for _, err := range evalErrs {
-			t.Errorf("%+v: evaluate: %v", opts, err)
-		}
-		if torn > 0 {
-			t.Errorf("%+v: %d torn reads (results matching no single epoch oracle)", opts, torn)
-		}
-		if len(seen) == 0 {
-			t.Fatalf("%+v: readers observed nothing", opts)
-		}
+	// After the dust settles the engine must sit at the final epoch
+	// and answer with its oracle.
+	final, err := engine.EvaluateBatchParallel(plan.queries, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := plan.epochOf(final); k != numBatches {
+		t.Errorf("settled at oracle epoch %d, want %d", k, numBatches)
+	}
 
-		// After the dust settles the engine must sit at the final epoch
-		// and answer with its oracle.
-		final, err := engine.EvaluateBatchParallel(plan.queries, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k := plan.epochOf(final); k != numBatches {
-			t.Errorf("%+v: settled at oracle epoch %d, want %d", opts, k, numBatches)
-		}
-
-		// No cached value may ever have crossed an epoch.
-		if cc := engine.Cache().Counters(); cc.CrossEpochHits != 0 {
-			t.Errorf("%+v: CrossEpochHits = %d, want 0", opts, cc.CrossEpochHits)
-		}
+	// No cached value may ever have crossed an epoch.
+	if cc := engine.Cache().Counters(); cc.CrossEpochHits != 0 {
+		t.Errorf("CrossEpochHits = %d, want 0", cc.CrossEpochHits)
 	}
 }
 

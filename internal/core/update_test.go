@@ -58,7 +58,7 @@ func TestApplyUpdatesBasic(t *testing.T) {
 	}
 	assertOracle(t, e, "a+", "a+.b", "a.c?", "c")
 
-	// Deletes flow through too, falling back to recompute.
+	// Deletes flow through too.
 	if _, err := e.ApplyUpdates([]GraphUpdate{DeleteEdge(0, "a", 1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,51 +70,40 @@ func TestApplyUpdatesMigrationSplit(t *testing.T) {
 	// Warm two closure structures (R=a and R=b) and their side relations.
 	assertOracle(t, e, "a+", "b+", "a.b+")
 
-	// Insert on a: the a-structure patches, the b-structure carries.
+	// Insert on a: the a-structure drops, the b-structure carries.
 	res, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(4, "a", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Patched != 1 || res.Carried != 1 || res.Dropped != 0 {
-		t.Fatalf("structure split = patched %d carried %d dropped %d, want 1/1/0",
-			res.Patched, res.Carried, res.Dropped)
+	if res.Carried != 1 || res.Dropped != 1 {
+		t.Fatalf("insert split = carried %d dropped %d, want 1/1", res.Carried, res.Dropped)
 	}
 	if res.RelCarried == 0 {
 		t.Fatalf("no relations carried: %+v", res)
 	}
-	assertOracle(t, e, "a+", "b+", "a.b+")
 
-	// Patched and carried structures must be warm: re-running the batch
-	// costs no new structure computations.
+	// The next pass builds the a-structure again, once, and finds the
+	// carried b-structure warm; a second pass computes nothing.
 	missesBefore := e.Cache().Counters().Misses
+	assertOracle(t, e, "a+", "b+", "a.b+")
+	if misses := e.Cache().Counters().Misses; misses != missesBefore+1 {
+		t.Fatalf("structure misses %d → %d, want exactly one (the dropped a-structure)", missesBefore, misses)
+	}
+	missesBefore = e.Cache().Counters().Misses
 	assertOracle(t, e, "a+", "b+", "a.b+")
 	if misses := e.Cache().Counters().Misses; misses != missesBefore {
 		t.Fatalf("warm structures recomputed: misses %d → %d", missesBefore, misses)
 	}
 
-	// A delete on a drops the a-structure (recompute fallback), b carries.
+	// A delete on a splits the same way.
 	res, err = e.ApplyUpdates([]GraphUpdate{DeleteEdge(4, "a", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped != 1 || res.Carried != 1 || res.Patched != 0 {
-		t.Fatalf("delete split = patched %d carried %d dropped %d, want 0/1/1",
-			res.Patched, res.Carried, res.Dropped)
+	if res.Carried != 1 || res.Dropped != 1 {
+		t.Fatalf("delete split = carried %d dropped %d, want 1/1", res.Carried, res.Dropped)
 	}
 	assertOracle(t, e, "a+", "b+", "a.b+")
-}
-
-func TestApplyUpdatesDisableIncremental(t *testing.T) {
-	e := New(chainGraph(8), Options{DisableIncremental: true})
-	assertOracle(t, e, "a+")
-	res, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(4, "a", 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Patched != 0 || res.Dropped != 1 {
-		t.Fatalf("DisableIncremental still patched: %+v", res)
-	}
-	assertOracle(t, e, "a+")
 }
 
 func TestApplyUpdatesNoOpAndErrors(t *testing.T) {

@@ -13,6 +13,7 @@ package rtc
 
 import (
 	"fmt"
+	"slices"
 
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -70,14 +71,84 @@ func ComputeCheck(gr *graph.DiGraph, check tc.Checkpoint) (*RTC, error) {
 	return &RTC{comps: comps, condensation: cond, closure: closure}, nil
 }
 
+// InsertEdges returns the RTC of G_R with the given edges added; the
+// receiver is never modified. It applies the vertex-level reduction to
+// Ḡ_R + Δ instead of G_R + Δ: every old SCC stays strongly connected,
+// so the SCCs of G_R + Δ are unions of old SCCs, and the quotient graph
+// — the old condensation plus the delta mapped through CompOf, a vertex
+// outside V_R entering as a fresh singleton — has the same reachability
+// between them (Theorem 1). Tarjan, Condense and BFS over the quotient
+// cost what Compute pays for Ḡ_R; CompOf and Members are then composed
+// through the quotient's SCCs, whose SIDs come out in Tarjan's reverse
+// topological order as Compute's do.
+func (r *RTC) InsertEdges(edges []pairs.Pair) *RTC {
+	old := r.comps
+	k := int32(old.NumComponents())
+	// qOf maps each vertex to its quotient vertex: its old SID, or a
+	// fresh SID past k for an endpoint outside V_R.
+	qOf := slices.Clone(old.CompOf)
+	var fresh []graph.VID
+	quot := func(v graph.VID) graph.VID {
+		if qOf[v] < 0 {
+			qOf[v] = k + int32(len(fresh))
+			fresh = append(fresh, v)
+		}
+		return qOf[v]
+	}
+	delta := make([]pairs.Pair, len(edges))
+	for i, e := range edges {
+		delta[i] = pairs.Pair{Src: quot(e.Src), Dst: quot(e.Dst)}
+	}
+	b := graph.NewDiBuilderCap(int(k)+len(fresh), r.condensation.NumEdges()+len(delta))
+	r.condensation.Edges(func(s, t graph.VID) bool {
+		b.AddEdge(s, t)
+		return true
+	})
+	for _, d := range delta {
+		b.AddEdge(d.Src, d.Dst)
+	}
+	quotient := b.Build()
+	qc := scc.Tarjan(quotient)
+	cond := scc.Condense(quotient, qc)
+
+	// Compose: qOf becomes the new CompOf in place, and a component's
+	// members are the union of its quotient vertices' members (an
+	// unmerged old SCC keeps its immutable Members row).
+	for v, q := range qOf {
+		if q >= 0 {
+			qOf[v] = qc.CompOf[q]
+		}
+	}
+	members := make([][]graph.VID, qc.NumComponents())
+	for s, qs := range qc.Members {
+		if len(qs) == 1 && qs[0] < k {
+			members[s] = old.Members[qs[0]]
+			continue
+		}
+		for _, q := range qs {
+			if q < k {
+				members[s] = append(members[s], old.Members[q]...)
+			} else {
+				members[s] = append(members[s], fresh[q-k])
+			}
+		}
+		slices.Sort(members[s])
+	}
+	return &RTC{
+		comps:        &scc.Components{CompOf: qOf, Members: members},
+		condensation: cond,
+		closure:      tc.BFS(cond),
+	}
+}
+
 // FromParts assembles an RTC from its three structures — the SCC
 // decomposition of G_R, the condensation Ḡ_R, and TC(Ḡ_R) — built by
 // the caller, checking only that the three agree on the SID space.
 // Nothing else is validated: parts that Compute would never produce (a
-// condensation with a cycle, say) are accepted, which is how tests hand
-// the join deliberately malformed structures. The condensation is
-// required because the join walks it and InsertEdges remaps its edges
-// through SCC merges.
+// condensation with a cycle, or SIDs in no topological order) are
+// accepted, which is how tests hand the join deliberately malformed or
+// SID-permuted structures. The condensation is required because the
+// join walks it and InsertEdges reduces it again.
 func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.Closure) (*RTC, error) {
 	k := comps.NumComponents()
 	if condensation.NumVertices() != k {
@@ -119,6 +190,9 @@ func (r *RTC) Members(sid int32) []graph.VID { return r.comps.Members[sid] }
 // NumReducedVertices returns |V̄_R̄| — the vertex count the paper plots in
 // Fig. 13 for RTCSharing.
 func (r *RTC) NumReducedVertices() int { return r.comps.NumComponents() }
+
+// NumActiveVertices returns |V_R|: the vertices assigned to some SCC.
+func (r *RTC) NumActiveVertices() int { return r.comps.NumActiveVertices() }
 
 // NumSharedPairs returns |TC(Ḡ_R)| — the shared data size the paper
 // plots in Fig. 12 for RTCSharing.

@@ -43,18 +43,6 @@ func (c *Components) AverageSize() float64 {
 	return float64(total) / float64(len(c.Members))
 }
 
-// Clone returns a copy-on-write copy of the decomposition for
-// incremental maintenance (internal/rtc patches it under edge inserts):
-// CompOf is deep-copied, while the Members rows are shared with the
-// receiver and must be replaced, never mutated, when a merge rewrites
-// them.
-func (c *Components) Clone() *Components {
-	return &Components{
-		CompOf:  slices.Clone(c.CompOf),
-		Members: slices.Clone(c.Members),
-	}
-}
-
 // NumActiveVertices counts the vertices assigned to a component — |V_R|
 // for the decomposition of an edge-level reduced graph.
 func (c *Components) NumActiveVertices() int {

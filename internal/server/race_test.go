@@ -55,7 +55,7 @@ func TestServerUpdateQueryStorm(t *testing.T) {
 	)
 
 	// The mutator: insert-only single-label ingest on l3, the label all
-	// queries close over, so every round drops/patches their structures.
+	// queries close over, so every round drops their structures.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

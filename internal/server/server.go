@@ -578,10 +578,13 @@ type EdgeUpdate struct {
 // UpdateResponse reports what the batch did — Engine.UpdateResult plus
 // the migration wall-clocks, in milliseconds.
 type UpdateResponse struct {
-	Epoch            uint64  `json:"epoch"`
-	Inserted         int     `json:"inserted"`
-	Deleted          int     `json:"deleted"`
-	Carried          int     `json:"carried"`
+	Epoch    uint64 `json:"epoch"`
+	Inserted int    `json:"inserted"`
+	Deleted  int    `json:"deleted"`
+	Carried  int    `json:"carried"`
+	// Patched is always 0: an update carries or drops every cached
+	// structure and patches none. The field stays so the response's JSON
+	// shape does not change.
 	Patched          int     `json:"patched"`
 	Dropped          int     `json:"dropped"`
 	RelCarried       int     `json:"rel_carried"`
@@ -639,7 +642,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		Inserted:         res.Inserted,
 		Deleted:          res.Deleted,
 		Carried:          res.Carried,
-		Patched:          res.Patched,
 		Dropped:          res.Dropped,
 		RelCarried:       res.RelCarried,
 		RelDropped:       res.RelDropped,

@@ -208,6 +208,11 @@ func TestServerUpdateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || ur.Inserted != 1 {
 		t.Fatalf("update: status %d, inserted %d", resp.StatusCode, ur.Inserted)
 	}
+	// An insert drops the e+ structure like a delete would; nothing is
+	// patched, though the pinned JSON shape keeps the field.
+	if ur.Patched != 0 || ur.Dropped != 1 {
+		t.Fatalf("insert-only update: patched %d dropped %d, want 0/1", ur.Patched, ur.Dropped)
+	}
 	if ur.Epoch <= before.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", before.Epoch, ur.Epoch)
 	}

@@ -162,9 +162,8 @@ type SharedSummary = core.SharedSummary
 // Engine.ApplyUpdates mutates the graph between (or concurrently with)
 // query batches: it freezes a new graph version, advances the cache to
 // a new epoch — carrying cached structures whose sub-queries mention no
-// updated label, incrementally patching single-label closure structures
-// under insert-only deltas, and dropping the rest for recompute on
-// demand — and atomically swaps the engine onto the new version.
+// updated label and dropping the rest for recompute on demand — and
+// atomically swaps the engine onto the new version.
 // Running queries finish against the version they started on; a result
 // always describes exactly one graph epoch.
 type Engine = core.Engine
@@ -194,8 +193,8 @@ func DeleteEdge(src VID, label string, dst VID) GraphUpdate {
 }
 
 // UpdateResult reports what one ApplyUpdates batch did: the new graph
-// epoch, the effective edge changes, and the carried/patched/dropped
-// fate of every cached structure and relation.
+// epoch, the effective edge changes, and the carried/dropped fate of
+// every cached structure and relation.
 type UpdateResult = core.UpdateResult
 
 // SharedCache holds the shared closure structures (the paper's RTCs and
