@@ -10,6 +10,7 @@
 package rtcshare_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"rtcshare/internal/core"
@@ -186,6 +187,41 @@ func BenchmarkCore_JoinSparse(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(rel.Len()), "rows_out")
+	}
+}
+
+// BenchmarkGraph_Freeze explains graph.freeze_ns: one serve-churn-sized
+// update over RMAT_3 at 2^11 vertices — eight edges, two per label,
+// each inserted if absent and deleted if present — then Freeze. The
+// edges cycle through a fixed pool of 64, so the graph keeps its size.
+func BenchmarkGraph_Freeze(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := g.Dict().Names()
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]graph.Edge, 64)
+	for i := range pool {
+		pool[i] = graph.Edge{Src: graph.VID(rng.Intn(g.NumVertices())), Label: graph.LID(i % len(labels)), Dst: graph.VID(rng.Intn(g.NumVertices()))}
+	}
+	m := graph.MutableFromGraph(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range pool[i*8%len(pool):][:8] {
+			label := labels[e.Label]
+			var err error
+			if m.HasEdge(e.Src, label, e.Dst) {
+				_, err = m.DeleteEdge(e.Src, label, e.Dst)
+			} else {
+				_, err = m.InsertEdge(e.Src, label, e.Dst)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Freeze()
 	}
 }
 

@@ -239,10 +239,8 @@ type Engine struct {
 	// ApplyUpdates. Readers pin it once per evaluation.
 	ver atomic.Pointer[engineVersion]
 
-	// updMu serialises ApplyUpdates; live is the mutable graph the
-	// updates accumulate into, lazily forked from the frozen graph.
+	// updMu serialises ApplyUpdates.
 	updMu sync.Mutex
-	live  *graph.Mutable
 }
 
 // New returns an Engine over g with a private SharedCache.

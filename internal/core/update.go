@@ -76,13 +76,15 @@ type UpdateResult struct {
 }
 
 // ApplyUpdates applies a batch of edge updates to the engine's graph:
-// it mutates the engine's live mutable graph, freezes a new immutable
-// graph version, advances the SharedCache to a new epoch — carrying
-// every cached entry whose sub-query mentions no updated label and
-// dropping the rest — and atomically swaps the engine onto the new
-// version. Queries already in flight finish against the old version
-// (and its structures, which the epoch rules keep them from mixing with
-// new ones); queries started after the swap see the new graph.
+// it applies them to a graph.Mutable over the current version's graph,
+// freezes a new immutable graph version (rebuilding only the labels the
+// batch changed and aliasing the rest), advances the SharedCache to a
+// new epoch — carrying every cached entry whose sub-query mentions no
+// updated label and dropping the rest — and atomically swaps the engine
+// onto the new version. Queries already in flight finish against the
+// old version (and its structures, which the epoch rules keep them from
+// mixing with new ones); queries started after the swap see the new
+// graph.
 //
 // The batch is validated before anything mutates: an out-of-range
 // endpoint or unknown op rejects the whole batch. A batch with no
@@ -95,15 +97,16 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 	defer e.updMu.Unlock()
 
 	v := e.version()
-	if e.live == nil {
-		e.live = graph.MutableFromGraph(v.g)
-	}
-	if err := validateUpdates(updates, graph.VID(e.live.NumVertices())); err != nil {
+	if err := validateUpdates(updates, graph.VID(v.g.NumVertices())); err != nil {
 		return UpdateResult{Epoch: v.epoch}, err
 	}
 
-	// Apply, keeping only the labels an effective change touched: the
-	// sweep below carries exactly the entries that mention none of them.
+	// Apply onto the pinned version's graph, keeping only the labels an
+	// effective change touched: the sweep below carries exactly the
+	// entries that mention none of them. The Mutable aliases the
+	// version's columns, so the version's graph stays the only copy of
+	// the edge set.
+	live := graph.MutableFromGraph(v.g)
 	res := UpdateResult{Epoch: v.epoch}
 	touched := make(map[string]bool)
 	for _, u := range updates {
@@ -111,12 +114,12 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 		var err error
 		switch u.Op {
 		case OpInsertEdge:
-			changed, err = e.live.InsertEdge(u.Src, u.Label, u.Dst)
+			changed, err = live.InsertEdge(u.Src, u.Label, u.Dst)
 			if changed {
 				res.Inserted++
 			}
 		case OpDeleteEdge:
-			changed, err = e.live.DeleteEdge(u.Src, u.Label, u.Dst)
+			changed, err = live.DeleteEdge(u.Src, u.Label, u.Dst)
 			if changed {
 				res.Deleted++
 			}
@@ -133,7 +136,7 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 	}
 
 	t0 := time.Now()
-	newG := e.live.Freeze()
+	newG := live.Freeze()
 	res.FreezeTime = time.Since(t0)
 
 	t0 = time.Now()

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // DiGraph is an immutable unlabeled simple directed graph in CSR form.
 // It represents the products of RPQ-based graph reduction: the edge-level
@@ -137,9 +134,9 @@ func (d *DiGraph) CSR() (offsets []int32, targets []VID) {
 // TransposeCSR counting-sorts a src-grouped CSR into its dst-grouped
 // mirror: tOffsets[w]:tOffsets[w+1] index the sources pairing to w in
 // tTargets. Walking sources ascending appends each transposed run in
-// sorted order, so sortedness of the input runs carries over. Shared by
-// DiGraphFromCSR's reverse adjacency and pairs.Relation's lazy
-// transpose.
+// sorted order, so sortedness of the input runs carries over. It is the
+// one source of reverse adjacencies: Builder.Build, Mutable.Freeze,
+// DiBuilder.Build, DiGraphFromCSR, and pairs.Relation's lazy transpose.
 func TransposeCSR(numVertices int, offsets []int32, dsts []VID) (tOffsets []int32, tTargets []VID) {
 	tOffsets = make([]int32, numVertices+1)
 	for _, w := range dsts {
@@ -208,26 +205,13 @@ func (b *DiBuilder) Build() *DiGraph {
 	for i := range b.srcs {
 		es[i] = Edge{Src: b.srcs[i], Dst: b.dsts[i]}
 	}
-	// slices.SortFunc rather than sort.Slice: no reflection-based
-	// swapper, no closure allocations — condensations are rebuilt for
-	// every shared structure, so this is warm-path code.
-	slices.SortFunc(es, func(a, b Edge) int {
-		if a.Src != b.Src {
-			return int(a.Src) - int(b.Src)
-		}
-		return int(a.Dst) - int(b.Dst)
-	})
-	es = dedupEdges(es)
+	// Condensations are rebuilt for every shared structure, so this is
+	// warm-path code: one allocation-free sort, then a transpose.
+	es = sortedDedupEdges(es)
 
 	d := &DiGraph{numVertices: n, numEdges: len(es)}
-	d.fwd = buildCSR(n, es, false)
-	slices.SortFunc(es, func(a, b Edge) int {
-		if a.Dst != b.Dst {
-			return int(a.Dst) - int(b.Dst)
-		}
-		return int(a.Src) - int(b.Src)
-	})
-	d.rev = buildCSR(n, es, true)
+	d.fwd = buildCSR(n, es)
+	d.rev.offsets, d.rev.targets = TransposeCSR(n, d.fwd.offsets, d.fwd.targets)
 	d.indexActive()
 	b.srcs, b.dsts = nil, nil
 	return d

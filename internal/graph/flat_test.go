@@ -178,16 +178,16 @@ func TestSmallAccessors(t *testing.T) {
 
 	m := MutableFromGraph(g)
 	var edges []Edge
-	m.EachEdge(func(e Edge) bool {
+	m.Freeze().Edges(func(e Edge) bool {
 		edges = append(edges, e)
 		return len(edges) < 4 // exercise the early stop
 	})
 	if len(edges) != 4 {
-		t.Fatalf("EachEdge visited %d edges, want 4 (early stop)", len(edges))
+		t.Fatalf("Edges visited %d edges, want 4 (early stop)", len(edges))
 	}
 	total := 0
-	m.EachEdge(func(Edge) bool { total++; return true })
+	m.Freeze().Edges(func(Edge) bool { total++; return true })
 	if total != g.NumEdges() {
-		t.Errorf("EachEdge visited %d edges, want %d", total, g.NumEdges())
+		t.Errorf("Edges visited %d edges, want %d", total, g.NumEdges())
 	}
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -9,18 +11,30 @@ import (
 // vertex space and label alphabet. Whatever the stream, applying it must
 // never panic, and the final Freeze must be indistinguishable from
 // Builder.Build over the surviving edge list — including the Build-time
-// LabelStats, which the Mutable maintains incrementally.
+// LabelStats. Bit 7 of an op's label byte freezes after the op; every
+// graph frozen mid-stream must still match its own edge set at the end,
+// after later freezes merged into the columns it shares.
 func FuzzApplyUpdates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 0, 1, 0x80, 0, 1})
 	f.Add([]byte{0x40, 3, 3, 0, 1, 2, 0x80, 1, 2, 0xc0, 9})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	// Freeze after each op: insert (0,a,2), insert (0,a,1) ahead of it in
+	// the shared run, delete (0,a,2), grow to 12, insert (0,b,11).
+	f.Add([]byte{0, 0x80, 2, 0, 0x80, 1, 0x80, 0x80, 2, 0xcc, 0x81, 0, 0, 0x81, 11})
 
 	labels := []string{"a", "b", "c", "d"}
+	type frozen struct {
+		g     *Graph
+		n     int
+		names []string
+		edges map[Edge]bool
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
 		m := NewMutable(n)
 		oracle := make(map[Edge]bool)
+		var history []frozen
 		for i := 0; i+2 < len(data); i += 3 {
 			op := data[i] >> 6
 			src := VID(data[i] & 0x3f)
@@ -62,6 +76,9 @@ func FuzzApplyUpdates(f *testing.F) {
 			case 3: // grow
 				m.Grow(int(src))
 			}
+			if data[i+1]&0x80 != 0 {
+				history = append(history, frozen{m.Freeze(), m.NumVertices(), slices.Clone(m.Dict().Names()), maps.Clone(oracle)})
+			}
 		}
 
 		if m.NumEdges() != len(oracle) {
@@ -95,5 +112,8 @@ func FuzzApplyUpdates(f *testing.F) {
 			}
 			return true
 		})
+		for _, h := range history {
+			matchesBuild(t, h.g, h.n, h.names, h.edges)
+		}
 	})
 }

@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -290,29 +291,17 @@ func (b *Builder) Build() *Graph {
 		rev:         make([]adjacency, numLabels),
 	}
 
-	// Bucket edges per label, then build fwd and rev CSR per label.
+	// Bucket edges per label, then build the forward CSR of each label
+	// and transpose it into the reverse one.
 	perLabel := make([][]Edge, numLabels)
 	for _, e := range b.edges {
 		perLabel[e.Label] = append(perLabel[e.Label], e)
 	}
 	for l := 0; l < numLabels; l++ {
-		es := perLabel[l]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Src != es[j].Src {
-				return es[i].Src < es[j].Src
-			}
-			return es[i].Dst < es[j].Dst
-		})
-		es = dedupEdges(es)
+		es := sortedDedupEdges(perLabel[l])
 		g.numEdges += len(es)
-		g.fwd[l] = buildCSR(b.numVertices, es, false)
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Dst != es[j].Dst {
-				return es[i].Dst < es[j].Dst
-			}
-			return es[i].Src < es[j].Src
-		})
-		g.rev[l] = buildCSR(b.numVertices, es, true)
+		g.fwd[l] = buildCSR(b.numVertices, es)
+		g.rev[l].offsets, g.rev[l].targets = TransposeCSR(b.numVertices, g.fwd[l].offsets, g.fwd[l].targets)
 	}
 	g.labelStats = computeLabelStats(b.numVertices, g.fwd, g.rev)
 	b.edges = nil
@@ -344,43 +333,30 @@ func computeLabelStats(numVertices int, fwd, rev []adjacency) []LabelStats {
 	return stats
 }
 
-func dedupEdges(es []Edge) []Edge {
-	if len(es) == 0 {
-		return es
-	}
-	out := es[:1]
-	for _, e := range es[1:] {
-		last := out[len(out)-1]
-		if e.Src != last.Src || e.Dst != last.Dst {
-			out = append(out, e)
+// sortedDedupEdges sorts es by (Src, Dst) in place and drops repeated
+// pairs; labels are ignored. slices.SortFunc rather than sort.Slice: no
+// reflection-based swapper, no closure allocations.
+func sortedDedupEdges(es []Edge) []Edge {
+	slices.SortFunc(es, func(a, b Edge) int {
+		if a.Src != b.Src {
+			return int(a.Src) - int(b.Src)
 		}
-	}
-	return out
+		return int(a.Dst) - int(b.Dst)
+	})
+	return slices.CompactFunc(es, func(a, b Edge) bool { return a.Src == b.Src && a.Dst == b.Dst })
 }
 
-// buildCSR builds an adjacency from edges sorted by the key vertex
-// (src when reverse=false, dst when reverse=true).
-func buildCSR(numVertices int, es []Edge, reverse bool) adjacency {
+// buildCSR builds the forward adjacency of edges sorted by (Src, Dst)
+// without duplicates; TransposeCSR derives the reverse one.
+func buildCSR(numVertices int, es []Edge) adjacency {
 	offsets := make([]int32, numVertices+1)
 	targets := make([]VID, len(es))
-	for _, e := range es {
-		key := e.Src
-		if reverse {
-			key = e.Dst
-		}
-		offsets[key+1]++
+	for i, e := range es {
+		offsets[e.Src+1]++
+		targets[i] = e.Dst
 	}
 	for v := 0; v < numVertices; v++ {
 		offsets[v+1] += offsets[v]
-	}
-	cursor := make([]int32, numVertices)
-	for _, e := range es {
-		key, val := e.Src, e.Dst
-		if reverse {
-			key, val = e.Dst, e.Src
-		}
-		targets[offsets[key]+cursor[key]] = val
-		cursor[key]++
 	}
 	return adjacency{offsets: offsets, targets: targets}
 }

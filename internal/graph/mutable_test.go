@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,6 +34,97 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 		}
 		return true
 	})
+}
+
+// matchesBuild holds g to Builder.Build over edges in an n-vertex space
+// with the given label names: graphsEqual plus every forward and reverse
+// run, so a frozen graph whose columns were written after the fact
+// fails.
+func matchesBuild(t *testing.T, g *Graph, n int, names []string, edges map[Edge]bool) {
+	t.Helper()
+	b := NewBuilderWithDict(n, NewDictFrom(names...))
+	for e := range edges {
+		if err := b.AddEdgeLID(e.Src, e.Label, e.Dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := b.Build()
+	graphsEqual(t, g, want)
+	for l := LID(0); int(l) < want.NumLabels(); l++ {
+		for v := VID(0); int(v) < n; v++ {
+			if !slices.Equal(g.Successors(v, l), want.Successors(v, l)) ||
+				!slices.Equal(g.Predecessors(v, l), want.Predecessors(v, l)) {
+				t.Fatalf("label %q vertex %d: runs differ from Build", names[l], v)
+			}
+		}
+	}
+}
+
+// TestMutableFreezeAliasesUntouched: a batch touching only label a
+// rebuilds a and aliases every other label's columns, and the earlier
+// frozen graphs keep their contents while later batches (including a
+// Grow) merge into columns they share.
+func TestMutableFreezeAliasesUntouched(t *testing.T) {
+	n := 32
+	names := []string{"a", "b", "c"}
+	rng := rand.New(rand.NewSource(7))
+	live := make(map[Edge]bool)
+	b := NewBuilderWithDict(n, NewDictFrom(names...))
+	for i := 0; i < 200; i++ {
+		e := Edge{Src: VID(rng.Intn(n)), Label: LID(rng.Intn(len(names))), Dst: VID(rng.Intn(n))}
+		if err := b.AddEdgeLID(e.Src, e.Label, e.Dst); err != nil {
+			t.Fatal(err)
+		}
+		live[e] = true
+	}
+	m := MutableFromGraph(b.Build())
+	g0 := m.Freeze()
+
+	// batch toggles k random edges of the given labels.
+	batch := func(k int, labels ...LID) {
+		for i := 0; i < k; i++ {
+			e := Edge{Src: VID(rng.Intn(n)), Label: labels[rng.Intn(len(labels))], Dst: VID(rng.Intn(n))}
+			var err error
+			if live[e] {
+				_, err = m.DeleteEdge(e.Src, names[e.Label], e.Dst)
+				delete(live, e)
+			} else {
+				_, err = m.InsertEdge(e.Src, names[e.Label], e.Dst)
+				live[e] = true
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func() map[Edge]bool { return maps.Clone(live) }
+
+	want0 := snapshot()
+	batch(8, 0)
+	g1, want1 := m.Freeze(), snapshot()
+	if m.Freeze() != g1 {
+		t.Fatal("Freeze with nothing changed built a new graph")
+	}
+	shares := func(x, y []int32) bool { return len(x) > 0 && &x[0] == &y[0] }
+	f0, f1 := g0.Flatten(), g1.Flatten()
+	for l := range names {
+		aliased := shares(f0.Fwd[l].Offsets, f1.Fwd[l].Offsets) && shares(f0.Fwd[l].Targets, f1.Fwd[l].Targets) &&
+			shares(f0.Rev[l].Offsets, f1.Rev[l].Offsets) && shares(f0.Rev[l].Targets, f1.Rev[l].Targets)
+		if touched := l == 0; aliased == touched {
+			t.Fatalf("label %q: aliased=%v after a batch touching only a", names[l], aliased)
+		}
+	}
+
+	batch(8, 0, 1, 2)
+	g2, want2 := m.Freeze(), snapshot()
+	m.Grow(n + 5)
+	n += 5
+	batch(8, 0, 1, 2)
+	g3 := m.Freeze()
+	matchesBuild(t, g0, 32, names, want0)
+	matchesBuild(t, g1, 32, names, want1)
+	matchesBuild(t, g2, 32, names, want2)
+	matchesBuild(t, g3, n, names, live)
 }
 
 func TestMutableInsertDelete(t *testing.T) {

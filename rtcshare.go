@@ -64,8 +64,8 @@ type Graph = graph.Graph
 type GraphBuilder = graph.Builder
 
 // MutableGraph is a mutable labeled multigraph supporting interleaved
-// InsertEdge/DeleteEdge with incrementally maintained per-label
-// statistics, freezable into an immutable Graph any number of times —
+// InsertEdge/DeleteEdge, freezable into an immutable Graph any number of
+// times; a freeze rebuilds only the labels edited since the last one —
 // the ingestion side of the dynamic-graph subsystem. (Engines take
 // updates directly through Engine.ApplyUpdates; a MutableGraph is for
 // building and evolving graphs outside an engine.)
@@ -86,8 +86,8 @@ func NewMutableGraph(numVertices int) *MutableGraph {
 	return graph.NewMutable(numVertices)
 }
 
-// MutableFromGraph copies a frozen Graph into a MutableGraph so it can
-// start taking updates.
+// MutableFromGraph starts a MutableGraph from a frozen Graph, sharing its
+// columns, so it can start taking updates.
 func MutableFromGraph(g *Graph) *MutableGraph { return graph.MutableFromGraph(g) }
 
 // ReadGraph parses the text edge-list format ("src label dst" lines with
