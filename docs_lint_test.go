@@ -217,9 +217,11 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // per-experiment baseline files, the map-set layout, the shard flag, the
 // scatter seam, the warm restore of cached structures from a snapshot,
 // the server's coalescing window and fast lane, the cost-based planner,
-// closure-algorithm, DFA and cache-off knobs, and incremental closure
-// maintenance with its off switch. (Spelled in pieces so that a grep for
-// the retired identifiers over the Go sources stays empty.)
+// closure-algorithm, DFA and cache-off knobs, incremental closure
+// maintenance with its off switch, and the joins of their own that ASK
+// and the pair-level Post step had before every consumer drove one
+// per-source producer. (Spelled in pieces so that a grep for the retired
+// identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -242,6 +244,9 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`(^|[^A-Za-z-])-d` + `fa\b`),
 	regexp.MustCompile("Disable" + "Incremental"),
 	regexp.MustCompile("Dyn" + "Closure"),
+	regexp.MustCompile("ask" + "Forward"),
+	regexp.MustCompile("join" + "Post"),
+	regexp.MustCompile("Any" + "From"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current
@@ -268,6 +273,56 @@ func TestDocRetiredNames(t *testing.T) {
 				if m := re.FindString(line); m != "" {
 					t.Errorf("%s:%d mentions retired %q outside DESIGN §6", doc, i+1, strings.TrimSpace(m))
 				}
+			}
+		}
+	}
+}
+
+// ciRunFlag matches the test selectors of the CI workflow, -run '<regexp>'
+// and -fuzz=<name>; testFunc matches a test, benchmark or fuzz function.
+var (
+	ciRunFlag = regexp.MustCompile(`\s-(run|fuzz)(?:=| ')([A-Za-z0-9_|]+)`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// TestDocCIRunNamesExist checks that every name a CI step selects with
+// -run or -fuzz is a prefix of a test, benchmark or fuzz function of the
+// repository, so a renamed or deleted test cannot leave a named CI step
+// silently running nothing.
+func TestDocCIRunNamesExist(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		funcs = append(funcs, testFunc.FindAllString(string(src), -1)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := strings.Join(funcs, "\n")
+	for _, m := range ciRunFlag.FindAllStringSubmatch(string(data), -1) {
+		for _, name := range strings.Split(m[2], "|") {
+			if name == "NONE" {
+				continue
+			}
+			if !strings.Contains(all, "func "+name) {
+				t.Errorf("ci.yml selects -%s %q, which names no test in the repository", m[1], name)
 			}
 		}
 	}

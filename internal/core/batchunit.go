@@ -6,27 +6,39 @@ import (
 	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
+	"rtcshare/internal/plan"
 	"rtcshare/internal/rpq"
 	"rtcshare/internal/rtc"
 	"rtcshare/internal/tc"
 )
 
-// This file implements the batch-unit joins over the columnar layout:
-// Algorithm 2 for RTCSharing through the row kernel of rowkernel.go, and
-// the pair-level counterpart for FullSharing. In the pair-level join the
-// relations ResEq9 and ResEq10 of the paper are sets realised with
-// generation-stamped arrays, grouped by the start vertex v_i, so that a
-// membership test is one array read. The set *semantics* (which unions
-// happen where, and therefore which redundant/useless operations each
-// method performs) exactly follows Section IV-B; only the data plane
-// differs from the paper's pseudocode:
+// This file implements the batch-unit join of Algorithm 2 — one per
+// clause kind — as a per-source producer, and the sealed driver of each.
+// A producer ORs source v_i's destinations into a pairs.RunAccumulator;
+// the OR is the dedupe and draining the accumulator is the sort. Each
+// clause kind has exactly one:
 //
-//   - Side relations arrive as sealed pairs.Relation values, already
-//     grouped by start vertex, so no per-call re-bucketing happens.
-//   - The stamp sets and the ResEq9 tuple buffer come from a per-engine
-//     pool (joinScratch), and results are emitted through pooled
-//     relation builders, so a warm engine's joins run allocation-free up
-//     to the sealed output columns.
+//   - RTCSharing: the row kernel of rowkernel.go (kernelJoin), which
+//     pushes Post through the condensation;
+//   - FullSharing and NoSharing: the pair-level join over the full
+//     closure (fullJoin), whose set semantics — which unions happen
+//     where, and therefore which redundant/useless operations it performs
+//     — exactly follow Section IV-B;
+//   - a closure-free clause: one product traversal per source
+//     (automatonJoin).
+//
+// Every consumer drives these producers. The sealed path drains every
+// source's run into exact-size CSR columns (the row kernel's own
+// two-pass seal, or drain for the other two), ResultStream pulls one
+// source at a time, and ASK is a stream stopped at its first pair.
+
+// producer is one clause's per-source join. produce ORs source vi's
+// destinations into acc and returns the rows it touched (the stream's
+// StreamStats.Rows); release returns its pooled state.
+type producer interface {
+	produce(vi graph.VID, acc *pairs.RunAccumulator) (rows int64, err error)
+	release()
+}
 
 // stampSet is a constant-time set over a dense ID space, cleared in O(1)
 // by bumping the generation.
@@ -34,8 +46,6 @@ type stampSet struct {
 	marks []uint32
 	gen   uint32
 }
-
-func newStampSet(n int) *stampSet { return &stampSet{marks: make([]uint32, n)} }
 
 // ensure grows the mark space to cover n IDs.
 func (s *stampSet) ensure(n int) {
@@ -64,47 +74,36 @@ func (s *stampSet) add(id int32) bool {
 	return true
 }
 
-// joinScratch is the pooled working state of one batch-unit join: two
-// stamp sets sized to the vertex space (which bounds the SCC space), the
-// ResEq9 tuple buffer, and the per-unit memo of Post traversals (end
-// vertices packed into one flat buffer, addressed by spans, so repeated
-// traversal results cost no allocation). One join owns a scratch
-// exclusively from acquire to release.
-type joinScratch struct {
-	seenA, seenB stampSet
-	resEq9       []pairs.Pair
-	endsBuf      []graph.VID
-	endSpans     map[graph.VID]endSpan
+// resolveUnit resolves a batch unit's inputs through the shared caches:
+// Pre_G (Algorithm 1 line 8, recursive), and R's RTC under RTCSharing or
+// its full closure under Full/NoSharing.
+func (e *engineVersion) resolveUnit(bu rpq.BatchUnit) (preG *pairs.Relation, structure *rtc.RTC, closure *tc.Closure, err error) {
+	if preG, err = e.subEvaluateRel(bu.Pre); err != nil {
+		return nil, nil, nil, err
+	}
+	if e.opts.Strategy == RTCSharing {
+		structure, err = e.getRTC(bu.R)
+	} else {
+		closure, err = e.getFullClosure(bu.R)
+	}
+	return preG, structure, closure, err
 }
 
-// endSpan addresses one memoised ReachFrom result inside endsBuf.
-type endSpan struct{ start, end int32 }
-
-// acquireScratch checks a join scratch out of the engine pool, sized for
-// the engine's vertex space.
-func (e *engineVersion) acquireScratch() *joinScratch {
-	sc := e.scratchPool.Get().(*joinScratch)
-	n := e.g.NumVertices()
-	sc.seenA.ensure(n)
-	sc.seenB.ensure(n)
-	return sc
-}
-
-func (e *engineVersion) releaseScratch(sc *joinScratch) {
-	sc.resEq9 = sc.resEq9[:0]
-	e.scratchPool.Put(sc)
-}
-
-// acquireBuilder checks a relation builder over the engine's vertex
-// space out of the pool. Builders return to the pool empty (Seal resets
-// them), keeping their scratch columns warm.
-func (e *engineVersion) acquireBuilder() *pairs.Builder {
-	return e.builderPool.Get().(*pairs.Builder)
-}
-
-func (e *engineVersion) releaseBuilder(b *pairs.Builder) {
-	b.Reset()
-	e.builderPool.Put(b)
+// openClause resolves one planned clause's inputs and returns its
+// producer, which the caller must release.
+func (e *engineVersion) openClause(cp *plan.ClausePlan) (producer, error) {
+	if cp.Kind == plan.KindAutomaton {
+		return e.openAutomaton(cp.Clause), nil
+	}
+	bu := cp.Unit
+	preG, structure, closure, err := e.resolveUnit(bu)
+	if err != nil {
+		return nil, err
+	}
+	if structure != nil {
+		return kernelJoin{e.acquireKernel(structure, bu.Type, bu.Post), preG}, nil
+	}
+	return e.acquireFull(preG, closure, bu.Type, bu.Post), nil
 }
 
 // EvalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
@@ -132,127 +131,243 @@ func (e *engineVersion) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, 
 }
 
 // EvalBatchUnitFull is FullSharing's batch-unit evaluation: the same
-// logical join Pre_G ⋈ R+_G ⋈ Post_G, but enumerated at vertex-pair
-// level over the full closure. For every Pre_G tuple (v_i, v_j) the
-// entire reachable set From(v_j) is walked and inserted with a duplicate
-// check — the redundant-1 and redundant-2 operations of Definitions 3
-// and 4 that Algorithm 2 eliminates are all performed here.
+// logical join Pre_G ⋈ R+_G ⋈ Post_G, driven by fullJoin at vertex-pair
+// level over the full closure. The Post traversals are Remainder time,
+// building the columns is the seal stage, and the rest is PreJoin.
 func (e *engineVersion) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	joinStart := time.Now()
-
-	sc := e.acquireScratch()
-	seenV := &sc.seenA
-
-	var cancelErr error
-	resEq9 := sc.resEq9[:0]
-	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
-		if cancelErr = e.checkpoint(len(vjs)); cancelErr != nil {
-			return false
-		}
-		seenV.reset()
-		if typ == rpq.ClosureStar {
-			for _, vj := range vjs {
-				if seenV.add(vj) {
-					resEq9 = append(resEq9, pairs.Pair{Src: vi, Dst: vj})
-				}
-			}
-		}
-		for _, vj := range vjs {
-			// Pair-level enumeration: vertices of From(v_j) repeat across
-			// the v_j of one v_i whenever their ends share SCCs — each
-			// repetition costs a duplicate check here (redundant-1/-2).
-			from := closure.From(vj)
-			if cancelErr = e.checkpoint(len(from)); cancelErr != nil {
-				return false
-			}
-			for _, vk := range from {
-				if seenV.add(vk) {
-					resEq9 = append(resEq9, pairs.Pair{Src: vi, Dst: vk})
-				}
-			}
-		}
-		return true
-	})
-	sc.resEq9 = resEq9
-	e.addPreJoin(time.Since(joinStart))
-	if cancelErr != nil {
-		e.releaseScratch(sc)
-		return nil, cancelErr
-	}
-
-	return e.joinPost(sc, post)
+	start := time.Now()
+	j := e.acquireFull(preG, closure, typ, post)
+	rel, sealNS, err := e.drain(j)
+	postNS := j.postNS
+	j.release()
+	e.addRemainder(postNS)
+	e.addPreJoin(time.Since(start) - postNS - sealNS)
+	return rel, err
 }
 
-// joinPost implements equations (9)→(10) — Algorithm 2 lines 13–16 — at
-// vertex-pair level, for the FullSharing and NoSharing baselines: for
-// every (v_i, v_k) of the Pre·R{+,*} result, extend by the paths
-// satisfying Post from v_k (EvalRestrictedRPQ), unioning into ResEq10.
-// It is Remainder time. sc.resEq9 must be grouped by Src, which
-// EvalBatchUnitFull guarantees; the per-v_i duplicate stamps mean every
-// emitted pair is unique, so the result goes straight into a pooled
-// builder and is sealed once. The scratch is released on return.
-func (e *engineVersion) joinPost(sc *joinScratch, post rpq.Expr) (*pairs.Relation, error) {
+// drainScratch is the pooled state of drain: the run accumulator and the
+// destination column the runs are appended to before the exact copy.
+type drainScratch struct {
+	acc  *pairs.RunAccumulator
+	dsts []graph.VID
+}
+
+// drain is the sealed driver of the pair-level and automaton producers:
+// it runs p once per source, ascending, appends each run to pooled
+// scratch, and copies the scratch once into an exact-size column. (The
+// row kernel sizes its runs in a first pass instead — a stored row is
+// a lookup — but these producers cannot afford a second traversal.) The
+// copy is the seal stage; drain attributes it and returns its duration
+// so the caller can attribute the rest.
+func (e *engineVersion) drain(p producer) (*pairs.Relation, time.Duration, error) {
+	sc := e.drainPool.Get().(*drainScratch)
+	n := e.g.NumVertices()
+	offsets := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
+			sc.acc.Reset()
+			sc.dsts = sc.dsts[:0]
+			e.drainPool.Put(sc)
+			return nil, 0, err
+		}
+		if !sc.acc.Empty() {
+			sc.dsts = sc.acc.DrainAppend(sc.dsts)
+		}
+		offsets[v+1] = int32(len(sc.dsts))
+	}
 	t0 := time.Now()
-	defer func() { e.addRemainder(time.Since(t0)) }()
-	defer e.releaseScratch(sc)
+	col := make([]graph.VID, len(sc.dsts))
+	copy(col, sc.dsts)
+	sealNS := time.Since(t0)
+	sc.dsts = sc.dsts[:0]
+	e.drainPool.Put(sc)
+	e.addSeal(sealNS)
+	return pairs.RelationFromSortedRuns(n, offsets, col), sealNS, nil
+}
 
-	out := e.acquireBuilder()
-	_, postIsEps := post.(rpq.Epsilon)
-	var (
-		evalPost *eval.Evaluator
-		// EvalRestrictedRPQ(Post, v_k) memoised per distinct v_k within
-		// the batch unit: end vertices append into the pooled flat
-		// buffer, the memo keeps spans.
-		ends   map[graph.VID]endSpan
-		seenVl = &sc.seenB
-	)
-	sc.endsBuf = sc.endsBuf[:0]
-	if !postIsEps {
-		var evalKey string
-		evalPost, evalKey = e.acquireEvaluator(post)
-		defer e.releaseEvaluator(evalKey, evalPost)
-		if sc.endSpans == nil {
-			sc.endSpans = make(map[graph.VID]endSpan)
-		} else {
-			clear(sc.endSpans)
-		}
-		ends = sc.endSpans
-	}
+// kernelJoin is the RTCSharing producer: the row kernel's gather and
+// orRun over source v_i's Pre-ends.
+type kernelJoin struct {
+	k    *rowKernel
+	preG *pairs.Relation
+}
 
-	resEq9 := sc.resEq9
-	for i := 0; i < len(resEq9); {
-		vi := resEq9[i].Src
-		seenVl.reset()
-		for ; i < len(resEq9) && resEq9[i].Src == vi; i++ {
-			if err := e.checkpoint(1); err != nil {
-				e.releaseBuilder(out)
-				return nil, err
-			}
-			vk := resEq9[i].Dst
-			if postIsEps {
-				// Post = ε: ResEq10 is ResEq9 de-duplicated. Duplicates
-				// only arise from the R* seeding.
-				if seenVl.add(vk) {
-					out.Add(vi, vk)
-				}
-				continue
-			}
-			span, ok := ends[vk]
-			if !ok {
-				span.start = int32(len(sc.endsBuf))
-				sc.endsBuf = evalPost.AppendReachFrom(vk, sc.endsBuf)
-				span.end = int32(len(sc.endsBuf))
-				ends[vk] = span
-			}
-			for _, vl := range sc.endsBuf[span.start:span.end] {
-				// Lines 15–16: duplicate check for (10).
-				if seenVl.add(vl) {
-					out.Add(vi, vl)
-				}
+func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	vjs := j.preG.DstsOf(vi)
+	if len(vjs) == 0 {
+		return 0, nil
+	}
+	k := j.k
+	if err := k.v.checkpoint(len(vjs)); err != nil {
+		return 0, err
+	}
+	work0 := k.work
+	_, err := k.gather(vjs)
+	if err == nil {
+		err = k.orRun(acc)
+	}
+	return int64(len(vjs)) + k.work - work0, err
+}
+
+func (j kernelJoin) release() { j.k.v.releaseKernel(j.k) }
+
+// fullJoin is the pair-level producer of FullSharing and NoSharing. For
+// every Pre_G tuple (v_i, v_j) the entire reachable set From(v_j) is
+// walked and inserted with a duplicate check — the redundant-1 and
+// redundant-2 operations of Definitions 3 and 4 that Algorithm 2
+// eliminates are all performed here — giving v_i's frontier, its tuples
+// of equation (9); the run is then the union of the frontier's Post ends
+// (equation (10)), each EvalRestrictedRPQ(Post, v_k) memoised per join
+// in one flat buffer addressed by spans. One join owns a fullJoin
+// exclusively from acquireFull to release.
+type fullJoin struct {
+	v       *engineVersion
+	preG    *pairs.Relation
+	closure *tc.Closure
+	star    bool
+	postEv  *eval.Evaluator // nil when Post is ε
+	evKey   string
+
+	seen     stampSet    // the current source's frontier
+	mids     []graph.VID // the frontier, in first-reached order
+	endsBuf  []graph.VID
+	endSpans map[graph.VID]endSpan
+
+	postNS time.Duration // Post traversals: Remainder in the timing split
+}
+
+// endSpan addresses one memoised Post traversal inside endsBuf.
+type endSpan struct{ start, end int32 }
+
+// acquireFull checks a pair-level producer out of the version's pool,
+// set up for one join.
+func (e *engineVersion) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) *fullJoin {
+	j := e.fullPool.Get().(*fullJoin)
+	j.v, j.preG, j.closure, j.star = e, preG, closure, typ == rpq.ClosureStar
+	j.seen.ensure(e.g.NumVertices())
+	if _, eps := post.(rpq.Epsilon); !eps {
+		t0 := time.Now()
+		j.postEv, j.evKey = e.acquireEvaluator(post)
+		if j.endSpans == nil {
+			j.endSpans = make(map[graph.VID]endSpan)
+		}
+		j.postNS += time.Since(t0)
+	}
+	return j
+}
+
+func (j *fullJoin) release() {
+	v := j.v
+	if j.postEv != nil {
+		v.releaseEvaluator(j.evKey, j.postEv)
+	}
+	clear(j.endSpans)
+	j.mids, j.endsBuf = j.mids[:0], j.endsBuf[:0]
+	j.v, j.preG, j.closure, j.postEv, j.evKey, j.postNS = nil, nil, nil, nil, "", 0
+	v.fullPool.Put(j)
+}
+
+func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	vjs := j.preG.DstsOf(vi)
+	if len(vjs) == 0 {
+		return 0, nil
+	}
+	v := j.v
+	if err := v.checkpoint(len(vjs)); err != nil {
+		return 0, err
+	}
+	rows := int64(len(vjs))
+	j.seen.reset()
+	j.mids = j.mids[:0]
+	if j.star {
+		for _, vj := range vjs {
+			if j.seen.add(vj) {
+				j.mids = append(j.mids, vj)
 			}
 		}
 	}
-	resEq10 := out.Seal()
-	e.releaseBuilder(out)
-	return resEq10, nil
+	for _, vj := range vjs {
+		from := j.closure.From(vj)
+		if err := v.checkpoint(len(from)); err != nil {
+			return rows, err
+		}
+		rows += int64(len(from))
+		for _, vk := range from {
+			if j.seen.add(vk) {
+				j.mids = append(j.mids, vk)
+			}
+		}
+	}
+	if j.postEv == nil {
+		acc.AddAll(j.mids)
+		return rows, nil
+	}
+	for _, vk := range j.mids {
+		span, ok := j.endSpans[vk]
+		if !ok {
+			t0 := time.Now()
+			span.start = int32(len(j.endsBuf))
+			j.endsBuf = j.postEv.AppendReachFrom(vk, j.endsBuf)
+			span.end = int32(len(j.endsBuf))
+			j.endSpans[vk] = span
+			j.postNS += time.Since(t0)
+		}
+		ends := j.endsBuf[span.start:span.end]
+		if err := v.checkpoint(len(ends) + 1); err != nil {
+			return rows, err
+		}
+		rows += int64(len(ends))
+		acc.AddAll(ends)
+	}
+	return rows, nil
+}
+
+// automatonJoin is the producer of a closure-free clause (Algorithm 1
+// line 6): one product traversal per source, from the FIRST-set
+// candidate starts only when the clause admits the restriction
+// (eval.CandidateStarts). Its cancellation checkpoint is weighted by the
+// ends each traversal adds.
+type automatonJoin struct {
+	v        *engineVersion
+	ev       *eval.Evaluator
+	evKey    string
+	seedable []bool // nil when every vertex is a candidate start
+	ends     []graph.VID
+}
+
+// openAutomaton returns the producer of closure-free clause c.
+func (e *engineVersion) openAutomaton(c rpq.Expr) *automatonJoin {
+	a := &automatonJoin{v: e}
+	a.ev, a.evKey = e.acquireEvaluator(c)
+	if starts, ok := eval.CandidateStarts(e.g, c); ok {
+		a.seedable = make([]bool, e.g.NumVertices())
+		for _, vi := range starts {
+			a.seedable[vi] = true
+		}
+	}
+	return a
+}
+
+func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	if a.seedable != nil && !a.seedable[vi] {
+		return 0, nil
+	}
+	a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
+	acc.AddAll(a.ends)
+	return int64(len(a.ends)), a.v.checkpoint(len(a.ends) + 1)
+}
+
+func (a *automatonJoin) release() { a.v.releaseEvaluator(a.evKey, a.ev) }
+
+// acquireBuilder checks a relation builder over the engine's vertex
+// space out of the pool; the multi-clause union merges through one.
+// Builders return to the pool empty (Seal resets them), keeping their
+// scratch columns warm.
+func (e *engineVersion) acquireBuilder() *pairs.Builder {
+	return e.builderPool.Get().(*pairs.Builder)
+}
+
+func (e *engineVersion) releaseBuilder(b *pairs.Builder) {
+	b.Reset()
+	e.builderPool.Put(b)
 }

@@ -10,7 +10,11 @@ import (
 
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
+	"rtcshare/internal/graph"
+	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
+	"rtcshare/internal/rtc"
+	"rtcshare/internal/tc"
 )
 
 // countingCtx is a context whose Err flips to Canceled after failAfter
@@ -99,6 +103,121 @@ func TestCancellationStopsWithinOneCheckpoint(t *testing.T) {
 	// the aborted run must not have cached a partial result.
 	if _, _, err := cold.EvaluateRelTimedCtx(context.Background(), q, nil); err != nil {
 		t.Fatalf("evaluation after a cancelled run: %v", err)
+	}
+}
+
+// TestCancellationStopsInsideAutomatonClause: a closure-free query is
+// eight automaton clauses and no closure, so every checkpoint it reaches
+// is one the automaton producer polls per source, weighted by the ends
+// the traversal adds. Uncancelled it polls many times; cancelled at poll
+// 3 it stops there, and the engine then answers the same query in full.
+func TestCancellationStopsInsideAutomatonClause(t *testing.T) {
+	e, _ := heavyFixture(t)
+	q := rpq.MustParse("(l0|l1).(l1|l2).(l0|l2)")
+	full := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+	want, _, err := e.EvaluateRelTimedCtx(full, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls := full.polls.Load(); polls < 20 {
+		t.Fatalf("uncancelled evaluation of %d pairs polled only %d times", want.Len(), polls)
+	}
+
+	cold, _ := heavyFixture(t)
+	const failAfter = 3
+	cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
+	if _, _, err := cold.EvaluateRelTimedCtx(cc, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if polls := cc.polls.Load(); polls > failAfter+1 {
+		t.Fatalf("evaluation kept polling %d times after cancellation at poll %d", polls-failAfter-1, failAfter+1)
+	}
+	got, _, err := cold.EvaluateRelTimedCtx(context.Background(), q, nil)
+	if err != nil {
+		t.Fatalf("evaluation after a cancelled run: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("after a cancelled run: %d pairs, want %d", got.Len(), want.Len())
+	}
+}
+
+// TestFullJoinCancelInsideRun is the pair-level mirror of
+// TestRowKernelCancelInsideDFS: one source whose 600 Pre-ends each reach
+// a 600-vertex cycle, so its one run walks 360,000 closure tuples. Both
+// drivers of the pair-level producer — the sealed join and the stream —
+// poll the context dozens of times inside that run uncancelled and stop
+// at the poll that fails. ASK, a stream stopped at its first pair, finds
+// the pair behind an empty first clause, and a cancelled context fails
+// it before any work.
+func TestFullJoinCancelInsideRun(t *testing.T) {
+	const cycle = 600
+	b := graph.NewBuilder(cycle + 1)
+	for v := 0; v < cycle; v++ {
+		b.MustAddEdge(graph.VID(v), "b", graph.VID((v+1)%cycle))
+		b.MustAddEdge(cycle, "a", graph.VID(v))
+	}
+	g := b.Build()
+	preG := sealExpr(g, rpq.MustParse("a"))
+	closure := tc.BFS(rtc.EdgeReduceRel(g.NumVertices(), sealExpr(g, rpq.MustParse("b"))))
+	q := rpq.MustParse("a.b+")
+	// Warming the engine with a.b+.a caches Pre_G and the closure but not
+	// q's result, so a stream's polls all fall inside the drain.
+	warm := New(g, Options{Strategy: FullSharing})
+	if _, err := warm.EvaluateRel(rpq.MustParse("a.b+.a")); err != nil {
+		t.Fatal(err)
+	}
+	drivers := []struct {
+		name string
+		run  func(cc *countingCtx) error
+	}{
+		{"sealed", func(cc *countingCtx) error {
+			w := New(g, Options{Strategy: FullSharing}).Fork()
+			w.setCancel(cc)
+			_, err := w.EvalBatchUnitFull(preG, closure, rpq.ClosurePlus, rpq.Epsilon{})
+			return err
+		}},
+		{"stream", func(cc *countingCtx) error {
+			s, err := warm.OpenStream(cc, q, StreamOptions{})
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			buf := make([]pairs.Pair, 64)
+			for {
+				if _, done, err := s.Next(buf); err != nil || done {
+					return err
+				}
+			}
+		}},
+	}
+	for _, d := range drivers {
+		full := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+		if err := d.run(full); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if polls := full.polls.Load(); polls < 20 {
+			t.Fatalf("%s: uncancelled join polled %d times — fixture too light to test granularity", d.name, polls)
+		}
+		const failAfter = 3
+		cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
+		if err := d.run(cc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", d.name, err)
+		}
+		if polls := cc.polls.Load(); polls > failAfter+1 {
+			t.Fatalf("%s: join kept polling %d times after cancellation at poll %d", d.name, polls-failAfter-1, failAfter+1)
+		}
+	}
+
+	for _, opts := range []Options{{Strategy: FullSharing}, {Strategy: NoSharing}} {
+		found, _, _, err := New(g, opts).AskCounted(context.Background(), rpq.MustParse("a.b+.a|a.b+"))
+		if err != nil || !found {
+			t.Fatalf("%v: ask behind an empty first clause = (%v, %v), want found", opts.Strategy, found, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := warm.AskCounted(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled ask: err = %v, want context.Canceled", err)
 	}
 }
 

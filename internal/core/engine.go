@@ -202,14 +202,15 @@ type engineVersion struct {
 	subMu   sync.Mutex
 	subRels map[string]*pairs.Relation
 
-	// scratchPool holds joinScratch values — the generation-stamped sets
-	// and tuple buffers of the pair-level join and the ASK probe —
-	// kernelPool holds the forward RTC join's row kernels, and
-	// builderPool holds relation builders sized to this version's vertex
-	// space. All are version-local free lists: steady-state batch
-	// evaluation reuses the same columns instead of allocating per call.
-	scratchPool sync.Pool
+	// kernelPool holds the row kernels of the RTCSharing producer,
+	// fullPool the pair-level producers of Full/NoSharing, drainPool the
+	// accumulator and column scratch of the one-pass sealed driver, and
+	// builderPool relation builders sized to this version's vertex space.
+	// All are version-local free lists: steady-state batch evaluation
+	// reuses the same columns instead of allocating per call.
 	kernelPool  sync.Pool
+	fullPool    sync.Pool
+	drainPool   sync.Pool
 	builderPool sync.Pool
 
 	// evalMu guards evalFree, a free list of automaton-product
@@ -282,8 +283,9 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 		subRels:      make(map[string]*pairs.Relation),
 		evalFree:     make(map[string][]*eval.Evaluator),
 	}
-	v.scratchPool.New = func() any { return &joinScratch{} }
 	v.kernelPool.New = func() any { return &rowKernel{} }
+	v.fullPool.New = func() any { return &fullJoin{} }
+	v.drainPool.New = func() any { return &drainScratch{acc: pairs.NewRunAccumulator(g.NumVertices())} }
 	v.builderPool.New = func() any { return pairs.NewBuilder(g.NumVertices()) }
 	return v
 }

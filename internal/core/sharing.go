@@ -163,61 +163,40 @@ func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.R
 
 // execClause executes one planned clause on the columnar layout. It is
 // the executor half of the plan/execute split: all physical decisions
-// were made by the planner, and this switch only dispatches them.
+// were made by the planner, and this switch only dispatches them to the
+// sealed driver of the clause's producer (batchunit.go).
 func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActuals, error) {
 	act := clauseActuals{Pre: -1}
 
 	if cp.Kind == plan.KindAutomaton {
-		// Algorithm 1 line 6 (closure-free clause): one product
-		// traversal, seeded with the first-step candidates when
-		// admissible, emitting straight into a pooled builder sealed once.
+		// Algorithm 1 line 6 (closure-free clause): the product traversal
+		// is Remainder, building the columns the seal stage.
 		t0 := time.Now()
-		ev, key := e.acquireEvaluator(cp.Clause)
-		b := e.acquireBuilder()
-		ev.AppendAllSeeded(b)
-		e.addRemainder(time.Since(t0))
-		t0 = time.Now()
-		clauseG := b.Seal()
-		e.releaseBuilder(b)
-		e.releaseEvaluator(key, ev)
-		e.addSeal(time.Since(t0))
-		return clauseG, act, nil
+		a := e.openAutomaton(cp.Clause)
+		clauseG, sealNS, err := e.drain(a)
+		a.release()
+		e.addRemainder(time.Since(t0) - sealNS)
+		return clauseG, act, err
 	}
 
-	// Algorithm 1 line 8: Pre evaluates recursively (it may contain
-	// further Kleene closures left of the rightmost one).
 	bu := cp.Unit
-	preG, err := e.subEvaluateRel(bu.Pre)
+	preG, structure, closure, err := e.resolveUnit(bu)
 	if err != nil {
 		return nil, act, err
 	}
 	act.Pre = preG.Len()
-
 	var clauseG *pairs.Relation
-	switch e.opts.Strategy {
-	case RTCSharing:
-		r, err := e.getRTC(bu.R)
-		if err != nil {
-			return nil, act, err
-		}
-		if clauseG, err = e.EvalBatchUnit(preG, r, bu.Type, bu.Post); err != nil {
-			return nil, act, err
-		}
-	case FullSharing, NoSharing:
+	if structure != nil {
+		clauseG, err = e.EvalBatchUnit(preG, structure, bu.Type, bu.Post)
+	} else {
 		// NoSharing runs the identical per-query pipeline — evaluate R,
 		// materialise the closure R+_G, join — but shouldCache() keeps it
 		// from reusing anything across queries, which is exactly the
 		// paper's baseline behaviour (at one query it costs the same as
 		// FullSharing; Fig. 14).
-		closure, err := e.getFullClosure(bu.R)
-		if err != nil {
-			return nil, act, err
-		}
-		if clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post); err != nil {
-			return nil, act, err
-		}
+		clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post)
 	}
-	return clauseG, act, nil
+	return clauseG, act, err
 }
 
 // subEvaluateRel evaluates a sub-query (Pre, Post or R) with the

@@ -39,12 +39,6 @@ type Evaluator struct {
 	generation uint32
 	stack      []prodState
 
-	// seeds caches the first-step candidate start set for
-	// EvaluateAllSeeded; seedsOK records whether seeding is admissible.
-	seeds     []graph.VID
-	seedsOK   bool
-	seedsInit bool
-
 	// reach temporarily holds AppendReachFrom's output buffer. Keeping
 	// it on the evaluator (exclusively owned during a call) lets the
 	// emit closure capture only the receiver, so it never forces a heap
@@ -71,11 +65,6 @@ func Evaluate(g *graph.Graph, e rpq.Expr) *pairs.Set {
 	return New(g, e, Options{}).EvaluateAll()
 }
 
-// EvaluateFrom computes the subset of R_G whose start vertex is in starts.
-func EvaluateFrom(g *graph.Graph, e rpq.Expr, starts []graph.VID) *pairs.Set {
-	return New(g, e, Options{}).evaluate(starts)
-}
-
 // EvaluateAll runs the traversal from every vertex of the graph.
 func (ev *Evaluator) EvaluateAll() *pairs.Set {
 	out := pairs.NewSet()
@@ -83,11 +72,6 @@ func (ev *Evaluator) EvaluateAll() *pairs.Set {
 		ev.fromVertex(graph.VID(v), out)
 	}
 	return out
-}
-
-// EvaluateFrom runs the traversal from the given start vertices only.
-func (ev *Evaluator) EvaluateFrom(starts []graph.VID) *pairs.Set {
-	return ev.evaluate(starts)
 }
 
 // EvaluateAllParallel is EvaluateAll fanned out over worker goroutines:
@@ -134,18 +118,11 @@ func (ev *Evaluator) EvaluateAllParallel(workers int) *pairs.Set {
 // (start, end) the traversal finds is appended raw. The traversal's
 // per-start visited stamps already guarantee each pair is emitted once,
 // so the builder receives a duplicate-free stream and Seal's dedup pass
-// is a no-op — the engine's columnar path evaluates a whole sub-query
-// with one sealed allocation and zero hashing.
+// is a no-op. (The engine evaluates per source with AppendReachFrom;
+// AppendAll seals R_G whole for the benchmark replay and the tests.)
 func (ev *Evaluator) AppendAll(out *pairs.Builder) {
 	for v := 0; v < ev.g.NumVertices(); v++ {
 		ev.appendVertex(graph.VID(v), out)
-	}
-}
-
-// AppendFrom is AppendAll restricted to the given start vertices.
-func (ev *Evaluator) AppendFrom(starts []graph.VID, out *pairs.Builder) {
-	for _, v := range starts {
-		ev.appendVertex(v, out)
 	}
 }
 
@@ -155,20 +132,12 @@ func (ev *Evaluator) appendVertex(start graph.VID, out *pairs.Builder) {
 	})
 }
 
-// ReachFrom returns the end vertices of paths satisfying the query that
-// start at v — EvalRestrictedRPQ(Post, v) of Algorithm 2 line 14.
-func (ev *Evaluator) ReachFrom(v graph.VID) []graph.VID {
-	var ends []graph.VID
-	ev.traverse(v, func(end graph.VID) {
-		ends = append(ends, end)
-	})
-	return ends
-}
-
-// AppendReachFrom is ReachFrom appending into a caller-owned buffer and
-// returning the extended buffer: the columnar joinPost keeps one pooled
-// buffer per batch unit and records (offset, end) spans into it, so the
-// per-vertex Post traversals allocate nothing once the buffer is warm.
+// AppendReachFrom appends the end vertices of paths satisfying the query
+// that start at v — EvalRestrictedRPQ(Post, v) of Algorithm 2 line 14 —
+// to buf and returns the extended buffer. The engine's per-source
+// producers keep one pooled buffer per join (the pair-level join records
+// (offset, end) spans into it), so a traversal allocates nothing once
+// the buffer is warm.
 func (ev *Evaluator) AppendReachFrom(v graph.VID, buf []graph.VID) []graph.VID {
 	ev.reach = buf
 	ev.traverse(v, func(end graph.VID) {
@@ -177,14 +146,6 @@ func (ev *Evaluator) AppendReachFrom(v graph.VID, buf []graph.VID) []graph.VID {
 	buf = ev.reach
 	ev.reach = nil
 	return buf
-}
-
-func (ev *Evaluator) evaluate(starts []graph.VID) *pairs.Set {
-	out := pairs.NewSet()
-	for _, v := range starts {
-		ev.fromVertex(v, out)
-	}
-	return out
 }
 
 func (ev *Evaluator) fromVertex(start graph.VID, out *pairs.Set) {

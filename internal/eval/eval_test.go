@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,30 +51,27 @@ func TestPaperExample4(t *testing.T) {
 	}
 }
 
-func TestEvaluateFrom(t *testing.T) {
-	g := fixtures.Figure1()
-	got := EvaluateFrom(g, rpq.MustParse("(b.c)+"), []graph.VID{2})
-	want := pairs.FromPairs(
-		pairs.Pair{Src: 2, Dst: 2}, pairs.Pair{Src: 2, Dst: 4}, pairs.Pair{Src: 2, Dst: 6},
-	)
-	if !got.Equal(want) {
-		t.Fatalf("from v2: %v, want %v", got.Sorted(), want.Sorted())
-	}
-}
-
+// TestReachFrom: one start's traversal is EvalRestrictedRPQ from it —
+// the ends of c-edges from v5, nothing from v0, and (b·c)+ from v2 as in
+// Example 4.
 func TestReachFrom(t *testing.T) {
 	g := fixtures.Figure1()
 	ev := New(g, rpq.MustParse("c"), Options{})
-	ends := ev.ReachFrom(5)
+	ends := ev.AppendReachFrom(5, nil)
 	seen := map[graph.VID]bool{}
 	for _, e := range ends {
 		seen[e] = true
 	}
 	if len(ends) != 2 || !seen[4] || !seen[6] {
-		t.Fatalf("ReachFrom(5, c) = %v, want [4 6]", ends)
+		t.Fatalf("AppendReachFrom(5, c) = %v, want [4 6]", ends)
 	}
-	if got := ev.ReachFrom(0); len(got) != 0 {
-		t.Fatalf("ReachFrom(0, c) = %v, want empty", got)
+	if got := ev.AppendReachFrom(0, nil); len(got) != 0 {
+		t.Fatalf("AppendReachFrom(0, c) = %v, want empty", got)
+	}
+	got := New(g, rpq.MustParse("(b.c)+"), Options{}).AppendReachFrom(2, nil)
+	slices.Sort(got)
+	if !slices.Equal(got, []graph.VID{2, 4, 6}) {
+		t.Fatalf("(b·c)+ from v2 = %v, want [2 4 6]", got)
 	}
 }
 
@@ -107,9 +105,10 @@ func TestEvaluatorReuseAcrossStarts(t *testing.T) {
 	// start vertices: v1 is reachable from both v7 and v0.
 	g := fixtures.Figure1()
 	ev := New(g, rpq.MustParse("a"), Options{})
-	got := ev.EvaluateFrom([]graph.VID{0, 7})
-	if !got.Contains(0, 1) || !got.Contains(7, 8) {
-		t.Fatalf("reuse lost results: %v", got.Sorted())
+	from0 := ev.AppendReachFrom(0, nil)
+	from7 := ev.AppendReachFrom(7, nil)
+	if !slices.Contains(from0, 1) || !slices.Contains(from7, 8) {
+		t.Fatalf("reuse lost results: from v0 %v, from v7 %v", from0, from7)
 	}
 }
 
@@ -163,7 +162,8 @@ func TestEvaluateAgainstReference(t *testing.T) {
 	}
 }
 
-// Property: EvaluateFrom(starts) equals the restriction of EvaluateAll to
+// Property: evaluating from a subset of the start vertices —
+// AppendReachFrom per start — equals the restriction of EvaluateAll to
 // those start vertices.
 func TestEvaluateFromIsRestriction(t *testing.T) {
 	labels := []string{"a", "b"}
@@ -174,7 +174,13 @@ func TestEvaluateFromIsRestriction(t *testing.T) {
 		e := rpq.RandomExpr(rng, labels, 2)
 		all := Evaluate(g, e)
 		starts := []graph.VID{graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n))}
-		sub := EvaluateFrom(g, e, starts)
+		ev := New(g, e, Options{})
+		sub := pairs.NewSet()
+		for _, s := range starts {
+			for _, end := range ev.AppendReachFrom(s, nil) {
+				sub.Add(s, end)
+			}
+		}
 		inStarts := func(v graph.VID) bool {
 			for _, s := range starts {
 				if s == v {

@@ -2,15 +2,14 @@ package eval
 
 import (
 	"rtcshare/internal/graph"
-	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
 )
 
 // This file implements first-step seeding: restricting an all-pairs
 // product traversal to the vertices that can actually take the first
 // step of the expression. For selective queries — a rare first label —
-// this skips almost every start vertex; the planner's direct-automaton
-// bypass relies on it to undercut closure materialisation.
+// this skips almost every start vertex. The engine's producer of a
+// closure-free clause traverses from these candidates only.
 
 // firstStep is one admissible opening move of an expression: follow an
 // edge with this label, backwards when Inverse is set.
@@ -92,34 +91,4 @@ func CandidateStarts(g *graph.Graph, e rpq.Expr) (starts []graph.VID, ok bool) {
 		}
 	}
 	return starts, true
-}
-
-// EvaluateAllSeeded is EvaluateAll restricted to the candidate start
-// vertices when the first-step analysis permits it, falling back to the
-// full traversal otherwise. The result is identical to EvaluateAll. The
-// candidate set is computed once per evaluator and reused.
-func (ev *Evaluator) EvaluateAllSeeded() *pairs.Set {
-	if !ev.seedsInit {
-		ev.seeds, ev.seedsOK = CandidateStarts(ev.g, ev.expr)
-		ev.seedsInit = true
-	}
-	if !ev.seedsOK {
-		return ev.EvaluateAll()
-	}
-	return ev.evaluate(ev.seeds)
-}
-
-// AppendAllSeeded is EvaluateAllSeeded emitting into a relation builder:
-// the seeded traversal when admissible, the full one otherwise, with
-// every result pair appended raw (the traversal already deduplicates).
-func (ev *Evaluator) AppendAllSeeded(out *pairs.Builder) {
-	if !ev.seedsInit {
-		ev.seeds, ev.seedsOK = CandidateStarts(ev.g, ev.expr)
-		ev.seedsInit = true
-	}
-	if !ev.seedsOK {
-		ev.AppendAll(out)
-		return
-	}
-	ev.AppendFrom(ev.seeds, out)
 }

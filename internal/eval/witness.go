@@ -5,66 +5,10 @@ import (
 	"rtcshare/internal/rpq"
 )
 
-// This file adds the two enumeration-support probes of the streaming
-// delivery layer: AnyFrom, the early-exit existence traversal behind
-// ASK, and Witness, the shortest label-path reconstruction behind
-// /query?witness=1. Both run over the same (vertex, automaton-state)
-// product space as the normal traversal; neither builds any new shared
-// structure.
-
-// AnyFrom reports whether any path satisfying the query starts at
-// start — the traversal of ReachFrom, stopped at the first accepting
-// product state. It shares the evaluator's stamp scratch, so like every
-// traversal it requires exclusive use of the evaluator.
-func (ev *Evaluator) AnyFrom(start graph.VID) bool {
-	ev.generation++
-	if ev.generation == 0 {
-		for i := range ev.stamp {
-			ev.stamp[i] = 0
-		}
-		ev.generation = 1
-	}
-	gen := ev.generation
-	n := ev.g.NumVertices()
-
-	mark := func(state int32, v graph.VID) bool {
-		idx := int(state)*n + int(v)
-		if ev.stamp[idx] == gen {
-			return false
-		}
-		ev.stamp[idx] = gen
-		return true
-	}
-
-	ev.stack = ev.stack[:0]
-	mark(0, start)
-	ev.stack = append(ev.stack, prodState{v: start, state: 0})
-
-	for len(ev.stack) > 0 {
-		top := ev.stack[len(ev.stack)-1]
-		ev.stack = ev.stack[:len(ev.stack)-1]
-		if ev.nfa.IsAccept(int(top.state)) {
-			return true
-		}
-		arcs := ev.nfa.Arcs(int(top.state))
-		for i := 0; i < len(arcs); {
-			label, inverse := arcs[i].Label, arcs[i].Inverse
-			if label < 0 {
-				i++
-				continue
-			}
-			neigh := ev.neighbors(top.v, label, inverse)
-			for ; i < len(arcs) && arcs[i].Label == label && arcs[i].Inverse == inverse; i++ {
-				for _, w := range neigh {
-					if mark(int32(arcs[i].To), w) {
-						ev.stack = append(ev.stack, prodState{v: w, state: int32(arcs[i].To)})
-					}
-				}
-			}
-		}
-	}
-	return false
-}
+// This file adds the witness probe of the streaming delivery layer:
+// the shortest label-path reconstruction behind /query?witness=1. It runs
+// over the same (vertex, automaton-state) product space as the normal
+// traversal and builds no new shared structure.
 
 // Witness returns one shortest (by edge count) label path witnessing
 // that (src, dst) is in the query's result, or ok=false when the pair

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math/rand"
 	"testing"
 
 	"rtcshare/internal/fixtures"
@@ -9,10 +8,9 @@ import (
 	"rtcshare/internal/rpq"
 )
 
-// The streaming-delivery probes (AnyFrom, Witness) tested directly
-// against the reference evaluator. The core-level differential suite
-// exercises them end to end; these pin the per-evaluator contracts —
-// source-existence agreement, walk validity, shortest length — at the
+// The witness probe tested directly against the reference evaluator.
+// The core-level differential suite exercises it end to end; these pin
+// the per-evaluator contracts — walk validity, shortest length — at the
 // package boundary.
 
 // frontierWalk validates a witness word properly: it advances the full
@@ -45,54 +43,6 @@ func frontierWalk(t *testing.T, g *graph.Graph, src, dst graph.VID, path []rpq.L
 		frontier = next
 	}
 	return frontier[dst]
-}
-
-func TestAnyFromMatchesReference(t *testing.T) {
-	queries := []string{"d.(b.c)+.c", "(b.c)+", "b.c", "a", "^d", "f.f", "(b.^b)+"}
-	g := fixtures.Figure1()
-	for _, qs := range queries {
-		q := rpq.MustParse(qs)
-		ref := Reference(g, q)
-		hasSrc := map[graph.VID]bool{}
-		ref.Each(func(src, _ int32) bool {
-			hasSrc[graph.VID(src)] = true
-			return true
-		})
-		ev := New(g, q, Options{})
-		for v := 0; v < g.NumVertices(); v++ {
-			if got := ev.AnyFrom(graph.VID(v)); got != hasSrc[graph.VID(v)] {
-				t.Errorf("%q: AnyFrom(%d) = %v, reference says %v", qs, v, got, hasSrc[graph.VID(v)])
-			}
-		}
-	}
-}
-
-func TestAnyFromRandomGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	labels := []string{"l0", "l1", "l2"}
-	for trial := 0; trial < 4; trial++ {
-		const n = 24
-		b := graph.NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			b.MustAddEdge(graph.VID(rng.Intn(n)), labels[rng.Intn(len(labels))], graph.VID(rng.Intn(n)))
-		}
-		g := b.Build()
-		for _, qs := range []string{"l0+", "l0.l1*", "l2|^l0+", "(l0.l1)+.l2?"} {
-			q := rpq.MustParse(qs)
-			ref := Reference(g, q)
-			hasSrc := map[graph.VID]bool{}
-			ref.Each(func(src, _ int32) bool {
-				hasSrc[graph.VID(src)] = true
-				return true
-			})
-			ev := New(g, q, Options{})
-			for v := 0; v < n; v++ {
-				if got := ev.AnyFrom(graph.VID(v)); got != hasSrc[graph.VID(v)] {
-					t.Fatalf("trial %d %q: AnyFrom(%d) = %v, reference says %v", trial, qs, v, got, hasSrc[graph.VID(v)])
-				}
-			}
-		}
-	}
 }
 
 func TestWitnessMembershipAndValidity(t *testing.T) {

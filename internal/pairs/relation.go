@@ -367,6 +367,10 @@ func (b *Builder) Seal() *Relation {
 		}
 		offsets[v+1] = int32(len(dsts))
 	}
+	if len(dsts) < cap(dsts) {
+		// Duplicates were dropped: shed the pre-dedup capacity.
+		dsts = append(make([]graph.VID, 0, len(dsts)), dsts...)
+	}
 	b.Reset()
 	return &Relation{numVertices: n, srcOffsets: offsets, dsts: dsts}
 }

@@ -202,6 +202,23 @@ func TestSealLongRuns(t *testing.T) {
 	}
 }
 
+// Seal's columns are exactly sized even when it drops duplicates: the
+// cache charges a memoised relation its Len, so spare capacity behind it
+// would be resident memory nobody accounts for.
+func TestSealExactlySizedAfterDedup(t *testing.T) {
+	b := NewBuilder(64)
+	for i := 0; i < 1000; i++ {
+		b.Add(graph.VID(i%64), graph.VID(i%7))
+	}
+	rel := b.Seal()
+	if rel.Len() != 64*7 {
+		t.Fatalf("Len = %d, want %d", rel.Len(), 64*7)
+	}
+	if _, dsts := rel.CSR(); cap(dsts) != len(dsts) {
+		t.Fatalf("dsts column has cap %d for %d pairs", cap(dsts), len(dsts))
+	}
+}
+
 func TestEmptyRelation(t *testing.T) {
 	rel := NewBuilder(5).Seal()
 	if rel.Len() != 0 || rel.NumVertices() != 5 {
