@@ -7,7 +7,6 @@ import (
 
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/tc"
 )
 
 // This file is the engine half of the serving layer's end-to-end
@@ -65,10 +64,10 @@ func (sh *engineShared) checkpoint(n int) error {
 	return cs.ctx.Err()
 }
 
-// checkpointFn adapts the engine's checkpoint for the closure packages
-// (tc, rtc); nil when no context is attached, so an uncancellable
-// closure build pays nothing at all.
-func (sh *engineShared) checkpointFn() tc.Checkpoint {
+// checkpointFn adapts the engine's checkpoint for the structure builds
+// (rtc.FromProduct, tc.BFSCheck); nil when no context is attached, so an
+// uncancellable build pays nothing at all.
+func (sh *engineShared) checkpointFn() func(rows int) error {
 	if sh.cancel == nil {
 		return nil
 	}

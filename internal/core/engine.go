@@ -97,16 +97,18 @@ type Options struct {
 // Stats is the paper's timing and size accounting for a sequence of
 // evaluations (Section V-A):
 //
-//   - SharedData: computing the shared structure — TC(Ḡ_R) (plus SCCs)
-//     for RTCSharing, TC(G_R) for FullSharing. Evaluating R_G is excluded
-//     (both methods do it identically; it lands in Remainder).
+//   - SharedData: computing the shared structure. For RTCSharing that
+//     is the whole RTC build from R's product graph — the product, its
+//     SCCs and condensation, and the reach table — since R_G is never
+//     evaluated. For FullSharing it is TC(G_R); evaluating R_G and
+//     reducing it to G_R are excluded and land in Remainder.
 //   - PreJoin: the Pre_G ⋈ R+_G join — Algorithm 2 lines 4–12 for
 //     RTCSharing, the vertex-pair-level join for FullSharing. RTCSharing
 //     pushes Post through the condensation, so its PreJoin also holds
 //     the component-row ORs and the emission that replace the Post join.
 //   - Remainder: everything both methods share — DNF conversion,
-//     evaluating Pre_G and R_G, the Post traversals (and, for
-//     FullSharing, the pair-level Post join), and result unions.
+//     evaluating Pre_G, the Post traversals (and, for FullSharing,
+//     evaluating R_G and the pair-level Post join), and result unions.
 type Stats struct {
 	SharedData time.Duration
 	PreJoin    time.Duration
@@ -135,21 +137,41 @@ func (s *Stats) Add(other Stats) {
 	s.CacheMisses += other.CacheMisses
 }
 
-// SharedSummary describes one cached shared structure (one sub-query R).
+// SharedSummary describes one cached shared structure (one sub-query R)
+// in the paper's quantities. An RTC built from R's product graph holds
+// neither G_R nor TC(Ḡ_R); the summary reports them all the same.
 type SharedSummary struct {
 	// R is the canonical text of the sub-query.
 	R string
-	// SharedPairs is the pair count of the shared structure: |TC(Ḡ_R)|
-	// for RTCSharing, |TC(G_R)| for FullSharing (Fig. 12).
+	// SharedPairs is the paper's shared data size (Fig. 12): |TC(Ḡ_R)|
+	// for RTCSharing, which the RTC does not store — SharedSummaries and
+	// SharedPairsTotal compute it on demand — and |TC(G_R)| for
+	// FullSharing.
 	SharedPairs int
-	// ReducedVertices is |V̄_R̄| for RTCSharing and |V_R| for FullSharing
-	// (Fig. 13).
+	// ReducedVertices is |V̄_R̄| for RTCSharing, the components holding
+	// vertices of V_R, and |V_R| for FullSharing (Fig. 13).
 	ReducedVertices int
-	// EdgeReducedVertices is |V_R| (both methods build G_R).
+	// EdgeReducedVertices is |V_R|, the vertices on some R path.
 	EdgeReducedVertices int
 	// AvgSCCSize is the average vertices per SCC of G_R (RTCSharing
 	// only; 0 for FullSharing).
 	AvgSCCSize float64
+}
+
+// summaryEntry is a SharedSummary as recorded, with the RTC whose
+// |TC(Ḡ_R)| it reports on demand (nil for a full closure).
+type summaryEntry struct {
+	SharedSummary
+	structure *rtc.RTC
+}
+
+// resolve returns the summary with SharedPairs filled in.
+func (s summaryEntry) resolve() SharedSummary {
+	out := s.SharedSummary
+	if s.structure != nil {
+		out.SharedPairs = s.structure.NumSharedPairs()
+	}
+	return out
 }
 
 // engineShared is the part of an Engine that survives graph updates:
@@ -161,7 +183,7 @@ type engineShared struct {
 	// mu guards stats, summaries and stages.
 	mu        sync.Mutex
 	stats     Stats
-	summaries map[string]SharedSummary
+	summaries map[string]summaryEntry
 
 	// stages, when non-nil, receives the per-stage breakdown of the
 	// evaluation running on this engine. It is only ever attached to
@@ -267,7 +289,7 @@ func NewWithCache(g *graph.Graph, opts Options, cache *SharedCache) *Engine {
 		engineShared: engineShared{
 			opts:      opts,
 			cache:     cache,
-			summaries: make(map[string]SharedSummary),
+			summaries: make(map[string]summaryEntry),
 		},
 	}
 	e.ver.Store(newEngineVersion(&e.engineShared, g, cache.CurrentEpoch()))
@@ -313,7 +335,7 @@ func (e *Engine) forkVersion(v *engineVersion) *Engine {
 		engineShared: engineShared{
 			opts:      e.opts,
 			cache:     e.cache,
-			summaries: make(map[string]SharedSummary),
+			summaries: make(map[string]summaryEntry),
 			evalHook:  e.evalHook,
 		},
 	}
@@ -354,7 +376,7 @@ func (sh *engineShared) ResetStats() {
 func (e *Engine) ClearCaches() {
 	e.cache.Reset()
 	e.mu.Lock()
-	e.summaries = make(map[string]SharedSummary)
+	e.summaries = make(map[string]summaryEntry)
 	e.mu.Unlock()
 	v := e.version()
 	v.subMu.Lock()
@@ -367,12 +389,17 @@ func (e *Engine) ClearCaches() {
 
 // SharedSummaries returns one summary per shared structure this engine
 // has used (computed or fetched from the cache), in unspecified order.
+// An RTC's SharedPairs, |TC(Ḡ_R)|, is computed here on first request.
 func (sh *engineShared) SharedSummaries() []SharedSummary {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]SharedSummary, 0, len(sh.summaries))
+	entries := make([]summaryEntry, 0, len(sh.summaries))
 	for _, s := range sh.summaries {
-		out = append(out, s)
+		entries = append(entries, s)
+	}
+	sh.mu.Unlock()
+	out := make([]SharedSummary, len(entries))
+	for i, s := range entries {
+		out[i] = s.resolve()
 	}
 	return out
 }
@@ -380,10 +407,8 @@ func (sh *engineShared) SharedSummaries() []SharedSummary {
 // SharedPairsTotal sums SharedPairs over all cached shared structures —
 // the paper's "shared data size" metric (Fig. 12).
 func (sh *engineShared) SharedPairsTotal() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	total := 0
-	for _, s := range sh.summaries {
+	for _, s := range sh.SharedSummaries() {
 		total += s.SharedPairs
 	}
 	return total
@@ -603,16 +628,17 @@ func (sh *engineShared) stageOtherWait(d time.Duration) {
 }
 
 // countLookup records a shared-structure cache hit or miss plus the
-// summary of the structure involved, so SharedSummaries reflects every
-// structure the engine used regardless of which engine computed it.
-func (sh *engineShared) countLookup(hit bool, sum SharedSummary) {
+// summary of the structure involved (and the RTC, when it is one), so
+// SharedSummaries reflects every structure the engine used regardless
+// of which engine computed it.
+func (sh *engineShared) countLookup(hit bool, sum SharedSummary, structure *rtc.RTC) {
 	sh.mu.Lock()
 	if hit {
 		sh.stats.CacheHits++
 	} else {
 		sh.stats.CacheMisses++
 	}
-	sh.summaries[sum.R] = sum
+	sh.summaries[sum.R] = summaryEntry{sum, structure}
 	sh.mu.Unlock()
 }
 

@@ -16,8 +16,9 @@ import (
 // through the condensation. By Theorem 1 the members of one SCC are
 // interchangeable as R+ targets, so the destinations a source receives
 // depend only on which components its Pre-ends fall in. Over the edges
-// of Ḡ_R — where a self-loop marks a cyclic SCC, and a singleton without
-// one does not reach itself —
+// of the RTC's condensation — where a self-loop marks a cyclic SCC, a
+// singleton without one does not reach itself, and an intermediate
+// component of R's product graph has no members —
 //
 //	PostEnds(s) = ⋃_{v∈s} Post(v)          (the members when Post = ε)
 //	Row(s)      = ⋃_{t∈succ(s)} PostEnds(t) ∪ (t ≠ s ? Row(t) : ∅)
@@ -36,33 +37,31 @@ import (
 //
 // Rows are sets over the |V| destinations kept as their non-zero 64-bit
 // words, so their memory follows their content; a row equal to the row
-// of a cyclic successor (the common case upstream of a giant SCC) is
-// that row, stored once. The sealed driver counts every source's run,
-// allocates exact-size CSR columns and drains each run into them in
-// ascending bit order; ResultStream ORs the same runs into its own
-// accumulator one source at a time.
+// of a successor (the common case upstream of a giant SCC) is that row,
+// stored once. The sealed driver counts every source's run, allocates
+// exact-size CSR columns and drains each run into them in ascending bit
+// order; ResultStream ORs the same runs into its own accumulator one
+// source at a time.
 
 // rowBudgetWords caps the words one join stores in component rows — 12
 // bytes each, the word and its index, so at most 12 MiB per join however
 // many components it reaches. A component whose row would not fit is
-// answered from TC(Ḡ_R) instead (orReachable): the same destinations,
-// recomputed at each use.
+// answered by a DFS below it instead (orFallback): the same
+// destinations, recomputed at each use.
 const rowBudgetWords = 1 << 20
 
-// A component is light when it reaches at most lightReach components
-// whose PostEnds together cost at most lightCost words (members, for an
-// ε Post). Its row is cheaper to recompute from TC(Ḡ_R) at each use than
+// A component is light when the RTC's reach table lists the at most
+// rtc.LightReach member-bearing components it reaches, and their
+// PostEnds together cost at most lightCost words (members, for an ε
+// Post). Its row is cheaper to recompute from the table at each use than
 // to memoise, and the DFS does not descend below it — on chain-like
 // graphs, where a row serves one predecessor, memoising every component
 // would cost more than the join it saves.
-const (
-	lightReach = 8
-	lightCost  = 64
-)
+const lightCost = 64
 
 // Row handles index rowKernel.rows; handle 0 is the empty row. A
 // component's state is a row handle, rowFallback when its row did not
-// fit the budget, rowLight when it is answered from the closure by
+// fit the budget, rowLight when it is answered from the reach table by
 // choice, or rowPending while it is on the DFS stack.
 const (
 	rowEmpty    int32 = 0
@@ -115,11 +114,16 @@ type rowKernel struct {
 	run   *pairs.RunAccumulator // the sealed driver's multi-row runs
 	reach []graph.VID           // one Post traversal's output
 
-	// The current source's run: the rows it takes, the components it
-	// answers through the closure, and R* seeds under an ε Post.
+	// The current source's run: the rows it takes, the light and
+	// fallback components it answers without a row, and R* seeds under
+	// an ε Post.
 	runRows  []int32
 	runComps []int32
 	runBits  []graph.VID
+
+	// The fallback DFS's scratch, allocated by the first fallback.
+	fbSeen  stampSet
+	fbStack []int32
 
 	postNS time.Duration // Post traversals: Remainder in the timing split
 	work   int64         // words ORed plus Post ends and members added
@@ -131,7 +135,7 @@ func (e *engineVersion) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, p
 	k := e.kernelPool.Get().(*rowKernel)
 	n := e.g.NumVertices()
 	k.v, k.rtc, k.cond, k.star = e, structure, structure.Condensation(), typ == rpq.ClosureStar
-	k.comps = zeroed(k.comps, structure.NumReducedVertices())
+	k.comps = zeroed(k.comps, k.cond.NumVertices())
 	if k.build == nil || k.n != n {
 		k.n = n
 		k.build, k.run = pairs.NewRunAccumulator(n), pairs.NewRunAccumulator(n)
@@ -171,6 +175,7 @@ func (e *engineVersion) releaseKernel(k *rowKernel) {
 	k.ends, k.stack = k.ends[:0], k.stack[:0]
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
+	k.fbStack = k.fbStack[:0]
 	k.v, k.rtc, k.cond, k.postEv, k.evKey = nil, nil, nil, nil, ""
 	k.postNS, k.work = 0, 0
 	e.kernelPool.Put(k)
@@ -243,12 +248,12 @@ func (k *rowKernel) push(s int32) {
 }
 
 // light settles unvisited component t without a DFS when its row is
-// cheap to recompute from the closure — empty when t reaches nothing —
-// and reports whether it did. For a non-ε Post it builds the PostEnds
-// it weighs, which the row needs in any case.
+// cheap to recompute from the reach table — empty when t reaches no
+// member — and reports whether it did. For a non-ε Post it builds the
+// PostEnds it weighs, which the row needs in any case.
 func (k *rowKernel) light(t int32) bool {
-	from := k.rtc.ReachableFrom(t)
-	if len(from) > lightReach {
+	from, ok := k.rtc.BoundedReach(t)
+	if !ok {
 		return false
 	}
 	cost := 0
@@ -272,10 +277,11 @@ func (k *rowKernel) light(t int32) bool {
 }
 
 // finish builds Row(s) once every successor's row exists. It stores the
-// row unless it equals the row of a cyclic successor (that row is
-// reused), a successor was answered through the closure for want of
-// budget, or the budget is spent — in the last two cases s is answered
-// through the closure too.
+// row unless it equals a successor's row (that row is reused), a
+// successor fell back for want of budget, or the budget is spent — in
+// the last two cases s falls back too. Row(s) contains every
+// successor's row, so it equals the largest one exactly when it has as
+// many destinations.
 func (k *rowKernel) finish(s int32) error {
 	work0 := k.work
 	succ := k.cond.Successors(s)
@@ -301,12 +307,12 @@ func (k *rowKernel) finish(s int32) error {
 			break
 		}
 		if row == rowLight {
-			if err := k.orReachable(k.build, t); err != nil {
+			if err := k.orLight(k.build, t); err != nil {
 				return err
 			}
 		} else {
 			k.orRow(k.build, row)
-			if tCyclic && k.rows[row].count > k.rows[alias].count {
+			if k.rows[row].count > k.rows[alias].count {
 				alias = row
 			}
 		}
@@ -419,20 +425,60 @@ func (k *rowKernel) orEnds(acc *pairs.RunAccumulator, s int32) {
 	k.orRow(acc, k.ends[s]-1)
 }
 
-// orReachable answers a light component, or one whose row did not fit
-// the budget, straight from TC(Ḡ_R):
-// Row(c) = ⋃_{u ∈ ReachableFrom(c)} PostEnds(u). acc must not be the
-// build accumulator unless every PostEnds it needs exists, as it does
-// for a light component.
-func (k *rowKernel) orReachable(acc *pairs.RunAccumulator, c int32) error {
-	for _, u := range k.rtc.ReachableFrom(c) {
+// orLight answers a light component from the reach table:
+// Row(c) = ⋃ PostEnds(u) over the member-bearing components u it
+// reaches. light built every PostEnds it needs, so acc may be the build
+// accumulator.
+func (k *rowKernel) orLight(acc *pairs.RunAccumulator, c int32) error {
+	from, _ := k.rtc.BoundedReach(c)
+	for _, u := range from {
 		work0 := k.work
-		if k.postEv != nil {
-			k.endsOf(u)
-		}
 		k.orEnds(acc, u)
 		if err := k.v.checkpoint(int(k.work-work0) + 1); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// orFallback answers a component whose row did not fit the budget by a
+// DFS below it, at each use. Every component below a fallback one has
+// been settled: a stored row is ORed whole and ends its branch, a light
+// component is answered from the reach table, and only fallback
+// components are descended into. acc must not be the build accumulator:
+// PostEnds are built in it on first use.
+func (k *rowKernel) orFallback(acc *pairs.RunAccumulator, c int32) error {
+	k.fbSeen.ensure(len(k.comps))
+	k.fbSeen.reset()
+	k.fbSeen.add(c)
+	k.fbStack = append(k.fbStack[:0], c)
+	for len(k.fbStack) > 0 {
+		s := k.fbStack[len(k.fbStack)-1]
+		k.fbStack = k.fbStack[:len(k.fbStack)-1]
+		for _, t := range k.cond.Successors(s) {
+			if t != s && !k.fbSeen.add(t) {
+				continue
+			}
+			work0 := k.work
+			if k.postEv != nil {
+				k.endsOf(t)
+			}
+			k.orEnds(acc, t)
+			if t != s {
+				switch row, _ := k.state(t); row {
+				case rowLight:
+					if err := k.orLight(acc, t); err != nil {
+						return err
+					}
+				case rowFallback:
+					k.fbStack = append(k.fbStack, t)
+				default:
+					k.orRow(acc, row)
+				}
+			}
+			if err := k.v.checkpoint(int(k.work-work0) + 1); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -496,7 +542,13 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 		k.orRow(acc, h)
 	}
 	for _, c := range k.runComps {
-		if err := k.orReachable(acc, c); err != nil {
+		var err error
+		if row, _ := k.state(c); row == rowLight {
+			err = k.orLight(acc, c)
+		} else {
+			err = k.orFallback(acc, c)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -249,6 +249,62 @@ func TestRowKernelDifferential(t *testing.T) {
 	}
 }
 
+// TestRowKernelProductDifferential: the kernel over an RTC built from
+// R's product graph — intermediate components without members, spliced
+// pass-throughs — answers every kernel case exactly as over Compute's
+// RTC and as the reference evaluator: EvalBatchUnit, the sealed driver
+// with no row budget (every component a fallback DFS) and the
+// per-source driver. A full OpenStream drain of the case's query, which
+// the engine answers from its own product-built RTC, matches at
+// buffers 1 and 7.
+func TestRowKernelProductDifferential(t *testing.T) {
+	withIntermediates := 0
+	for _, c := range kernelCases(t) {
+		e := New(c.g, Options{})
+		product, err := rtc.FromProduct(c.g, c.r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if product.Condensation().NumVertices() > product.NumReducedVertices() {
+			withIntermediates++
+		}
+		want, err := e.EvalBatchUnit(c.preG, c.computed, c.typ, c.post)
+		if err != nil {
+			t.Fatalf("%s computed: %v", c.name, err)
+		}
+		ref := eval.Reference(c.g, c.query())
+		if !want.EqualSet(ref) {
+			t.Fatalf("%s: kernel over Compute %d pairs, reference %d", c.name, want.Len(), ref.Len())
+		}
+		got, err := e.EvalBatchUnit(c.preG, product, c.typ, c.post)
+		if err != nil {
+			t.Fatalf("%s product: %v", c.name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: kernel over the product %d pairs, over Compute %d", c.name, got.Len(), want.Len())
+		}
+		if fb := kernelSeal(t, e.version(), c, product, 0); !fb.Equal(want) {
+			t.Errorf("%s: product fallback %d pairs, want %d", c.name, fb.Len(), want.Len())
+		}
+		if st := kernelStream(t, e.version(), c, product); !st.Equal(want) {
+			t.Errorf("%s: product stream driver %d pairs, want %d", c.name, st.Len(), want.Len())
+		}
+		sorted := want.Sorted()
+		for _, bufSize := range []int{1, 7} {
+			s, err := New(c.g, Options{}).OpenStream(context.Background(), c.query(), StreamOptions{})
+			if err != nil {
+				t.Fatalf("%s: open: %v", c.name, err)
+			}
+			if drained := drainStream(t, s, bufSize); !pairsEqual(drained, sorted) {
+				t.Errorf("%s buffer %d: stream %d pairs, want %d", c.name, bufSize, len(drained), len(sorted))
+			}
+		}
+	}
+	if withIntermediates == 0 {
+		t.Fatal("no product RTC kept an intermediate component: the memberless path went untested")
+	}
+}
+
 // TestRowKernelSparseMemoryGate: over 2^20 vertices a join with a few
 // hundred result pairs allocates less than 16 MiB per call, the first
 // (which compiles the Post evaluator) included. One 2^20-bit row per

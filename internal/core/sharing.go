@@ -17,7 +17,7 @@ import (
 // sub-query relations live in the cache's separate relation region,
 // keyed by the bare sub-query text.)
 const (
-	nsRTC  = "rtc\x00"  // *rtcValue: TC(Ḡ_R) + SCC tables
+	nsRTC  = "rtc\x00"  // *rtcValue: SCC tables, condensation, reach table
 	nsFull = "full\x00" // *fullValue: the full closure R+_G
 )
 
@@ -199,9 +199,9 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 	return clauseG, act, err
 }
 
-// subEvaluateRel evaluates a sub-query (Pre, Post or R) with the
-// engine's own sharing strategy and seals the result, memoising the
-// sealed relation in the SharedCache's relation region: repeated batch
+// subEvaluateRel evaluates a sub-query (Pre, Post, or FullSharing's R)
+// with the engine's own sharing strategy and seals the result, memoising
+// the sealed relation in the SharedCache's relation region: repeated batch
 // units over the same Pre/Post — and every engine sharing the cache,
 // including the forks of EvaluateBatchParallel — reuse the same frozen
 // columns with zero copying, under the same singleflight discipline as
@@ -273,7 +273,7 @@ func (e *engineVersion) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.countLookup(false, v.summary)
+		e.countLookup(false, v.summary, v.structure)
 		return v.structure, nil
 	}
 	key := nsRTC + r.String()
@@ -293,16 +293,15 @@ func (e *engineVersion) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 		return nil, err
 	}
 	v := val.(*rtcValue)
-	e.countLookup(!computed, v.summary)
+	e.countLookup(!computed, v.summary, v.structure)
 	return v.structure, nil
 }
 
-// reduceR evaluates R and performs the edge-level reduction G → G_R.
-// The sealed relation *is* G_R's forward adjacency — EdgeReduceRel
-// aliases its frozen columns and only derives the reverse CSR. The
-// reduction is performed identically by both sharing methods, so — like
-// evaluating R_G itself — it counts as Remainder, not Shared_Data (paper
-// Section V-A).
+// reduceR evaluates R and performs the edge-level reduction G → G_R for
+// FullSharing and NoSharing. The sealed relation *is* G_R's forward
+// adjacency — EdgeReduceRel aliases its frozen columns and only derives
+// the reverse CSR. Like evaluating R_G itself, the reduction counts as
+// Remainder, not Shared_Data (paper Section V-A).
 func (e *engineVersion) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 	rg, err := e.subEvaluateRel(r)
 	if err != nil {
@@ -314,34 +313,26 @@ func (e *engineVersion) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 	return gr, nil
 }
 
-// computeRTC evaluates R and builds its reduced transitive closure.
-// Evaluating R_G is Remainder; the reduction and TC(Ḡ_R) are Shared_Data.
+// computeRTC builds R's reduced transitive closure (Algorithm 1 lines
+// 10–11) from R's product graph, so R_G is never evaluated or memoised:
+// rtc.FromProduct reads the SCCs of G_R and the reachability between
+// them off the product of G with R's automaton. All of it is
+// Shared_Data, and it polls the engine's cancellation checkpoint (if
+// any) while the product is built. |TC(Ḡ_R)| is not built here;
+// SharedSummaries computes it on demand.
 func (e *engineVersion) computeRTC(r rpq.Expr) (*rtcValue, error) {
-	gr, err := e.reduceR(r) // line 10: R_G via recursive sharing evaluation
-	if err != nil {
-		return nil, err
-	}
-
-	// Shared_Data for RTCSharing: the vertex-level reduction (Tarjan +
-	// condensation) and TC(Ḡ_R). The paper attributes the reduction
-	// overhead here too — it is what makes RTCSharing slightly slower
-	// than FullSharing on the Yago2s shape. The closure build polls the
-	// engine's cancellation checkpoint (if any): it is the dominant cost
-	// of an RTC, so an abandoned query stops here, not after.
 	t0 := time.Now()
-	structure, err := rtc.ComputeCheck(gr, e.checkpointFn()) // line 11: Compute_RTC
+	structure, err := rtc.FromProduct(e.g, r, e.checkpointFn())
 	e.addShared(time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
-
 	return &rtcValue{
 		structure: structure,
 		summary: SharedSummary{
 			R:                   r.String(),
-			SharedPairs:         structure.NumSharedPairs(),
 			ReducedVertices:     structure.NumReducedVertices(),
-			EdgeReducedVertices: gr.NumActive(),
+			EdgeReducedVertices: structure.NumActiveVertices(),
 			AvgSCCSize:          structure.Components().AverageSize(),
 		},
 	}, nil
@@ -356,7 +347,7 @@ func (e *engineVersion) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.countLookup(false, v.summary)
+		e.countLookup(false, v.summary, nil)
 		return v.closure, nil
 	}
 	t0 := time.Now()
@@ -371,7 +362,7 @@ func (e *engineVersion) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
 		return nil, err
 	}
 	v := val.(*fullValue)
-	e.countLookup(!computed, v.summary)
+	e.countLookup(!computed, v.summary, nil)
 	return v.closure, nil
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 
+	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
 )
@@ -143,6 +144,22 @@ func (est *Estimator) clamp(c Card) Card {
 	c.Dsts = math.Min(c.Dsts, est.v)
 	c.Pairs = math.Min(c.Pairs, math.Max(c.Srcs, 1)*math.Max(c.Dsts, 1))
 	return c
+}
+
+// productEdges is the size of e's product graph, the structure
+// rtc.FromProduct builds: the sum, over the arcs of e's automaton, of
+// the arc label's edge count (a label absent from the graph has none).
+func (est *Estimator) productEdges(e rpq.Expr) float64 {
+	nfa := automata.Compile(e, est.dict)
+	edges := 0
+	for q := 0; q < nfa.NumStates(); q++ {
+		for _, a := range nfa.Arcs(q) {
+			if a.Label >= 0 {
+				edges += est.stats[a.Label].Edges
+			}
+		}
+	}
+	return float64(edges)
 }
 
 // evalCost estimates the work of materialising e's full relation by

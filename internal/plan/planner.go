@@ -116,7 +116,8 @@ func (p *Planner) automatonPlan(clause rpq.Expr, unit rpq.BatchUnit) ClausePlan 
 //
 // Join tuples are charged at the joinTuple rate; traversal terms — the
 // Pre relation, the memoised Post traversals, and (unless cached)
-// evaluating R and closing its reduced graph — at 1.
+// building R's structure from its product graph, one step per product
+// edge — at 1.
 func (p *Planner) sharedPlan(clause rpq.Expr, unit rpq.BatchUnit) ClausePlan {
 	pre := p.est.Expr(unit.Pre)
 	post := p.est.Expr(unit.Post)
@@ -125,8 +126,7 @@ func (p *Planner) sharedPlan(clause rpq.Expr, unit rpq.BatchUnit) ClausePlan {
 	cached := p.cfg.SharedCached != nil && p.cfg.SharedCached(unit.R)
 	shared := 0.0
 	if !cached {
-		r := p.est.Expr(unit.R)
-		shared = (p.est.evalCost(unit.R) + r.Pairs + tc.Pairs) * buildDiscount
+		shared = p.est.productEdges(unit.R) * buildDiscount
 	}
 
 	fanout := tc.Pairs / math.Max(tc.Srcs, 1)

@@ -6,14 +6,19 @@
 // unlabeled simple digraph G_R; Lemma 1 states R+_G = TC(G_R). The
 // vertex-level reduction (Section III-B) collapses each SCC of G_R into
 // one vertex of Ḡ_R; Theorem 1 states that R+_G is the SCC-wise Cartesian
-// expansion of TC(Ḡ_R). The RTC stores TC(Ḡ_R) together with the SCC
-// membership tables — lightweight to compute, small to keep, and
-// sufficient to answer or enumerate R+_G on demand.
+// expansion of TC(Ḡ_R).
+//
+// An RTC holds the SCC membership tables, the condensation and a bounded
+// reach table — all a join needs. TC(Ḡ_R) itself, which the paper shares,
+// is built lazily and only for the size accessors that report it. The
+// engine builds an RTC from R's product graph (FromProduct) and never
+// materialises R_G; Compute builds the same structure from G_R.
 package rtc
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -30,6 +35,11 @@ type TCAlgorithm int
 // O(|V̄_R|·|Ē_R|) computation).
 const BFSClosure TCAlgorithm = 0
 
+// LightReach bounds the reach table: a component that reaches at most
+// this many member-bearing components lists them, and one that reaches
+// more is heavy.
+const LightReach = 8
+
 // EdgeReduce performs the edge-level reduction G → G_R: every vertex pair
 // of R_G becomes one unlabeled edge (Section III-A). numVertices is |V|
 // of the original graph, so G_R shares G's VID space.
@@ -43,32 +53,26 @@ func EdgeReduce(numVertices int, rg *pairs.Set) *graph.DiGraph {
 }
 
 // RTC is the reduced transitive closure of some sub-query R on a graph G:
-// the SCC decomposition of G_R plus TC(Ḡ_R).
+// the SCC decomposition of G_R, a condensation whose reachability between
+// member-bearing components is Ḡ_R's, and the bounded reach table. A
+// condensation built from R's product graph also has intermediate
+// components, which have no members.
 type RTC struct {
 	comps        *scc.Components
 	condensation *graph.DiGraph
-	closure      *tc.Closure
+	reach        reachTable
+
+	// closureOnce guards closure, TC(Ḡ_R), built on first use by a size
+	// accessor. RTCs are shared immutably across goroutines.
+	closureOnce sync.Once
+	closure     *tc.Closure
 }
 
-// Compute builds the RTC from the edge-level reduced graph G_R:
-// Tarjan's SCCs [14], the condensation Ḡ_R, and TC(Ḡ_R).
+// Compute builds the RTC from the edge-level reduced graph G_R: Tarjan's
+// SCCs [14], the condensation Ḡ_R and the reach table.
 func Compute(gr *graph.DiGraph, _ TCAlgorithm) *RTC {
-	r, _ := ComputeCheck(gr, nil)
-	return r
-}
-
-// ComputeCheck is Compute with a cancellation checkpoint threaded into
-// the closure build — the dominant cost of an RTC on large reductions.
-// The Tarjan and condensation passes run to completion regardless; a
-// checkpoint abort surfaces as the checkpoint's error with a nil RTC.
-func ComputeCheck(gr *graph.DiGraph, check tc.Checkpoint) (*RTC, error) {
 	comps := scc.Tarjan(gr)
-	cond := scc.Condense(gr, comps)
-	closure, err := tc.BFSCheck(cond, check)
-	if err != nil {
-		return nil, err
-	}
-	return &RTC{comps: comps, condensation: cond, closure: closure}, nil
+	return assemble(comps, scc.Condense(gr, comps))
 }
 
 // InsertEdges returns the RTC of G_R with the given edges added; the
@@ -77,8 +81,8 @@ func ComputeCheck(gr *graph.DiGraph, check tc.Checkpoint) (*RTC, error) {
 // so the SCCs of G_R + Δ are unions of old SCCs, and the quotient graph
 // — the old condensation plus the delta mapped through CompOf, a vertex
 // outside V_R entering as a fresh singleton — has the same reachability
-// between them (Theorem 1). Tarjan, Condense and BFS over the quotient
-// cost what Compute pays for Ḡ_R; CompOf and Members are then composed
+// between them (Theorem 1). Tarjan and Condense over the quotient cost
+// what Compute pays for Ḡ_R; CompOf and Members are then composed
 // through the quotient's SCCs, whose SIDs come out in Tarjan's reverse
 // topological order as Compute's do.
 func (r *RTC) InsertEdges(edges []pairs.Pair) *RTC {
@@ -134,11 +138,7 @@ func (r *RTC) InsertEdges(edges []pairs.Pair) *RTC {
 		}
 		slices.Sort(members[s])
 	}
-	return &RTC{
-		comps:        &scc.Components{CompOf: qOf, Members: members},
-		condensation: cond,
-		closure:      tc.BFS(cond),
-	}
+	return assemble(&scc.Components{CompOf: qOf, Members: members}, cond)
 }
 
 // FromParts assembles an RTC from its three structures — the SCC
@@ -147,8 +147,9 @@ func (r *RTC) InsertEdges(edges []pairs.Pair) *RTC {
 // Nothing else is validated: parts that Compute would never produce (a
 // condensation with a cycle, or SIDs in no topological order) are
 // accepted, which is how tests hand the join deliberately malformed or
-// SID-permuted structures. The condensation is required because the
-// join walks it and InsertEdges reduces it again.
+// SID-permuted structures. The reach table is built in the
+// condensation's own topological order, so a component on or above a
+// cycle between distinct components is heavy.
 func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.Closure) (*RTC, error) {
 	k := comps.NumComponents()
 	if condensation.NumVertices() != k {
@@ -157,7 +158,176 @@ func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.C
 	if closure.NumVertices() != k {
 		return nil, fmt.Errorf("rtc: closure has %d vertices, want %d components", closure.NumVertices(), k)
 	}
-	return &RTC{comps: comps, condensation: condensation, closure: closure}, nil
+	return &RTC{
+		comps:        comps,
+		condensation: condensation,
+		reach:        newReachTable(condensation, comps.Members),
+		closure:      closure,
+	}, nil
+}
+
+// assemble is the shared tail of Compute, FromProduct and InsertEdges:
+// it drops the memberless components that cannot matter to a join,
+// then builds the reach table. comps and cond must be in Tarjan's SID
+// order, and comps is reused.
+func assemble(comps *scc.Components, cond *graph.DiGraph) *RTC {
+	cond = compact(comps, cond)
+	return &RTC{comps: comps, condensation: cond, reach: newReachTable(cond, comps.Members)}
+}
+
+// compact removes the memberless components a join gains nothing from,
+// renumbering comps in place and returning the new condensation:
+//
+//   - a dead end, which reaches no member-bearing component, goes with
+//     its edges;
+//   - a pass-through, whose edges all lead (after splicing) to one
+//     component, goes too, and its predecessors point at that component;
+//   - a memberless component loses its self-loop: it has no PostEnds for
+//     the cycle to contribute.
+//
+// Reachability between member-bearing components, and so Ḡ_R, is
+// unchanged, and the SIDs stay in Tarjan's reverse topological order.
+// A condensation of G_R has no memberless component and comes back as is.
+func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
+	if !slices.ContainsFunc(comps.Members, func(m []graph.VID) bool { return len(m) == 0 }) {
+		return cond
+	}
+	k := cond.NumVertices()
+	// to[s] is where an edge into s leads once compacted: s itself when
+	// it is kept, the kept component a pass-through forwards to, or -1
+	// for a dead end. Successors have lower SIDs, so they are settled
+	// first.
+	to := make([]int32, k)
+	newSID := make([]int32, k)
+	kept := int32(0)
+	for s := int32(0); int(s) < k; s++ {
+		if len(comps.Members[s]) == 0 {
+			fwd, branches := int32(-1), false
+			for _, t := range cond.Successors(s) {
+				if t == s || to[t] < 0 {
+					continue
+				}
+				if fwd < 0 {
+					fwd = to[t]
+				} else if to[t] != fwd {
+					branches = true
+					break
+				}
+			}
+			if !branches {
+				to[s] = fwd
+				continue
+			}
+		}
+		to[s], newSID[s] = s, kept
+		kept++
+	}
+
+	offsets := make([]int32, kept+1)
+	var targets []graph.VID
+	// stamp[t] == s+1 once kept component s has an edge to t.
+	stamp := make([]int32, kept)
+	for s := int32(0); int(s) < k; s++ {
+		if to[s] != s {
+			continue
+		}
+		ns := newSID[s]
+		for _, t := range cond.Successors(s) {
+			if (t == s && len(comps.Members[s]) == 0) || to[t] < 0 {
+				continue
+			}
+			if nt := newSID[to[t]]; stamp[nt] != ns+1 {
+				stamp[nt] = ns + 1
+				targets = append(targets, nt)
+			}
+		}
+		offsets[ns+1] = int32(len(targets))
+		comps.Members[ns] = comps.Members[s]
+	}
+	comps.Members = comps.Members[:kept]
+	for v, s := range comps.CompOf {
+		if s >= 0 {
+			comps.CompOf[v] = newSID[s]
+		}
+	}
+	return graph.DiGraphFromRuns(int(kept), offsets, targets)
+}
+
+// reachTable holds, per component, the member-bearing components it
+// reaches by a non-empty path when there are at most LightReach of them.
+type reachTable struct {
+	span []reachSpan // per SID
+	sids []int32
+}
+
+// reachSpan addresses one component's list in reachTable.sids; n < 0
+// marks a heavy component.
+type reachSpan struct{ lo, n int32 }
+
+// newReachTable fills the table in reverse topological order (Kahn's
+// algorithm on the condensation without its self-loops), so a
+// component's list is the union of its successors'. It relies on no SID
+// order; a component on or above a cycle between distinct components is
+// never settled and stays heavy.
+func newReachTable(cond *graph.DiGraph, members [][]graph.VID) reachTable {
+	k := cond.NumVertices()
+	rt := reachTable{span: make([]reachSpan, k)}
+	// pending[s] counts s's successors other than itself not yet settled.
+	pending := make([]int32, k)
+	order := make([]int32, 0, k)
+	for s := int32(0); int(s) < k; s++ {
+		rt.span[s].n = -1
+		for _, t := range cond.Successors(s) {
+			if t != s {
+				pending[s]++
+			}
+		}
+		if pending[s] == 0 {
+			order = append(order, s)
+		}
+	}
+	var list []int32
+	add := func(t int32) {
+		if !slices.Contains(list, t) {
+			list = append(list, t)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		s := order[i]
+		list = list[:0]
+		heavy := false
+		for _, t := range cond.Successors(s) {
+			if t != s {
+				if rt.span[t].n < 0 {
+					heavy = true
+					break
+				}
+				lo := rt.span[t].lo
+				for _, u := range rt.sids[lo : lo+rt.span[t].n] {
+					add(u)
+				}
+			}
+			if len(members[t]) > 0 {
+				add(t)
+			}
+			if len(list) > LightReach {
+				heavy = true
+				break
+			}
+		}
+		if !heavy {
+			rt.span[s] = reachSpan{lo: int32(len(rt.sids)), n: int32(len(list))}
+			rt.sids = append(rt.sids, list...)
+		}
+		for _, p := range cond.Predecessors(s) {
+			if p != s {
+				if pending[p]--; pending[p] == 0 {
+					order = append(order, p)
+				}
+			}
+		}
+	}
+	return rt
 }
 
 // EdgeReduceRel is EdgeReduce for a sealed columnar relation. A sealed
@@ -171,14 +341,43 @@ func EdgeReduceRel(numVertices int, rg *pairs.Relation) *graph.DiGraph {
 }
 
 // Components exposes the SCC decomposition (the SCC(V, S) relation of
-// Theorem 2).
+// Theorem 2). An intermediate component of a product-built RTC has no
+// members.
 func (r *RTC) Components() *scc.Components { return r.comps }
 
-// Condensation exposes the vertex-level reduced graph Ḡ_R.
+// Condensation exposes the vertex-level reduced graph the join walks:
+// Ḡ_R, or for a product-built RTC a graph whose reachability between
+// member-bearing components is Ḡ_R's.
 func (r *RTC) Condensation() *graph.DiGraph { return r.condensation }
 
-// Closure exposes TC(Ḡ_R), the R̄+_Ḡ relation of Theorem 2, over SID space.
-func (r *RTC) Closure() *tc.Closure { return r.closure }
+// Closure returns TC(Ḡ_R), the R̄+_Ḡ relation of Theorem 2, over SID
+// space: a row per member-bearing component, holding the member-bearing
+// components it reaches. It is built on first use, by a BFS from the
+// member-bearing components only.
+func (r *RTC) Closure() *tc.Closure {
+	r.closureOnce.Do(func() {
+		if r.closure != nil {
+			return
+		}
+		keep := make([]bool, len(r.comps.Members))
+		for s, m := range r.comps.Members {
+			keep[s] = len(m) > 0
+		}
+		r.closure = tc.BFSAmong(r.condensation, keep)
+	})
+	return r.closure
+}
+
+// BoundedReach returns the member-bearing components sid reaches by a
+// non-empty path, when there are at most LightReach of them; ok is false
+// for a heavy component. The caller must not modify the returned slice.
+func (r *RTC) BoundedReach(sid int32) (sids []int32, ok bool) {
+	sp := r.reach.span[sid]
+	if sp.n < 0 {
+		return nil, false
+	}
+	return r.reach.sids[sp.lo : sp.lo+sp.n], true
+}
 
 // CompOf returns the SID of the SCC containing v, or -1 when v ∉ V_R.
 func (r *RTC) CompOf(v graph.VID) int32 { return r.comps.CompOf[v] }
@@ -188,19 +387,23 @@ func (r *RTC) CompOf(v graph.VID) int32 { return r.comps.CompOf[v] }
 func (r *RTC) Members(sid int32) []graph.VID { return r.comps.Members[sid] }
 
 // NumReducedVertices returns |V̄_R̄| — the vertex count the paper plots in
-// Fig. 13 for RTCSharing.
-func (r *RTC) NumReducedVertices() int { return r.comps.NumComponents() }
+// Fig. 13 for RTCSharing: the member-bearing components.
+func (r *RTC) NumReducedVertices() int {
+	n := 0
+	for _, m := range r.comps.Members {
+		if len(m) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // NumActiveVertices returns |V_R|: the vertices assigned to some SCC.
 func (r *RTC) NumActiveVertices() int { return r.comps.NumActiveVertices() }
 
 // NumSharedPairs returns |TC(Ḡ_R)| — the shared data size the paper
 // plots in Fig. 12 for RTCSharing.
-func (r *RTC) NumSharedPairs() int { return r.closure.NumPairs() }
-
-// ReachableFrom returns the SIDs reachable from sid by a path of length
-// ≥ 1 in Ḡ_R, sorted. The caller must not modify the returned slice.
-func (r *RTC) ReachableFrom(sid int32) []graph.VID { return r.closure.From(sid) }
+func (r *RTC) NumSharedPairs() int { return r.Closure().NumPairs() }
 
 // Reachable reports whether (u, w) ∈ R+_G using Theorem 1: the SCC of u
 // must reach the SCC of w in TC(Ḡ_R).
@@ -209,14 +412,14 @@ func (r *RTC) Reachable(u, w graph.VID) bool {
 	if su < 0 || sw < 0 {
 		return false
 	}
-	return r.closure.Reachable(su, sw)
+	return r.Closure().Reachable(su, sw)
 }
 
 // Expand materialises R+_G from the RTC (Theorem 1): the union over
 // (s̄_k, s̄_l) ∈ TC(Ḡ_R) of the Cartesian products s_k × s_l.
 func (r *RTC) Expand() *pairs.Set {
 	out := pairs.NewSet()
-	r.closure.Each(func(sk, sl graph.VID) bool {
+	r.Closure().Each(func(sk, sl graph.VID) bool {
 		for _, u := range r.comps.Members[sk] {
 			for _, w := range r.comps.Members[sl] {
 				out.Add(u, w)
@@ -231,7 +434,7 @@ func (r *RTC) Expand() *pairs.Set {
 // closure pairs of |s_k|·|s_l|.
 func (r *RTC) ExpandedSize() int {
 	total := 0
-	r.closure.Each(func(sk, sl graph.VID) bool {
+	r.Closure().Each(func(sk, sl graph.VID) bool {
 		total += len(r.comps.Members[sk]) * len(r.comps.Members[sl])
 		return true
 	})

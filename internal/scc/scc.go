@@ -31,16 +31,21 @@ func (c *Components) Size(s int32) int { return len(c.Members[s]) }
 
 // AverageSize returns the average number of vertices per SCC — the
 // statistic the paper uses to explain the Yago2s anomaly (≈1.0 means
-// vertex-level reduction cannot help).
+// vertex-level reduction cannot help). Components without members (the
+// intermediate components of an RTC built from a product graph) are not
+// counted.
 func (c *Components) AverageSize() float64 {
-	if len(c.Members) == 0 {
+	total, comps := 0, 0
+	for _, m := range c.Members {
+		if len(m) > 0 {
+			total += len(m)
+			comps++
+		}
+	}
+	if comps == 0 {
 		return 0
 	}
-	total := 0
-	for _, m := range c.Members {
-		total += len(m)
-	}
-	return float64(total) / float64(len(c.Members))
+	return float64(total) / float64(comps)
 }
 
 // NumActiveVertices counts the vertices assigned to a component — |V_R|

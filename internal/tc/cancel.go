@@ -16,7 +16,7 @@ type Checkpoint func(rows int) error
 // BFSCheck is BFS with a cancellation checkpoint consulted once per
 // source vertex.
 func BFSCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
-	return bfs(d, check)
+	return bfs(d, nil, check)
 }
 
 // checkRows consults a possibly-nil checkpoint.

@@ -7,6 +7,7 @@
 package tc
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -120,12 +121,23 @@ func (c *Closure) Equal(other *Closure) bool {
 // BFS computes the closure by a breadth-first search from every active
 // vertex: O(|V|·|E|) time, the complexity the paper quotes in Table III.
 func BFS(d *graph.DiGraph) *Closure {
-	c, _ := bfs(d, nil)
+	c, _ := bfs(d, nil, nil)
 	return c
 }
 
-// bfs is BFS with an optional per-source cancellation checkpoint.
-func bfs(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
+// BFSAmong is BFS restricted to the vertices keep marks: a row for each
+// kept vertex, holding the kept vertices it reaches by a path of length
+// ≥ 1 through any vertices of d. The reduced closure of an RTC built
+// from a product graph is this closure over its member-bearing
+// components.
+func BFSAmong(d *graph.DiGraph, keep []bool) *Closure {
+	c, _ := bfs(d, keep, nil)
+	return c
+}
+
+// bfs is BFS with an optional vertex filter (nil keeps every vertex)
+// and an optional per-source cancellation checkpoint.
+func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
 	c := &Closure{numVertices: n, succ: make([][]graph.VID, n)}
 	visited := make([]uint32, n)
@@ -136,7 +148,7 @@ func bfs(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
 	// against the checkpoint budget before starting the next one.
 	lastRows := 1
 	for _, u := range d.ActiveVertices() {
-		if d.OutDegree(u) == 0 {
+		if d.OutDegree(u) == 0 || (keep != nil && !keep[u]) {
 			continue
 		}
 		if err := checkRows(check, lastRows); err != nil {
@@ -164,6 +176,9 @@ func bfs(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
 					reach = append(reach, w)
 				}
 			}
+		}
+		if keep != nil {
+			reach = slices.DeleteFunc(reach, func(w graph.VID) bool { return !keep[w] })
 		}
 		sort.Slice(reach, func(i, j int) bool { return reach[i] < reach[j] })
 		c.succ[u] = reach
