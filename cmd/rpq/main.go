@@ -49,6 +49,9 @@ func run(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no queries given")
 	}
+	if *limit < 0 {
+		return fmt.Errorf("-limit must be non-negative, got %d", *limit)
+	}
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
 		return err
@@ -105,16 +108,15 @@ func parseStrategy(s string) (core.Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (want rtc, full or no)", s)
 }
 
-func printResult(q string, res *pairs.Set, limit int) {
+// printResult prints the first limit pairs of res in (src, dst) order;
+// limit 0 prints them all.
+func printResult(q string, res *pairs.Relation, limit int) {
 	fmt.Printf("query %s: %d pairs\n", q, res.Len())
-	sorted := res.Sorted()
-	if limit > 0 && len(sorted) > limit {
-		sorted = sorted[:limit]
-	}
-	for _, p := range sorted {
+	page := res.Page(0, limit)
+	for _, p := range page {
 		fmt.Printf("  (%d, %d)\n", p.Src, p.Dst)
 	}
-	if limit > 0 && res.Len() > limit {
-		fmt.Printf("  … %d more\n", res.Len()-limit)
+	if more := res.Len() - len(page); more > 0 {
+		fmt.Printf("  … %d more\n", more)
 	}
 }

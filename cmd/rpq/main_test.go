@@ -60,6 +60,7 @@ func TestRunErrors(t *testing.T) {
 		{},               // no -graph
 		{"-graph", path}, // no queries
 		{"-graph", path, "-strategy", "bogus", "a"},
+		{"-graph", path, "-limit", "-1", "a"}, // not "print everything"
 		// Retired flags: one planner, no DFA determinisation.
 		{"-graph", path, "-planner", "cost", "a"},
 		{"-graph", path, "-dfa", "a"},

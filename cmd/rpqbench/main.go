@@ -41,7 +41,6 @@ func run(args []string) error {
 		rpqs       = fs.Int("rpqs", 0, "override #RPQs per set for the degree sweep")
 		seed       = fs.Int64("seed", 0, "override the dataset/workload seed")
 		verify     = fs.Bool("verify", false, "cross-check result counts across strategies")
-		workers    = fs.Int("workers", 0, "override the largest worker fan-out of the parallel sweep (fig16)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,9 +74,6 @@ func run(args []string) error {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
 	}
 	cfg.Verify = cfg.Verify || *verify
 

@@ -25,7 +25,7 @@ func TestUnknownExperimentListsIDs(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for unknown experiment")
 	}
-	for _, id := range []string{"ablations", "table3", "fig10a", "fig16"} {
+	for _, id := range []string{"ablations", "table3", "fig10a", "fig15b"} {
 		if !strings.Contains(err.Error(), id) {
 			t.Errorf("error %q does not list experiment %q", err, id)
 		}
@@ -53,9 +53,10 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                       // no experiment
 		{"-experiment", "bogus"}, // unknown id
-		{"-experiment", "fig10a", "-scale", "99"}, // bad config
-		{"-experiment", "layout"},                 // retired experiment
-		{"-experiment", "table4", "-json", "x"},   // retired flag
+		{"-experiment", "fig10a", "-scale", "99"},  // bad config
+		{"-experiment", "layout"},                  // retired experiment
+		{"-experiment", "table4", "-json", "x"},    // retired flag
+		{"-experiment", "table4", "-workers", "4"}, // retired flag
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

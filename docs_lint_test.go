@@ -220,8 +220,9 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // closure-algorithm, DFA and cache-off knobs, incremental closure
 // maintenance with its off switch, the joins of their own that ASK and
 // the pair-level Post step had before every consumer drove one
-// per-source producer, and the eager closure build and the closure reads
-// of the row kernel that the product-built RTC retired. (Spelled in
+// per-source producer, the eager closure build and the closure reads
+// of the row kernel that the product-built RTC retired, and the
+// parallel-batch family with its experiment and flag. (Spelled in
 // pieces so that a grep for the retired identifiers over the Go sources
 // stays empty.)
 var retiredNames = []*regexp.Regexp{
@@ -251,6 +252,11 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("Any" + "From"),
 	regexp.MustCompile("Compute" + "Check"),
 	regexp.MustCompile("Reachable" + "From"),
+	regexp.MustCompile("EvaluateQueries" + "Parallel"),
+	regexp.MustCompile("EvaluateAll" + "Parallel"),
+	regexp.MustCompile("Evaluate" + "Parallel"),
+	regexp.MustCompile(`fig` + `16\b`),
+	regexp.MustCompile(`(^|[^A-Za-z-])-work` + `ers\b`),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

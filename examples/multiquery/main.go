@@ -61,28 +61,6 @@ func main() {
 			engine.SharedPairsTotal(), resultPairs)
 	}
 
-	// The same batch fanned over worker goroutines sharing one cache:
-	// the closure sub-query is still computed exactly once (the cache's
-	// singleflight deduplicates concurrent misses), and on multi-core
-	// hardware the wall-clock drops accordingly.
-	fmt.Println("\nparallel batch (RTCSharing, shared cache):")
-	for _, workers := range []int{1, 2, 4} {
-		engine := rtcshare.NewEngine(g, rtcshare.Options{})
-		start := time.Now()
-		results, err := engine.EvaluateQueriesParallel(queries, workers)
-		if err != nil {
-			panic(err)
-		}
-		wall := time.Since(start)
-		var resultPairs int
-		for _, r := range results {
-			resultPairs += r.Len()
-		}
-		st := engine.Stats()
-		fmt.Printf("  workers=%d  wall=%10s  computes=%d  hits=%d  (%d result pairs)\n",
-			workers, wall.Round(time.Microsecond), st.CacheMisses, st.CacheHits, resultPairs)
-	}
-
 	// What the sharing buys: the reduced structure vs the full closure.
 	fmt.Println("\nshared structure detail (RTCSharing):")
 	engine := rtcshare.NewEngine(g, rtcshare.Options{})

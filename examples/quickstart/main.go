@@ -1,8 +1,8 @@
 // Quickstart: the paper's running example, end to end.
 //
 // Builds the Fig. 1 graph, evaluates the query d·(b·c)+·c from Example 1,
-// walks through the two-level graph reduction of Section III — printing
-// the intermediate artifacts the paper's Examples 3–6 show — and then
+// prints the sizes of the reduced transitive closure the paper's
+// Examples 3–6 derive for the shared sub-query b·c, and then
 // runs the same graph as a service: an in-process rpqd server whose
 // concurrent clients share one evaluation, the serving story of
 // DESIGN.md §10.
@@ -49,20 +49,24 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	// The result is a sealed relation: pairs grouped by start vertex,
+	// in (src, dst) order.
 	fmt.Printf("query %s:\n", query)
-	for _, p := range res.Sorted() {
-		fmt.Printf("  (v%d, v%d)\n", p.Src, p.Dst)
-	}
+	res.Each(func(src, dst rtcshare.VID) bool {
+		fmt.Printf("  (v%d, v%d)\n", src, dst)
+		return true
+	})
 
-	// The reduction artifacts the engine produced on the way: the RTC of
-	// the shared sub-query R = b·c (Examples 3–6).
+	// The RTC the engine built for the shared sub-query R = b·c
+	// (Examples 3–6): the SCCs of the graph whose edges are R's paths,
+	// read off the product of G with R's automaton.
 	fmt.Println("\nshared structures (Section III):")
 	for _, s := range engine.SharedSummaries() {
 		fmt.Printf("  R = %s\n", s.R)
-		fmt.Printf("    edge-level reduction  G → G_R:  |V_R|  = %d\n", s.EdgeReducedVertices)
-		fmt.Printf("    vertex-level reduction G_R → Ḡ_R: |V̄_R̄| = %d SCCs (avg %.2f vertices each)\n",
+		fmt.Printf("    vertices on an R path:      |V_R|     = %d\n", s.EdgeReducedVertices)
+		fmt.Printf("    their SCCs:                 |V̄_R̄|     = %d (avg %.2f vertices each)\n",
 			s.ReducedVertices, s.AvgSCCSize)
-		fmt.Printf("    reduced transitive closure |TC(Ḡ_R)| = %d pairs\n", s.SharedPairs)
+		fmt.Printf("    reduced transitive closure: |TC(Ḡ_R)| = %d pairs\n", s.SharedPairs)
 	}
 
 	// A second query sharing the same Kleene sub-query: the RTC is
@@ -134,7 +138,7 @@ func serveIt(g *rtcshare.Graph) {
 
 	// What the four requests cost, against one evaluation on its own.
 	solo := rtcshare.NewEngine(g, rtcshare.Options{})
-	if _, err := solo.EvaluateQueryRel(query); err != nil {
+	if _, err := solo.EvaluateQuery(query); err != nil {
 		panic(err)
 	}
 	four, one := served.Cache().Counters(), solo.Cache().Counters()

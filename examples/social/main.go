@@ -110,20 +110,23 @@ func main() {
 		runDashboard(engine)
 	}
 
-	// Top recommendation for one user: the pairs starting at vertex 42.
+	// Top recommendations for one user: the result's run for source 42,
+	// read straight out of the sealed relation in ascending order.
 	res, err := engine.EvaluateQuery(follows + "." + follows + "+." + mentions)
 	if err != nil {
 		panic(err)
 	}
 	count := 0
 	fmt.Println("\nsample recommendations for user 42:")
-	res.Each(func(src, dst rtcshare.VID) bool {
-		if src == 42 && dst != 42 {
-			fmt.Printf("  suggest user %d\n", dst)
-			count++
+	for _, dst := range res.DstsOf(42) {
+		if dst == 42 {
+			continue
 		}
-		return count < 5
-	})
+		fmt.Printf("  suggest user %d\n", dst)
+		if count++; count == 5 {
+			break
+		}
+	}
 	if count == 0 {
 		fmt.Println("  (user 42 has no extended network in this draw)")
 	}

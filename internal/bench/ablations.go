@@ -7,9 +7,7 @@ import (
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
-	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
-	"rtcshare/internal/rtc"
 	"rtcshare/internal/scc"
 	"rtcshare/internal/tc"
 )
@@ -60,8 +58,7 @@ func RunAblations(cfg RunConfig) ([]AblationRow, error) {
 	//    reduced graphs.
 	grs := make([]*graph.DiGraph, 0, len(sets))
 	for _, set := range sets {
-		rg := eval.Evaluate(g, set.R)
-		grs = append(grs, rtc.EdgeReduce(g.NumVertices(), rg))
+		grs = append(grs, reduceR(g, set.R))
 	}
 	timeAll := func(fn func(*graph.DiGraph)) time.Duration {
 		t0 := time.Now()

@@ -10,8 +10,11 @@ import (
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
+	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
+	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
+	"rtcshare/internal/rtc"
 	"rtcshare/internal/workload"
 )
 
@@ -44,9 +47,6 @@ type RunConfig struct {
 	// Verify cross-checks that all strategies return identical result
 	// counts on every query (slower; on by default in tests).
 	Verify bool
-	// Workers is the largest fan-out of the parallel batch sweep
-	// (fig16); the sweep runs worker counts 1, 2, 4, … up to it.
-	Workers int
 }
 
 // DefaultConfig returns a laptop-scale configuration.
@@ -64,7 +64,6 @@ func DefaultConfig() RunConfig {
 		RealVertices: 512,
 		Seed:         2022, // ICDE 2022
 		Verify:       false,
-		Workers:      4,
 	}
 }
 
@@ -129,7 +128,7 @@ func measureSets(g *graph.Graph, sets []workload.Set, numRPQs int, strategy core
 			queries = queries[:numRPQs]
 		}
 		for _, q := range queries {
-			res, err := engine.Evaluate(q)
+			res, err := engine.EvaluateRel(q)
 			if err != nil {
 				return m, fmt.Errorf("bench: %s/%v: evaluate %q: %w", name, strategy, q, err)
 			}
@@ -236,9 +235,6 @@ func checkConfig(cfg RunConfig) error {
 	if len(cfg.RPQCounts) == 0 {
 		return fmt.Errorf("bench: RPQCounts must not be empty")
 	}
-	if cfg.Workers < 0 || cfg.Workers > 256 {
-		return fmt.Errorf("bench: Workers %d out of range (0..256)", cfg.Workers)
-	}
 	return nil
 }
 
@@ -254,6 +250,14 @@ func realSpecs(cfg RunConfig) []datagen.DatasetSpec {
 		}
 	}
 	return specs
+}
+
+// reduceR evaluates R on g, seals R_G and performs the edge-level
+// reduction G → G_R — the graph Table III and the ablations close.
+func reduceR(g *graph.Graph, r rpq.Expr) *graph.DiGraph {
+	b := pairs.NewBuilder(g.NumVertices())
+	eval.New(g, r, eval.Options{}).AppendAll(b)
+	return rtc.EdgeReduceRel(g.NumVertices(), b.Seal())
 }
 
 // buildQueriesUnion is a helper used by Table III: it extracts the

@@ -21,7 +21,6 @@ func tinyConfig() RunConfig {
 		RealVertices: 128,
 		Seed:         7,
 		Verify:       true,
-		Workers:      4,
 	}
 }
 
@@ -159,7 +158,7 @@ func TestRegistry(t *testing.T) {
 		"ablations",
 		"fig10a", "fig10b", "fig11a", "fig11b", "fig12a", "fig12b",
 		"fig13a", "fig13b", "fig14a", "fig14b", "fig15a", "fig15b",
-		"fig16", "table3", "table4",
+		"table3", "table4",
 	}
 	if len(exps) != len(wantIDs) {
 		t.Fatalf("experiments = %d, want %d", len(exps), len(wantIDs))
@@ -181,7 +180,7 @@ func TestExperimentRunnersExecute(t *testing.T) {
 	// Run the cheap experiments end to end through the registry.
 	cfg := tinyConfig()
 	cfg.MaxN = 1
-	for _, id := range []string{"table4", "fig10a", "fig12a", "fig14a", "fig16", "ablations"} {
+	for _, id := range []string{"table4", "fig10a", "fig12a", "fig14a", "ablations"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)

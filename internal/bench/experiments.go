@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"rtcshare/internal/datagen"
-	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
-	"rtcshare/internal/rtc"
 	"rtcshare/internal/scc"
 	"rtcshare/internal/tc"
 )
@@ -261,8 +259,7 @@ func RunTableIII(cfg RunConfig) ([]TableIIIRow, error) {
 	}
 	var rows []TableIIIRow
 	for _, r := range buildQueriesUnion(sets) {
-		rg := eval.Evaluate(g, r)
-		gr := rtc.EdgeReduce(g.NumVertices(), rg)
+		gr := reduceR(g, r)
 
 		t0 := time.Now()
 		full := tc.BFS(gr)

@@ -34,7 +34,6 @@ func Experiments() []Experiment {
 		{ID: "fig14b", Title: "Fig. 14(b): response time vs #RPQs, Advogato", Run: rpqSweep(false, (*RPQSweep).RenderFig14)},
 		{ID: "fig15a", Title: "Fig. 15(a): three-part split vs #RPQs, RMAT_3", Run: rpqSweep(true, (*RPQSweep).RenderFig15)},
 		{ID: "fig15b", Title: "Fig. 15(b): three-part split vs #RPQs, Advogato", Run: rpqSweep(false, (*RPQSweep).RenderFig15)},
-		{ID: "fig16", Title: "Fig. 16 (beyond the paper): parallel batch evaluation vs workers", Run: runParallel},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
@@ -65,15 +64,6 @@ func runTable3(w io.Writer, cfg RunConfig) error {
 		return err
 	}
 	RenderTableIII(w, rows)
-	return nil
-}
-
-func runParallel(w io.Writer, cfg RunConfig) error {
-	ps, err := RunParallelBatch(cfg)
-	if err != nil {
-		return err
-	}
-	ps.RenderFig16(w)
 	return nil
 }
 

@@ -118,7 +118,7 @@ func (e *engineVersion) openClause(cp *plan.ClausePlan) (producer, error) {
 // columns. The Post traversals are Remainder time; everything else —
 // the row DFS, the ORs, the emission — is PreJoin. It is exported so
 // benchmarks can measure the join in isolation; query evaluation
-// reaches it through Engine.Evaluate. Nothing is cached across calls.
+// reaches it through Engine.EvaluateRel. Nothing is cached across calls.
 func (e *engineVersion) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	start := time.Now()
 	k := e.acquireKernel(structure, typ, post)

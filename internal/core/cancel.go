@@ -133,12 +133,14 @@ func (e *Engine) SetEvalHook(hook func(query string)) {
 	e.evalHook = hook
 }
 
-// EvaluateRelTimedCtx is EvaluateRelTimed with cooperative
-// cancellation: the evaluation runs on a private fork with ctx attached,
-// aborting at the next checkpoint once ctx is done. Either ctx or st
-// may be nil. Panics during the evaluation are recovered into a
-// *QueryPanicError, so a /query that crashes the evaluator fails alone.
-// This is the serving layer's cold-query entry point.
+// EvaluateRelTimedCtx is EvaluateRelEpoch with per-stage attribution
+// into st and cooperative cancellation: the evaluation runs on a private
+// fork — so the timer and the context have exactly one writer — with ctx
+// attached, aborting at the next checkpoint once ctx is done, and the
+// fork's Stats fold back into the receiver. Either ctx or st may be nil.
+// Panics during the evaluation are recovered into a *QueryPanicError, so
+// a /query that crashes the evaluator fails alone. This is the serving
+// layer's cold-query entry point.
 func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageTimer) (rel *pairs.Relation, epoch uint64, err error) {
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {

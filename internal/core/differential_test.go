@@ -152,7 +152,7 @@ func TestDifferentialUpdates(t *testing.T) {
 			// Warm the caches so the sweep has structures to carry and
 			// drop.
 			for _, q := range queries {
-				if _, err := engine.Evaluate(q); err != nil {
+				if _, err := engine.EvaluateRel(q); err != nil {
 					t.Fatalf("seed %d %+v: warmup %q: %v", caseSeed, opts, q, err)
 				}
 			}
@@ -162,20 +162,20 @@ func TestDifferentialUpdates(t *testing.T) {
 				}
 				rebuilt := New(engine.Graph(), opts)
 				for _, q := range queries {
-					got, err := engine.Evaluate(q)
+					got, err := engine.EvaluateRel(q)
 					if err != nil {
 						t.Fatalf("seed %d %+v batch %d: long-lived %q: %v", caseSeed, opts, b, q, err)
 					}
-					fresh, err := rebuilt.Evaluate(q)
+					fresh, err := rebuilt.EvaluateRel(q)
 					if err != nil {
 						t.Fatalf("seed %d %+v batch %d: rebuilt %q: %v", caseSeed, opts, b, q, err)
 					}
 					want := eval.Reference(engine.Graph(), q)
-					if !got.Equal(want) {
+					if !got.EqualSet(want) {
 						t.Errorf("seed %d %+v batch %d: %q: long-lived %d pairs, reference %d",
 							caseSeed, opts, b, q, got.Len(), want.Len())
 					}
-					if !fresh.Equal(want) {
+					if !fresh.EqualSet(want) {
 						t.Errorf("seed %d %+v batch %d: %q: rebuilt %d pairs, reference %d",
 							caseSeed, opts, b, q, fresh.Len(), want.Len())
 					}
@@ -207,37 +207,24 @@ func TestDifferentialStrategiesMatchReference(t *testing.T) {
 		for _, strategy := range strategies() {
 			engine := New(g, Options{Strategy: strategy})
 			for i, q := range qs {
-				got, err := engine.Evaluate(q)
+				got, err := engine.EvaluateRel(q)
 				if err != nil {
 					t.Fatalf("seed %d/%d %v: evaluate %q: %v", c.graphSeed, c.workSeed, strategy, q, err)
 				}
-				if !got.Equal(want[i]) {
+				if !got.EqualSet(want[i]) {
 					t.Errorf("seed %d/%d %v: %q: engine %d pairs, reference %d pairs",
 						c.graphSeed, c.workSeed, strategy, q, got.Len(), want[i].Len())
 				}
 			}
 		}
 
-		// The executor's native relation results run the same oracle.
-		relEngine := New(g, Options{})
-		for i, q := range qs {
-			got, err := relEngine.EvaluateRel(q)
-			if err != nil {
-				t.Fatalf("seed %d/%d rel: evaluate %q: %v", c.graphSeed, c.workSeed, q, err)
-			}
-			if !got.EqualSet(want[i]) {
-				t.Errorf("seed %d/%d rel: %q: engine %d pairs, reference %d pairs",
-					c.graphSeed, c.workSeed, q, got.Len(), want[i].Len())
-			}
-		}
-
-		// The parallel path must agree with the same oracle.
-		got, err := New(g, Options{}).EvaluateBatchParallel(qs, 4)
+		// The parallel batch path must agree with the same oracle.
+		got, _, err := New(g, Options{}).EvaluateBatchParallelRel(qs, 4)
 		if err != nil {
 			t.Fatalf("seed %d/%d parallel: %v", c.graphSeed, c.workSeed, err)
 		}
 		for i := range qs {
-			if !got[i].Equal(want[i]) {
+			if !got[i].EqualSet(want[i]) {
 				t.Errorf("seed %d/%d parallel: %q: got %d pairs, reference %d pairs",
 					c.graphSeed, c.workSeed, qs[i], got[i].Len(), want[i].Len())
 			}

@@ -26,9 +26,9 @@
 // An Engine is safe for concurrent use: its timing split and summaries
 // are mutex-guarded, and automaton-product evaluators (which carry
 // mutable traversal scratch) are checked out of a per-engine free list,
-// never shared between two running evaluations. EvaluateBatchParallel
-// fans a query batch over worker engines forked from the receiver; the
-// forks share the receiver's cache and fold their Stats back into it.
+// never shared between two running evaluations. The timed, cancellable
+// and streaming entry points run on private forks of the receiver; a
+// fork shares the receiver's cache and folds its Stats back into it.
 //
 // # Dynamic graphs
 //
@@ -114,7 +114,8 @@ type Stats struct {
 	PreJoin    time.Duration
 	Remainder  time.Duration
 
-	// Queries is the number of top-level Evaluate calls.
+	// Queries is the number of top-level evaluations: EvaluateRel and
+	// the entry points built on it, memo hits included.
 	Queries int
 	// CacheHits / CacheMisses count shared-structure lookups. Under
 	// singleflight a goroutine that waited for another's in-flight
@@ -125,9 +126,8 @@ type Stats struct {
 // Total returns the full query response time.
 func (s Stats) Total() time.Duration { return s.SharedData + s.PreJoin + s.Remainder }
 
-// Add folds other into s — the race-free aggregation step of
-// EvaluateBatchParallel (each worker accumulates privately; the parent
-// sums the per-worker splits after the join).
+// Add folds other into s — how a private fork's split returns to the
+// engine it was forked from once its evaluation ends.
 func (s *Stats) Add(other Stats) {
 	s.SharedData += other.SharedData
 	s.PreJoin += other.PreJoin
@@ -318,17 +318,16 @@ func (e *Engine) version() *engineVersion { return e.ver.Load() }
 // Fork returns a new engine over the same graph version and options,
 // sharing the receiver's SharedCache but nothing else: the fork has zero
 // Stats, its own summaries, and its own evaluator free list. Forks are
-// how EvaluateBatchParallel builds its workers; they are also the cheap
-// way to hand each request goroutine of a server its own engine while
-// keeping one process-wide cache. A fork pins the graph version current
-// at fork time: updates applied to the parent afterwards do not
-// propagate to it.
+// the cheap way to give one evaluation — a timed or cancellable request,
+// a stream, a batch worker — its own engine while keeping one
+// process-wide cache. A fork pins the graph version current at fork
+// time: updates applied to the parent afterwards do not propagate to it.
 func (e *Engine) Fork() *Engine {
 	return e.forkVersion(e.version())
 }
 
 // forkVersion is Fork pinned to an explicit version — how
-// EvaluateBatchParallel gives every worker of one batch the same graph
+// EvaluateBatchParallelRel gives every worker of one batch the same graph
 // epoch.
 func (e *Engine) forkVersion(v *engineVersion) *Engine {
 	f := &Engine{
@@ -414,28 +413,20 @@ func (sh *engineShared) SharedPairsTotal() int {
 	return total
 }
 
-// EvaluateQuery parses and evaluates q.
-func (e *Engine) EvaluateQuery(q string) (*pairs.Set, error) {
+// EvaluateQuery parses q and evaluates it with EvaluateRel.
+func (e *Engine) EvaluateQuery(q string) (*pairs.Relation, error) {
 	expr, err := rpq.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.Evaluate(expr)
+	return e.EvaluateRel(expr)
 }
 
-// Evaluate computes Q_G for the query under the engine's strategy,
-// against the graph version current when the call starts.
-func (e *Engine) Evaluate(q rpq.Expr) (*pairs.Set, error) {
-	e.mu.Lock()
-	e.stats.Queries++
-	e.mu.Unlock()
-	return e.version().evaluateSharing(q)
-}
-
-// EvaluateRel computes Q_G and returns it in the executor's native
-// sealed form: the result relation is handed over as-is — no hash-set
-// materialisation at the boundary — which is the cheapest way to consume
-// large results (iterate with Each/EachSrc, probe with Contains).
+// EvaluateRel computes Q_G under the engine's strategy, against the
+// graph version current when the call starts. The result is the
+// executor's sealed relation, handed over as-is: pairs grouped by source
+// in sorted runs (iterate with Each/EachSrc, page with Page, probe with
+// Contains). It is immutable and may be shared with the result memo.
 func (e *Engine) EvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	rel, _, err := e.EvaluateRelEpoch(q)
 	return rel, err
@@ -489,29 +480,6 @@ func (v *engineVersion) evaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 		v.evalHook(q.String())
 	}
 	return v.evaluateRelCached(q)
-}
-
-// EvaluateQueryRel parses q and evaluates it with EvaluateRel.
-func (e *Engine) EvaluateQueryRel(q string) (*pairs.Relation, error) {
-	expr, err := rpq.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.EvaluateRel(expr)
-}
-
-// EvaluateSet evaluates a multiple-RPQ set in order, sharing structures
-// across the queries (for NoSharing, simply evaluating them one by one).
-func (e *Engine) EvaluateSet(qs []rpq.Expr) ([]*pairs.Set, error) {
-	out := make([]*pairs.Set, len(qs))
-	for i, q := range qs {
-		res, err := e.Evaluate(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // EvalBatchUnit exposes the columnar Algorithm 2 join on the engine's

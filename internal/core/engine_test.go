@@ -26,7 +26,7 @@ func TestPaperExample1AllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: got %v, want %v", s, got.Sorted(), want.Sorted())
 		}
 	}
@@ -67,14 +67,14 @@ func TestPaperExample7Sharing(t *testing.T) {
 
 func TestQueriesWithoutKleene(t *testing.T) {
 	g := fixtures.Figure1()
-	want := eval.Evaluate(g, rpq.MustParse("b.c"))
+	want := eval.Reference(g, rpq.MustParse("b.c"))
 	for _, s := range strategies() {
 		e := New(g, Options{Strategy: s})
 		got, err := e.EvaluateQuery("b.c")
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: KC-free query wrong", s)
 		}
 	}
@@ -82,14 +82,14 @@ func TestQueriesWithoutKleene(t *testing.T) {
 
 func TestStarQuery(t *testing.T) {
 	g := fixtures.Figure1()
-	want := eval.Evaluate(g, rpq.MustParse("d.(b.c)*.c"))
+	want := eval.Reference(g, rpq.MustParse("d.(b.c)*.c"))
 	for _, s := range strategies() {
 		e := New(g, Options{Strategy: s})
 		got, err := e.EvaluateQuery("d.(b.c)*.c")
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if !got.Equal(want) {
+		if !got.EqualSet(want) {
 			t.Errorf("%v: got %v, want %v", s, got.Sorted(), want.Sorted())
 		}
 	}
@@ -98,14 +98,14 @@ func TestStarQuery(t *testing.T) {
 func TestBareKleeneQuery(t *testing.T) {
 	// Pre = ε exercises the identity relation path.
 	g := fixtures.Figure1()
-	wantPlus := eval.Evaluate(g, rpq.MustParse("(b.c)+"))
-	wantStar := eval.Evaluate(g, rpq.MustParse("(b.c)*"))
+	wantPlus := eval.Reference(g, rpq.MustParse("(b.c)+"))
+	wantStar := eval.Reference(g, rpq.MustParse("(b.c)*"))
 	for _, s := range strategies() {
 		e := New(g, Options{Strategy: s})
-		if got, err := e.EvaluateQuery("(b.c)+"); err != nil || !got.Equal(wantPlus) {
+		if got, err := e.EvaluateQuery("(b.c)+"); err != nil || !got.EqualSet(wantPlus) {
 			t.Errorf("%v: (b.c)+ wrong (err=%v)", s, err)
 		}
-		if got, err := e.EvaluateQuery("(b.c)*"); err != nil || !got.Equal(wantStar) {
+		if got, err := e.EvaluateQuery("(b.c)*"); err != nil || !got.EqualSet(wantStar) {
 			t.Errorf("%v: (b.c)* wrong (err=%v)", s, err)
 		}
 	}
@@ -114,14 +114,14 @@ func TestBareKleeneQuery(t *testing.T) {
 func TestAlternationAndOptional(t *testing.T) {
 	g := fixtures.Figure1()
 	for _, q := range []string{"(d|a).(b.c)+.c", "d?.(b.c)+", "a|b+|c*"} {
-		want := eval.Evaluate(g, rpq.MustParse(q))
+		want := eval.Reference(g, rpq.MustParse(q))
 		for _, s := range strategies() {
 			e := New(g, Options{Strategy: s})
 			got, err := e.EvaluateQuery(q)
 			if err != nil {
 				t.Fatalf("%v %q: %v", s, q, err)
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Errorf("%v: %q = %v, want %v", s, q, got.Sorted(), want.Sorted())
 			}
 		}
@@ -131,14 +131,14 @@ func TestAlternationAndOptional(t *testing.T) {
 func TestNestedKleene(t *testing.T) {
 	g := fixtures.Figure1()
 	for _, q := range []string{"(b.c+)+", "(b+.c)+.c", "((a.b)+)*"} {
-		want := eval.Evaluate(g, rpq.MustParse(q))
+		want := eval.Reference(g, rpq.MustParse(q))
 		for _, s := range strategies() {
 			e := New(g, Options{Strategy: s})
 			got, err := e.EvaluateQuery(q)
 			if err != nil {
 				t.Fatalf("%v %q: %v", s, q, err)
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Errorf("%v: %q = %v, want %v", s, q, got.Sorted(), want.Sorted())
 			}
 		}
@@ -320,11 +320,11 @@ func TestEnginesAgreeWithReference(t *testing.T) {
 		want := eval.Reference(g, e)
 		for _, s := range strategies() {
 			eng := New(g, Options{Strategy: s})
-			got, err := eng.Evaluate(e)
+			got, err := eng.EvaluateRel(e)
 			if err != nil {
 				return true // DNF limit explosion: acceptable rejection
 			}
-			if !got.Equal(want) {
+			if !got.EqualSet(want) {
 				t.Logf("strategy=%v expr=%q |got|=%d |want|=%d", s, e, got.Len(), want.Len())
 				return false
 			}
@@ -362,14 +362,16 @@ func TestEnginesAgreeOnBatchUnits(t *testing.T) {
 			}
 			queries = append(queries, rpq.NewConcat(pre, mid, post))
 		}
-		engines := make(map[Strategy][]*pairs.Set)
+		engines := make(map[Strategy][]*pairs.Relation)
 		for _, s := range strategies() {
 			eng := New(g, Options{Strategy: s})
-			res, err := eng.EvaluateSet(queries)
-			if err != nil {
-				return false
+			for _, q := range queries {
+				res, err := eng.EvaluateRel(q)
+				if err != nil {
+					return false
+				}
+				engines[s] = append(engines[s], res)
 			}
-			engines[s] = res
 		}
 		for i := range queries {
 			if !engines[RTCSharing][i].Equal(engines[NoSharing][i]) ||

@@ -9,15 +9,15 @@ import (
 
 // Warm columnar batch evaluation must be close to allocation-free: the
 // stamp sets, tuple buffers, builders and evaluators are all pooled, so
-// the steady state allocates only the sealed result columns, the final
-// Set materialisation and per-query planning scraps. The bound is
+// the steady state allocates only the sealed result columns and
+// per-query planning scraps. The bound is
 // deliberately loose (it is a regression tripwire, not a spec), but it
 // is far below what any per-tuple or per-vertex allocation would cost.
 func TestColumnarSteadyStateAllocations(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{})
 	q := rpq.MustParse("d.(b.c)+.c")
-	if _, err := e.Evaluate(q); err != nil {
+	if _, err := e.EvaluateRel(q); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -39,10 +39,10 @@ func TestRelationOverflowMemo(t *testing.T) {
 	e.cache.relPairs.Store(relBudgetPairs) // exhaust the region up front
 
 	for i := 0; i < 2; i++ {
-		if _, err := e.Evaluate(rpq.MustParse("d.(b.c)+.c")); err != nil {
+		if _, err := e.EvaluateRel(rpq.MustParse("d.(b.c)+.c")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Evaluate(rpq.MustParse("a.(b.c)+.c")); err != nil {
+		if _, err := e.EvaluateRel(rpq.MustParse("a.(b.c)+.c")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestRelationOverflowMemo(t *testing.T) {
 	// queries must hit the overflow memo, so the relation region's miss
 	// counter stops growing.
 	missesAfterWarm := e.cache.Counters().RelMisses
-	if _, err := e.Evaluate(rpq.MustParse("d.(b.c)+.c")); err != nil {
+	if _, err := e.EvaluateRel(rpq.MustParse("d.(b.c)+.c")); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.cache.Counters().RelMisses; got != missesAfterWarm {

@@ -48,6 +48,20 @@ func stressBatch(t testing.TB, seed int64, sets, perSet int) ([]rpq.Expr, int) {
 	return batch, len(distinct)
 }
 
+// serialRels evaluates a batch one query at a time, in order.
+func serialRels(t testing.TB, e *Engine, batch []rpq.Expr) []*pairs.Relation {
+	t.Helper()
+	out := make([]*pairs.Relation, len(batch))
+	for i, q := range batch {
+		rel, err := e.EvaluateRel(q)
+		if err != nil {
+			t.Fatalf("serial EvaluateRel(%s): %v", q, err)
+		}
+		out[i] = rel
+	}
+	return out
+}
+
 // TestEvaluateBatchParallelMatchesSerial is the core stress test: a
 // sharing-heavy batch fanned over many workers must produce exactly the
 // serial results, and the shared cache must have computed each distinct
@@ -59,15 +73,11 @@ func TestEvaluateBatchParallelMatchesSerial(t *testing.T) {
 
 	for _, strategy := range []Strategy{RTCSharing, FullSharing} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			serial := New(g, Options{Strategy: strategy})
-			want, err := serial.EvaluateSet(batch)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
+			want := serialRels(t, New(g, Options{Strategy: strategy}), batch)
 
 			for _, workers := range []int{2, 4, 8} {
 				par := New(g, Options{Strategy: strategy})
-				got, err := par.EvaluateBatchParallel(batch, workers)
+				got, _, err := par.EvaluateBatchParallelRel(batch, workers)
 				if err != nil {
 					t.Fatalf("parallel(%d): %v", workers, err)
 				}
@@ -116,13 +126,9 @@ func TestEvaluateBatchParallelNoSharing(t *testing.T) {
 	g := stressGraph(t, 7)
 	batch, _ := stressBatch(t, 11, 3, 6)
 
-	serial := New(g, Options{Strategy: NoSharing})
-	want, err := serial.EvaluateSet(batch)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
+	want := serialRels(t, New(g, Options{Strategy: NoSharing}), batch)
 	par := New(g, Options{Strategy: NoSharing})
-	got, err := par.EvaluateBatchParallel(batch, 4)
+	got, _, err := par.EvaluateBatchParallelRel(batch, 4)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -151,11 +157,7 @@ func TestConcurrentEvaluateOnOneEngine(t *testing.T) {
 	g := stressGraph(t, 13)
 	batch, distinctR := stressBatch(t, 17, 4, 8)
 
-	serial := New(g, Options{})
-	want, err := serial.EvaluateSet(batch)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
+	want := serialRels(t, New(g, Options{}), batch)
 
 	shared := New(g, Options{})
 	const goroutines = 8
@@ -169,7 +171,7 @@ func TestConcurrentEvaluateOnOneEngine(t *testing.T) {
 			// offset, maximising same-R collisions.
 			for i := 0; i < len(batch); i++ {
 				j := (i + w*len(batch)/goroutines) % len(batch)
-				res, err := shared.Evaluate(batch[j])
+				res, err := shared.EvaluateRel(batch[j])
 				if err != nil {
 					errs <- fmt.Errorf("worker %d query %d: %w", w, j, err)
 					return
@@ -226,38 +228,39 @@ func TestForkedEnginesShareCache(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchParallelErrors checks error propagation: a
-// malformed query anywhere in the batch fails the whole call.
+// TestEvaluateBatchParallelErrors checks error propagation: an
+// evaluation error anywhere in the batch — here a DNF blow-up in the
+// last query — fails the whole call at every fan-out.
 func TestEvaluateBatchParallelErrors(t *testing.T) {
 	g := stressGraph(t, 23)
-	e := New(g, Options{})
-	if _, err := e.EvaluateQueriesParallel([]string{"l0", "l1.(", "l2"}, 2); err == nil {
-		t.Fatal("parse error not propagated")
-	}
-
-	// A DNF blow-up inside Evaluate must also surface.
 	tiny := New(g, Options{MaxDNFClauses: 1})
-	qs := []rpq.Expr{rpq.MustParse("l0|l1"), rpq.MustParse("l0|l1"), rpq.MustParse("l2|l3")}
-	if _, err := tiny.EvaluateBatchParallel(qs, 2); err == nil {
-		t.Fatal("DNF limit error not propagated")
+	qs := []rpq.Expr{rpq.MustParse("l0"), rpq.MustParse("l1"), rpq.MustParse("l2|l3")}
+	for _, workers := range []int{0, 1, 2} {
+		if res, _, err := tiny.EvaluateBatchParallelRel(qs, workers); err == nil || res != nil {
+			t.Fatalf("workers=%d: DNF limit error not propagated (results %v, err %v)", workers, res, err)
+		}
 	}
 }
 
-// TestEvaluateBatchParallelDegenerate covers the serial fallbacks.
+// TestEvaluateBatchParallelDegenerate covers the empty batch and a
+// fan-out wider than the batch.
 func TestEvaluateBatchParallelDegenerate(t *testing.T) {
 	g := stressGraph(t, 29)
 	e := New(g, Options{})
-	if res, err := e.EvaluateBatchParallel(nil, 4); err != nil || res != nil {
+	if res, _, err := e.EvaluateBatchParallelRel(nil, 4); err != nil || res != nil {
 		t.Fatalf("empty batch: %v, %v", res, err)
 	}
 	one := []rpq.Expr{rpq.MustParse("l0.(l1)+.l2")}
-	res, err := e.EvaluateBatchParallel(one, 8)
+	res, _, err := e.EvaluateBatchParallelRel(one, 8)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("single-query batch: %v, %v", res, err)
 	}
-	want, err := New(g, Options{}).Evaluate(one[0])
+	want, err := New(g, Options{}).EvaluateRel(one[0])
 	if err != nil || !res[0].Equal(want) {
 		t.Fatalf("single-query batch result differs: %v", err)
+	}
+	if st := e.Stats(); st.Queries != 1 {
+		t.Errorf("Queries = %d, want the worker's one evaluation folded back", st.Queries)
 	}
 }
 
@@ -337,15 +340,7 @@ func TestEvaluateBatchParallelRelMatchesSerial(t *testing.T) {
 	g := stressGraph(t, 23)
 	batch, _ := stressBatch(t, 29, 4, 6)
 
-	serial := New(g, Options{})
-	want := make([]*pairs.Relation, len(batch))
-	for i, q := range batch {
-		rel, err := serial.EvaluateRel(q)
-		if err != nil {
-			t.Fatalf("serial EvaluateRel: %v", err)
-		}
-		want[i] = rel
-	}
+	want := serialRels(t, New(g, Options{}), batch)
 
 	for _, workers := range []int{1, 4} {
 		e := New(g, Options{})

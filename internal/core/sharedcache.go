@@ -11,8 +11,8 @@ import (
 )
 
 // SharedCache holds the shared structures of the sharing strategies —
-// the RTCs (TC(Ḡ_R) + SCC tables) and the full closures R+_G — keyed by
-// the canonical sub-query text. It is
+// the RTCs (SCC tables, condensation and reach table) and the full
+// closures R+_G — keyed by the canonical sub-query text. It is
 // the concurrent form of Algorithm 1's "already computed?" test
 // (lines 9–11): any number of engines may share one cache, and two
 // goroutines that miss on the same key at the same time deduplicate —
@@ -32,8 +32,7 @@ import (
 // results (R_G, Pre_G, Post_G) of the columnar engine layout. Sealed
 // relations are two exactly-sized int32 columns — far lighter than the
 // map sets the seed kept engine-local — so sharing them process-wide
-// lets concurrent engines (and the forks of EvaluateBatchParallel)
-// probe one frozen copy with zero copying. The regions are separate so
+// lets concurrent engines and their forks probe one frozen copy with zero copying. The regions are separate so
 // the structure counters keep their meaning: Counters/Len report
 // closure structures only, exactly as before.
 //

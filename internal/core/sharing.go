@@ -44,30 +44,11 @@ type clauseActuals struct {
 }
 
 // planObserver captures the chosen plan and per-clause actuals of one
-// evaluation; evaluateSharing passes nil and skips all bookkeeping.
+// evaluation for ExplainAnalyze; every other caller passes nil and skips
+// all bookkeeping.
 type planObserver struct {
 	plan    *plan.QueryPlan
 	actuals []clauseActuals
-}
-
-// evaluateSharing implements Algorithm 1 (RTCSharing) and its FullSharing
-// counterpart, split into plan → execute: convert the query to DNF
-// treating outermost Kleene closures as literals, plan each clause
-// (Algorithm 1's split at the rightmost closure, or the automaton
-// product for a closure-free clause), execute the clause plans, and
-// union the results.
-//
-// The executor runs on sealed columnar relations; the public result is a
-// mutable Set, materialised once at this boundary.
-func (e *engineVersion) evaluateSharing(q rpq.Expr) (*pairs.Set, error) {
-	rel, err := e.evaluateRelCached(q)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	set := rel.ToSet()
-	e.addRemainder(time.Since(t0))
-	return set, nil
 }
 
 // evaluateRelCached is the columnar top-level entry: on caching engines
@@ -84,10 +65,14 @@ func (e *engineVersion) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 	return e.subEvaluateRel(q)
 }
 
-// evaluatePlanned is the columnar plan-execute pipeline: clause results
-// are sealed relations, a single-clause DNF (the common case) returns
-// its relation as-is, and a multi-clause union merges through one pooled
-// builder sealed once.
+// evaluatePlanned implements Algorithm 1 (RTCSharing) and its
+// FullSharing counterpart, split into plan → execute: convert the query
+// to DNF treating outermost Kleene closures as literals, plan each clause
+// (Algorithm 1's split at the rightmost closure, or the automaton
+// product for a closure-free clause), execute the clause plans, and
+// union the results. Clause results are sealed relations, a
+// single-clause DNF (the common case) returns its relation as-is, and a
+// multi-clause union merges through one pooled builder sealed once.
 func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
 	start := time.Now()
 	clauses, err := rpq.ToDNFLimit(q, e.maxClauses())
@@ -203,9 +188,8 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 // with the engine's own sharing strategy and seals the result, memoising
 // the sealed relation in the SharedCache's relation region: repeated batch
 // units over the same Pre/Post — and every engine sharing the cache,
-// including the forks of EvaluateBatchParallel — reuse the same frozen
-// columns with zero copying, under the same singleflight discipline as
-// the closure structures. (The seed memoised map sets per engine because
+// forks included — reuse the same frozen columns with zero copying, under
+// the same singleflight discipline as the closure structures. (The seed memoised map sets per engine because
 // they were heavyweight; a sealed relation is two exactly-sized int32
 // columns, cheap enough to keep process-wide, and Reset/ClearCaches
 // still drops them.) Sealed relations are immutable by contract; every

@@ -2,9 +2,6 @@ package core
 
 import (
 	"time"
-
-	"rtcshare/internal/pairs"
-	"rtcshare/internal/rpq"
 )
 
 // StageTimer is the per-request latency breakdown of one query
@@ -18,8 +15,7 @@ import (
 //
 // A StageTimer is not safe for concurrent writers. The engine
 // guarantees single-writer use by attaching a timer only to private
-// worker forks (one evaluation at a time); see EvaluateRelTimed and
-// EvaluateRelTimedCtx.
+// worker forks (one evaluation at a time); see EvaluateRelTimedCtx.
 type StageTimer struct {
 	// QueueNS is time spent waiting for an evaluation slot.
 	QueueNS int64 `json:"queue_ns"`
@@ -29,9 +25,10 @@ type StageTimer struct {
 	CoalesceWaitNS int64 `json:"coalesce_wait_ns"`
 	// PlanNS covers DNF conversion and clause planning.
 	PlanNS int64 `json:"plan_ns"`
-	// ClosureBuildNS covers computing the shared closure structure —
-	// TC(Ḡ_R) for RTCSharing, TC(G_R) for FullSharing — or waiting for
-	// another goroutine's in-flight computation of it.
+	// ClosureBuildNS covers computing the shared closure structure — for
+	// RTCSharing the RTC built from R's product graph (its SCCs,
+	// condensation and reach table), for FullSharing TC(G_R) — or waiting
+	// for another goroutine's in-flight computation of it.
 	ClosureBuildNS int64 `json:"closure_build_ns"`
 	// JoinNS is the Pre ⋈ closure join (Algorithm 2).
 	JoinNS int64 `json:"join_ns"`
@@ -40,7 +37,8 @@ type StageTimer struct {
 	// PageNS is result paging in the HTTP handler.
 	PageNS int64 `json:"page_ns"`
 	// OtherNS is everything else the engine does: automaton traversals,
-	// sub-query evaluation boundaries, unions, set materialisation.
+	// sub-query evaluation boundaries, FullSharing's edge-level
+	// reduction, unions.
 	OtherNS int64 `json:"other_ns"`
 }
 
@@ -70,20 +68,4 @@ func (e *Engine) setStages(st *StageTimer) {
 	e.mu.Lock()
 	e.stages = st
 	e.mu.Unlock()
-}
-
-// EvaluateRelTimed is EvaluateRelEpoch with per-stage attribution into
-// st. The evaluation runs on a private fork so the timer has exactly
-// one writer; the fork's Stats fold back into the receiver as usual. A
-// nil st degenerates to EvaluateRelEpoch.
-func (e *Engine) EvaluateRelTimed(q rpq.Expr, st *StageTimer) (*pairs.Relation, uint64, error) {
-	if st == nil {
-		return e.EvaluateRelEpoch(q)
-	}
-	worker := e.Fork()
-	worker.setStages(st)
-	rel, epoch, err := worker.EvaluateRelEpoch(q)
-	worker.setStages(nil)
-	e.absorb(worker)
-	return rel, epoch, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,11 +26,11 @@ func TestStageTimerSumAdd(t *testing.T) {
 	}
 }
 
-// TestEvaluateRelTimed: a timed evaluation returns the same relation and
+// TestEvaluateRelTimedCtx: a timed evaluation returns the same relation and
 // epoch as the untimed path, attributes time to the stages a closure
 // query actually exercises, and the stage sum stays within the wall time
 // of the call (stages partition work; they never double-count it).
-func TestEvaluateRelTimed(t *testing.T) {
+func TestEvaluateRelTimedCtx(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{})
 	q := rpq.MustParse("d.(b.c)+.c")
@@ -41,7 +42,7 @@ func TestEvaluateRelTimed(t *testing.T) {
 
 	var st StageTimer
 	start := time.Now()
-	rel, epoch, err := e.EvaluateRelTimed(q, &st)
+	rel, epoch, err := e.EvaluateRelTimedCtx(context.Background(), q, &st)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatalf("timed: %v", err)
@@ -76,10 +77,11 @@ func TestEvaluateRelTimed(t *testing.T) {
 	}
 }
 
-// TestEvaluateRelTimedNil: nil timer degenerates to EvaluateRelEpoch.
+// TestEvaluateRelTimedNil: a nil context and a nil timer degenerate to
+// EvaluateRelEpoch.
 func TestEvaluateRelTimedNil(t *testing.T) {
 	e := New(fixtures.Figure1(), Options{})
-	rel, _, err := e.EvaluateRelTimed(rpq.MustParse("a"), nil)
+	rel, _, err := e.EvaluateRelTimedCtx(nil, rpq.MustParse("a"), nil)
 	if err != nil || rel == nil {
 		t.Fatalf("nil-timer evaluation: rel=%v err=%v", rel, err)
 	}
@@ -90,7 +92,7 @@ func TestEvaluateRelTimedNil(t *testing.T) {
 func TestEvaluateRelTimedDetaches(t *testing.T) {
 	e := New(fixtures.Figure1(), Options{})
 	var st StageTimer
-	if _, _, err := e.EvaluateRelTimed(rpq.MustParse("(b.c)+"), &st); err != nil {
+	if _, _, err := e.EvaluateRelTimedCtx(context.Background(), rpq.MustParse("(b.c)+"), &st); err != nil {
 		t.Fatal(err)
 	}
 	snap := st

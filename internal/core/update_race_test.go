@@ -15,9 +15,10 @@ import (
 // This file is the -race stress suite for dynamic updates: concurrent
 // ApplyUpdates mutators interleaved with parallel readers on one shared
 // cache. The correctness claim is linearizability at batch granularity:
-// every EvaluateBatchParallel call returns results that all describe ONE
-// graph epoch (never a torn mixture of pre- and post-update state), and
-// no cached value is ever served across epochs.
+// every EvaluateBatchParallelRel call returns results that all describe
+// ONE graph epoch — the epoch it reports — never a torn mixture of pre-
+// and post-update state, and no cached value is ever served across
+// epochs.
 
 // updateStressPlan pre-generates an RMAT graph, a deterministic sequence
 // of guaranteed-effective insert batches, and the per-epoch reference
@@ -76,11 +77,11 @@ func newUpdateStressPlan(t *testing.T, numBatches, batchSize int) *updateStressP
 
 // epochOf returns the oracle epoch the results jointly match, or -1 for
 // a torn read.
-func (p *updateStressPlan) epochOf(results []*pairs.Set) int {
+func (p *updateStressPlan) epochOf(results []*pairs.Relation) int {
 	for k, row := range p.oracle {
 		match := true
 		for i := range p.queries {
-			if !results[i].Equal(row[i]) {
+			if !results[i].EqualSet(row[i]) {
 				match = false
 				break
 			}
@@ -102,6 +103,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 	plan := newUpdateStressPlan(t, numBatches, batchSize)
 
 	engine := New(plan.g, Options{})
+	base := engine.Epoch()
 
 	var (
 		wg        sync.WaitGroup
@@ -131,7 +133,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < readRounds; round++ {
-				results, err := engine.EvaluateBatchParallel(plan.queries, 2)
+				results, epoch, err := engine.EvaluateBatchParallelRel(plan.queries, 2)
 				if err != nil {
 					mu.Lock()
 					evalErrs = append(evalErrs, err)
@@ -140,7 +142,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 				}
 				k := plan.epochOf(results)
 				mu.Lock()
-				if k < 0 {
+				if k < 0 || uint64(k) != epoch-base {
 					torn++
 				} else {
 					seen = append(seen, k)
@@ -158,7 +160,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 		t.Errorf("evaluate: %v", err)
 	}
 	if torn > 0 {
-		t.Errorf("%d torn reads (results matching no single epoch oracle)", torn)
+		t.Errorf("%d torn reads (results matching no single epoch oracle, or not the reported one)", torn)
 	}
 	if len(seen) == 0 {
 		t.Fatal("readers observed nothing")
@@ -166,7 +168,7 @@ func TestApplyUpdatesStressParallelReaders(t *testing.T) {
 
 	// After the dust settles the engine must sit at the final epoch
 	// and answer with its oracle.
-	final, err := engine.EvaluateBatchParallel(plan.queries, 2)
+	final, _, err := engine.EvaluateBatchParallelRel(plan.queries, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,6 @@
 package eval
 
 import (
-	"runtime"
-	"sync"
-
 	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -72,46 +69,6 @@ func (ev *Evaluator) EvaluateAll() *pairs.Set {
 		ev.fromVertex(graph.VID(v), out)
 	}
 	return out
-}
-
-// EvaluateAllParallel is EvaluateAll fanned out over worker goroutines:
-// start vertices are evaluated independently (the traversal state is
-// per-start), so the work partitions perfectly. workers ≤ 1 or a
-// single-vertex graph falls back to the serial path. The receiving
-// Evaluator's scratch space is untouched; each worker builds its own.
-func (ev *Evaluator) EvaluateAllParallel(workers int) *pairs.Set {
-	n := ev.g.NumVertices()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return ev.EvaluateAll()
-	}
-
-	results := make([]*pairs.Set, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := New(ev.g, ev.expr, Options{})
-			out := pairs.NewSet()
-			for v := w; v < n; v += workers {
-				worker.fromVertex(graph.VID(v), out)
-			}
-			results[w] = out
-		}(w)
-	}
-	wg.Wait()
-
-	merged := results[0]
-	for _, r := range results[1:] {
-		merged.Union(r)
-	}
-	return merged
 }
 
 // AppendAll emits R_G into a relation builder instead of a set: every

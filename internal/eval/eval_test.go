@@ -112,36 +112,6 @@ func TestEvaluatorReuseAcrossStarts(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllParallel(t *testing.T) {
-	g := fixtures.Figure1()
-	for _, q := range []string{"d.(b.c)+.c", "(b.c)+", "a|b.c", "(a|b|c)*"} {
-		e := rpq.MustParse(q)
-		want := Evaluate(g, e)
-		for _, workers := range []int{0, 1, 2, 4, 16, 100} {
-			got := New(g, e, Options{}).EvaluateAllParallel(workers)
-			if !got.Equal(want) {
-				t.Errorf("%q with %d workers: %v != %v", q, workers, got.Sorted(), want.Sorted())
-			}
-		}
-	}
-}
-
-// Property: parallel evaluation equals serial on random graphs.
-func TestParallelMatchesSerial(t *testing.T) {
-	labels := []string{"a", "b", "c"}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := fixtures.RandomGraph(rng, 1+rng.Intn(30), rng.Intn(80), labels)
-		e := rpq.RandomExpr(rng, labels, 3)
-		want := Evaluate(g, e)
-		got := New(g, e, Options{}).EvaluateAllParallel(3)
-		return got.Equal(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the automaton-product evaluator agrees with the compositional
 // relational reference on random graphs and random queries.
 func TestEvaluateAgainstReference(t *testing.T) {

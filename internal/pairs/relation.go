@@ -205,16 +205,6 @@ func (r *Relation) Sorted() []Pair {
 	return out
 }
 
-// ToSet materialises the relation as a mutable Set.
-func (r *Relation) ToSet() *Set {
-	s := NewSetCap(r.Len())
-	r.Each(func(src, dst graph.VID) bool {
-		s.Add(src, dst)
-		return true
-	})
-	return s
-}
-
 // Equal reports whether two relations over the same VID space hold
 // exactly the same pairs.
 func (r *Relation) Equal(other *Relation) bool {

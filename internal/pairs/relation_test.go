@@ -21,8 +21,7 @@ func randomPairs(rng *rand.Rand, n, m int) []Pair {
 
 // Property: sealing a random pair multiset is equivalent to inserting it
 // into a Set — same length (dedup), same membership, same sorted pairs —
-// and the round trips Relation→Set→Relation and Set→Relation→Set are
-// identities.
+// and the round trip Set→Relation is an identity.
 func TestRelationSetEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,9 +51,6 @@ func TestRelationSetEquivalence(t *testing.T) {
 			if rp[i] != sp[i] {
 				return false
 			}
-		}
-		if !rel.ToSet().Equal(set) {
-			return false
 		}
 		return RelationFromSet(n, set).Equal(rel)
 	}

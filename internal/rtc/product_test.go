@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"rtcshare/internal/eval"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -25,9 +24,7 @@ import (
 func productOracle(t *testing.T, g *graph.Graph, r rpq.Expr) {
 	t.Helper()
 	n := g.NumVertices()
-	b := pairs.NewBuilder(n)
-	eval.New(g, r, eval.Options{}).AppendAll(b)
-	want := Compute(EdgeReduceRel(n, b.Seal()), BFSClosure)
+	want := Compute(edgeReduce(g, r), BFSClosure)
 	got, err := FromProduct(g, r, nil)
 	if err != nil {
 		t.Fatalf("R=%q: %v", r, err)

@@ -40,18 +40,6 @@ const BFSClosure TCAlgorithm = 0
 // more is heavy.
 const LightReach = 8
 
-// EdgeReduce performs the edge-level reduction G → G_R: every vertex pair
-// of R_G becomes one unlabeled edge (Section III-A). numVertices is |V|
-// of the original graph, so G_R shares G's VID space.
-func EdgeReduce(numVertices int, rg *pairs.Set) *graph.DiGraph {
-	b := graph.NewDiBuilder(numVertices)
-	rg.Each(func(src, dst graph.VID) bool {
-		b.AddEdge(src, dst)
-		return true
-	})
-	return b.Build()
-}
-
 // RTC is the reduced transitive closure of some sub-query R on a graph G:
 // the SCC decomposition of G_R, a condensation whose reachability between
 // member-bearing components is Ḡ_R's, and the bounded reach table. A
@@ -330,11 +318,13 @@ func newReachTable(cond *graph.DiGraph, members [][]graph.VID) reachTable {
 	return rt
 }
 
-// EdgeReduceRel is EdgeReduce for a sealed columnar relation. A sealed
-// Relation is already a src-grouped CSR with sorted duplicate-free runs
-// — exactly a DiGraph's forward adjacency — so G_R aliases the
-// relation's frozen columns and only the reverse adjacency is computed
-// (one counting-sort pass, no global edge sort).
+// EdgeReduceRel performs the edge-level reduction G → G_R: every vertex
+// pair of the sealed relation R_G becomes one unlabeled edge (Section
+// III-A). numVertices is |V| of the original graph, so G_R shares G's VID
+// space. A sealed Relation is already a src-grouped CSR with sorted
+// duplicate-free runs — exactly a DiGraph's forward adjacency — so G_R
+// aliases the relation's frozen columns and only the reverse adjacency
+// is computed (one counting-sort pass, no global edge sort).
 func EdgeReduceRel(numVertices int, rg *pairs.Relation) *graph.DiGraph {
 	offsets, dsts := rg.CSR()
 	return graph.DiGraphFromCSR(numVertices, offsets, dsts)

@@ -42,8 +42,11 @@ type result struct {
 // Concurrent identical cold queries still run one evaluation: the
 // engine's SharedCache singleflights every closure structure and every
 // top-level result, and a waiter never inherits the cancellation of
-// the request that computes. GET /explain?analyze=1 executes its query
-// too, so it passes the same gate (analyze) and shares the slots.
+// the request that computes. GET /explain?analyze=1, /query?ask=1 and
+// /query?witness=1 execute their query too, so they pass the same gate
+// (evaluate) and share the slots. Streams stay outside it: a stream is
+// drained at the client's pace, and a slot held for that long would
+// starve the cold queries.
 type admission struct {
 	engine    *core.Engine
 	slots     chan struct{}
@@ -97,18 +100,16 @@ func (a *admission) submit(ctx context.Context, key string, expr rpq.Expr) resul
 	return res
 }
 
-// analyze runs an EXPLAIN ANALYZE of expr through the same gate as a
-// cold query: it holds an evaluation slot, runs under ctx, and a panic
-// counts toward key's quarantine.
-func (a *admission) analyze(ctx context.Context, key string, expr rpq.Expr) (plan *core.Plan, err error) {
+// evaluate runs an evaluating request that has no result memo to page
+// from — EXPLAIN ANALYZE, ASK, a witness — through the same gate as a
+// cold query: it is refused after close or when key is quarantined,
+// holds an evaluation slot while eval runs under ctx, and a recovered
+// panic counts toward key's quarantine.
+func (a *admission) evaluate(ctx context.Context, key string, eval func() error) error {
 	if err := a.check(ctx, key); err != nil {
-		return nil, err
-	}
-	err = a.run(ctx, key, &core.StageTimer{}, func() (err error) {
-		plan, err = a.engine.ExplainAnalyzeCtx(ctx, expr)
 		return err
-	})
-	return plan, err
+	}
+	return a.run(ctx, key, &core.StageTimer{}, eval)
 }
 
 // check refuses a request up front: one whose context is already done
@@ -210,19 +211,20 @@ func (a *admission) close() {
 // AdmissionStats is a snapshot of how /query requests were admitted —
 // the /metrics view of the two serving paths and of what was refused.
 type AdmissionStats struct {
-	// Submitted counts every /query that reached admission;
-	// FastPathHits the ones answered from the epoch-tagged result memo;
-	// Direct the cold ones evaluated on their own request.
+	// Submitted counts every /query page request that reached
+	// admission; FastPathHits the ones answered from the epoch-tagged
+	// result memo; Direct the cold ones evaluated on their own request.
 	Submitted    int64 `json:"submitted"`
 	FastPathHits int64 `json:"fast_path_hits"`
 	Direct       int64 `json:"direct"`
 
-	// The counters below also cover /explain?analyze=1, which passes
-	// the same gate. Rejected counts queries shed with 503 (overload or
-	// shutdown); Abandoned counts requests whose context ended before
-	// their answer — refused with an already-expired context, timed out
-	// in the queue, or cancelled mid-evaluation; EvalErrors counts failed
-	// evaluations, Panics the recovered evaluator panics among them.
+	// The counters below also cover /explain?analyze=1, /query?ask=1 and
+	// /query?witness=1, which pass the same gate. Rejected counts queries
+	// shed with 503 (overload or shutdown); Abandoned counts requests
+	// whose context ended before their answer — refused with an
+	// already-expired context, timed out in the queue, or cancelled
+	// mid-evaluation; EvalErrors counts failed evaluations, Panics the
+	// recovered evaluator panics among them.
 	Rejected   int64 `json:"rejected"`
 	Abandoned  int64 `json:"abandoned"`
 	EvalErrors int64 `json:"eval_errors"`

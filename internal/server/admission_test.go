@@ -442,3 +442,81 @@ func TestExplainAnalyzeAdmitted(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 panics and 1 quarantine rejection", st)
 	}
 }
+
+// TestAskWitnessAdmitted: /query?ask=1 and /query?witness=1 evaluate
+// their query, so they pass the cold query's gate. With every slot held
+// and the queue full both are shed with 503 + Retry-After, and with a
+// free slot both answer; a string quarantined by /query panics is
+// refused with 422 on both.
+func TestAskWitnessAdmitted(t *testing.T) {
+	eng, entered, release, _ := blockingEngine(fixtures.Figure1(), "a.b")
+	srv := New(eng, Options{MaxInFlight: 1, MaxQueued: 1})
+	ts := httptest.NewServer(srv)
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer func() {
+		free() // a failed assertion must not leave Close waiting on the held query
+		ts.Close()
+		srv.Close()
+	}()
+	get := func(base, query string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(base + "/query?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	probes := []string{"q=e.f&ask=1", "q=e.f&witness=1&src=8&dst=8"}
+
+	held := submitAsync(srv.adm, context.Background(), "a.b")
+	<-entered
+	queued := submitAsync(srv.adm, context.Background(), "b.c")
+	eventually(t, 5*time.Second, "second cold query queued", func() bool { return srv.adm.waiting.Load() == 1 })
+	for _, q := range probes {
+		if resp := get(ts.URL, q); resp.StatusCode != http.StatusServiceUnavailable ||
+			resp.Header.Get("Retry-After") != retryAfterSeconds {
+			t.Errorf("%s beyond the queue: status %d Retry-After %q, want 503 and %q",
+				q, resp.StatusCode, resp.Header.Get("Retry-After"), retryAfterSeconds)
+		}
+	}
+
+	free()
+	for name, ch := range map[string]<-chan result{"held": held, "queued": queued} {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("%s query: %v", name, r.err)
+		}
+	}
+	for _, q := range probes {
+		if resp := get(ts.URL, q); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with a free slot: status %d, want 200", q, resp.StatusCode)
+		}
+	}
+
+	poisoned := core.New(fixtures.Figure1(), core.Options{})
+	poisoned.SetEvalHook(func(q string) {
+		if q == "c.a" {
+			panic("injected evaluator fault")
+		}
+	})
+	psrv := New(poisoned, Options{})
+	pts := httptest.NewServer(psrv)
+	defer func() {
+		pts.Close()
+		psrv.Close()
+	}()
+	for i := range 2 {
+		if resp := get(pts.URL, "q=c.a"); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("poisoned query %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	for _, q := range []string{"q=c.a&ask=1", "q=c.a&witness=1&src=0&dst=1"} {
+		if resp := get(pts.URL, q); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s after quarantine: status %d, want 422", q, resp.StatusCode)
+		}
+	}
+	if st := psrv.adm.stats(); st.QuarantineRejected != 2 {
+		t.Errorf("stats = %+v, want 2 quarantine rejections", st)
+	}
+}

@@ -474,9 +474,18 @@ func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) (Que
 }
 
 // serveAsk answers /query?ask=1 through the engine's short-circuit
-// existence probe — no result is materialised or cached.
+// existence probe — no result is materialised or cached — admitted like
+// a cold /query.
 func (s *Server) serveAsk(w http.ResponseWriter, req QueryRequest, expr rpq.Expr, ctx context.Context, handlerStart time.Time) {
-	found, epoch, rows, err := s.engine.AskCounted(ctx, expr)
+	var (
+		found bool
+		epoch uint64
+		rows  int64
+	)
+	err := s.adm.evaluate(ctx, req.Query, func() (err error) {
+		found, epoch, rows, err = s.engine.AskCounted(ctx, expr)
+		return err
+	})
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -494,11 +503,19 @@ func (s *Server) serveAsk(w http.ResponseWriter, req QueryRequest, expr rpq.Expr
 	})
 }
 
-// serveWitness answers /query?witness=1&src=…&dst=….
+// serveWitness answers /query?witness=1&src=…&dst=…, admitted like a
+// cold /query.
 func (s *Server) serveWitness(w http.ResponseWriter, req QueryRequest, expr rpq.Expr, ctx context.Context, handlerStart time.Time) {
-	wp, found, err := s.engine.Witness(ctx, expr, req.Src, req.Dst)
+	var (
+		wp    core.WitnessPath
+		found bool
+	)
+	err := s.adm.evaluate(ctx, req.Query, func() (err error) {
+		wp, found, err = s.engine.Witness(ctx, expr, req.Src, req.Dst)
+		return err
+	})
 	if err != nil {
-		writeError(w, queryStatus(err), err)
+		writeQueryError(w, err)
 		return
 	}
 	s.witnesses.Add(1)
@@ -709,7 +726,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if analyze {
 		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 		defer cancel()
-		if plan, err = s.adm.analyze(ctx, q, expr); err != nil {
+		if err = s.adm.evaluate(ctx, q, func() (err error) {
+			plan, err = s.engine.ExplainAnalyzeCtx(ctx, expr)
+			return err
+		}); err != nil {
 			writeQueryError(w, err)
 			return
 		}

@@ -11,13 +11,15 @@
 // An RPQ such as "follows.(mentions.follows)+.likes" returns the ordered
 // vertex pairs connected by a path whose edge-label sequence matches the
 // expression. Kleene closures make RPQs expensive; when several queries
-// share a closure sub-query R+, this library evaluates R once, reduces
-// the resulting graph at the edge level (paths → edges) and the vertex
-// level (strongly connected components → vertices), computes the
-// transitive closure of the small reduced graph, and shares that reduced
-// transitive closure across all queries (the paper's RTCSharing
-// algorithm). The FullSharing and NoSharing baselines from the paper's
-// evaluation are included for comparison.
+// share a closure sub-query R+, this library builds R's reduced
+// transitive closure once and shares it across all of them (the paper's
+// RTCSharing algorithm). The RTC is the strongly connected components of
+// the graph whose edges are R's paths, plus the reachability between
+// them; it is read off the product of the graph with R's automaton, so
+// R's own result is never materialised. Each query then joins its prefix
+// through the RTC one component at a time. The FullSharing and
+// NoSharing baselines from the paper's evaluation are included for
+// comparison.
 //
 // # Quick start
 //
@@ -30,6 +32,16 @@
 //
 //	engine := rtcshare.NewEngine(g, rtcshare.Options{})
 //	res, err := engine.EvaluateQuery("follows+.likes")
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	for _, p := range res.Page(0, 10) { // the first 10 pairs in (src, dst) order
+//		fmt.Println(p.Src, p.Dst)
+//	}
+//
+// Every evaluation answers with a sealed Relation. Evaluate queries one
+// call at a time, from as many goroutines as you like: the engine's
+// cache shares closure structures across all of them.
 //
 // See the examples/ directory for complete programs and DESIGN.md for the
 // mapping between the paper and the packages under internal/.
@@ -44,7 +56,6 @@ import (
 
 	"rtcshare/internal/core"
 	"rtcshare/internal/datagen"
-	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
@@ -112,15 +123,11 @@ func MustParseQuery(q string) Expr { return rpq.MustParse(q) }
 // Pair is an ordered (start vertex, end vertex) result pair.
 type Pair = pairs.Pair
 
-// Result is the evaluation result of an RPQ: a set of ordered vertex
-// pairs (Definition 2 of the paper).
-type Result = pairs.Set
-
-// Relation is an immutable, columnar evaluation result: pairs grouped
-// by start vertex in sorted CSR runs, with a lazily built end-vertex
-// transpose. Engine.EvaluateRel returns results in this form without
-// materialising a hash set — the cheapest way to consume large results
-// (iterate with Each/EachSrc, probe with Contains).
+// Relation is the result of every evaluation: an immutable set of
+// ordered vertex pairs (Definition 2 of the paper), stored columnar —
+// grouped by start vertex in sorted CSR runs, with a lazily built
+// end-vertex transpose. Iterate with Each/EachSrc, page with Page, probe
+// with Contains.
 type Relation = pairs.Relation
 
 // Strategy selects the multi-query evaluation method.
@@ -156,8 +163,7 @@ type SharedSummary = core.SharedSummary
 // structures live in a SharedCache (singleflight-deduplicated, so
 // concurrent queries needing the same closure sub-query compute it
 // once), and the per-engine accounting is lock-protected. Engine.Fork
-// creates engines that share the receiver's cache;
-// Engine.EvaluateBatchParallel fans a query batch over such forks.
+// creates engines that share the receiver's cache.
 //
 // Engine.ApplyUpdates mutates the graph between (or concurrently with)
 // query batches: it freezes a new graph version, advances the cache to
@@ -240,33 +246,10 @@ func NewEngineWithCache(g *Graph, opts Options, cache *SharedCache) *Engine {
 	return core.NewWithCache(g, opts, cache)
 }
 
-// EvaluateBatch is a one-shot convenience: parse a query batch and
-// evaluate it with a fresh RTCSharing engine fanned over the given
-// number of workers (workers ≤ 0 uses GOMAXPROCS). All workers share
-// one cache, so each distinct closure sub-query is computed exactly
-// once. Results are in input order.
-func EvaluateBatch(g *Graph, queries []string, workers int) ([]*Result, error) {
-	return NewEngine(g, Options{}).EvaluateQueriesParallel(queries, workers)
-}
-
 // Evaluate is a one-shot convenience: parse and evaluate a single query
 // with a fresh RTCSharing engine.
-func Evaluate(g *Graph, query string) (*Result, error) {
+func Evaluate(g *Graph, query string) (*Relation, error) {
 	return NewEngine(g, Options{}).EvaluateQuery(query)
-}
-
-// EvaluateParallel evaluates a single query by automaton-product
-// traversal fanned out over worker goroutines (workers ≤ 0 uses
-// GOMAXPROCS). Start vertices partition perfectly, so this scales close
-// to linearly for traversal-bound queries. Unlike Evaluate it does not
-// use closure sharing — it is the right tool for one-off queries on big
-// graphs, while an Engine is the right tool for query batches.
-func EvaluateParallel(g *Graph, query string, workers int) (*Result, error) {
-	expr, err := rpq.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return eval.New(g, expr, eval.Options{}).EvaluateAllParallel(workers), nil
 }
 
 // Server is the rpqd HTTP/JSON query service over one engine. A
@@ -295,7 +278,7 @@ type ServerOptions = server.Options
 type ServerMetrics = server.Metrics
 
 // StageTimer is the per-request latency breakdown a /query response
-// carries (QueryResponse.Stages) and EvaluateRelTimed fills: one
+// carries (QueryResponse.Stages) and EvaluateRelTimedCtx fills: one
 // nanosecond counter per pipeline stage (queue, plan, closure-build,
 // join, seal, page, other; coalesce-wait is always 0). The stages
 // partition the request's wall time.

@@ -40,6 +40,10 @@ func TestPublicQuickstart(t *testing.T) {
 	if res.Len() != 2 || !res.Contains(7, 5) || !res.Contains(7, 3) {
 		t.Fatalf("got %v, want {(7,5),(7,3)}", res.Sorted())
 	}
+	// The package doc's quick start pages the result in (src, dst) order.
+	if page := res.Page(0, 10); len(page) != 2 || page[0] != (rtcshare.Pair{Src: 7, Dst: 3}) || page[1] != (rtcshare.Pair{Src: 7, Dst: 5}) {
+		t.Fatalf("Page(0, 10) = %v, want [(7,3) (7,5)]", page)
+	}
 }
 
 func TestPublicStrategies(t *testing.T) {
@@ -124,24 +128,6 @@ func TestPublicGenerateRMAT(t *testing.T) {
 	}
 }
 
-func TestPublicEvaluateParallel(t *testing.T) {
-	g := fig1(t)
-	want, err := rtcshare.Evaluate(g, "d.(b.c)+.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rtcshare.EvaluateParallel(g, "d.(b.c)+.c", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("parallel %v != serial %v", got.Sorted(), want.Sorted())
-	}
-	if _, err := rtcshare.EvaluateParallel(g, "((", 2); err == nil {
-		t.Error("want parse error")
-	}
-}
-
 func TestPublicExplain(t *testing.T) {
 	g := fig1(t)
 	e := rtcshare.NewEngine(g, rtcshare.Options{})
@@ -180,27 +166,6 @@ func TestPublicInverseLabels(t *testing.T) {
 	}
 	if res.Len() != 1 || !res.Contains(4, 7) {
 		t.Fatalf("(^d)_G = %v, want {(4,7)}", res.Sorted())
-	}
-}
-
-func TestPublicEvaluateBatch(t *testing.T) {
-	g := fig1(t)
-	queries := []string{"d.(b.c)+.c", "a.(b.c)+.b", "d.(b.c)+.c", "(b.c)+"}
-	got, err := rtcshare.EvaluateBatch(g, queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(queries) {
-		t.Fatalf("results = %d, want %d", len(got), len(queries))
-	}
-	for i, q := range queries {
-		want, err := rtcshare.Evaluate(g, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got[i].Equal(want) {
-			t.Errorf("query %d (%s): batch %d pairs, serial %d pairs", i, q, got[i].Len(), want.Len())
-		}
 	}
 }
 
@@ -267,10 +232,12 @@ func TestPublicApplyUpdates(t *testing.T) {
 		t.Fatalf("result size changed: %d → %d", before.Len(), after.Len())
 	}
 	if !after.Contains(0, 5) || after.Contains(7, 5) {
-		t.Fatalf("updated results wrong: %v", after)
+		t.Fatalf("updated results wrong: %v", after.Sorted())
 	}
-	if res, err := engine.EvaluateQuery("b.g"); err != nil || res.Len() != 1 {
-		t.Fatalf("new-label query = %v, %v", res, err)
+	if res, err := engine.EvaluateQuery("b.g"); err != nil {
+		t.Fatal(err)
+	} else if res.Len() != 1 {
+		t.Fatalf("new-label query = %v, want one pair", res.Sorted())
 	}
 }
 
