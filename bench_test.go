@@ -100,6 +100,25 @@ func BenchmarkPairs_Page(b *testing.B) {
 	}
 }
 
+// BenchmarkPairs_PageShared is BenchmarkPairs_Page over the same pairs
+// as the RTC kernel seals them: R+ answered by RTCSharing, whose sources
+// in one component share one stored row.
+func BenchmarkPairs_PageShared(b *testing.B) {
+	fx := newLayerFixture(b)
+	rel, err := core.New(fx.g, core.Options{Strategy: core.RTCSharing}).EvaluateRel(rpq.Plus{Sub: fx.r})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rel.ColumnBytes() >= 4*int64(rel.Len()) {
+		b.Fatalf("%d pairs in %d column bytes: no row is shared", rel.Len(), rel.ColumnBytes())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel.Page(rel.Len()/2, 1000)
+	}
+}
+
 // BenchmarkSCC_Tarjan explains scc.tarjan_ns.
 func BenchmarkSCC_Tarjan(b *testing.B) {
 	fx := newLayerFixture(b)

@@ -36,7 +36,7 @@ func TestColumnarSteadyStateAllocations(t *testing.T) {
 func TestRelationOverflowMemo(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{})
-	e.cache.relPairs.Store(relBudgetPairs) // exhaust the region up front
+	e.cache.relBytes.Store(relBudgetBytes) // exhaust the region up front
 
 	for i := 0; i < 2; i++ {
 		if _, err := e.EvaluateRel(rpq.MustParse("d.(b.c)+.c")); err != nil {

@@ -39,9 +39,10 @@ import (
 // words, so their memory follows their content; a row equal to the row
 // of a successor (the common case upstream of a giant SCC) is that row,
 // stored once. The sealed driver counts every source's run, allocates
-// exact-size CSR columns and drains each run into them in ascending bit
-// order; ResultStream ORs the same runs into its own accumulator one
-// source at a time.
+// exact-size columns and drains each run into them in ascending bit
+// order, writing a row that is the whole run of several sources once for
+// all of them; ResultStream ORs the same runs into its own accumulator
+// one source at a time.
 
 // rowBudgetWords caps the words one join stores in component rows — 12
 // bytes each, the word and its index, so at most 12 MiB per join however
@@ -121,6 +122,12 @@ type rowKernel struct {
 	runComps []int32
 	runBits  []graph.VID
 
+	// The sealed driver's row sharing, per row handle: how many sources
+	// have the row as their whole run, and where a repeated row was
+	// written.
+	uses  []int32
+	rowAt []int32
+
 	// The fallback DFS's scratch, allocated by the first fallback.
 	fbSeen  stampSet
 	fbStack []int32
@@ -167,12 +174,14 @@ func (e *engineVersion) releaseKernel(k *rowKernel) {
 	clear(k.comps)
 	clear(k.ends)
 	clear(k.vpost)
+	clear(k.uses)
+	clear(k.rowAt)
 	if k.postEv != nil {
 		e.releaseEvaluator(k.evKey, k.postEv)
 	}
 	k.build.Reset()
 	k.run.Reset()
-	k.ends, k.stack = k.ends[:0], k.stack[:0]
+	k.ends, k.stack, k.uses, k.rowAt = k.ends[:0], k.stack[:0], k.uses[:0], k.rowAt[:0]
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
@@ -559,10 +568,15 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 
 // seal is the sealed driver: one pass sizes every source's run (and, on
 // the way, fills the rows it needs), the second drains the runs into
-// exact-size CSR columns, ascending by source and within each run.
+// exact-size columns, ascending by source and within each run. A stored
+// row that is the whole run of several sources is written once, where
+// the first of them needs it, and the others point at it
+// (pairs.RelationFromSharedRuns); when no row repeats, the result is a
+// plain CSR.
 func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	n := preG.NumVertices()
 	offsets := make([]int32, n+1)
+	stored := 0 // destinations the column will hold
 	var err error
 	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
 		if err = k.v.checkpoint(len(vjs)); err != nil {
@@ -574,12 +588,16 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 		}
 		if h >= 0 {
 			offsets[vi+1] = k.rows[h].count
+			if k.use(h) == 1 {
+				stored += int(k.rows[h].count)
+			}
 			return true
 		}
 		if err = k.orRun(k.run); err != nil {
 			return false
 		}
 		offsets[vi+1] = int32(k.run.Count())
+		stored += int(offsets[vi+1])
 		k.run.Reset()
 		return true
 	})
@@ -590,7 +608,14 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 		offsets[v+1] += offsets[v]
 	}
 
-	dsts := make([]graph.VID, 0, offsets[n])
+	// starts stays nil unless some row repeats; rowAt[h] is then 1 + the
+	// position of repeated row h once it is written.
+	var starts []int32
+	if stored < int(offsets[n]) {
+		starts = make([]int32, n)
+		k.rowAt = zeroed(k.rowAt, len(k.uses))
+	}
+	dsts := make([]graph.VID, 0, stored)
 	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
 		size := int(offsets[vi+1] - offsets[vi])
 		if size == 0 {
@@ -604,6 +629,16 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 		var h int32
 		if h, err = k.gather(vjs); err != nil {
 			return false
+		}
+		if starts != nil {
+			if h >= 0 && k.uses[h] > 1 {
+				if at := k.rowAt[h]; at > 0 {
+					starts[vi] = at - 1
+					return true
+				}
+				k.rowAt[h] = int32(len(dsts)) + 1
+			}
+			starts[vi] = int32(len(dsts))
 		}
 		if h >= 0 {
 			lo, hi := k.span(h)
@@ -621,5 +656,19 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pairs.RelationFromSortedRuns(n, offsets, dsts), nil
+	if starts == nil {
+		return pairs.RelationFromSortedRuns(n, offsets, dsts), nil
+	}
+	return pairs.RelationFromSharedRuns(n, offsets, starts, dsts), nil
+}
+
+// use counts one more source whose whole run is stored row h and
+// returns how many there are so far.
+func (k *rowKernel) use(h int32) int32 {
+	if int(h) >= len(k.uses) {
+		// Grown in place: the pooled capacity past len is all-zero.
+		k.uses = slices.Grow(k.uses, len(k.rows)-len(k.uses))[:len(k.rows)]
+	}
+	k.uses[h]++
+	return k.uses[h]
 }

@@ -477,3 +477,46 @@ func TestJoinEntryPointsRejectMismatchedSpaces(t *testing.T) {
 		t.Errorf("Full on matching inputs: %d pairs, the RTC join %d", full.Len(), fwd.Len())
 	}
 }
+
+// TestRowSharedResultFeedsFullSharing: a row-shared result leaks into
+// other strategies through the relation region, which is keyed by
+// sub-query text alone. An RTCSharing engine memoises (l0|l1)+.l2 in
+// row-shared form; a FullSharing engine on the same cache, evaluating a
+// query whose closure body is that text, reads it back as R_G and
+// reduces it through CSR. Both answers match the reference evaluator.
+func TestRowSharedResultFeedsFullSharing(t *testing.T) {
+	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 120, Edges: 480, Labels: 3, Seed: 503})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewSharedCache()
+	body := rpq.MustParse("(l0|l1)+.l2")
+	rtcEngine := NewWithCache(g, Options{Strategy: RTCSharing}, cache)
+	shared, err := rtcEngine.EvaluateRel(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shared.EqualSet(eval.Reference(g, body)) {
+		t.Fatalf("RTCSharing %s: %d pairs disagree with the reference", body, shared.Len())
+	}
+	if shared.ColumnBytes() >= 4*int64(shared.Len()) {
+		t.Fatalf("%s sealed %d column bytes for %d pairs: not row-shared, the route goes untested", body, shared.ColumnBytes(), shared.Len())
+	}
+	if val, ok := cache.LookupRelation(rtcEngine.Epoch(), body.String()); !ok || val != any(shared) {
+		t.Fatalf("the row-shared result is not memoised under %q", body)
+	}
+
+	q := rpq.NewConcat(rpq.MustParse("l1"), rpq.Plus{Sub: body}, rpq.MustParse("l0"))
+	full := NewWithCache(g, Options{Strategy: FullSharing}, cache)
+	hits := cache.Counters().RelHits
+	got, err := full.EvaluateRel(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Counters().RelHits == hits {
+		t.Fatalf("FullSharing evaluated %s without reading the memoised body", q)
+	}
+	if ref := eval.Reference(g, q); !got.EqualSet(ref) {
+		t.Fatalf("FullSharing %s over the row-shared body: %d pairs, reference %d", q, got.Len(), ref.Len())
+	}
+}

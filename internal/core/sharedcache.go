@@ -30,7 +30,7 @@ import (
 // Next to the structure region the cache keeps a second, independently
 // sharded and counted *relation* region: the sealed columnar sub-query
 // results (R_G, Pre_G, Post_G) of the columnar engine layout. Sealed
-// relations are two exactly-sized int32 columns — far lighter than the
+// relations are exactly-sized int32 columns — far lighter than the
 // map sets the seed kept engine-local — so sharing them process-wide
 // lets concurrent engines and their forks probe one frozen copy with zero copying. The regions are separate so
 // the structure counters keep their meaning: Counters/Len report
@@ -68,9 +68,9 @@ type SharedCache struct {
 
 	relHits   atomic.Int64
 	relMisses atomic.Int64
-	// relPairs tracks the pairs resident in the relation region, for the
-	// admission budget below.
-	relPairs atomic.Int64
+	// relBytes tracks the column bytes resident in the relation region,
+	// for the admission budget below.
+	relBytes atomic.Int64
 
 	// crossEpochHits counts completed entries of a different epoch
 	// handed to a caller. The access rules make this impossible; the
@@ -82,26 +82,25 @@ type SharedCache struct {
 	staleEvictions atomic.Int64
 }
 
-// relBudgetPairs is the soft bound on the relation region, in
-// pair-equivalent units (8 bytes each, ~128 MiB total): once the cached
-// sub-query relations reach it, newly computed relations are handed to
-// their waiters but not retained, so later uses recompute instead of
-// growing the process footprint. Each entry is charged its pairs plus a
-// vertex-proportional overhead for its offsets columns (relationCost),
-// so a stream of tiny relations over a huge graph cannot pin unbounded
-// memory through offsets alone. Sub-query relations are worst-case
-// O(|V|²), and — unlike the seed's engine-local map sets, which died
-// with their engine — the region is process-wide. The bound is advisory
-// (admissions on different shards may overshoot by a relation); the
-// compact closure structures remain unbounded as before.
-const relBudgetPairs = 16 << 20
+// relBudgetBytes is the soft bound on the relation region (128 MiB):
+// once the cached sub-query relations reach it, newly computed relations
+// are handed to their waiters but not retained, so later uses recompute
+// instead of growing the process footprint. Each entry is charged the
+// bytes of the columns it holds (relationCost), so a stream of tiny
+// relations over a huge graph cannot pin unbounded memory through
+// offsets alone, and a row-shared result pays for its distinct rows, not
+// for every pair it answers. Sub-query relations are worst-case O(|V|²),
+// and — unlike the seed's engine-local map sets, which died with their
+// engine — the region is process-wide. The bound is advisory (admissions
+// on different shards may overshoot by a relation); the compact closure
+// structures remain unbounded as before.
+const relBudgetBytes = 128 << 20
 
-// relationCost is an entry's charge against relBudgetPairs in
-// pair-equivalents: its pairs (two int32 columns counting the lazy
-// transpose) plus its offset columns (numVertices+1 int32s each side,
-// i.e. one pair-equivalent per vertex).
+// relationCost is an entry's charge against relBudgetBytes: the bytes of
+// its sealed columns. The lazy transpose is not charged — the charge is
+// fixed at admission, so the eviction can return it exactly.
 func relationCost(rel *pairs.Relation) int64 {
-	return int64(rel.Len()) + int64(rel.NumVertices()) + 1
+	return rel.ColumnBytes()
 }
 
 // cacheShards is the shard count: enough that a handful of worker
@@ -174,7 +173,7 @@ func (c *SharedCache) GetOrCompute(epoch uint64, key string, fn func() (any, err
 // same singleflight and epoch discipline, separate shards and separate
 // counters, used by the columnar executor to memoise sealed sub-query
 // relations process-wide. Values are *pairs.Relation by convention.
-// Retention is bounded by relBudgetPairs: over budget, the computed
+// Retention is bounded by relBudgetBytes: over budget, the computed
 // relation is returned (and delivered to concurrent waiters) with
 // retained=false and not kept — callers that still want memoisation
 // keep it in their own (engine-lifetime) overflow memo.
@@ -195,10 +194,10 @@ func (c *SharedCache) admitRelation(val any) bool {
 		return true
 	}
 	n := relationCost(rel)
-	if c.relPairs.Load()+n > relBudgetPairs {
+	if c.relBytes.Load()+n > relBudgetBytes {
 		return false
 	}
-	c.relPairs.Add(n)
+	c.relBytes.Add(n)
 	return true
 }
 
@@ -206,7 +205,7 @@ func (c *SharedCache) admitRelation(val any) bool {
 // entry leaves the cache (stale eviction or epoch-sweep drop).
 func (c *SharedCache) evictRelation(val any) {
 	if rel, ok := val.(*pairs.Relation); ok {
-		c.relPairs.Add(-relationCost(rel))
+		c.relBytes.Add(-relationCost(rel))
 	}
 }
 
@@ -453,7 +452,7 @@ func (c *SharedCache) Reset() {
 	c.misses.Store(0)
 	c.relHits.Store(0)
 	c.relMisses.Store(0)
-	c.relPairs.Store(0)
+	c.relBytes.Store(0)
 	c.crossEpochHits.Store(0)
 	c.staleEvictions.Store(0)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 )
 
@@ -241,7 +242,7 @@ func TestSharedCacheReset(t *testing.T) {
 }
 
 // The relation region's admission budget: relations are delivered to
-// callers regardless, but once the resident-pairs budget is exhausted
+// callers regardless, but once the resident-bytes budget is exhausted
 // new ones are not retained, so the region cannot grow without bound.
 func TestRelationRegionBudget(t *testing.T) {
 	cache := NewSharedCache()
@@ -251,13 +252,13 @@ func TestRelationRegionBudget(t *testing.T) {
 	if err != nil || !computed || !retained || val.(*pairs.Relation) != rel {
 		t.Fatalf("first admission: val=%v computed=%v retained=%v err=%v", val, computed, retained, err)
 	}
-	if cache.RelLen() != 1 || cache.relPairs.Load() != relationCost(rel) {
-		t.Fatalf("after admission: RelLen=%d relPairs=%d want %d", cache.RelLen(), cache.relPairs.Load(), relationCost(rel))
+	if cache.RelLen() != 1 || cache.relBytes.Load() != relationCost(rel) {
+		t.Fatalf("after admission: RelLen=%d relBytes=%d want %d", cache.RelLen(), cache.relBytes.Load(), relationCost(rel))
 	}
 
 	// Exhaust the budget; the next distinct relation is computed and
 	// returned but not retained, and a retry recomputes.
-	cache.relPairs.Store(relBudgetPairs)
+	cache.relBytes.Store(relBudgetBytes)
 	computes := 0
 	for i := 0; i < 2; i++ {
 		val, computed, retained, err = cache.GetOrComputeRelation(0, "r2", func() (any, error) {
@@ -282,7 +283,7 @@ func TestRelationRegionBudget(t *testing.T) {
 	}
 
 	cache.Reset()
-	if cache.relPairs.Load() != 0 || cache.RelLen() != 0 {
+	if cache.relBytes.Load() != 0 || cache.RelLen() != 0 {
 		t.Fatal("Reset did not clear the relation region")
 	}
 }
@@ -298,8 +299,8 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	if _, _, _, err := cache.GetOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.relPairs.Load(); got != relationCost(rel) {
-		t.Fatalf("relPairs = %d, want %d", got, relationCost(rel))
+	if got := cache.relBytes.Load(); got != relationCost(rel) {
+		t.Fatalf("relBytes = %d, want %d", got, relationCost(rel))
 	}
 
 	// Same epoch: hit, no recompute.
@@ -321,8 +322,8 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	if _, ok := cache.Lookup(0, "k"); ok {
 		t.Fatal("Lookup returned a value across epochs")
 	}
-	if cache.RelLen() != 0 || cache.relPairs.Load() != 0 {
-		t.Fatalf("dropped relation still resident: len=%d pairs=%d", cache.RelLen(), cache.relPairs.Load())
+	if cache.RelLen() != 0 || cache.relBytes.Load() != 0 {
+		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.RelLen(), cache.relBytes.Load())
 	}
 
 	// Straggler (older epoch than the resident entry): computes
@@ -383,18 +384,20 @@ func TestSharedCacheEpochRules(t *testing.T) {
 // without recomputing; dropping it later returns the charge exactly.
 func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 	cache := NewSharedCache()
-	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
+	// Sources 0, 1 and 3 share the stored run {2, 3}: six pairs held in
+	// 2 destinations, 5 offsets and 4 starts.
+	rel := pairs.RelationFromSharedRuns(4, []int32{0, 2, 4, 4, 6}, []int32{0, 0, 0, 0}, []graph.VID{2, 3})
 	if _, _, _, err := cache.GetOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
-	charged := cache.relPairs.Load()
-	if charged != relationCost(rel) {
-		t.Fatalf("relPairs = %d, want %d", charged, relationCost(rel))
+	charged := cache.relBytes.Load()
+	if want := int64(4 * (2 + 5 + 4)); charged != want || relationCost(rel) != want {
+		t.Fatalf("relBytes = %d, relationCost = %d, want %d column bytes", charged, relationCost(rel), want)
 	}
 
 	cache.AdvanceEpoch(0, func(region CacheRegion, _ string) bool { return region == RegionRelation })
-	if got := cache.relPairs.Load(); got != charged {
-		t.Fatalf("resident pairs %d after the carry, want %d", got, charged)
+	if got := cache.relBytes.Load(); got != charged {
+		t.Fatalf("resident bytes %d after the carry, want %d", got, charged)
 	}
 	val, computed, retained, err := cache.GetOrComputeRelation(1, "r", func() (any, error) {
 		t.Error("carried relation recomputed")
@@ -411,8 +414,8 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 	}
 
 	cache.AdvanceEpoch(1, nil)
-	if cache.RelLen() != 0 || cache.relPairs.Load() != 0 {
-		t.Fatalf("dropped relation still resident: len=%d pairs=%d", cache.RelLen(), cache.relPairs.Load())
+	if cache.RelLen() != 0 || cache.relBytes.Load() != 0 {
+		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.RelLen(), cache.relBytes.Load())
 	}
 	if cc := cache.Counters(); cc.CrossEpochHits != 0 {
 		t.Fatalf("CrossEpochHits = %d, want 0", cc.CrossEpochHits)

@@ -9,41 +9,73 @@ import (
 )
 
 // Relation is an immutable, columnar vertex-pair relation: the sealed
-// counterpart of the mutable Set. Pairs are stored in CSR form grouped
-// by start vertex — the destinations of src v are the contiguous sorted
-// run dsts[srcOffsets[v]:srcOffsets[v+1]] — so a batch-unit join probes
-// a relation as cache-friendly column slices instead of iterating a
-// hash map in random order and re-bucketing it per call. A dst-side
-// transpose (the mirror CSR) is built lazily on first SrcsOf/EachDst
-// and cached, so it is paid for once per relation.
+// counterpart of the mutable Set. Pairs are grouped by start vertex — the
+// destinations of src v are one contiguous sorted run of the dsts column
+// — so a batch-unit join probes a relation as cache-friendly column
+// slices instead of iterating a hash map in random order and re-bucketing
+// it per call. A dst-side transpose (the mirror CSR) is built lazily on
+// first SrcsOf/EachDst and cached, so it is paid for once per relation.
+//
+// srcOffsets is the prefix sum of the run lengths: run v holds
+// srcOffsets[v+1]-srcOffsets[v] pairs from global position srcOffsets[v]
+// on, so Len and the paging seek read it alone. starts says where each
+// run lies in dsts. In a plain CSR the runs tile dsts in source order and
+// starts aliases srcOffsets[:numVertices]; in a row-shared relation
+// (RelationFromSharedRuns) sources with equal runs point at one stored
+// copy, so dsts is shorter than the relation.
 //
 // Relations are safe for concurrent use: the columns never change after
-// Seal, and the transpose is guarded by a Once. Callers must not modify
-// any returned slice.
+// Seal, and the lazily built columns are guarded by Onces. Callers must
+// not modify any returned slice.
 type Relation struct {
 	numVertices int
 	srcOffsets  []int32     // len numVertices+1
+	starts      []int32     // len numVertices
 	dsts        []graph.VID // sorted, duplicate-free within each run
 
 	invOnce    sync.Once
 	dstOffsets []int32
 	srcs       []graph.VID
+
+	flatOnce sync.Once
+	flat     []graph.VID // a row-shared relation's runs in source order
 }
 
 // emptyRelation backs every sealed relation over a zero-vertex space.
-var emptyRelation = &Relation{srcOffsets: []int32{0}}
+var emptyRelation = plainRelation(0, []int32{0}, nil)
+
+// plainRelation wraps CSR columns whose runs tile dsts in source order.
+func plainRelation(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
+	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, starts: srcOffsets[:numVertices], dsts: dsts}
+}
 
 // NumVertices returns the size of the VID space the relation is defined
 // over.
 func (r *Relation) NumVertices() int { return r.numVertices }
 
 // Len returns the number of pairs.
-func (r *Relation) Len() int { return len(r.dsts) }
+func (r *Relation) Len() int { return int(r.srcOffsets[r.numVertices]) }
+
+// shared reports whether sources share stored runs, i.e. whether starts
+// is a column of its own rather than an alias of srcOffsets.
+func (r *Relation) shared() bool { return len(r.dsts) != r.Len() }
+
+// ColumnBytes returns the bytes the relation's sealed columns hold:
+// dsts, srcOffsets and, for a row-shared relation, starts. The lazily
+// built transpose and flattened column are not counted.
+func (r *Relation) ColumnBytes() int64 {
+	n := len(r.dsts) + len(r.srcOffsets)
+	if r.shared() {
+		n += len(r.starts)
+	}
+	return 4 * int64(n)
+}
 
 // DstsOf returns the end vertices paired with start vertex v, sorted
-// ascending. O(1): it is a sub-slice of the src-side column.
+// ascending. O(1): it is a sub-slice of the dsts column.
 func (r *Relation) DstsOf(v graph.VID) []graph.VID {
-	return r.dsts[r.srcOffsets[v]:r.srcOffsets[v+1]]
+	s := r.starts[v]
+	return r.dsts[s : s+r.srcOffsets[v+1]-r.srcOffsets[v]]
 }
 
 // SrcsOf returns the start vertices paired with end vertex w, sorted
@@ -53,11 +85,31 @@ func (r *Relation) SrcsOf(w graph.VID) []graph.VID {
 	return r.srcs[r.dstOffsets[w]:r.dstOffsets[w+1]]
 }
 
-// transpose builds the dst-side CSR once (graph.TransposeCSR: sources
-// are walked ascending, so every transposed run is already sorted).
+// transpose builds the dst-side CSR once, walking the runs: sources are
+// visited ascending, so every transposed run comes out sorted.
 func (r *Relation) transpose() {
 	r.invOnce.Do(func() {
-		r.dstOffsets, r.srcs = graph.TransposeCSR(r.numVertices, r.srcOffsets, r.dsts)
+		n := r.numVertices
+		offsets := make([]int32, n+1)
+		r.EachSrc(func(_ graph.VID, dsts []graph.VID) bool {
+			for _, w := range dsts {
+				offsets[w+1]++
+			}
+			return true
+		})
+		for v := 0; v < n; v++ {
+			offsets[v+1] += offsets[v]
+		}
+		srcs := make([]graph.VID, r.Len())
+		cursor := slices.Clone(offsets[:n])
+		r.EachSrc(func(src graph.VID, dsts []graph.VID) bool {
+			for _, w := range dsts {
+				srcs[cursor[w]] = src
+				cursor[w]++
+			}
+			return true
+		})
+		r.dstOffsets, r.srcs = offsets, srcs
 	})
 }
 
@@ -85,11 +137,12 @@ func (r *Relation) Each(fn func(src, dst graph.VID) bool) {
 // ascending src order, passing the sorted destination run. fn must not
 // modify the run; returning false stops the iteration.
 func (r *Relation) EachSrc(fn func(src graph.VID, dsts []graph.VID) bool) {
-	for v := 0; v+1 < len(r.srcOffsets); v++ {
-		if r.srcOffsets[v] == r.srcOffsets[v+1] {
+	for v := 0; v < r.numVertices; v++ {
+		size := r.srcOffsets[v+1] - r.srcOffsets[v]
+		if size == 0 {
 			continue
 		}
-		if !fn(graph.VID(v), r.dsts[r.srcOffsets[v]:r.srcOffsets[v+1]]) {
+		if !fn(graph.VID(v), r.dsts[r.starts[v]:r.starts[v]+size]) {
 			return
 		}
 	}
@@ -130,11 +183,24 @@ func (r *Relation) Dsts() []graph.VID {
 	return out
 }
 
-// CSR exposes the raw src-side columns: offsets (len NumVertices+1) and
-// the destination column. Both alias internal storage and must not be
-// modified; the edge-level reduction builds G_R directly from them.
+// CSR exposes the relation as plain src-side CSR columns: offsets (len
+// NumVertices+1) and the destination column, runs in source order. Both
+// alias internal storage and must not be modified; the edge-level
+// reduction builds G_R directly from them. A row-shared relation
+// flattens its runs on the first call and keeps the copy.
 func (r *Relation) CSR() (offsets []int32, dsts []graph.VID) {
-	return r.srcOffsets, r.dsts
+	if !r.shared() {
+		return r.srcOffsets, r.dsts
+	}
+	r.flatOnce.Do(func() {
+		flat := make([]graph.VID, 0, r.Len())
+		r.EachSrc(func(_ graph.VID, run []graph.VID) bool {
+			flat = append(flat, run...)
+			return true
+		})
+		r.flat = flat
+	})
+	return r.srcOffsets, r.flat
 }
 
 // Page returns the pairs at positions [offset, offset+limit) of the
@@ -176,21 +242,22 @@ func (r *Relation) PageInto(offset int, buf []Pair) int {
 	if offset >= n || len(buf) == 0 {
 		return 0
 	}
-	end := n
-	if len(buf) < n-offset {
-		end = offset + len(buf)
+	if len(buf) > n-offset {
+		buf = buf[:n-offset]
 	}
 	// The first run overlapping the page: the smallest v whose run ends
 	// past offset.
 	v := sort.Search(r.numVertices, func(v int) bool { return int(r.srcOffsets[v+1]) > offset })
+	skip := offset - int(r.srcOffsets[v])
 	written := 0
-	pos := offset
-	for ; v < r.numVertices && pos < end; v++ {
-		runEnd := int(r.srcOffsets[v+1])
-		for ; pos < runEnd && pos < end; pos++ {
-			buf[written] = Pair{graph.VID(v), r.dsts[pos]}
-			written++
+	for ; written < len(buf); v++ {
+		run := r.DstsOf(graph.VID(v))[skip:]
+		skip = 0
+		run = run[:min(len(run), len(buf)-written)]
+		for i, d := range run {
+			buf[written+i] = Pair{graph.VID(v), d}
 		}
+		written += len(run)
 	}
 	return written
 }
@@ -313,7 +380,7 @@ func (b *Builder) Seal() *Relation {
 		if n == 0 {
 			return emptyRelation
 		}
-		return &Relation{numVertices: n, srcOffsets: make([]int32, n+1)}
+		return plainRelation(n, make([]int32, n+1), nil)
 	}
 
 	if cap(b.counts) < n+1 {
@@ -362,7 +429,7 @@ func (b *Builder) Seal() *Relation {
 		dsts = append(make([]graph.VID, 0, len(dsts)), dsts...)
 	}
 	b.Reset()
-	return &Relation{numVertices: n, srcOffsets: offsets, dsts: dsts}
+	return plainRelation(n, offsets, dsts)
 }
 
 // RelationFromSortedRuns adopts CSR columns a producer wrote already
@@ -371,10 +438,24 @@ func (b *Builder) Seal() *Relation {
 // as graph.DiGraphFromCSR does for a DiGraph. The caller must not
 // modify the columns afterwards.
 func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
-	if len(srcOffsets) != numVertices+1 {
-		panic("pairs: CSR offsets length mismatch")
+	if len(srcOffsets) != numVertices+1 || len(dsts) != int(srcOffsets[numVertices]) {
+		panic("pairs: CSR column length mismatch")
 	}
-	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, dsts: dsts}
+	return plainRelation(numVertices, srcOffsets, dsts)
+}
+
+// RelationFromSharedRuns is RelationFromSortedRuns for a producer that
+// stores an equal run once for all the sources that have it: run v holds
+// srcOffsets[v+1]-srcOffsets[v] destinations from dsts[starts[v]] on,
+// and runs may coincide. srcOffsets stays the prefix sum of the run
+// lengths, so the relation counts and pages as a plain CSR does. dsts
+// must be shorter than the relation — some run is shared; a producer
+// whose runs are all distinct writes the plain form instead.
+func RelationFromSharedRuns(numVertices int, srcOffsets, starts []int32, dsts []graph.VID) *Relation {
+	if len(srcOffsets) != numVertices+1 || len(starts) != numVertices || len(dsts) >= int(srcOffsets[numVertices]) {
+		panic("pairs: shared-run column length mismatch")
+	}
+	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, starts: starts, dsts: dsts}
 }
 
 // RelationFromSet seals a mutable Set into a Relation over the given

@@ -1,8 +1,11 @@
 package pairs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -416,4 +419,189 @@ func TestRelationPageEdgeCases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sharedForm stores each distinct run of rel once, in first-use order,
+// and points every source with that run at the copy.
+func sharedForm(rel *Relation) *Relation {
+	n := rel.NumVertices()
+	offsets, _ := rel.CSR()
+	starts := make([]int32, n)
+	var dsts []graph.VID
+	at := make(map[string]int32)
+	for v := 0; v < n; v++ {
+		run := rel.DstsOf(graph.VID(v))
+		key := fmt.Sprint(run)
+		s, ok := at[key]
+		if !ok {
+			s = int32(len(dsts))
+			at[key] = s
+			dsts = append(dsts, run...)
+		}
+		starts[v] = s
+	}
+	return RelationFromSharedRuns(n, offsets, starts, dsts)
+}
+
+// repeatedRuns draws a relation over n vertices whose sources take one
+// of a few random rows or none, so runs repeat — sources 0 and 1 always
+// share a non-empty row.
+func repeatedRuns(rng *rand.Rand, n int) *Relation {
+	rows := make([][]graph.VID, 1+rng.Intn(4))
+	for i := range rows {
+		for len(rows[i]) == 0 {
+			for w := 0; w < n; w++ {
+				if rng.Intn(3) == 0 {
+					rows[i] = append(rows[i], graph.VID(w))
+				}
+			}
+		}
+	}
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		row := rows[0]
+		if v > 1 {
+			if i := rng.Intn(len(rows) + 1); i < len(rows) {
+				row = rows[i]
+			} else {
+				row = nil
+			}
+		}
+		for _, w := range row {
+			b.Add(graph.VID(v), w)
+		}
+	}
+	return b.Seal()
+}
+
+// Property: a row-shared relation and the plain CSR of the same pairs
+// agree on every accessor — counts, runs, both iteration orders,
+// membership, paging from every offset and run boundary, equality both
+// ways and against a Set, the flattened CSR and the sorted pairs — while
+// the shared form holds fewer column bytes.
+func TestSharedRunsMatchPlain(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		plain := repeatedRuns(rng, n)
+		shared := sharedForm(plain)
+		if shared.Len() != plain.Len() || shared.ColumnBytes() >= plain.ColumnBytes()+4*int64(n) {
+			return false
+		}
+		for v := graph.VID(0); int(v) < n; v++ {
+			if !slices.Equal(shared.DstsOf(v), plain.DstsOf(v)) || !slices.Equal(shared.SrcsOf(v), plain.SrcsOf(v)) {
+				return false
+			}
+			for w := graph.VID(0); int(w) < n; w++ {
+				if shared.Contains(v, w) != plain.Contains(v, w) {
+					return false
+				}
+			}
+		}
+		type run struct {
+			v    graph.VID
+			list []graph.VID
+		}
+		collect := func(each func(func(graph.VID, []graph.VID) bool)) []run {
+			var out []run
+			each(func(v graph.VID, list []graph.VID) bool {
+				out = append(out, run{v, slices.Clone(list)})
+				return true
+			})
+			return out
+		}
+		sameRuns := func(a, b []run) bool {
+			return slices.EqualFunc(a, b, func(x, y run) bool { return x.v == y.v && slices.Equal(x.list, y.list) })
+		}
+		if !sameRuns(collect(shared.EachSrc), collect(plain.EachSrc)) || !sameRuns(collect(shared.EachDst), collect(plain.EachDst)) {
+			return false
+		}
+		var each []Pair
+		shared.Each(func(src, dst graph.VID) bool {
+			each = append(each, Pair{src, dst})
+			return true
+		})
+		sorted := plain.Sorted()
+		if !slices.Equal(each, sorted) || !slices.Equal(shared.Sorted(), sorted) {
+			return false
+		}
+		// Every offset covers every run boundary; sizes straddle them.
+		for off := -1; off <= plain.Len()+1; off++ {
+			for _, size := range []int{1, 2, 5, plain.Len()} {
+				if !slices.Equal(shared.Page(off, size), plain.Page(off, size)) {
+					return false
+				}
+				buf := make([]Pair, size)
+				if got := buf[:shared.PageInto(off, buf)]; !slices.Equal(got, plain.Page(off, size)) {
+					return false
+				}
+			}
+		}
+		so, sd := shared.CSR()
+		po, pd := plain.CSR()
+		return shared.Equal(plain) && plain.Equal(shared) && shared.EqualSet(FromPairs(sorted...)) &&
+			slices.Equal(so, po) && slices.Equal(sd, pd)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A shared relation differing from a plain one in a single pair is
+// unequal both ways.
+func TestSharedRunsEqualDetectsDifference(t *testing.T) {
+	plain := RelationFromPairs(3, Pair{0, 1}, Pair{0, 2}, Pair{1, 1}, Pair{1, 2}, Pair{2, 1}, Pair{2, 0})
+	shared := RelationFromSharedRuns(3, []int32{0, 2, 4, 6}, []int32{0, 0, 0}, []graph.VID{1, 2})
+	if shared.Equal(plain) || plain.Equal(shared) {
+		t.Fatal("relations differing in source 2's run compare equal")
+	}
+	if want := RelationFromPairs(3, Pair{0, 1}, Pair{0, 2}, Pair{1, 1}, Pair{1, 2}, Pair{2, 1}, Pair{2, 2}); !shared.Equal(want) {
+		t.Fatalf("shared = %v", shared.Sorted())
+	}
+}
+
+// RelationFromSharedRuns refuses columns that do not describe a shared
+// relation: wrong lengths, or a dsts column as long as the relation.
+func TestRelationFromSharedRunsRejectsBadColumns(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		offsets, starts []int32
+		dsts            []graph.VID
+	}{
+		{"short starts", []int32{0, 1, 2}, []int32{0}, []graph.VID{0}},
+		{"short offsets", []int32{0, 2}, []int32{0, 0}, []graph.VID{0}},
+		{"nothing shared", []int32{0, 1, 2}, []int32{0, 1}, []graph.VID{0, 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			RelationFromSharedRuns(2, c.offsets, c.starts, c.dsts)
+		}()
+	}
+}
+
+// The lazily built columns of a shared relation — the transpose and the
+// flattened CSR — are safe to build from several goroutines at once, and
+// every caller sees the finished column.
+func TestSharedRunsConcurrentLazyColumns(t *testing.T) {
+	plain := repeatedRuns(rand.New(rand.NewSource(5)), 64)
+	shared := sharedForm(plain)
+	_, wantDsts := plain.CSR()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(w graph.VID) {
+			defer wg.Done()
+			if _, dsts := shared.CSR(); !slices.Equal(dsts, wantDsts) {
+				t.Error("flattened CSR differs from the plain form")
+			}
+			if !slices.Equal(shared.SrcsOf(w), plain.SrcsOf(w)) {
+				t.Errorf("SrcsOf(%d) differs from the plain form", w)
+			}
+		}(graph.VID(i))
+	}
+	wg.Wait()
 }

@@ -137,25 +137,49 @@ func appendQueryTail(dst []byte, r *QueryResponse) []byte {
 	return append(dst, '}', '\n')
 }
 
-// writePage sends the 200 response r with page as its pairs (r.Pairs is
-// ignored). A page of at most pagePiece pairs is one write with
-// Content-Length; a larger one streams piece by piece through the same
-// buffer, chunked by net/http.
-func writePage(w http.ResponseWriter, r *QueryResponse, page []pairs.Pair) {
+// pager is what a /query page is read from: a sealed result
+// (*pairs.Relation), paged piece by piece.
+type pager interface {
+	PageInto(offset int, buf []pairs.Pair) int
+}
+
+// pieceBuf holds one piece of a page. The handler pages the first piece
+// into it before the envelope is encoded, so the page stage is measured;
+// writePage pages the rest into it as it goes.
+type pieceBuf [pagePiece]pairs.Pair
+
+var pieceBufs = sync.Pool{New: func() any { return new(pieceBuf) }}
+
+// firstPiece pages the first piece of the count pairs at offset of src
+// into a pooled buffer, which writePage reuses and hands back.
+func firstPiece(src pager, offset, count int) []pairs.Pair {
+	pb := pieceBufs.Get().(*pieceBuf)
+	return pb[:src.PageInto(offset, pb[:min(count, pagePiece)])]
+}
+
+// writePage sends the 200 response r whose pairs are the r.Count pairs
+// of src from position r.Offset (r.Pairs is ignored); first is that
+// page's first piece as firstPiece returned it. A page of at most
+// pagePiece pairs is one write with Content-Length; a larger one streams
+// piece by piece through the same buffers, chunked by net/http.
+func writePage(w http.ResponseWriter, r *QueryResponse, src pager, first []pairs.Pair) {
+	pb := (*pieceBuf)(first[:pagePiece])
+	defer pieceBufs.Put(pb)
 	wb := getWireBuf()
 	defer wb.release()
 	w.Header().Set("Content-Type", "application/json")
 	wb.b = append(appendQueryHead(wb.b[:0], r), '[')
-	rest := page
-	for len(rest) > pagePiece {
-		wb.b = append(appendPairElems(wb.b, rest[:pagePiece]), ',')
+	piece, pos, end := first, r.Offset+len(first), r.Offset+r.Count
+	for pos < end && len(piece) > 0 {
+		wb.b = append(appendPairElems(wb.b, piece), ',')
 		if _, err := w.Write(wb.b); err != nil {
 			return // client went away
 		}
-		wb.b, rest = wb.b[:0], rest[pagePiece:]
+		piece = pb[:src.PageInto(pos, pb[:min(end-pos, pagePiece)])]
+		wb.b, pos = wb.b[:0], pos+len(piece)
 	}
-	wb.b = appendQueryTail(append(appendPairElems(wb.b, rest), ']'), r)
-	if len(page) <= pagePiece {
+	wb.b = appendQueryTail(append(appendPairElems(wb.b, piece), ']'), r)
+	if r.Count <= pagePiece {
 		w.Header().Set("Content-Length", strconv.Itoa(len(wb.b)))
 	}
 	_, _ = w.Write(wb.b)

@@ -381,11 +381,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.cursorResumes.Add(1)
 	}
 
+	// The page is paged piece by piece while it is encoded; only the
+	// first piece is read here, so the page stage times the seek.
+	total := res.rel.Len()
+	count := max(total-offset, 0)
+	if req.Limit > 0 && req.Limit < count {
+		count = req.Limit
+	}
 	pageStart := time.Now()
-	page := res.rel.Page(offset, req.Limit)
+	first := firstPiece(res.rel, offset, count)
 	res.stages.PageNS += time.Since(pageStart).Nanoseconds()
 	next := ""
-	if end := offset + len(page); end < res.rel.Len() && req.Limit > 0 {
+	if end := offset + count; end < total && req.Limit > 0 {
 		next = encodeCursor(res.epoch, uint64(end), req.Query)
 	}
 	wall := time.Since(handlerStart)
@@ -393,14 +400,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writePage(w, &QueryResponse{
 		Query:      req.Query,
 		Epoch:      res.epoch,
-		Total:      res.rel.Len(),
+		Total:      total,
 		Offset:     offset,
-		Count:      len(page),
+		Count:      count,
 		Path:       res.path.String(),
 		Stages:     res.stages,
 		WallNS:     wall.Nanoseconds(),
 		NextCursor: next,
-	}, page)
+	}, res.rel, first)
 	s.lat.encode[res.path].observe(time.Since(handlerStart) - wall)
 }
 
