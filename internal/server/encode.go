@@ -1,23 +1,25 @@
 package server
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"unicode/utf8"
 
-	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 )
 
 // The append-encoder: every pair-bearing record — a /query page, an
 // NDJSON pairs line, an SSE pairs event — is appended into one pooled
-// byte buffer with strconv, so a delivered pair costs an append, not a
-// [][2]VID copy and a reflective encode. The bytes are exactly what
-// encoding/json (HTML escaping off, trailing newline) writes for
-// QueryResponse and {"pairs":[][2]VID}; encode_test.go holds the two
-// together.
+// byte buffer by appendPairs, so a delivered pair costs a few fixed-size
+// stores, not a [][2]VID copy and a reflective encode. The bytes are
+// exactly what encoding/json (HTML escaping off, trailing newline)
+// writes for QueryResponse and {"pairs":[][2]VID}; encode_test.go holds
+// the two together.
 
 const (
 	// pagePiece is how many pairs of a page are encoded between writes,
@@ -47,24 +49,91 @@ func appendPairs(dst []byte, page []pairs.Pair) []byte {
 	return append(appendPairElems(append(dst, '['), page), ']')
 }
 
-// appendPairElems appends the comma-separated elements of appendPairs.
-// A page is in (src, dst) order, so the source's digits are rendered
-// once per run, not once per pair.
-func appendPairElems(dst []byte, page []pairs.Pair) []byte {
-	var digits [12]byte
-	src, last := digits[:0], graph.VID(0)
-	for i, p := range page {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if p.Src != last || i == 0 {
-			src, last = strconv.AppendInt(digits[:0], int64(p.Src), 10), p.Src
-		}
-		dst = append(append(dst, '['), src...)
-		dst = strconv.AppendInt(append(dst, ','), int64(p.Dst), 10)
-		dst = append(dst, ']')
+const (
+	// pairBlock is how many pairs appendPairElems writes per reservation
+	// of slack, so the reservation stays a few KiB however long the page.
+	pairBlock = 256
+	// maxPairBytes is the longest element with its trailing comma:
+	// `[-2147483648,-2147483648],`.
+	maxPairBytes = 26
+	// storeSlack covers the fixed-size stores, which may write up to 16
+	// bytes past the element's last byte.
+	storeSlack = 16
+)
+
+// digits4 holds every v < 10⁴ as four zero-padded ASCII digits packed
+// little-endian, so one 4-byte store writes them in order.
+var digits4 = func() (t [10000]uint32) {
+	for v := range t {
+		t[v] = uint32('0'+v/1000) | uint32('0'+v/100%10)<<8 | uint32('0'+v/10%10)<<16 | uint32('0'+v%10)<<24
 	}
-	return dst
+	return t
+}()
+
+// appendPairElems appends the comma-separated elements of appendPairs.
+// A page is in (src, dst) order, so "[src," is rendered once per source
+// run into a fixed array and copied per pair with one 16-byte store;
+// destination digits come four at a time from digits4. Both write into
+// slack reserved once per block, and every element ends in a comma that
+// the next overwrites, the last one dropped. A negative VID, which no
+// graph has, falls back to strconv, so the bytes are encoding/json's for
+// every int32.
+func appendPairElems(dst []byte, page []pairs.Pair) []byte {
+	if len(page) == 0 {
+		return dst
+	}
+	var pre [16]byte
+	preLen, last := 0, ^page[0].Src // not the first source
+	for len(page) > 0 {
+		block := page[:min(len(page), pairBlock)]
+		page = page[len(block):]
+		dst = slices.Grow(dst, len(block)*maxPairBytes+storeSlack)
+		b, n := dst[:cap(dst)], len(dst)
+		for _, p := range block {
+			if p.Src != last {
+				last = p.Src
+				preLen = len(append(strconv.AppendInt(append(pre[:0], '['), int64(p.Src), 10), ','))
+			}
+			*(*[16]byte)(b[n:]) = pre
+			n += preLen
+			if d := uint32(p.Dst); d < 1e4 {
+				n = putLead(b, n, d)
+			} else if p.Dst > 0 {
+				n = putDigits(b, n, d)
+			} else {
+				n = len(strconv.AppendInt(b[:n], int64(p.Dst), 10))
+			}
+			binary.LittleEndian.PutUint16(b[n:], ']'|','<<8)
+			n += 2
+		}
+		dst = b[:n]
+	}
+	return dst[:len(dst)-1]
+}
+
+// putDigits writes v ≥ 10⁴ at b[n:] as a leading group and groups of
+// four, and returns the position after them.
+func putDigits(b []byte, n int, v uint32) int {
+	hi, lo := v/1e4, v%1e4
+	if hi < 1e4 {
+		n = putLead(b, n, hi)
+	} else {
+		n = putLead(b, n, hi/1e4)
+		binary.LittleEndian.PutUint32(b[n:], digits4[hi%1e4])
+		n += 4
+	}
+	binary.LittleEndian.PutUint32(b[n:], digits4[lo])
+	return n + 4
+}
+
+// putLead writes v < 10⁴ at b[n:], which has slack for a 4-byte store,
+// without leading zeros, and returns the position after it. The zero
+// bytes of digits4[v]-"0000" below its last digit count the zeros.
+func putLead(b []byte, n int, v uint32) int {
+	w := digits4[v]
+	zeros := bits.TrailingZeros32((w-0x30303030)|1<<24) / 8
+	binary.LittleEndian.PutUint32(b[n:], w>>(8*zeros))
+	return n + 4 - zeros
 }
 
 // appendInt appends key (punctuation included) and then v.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -47,11 +48,12 @@ func wirePairs(page []pairs.Pair) [][2]graph.VID {
 }
 
 // testPages covers the page shapes that matter: empty, the digit-count
-// boundaries, a page exactly at and one past the piece size, and random
-// pages with repeated sources.
+// boundaries and those of appendPairs' four-digit groups, a negative
+// VID, a page exactly at and one past the piece size, and random pages
+// with repeated sources.
 func testPages() [][]pairs.Pair {
 	rng := rand.New(rand.NewSource(11))
-	edge := []graph.VID{0, 9, 10, 99, 100, 1000, math.MaxInt32}
+	edge := []graph.VID{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999999, 100000000, math.MaxInt32, -1, math.MinInt32}
 	var edges []pairs.Pair
 	for _, s := range edge {
 		for _, d := range edge {
@@ -201,17 +203,57 @@ func FuzzQueryEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzAppendPairs: whatever a page holds — any int32 on either side,
+// sources in any order — appendPairs writes json.Marshal's bytes, into
+// an empty buffer and after a prefix.
+func FuzzAppendPairs(f *testing.F) {
+	for _, page := range testPages()[:5] {
+		data := make([]byte, 0, 8*len(page))
+		for _, p := range page {
+			data = binary.LittleEndian.AppendUint32(data, uint32(p.Src))
+			data = binary.LittleEndian.AppendUint32(data, uint32(p.Dst))
+		}
+		f.Add(data)
+	}
+	prefix := []byte(`{"pairs":[[1,2]],"more":`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		page := make([]pairs.Pair, len(data)/8)
+		for i := range page {
+			page[i] = pairs.Pair{
+				Src: graph.VID(binary.LittleEndian.Uint32(data[8*i:])),
+				Dst: graph.VID(binary.LittleEndian.Uint32(data[8*i+4:])),
+			}
+		}
+		want, err := json.Marshal(wirePairs(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendPairs(nil, page); !bytes.Equal(got, want) {
+			t.Fatalf("%v:\n got %s\nwant %s", page, got, want)
+		}
+		got := appendPairs(prefix[:len(prefix):len(prefix)], page)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%v after %s:\n got %s\nwant %s%s", page, prefix, got, prefix, want)
+		}
+	})
+}
+
 // discardWriter is a ResponseWriter that keeps nothing, so allocation
 // and heap measurements see the handler alone.
 type discardWriter struct {
-	h http.Header
-	n int
+	h      http.Header
+	n      int
+	writes int
 }
 
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) WriteHeader(int)             {}
-func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
-func (d *discardWriter) Flush()                      {}
+func (d *discardWriter) Header() http.Header { return d.h }
+func (d *discardWriter) WriteHeader(int)     {}
+func (d *discardWriter) Write(b []byte) (int, error) {
+	d.n += len(b)
+	d.writes++
+	return len(b), nil
+}
+func (d *discardWriter) Flush() {}
 
 // denseServer serves a graph whose closure result is a few hundred
 // thousand pairs, sealed and memoised, so /query is a fast-path hit.
@@ -266,8 +308,9 @@ func TestUnlimitedPageLeavesHeapFlat(t *testing.T) {
 	}
 }
 
-// TestStreamChunkAllocs: after the first chunk a streamed chunk costs no
-// allocation — not in the engine's Next, not in the sink.
+// TestStreamChunkAllocs: once the sink's buffer has grown through one
+// flush cycle, a streamed chunk costs no allocation — not in the
+// engine's Next, not in the sink.
 func TestStreamChunkAllocs(t *testing.T) {
 	srv, query, _ := denseServer(t)
 	fresh := core.New(srv.engine.Graph(), core.Options{}) // no memoised result: a live stream
@@ -277,7 +320,8 @@ func TestStreamChunkAllocs(t *testing.T) {
 	}
 	defer stream.Close()
 	for _, sse := range []bool{false, true} {
-		sink := newStreamSink(&discardWriter{h: http.Header{}}, sse)
+		w := &discardWriter{h: http.Header{}}
+		sink := newStreamSink(w, sse)
 		buf := make([]pairs.Pair, srv.opts.StreamChunk)
 		chunk := func() {
 			n, done, err := stream.Next(buf)
@@ -288,9 +332,19 @@ func TestStreamChunkAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		chunk()
-		if allocs := testing.AllocsPerRun(100, chunk); allocs != 0 {
-			t.Fatalf("sse=%v: %v allocations per chunk after the first, want 0", sse, allocs)
+		// The first pairs record is one write, the first size flush the
+		// second: by then the buffer has grown to what a cycle needs.
+		for w.writes < 2 {
+			chunk()
+		}
+		// 50 chunks as one run, so a single allocation among them is
+		// not divided away.
+		if allocs := testing.AllocsPerRun(1, func() {
+			for range 50 {
+				chunk()
+			}
+		}); allocs != 0 {
+			t.Fatalf("sse=%v: %v allocations in 50 chunks after a flush cycle, want 0", sse, allocs)
 		}
 		sink.release()
 	}
@@ -332,19 +386,29 @@ func TestFastPathQueryAllocBudget(t *testing.T) {
 }
 
 // BenchmarkAppendPairs explains the benchmark's server.bytes_per_pair:
-// the cost of rendering one delivered pair (a 512-pair chunk of dense
-// runs), which must stay allocation-free.
+// the cost of rendering one delivered pair of a 512-pair chunk of dense
+// runs, with the short VIDs of the paper graphs and with the 7-digit
+// VIDs of 2^20-vertex graphs, which take the split-group path. It must
+// stay allocation-free.
 func BenchmarkAppendPairs(b *testing.B) {
-	page := make([]pairs.Pair, 512)
-	for i := range page {
-		page[i] = pairs.Pair{Src: graph.VID(300 + i/200), Dst: graph.VID(i * 2)}
+	short, wide := make([]pairs.Pair, 512), make([]pairs.Pair, 512)
+	for i := range short {
+		short[i] = pairs.Pair{Src: graph.VID(300 + i/200), Dst: graph.VID(i * 2)}
+		wide[i] = pairs.Pair{Src: graph.VID(1<<20 - 300 + i/200), Dst: graph.VID(1_000_000 + i*89)}
 	}
-	buf := appendPairs(nil, page)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = appendPairs(buf[:0], page)
+	for _, c := range []struct {
+		name string
+		page []pairs.Pair
+	}{{"short", short}, {"7-digit", wide}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := appendPairs(nil, c.page)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = appendPairs(buf[:0], c.page)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.page)), "ns/pair")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(page)), "ns/pair")
 }

@@ -205,7 +205,8 @@ type latencyRecorder struct {
 
 	// encode is, per serving path, the time a response spends after its
 	// wall_ns stamp: encoding the pairs and handing them to net/http
-	// (for a stream, summed over its pairs records). firstChunk is a
+	// (for a stream, summed over its pairs records and its terminal
+	// record, whose write carries the pairs still pending). firstChunk is a
 	// stream's handler entry to its first pairs record flushed.
 	encode     [numPaths]histogram
 	firstChunk histogram

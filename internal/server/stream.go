@@ -18,8 +18,8 @@ import (
 // Both open one epoch-pinned pull stream (Engine.OpenStream) and drain
 // it chunk by chunk, so the response starts after the shared inputs
 // resolve — before the first pair /query would have to seal a full
-// relation for — and the server's peak memory per stream is one
-// chunk, not one result.
+// relation for — and the server's peak memory per stream is the
+// sink's 32 KiB of pending records plus one chunk, not one result.
 //
 // Epoch semantics: the stream answers entirely at the graph epoch
 // current when it opened (the pinned engine version is immutable), so a
@@ -99,7 +99,9 @@ func (s *Server) decodeStreamRequest(w http.ResponseWriter, r *http.Request) (st
 
 // drainToSink runs the drain loop: open-time errors were already
 // handled; this delivers chunks until done, limit, epoch-lag abort or a
-// stream error. Returns the pairs sent.
+// stream error. Returns the pairs sent. The streamed encode histogram
+// sums the pairs records and the terminal record, whose write carries
+// whatever pairs the sink still holds.
 func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *streamSink, start time.Time) int64 {
 	defer stream.Close()
 	defer sink.release()
@@ -110,6 +112,7 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *stre
 	var sent int64
 	var encode time.Duration
 	defer func() { s.lat.encode[pathStreamed].observe(encode) }()
+	event, last := "done", any(nil)
 	for {
 		// The lag guard: a pinned stream is always self-consistent, but
 		// past the configured lag the answer is declared too stale to
@@ -117,20 +120,20 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *stre
 		if lag := s.opts.StreamMaxLag; lag > 0 {
 			if cur := s.engine.Epoch(); cur > stream.Epoch()+lag {
 				s.epochAborts.Add(1)
-				_ = sink.record("error", streamError{
+				event, last = "error", streamError{
 					Error: fmt.Sprintf("stream pinned to epoch %d fell %d epochs behind (max lag %d): restart on the current graph",
 						stream.Epoch(), cur-stream.Epoch(), lag),
 					Code:         "epoch_lag",
 					PinnedEpoch:  stream.Epoch(),
 					CurrentEpoch: cur,
-				})
-				return sent
+				}
+				break
 			}
 		}
 		n, done, err := stream.Next(buf)
 		if err != nil {
-			_ = sink.record("error", streamError{Error: err.Error(), Code: "evaluation"})
-			return sent
+			event, last = "error", streamError{Error: err.Error(), Code: "evaluation"}
+			break
 		}
 		if n > 0 {
 			t0 := time.Now()
@@ -146,15 +149,19 @@ func (s *Server) drainToSink(stream *core.ResultStream, query string, sink *stre
 			sent += int64(n)
 		}
 		if done {
-			_ = sink.record("done", streamDone{
+			last = streamDone{
 				Done:      true,
 				PairsSent: sent,
 				Epoch:     stream.Epoch(),
 				WallNS:    time.Since(start).Nanoseconds(),
-			})
-			return sent
+			}
+			break
 		}
 	}
+	t0 := time.Now()
+	_ = sink.record(event, last)
+	encode += time.Since(t0)
+	return sent
 }
 
 // openStream opens the engine stream, mapping open-time failures to the
@@ -174,17 +181,25 @@ func (s *Server) openStream(w http.ResponseWriter, r *http.Request, expr rpq.Exp
 }
 
 // streamSink frames stream records as NDJSON lines or, with sse set, as
-// Server-Sent Events (named events with one JSON data line each),
-// flushing after every record so chunks reach the client as they are
-// produced. Both framings build each record in one pooled buffer: pairs
-// records through the append-encoder, the cold records (meta, done,
-// error) through encoding/json.
+// Server-Sent Events (named events with one JSON data line each). Records
+// are appended to one pooled buffer, pairs records through the
+// append-encoder and the cold records (meta, done, error) through
+// encoding/json, and the buffer is written and flushed when it holds
+// flushBytes, after the first pairs record (so the first pairs reach the
+// client at once), and after every cold record (so a done or error
+// record is never held back). A drain thus costs a Write and a Flush per
+// 32 KiB, not per record.
 type streamSink struct {
 	w   http.ResponseWriter
 	f   http.Flusher
 	sse bool
 	wb  *wireBuf
+	// paired is set once the first pairs record has been flushed.
+	paired bool
 }
+
+// flushBytes is how much a sink buffers before it writes.
+const flushBytes = 32 << 10
 
 func newStreamSink(w http.ResponseWriter, sse bool) *streamSink {
 	h := w.Header()
@@ -196,25 +211,32 @@ func newStreamSink(w http.ResponseWriter, sse bool) *streamSink {
 	h.Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	f, _ := w.(http.Flusher)
-	return &streamSink{w: w, f: f, sse: sse, wb: getWireBuf()}
+	wb := getWireBuf()
+	wb.b = wb.b[:0] // a pooled buffer keeps its last user's bytes
+	return &streamSink{w: w, f: f, sse: sse, wb: wb}
 }
 
 func (k *streamSink) release() { k.wb.release() }
 
-// begin starts a record in the sink's buffer.
+// begin starts a record after the pending ones in the sink's buffer.
 func (k *streamSink) begin(event string) []byte {
 	if !k.sse {
-		return k.wb.b[:0]
+		return k.wb.b
 	}
-	return append(append(append(k.wb.b[:0], "event: "...), event...), "\ndata: "...)
+	return append(append(append(k.wb.b, "event: "...), event...), "\ndata: "...)
 }
 
-// end sends the record b, whose JSON already ends in a newline.
-func (k *streamSink) end(b []byte) error {
+// end queues the record whose JSON ends b (newline included) and, if
+// flush is set or flushBytes are pending, sends everything queued.
+func (k *streamSink) end(b []byte, flush bool) error {
 	if k.sse {
 		b = append(b, '\n')
 	}
 	k.wb.b = b
+	if !flush && len(b) < flushBytes {
+		return nil
+	}
+	k.wb.b = b[:0]
 	if _, err := k.w.Write(b); err != nil {
 		return err
 	}
@@ -224,13 +246,15 @@ func (k *streamSink) end(b []byte) error {
 	return nil
 }
 
-// pairs sends one pairs record.
+// pairs queues one pairs record; the first one is sent at once.
 func (k *streamSink) pairs(page []pairs.Pair) error {
 	b := appendPairs(append(k.begin("pairs"), `{"pairs":`...), page)
-	return k.end(append(b, '}', '\n'))
+	first := !k.paired
+	k.paired = true
+	return k.end(append(b, '}', '\n'), first)
 }
 
-// record sends one cold record. HTML escaping follows the framing: SSE
+// record sends one cold record with everything queued before it. HTML escaping follows the framing: SSE
 // data has always been json.Marshal's bytes, NDJSON lines an Encoder's
 // with escaping off.
 func (k *streamSink) record(event string, v any) error {
@@ -240,7 +264,7 @@ func (k *streamSink) record(event string, v any) error {
 	if err := enc.Encode(v); err != nil {
 		return err
 	}
-	return k.end(buf.Bytes())
+	return k.end(buf.Bytes(), true)
 }
 
 // streamHandler serves GET/POST /query/stream — the result as NDJSON: a

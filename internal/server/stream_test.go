@@ -9,7 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -771,5 +774,243 @@ func TestServerStreamLagOverHTTPSinks(t *testing.T) {
 	}
 	if !strings.Contains(body, `"code":"epoch_lag"`) {
 		t.Fatalf("sse abort body missing epoch_lag code:\n%s", body)
+	}
+}
+
+// flushRecorder is a ResponseWriter that keeps every byte and where each
+// Write and Flush fell.
+type flushRecorder struct {
+	h       http.Header
+	body    bytes.Buffer
+	writes  int
+	flushes []int // body length at each Flush
+}
+
+func (r *flushRecorder) Header() http.Header         { return r.h }
+func (r *flushRecorder) WriteHeader(int)             {}
+func (r *flushRecorder) Write(b []byte) (int, error) { r.writes++; return r.body.Write(b) }
+func (r *flushRecorder) Flush()                      { r.flushes = append(r.flushes, r.body.Len()) }
+
+// splitRecords cuts a stream body into its records, framing included.
+func splitRecords(body []byte, sse bool) [][]byte {
+	sep := []byte("\n")
+	if sse {
+		sep = []byte("\n\n")
+	}
+	var out [][]byte
+	for len(body) > 0 {
+		i := bytes.Index(body, sep) + len(sep)
+		out, body = append(out, body[:i]), body[i:]
+	}
+	return out
+}
+
+// reencode decodes one record and encodes it again the way each record
+// was written on its own before the sink buffered: an Encoder with HTML
+// escaping off for an NDJSON line, json.Marshal in an SSE frame. It
+// returns the record's pairs too.
+func reencode(t *testing.T, record []byte, sse bool) ([]byte, []pairs.Pair) {
+	t.Helper()
+	event, data := "", record
+	if sse {
+		ev := parseSSE(t, record)
+		if len(ev) != 1 {
+			t.Fatalf("SSE record %q holds %d events", record, len(ev))
+		}
+		event, data = ev[0].event, []byte(ev[0].data)
+	}
+	var probe map[string]json.RawMessage
+	if err := json.Unmarshal(data, &probe); err != nil {
+		t.Fatalf("bad record %q: %v", record, err)
+	}
+	var v any
+	var chunk wireChunk
+	switch {
+	case probe["query"] != nil:
+		v = new(streamMeta)
+	case probe["pairs"] != nil:
+		v = &chunk
+	case probe["done"] != nil:
+		v = new(streamDone)
+	default:
+		v = new(streamError)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("bad record %q: %v", record, err)
+	}
+	var ps []pairs.Pair
+	for _, p := range chunk.Pairs {
+		ps = append(ps, pairs.Pair{Src: p[0], Dst: p[1]})
+	}
+	if !sse {
+		return jsonLine(t, v), ps
+	}
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf("event: %s\ndata: %s\n\n", event, out)), ps
+}
+
+// TestStreamFlushPolicy: over a drain spanning many flushes, in both
+// framings, meta and the first pairs record each reach a flush on their
+// own, every later flush but the one ending in the terminal record
+// carries at least flushBytes, every write is flushed, and the bytes are
+// the per-record encoding of the sealed result. The sink's buffer ends
+// small enough to go back to the pool.
+func TestStreamFlushPolicy(t *testing.T) {
+	srv, query, _ := denseServer(t)
+	want := mustEval(t, srv.engine, query).Sorted()
+	for _, sse := range []bool{false, true} {
+		stream, err := srv.engine.OpenStream(context.Background(), rpq.MustParse(query), core.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &flushRecorder{h: http.Header{}}
+		sink := newStreamSink(rec, sse)
+		srv.drainToSink(stream, query, sink, time.Now())
+		if c := cap(sink.wb.b); c > maxPooledBuf {
+			t.Fatalf("sse=%v: sink buffer grew to %d bytes, over the pool's %d", sse, c, maxPooledBuf)
+		}
+
+		body := rec.body.Bytes()
+		var again []byte
+		var got []pairs.Pair
+		var ends []int // body offset after each record
+		for _, r := range splitRecords(body, sse) {
+			b, ps := reencode(t, r, sse)
+			again, got = append(again, b...), append(got, ps...)
+			ends = append(ends, len(again))
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("sse=%v: the drain's bytes differ from its records encoded one by one", sse)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("sse=%v: streamed %d pairs, not the %d of the sealed result", sse, len(got), len(want))
+		}
+
+		fl := rec.flushes
+		if rec.writes != len(fl) || len(fl) < 4 {
+			t.Fatalf("sse=%v: %d writes, %d flushes; want one flush per write, several of them", sse, rec.writes, len(fl))
+		}
+		if fl[0] != ends[0] || fl[1] != ends[1] {
+			t.Fatalf("sse=%v: first flushes end at %v, want meta and the first pairs record alone (%v)", sse, fl[:2], ends[:2])
+		}
+		if fl[len(fl)-1] != len(body) {
+			t.Fatalf("sse=%v: %d bytes written after the last flush", sse, len(body)-fl[len(fl)-1])
+		}
+		for i := 2; i < len(fl)-1; i++ {
+			if n := fl[i] - fl[i-1]; n < flushBytes {
+				t.Fatalf("sse=%v: flush %d of %d carries %d bytes, under %d", sse, i, len(fl), n, flushBytes)
+			}
+			if _, ok := slices.BinarySearch(ends, fl[i]); !ok {
+				t.Fatalf("sse=%v: flush %d splits a record", sse, i)
+			}
+		}
+	}
+}
+
+// heldWriter holds every write after the one carrying the first pairs
+// record until hold is closed, and notes a write carrying the done
+// record.
+type heldWriter struct {
+	http.ResponseWriter
+	hold   <-chan struct{}
+	paired bool
+	done   *atomic.Bool
+}
+
+func (h *heldWriter) Write(b []byte) (int, error) {
+	if h.paired {
+		<-h.hold
+	}
+	h.paired = h.paired || bytes.Contains(b, []byte(`{"pairs":`))
+	if bytes.Contains(b, []byte(`{"done":true`)) {
+		h.done.Store(true)
+	}
+	return h.ResponseWriter.Write(b)
+}
+
+func (h *heldWriter) Flush() { h.ResponseWriter.(http.Flusher).Flush() }
+
+// TestStreamFirstPairsBeforeDrainEnds: over real HTTP, a client reads
+// the first pairs record while the drain is still running — held, here,
+// at its next write — and then the rest of the stream.
+func TestStreamFirstPairsBeforeDrainEnds(t *testing.T) {
+	srv, query, total := denseServer(t)
+	hold := make(chan struct{})
+	var release sync.Once
+	var done atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(&heldWriter{ResponseWriter: w, hold: hold, done: &done}, r)
+	}))
+	defer ts.Close()
+	defer release.Do(func() { close(hold) })
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(ts.URL + "/query/stream?q=" + url.QueryEscape(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var head []byte
+	for i := 0; i < 2; i++ {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading record %d while the drain is held: %v", i, err)
+		}
+		head = append(head, line...)
+	}
+	first := parseNDJSON(t, head)
+	if first.chunks != 1 || len(first.pairs) == 0 || len(first.pairs) >= total {
+		t.Fatalf("first records carry %d pairs in %d chunks, want one chunk of a %d-pair result", len(first.pairs), first.chunks, total)
+	}
+	if done.Load() {
+		t.Fatal("the first pairs record went out with the done record, not while the drain ran")
+	}
+
+	release.Do(func() { close(hold) })
+	var rest bytes.Buffer
+	if _, err := rest.ReadFrom(br); err != nil {
+		t.Fatal(err)
+	}
+	all := parseNDJSON(t, append(head, rest.Bytes()...))
+	if all.done == nil || all.done.PairsSent != int64(total) || len(all.pairs) != total {
+		t.Fatalf("stream delivered %d pairs, done %+v; want %d", len(all.pairs), all.done, total)
+	}
+}
+
+// slowWriter is a discardWriter whose every Write takes delay.
+type slowWriter struct {
+	discardWriter
+	delay time.Duration
+}
+
+func (w *slowWriter) Write(b []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.discardWriter.Write(b)
+}
+
+// TestStreamEncodeCountsTerminalFlush: the streamed encode histogram
+// runs to the last byte handed to net/http, so it counts the terminal
+// record's write, which carries the pairs the sink still held.
+func TestStreamEncodeCountsTerminalFlush(t *testing.T) {
+	engine := core.New(fixtures.Figure1(), core.Options{})
+	srv := New(engine, Options{StreamChunk: 1})
+	defer srv.Close()
+	stream, err := engine.OpenStream(context.Background(), rpq.MustParse("(b.c)+"), core.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 20 * time.Millisecond
+	w := &slowWriter{discardWriter{h: http.Header{}}, delay}
+	sent := srv.drainToSink(stream, "(b.c)+", newStreamSink(w, false), time.Now())
+	// meta, the first pairs record alone, then done with the rest.
+	if sent < 2 || w.writes != 3 {
+		t.Fatalf("%d pairs in %d writes, want at least 2 pairs in 3 writes", sent, w.writes)
+	}
+	if sum := time.Duration(srv.lat.encode[pathStreamed].sumNS.Load()); sum < 2*delay {
+		t.Fatalf("encode[streamed] = %v, want at least the two %v writes that carry pairs", sum, delay)
 	}
 }
