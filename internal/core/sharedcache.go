@@ -98,7 +98,9 @@ const relBudgetBytes = 128 << 20
 
 // relationCost is an entry's charge against relBudgetBytes: the bytes of
 // its sealed columns. The lazy transpose is not charged — the charge is
-// fixed at admission, so the eviction can return it exactly.
+// fixed at admission, so the eviction can return it exactly — and a
+// label relation, whose columns are the graph's (labelRelation), is
+// charged 0.
 func relationCost(rel *pairs.Relation) int64 {
 	return rel.ColumnBytes()
 }
@@ -193,8 +195,9 @@ func (c *SharedCache) admitRelation(val any) bool {
 	if !ok {
 		return true
 	}
+	// A full region admits nothing, not even a relation that costs 0.
 	n := relationCost(rel)
-	if c.relBytes.Load()+n > relBudgetBytes {
+	if b := c.relBytes.Load(); b >= relBudgetBytes || b+n > relBudgetBytes {
 		return false
 	}
 	c.relBytes.Add(n)

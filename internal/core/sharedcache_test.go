@@ -12,6 +12,7 @@ import (
 
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
+	"rtcshare/internal/rpq"
 )
 
 // TestSharedCacheSingleflight hammers one cache from many goroutines
@@ -419,5 +420,63 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 	}
 	if cc := cache.Counters(); cc.CrossEpochHits != 0 {
 		t.Fatalf("CrossEpochHits = %d, want 0", cc.CrossEpochHits)
+	}
+}
+
+// assertLabelEntry checks that the relation region holds label query key
+// at the engine's epoch, charged nothing, and aliasing the current
+// graph's columns for the label.
+func assertLabelEntry(t *testing.T, e *Engine, key string) *pairs.Relation {
+	t.Helper()
+	val, ok := e.Cache().LookupRelation(e.Epoch(), key)
+	if !ok {
+		t.Fatalf("label relation %s not memoised at epoch %d", key, e.Epoch())
+	}
+	rel := val.(*pairs.Relation)
+	if got := relationCost(rel); got != 0 {
+		t.Errorf("label relation %s charged %d bytes, want 0", key, got)
+	}
+	offsets, targets := labelCSROf(e.Graph(), rpq.MustParse(key).(rpq.Label))
+	relOffsets, relDsts := rel.CSR()
+	if !sameArray(relOffsets, offsets) || !sameArray(relDsts, targets) {
+		t.Errorf("label relation %s does not alias the graph at epoch %d", key, e.Epoch())
+	}
+	return rel
+}
+
+// TestLabelRelationChargesNothing: a label relation borrows the graph's
+// columns, so the relation region holds it at zero bytes. An update that
+// leaves the label alone carries the relation to the new epoch, where it
+// still aliases the new graph version's columns: Freeze keeps an
+// untouched label's columns. A touched label's relation is dropped and
+// recomputed over the new columns.
+func TestLabelRelationChargesNothing(t *testing.T) {
+	e := New(labelRelGraph(3, 40, 160), Options{})
+	for _, q := range []string{"a", "^b"} {
+		if _, err := e.EvaluateQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	carried := assertLabelEntry(t, e, "a")
+	assertLabelEntry(t, e, "^b")
+	if got := e.Cache().relBytes.Load(); got != 0 {
+		t.Fatalf("relation region charged %d bytes for label relations, want 0", got)
+	}
+
+	if _, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(0, "b", 39), InsertEdge(39, "b", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if rel := assertLabelEntry(t, e, "a"); rel != carried {
+		t.Error("untouched label relation was not carried")
+	}
+	if _, ok := e.Cache().LookupRelation(e.Epoch(), "^b"); ok {
+		t.Fatal("touched label relation ^b was carried")
+	}
+	if _, err := e.EvaluateQuery("^b"); err != nil {
+		t.Fatal(err)
+	}
+	assertLabelEntry(t, e, "^b")
+	if got := e.Cache().relBytes.Load(); got != 0 {
+		t.Fatalf("relation region charged %d bytes after the update, want 0", got)
 	}
 }

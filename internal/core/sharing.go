@@ -155,8 +155,15 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 
 	if cp.Kind == plan.KindAutomaton {
 		// Algorithm 1 line 6 (closure-free clause): the product traversal
-		// is Remainder, building the columns the seal stage.
+		// is Remainder, building the columns the seal stage. A single
+		// label is a base relation: the graph's CSR is its sealed form,
+		// so it is neither traversed nor sealed.
 		t0 := time.Now()
+		if l, ok := cp.Clause.(rpq.Label); ok {
+			clauseG := e.labelRelation(l)
+			e.addRemainder(time.Since(t0))
+			return clauseG, act, nil
+		}
 		a := e.openAutomaton(cp.Clause)
 		clauseG, sealNS, err := e.drain(a)
 		a.release()
@@ -182,6 +189,22 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 		clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post)
 	}
 	return clauseG, act, err
+}
+
+// labelRelation is the relation of a single-label expression, l or ^l:
+// the label's forward or reverse CSR in the graph, borrowed rather than
+// copied, so it costs the relation region nothing. A label the graph
+// does not have gives the empty relation. Callers reach it through
+// execClause, below the relation region, so memoisation, singleflight
+// and the epoch carry/drop treat it like any other sub-query result.
+func (e *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
+	n := e.g.NumVertices()
+	if lid, ok := e.g.Dict().Lookup(l.Name); ok {
+		if offsets, targets := e.g.LabelCSR(lid, l.Inverse); offsets != nil {
+			return pairs.RelationFromBorrowedRuns(n, offsets, targets)
+		}
+	}
+	return pairs.NewBuilder(n).Seal()
 }
 
 // subEvaluateRel evaluates a sub-query (Pre, Post, or FullSharing's R)

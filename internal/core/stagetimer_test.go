@@ -29,51 +29,68 @@ func TestStageTimerSumAdd(t *testing.T) {
 // TestEvaluateRelTimedCtx: a timed evaluation returns the same relation and
 // epoch as the untimed path, attributes time to the stages a closure
 // query actually exercises, and the stage sum stays within the wall time
-// of the call (stages partition work; they never double-count it).
+// of the call (stages partition work; they never double-count it). Seal
+// time is attributed exactly when the query builds columns outside the
+// join: a two-clause union seals through the merge builder, while a
+// single clause whose Pre is one label seals nothing — its Pre_G is the
+// graph's CSR and the row kernel writes its own columns.
 func TestEvaluateRelTimedCtx(t *testing.T) {
-	g := fixtures.Figure1()
-	e := New(g, Options{})
-	q := rpq.MustParse("d.(b.c)+.c")
+	for _, tc := range []struct {
+		query    string
+		wantSeal bool
+	}{
+		{"d.(b.c)+.c|a.(b.c)+.c", true},
+		{"d.(b.c)+.c", false},
+	} {
+		t.Run(tc.query, func(t *testing.T) {
+			g := fixtures.Figure1()
+			e := New(g, Options{})
+			q := rpq.MustParse(tc.query)
 
-	want, wantEpoch, err := New(g, Options{}).EvaluateRelEpoch(q)
-	if err != nil {
-		t.Fatalf("untimed: %v", err)
-	}
-
-	var st StageTimer
-	start := time.Now()
-	rel, epoch, err := e.EvaluateRelTimedCtx(context.Background(), q, &st)
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatalf("timed: %v", err)
-	}
-	if epoch != wantEpoch {
-		t.Fatalf("epoch = %d, want %d", epoch, wantEpoch)
-	}
-	if got, exp := rel.Sorted(), want.Sorted(); len(got) != len(exp) {
-		t.Fatalf("timed result %v != untimed %v", got, exp)
-	} else {
-		for i := range got {
-			if got[i] != exp[i] {
-				t.Fatalf("timed result %v != untimed %v", got, exp)
+			want, wantEpoch, err := New(g, Options{}).EvaluateRelEpoch(q)
+			if err != nil {
+				t.Fatalf("untimed: %v", err)
 			}
-		}
-	}
-	if st.PlanNS <= 0 {
-		t.Errorf("no plan time attributed: %+v", st)
-	}
-	if st.ClosureBuildNS <= 0 {
-		t.Errorf("closure query attributed no closure-build time: %+v", st)
-	}
-	if st.SealNS <= 0 {
-		t.Errorf("no seal time attributed: %+v", st)
-	}
-	if sum := st.Sum(); sum <= 0 || sum > wall {
-		t.Errorf("stage sum %v outside (0, wall %v]", sum, wall)
-	}
-	// Server-layer stages are not the engine's to fill.
-	if st.QueueNS != 0 || st.CoalesceWaitNS != 0 || st.PageNS != 0 {
-		t.Errorf("engine wrote serving-layer stages: %+v", st)
+
+			var st StageTimer
+			start := time.Now()
+			rel, epoch, err := e.EvaluateRelTimedCtx(context.Background(), q, &st)
+			wall := time.Since(start)
+			if err != nil {
+				t.Fatalf("timed: %v", err)
+			}
+			if epoch != wantEpoch {
+				t.Fatalf("epoch = %d, want %d", epoch, wantEpoch)
+			}
+			if got, exp := rel.Sorted(), want.Sorted(); len(got) != len(exp) {
+				t.Fatalf("timed result %v != untimed %v", got, exp)
+			} else {
+				for i := range got {
+					if got[i] != exp[i] {
+						t.Fatalf("timed result %v != untimed %v", got, exp)
+					}
+				}
+			}
+			if st.PlanNS <= 0 {
+				t.Errorf("no plan time attributed: %+v", st)
+			}
+			if st.ClosureBuildNS <= 0 {
+				t.Errorf("closure query attributed no closure-build time: %+v", st)
+			}
+			if tc.wantSeal && st.SealNS <= 0 {
+				t.Errorf("no seal time attributed: %+v", st)
+			}
+			if !tc.wantSeal && st.SealNS != 0 {
+				t.Errorf("label-Pre query attributed seal time: %+v", st)
+			}
+			if sum := st.Sum(); sum <= 0 || sum > wall {
+				t.Errorf("stage sum %v outside (0, wall %v]", sum, wall)
+			}
+			// Server-layer stages are not the engine's to fill.
+			if st.QueueNS != 0 || st.CoalesceWaitNS != 0 || st.PageNS != 0 {
+				t.Errorf("engine wrote serving-layer stages: %+v", st)
+			}
+		})
 	}
 }
 

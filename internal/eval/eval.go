@@ -29,9 +29,18 @@ type Evaluator struct {
 	expr rpq.Expr
 	nfa  *automata.NFA
 
+	// label is set when the expression is one label, l or ^l: a
+	// traversal from v is then row v of the label's CSR (labelOffsets/
+	// labelTargets, nil for a label the graph does not have), read with
+	// no product state and no stamps.
+	label        bool
+	labelOffsets []int32
+	labelTargets []graph.VID
+
 	numStates int
 	// stamp[state*|V|+v] == generation marks (v, state) visited for the
-	// current start vertex; bumping generation clears in O(1).
+	// current start vertex; bumping generation clears in O(1). A label
+	// evaluator never allocates it.
 	stamp      []uint32
 	generation uint32
 	stack      []prodState
@@ -53,6 +62,13 @@ func New(g *graph.Graph, e rpq.Expr, _ Options) *Evaluator {
 	ev := &Evaluator{g: g, expr: e}
 	ev.nfa = automata.Compile(e, g.Dict())
 	ev.numStates = ev.nfa.NumStates()
+	if l, ok := e.(rpq.Label); ok {
+		ev.label = true
+		if lid, found := g.Dict().Lookup(l.Name); found {
+			ev.labelOffsets, ev.labelTargets = g.LabelCSR(lid, l.Inverse)
+		}
+		return ev
+	}
 	ev.stamp = make([]uint32, ev.numStates*g.NumVertices())
 	return ev
 }
@@ -113,8 +129,18 @@ func (ev *Evaluator) fromVertex(start graph.VID, out *pairs.Set) {
 
 // traverse walks the product space from (start, q0), invoking emit for
 // every vertex reached in an accepting state. Each (vertex, state) pair
-// is expanded at most once per start vertex.
+// is expanded at most once per start vertex. A label evaluator emits
+// start's row of the label's CSR instead: the product of one edge step
+// reaches exactly those vertices, each once.
 func (ev *Evaluator) traverse(start graph.VID, emit func(graph.VID)) {
+	if ev.label {
+		if ev.labelOffsets != nil {
+			for _, w := range ev.labelTargets[ev.labelOffsets[start]:ev.labelOffsets[start+1]] {
+				emit(w)
+			}
+		}
+		return
+	}
 	ev.generation++
 	if ev.generation == 0 { // uint32 wrap: clear and restart
 		for i := range ev.stamp {

@@ -1,0 +1,54 @@
+package eval
+
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"rtcshare/internal/fixtures"
+	"rtcshare/internal/graph"
+	"rtcshare/internal/pairs"
+	"rtcshare/internal/rpq"
+)
+
+// Property: a single-label evaluator — l or ^l, the label present in the
+// graph or not — reads the label's CSR, allocates no product stamps, and
+// its AppendReachFrom, AppendAll and EvaluateAll all equal the reference
+// oracle on random graphs.
+func TestLabelEvaluatorMatchesReference(t *testing.T) {
+	labels := []string{"a", "b", "c"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		g := fixtures.RandomGraph(rng, n, rng.Intn(30), labels)
+		for _, name := range []string{"a", "b", "c", "q"} {
+			for _, inverse := range []bool{false, true} {
+				e := rpq.Label{Name: name, Inverse: inverse}
+				want := Reference(g, e)
+				ev := New(g, e, Options{})
+				if ev.stamp != nil {
+					t.Logf("%s: label evaluator allocated %d stamps", e, len(ev.stamp))
+					return false
+				}
+				reach := pairs.NewSet()
+				var buf []graph.VID
+				for v := range n {
+					buf = ev.AppendReachFrom(graph.VID(v), buf[:0])
+					for _, w := range buf {
+						reach.Add(graph.VID(v), w)
+					}
+				}
+				b := pairs.NewBuilder(n)
+				ev.AppendAll(b)
+				if !reach.Equal(want) || !b.Seal().EqualSet(want) || !ev.EvaluateAll().Equal(want) {
+					t.Logf("seed %d %s: label evaluator differs from the reference", seed, e)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

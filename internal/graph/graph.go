@@ -131,6 +131,23 @@ func (g *Graph) Predecessors(v VID, label LID) []VID {
 	return g.rev[label].neighbors(v)
 }
 
+// LabelCSR returns one label's edge relation as CSR columns: the
+// forward adjacency, or with inverse the reverse one. Row v is
+// targets[offsets[v]:offsets[v+1]], sorted ascending and duplicate-free,
+// and offsets has NumVertices()+1 entries. A label outside the graph
+// returns nil columns. Both alias internal storage and must not be
+// modified: the engine answers a single-label expression from them.
+func (g *Graph) LabelCSR(label LID, inverse bool) (offsets []int32, targets []VID) {
+	if label < 0 || int(label) >= len(g.fwd) {
+		return nil, nil
+	}
+	a := g.fwd[label]
+	if inverse {
+		a = g.rev[label]
+	}
+	return a.offsets, a.targets
+}
+
 // HasEdge reports whether e(src, label, dst) ∈ E.
 func (g *Graph) HasEdge(src VID, label LID, dst VID) bool {
 	ns := g.Successors(src, label)

@@ -32,6 +32,9 @@ type Relation struct {
 	srcOffsets  []int32     // len numVertices+1
 	starts      []int32     // len numVertices
 	dsts        []graph.VID // sorted, duplicate-free within each run
+	// borrowed marks columns the relation aliases but does not own
+	// (RelationFromBorrowedRuns): they cost it no bytes.
+	borrowed bool
 
 	invOnce    sync.Once
 	dstOffsets []int32
@@ -62,8 +65,12 @@ func (r *Relation) shared() bool { return len(r.dsts) != r.Len() }
 
 // ColumnBytes returns the bytes the relation's sealed columns hold:
 // dsts, srcOffsets and, for a row-shared relation, starts. The lazily
-// built transpose and flattened column are not counted.
+// built transpose and flattened column are not counted, and borrowed
+// columns (RelationFromBorrowedRuns) count 0: their owner holds them.
 func (r *Relation) ColumnBytes() int64 {
+	if r.borrowed {
+		return 0
+	}
 	n := len(r.dsts) + len(r.srcOffsets)
 	if r.shared() {
 		n += len(r.starts)
@@ -442,6 +449,18 @@ func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VI
 		panic("pairs: CSR column length mismatch")
 	}
 	return plainRelation(numVertices, srcOffsets, dsts)
+}
+
+// RelationFromBorrowedRuns is RelationFromSortedRuns over columns that
+// another immutable structure owns and keeps alive — a graph label's
+// CSR (graph.Graph.LabelCSR). The relation reads, counts, pages and
+// exposes them exactly as RelationFromSortedRuns would, but ColumnBytes
+// reports 0, so a cache that budgets relations by their columns is not
+// charged for memory it does not hold.
+func RelationFromBorrowedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
+	r := RelationFromSortedRuns(numVertices, srcOffsets, dsts)
+	r.borrowed = true
+	return r
 }
 
 // RelationFromSharedRuns is RelationFromSortedRuns for a producer that

@@ -605,3 +605,31 @@ func TestSharedRunsConcurrentLazyColumns(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A relation over borrowed columns reads, pages and exposes them exactly
+// as the owned form does, aliasing them rather than copying, and charges
+// them 0 bytes.
+func TestBorrowedRunsMatchPlain(t *testing.T) {
+	plain := RelationFromPairs(5, Pair{0, 1}, Pair{0, 4}, Pair{2, 2}, Pair{3, 0}, Pair{3, 1}, Pair{3, 4})
+	offsets, dsts := plain.CSR()
+	borrowed := RelationFromBorrowedRuns(5, offsets, dsts)
+	if borrowed.ColumnBytes() != 0 || plain.ColumnBytes() == 0 {
+		t.Fatalf("ColumnBytes: borrowed %d, plain %d", borrowed.ColumnBytes(), plain.ColumnBytes())
+	}
+	if borrowed.Len() != plain.Len() || !borrowed.Equal(plain) {
+		t.Fatalf("borrowed relation %v != plain %v", borrowed.Sorted(), plain.Sorted())
+	}
+	for off := 0; off <= plain.Len(); off++ {
+		if !slices.Equal(borrowed.Page(off, 2), plain.Page(off, 2)) {
+			t.Fatalf("Page(%d, 2) differs", off)
+		}
+	}
+	for w := graph.VID(0); w < 5; w++ {
+		if !slices.Equal(borrowed.SrcsOf(w), plain.SrcsOf(w)) {
+			t.Fatalf("SrcsOf(%d) differs", w)
+		}
+	}
+	if bo, bd := borrowed.CSR(); &bo[0] != &offsets[0] || &bd[0] != &dsts[0] {
+		t.Fatal("borrowed relation copied its columns")
+	}
+}
