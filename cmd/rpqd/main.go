@@ -1,6 +1,9 @@
 // Command rpqd serves regular path queries over HTTP; concurrent
 // requests share closure structures, and identical ones share whole
-// evaluations, through the engine's cache.
+// evaluations, through the engine's cache. It evaluates with the
+// paper's RTCSharing strategy only: the FullSharing and NoSharing
+// baselines stay in the library (rtcshare.Options.Strategy), where the
+// paper's experiments and the differential oracles run them.
 //
 // Usage:
 //
@@ -103,7 +106,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr        = fs.String("addr", ":8080", "listen address")
 		graphPath   = fs.String("graph", "", "path to the graph file (text edge-list format)")
 		demo        = fs.Bool("demo", false, "serve the paper's Fig. 1 example graph instead of -graph")
-		strategy    = fs.String("strategy", "rtc", "evaluation strategy: rtc, full or no")
 		maxInFlight = fs.Int("max-inflight", 0, "queries evaluating concurrently (0 = GOMAXPROCS)")
 		maxQueued   = fs.Int("max-queued", 0, "queries waiting for an evaluation slot before 503 (0 = default 64)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-request timeout")
@@ -146,18 +148,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// if it does not.
 	}
 
-	var strat rtcshare.Strategy
-	switch *strategy {
-	case "rtc":
-		strat = rtcshare.RTCSharing
-	case "full":
-		strat = rtcshare.FullSharing
-	case "no":
-		strat = rtcshare.NoSharing
-	default:
-		return fmt.Errorf("unknown strategy %q (want rtc, full or no)", *strategy)
-	}
-
 	// Bind before opening the store: OpenEngine writes an anchor snapshot
 	// into a fresh -data directory, so an unbindable address must fail
 	// while there is still nothing on disk and no WAL handle to release.
@@ -175,7 +165,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "rpqd: pprof on http://%s/debug/pprof/\n", pl.Addr())
 	}
 
-	eopts := rtcshare.Options{Strategy: strat}
+	eopts := rtcshare.Options{}
 	var (
 		engine  *rtcshare.Engine
 		persist *rtcshare.PersistentEngine
@@ -212,7 +202,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "rpqd: graph %s\n", engine.Graph().Stats())
-	fmt.Fprintf(out, "rpqd: serving on http://%s (strategy %s)\n", l.Addr(), *strategy)
+	fmt.Fprintf(out, "rpqd: serving on http://%s at epoch %d\n", l.Addr(), engine.Epoch())
 	err = rtcshare.ServeListener(ctx, l, engine, opts)
 	if persist != nil {
 		// Graceful shutdown: compact the log into a final snapshot so the

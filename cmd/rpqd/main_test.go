@@ -40,7 +40,6 @@ func TestRunFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},                                  // no graph
 		{"-graph", "/does/not/exist"},       // unreadable graph
-		{"-demo", "-strategy", "bogus"},     // bad strategy
 		{"-demo", "-addr", "not-an-addr:x"}, // unbindable address
 		{"-demo", "-addr", "127.0.0.1:0", "-pprof", "not-an-addr:x"}, // unbindable pprof address
 	} {
@@ -51,9 +50,9 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // A stale command line — the sharded cluster's, the coalescing window's,
-// or the cost-based planner's — must fail loudly, with or without the
-// dash: the flags no longer exist, and a dashless typo is not silently
-// dropped.
+// the cost-based planner's or the strategy switch's — must fail loudly,
+// with or without the dash: the flags no longer exist, and a dashless
+// typo is not silently dropped.
 func TestRunRejectsStrayAndRemovedArguments(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -64,6 +63,7 @@ func TestRunRejectsStrayAndRemovedArguments(t *testing.T) {
 		{[]string{"-demo", "-window", "2ms"}, "flag provided but not defined: -window"},
 		{[]string{"-demo", "-no-coalesce"}, "flag provided but not defined: -no-coalesce"},
 		{[]string{"-demo", "-planner", "cost"}, "flag provided but not defined: -planner"},
+		{[]string{"-demo", "-strategy", "full"}, "flag provided but not defined: -strategy"},
 	} {
 		err := run(context.Background(), tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -221,8 +221,9 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // maintenance with its off switch, the joins of their own that ASK and
 // the pair-level Post step had before every consumer drove one
 // per-source producer, the eager closure build and the closure reads
-// of the row kernel that the product-built RTC retired, and the
-// parallel-batch family with its experiment and flag. (Spelled in
+// of the row kernel that the product-built RTC retired, the
+// parallel-batch family with its experiment and flag, the engine's
+// per-request forks, and rpqd's strategy switch. (Spelled in
 // pieces so that a grep for the retired identifiers over the Go sources
 // stays empty.)
 var retiredNames = []*regexp.Regexp{
@@ -257,6 +258,8 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("Evaluate" + "Parallel"),
 	regexp.MustCompile(`fig` + `16\b`),
 	regexp.MustCompile(`(^|[^A-Za-z-])-work` + `ers\b`),
+	regexp.MustCompile(`\.Fo` + `rk\(`),
+	regexp.MustCompile(`rpqd\b.*[^A-Za-z-]-str` + `ategy\b`),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

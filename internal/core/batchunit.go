@@ -77,36 +77,36 @@ func (s *stampSet) add(id int32) bool {
 // resolveUnit resolves a batch unit's inputs through the shared caches:
 // Pre_G (Algorithm 1 line 8, recursive), and R's RTC under RTCSharing or
 // its full closure under Full/NoSharing.
-func (e *engineVersion) resolveUnit(bu rpq.BatchUnit) (preG *pairs.Relation, structure *rtc.RTC, closure *tc.Closure, err error) {
-	if preG, err = e.subEvaluateRel(bu.Pre); err != nil {
+func (c *evalCall) resolveUnit(bu rpq.BatchUnit) (preG *pairs.Relation, structure *rtc.RTC, closure *tc.Closure, err error) {
+	if preG, err = c.subEvaluateRel(bu.Pre); err != nil {
 		return nil, nil, nil, err
 	}
-	if e.opts.Strategy == RTCSharing {
-		structure, err = e.getRTC(bu.R)
+	if c.opts.Strategy == RTCSharing {
+		structure, err = c.getRTC(bu.R)
 	} else {
-		closure, err = e.getFullClosure(bu.R)
+		closure, err = c.getFullClosure(bu.R)
 	}
 	return preG, structure, closure, err
 }
 
 // openClause resolves one planned clause's inputs and returns its
 // producer, which the caller must release.
-func (e *engineVersion) openClause(cp *plan.ClausePlan) (producer, error) {
+func (c *evalCall) openClause(cp *plan.ClausePlan) (producer, error) {
 	if cp.Kind == plan.KindAutomaton {
-		return e.openAutomaton(cp.Clause), nil
+		return c.openAutomaton(cp.Clause), nil
 	}
 	bu := cp.Unit
-	preG, structure, closure, err := e.resolveUnit(bu)
+	preG, structure, closure, err := c.resolveUnit(bu)
 	if err != nil {
 		return nil, err
 	}
 	if structure != nil {
-		return kernelJoin{e.acquireKernel(structure, bu.Type, bu.Post), preG}, nil
+		return kernelJoin{c.acquireKernel(structure, bu.Type, bu.Post), preG}, nil
 	}
-	return e.acquireFull(preG, closure, bu.Type, bu.Post), nil
+	return c.acquireFull(preG, closure, bu.Type, bu.Post), nil
 }
 
-// EvalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
+// evalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
 // the join pipeline of equations (6)–(10) over the RTC, with Post pushed
 // through the condensation — each source's result row is the union of
 // per-component rows over its Pre-ends (rowkernel.go, which maps the
@@ -116,32 +116,33 @@ func (e *engineVersion) openClause(cp *plan.ClausePlan) (producer, error) {
 // wants are its frozen columns, walked in ascending start order with no
 // bucketing pass. The result is emitted straight into exact-size sealed
 // columns. The Post traversals are Remainder time; everything else —
-// the row DFS, the ORs, the emission — is PreJoin. It is exported so
-// benchmarks can measure the join in isolation; query evaluation
-// reaches it through Engine.EvaluateRel. Nothing is cached across calls.
-func (e *engineVersion) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
+// the row DFS, the ORs, the emission — is PreJoin. Engine.EvalBatchUnit
+// exposes it so benchmarks can measure the join in isolation; query
+// evaluation reaches it through Engine.EvaluateRel. Nothing is cached
+// across calls.
+func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	start := time.Now()
-	k := e.acquireKernel(structure, typ, post)
+	k := c.acquireKernel(structure, typ, post)
 	rel, err := k.seal(preG)
 	postNS := k.postNS
-	e.releaseKernel(k)
-	e.addRemainder(postNS)
-	e.addPreJoin(time.Since(start) - postNS)
+	c.releaseKernel(k)
+	c.addRemainder(postNS)
+	c.addPreJoin(time.Since(start) - postNS)
 	return rel, err
 }
 
-// EvalBatchUnitFull is FullSharing's batch-unit evaluation: the same
+// evalBatchUnitFull is FullSharing's batch-unit evaluation: the same
 // logical join Pre_G ⋈ R+_G ⋈ Post_G, driven by fullJoin at vertex-pair
 // level over the full closure. The Post traversals are Remainder time,
 // building the columns is the seal stage, and the rest is PreJoin.
-func (e *engineVersion) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
+func (c *evalCall) evalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	start := time.Now()
-	j := e.acquireFull(preG, closure, typ, post)
-	rel, sealNS, err := e.drain(j)
+	j := c.acquireFull(preG, closure, typ, post)
+	rel, sealNS, err := c.drain(j)
 	postNS := j.postNS
 	j.release()
-	e.addRemainder(postNS)
-	e.addPreJoin(time.Since(start) - postNS - sealNS)
+	c.addRemainder(postNS)
+	c.addPreJoin(time.Since(start) - postNS - sealNS)
 	return rel, err
 }
 
@@ -159,15 +160,15 @@ type drainScratch struct {
 // a lookup — but these producers cannot afford a second traversal.) The
 // copy is the seal stage; drain attributes it and returns its duration
 // so the caller can attribute the rest.
-func (e *engineVersion) drain(p producer) (*pairs.Relation, time.Duration, error) {
-	sc := e.drainPool.Get().(*drainScratch)
-	n := e.g.NumVertices()
+func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
+	sc := c.drainPool.Get().(*drainScratch)
+	n := c.g.NumVertices()
 	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
 			sc.acc.Reset()
 			sc.dsts = sc.dsts[:0]
-			e.drainPool.Put(sc)
+			c.drainPool.Put(sc)
 			return nil, 0, err
 		}
 		if !sc.acc.Empty() {
@@ -180,8 +181,8 @@ func (e *engineVersion) drain(p producer) (*pairs.Relation, time.Duration, error
 	copy(col, sc.dsts)
 	sealNS := time.Since(t0)
 	sc.dsts = sc.dsts[:0]
-	e.drainPool.Put(sc)
-	e.addSeal(sealNS)
+	c.drainPool.Put(sc)
+	c.addSeal(sealNS)
 	return pairs.RelationFromSortedRuns(n, offsets, col), sealNS, nil
 }
 
@@ -198,7 +199,7 @@ func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, err
 		return 0, nil
 	}
 	k := j.k
-	if err := k.v.checkpoint(len(vjs)); err != nil {
+	if err := k.c.checkpoint(len(vjs)); err != nil {
 		return 0, err
 	}
 	work0 := k.work
@@ -209,7 +210,7 @@ func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, err
 	return int64(len(vjs)) + k.work - work0, err
 }
 
-func (j kernelJoin) release() { j.k.v.releaseKernel(j.k) }
+func (j kernelJoin) release() { j.k.c.releaseKernel(j.k) }
 
 // fullJoin is the pair-level producer of FullSharing and NoSharing. For
 // every Pre_G tuple (v_i, v_j) the entire reachable set From(v_j) is
@@ -219,9 +220,11 @@ func (j kernelJoin) release() { j.k.v.releaseKernel(j.k) }
 // of equation (9); the run is then the union of the frontier's Post ends
 // (equation (10)), each EvalRestrictedRPQ(Post, v_k) memoised per join
 // in one flat buffer addressed by spans. One join owns a fullJoin
-// exclusively from acquireFull to release.
+// exclusively from acquireFull to release; c, its call, is set on
+// acquire and cleared on release, so the pool never keeps a finished
+// call's context or timer reachable.
 type fullJoin struct {
-	v       *engineVersion
+	c       *evalCall
 	preG    *pairs.Relation
 	closure *tc.Closure
 	star    bool
@@ -241,13 +244,13 @@ type endSpan struct{ start, end int32 }
 
 // acquireFull checks a pair-level producer out of the version's pool,
 // set up for one join.
-func (e *engineVersion) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) *fullJoin {
-	j := e.fullPool.Get().(*fullJoin)
-	j.v, j.preG, j.closure, j.star = e, preG, closure, typ == rpq.ClosureStar
-	j.seen.ensure(e.g.NumVertices())
+func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) *fullJoin {
+	j := c.fullPool.Get().(*fullJoin)
+	j.c, j.preG, j.closure, j.star = c, preG, closure, typ == rpq.ClosureStar
+	j.seen.ensure(c.g.NumVertices())
 	if _, eps := post.(rpq.Epsilon); !eps {
 		t0 := time.Now()
-		j.postEv, j.evKey = e.acquireEvaluator(post)
+		j.postEv, j.evKey = c.acquireEvaluator(post)
 		if j.endSpans == nil {
 			j.endSpans = make(map[graph.VID]endSpan)
 		}
@@ -257,14 +260,14 @@ func (e *engineVersion) acquireFull(preG *pairs.Relation, closure *tc.Closure, t
 }
 
 func (j *fullJoin) release() {
-	v := j.v
+	c := j.c
 	if j.postEv != nil {
-		v.releaseEvaluator(j.evKey, j.postEv)
+		c.releaseEvaluator(j.evKey, j.postEv)
 	}
 	clear(j.endSpans)
 	j.mids, j.endsBuf = j.mids[:0], j.endsBuf[:0]
-	j.v, j.preG, j.closure, j.postEv, j.evKey, j.postNS = nil, nil, nil, nil, "", 0
-	v.fullPool.Put(j)
+	j.c, j.preG, j.closure, j.postEv, j.evKey, j.postNS = nil, nil, nil, nil, "", 0
+	c.fullPool.Put(j)
 }
 
 func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
@@ -272,8 +275,8 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 	if len(vjs) == 0 {
 		return 0, nil
 	}
-	v := j.v
-	if err := v.checkpoint(len(vjs)); err != nil {
+	c := j.c
+	if err := c.checkpoint(len(vjs)); err != nil {
 		return 0, err
 	}
 	rows := int64(len(vjs))
@@ -288,7 +291,7 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 	}
 	for _, vj := range vjs {
 		from := j.closure.From(vj)
-		if err := v.checkpoint(len(from)); err != nil {
+		if err := c.checkpoint(len(from)); err != nil {
 			return rows, err
 		}
 		rows += int64(len(from))
@@ -313,7 +316,7 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 			j.postNS += time.Since(t0)
 		}
 		ends := j.endsBuf[span.start:span.end]
-		if err := v.checkpoint(len(ends) + 1); err != nil {
+		if err := c.checkpoint(len(ends) + 1); err != nil {
 			return rows, err
 		}
 		rows += int64(len(ends))
@@ -328,19 +331,19 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 // (eval.CandidateStarts). Its cancellation checkpoint is weighted by the
 // ends each traversal adds.
 type automatonJoin struct {
-	v        *engineVersion
+	c        *evalCall
 	ev       *eval.Evaluator
 	evKey    string
 	seedable []bool // nil when every vertex is a candidate start
 	ends     []graph.VID
 }
 
-// openAutomaton returns the producer of closure-free clause c.
-func (e *engineVersion) openAutomaton(c rpq.Expr) *automatonJoin {
-	a := &automatonJoin{v: e}
-	a.ev, a.evKey = e.acquireEvaluator(c)
-	if starts, ok := eval.CandidateStarts(e.g, c); ok {
-		a.seedable = make([]bool, e.g.NumVertices())
+// openAutomaton returns the producer of closure-free clause q.
+func (c *evalCall) openAutomaton(q rpq.Expr) *automatonJoin {
+	a := &automatonJoin{c: c}
+	a.ev, a.evKey = c.acquireEvaluator(q)
+	if starts, ok := eval.CandidateStarts(c.g, q); ok {
+		a.seedable = make([]bool, c.g.NumVertices())
 		for _, vi := range starts {
 			a.seedable[vi] = true
 		}
@@ -354,20 +357,20 @@ func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64,
 	}
 	a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
 	acc.AddAll(a.ends)
-	return int64(len(a.ends)), a.v.checkpoint(len(a.ends) + 1)
+	return int64(len(a.ends)), a.c.checkpoint(len(a.ends) + 1)
 }
 
-func (a *automatonJoin) release() { a.v.releaseEvaluator(a.evKey, a.ev) }
+func (a *automatonJoin) release() { a.c.releaseEvaluator(a.evKey, a.ev) }
 
 // acquireBuilder checks a relation builder over the engine's vertex
 // space out of the pool; the multi-clause union merges through one.
 // Builders return to the pool empty (Seal resets them), keeping their
 // scratch columns warm.
-func (e *engineVersion) acquireBuilder() *pairs.Builder {
-	return e.builderPool.Get().(*pairs.Builder)
+func (v *engineVersion) acquireBuilder() *pairs.Builder {
+	return v.builderPool.Get().(*pairs.Builder)
 }
 
-func (e *engineVersion) releaseBuilder(b *pairs.Builder) {
+func (v *engineVersion) releaseBuilder(b *pairs.Builder) {
 	b.Reset()
-	e.builderPool.Put(b)
+	v.builderPool.Put(b)
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // This file is the engine half of the serving layer's end-to-end
-// cancellation: a context attached to a private fork (the same
-// single-writer discipline as StageTimer) and amortized checkpoints in
-// the loops that dominate evaluation time — closure builds and
-// batch-unit joins. A query whose client walked away stops consuming
-// CPU within one checkpoint interval instead of running to completion.
+// cancellation: a context carried by the call it cancels (evalCall, one
+// goroutine at a time, so its budget needs no synchronisation) and
+// amortized checkpoints in the loops that dominate evaluation time —
+// closure builds and batch-unit joins. A query whose client walked away
+// stops consuming CPU within one checkpoint interval instead of running
+// to completion.
 
 // checkpointRows is the amortized cancellation interval: the context is
 // polled once per this many rows of join or closure work. The budget
@@ -25,53 +26,30 @@ import (
 // automaton traversal).
 const checkpointRows = 4096
 
-// cancelState carries the cooperative-cancellation context of the
-// evaluation running on this engine and its remaining row budget. Like
-// an attached StageTimer it is only ever set on private forks — one
-// evaluation at a time, written and read by that evaluation's single
-// goroutine — so the budget needs no synchronisation.
-type cancelState struct {
-	ctx    context.Context
-	budget int
-}
-
-// setCancel attaches (or, with nil, detaches) a cancellation context to
-// this engine. Must only be used on private forks, before the
-// evaluation starts, by the goroutine that will run it — the discipline
-// EvaluateRelTimedCtx follows.
-func (e *Engine) setCancel(ctx context.Context) {
-	if ctx == nil {
-		e.cancel = nil
-		return
-	}
-	e.cancel = &cancelState{ctx: ctx, budget: checkpointRows}
-}
-
-// checkpoint spends n rows of the cancellation budget and polls the
-// attached context when the budget runs out, returning its error to
-// abort the evaluation. With no context attached (every evaluation not
-// started by a Ctx entry point) it is a nil check.
-func (sh *engineShared) checkpoint(n int) error {
-	cs := sh.cancel
-	if cs == nil {
+// checkpoint spends n rows of the call's cancellation budget and polls
+// its context when the budget runs out, returning the context's error to
+// abort the evaluation. With no context attached (every call not started
+// by a Ctx entry point or a stream) it is a nil check.
+func (c *evalCall) checkpoint(n int) error {
+	if c.ctx == nil {
 		return nil
 	}
-	cs.budget -= n
-	if cs.budget > 0 {
+	c.budget -= n
+	if c.budget > 0 {
 		return nil
 	}
-	cs.budget = checkpointRows
-	return cs.ctx.Err()
+	c.budget = checkpointRows
+	return c.ctx.Err()
 }
 
-// checkpointFn adapts the engine's checkpoint for the structure builds
+// checkpointFn adapts the call's checkpoint for the structure builds
 // (rtc.FromProduct, tc.BFSCheck); nil when no context is attached, so an
 // uncancellable build pays nothing at all.
-func (sh *engineShared) checkpointFn() func(rows int) error {
-	if sh.cancel == nil {
+func (c *evalCall) checkpointFn() func(rows int) error {
+	if c.ctx == nil {
 		return nil
 	}
-	return sh.checkpoint
+	return c.checkpoint
 }
 
 // QueryPanicError reports a panic recovered during the evaluation of a
@@ -97,17 +75,18 @@ func (e *QueryPanicError) Error() string {
 }
 
 // recoverPanic converts an in-flight panic into a *QueryPanicError via
-// the enclosing function's named error return. It must be deferred
-// directly — recover only works when called by the deferred function
-// itself, so wrapping it in another closure silently disables it:
+// the enclosing function's named error return; q's text is built only
+// when there is a panic. It must be deferred directly — recover only
+// works when called by the deferred function itself, so wrapping it in
+// another closure silently disables it:
 //
-//	defer recoverPanic(key, &err)
+//	defer recoverPanic(q, &err)
 //
 // When the deferred function also needs cleanup work, call recover
 // yourself and hand the value to asPanicError instead.
-func recoverPanic(query string, err *error) {
+func recoverPanic(q rpq.Expr, err *error) {
 	if r := recover(); r != nil {
-		*err = &QueryPanicError{Query: query, Value: r, Stack: debug.Stack()}
+		*err = &QueryPanicError{Query: q.String(), Value: r, Stack: debug.Stack()}
 	}
 }
 
@@ -116,28 +95,26 @@ func recoverPanic(query string, err *error) {
 // recoverPanic for deferred closures that have cleanup of their own:
 // they must call recover directly (a nested call would return nil and
 // let the panic escape) and then delegate the conversion here.
-func asPanicError(query string, r any, err *error) {
+func asPanicError(q rpq.Expr, r any, err *error) {
 	if r != nil {
-		*err = &QueryPanicError{Query: query, Value: r, Stack: debug.Stack()}
+		*err = &QueryPanicError{Query: q.String(), Value: r, Stack: debug.Stack()}
 	}
 }
 
 // SetEvalHook installs a hook called with the canonical query text at
 // the start of every EvaluateRel-pipeline or ExplainAnalyze evaluation
-// on this engine and every fork created afterwards. It exists for fault injection: the
-// chaos tests and the panic-isolation storm make the hook panic for
-// chosen query strings to prove the recovery and quarantine machinery.
-// Install before the engine starts serving; the hook is copied, not
-// synchronised.
+// on this engine. It exists for fault injection: the chaos tests and
+// the panic-isolation storm make the hook panic for chosen query
+// strings to prove the recovery and quarantine machinery. Install
+// before the engine starts serving; the hook is not synchronised.
 func (e *Engine) SetEvalHook(hook func(query string)) {
 	e.evalHook = hook
 }
 
 // EvaluateRelTimedCtx is EvaluateRelEpoch with per-stage attribution
-// into st and cooperative cancellation: the evaluation runs on a private
-// fork — so the timer and the context have exactly one writer — with ctx
-// attached, aborting at the next checkpoint once ctx is done, and the
-// fork's Stats fold back into the receiver. Either ctx or st may be nil.
+// into st and cooperative cancellation: the call carries ctx and st —
+// so the timer and the context have exactly one writer — and aborts at
+// the next checkpoint once ctx is done. Either ctx or st may be nil.
 // Panics during the evaluation are recovered into a *QueryPanicError, so
 // a /query that crashes the evaluator fails alone. This is the serving
 // layer's cold-query entry point.
@@ -147,15 +124,8 @@ func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageT
 			return nil, e.Epoch(), cerr
 		}
 	}
-	worker := e.Fork()
-	worker.setCancel(ctx)
-	worker.setStages(st)
-	defer func() {
-		r := recover()
-		worker.setStages(nil)
-		e.absorb(worker)
-		asPanicError(q.String(), r, &err)
-	}()
-	rel, epoch, err = worker.EvaluateRelEpoch(q)
-	return rel, epoch, err
+	defer recoverPanic(q, &err)
+	c := e.call(ctx, st)
+	rel, err = c.evaluate(q)
+	return rel, c.epoch, err
 }

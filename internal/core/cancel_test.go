@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rtcshare/internal/datagen"
+	"rtcshare/internal/eval"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -171,9 +173,8 @@ func TestFullJoinCancelInsideRun(t *testing.T) {
 		run  func(cc *countingCtx) error
 	}{
 		{"sealed", func(cc *countingCtx) error {
-			w := New(g, Options{Strategy: FullSharing}).Fork()
-			w.setCancel(cc)
-			_, err := w.EvalBatchUnitFull(preG, closure, rpq.ClosurePlus, rpq.Epsilon{})
+			c := New(g, Options{Strategy: FullSharing}).call(cc, nil)
+			_, err := c.evalBatchUnitFull(preG, closure, rpq.ClosurePlus, rpq.Epsilon{})
 			return err
 		}},
 		{"stream", func(cc *countingCtx) error {
@@ -294,8 +295,8 @@ func TestPanicIsolatedToQuery(t *testing.T) {
 
 // TestExplainAnalyzeCtxGuards: the serving entry point of EXPLAIN ANALYZE
 // refuses a done context before any work, stops a running analysis at a
-// checkpoint, recovers a panic into *QueryPanicError, and folds the
-// fork's accounting back into the engine.
+// checkpoint, recovers a panic into *QueryPanicError, and counts each
+// analysis that started on the engine.
 func TestExplainAnalyzeCtxGuards(t *testing.T) {
 	e := New(fixtures.Figure1(), Options{})
 	poison := "a.b"
@@ -325,5 +326,71 @@ func TestExplainAnalyzeCtxGuards(t *testing.T) {
 	cc := &countingCtx{Context: context.Background(), failAfter: 2}
 	if _, err := heavy.ExplainAnalyzeCtx(cc, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-run: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestConcurrentCallsKeepOwnState: eight cold queries run at once on
+// one engine, so every call shares the engine's version — its pools,
+// free lists and planner — and each must still keep its own context,
+// stage timer and memo. The four whose context cancels after a few
+// polls fail with context.Canceled; the four others, sharing
+// sub-queries with them, match the reference, and each one's stages sum
+// to a positive time no longer than its own wall.
+func TestConcurrentCallsKeepOwnState(t *testing.T) {
+	// Small enough for the reference, large enough that each cancelled
+	// query's own join polls its context a dozen times even when every
+	// structure it needs is already cached.
+	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 300, Edges: 1800, Labels: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g, Options{})
+	cancelled := []string{"(l0|l1)+.(l1|l2)+", "(l1|l2)+.(l0|l2)+", "(l0|l2)+.(l0|l1)+", "(l0|l1|l2)+"}
+	served := []string{"l0.(l1)+.l2", "l2.(l0|l1)+", "l1.(l2.l0)+", "(l0|l1)+.l2"}
+
+	var wg sync.WaitGroup
+	errs := make([]error, len(cancelled))
+	for i, q := range cancelled {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cc := &countingCtx{Context: context.Background(), failAfter: 2}
+			_, _, errs[i] = e.EvaluateRelTimedCtx(cc, rpq.MustParse(q), nil)
+		}()
+	}
+	rels := make([]*pairs.Relation, len(served))
+	rerrs := make([]error, len(served))
+	stages := make([]StageTimer, len(served))
+	walls := make([]time.Duration, len(served))
+	for i, q := range served {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			rels[i], _, rerrs[i] = e.EvaluateRelTimedCtx(context.Background(), rpq.MustParse(q), &stages[i])
+			walls[i] = time.Since(t0)
+		}()
+	}
+	wg.Wait()
+
+	for i, q := range cancelled {
+		if !errors.Is(errs[i], context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", q, errs[i])
+		}
+	}
+	for i, q := range served {
+		if rerrs[i] != nil {
+			t.Errorf("%s: %v", q, rerrs[i])
+			continue
+		}
+		if want := eval.Reference(g, rpq.MustParse(q)); !rels[i].EqualSet(want) {
+			t.Errorf("%s: %d pairs, reference has %d", q, rels[i].Len(), want.Len())
+		}
+		if sum := stages[i].Sum(); sum <= 0 || sum > walls[i] {
+			t.Errorf("%s: stages sum to %v, want in (0, %v]: %+v", q, sum, walls[i], stages[i])
+		}
+	}
+	if cc := e.Cache().Counters(); cc.CrossEpochHits != 0 {
+		t.Errorf("cross-epoch hits: %d", cc.CrossEpochHits)
 	}
 }

@@ -25,10 +25,11 @@
 // and any number of goroutines calling one engine — can share one cache.
 // An Engine is safe for concurrent use: its timing split and summaries
 // are mutex-guarded, and automaton-product evaluators (which carry
-// mutable traversal scratch) are checked out of a per-engine free list,
-// never shared between two running evaluations. The timed, cancellable
-// and streaming entry points run on private forks of the receiver; a
-// fork shares the receiver's cache and folds its Stats back into it.
+// mutable traversal scratch) are checked out of a per-version free list,
+// never shared between two running evaluations. Every evaluation at one
+// graph epoch runs on the engine's one version of it; what belongs to a
+// single call — its context, its stage timer, its overflow memo — rides
+// in an evalCall that only that call's goroutine touches.
 //
 // # Dynamic graphs
 //
@@ -37,8 +38,8 @@
 // graph version, advances the SharedCache's epoch (carrying or dropping
 // each cached structure) and atomically swaps the engine onto
 // the new version. Everything whose lifetime is bounded by one graph
-// version — the graph itself, sub-result memos, evaluator free lists,
-// join-scratch and builder pools, the planner with its statistics —
+// version — the graph itself, evaluator free lists, join-scratch and
+// builder pools, the planner with its statistics —
 // lives in an engineVersion; an evaluation pins one version at entry and
 // uses it throughout, so every result is computed entirely against a
 // single graph epoch even while updates land concurrently. The
@@ -47,6 +48,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -126,8 +128,8 @@ type Stats struct {
 // Total returns the full query response time.
 func (s Stats) Total() time.Duration { return s.SharedData + s.PreJoin + s.Remainder }
 
-// Add folds other into s — how a private fork's split returns to the
-// engine it was forked from once its evaluation ends.
+// Add folds other into s — how a caller sums the splits of several
+// engines or runs.
 func (s *Stats) Add(other Stats) {
 	s.SharedData += other.SharedData
 	s.PreJoin += other.PreJoin
@@ -180,49 +182,28 @@ type engineShared struct {
 	opts  Options
 	cache *SharedCache
 
-	// mu guards stats, summaries and stages.
+	// mu guards stats and summaries.
 	mu        sync.Mutex
 	stats     Stats
 	summaries map[string]summaryEntry
 
-	// stages, when non-nil, receives the per-stage breakdown of the
-	// evaluation running on this engine. It is only ever attached to
-	// private forks (one evaluation at a time), so each timer has a
-	// single writer; see StageTimer.
-	stages *StageTimer
-
-	// cancel, when non-nil, is the cooperative-cancellation state of the
-	// evaluation running on this engine. Like stages it is only ever
-	// attached to private forks (one evaluation, one goroutine), so it
-	// is read in the join and closure hot loops without locking; see
-	// cancel.go.
-	cancel *cancelState
-
 	// evalHook, when non-nil, runs at the start of every
 	// EvaluateRel-pipeline or ExplainAnalyze evaluation — the
-	// fault-injection seam the panic-isolation tests use. Copied to
-	// forks; install via SetEvalHook before serving starts.
+	// fault-injection seam the panic-isolation tests use. Install via
+	// SetEvalHook before serving starts.
 	evalHook func(query string)
 }
 
 // engineVersion is everything whose lifetime is bounded by one graph
 // version. An evaluation loads the engine's current version once and
 // uses it end to end, so a concurrent ApplyUpdates never mixes graph
-// epochs within one query. The embedded *engineShared routes timing and
-// summary accounting back to the owning engine.
+// epochs within one query. Every evaluation at the version's epoch
+// shares it. The embedded *engineShared routes timing and summary
+// accounting back to the owning engine.
 type engineVersion struct {
 	*engineShared
 	g     *graph.Graph
 	epoch uint64
-
-	// subMu guards subRels, the executor's *overflow* memo: sealed
-	// relations normally memoise in the SharedCache's relation region,
-	// shared across engines, but when the region's budget declines
-	// retention the version keeps the relation here — bounded by the
-	// version's lifetime — so a full shared region degrades to per-engine
-	// memoisation, never to recomputing every batch unit.
-	subMu   sync.Mutex
-	subRels map[string]*pairs.Relation
 
 	// kernelPool holds the row kernels of the RTCSharing producer,
 	// fullPool the pair-level producers of Full/NoSharing, drainPool the
@@ -251,10 +232,12 @@ type engineVersion struct {
 }
 
 // Engine evaluates regular path queries over one (updatable) graph with
-// one strategy. It is safe for concurrent use; engines created with
-// NewWithCache or Fork additionally share their closure structures with
-// each other. ApplyUpdates mutates the graph between query batches —
-// see update.go.
+// one strategy. It is safe for concurrent use: every call at one graph
+// epoch shares the engine's version of it, and carries its own context,
+// stage timer and overflow memo in an evalCall. Engines created with
+// NewWithCache additionally share their closure structures with each
+// other. ApplyUpdates mutates the graph between query batches — see
+// update.go.
 type Engine struct {
 	engineShared
 
@@ -302,7 +285,6 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 		engineShared: sh,
 		g:            g,
 		epoch:        epoch,
-		subRels:      make(map[string]*pairs.Relation),
 		evalFree:     make(map[string][]*eval.Evaluator),
 	}
 	v.kernelPool.New = func() any { return &rowKernel{} }
@@ -315,31 +297,39 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 // version pins the engine's current graph version.
 func (e *Engine) version() *engineVersion { return e.ver.Load() }
 
-// Fork returns a new engine over the same graph version and options,
-// sharing the receiver's SharedCache but nothing else: the fork has zero
-// Stats, its own summaries, and its own evaluator free list. Forks are
-// the cheap way to give one evaluation — a timed or cancellable request,
-// a stream, a batch worker — its own engine while keeping one
-// process-wide cache. A fork pins the graph version current at fork
-// time: updates applied to the parent afterwards do not propagate to it.
-func (e *Engine) Fork() *Engine {
-	return e.forkVersion(e.version())
+// evalCall is the state of one call into the engine: the graph version
+// it pinned at entry, its cancellation context and checkpoint budget,
+// its stage timer and its overflow memo. Every call at one epoch shares
+// the version — its pools, free lists and planner — while the call
+// itself is driven by one goroutine at a time, so nothing in it is
+// locked. Stats and summaries still go to the engine under its mutex.
+type evalCall struct {
+	*engineVersion
+
+	// ctx, when non-nil, is polled each time budget rows of join or
+	// closure work run out; see checkpoint.
+	ctx    context.Context
+	budget int
+
+	// stages, when non-nil, receives the call's per-stage breakdown.
+	stages *StageTimer
+
+	// overflow keeps the sealed relations the relation region's budget
+	// declined, for the rest of this call only, so a full region still
+	// seals a sub-query shared by two clauses once. Holding them longer
+	// on a shared version would keep them past the region's budget until
+	// the next update. Allocated on first use.
+	overflow map[string]*pairs.Relation
 }
 
-// forkVersion is Fork pinned to an explicit version — how
-// EvaluateBatchParallelRel gives every worker of one batch the same graph
-// epoch.
-func (e *Engine) forkVersion(v *engineVersion) *Engine {
-	f := &Engine{
-		engineShared: engineShared{
-			opts:      e.opts,
-			cache:     e.cache,
-			summaries: make(map[string]summaryEntry),
-			evalHook:  e.evalHook,
-		},
+// call pins the engine's current version for one call, with ctx and st
+// attached; either may be nil.
+func (e *Engine) call(ctx context.Context, st *StageTimer) *evalCall {
+	c := &evalCall{engineVersion: e.version(), stages: st}
+	if ctx != nil {
+		c.ctx, c.budget = ctx, checkpointRows
 	}
-	f.ver.Store(newEngineVersion(&f.engineShared, v.g, v.epoch))
-	return f
+	return c
 }
 
 // Graph returns the engine's current graph version.
@@ -378,9 +368,6 @@ func (e *Engine) ClearCaches() {
 	e.summaries = make(map[string]summaryEntry)
 	e.mu.Unlock()
 	v := e.version()
-	v.subMu.Lock()
-	v.subRels = make(map[string]*pairs.Relation)
-	v.subMu.Unlock()
 	v.evalMu.Lock()
 	v.evalFree = make(map[string][]*eval.Evaluator)
 	v.evalMu.Unlock()
@@ -437,12 +424,9 @@ func (e *Engine) EvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 // hooks: a server stamps each response with the epoch so clients can
 // tell when two pages of one result straddled an update.
 func (e *Engine) EvaluateRelEpoch(q rpq.Expr) (*pairs.Relation, uint64, error) {
-	e.mu.Lock()
-	e.stats.Queries++
-	e.mu.Unlock()
-	v := e.version()
-	rel, err := v.evaluateRel(q)
-	return rel, v.epoch, err
+	c := e.call(nil, nil)
+	rel, err := c.evaluate(q)
+	return rel, c.epoch, err
 }
 
 // CachedResult returns the memoised top-level result of q at the
@@ -456,52 +440,52 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	if !v.shouldCache() {
 		return nil, 0, false
 	}
-	key := q.String()
-	v.subMu.Lock()
-	rel, ok := v.subRels[key]
-	v.subMu.Unlock()
-	if !ok {
-		val, found := e.cache.LookupRelation(v.epoch, key)
-		if !found {
-			return nil, 0, false
-		}
-		rel = val.(*pairs.Relation)
+	val, found := e.cache.LookupRelation(v.epoch, q.String())
+	if !found {
+		return nil, 0, false
 	}
 	e.mu.Lock()
 	e.stats.Queries++
 	e.mu.Unlock()
-	return rel, v.epoch, true
+	return val.(*pairs.Relation), v.epoch, true
 }
 
-// evaluateRel runs the EvaluateRel pipeline entirely against this
-// pinned version.
-func (v *engineVersion) evaluateRel(q rpq.Expr) (*pairs.Relation, error) {
-	if v.evalHook != nil {
-		v.evalHook(q.String())
+// evaluate runs the EvaluateRel pipeline for q on this call.
+func (c *evalCall) evaluate(q rpq.Expr) (*pairs.Relation, error) {
+	c.begin(q)
+	return c.evaluateRelCached(q)
+}
+
+// begin counts one top-level query and runs the eval hook on it.
+func (c *evalCall) begin(q rpq.Expr) {
+	c.mu.Lock()
+	c.stats.Queries++
+	c.mu.Unlock()
+	if c.evalHook != nil {
+		c.evalHook(q.String())
 	}
-	return v.evaluateRelCached(q)
 }
 
 // EvalBatchUnit exposes the columnar Algorithm 2 join on the engine's
-// current graph version; see engineVersion.EvalBatchUnit. Inputs over
+// current graph version; see evalCall.evalBatchUnit. Inputs over
 // another vertex space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	v := e.version()
-	if err := v.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
+	c := e.call(nil, nil)
+	if err := c.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
 		return nil, err
 	}
-	return v.EvalBatchUnit(preG, structure, typ, post)
+	return c.evalBatchUnit(preG, structure, typ, post)
 }
 
 // EvalBatchUnitFull exposes FullSharing's pair-level join; see
-// engineVersion.EvalBatchUnitFull. Inputs over another vertex space than
+// evalCall.evalBatchUnitFull. Inputs over another vertex space than
 // the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	v := e.version()
-	if err := v.checkSpaces(preG, closure.NumVertices()); err != nil {
+	c := e.call(nil, nil)
+	if err := c.checkSpaces(preG, closure.NumVertices()); err != nil {
 		return nil, err
 	}
-	return v.EvalBatchUnitFull(preG, closure, typ, post)
+	return c.evalBatchUnitFull(preG, closure, typ, post)
 }
 
 // checkSpaces verifies, before a join starts, that Pre_G and the closure
@@ -519,80 +503,74 @@ func (v *engineVersion) checkSpaces(preG *pairs.Relation, structureVertices int)
 }
 
 // addShared, addPreJoin and addRemainder attribute elapsed time to the
-// three-part split under the stats lock; when a StageTimer is attached
-// they additionally attribute to the matching per-request stage
-// (closure-build, join, other). addPlan and addSeal are addRemainder
-// with a finer stage — planning and relation sealing still count as
-// Remainder in the paper's split, but the latency breakdown keeps them
-// apart.
-func (sh *engineShared) addShared(d time.Duration) {
-	sh.mu.Lock()
-	sh.stats.SharedData += d
-	if sh.stages != nil {
-		sh.stages.ClosureBuildNS += d.Nanoseconds()
+// engine's three-part split under the stats lock; when the call has a
+// StageTimer they also attribute it to the matching per-request stage
+// (closure-build, join, other), which only this call writes. addPlan
+// and addSeal are addRemainder with a finer stage — planning and
+// relation sealing still count as Remainder in the paper's split, but
+// the latency breakdown keeps them apart. They run once per clause or
+// structure, never per row.
+func (c *evalCall) addShared(d time.Duration) {
+	c.addSplit(&c.stats.SharedData, d)
+	if c.stages != nil {
+		c.stages.ClosureBuildNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
-func (sh *engineShared) addPreJoin(d time.Duration) {
-	sh.mu.Lock()
-	sh.stats.PreJoin += d
-	if sh.stages != nil {
-		sh.stages.JoinNS += d.Nanoseconds()
+func (c *evalCall) addPreJoin(d time.Duration) {
+	c.addSplit(&c.stats.PreJoin, d)
+	if c.stages != nil {
+		c.stages.JoinNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
-func (sh *engineShared) addRemainder(d time.Duration) {
-	sh.mu.Lock()
-	sh.stats.Remainder += d
-	if sh.stages != nil {
-		sh.stages.OtherNS += d.Nanoseconds()
+func (c *evalCall) addRemainder(d time.Duration) {
+	c.addSplit(&c.stats.Remainder, d)
+	if c.stages != nil {
+		c.stages.OtherNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
-func (sh *engineShared) addPlan(d time.Duration) {
-	sh.mu.Lock()
-	sh.stats.Remainder += d
-	if sh.stages != nil {
-		sh.stages.PlanNS += d.Nanoseconds()
+func (c *evalCall) addPlan(d time.Duration) {
+	c.addSplit(&c.stats.Remainder, d)
+	if c.stages != nil {
+		c.stages.PlanNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
-func (sh *engineShared) addSeal(d time.Duration) {
-	sh.mu.Lock()
-	sh.stats.Remainder += d
-	if sh.stages != nil {
-		sh.stages.SealNS += d.Nanoseconds()
+func (c *evalCall) addSeal(d time.Duration) {
+	c.addSplit(&c.stats.Remainder, d)
+	if c.stages != nil {
+		c.stages.SealNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
+}
+
+// addSplit adds d to one part of the engine's split under its lock.
+func (c *evalCall) addSplit(part *time.Duration, d time.Duration) {
+	c.mu.Lock()
+	*part += d
+	c.mu.Unlock()
 }
 
 // stageClosureWait attributes time spent waiting on another
 // goroutine's in-flight closure computation (a singleflight hit) to
 // the closure-build stage of the waiter's request — without touching
-// Stats, where the computing engine already accounted the work. The
+// Stats, where the computing call already accounted the work. The
 // waiter's wall clock really did pass here, so the per-request
 // breakdown must see it even though the three-part split must not.
-func (sh *engineShared) stageClosureWait(d time.Duration) {
-	sh.mu.Lock()
-	if sh.stages != nil {
-		sh.stages.ClosureBuildNS += d.Nanoseconds()
+func (c *evalCall) stageClosureWait(d time.Duration) {
+	if c.stages != nil {
+		c.stages.ClosureBuildNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
 // stageOtherWait is stageClosureWait for sub-relation memo boundaries:
 // wall time a waiter spent on a relation-region singleflight (or a
 // warm memo probe), attributed to Other without double-counting Stats.
-func (sh *engineShared) stageOtherWait(d time.Duration) {
-	sh.mu.Lock()
-	if sh.stages != nil {
-		sh.stages.OtherNS += d.Nanoseconds()
+func (c *evalCall) stageOtherWait(d time.Duration) {
+	if c.stages != nil {
+		c.stages.OtherNS += d.Nanoseconds()
 	}
-	sh.mu.Unlock()
 }
 
 // countLookup records a shared-structure cache hit or miss plus the

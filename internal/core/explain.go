@@ -102,22 +102,35 @@ func (e *Engine) ExplainAnalyzeQuery(q string) (*Plan, error) {
 // evaluation: it counts as a query, populates caches, and costs what the
 // query costs.
 func (e *Engine) ExplainAnalyze(q rpq.Expr) (*Plan, error) {
-	e.mu.Lock()
-	e.stats.Queries++
-	e.mu.Unlock()
-	v := e.version()
-	if v.evalHook != nil {
-		v.evalHook(q.String())
-	}
+	return e.call(nil, nil).explainAnalyze(q)
+}
 
+// ExplainAnalyzeCtx is ExplainAnalyze with cooperative cancellation: the
+// call carries ctx (which may be nil) and aborts at the next checkpoint
+// once ctx is done, and a panic during it is recovered into a
+// *QueryPanicError. It is the serving layer's /explain?analyze=1 entry
+// point, guarded like EvaluateRelTimedCtx.
+func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, q rpq.Expr) (p *Plan, err error) {
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+	}
+	defer recoverPanic(q, &err)
+	return e.call(ctx, nil).explainAnalyze(q)
+}
+
+// explainAnalyze is ExplainAnalyze on this call.
+func (c *evalCall) explainAnalyze(q rpq.Expr) (*Plan, error) {
+	c.begin(q)
 	var obs planObserver
 	start := time.Now()
-	rel, err := v.evaluatePlanned(q, &obs)
+	rel, err := c.evaluatePlanned(q, &obs)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	p := v.describePlan(obs.plan)
+	p := c.describePlan(obs.plan)
 	p.Analyzed = true
 	p.ActualResultPairs = rel.Len()
 	p.ActualTime = elapsed
@@ -130,31 +143,9 @@ func (e *Engine) ExplainAnalyze(q rpq.Expr) (*Plan, error) {
 	return p, nil
 }
 
-// ExplainAnalyzeCtx is ExplainAnalyze with cooperative cancellation: the
-// query runs on a private fork with ctx (which may be nil) attached,
-// aborting at the next checkpoint once ctx is done, and a panic during
-// it is recovered into a *QueryPanicError. It is the serving layer's
-// /explain?analyze=1 entry point, guarded like EvaluateRelTimedCtx.
-func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, q rpq.Expr) (p *Plan, err error) {
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	worker := e.Fork()
-	worker.setCancel(ctx)
-	defer func() {
-		r := recover()
-		worker.setCancel(nil)
-		e.absorb(worker)
-		asPanicError(q.String(), r, &err)
-	}()
-	return worker.ExplainAnalyze(q)
-}
-
 // describePlan renders a logical QueryPlan into the public Plan form.
-func (e *engineVersion) describePlan(qp *plan.QueryPlan) *Plan {
-	p := &Plan{Query: qp.Query.String(), Strategy: e.opts.Strategy}
+func (v *engineVersion) describePlan(qp *plan.QueryPlan) *Plan {
+	p := &Plan{Query: qp.Query.String(), Strategy: v.opts.Strategy}
 	for _, cp := range qp.Clauses {
 		bu := cp.Unit
 		pc := PlanClause{

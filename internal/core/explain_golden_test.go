@@ -148,7 +148,7 @@ func TestExecClauseAutomatonBypass(t *testing.T) {
 		Kind:   plan.KindAutomaton,
 		Unit:   rpq.Decompose(clause),
 	}
-	got, act, err := e.version().execClause(&cp)
+	got, act, err := e.call(nil, nil).execClause(&cp)
 	if err != nil {
 		t.Fatal(err)
 	}

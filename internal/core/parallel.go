@@ -13,13 +13,13 @@ import (
 // goroutines and returns the sealed results in input order, plus the
 // graph epoch the whole batch was pinned to.
 //
-// Every worker is a fork of the receiver pinned to the graph version
-// current when the call starts, so even if ApplyUpdates lands mid-batch
-// all results of one call describe a single graph epoch. The forks share
-// the receiver's cache — each distinct closure sub-query is still
-// computed once, the singleflight making racing workers wait instead of
-// recompute — and fold their Stats back into the receiver before the
-// call returns. workers ≤ 0 uses GOMAXPROCS.
+// Every worker runs its queries on one call of its own, all pinned to
+// the graph version current when the batch starts, so even if
+// ApplyUpdates lands mid-batch all results of one batch describe a
+// single graph epoch. The workers share the engine's cache — each
+// distinct closure sub-query is still computed once, the singleflight
+// making racing workers wait instead of recompute — and account to its
+// Stats. workers ≤ 0 uses GOMAXPROCS.
 //
 // The first error aborts the batch and is returned; queries already
 // completed are discarded. A panic while evaluating one query is
@@ -44,17 +44,16 @@ func (e *Engine) EvaluateBatchParallelRel(qs []rpq.Expr, workers int) ([]*pairs.
 		wg      sync.WaitGroup
 	)
 	for w := range workers {
-		worker := e.forkVersion(pinned)
+		c := &evalCall{engineVersion: pinned}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer e.absorb(worker)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || aborted.Load() {
 					return
 				}
-				rel, err := evaluateRecovered(worker, qs[i])
+				rel, err := c.evaluateRecovered(qs[i])
 				if err != nil {
 					errs[w] = err
 					aborted.Store(true)
@@ -73,24 +72,9 @@ func (e *Engine) EvaluateBatchParallelRel(qs []rpq.Expr, workers int) ([]*pairs.
 	return results, pinned.epoch, nil
 }
 
-// evaluateRecovered is EvaluateRel with a panic recovered into a
+// evaluateRecovered is evaluate with a panic recovered into a
 // *QueryPanicError.
-func evaluateRecovered(worker *Engine, q rpq.Expr) (rel *pairs.Relation, err error) {
-	defer recoverPanic(q.String(), &err)
-	return worker.EvaluateRel(q)
-}
-
-// absorb folds a finished worker's stats and summaries into e.
-func (e *Engine) absorb(worker *Engine) {
-	worker.mu.Lock()
-	ws := worker.stats
-	wsum := worker.summaries
-	worker.mu.Unlock()
-
-	e.mu.Lock()
-	e.stats.Add(ws)
-	for k, s := range wsum {
-		e.summaries[k] = s
-	}
-	e.mu.Unlock()
+func (c *evalCall) evaluateRecovered(q rpq.Expr) (rel *pairs.Relation, err error) {
+	defer recoverPanic(q, &err)
+	return c.evaluate(q)
 }

@@ -200,13 +200,13 @@ func TestConcurrentEvaluateOnOneEngine(t *testing.T) {
 	}
 }
 
-// TestForkedEnginesShareCache pins the Fork contract: a structure
-// computed through one fork is a hit on its sibling, and both report it
-// in their summaries.
+// TestForkedEnginesShareCache pins the shared-cache contract: a
+// structure computed through one engine is a hit on a second engine
+// over the same cache, and both report it in their summaries.
 func TestForkedEnginesShareCache(t *testing.T) {
 	g := stressGraph(t, 19)
 	parent := New(g, Options{})
-	a, b := parent.Fork(), parent.Fork()
+	a, b := NewWithCache(g, Options{}, parent.Cache()), NewWithCache(g, Options{}, parent.Cache())
 
 	if _, err := a.EvaluateQuery("l0.(l1.l2)+.l3"); err != nil {
 		t.Fatal(err)
@@ -215,15 +215,15 @@ func TestForkedEnginesShareCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := a.Stats(); st.CacheMisses != 1 || st.CacheHits != 0 {
-		t.Errorf("fork a stats = %+v, want 1 miss / 0 hits", st)
+		t.Errorf("engine a stats = %+v, want 1 miss / 0 hits", st)
 	}
 	if st := b.Stats(); st.CacheMisses != 0 || st.CacheHits != 1 {
-		t.Errorf("fork b stats = %+v, want 0 misses / 1 hit", st)
+		t.Errorf("engine b stats = %+v, want 0 misses / 1 hit", st)
 	}
 	for name, e := range map[string]*Engine{"a": a, "b": b} {
 		sums := e.SharedSummaries()
 		if len(sums) != 1 || sums[0].R != "l1.l2" {
-			t.Errorf("fork %s summaries = %+v, want exactly R=l1.l2", name, sums)
+			t.Errorf("engine %s summaries = %+v, want exactly R=l1.l2", name, sums)
 		}
 	}
 }
@@ -306,16 +306,16 @@ func TestCacheHoldsOnlyStructures(t *testing.T) {
 	}
 	cc := e.Cache().Counters()
 	if cc.Entries != 1 {
-		t.Errorf("cache entries = %d, want 1 (the RTC only; sub-results are per-engine)", cc.Entries)
+		t.Errorf("cache entries = %d, want 1 (the RTC only; sub-results live in the relation region)", cc.Entries)
 	}
 	if _, ok := e.Cache().Lookup(0, nsRTC+"l1.l2"); !ok {
 		t.Errorf("RTC for l1.l2 not in the cache")
 	}
 
-	// A fork shares the whole relation region: the repeated query is
-	// answered from the memoised result relation, so the fork performs
-	// no structure lookup at all.
-	f := e.Fork()
+	// A second engine over the same cache shares the whole relation
+	// region: the repeated query is answered from the memoised result
+	// relation, so it performs no structure lookup at all.
+	f := NewWithCache(g, Options{}, e.Cache())
 	relHits := e.Cache().Counters().RelHits
 	res, err := f.EvaluateQuery("l0.(l1.l2)+.l3")
 	if err != nil {
@@ -323,13 +323,13 @@ func TestCacheHoldsOnlyStructures(t *testing.T) {
 	}
 	want, err := New(g, Options{}).EvaluateQuery("l0.(l1.l2)+.l3")
 	if err != nil || !res.Equal(want) {
-		t.Fatalf("forked engine result differs: %v", err)
+		t.Fatalf("cache-sharing engine result differs: %v", err)
 	}
 	if st := f.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Errorf("fork stats = %+v, want no structure lookups (result relation reused)", st)
+		t.Errorf("cache-sharing engine stats = %+v, want no structure lookups (result relation reused)", st)
 	}
 	if got := e.Cache().Counters().RelHits; got <= relHits {
-		t.Errorf("RelHits = %d, want > %d (fork served from the relation region)", got, relHits)
+		t.Errorf("RelHits = %d, want > %d (second engine served from the relation region)", got, relHits)
 	}
 }
 

@@ -86,9 +86,11 @@ type rowFrame struct{ s, pos int32 }
 
 // rowKernel is the pooled state of one forward join: the component memo,
 // the word store behind the rows, and the scratch of one source's run.
-// One join owns a kernel exclusively from acquireKernel to releaseKernel.
+// One join owns a kernel exclusively from acquireKernel to releaseKernel;
+// c, its call, is set on acquire and cleared on release, so the pool
+// never keeps a finished call's context or timer reachable.
 type rowKernel struct {
-	v      *engineVersion
+	c      *evalCall
 	rtc    *rtc.RTC
 	cond   *graph.DiGraph
 	star   bool
@@ -138,10 +140,10 @@ type rowKernel struct {
 
 // acquireKernel checks a row kernel out of the version's pool, set up
 // for one join over structure.
-func (e *engineVersion) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) *rowKernel {
-	k := e.kernelPool.Get().(*rowKernel)
-	n := e.g.NumVertices()
-	k.v, k.rtc, k.cond, k.star = e, structure, structure.Condensation(), typ == rpq.ClosureStar
+func (c *evalCall) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) *rowKernel {
+	k := c.kernelPool.Get().(*rowKernel)
+	n := c.g.NumVertices()
+	k.c, k.rtc, k.cond, k.star = c, structure, structure.Condensation(), typ == rpq.ClosureStar
 	k.comps = zeroed(k.comps, k.cond.NumVertices())
 	if k.build == nil || k.n != n {
 		k.n = n
@@ -152,7 +154,7 @@ func (e *engineVersion) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, p
 	k.budget = rowBudgetWords
 	if _, eps := post.(rpq.Epsilon); !eps {
 		t0 := time.Now()
-		k.postEv, k.evKey = e.acquireEvaluator(post)
+		k.postEv, k.evKey = c.acquireEvaluator(post)
 		k.ends = zeroed(k.ends, len(k.comps))
 		k.postNS += time.Since(t0)
 	}
@@ -170,14 +172,14 @@ func zeroed(s []int32, n int) []int32 {
 
 // releaseKernel clears what the join touched and returns the kernel to
 // the pool.
-func (e *engineVersion) releaseKernel(k *rowKernel) {
+func (c *evalCall) releaseKernel(k *rowKernel) {
 	clear(k.comps)
 	clear(k.ends)
 	clear(k.vpost)
 	clear(k.uses)
 	clear(k.rowAt)
 	if k.postEv != nil {
-		e.releaseEvaluator(k.evKey, k.postEv)
+		c.releaseEvaluator(k.evKey, k.postEv)
 	}
 	k.build.Reset()
 	k.run.Reset()
@@ -185,9 +187,9 @@ func (e *engineVersion) releaseKernel(k *rowKernel) {
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
-	k.v, k.rtc, k.cond, k.postEv, k.evKey = nil, nil, nil, nil, ""
+	k.c, k.rtc, k.cond, k.postEv, k.evKey = nil, nil, nil, nil, ""
 	k.postNS, k.work = 0, 0
-	e.kernelPool.Put(k)
+	c.kernelPool.Put(k)
 }
 
 // state returns visited component s's row handle (or rowFallback,
@@ -347,7 +349,7 @@ func (k *rowKernel) finish(s int32) error {
 		}
 	}
 	k.setState(s, row, cyclic)
-	return k.v.checkpoint(int(k.work-work0) + 1)
+	return k.c.checkpoint(int(k.work-work0) + 1)
 }
 
 // storeBuild moves the build accumulator's contents into the word store
@@ -443,7 +445,7 @@ func (k *rowKernel) orLight(acc *pairs.RunAccumulator, c int32) error {
 	for _, u := range from {
 		work0 := k.work
 		k.orEnds(acc, u)
-		if err := k.v.checkpoint(int(k.work-work0) + 1); err != nil {
+		if err := k.c.checkpoint(int(k.work-work0) + 1); err != nil {
 			return err
 		}
 	}
@@ -485,7 +487,7 @@ func (k *rowKernel) orFallback(acc *pairs.RunAccumulator, c int32) error {
 					k.orRow(acc, row)
 				}
 			}
-			if err := k.v.checkpoint(int(k.work-work0) + 1); err != nil {
+			if err := k.c.checkpoint(int(k.work-work0) + 1); err != nil {
 				return err
 			}
 		}
@@ -579,7 +581,7 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	stored := 0 // destinations the column will hold
 	var err error
 	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
-		if err = k.v.checkpoint(len(vjs)); err != nil {
+		if err = k.c.checkpoint(len(vjs)); err != nil {
 			return false
 		}
 		var h int32
@@ -621,7 +623,7 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 		if size == 0 {
 			return true
 		}
-		if err = k.v.checkpoint(size); err != nil {
+		if err = k.c.checkpoint(size); err != nil {
 			return false
 		}
 		// Every row exists after the first pass: this gather only looks

@@ -169,10 +169,10 @@ func kernelCases(t *testing.T) []kernelCase {
 // kernelSeal runs the sealed driver with the row budget replaced, so
 // the fallback through the closure answers every component it reaches
 // once the budget is spent.
-func kernelSeal(t *testing.T, v *engineVersion, c kernelCase, structure *rtc.RTC, budget int) *pairs.Relation {
+func kernelSeal(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC, budget int) *pairs.Relation {
 	t.Helper()
-	k := v.acquireKernel(structure, c.typ, c.post)
-	defer v.releaseKernel(k)
+	k := call.acquireKernel(structure, c.typ, c.post)
+	defer call.releaseKernel(k)
 	k.budget = budget
 	rel, err := k.seal(c.preG)
 	if err != nil {
@@ -183,10 +183,10 @@ func kernelSeal(t *testing.T, v *engineVersion, c kernelCase, structure *rtc.RTC
 
 // kernelStream drives the kernel the way ResultStream does — one source
 // at a time into the caller's accumulator — and collects the runs.
-func kernelStream(t *testing.T, v *engineVersion, c kernelCase, structure *rtc.RTC) *pairs.Relation {
+func kernelStream(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC) *pairs.Relation {
 	t.Helper()
-	k := v.acquireKernel(structure, c.typ, c.post)
-	defer v.releaseKernel(k)
+	k := call.acquireKernel(structure, c.typ, c.post)
+	defer call.releaseKernel(k)
 	n := c.g.NumVertices()
 	acc := pairs.NewRunAccumulator(n)
 	b := pairs.NewBuilder(n)
@@ -236,10 +236,10 @@ func TestRowKernelDifferential(t *testing.T) {
 			if !got.Equal(want) {
 				t.Errorf("%s %s: kernel %d pairs, full join %d", c.name, s.name, got.Len(), want.Len())
 			}
-			if fb := kernelSeal(t, e.version(), c, s.structure, 0); !fb.Equal(want) {
+			if fb := kernelSeal(t, e.call(nil, nil), c, s.structure, 0); !fb.Equal(want) {
 				t.Errorf("%s %s: closure fallback %d pairs, full join %d", c.name, s.name, fb.Len(), want.Len())
 			}
-			if st := kernelStream(t, e.version(), c, s.structure); !st.Equal(got) {
+			if st := kernelStream(t, e.call(nil, nil), c, s.structure); !st.Equal(got) {
 				t.Errorf("%s %s: stream driver %d pairs, sealed %d", c.name, s.name, st.Len(), got.Len())
 			}
 		}
@@ -283,10 +283,10 @@ func TestRowKernelProductDifferential(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("%s: kernel over the product %d pairs, over Compute %d", c.name, got.Len(), want.Len())
 		}
-		if fb := kernelSeal(t, e.version(), c, product, 0); !fb.Equal(want) {
+		if fb := kernelSeal(t, e.call(nil, nil), c, product, 0); !fb.Equal(want) {
 			t.Errorf("%s: product fallback %d pairs, want %d", c.name, fb.Len(), want.Len())
 		}
-		if st := kernelStream(t, e.version(), c, product); !st.Equal(want) {
+		if st := kernelStream(t, e.call(nil, nil), c, product); !st.Equal(want) {
 			t.Errorf("%s: product stream driver %d pairs, want %d", c.name, st.Len(), want.Len())
 		}
 		sorted := want.Sorted()
@@ -356,9 +356,8 @@ func TestRowKernelCancelInsideDFS(t *testing.T) {
 	preG := sealExpr(g, rpq.MustParse("a"))
 	structure := rtc.Compute(rtc.EdgeReduceRel(g.NumVertices(), sealExpr(g, rpq.MustParse("b"))), 0)
 	run := func(cc *countingCtx) error {
-		w := New(g, Options{}).Fork()
-		w.setCancel(cc)
-		_, err := w.EvalBatchUnit(preG, structure, rpq.ClosurePlus, rpq.Epsilon{})
+		c := New(g, Options{}).call(cc, nil)
+		_, err := c.evalBatchUnit(preG, structure, rpq.ClosurePlus, rpq.Epsilon{})
 		return err
 	}
 

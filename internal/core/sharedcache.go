@@ -32,8 +32,9 @@ import (
 // results (R_G, Pre_G, Post_G) of the columnar engine layout. Sealed
 // relations are exactly-sized int32 columns — far lighter than the
 // map sets the seed kept engine-local — so sharing them process-wide
-// lets concurrent engines and their forks probe one frozen copy with zero copying. The regions are separate so
-// the structure counters keep their meaning: Counters/Len report
+// lets concurrent engines and calls probe one frozen copy with zero
+// copying. The regions are separate so the structure counters keep
+// their meaning: Counters/Len report
 // closure structures only, exactly as before.
 //
 // # Epochs
@@ -178,7 +179,7 @@ func (c *SharedCache) GetOrCompute(epoch uint64, key string, fn func() (any, err
 // Retention is bounded by relBudgetBytes: over budget, the computed
 // relation is returned (and delivered to concurrent waiters) with
 // retained=false and not kept — callers that still want memoisation
-// keep it in their own (engine-lifetime) overflow memo.
+// keep it in their own per-call overflow memo.
 func (c *SharedCache) GetOrComputeRelation(epoch uint64, key string, fn func() (any, error)) (val any, computed, retained bool, err error) {
 	return c.getOrCompute(c.relShard(key), &c.relHits, &c.relMisses, epoch, key, fn, c.admitRelation, c.evictRelation)
 }

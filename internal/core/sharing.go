@@ -58,11 +58,11 @@ type planObserver struct {
 // applies to it verbatim, and a query untouched by an update batch is
 // answered from the carried sealed relation with zero recomputation.
 // NoSharing engines evaluate directly.
-func (e *engineVersion) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
-	if !e.shouldCache() {
-		return e.evaluatePlanned(q, nil)
+func (c *evalCall) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
+	if !c.shouldCache() {
+		return c.evaluatePlanned(q, nil)
 	}
-	return e.subEvaluateRel(q)
+	return c.subEvaluateRel(q)
 }
 
 // evaluatePlanned implements Algorithm 1 (RTCSharing) and its
@@ -73,18 +73,18 @@ func (e *engineVersion) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 // union the results. Clause results are sealed relations, a
 // single-clause DNF (the common case) returns its relation as-is, and a
 // multi-clause union merges through one pooled builder sealed once.
-func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
+func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
 	start := time.Now()
-	clauses, err := rpq.ToDNFLimit(q, e.maxClauses())
+	clauses, err := rpq.ToDNFLimit(q, c.maxClauses())
 	if err != nil {
-		e.addPlan(time.Since(start))
+		c.addPlan(time.Since(start))
 		return nil, err
 	}
 	// Planning time counts as Remainder: every strategy plans
 	// identically, like the DNF conversion itself. (In the per-request
 	// stage breakdown it is the Plan stage.)
-	qp := e.planner().Plan(q, clauses)
-	e.addPlan(time.Since(start))
+	qp := c.planner().Plan(q, clauses)
+	c.addPlan(time.Since(start))
 	if obs != nil {
 		obs.plan = qp
 		obs.actuals = make([]clauseActuals, len(qp.Clauses))
@@ -98,17 +98,17 @@ func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.R
 		// Clause boundary: a cheap cancellation checkpoint between clause
 		// executions (the joins and closure builds inside a clause carry
 		// their own, finer-grained checkpoints).
-		if err := e.checkpoint(1); err != nil {
+		if err := c.checkpoint(1); err != nil {
 			if merge != nil {
-				e.releaseBuilder(merge)
+				c.releaseBuilder(merge)
 			}
 			return nil, err
 		}
 		t0 := time.Now()
-		clauseG, act, err := e.execClause(&qp.Clauses[i])
+		clauseG, act, err := c.execClause(&qp.Clauses[i])
 		if err != nil {
 			if merge != nil {
-				e.releaseBuilder(merge)
+				c.releaseBuilder(merge)
 			}
 			return nil, err
 		}
@@ -125,23 +125,23 @@ func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.R
 			// all.
 			result = clauseG
 		case merge == nil:
-			merge = e.acquireBuilder()
+			merge = c.acquireBuilder()
 			merge.AddRelation(result)
 			merge.AddRelation(clauseG)
 			result = nil
 		default:
 			merge.AddRelation(clauseG)
 		}
-		e.addRemainder(time.Since(t0))
+		c.addRemainder(time.Since(t0))
 	}
 	if merge != nil {
 		t0 := time.Now()
 		result = merge.Seal()
-		e.releaseBuilder(merge)
-		e.addSeal(time.Since(t0))
+		c.releaseBuilder(merge)
+		c.addSeal(time.Since(t0))
 	}
 	if result == nil {
-		result = pairs.NewBuilder(e.g.NumVertices()).Seal()
+		result = pairs.NewBuilder(c.g.NumVertices()).Seal()
 	}
 	return result, nil
 }
@@ -150,7 +150,7 @@ func (e *engineVersion) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.R
 // the executor half of the plan/execute split: all physical decisions
 // were made by the planner, and this switch only dispatches them to the
 // sealed driver of the clause's producer (batchunit.go).
-func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActuals, error) {
+func (c *evalCall) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActuals, error) {
 	act := clauseActuals{Pre: -1}
 
 	if cp.Kind == plan.KindAutomaton {
@@ -160,33 +160,33 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 		// so it is neither traversed nor sealed.
 		t0 := time.Now()
 		if l, ok := cp.Clause.(rpq.Label); ok {
-			clauseG := e.labelRelation(l)
-			e.addRemainder(time.Since(t0))
+			clauseG := c.labelRelation(l)
+			c.addRemainder(time.Since(t0))
 			return clauseG, act, nil
 		}
-		a := e.openAutomaton(cp.Clause)
-		clauseG, sealNS, err := e.drain(a)
+		a := c.openAutomaton(cp.Clause)
+		clauseG, sealNS, err := c.drain(a)
 		a.release()
-		e.addRemainder(time.Since(t0) - sealNS)
+		c.addRemainder(time.Since(t0) - sealNS)
 		return clauseG, act, err
 	}
 
 	bu := cp.Unit
-	preG, structure, closure, err := e.resolveUnit(bu)
+	preG, structure, closure, err := c.resolveUnit(bu)
 	if err != nil {
 		return nil, act, err
 	}
 	act.Pre = preG.Len()
 	var clauseG *pairs.Relation
 	if structure != nil {
-		clauseG, err = e.EvalBatchUnit(preG, structure, bu.Type, bu.Post)
+		clauseG, err = c.evalBatchUnit(preG, structure, bu.Type, bu.Post)
 	} else {
 		// NoSharing runs the identical per-query pipeline — evaluate R,
 		// materialise the closure R+_G, join — but shouldCache() keeps it
 		// from reusing anything across queries, which is exactly the
 		// paper's baseline behaviour (at one query it costs the same as
 		// FullSharing; Fig. 14).
-		clauseG, err = e.EvalBatchUnitFull(preG, closure, bu.Type, bu.Post)
+		clauseG, err = c.evalBatchUnitFull(preG, closure, bu.Type, bu.Post)
 	}
 	return clauseG, act, err
 }
@@ -197,10 +197,10 @@ func (e *engineVersion) execClause(cp *plan.ClausePlan) (*pairs.Relation, clause
 // does not have gives the empty relation. Callers reach it through
 // execClause, below the relation region, so memoisation, singleflight
 // and the epoch carry/drop treat it like any other sub-query result.
-func (e *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
-	n := e.g.NumVertices()
-	if lid, ok := e.g.Dict().Lookup(l.Name); ok {
-		if offsets, targets := e.g.LabelCSR(lid, l.Inverse); offsets != nil {
+func (v *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
+	n := v.g.NumVertices()
+	if lid, ok := v.g.Dict().Lookup(l.Name); ok {
+		if offsets, targets := v.g.LabelCSR(lid, l.Inverse); offsets != nil {
 			return pairs.RelationFromBorrowedRuns(n, offsets, targets)
 		}
 	}
@@ -210,25 +210,23 @@ func (e *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
 // subEvaluateRel evaluates a sub-query (Pre, Post, or FullSharing's R)
 // with the engine's own sharing strategy and seals the result, memoising
 // the sealed relation in the SharedCache's relation region: repeated batch
-// units over the same Pre/Post — and every engine sharing the cache,
-// forks included — reuse the same frozen columns with zero copying, under
-// the same singleflight discipline as the closure structures. (The seed memoised map sets per engine because
-// they were heavyweight; a sealed relation is two exactly-sized int32
-// columns, cheap enough to keep process-wide, and Reset/ClearCaches
-// still drops them.) Sealed relations are immutable by contract; every
-// consumer only reads them. Sub-evaluation time counts as Remainder:
-// both sharing methods perform it identically.
-func (e *engineVersion) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
-	if !e.shouldCache() {
-		return e.evaluatePlanned(q, nil)
+// units over the same Pre/Post — and every engine sharing the cache —
+// reuse the same frozen columns with zero copying, under the same
+// singleflight discipline as the closure structures. (The seed memoised
+// map sets per engine because they were heavyweight; a sealed relation
+// is two exactly-sized int32 columns, cheap enough to keep process-wide,
+// and Reset/ClearCaches still drops them.) Sealed relations are
+// immutable by contract; every consumer only reads them. Sub-evaluation
+// time counts as Remainder: both sharing methods perform it identically.
+func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
+	if !c.shouldCache() {
+		return c.evaluatePlanned(q, nil)
 	}
 	key := q.String()
 	// The overflow memo holds relations the shared region's budget
-	// declined; normally it is empty and this is one cheap miss.
-	e.subMu.Lock()
-	rel, ok := e.subRels[key]
-	e.subMu.Unlock()
-	if ok {
+	// declined during this call; normally it is nil and this is one
+	// cheap miss.
+	if rel, ok := c.overflow[key]; ok {
 		return rel, nil
 	}
 	t0 := time.Now()
@@ -236,29 +234,29 @@ func (e *engineVersion) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	// inside it would leave co-waiters blocked forever, so it is recovered
 	// into an error here — the cache then drops the entry and unblocks
 	// every waiter with the error.
-	val, computed, retained, err := e.cache.GetOrComputeRelation(e.epoch, key, func() (v any, err error) {
-		defer recoverPanic(key, &err)
-		return e.evaluatePlanned(q, nil)
+	val, computed, retained, err := c.cache.GetOrComputeRelation(c.epoch, key, func() (v any, err error) {
+		defer recoverPanic(q, &err)
+		return c.evaluatePlanned(q, nil)
 	})
 	if !computed {
 		// A memo hit — or a singleflight wait on another goroutine's
 		// in-flight evaluation. The wall time is real for this request's
-		// breakdown, but Stats must not see it: the computing engine
+		// breakdown, but Stats must not see it: the computing call
 		// already attributed the work (and on the computed branch this
-		// engine's own inner calls did).
-		e.stageOtherWait(time.Since(t0))
+		// call's own inner evaluation did).
+		c.stageOtherWait(time.Since(t0))
 	}
 	if err != nil {
 		return nil, err
 	}
-	rel = val.(*pairs.Relation)
+	rel := val.(*pairs.Relation)
 	if !retained {
-		// Shared region full: keep the relation for this engine's
-		// lifetime (the seed's per-engine discipline as the fallback),
-		// so repeated batch units still reuse the columns.
-		e.subMu.Lock()
-		e.subRels[key] = rel
-		e.subMu.Unlock()
+		// Shared region full: keep the relation for the rest of this
+		// call, so the call's other batch units still reuse the columns.
+		if c.overflow == nil {
+			c.overflow = make(map[string]*pairs.Relation)
+		}
+		c.overflow[key] = rel
 	}
 	return rel, nil
 }
@@ -274,33 +272,33 @@ func (sh *engineShared) shouldCache() bool {
 // (Algorithm 1 lines 9–11). Under singleflight, concurrent first uses of
 // the same R compute it exactly once — the engine that ran the
 // computation counts the miss, the ones that waited count hits.
-func (e *engineVersion) getRTC(r rpq.Expr) (*rtc.RTC, error) {
-	if !e.shouldCache() {
-		v, err := e.computeRTC(r)
+func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
+	if !c.shouldCache() {
+		v, err := c.computeRTC(r)
 		if err != nil {
 			return nil, err
 		}
-		e.countLookup(false, v.summary, v.structure)
+		c.countLookup(false, v.summary, v.structure)
 		return v.structure, nil
 	}
 	key := nsRTC + r.String()
 	t0 := time.Now()
-	val, computed, err := e.cache.GetOrCompute(e.epoch, key, func() (v any, err error) {
-		defer recoverPanic(r.String(), &err)
-		return e.computeRTC(r)
+	val, computed, err := c.cache.GetOrCompute(c.epoch, key, func() (v any, err error) {
+		defer recoverPanic(r, &err)
+		return c.computeRTC(r)
 	})
 	if !computed {
 		// Cache hit or singleflight wait: this request's wall clock
 		// passed at the closure boundary, so the stage breakdown charges
 		// it to closure-build, while Stats stays with the engine that
 		// computed the structure.
-		e.stageClosureWait(time.Since(t0))
+		c.stageClosureWait(time.Since(t0))
 	}
 	if err != nil {
 		return nil, err
 	}
 	v := val.(*rtcValue)
-	e.countLookup(!computed, v.summary, v.structure)
+	c.countLookup(!computed, v.summary, v.structure)
 	return v.structure, nil
 }
 
@@ -309,14 +307,14 @@ func (e *engineVersion) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 // adjacency — EdgeReduceRel aliases its frozen columns and only derives
 // the reverse CSR. Like evaluating R_G itself, the reduction counts as
 // Remainder, not Shared_Data (paper Section V-A).
-func (e *engineVersion) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
-	rg, err := e.subEvaluateRel(r)
+func (c *evalCall) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
+	rg, err := c.subEvaluateRel(r)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	gr := rtc.EdgeReduceRel(e.g.NumVertices(), rg)
-	e.addRemainder(time.Since(t0))
+	gr := rtc.EdgeReduceRel(c.g.NumVertices(), rg)
+	c.addRemainder(time.Since(t0))
 	return gr, nil
 }
 
@@ -327,10 +325,10 @@ func (e *engineVersion) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 // Shared_Data, and it polls the engine's cancellation checkpoint (if
 // any) while the product is built. |TC(Ḡ_R)| is not built here;
 // SharedSummaries computes it on demand.
-func (e *engineVersion) computeRTC(r rpq.Expr) (*rtcValue, error) {
+func (c *evalCall) computeRTC(r rpq.Expr) (*rtcValue, error) {
 	t0 := time.Now()
-	structure, err := rtc.FromProduct(e.g, r, e.checkpointFn())
-	e.addShared(time.Since(t0))
+	structure, err := rtc.FromProduct(c.g, r, c.checkpointFn())
+	c.addShared(time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
@@ -348,35 +346,35 @@ func (e *engineVersion) computeRTC(r rpq.Expr) (*rtcValue, error) {
 // getFullClosure returns the shared full closure R+_G = TC(G_R) for
 // FullSharing, computing it on first use with the same singleflight
 // discipline as getRTC.
-func (e *engineVersion) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
-	if !e.shouldCache() {
-		v, err := e.computeFullClosure(r)
+func (c *evalCall) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
+	if !c.shouldCache() {
+		v, err := c.computeFullClosure(r)
 		if err != nil {
 			return nil, err
 		}
-		e.countLookup(false, v.summary, nil)
+		c.countLookup(false, v.summary, nil)
 		return v.closure, nil
 	}
 	t0 := time.Now()
-	val, computed, err := e.cache.GetOrCompute(e.epoch, nsFull+r.String(), func() (v any, err error) {
-		defer recoverPanic(r.String(), &err)
-		return e.computeFullClosure(r)
+	val, computed, err := c.cache.GetOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
+		defer recoverPanic(r, &err)
+		return c.computeFullClosure(r)
 	})
 	if !computed {
-		e.stageClosureWait(time.Since(t0))
+		c.stageClosureWait(time.Since(t0))
 	}
 	if err != nil {
 		return nil, err
 	}
 	v := val.(*fullValue)
-	e.countLookup(!computed, v.summary, nil)
+	c.countLookup(!computed, v.summary, nil)
 	return v.closure, nil
 }
 
 // computeFullClosure evaluates R and materialises the full closure of
 // the edge-level reduced graph G_R.
-func (e *engineVersion) computeFullClosure(r rpq.Expr) (*fullValue, error) {
-	gr, err := e.reduceR(r)
+func (c *evalCall) computeFullClosure(r rpq.Expr) (*fullValue, error) {
+	gr, err := c.reduceR(r)
 	if err != nil {
 		return nil, err
 	}
@@ -384,8 +382,8 @@ func (e *engineVersion) computeFullClosure(r rpq.Expr) (*fullValue, error) {
 	// Shared_Data for FullSharing: the closure of the *unreduced* G_R —
 	// Table III's O(|V_R|·|E_R|) computation, checkpointed per source.
 	t0 := time.Now()
-	closure, err := tc.BFSCheck(gr, e.checkpointFn())
-	e.addShared(time.Since(t0))
+	closure, err := tc.BFSCheck(gr, c.checkpointFn())
+	c.addShared(time.Since(t0))
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ import (
 // end to end.
 //
 // A StageTimer is not safe for concurrent writers. The engine
-// guarantees single-writer use by attaching a timer only to private
-// worker forks (one evaluation at a time); see EvaluateRelTimedCtx.
+// guarantees single-writer use by attaching a timer only to the call it
+// times, which one goroutine drives; see EvaluateRelTimedCtx.
 type StageTimer struct {
 	// QueueNS is time spent waiting for an evaluation slot.
 	QueueNS int64 `json:"queue_ns"`
@@ -58,14 +58,4 @@ func (t *StageTimer) Add(other *StageTimer) {
 	t.SealNS += other.SealNS
 	t.PageNS += other.PageNS
 	t.OtherNS += other.OtherNS
-}
-
-// setStages attaches (or detaches, with nil) a per-request stage timer
-// to this engine. Attribution happens under the same mutex as the
-// three-part Stats split, so attaching a timer to a private fork adds
-// no new synchronisation to the hot path.
-func (e *Engine) setStages(st *StageTimer) {
-	e.mu.Lock()
-	e.stages = st
-	e.mu.Unlock()
 }

@@ -51,16 +51,15 @@ type StreamStats struct {
 }
 
 // ResultStream enumerates one query's result in deterministic sealed
-// order. It is pinned to the graph epoch current at OpenStream: the
-// engine version it forked is immutable, so concurrent ApplyUpdates
-// never perturb an open stream. Not safe for concurrent use; the
-// goroutine that opened it must drive Next and Close.
+// order. It is pinned to the graph epoch current at OpenStream: it owns
+// its call until Close, and the engine version the call pinned is
+// immutable, so concurrent ApplyUpdates never perturb an open stream.
+// Not safe for concurrent use; the goroutine that opened it must drive
+// Next and Close.
 type ResultStream struct {
-	owner  *Engine
-	worker *Engine
-	v      *engineVersion
-	epoch  uint64
-	query  rpq.Expr
+	c     *evalCall // nil for a memo-warm stream, and after Close
+	epoch uint64
+	query rpq.Expr
 
 	limit int
 
@@ -103,50 +102,27 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 		return &ResultStream{sealed: rel, epoch: epoch, query: q, limit: opts.Limit}, nil
 	}
 
-	worker := e.Fork()
-	worker.setCancel(ctx)
-	// handoff marks the worker's ownership as settled — transferred to
-	// the stream, or already absorbed — so the panic-recovery defer never
-	// folds its stats back twice.
-	handoff := false
-	defer func() {
-		r := recover()
-		if !handoff && (r != nil || err != nil) {
-			worker.setCancel(nil)
-			e.absorb(worker)
-		}
-		asPanicError(q.String(), r, &err)
-	}()
-
-	v := worker.version()
-	s := &ResultStream{
-		owner:  e,
-		worker: worker,
-		v:      v,
-		epoch:  v.epoch,
-		query:  q,
-		limit:  opts.Limit,
-	}
+	defer recoverPanic(q, &err)
+	c := e.call(ctx, nil)
+	s := &ResultStream{c: c, epoch: c.epoch, query: q, limit: opts.Limit}
 	if oerr := s.open(q); oerr != nil {
 		s.release()
-		handoff = true
 		return nil, oerr
 	}
-	handoff = true
 	return s, nil
 }
 
 // open plans q and resolves every clause's inputs eagerly.
 func (s *ResultStream) open(q rpq.Expr) error {
-	v := s.v
-	clauses, err := rpq.ToDNFLimit(q, v.maxClauses())
+	c := s.c
+	clauses, err := rpq.ToDNFLimit(q, c.maxClauses())
 	if err != nil {
 		return err
 	}
-	qp := v.planner().Plan(q, clauses)
-	s.acc = pairs.NewRunAccumulator(v.g.NumVertices())
+	qp := c.planner().Plan(q, clauses)
+	s.acc = pairs.NewRunAccumulator(c.g.NumVertices())
 	for i := range qp.Clauses {
-		p, err := v.openClause(&qp.Clauses[i])
+		p, err := c.openClause(&qp.Clauses[i])
 		if err != nil {
 			return err
 		}
@@ -178,7 +154,7 @@ func (s *ResultStream) Next(buf []pairs.Pair) (n int, done bool, err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			asPanicError(s.query.String(), r, &s.err)
+			asPanicError(s.query, r, &s.err)
 			n, done, err = 0, true, s.err
 		}
 	}()
@@ -207,7 +183,7 @@ func (s *ResultStream) Next(buf []pairs.Pair) (n int, done bool, err error) {
 		s.stats.Pairs += int64(k)
 	}
 	s.done = (s.limit > 0 && s.stats.Pairs >= int64(s.limit)) ||
-		(s.acc.Empty() && s.nextSrc >= s.v.g.NumVertices())
+		(s.acc.Empty() && s.nextSrc >= s.c.g.NumVertices())
 	return n, s.done, nil
 }
 
@@ -239,11 +215,11 @@ func (s *ResultStream) nextSealed(buf []pairs.Pair) (int, bool, error) {
 // run and leaves that run in s.acc — one sealed CSR run, built without
 // sealing. Sets s.done when sources are exhausted.
 func (s *ResultStream) fillRun() error {
-	numV := s.v.g.NumVertices()
+	numV := s.c.g.NumVertices()
 	for s.nextSrc < numV {
 		vi := graph.VID(s.nextSrc)
 		s.nextSrc++
-		if err := s.worker.checkpoint(1); err != nil {
+		if err := s.c.checkpoint(1); err != nil {
 			return err
 		}
 		for _, p := range s.clauses {
@@ -263,9 +239,8 @@ func (s *ResultStream) fillRun() error {
 	return nil
 }
 
-// Close releases the stream's pooled resources and folds the worker's
-// timing split back into the owning engine. Idempotent; Next after
-// Close returns ErrStreamClosed.
+// Close releases the stream's pooled resources and its call. Idempotent;
+// Next after Close returns ErrStreamClosed.
 func (s *ResultStream) Close() {
 	if s.closed {
 		return
@@ -278,12 +253,7 @@ func (s *ResultStream) release() {
 	for _, p := range s.clauses {
 		p.release()
 	}
-	s.clauses = nil
-	if s.worker != nil {
-		s.worker.setCancel(nil)
-		s.owner.absorb(s.worker)
-		s.worker = nil
-	}
+	s.clauses, s.c = nil, nil
 }
 
 // Ask reports whether the result of q is non-empty, stopping the moment

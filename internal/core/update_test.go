@@ -136,29 +136,6 @@ func TestApplyUpdatesNoOpAndErrors(t *testing.T) {
 	}
 }
 
-func TestApplyUpdatesForkPinsVersion(t *testing.T) {
-	e := New(chainGraph(5), Options{})
-	fork := e.Fork()
-	if _, err := e.ApplyUpdates([]GraphUpdate{InsertEdge(4, "a", 0)}); err != nil {
-		t.Fatal(err)
-	}
-	// The fork still answers against the pre-update graph...
-	got, err := fork.EvaluateRel(rpq.MustParse("a+"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preOracle := eval.Reference(chainGraph(5), rpq.MustParse("a+"))
-	if !got.EqualSet(preOracle) {
-		t.Fatalf("fork drifted onto the new version: %d pairs, want %d", got.Len(), preOracle.Len())
-	}
-	// ...while the parent answers against the new one.
-	assertOracle(t, e, "a+")
-	// And no value ever crossed epochs.
-	if cc := e.Cache().Counters(); cc.CrossEpochHits != 0 {
-		t.Fatalf("cross-epoch hits: %d", cc.CrossEpochHits)
-	}
-}
-
 func TestApplyUpdatesStrategies(t *testing.T) {
 	for _, opts := range []Options{
 		{Strategy: FullSharing},

@@ -41,7 +41,7 @@ func (e *Engine) Witness(ctx context.Context, q rpq.Expr, src, dst graph.VID) (w
 	}
 	defer func() {
 		r := recover()
-		asPanicError(q.String(), r, &err)
+		asPanicError(q, r, &err)
 		if err != nil {
 			ok = false
 		}

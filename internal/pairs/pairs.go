@@ -150,13 +150,3 @@ func FromPairs(ps ...Pair) *Set {
 	}
 	return s
 }
-
-// Identity returns {(v, v) | v ∈ vs}: the evaluation result of ε
-// restricted to the given vertices.
-func Identity(vs []graph.VID) *Set {
-	s := NewSetCap(len(vs))
-	for _, v := range vs {
-		s.Add(v, v)
-	}
-	return s
-}

@@ -75,13 +75,6 @@ func TestSrcsDsts(t *testing.T) {
 	}
 }
 
-func TestIdentity(t *testing.T) {
-	s := Identity([]graph.VID{2, 5})
-	if s.Len() != 2 || !s.Contains(2, 2) || !s.Contains(5, 5) || s.Contains(2, 5) {
-		t.Errorf("Identity wrong: %v", s.Sorted())
-	}
-}
-
 func TestEachEarlyStop(t *testing.T) {
 	s := FromPairs(Pair{1, 1}, Pair{2, 2}, Pair{3, 3})
 	n := 0

@@ -352,14 +352,6 @@ func (b *Builder) Add(src, dst graph.VID) {
 // AddPair records p.
 func (b *Builder) AddPair(p Pair) { b.Add(p.Src, p.Dst) }
 
-// AddSet records every pair of s.
-func (b *Builder) AddSet(s *Set) {
-	s.Each(func(src, dst graph.VID) bool {
-		b.Add(src, dst)
-		return true
-	})
-}
-
 // AddRelation records every pair of r.
 func (b *Builder) AddRelation(r *Relation) {
 	r.Each(func(src, dst graph.VID) bool {
@@ -475,14 +467,6 @@ func RelationFromSharedRuns(numVertices int, srcOffsets, starts []int32, dsts []
 		panic("pairs: shared-run column length mismatch")
 	}
 	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, starts: starts, dsts: dsts}
-}
-
-// RelationFromSet seals a mutable Set into a Relation over the given
-// VID space.
-func RelationFromSet(numVertices int, s *Set) *Relation {
-	b := NewBuilder(numVertices)
-	b.AddSet(s)
-	return b.Seal()
 }
 
 // RelationFromPairs seals a pair list into a Relation.

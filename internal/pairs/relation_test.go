@@ -55,7 +55,12 @@ func TestRelationSetEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return RelationFromSet(n, set).Equal(rel)
+		roundTrip := NewBuilder(n)
+		set.Each(func(src, dst graph.VID) bool {
+			roundTrip.Add(src, dst)
+			return true
+		})
+		return roundTrip.Seal().Equal(rel)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -71,7 +76,11 @@ func TestRelationColumnsMatchSetProjections(t *testing.T) {
 		n := 1 + rng.Intn(25)
 		ps := randomPairs(rng, n, rng.Intn(100))
 		set := FromPairs(ps...)
-		rel := RelationFromSet(n, set)
+		b := NewBuilder(n)
+		for _, p := range ps {
+			b.Add(p.Src, p.Dst)
+		}
+		rel := b.Seal()
 
 		for v := graph.VID(0); int(v) < n; v++ {
 			var wantDsts, wantSrcs []graph.VID

@@ -162,8 +162,8 @@ type SharedSummary = core.SharedSummary
 // structures across queries. It is safe for concurrent use: the shared
 // structures live in a SharedCache (singleflight-deduplicated, so
 // concurrent queries needing the same closure sub-query compute it
-// once), and the per-engine accounting is lock-protected. Engine.Fork
-// creates engines that share the receiver's cache.
+// once), and the per-engine accounting is lock-protected.
+// NewEngineWithCache creates engines that share one cache.
 //
 // Engine.ApplyUpdates mutates the graph between (or concurrently with)
 // query batches: it freezes a new graph version, advances the cache to

@@ -189,15 +189,6 @@ func TestPublicSharedCacheAcrossEngines(t *testing.T) {
 	if c.Misses == 0 {
 		t.Errorf("cache counters = %+v, want at least one computation recorded", c)
 	}
-
-	// A fork of a shares the same cache.
-	f := a.Fork()
-	if _, err := f.EvaluateQuery("(b.c)+"); err != nil {
-		t.Fatal(err)
-	}
-	if st := f.Stats(); st.CacheHits != 1 {
-		t.Errorf("forked engine stats = %+v, want 1 hit", st)
-	}
 }
 
 func TestPublicApplyUpdates(t *testing.T) {
