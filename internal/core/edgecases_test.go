@@ -156,11 +156,11 @@ func (*mismatchError) Error() string { return "concurrent result mismatch" }
 
 func TestEngineAccessors(t *testing.T) {
 	g := fixtures.Figure1()
-	e := New(g, Options{Strategy: FullSharing, MaxDNFClauses: 7})
+	e := New(g, Options{Strategy: FullSharing})
 	if e.Graph() != g {
 		t.Error("Graph accessor wrong")
 	}
-	if e.Options().Strategy != FullSharing || e.Options().MaxDNFClauses != 7 {
+	if e.Options().Strategy != FullSharing {
 		t.Error("Options accessor wrong")
 	}
 }

@@ -91,9 +91,6 @@ func (s Strategy) String() string {
 type Options struct {
 	// Strategy selects the evaluation method. Default: RTCSharing.
 	Strategy Strategy
-	// MaxDNFClauses bounds the DNF conversion; 0 means
-	// rpq.DefaultMaxClauses.
-	MaxDNFClauses int
 }
 
 // Stats is the paper's timing and size accounting for a sequence of
@@ -609,13 +606,6 @@ func (v *engineVersion) releaseEvaluator(key string, ev *eval.Evaluator) {
 	v.evalMu.Lock()
 	v.evalFree[key] = append(v.evalFree[key], ev)
 	v.evalMu.Unlock()
-}
-
-func (sh *engineShared) maxClauses() int {
-	if sh.opts.MaxDNFClauses > 0 {
-		return sh.opts.MaxDNFClauses
-	}
-	return rpq.DefaultMaxClauses
 }
 
 // planner returns this version's clause planner, building it on first

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,9 +153,16 @@ func TestParseErrorPropagates(t *testing.T) {
 	}
 }
 
+// pastDNFBound is a parse-valid query whose DNF exceeds
+// rpq.DefaultMaxClauses: 13 concatenated (x|y) factors, 8,192 clauses.
+func pastDNFBound(x, y string) string {
+	f := "(" + x + "|" + y + ")"
+	return strings.Repeat(f+".", 12) + f
+}
+
 func TestDNFLimitPropagates(t *testing.T) {
-	e := New(fixtures.Figure1(), Options{MaxDNFClauses: 2})
-	if _, err := e.EvaluateQuery("(a|b).(a|b).(a|b)"); err == nil {
+	e := New(fixtures.Figure1(), Options{})
+	if _, err := e.EvaluateQuery(pastDNFBound("a", "b")); err == nil {
 		t.Error("want DNF limit error")
 	}
 }

@@ -81,7 +81,7 @@ func (e *Engine) ExplainQuery(q string) (*Plan, error) {
 // graph version.
 func (e *Engine) Explain(q rpq.Expr) (*Plan, error) {
 	v := e.version()
-	clauses, err := rpq.ToDNFLimit(q, v.maxClauses())
+	clauses, err := rpq.ToDNF(q)
 	if err != nil {
 		return nil, err
 	}

@@ -233,10 +233,10 @@ func TestForkedEnginesShareCache(t *testing.T) {
 // last query — fails the whole call at every fan-out.
 func TestEvaluateBatchParallelErrors(t *testing.T) {
 	g := stressGraph(t, 23)
-	tiny := New(g, Options{MaxDNFClauses: 1})
-	qs := []rpq.Expr{rpq.MustParse("l0"), rpq.MustParse("l1"), rpq.MustParse("l2|l3")}
+	e := New(g, Options{})
+	qs := []rpq.Expr{rpq.MustParse("l0"), rpq.MustParse("l1"), rpq.MustParse(pastDNFBound("l0", "l1"))}
 	for _, workers := range []int{0, 1, 2} {
-		if res, _, err := tiny.EvaluateBatchParallelRel(qs, workers); err == nil || res != nil {
+		if res, _, err := e.EvaluateBatchParallelRel(qs, workers); err == nil || res != nil {
 			t.Fatalf("workers=%d: DNF limit error not propagated (results %v, err %v)", workers, res, err)
 		}
 	}
@@ -395,8 +395,8 @@ func TestEvaluateRelEpoch(t *testing.T) {
 // queries (DNF bound) abort the batch with the error.
 func TestEvaluateBatchParallelRelError(t *testing.T) {
 	g := stressGraph(t, 37)
-	e := New(g, Options{MaxDNFClauses: 1})
-	qs := []rpq.Expr{rpq.MustParse("l0+"), rpq.MustParse("(l0|l1).(l2|l3)")}
+	e := New(g, Options{})
+	qs := []rpq.Expr{rpq.MustParse("l0+"), rpq.MustParse(pastDNFBound("l0", "l1"))}
 	if _, _, err := e.EvaluateBatchParallelRel(qs, 2); err == nil {
 		t.Fatal("expected DNF-bound error")
 	}

@@ -75,7 +75,7 @@ func (c *evalCall) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 // multi-clause union merges through one pooled builder sealed once.
 func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
 	start := time.Now()
-	clauses, err := rpq.ToDNFLimit(q, c.maxClauses())
+	clauses, err := rpq.ToDNF(q)
 	if err != nil {
 		c.addPlan(time.Since(start))
 		return nil, err

@@ -115,7 +115,7 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 // open plans q and resolves every clause's inputs eagerly.
 func (s *ResultStream) open(q rpq.Expr) error {
 	c := s.c
-	clauses, err := rpq.ToDNFLimit(q, c.maxClauses())
+	clauses, err := rpq.ToDNF(q)
 	if err != nil {
 		return err
 	}
@@ -256,15 +256,9 @@ func (s *ResultStream) release() {
 	s.clauses, s.c = nil, nil
 }
 
-// Ask reports whether the result of q is non-empty, stopping the moment
-// the first pair is found. See AskCounted for the instrumented form.
-func (e *Engine) Ask(ctx context.Context, q rpq.Expr) (bool, uint64, error) {
-	found, epoch, _, err := e.AskCounted(ctx, q)
-	return found, epoch, err
-}
-
-// AskCounted is Ask plus the rows-scanned counter the short-circuit
-// tests assert on. ASK is a stream stopped at its first pair: a LIMIT 1
+// AskCounted reports whether the result of q is non-empty, stopping the
+// moment the first pair is found, with the epoch it answered at and the
+// rows it scanned. ASK is a stream stopped at its first pair: a LIMIT 1
 // stream and one Next, so the probe stops within one source's run of the
 // first hit and rows — the stream's Stats().Rows — stays far below the
 // full evaluation's row count on any non-trivial answer. A memo hit

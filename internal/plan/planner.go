@@ -54,9 +54,6 @@ func (p *Planner) decompose(clause rpq.Expr) rpq.BatchUnit {
 	return unit
 }
 
-// Estimator exposes the planner's cardinality estimator.
-func (p *Planner) Estimator() *Estimator { return p.est }
-
 // buildDiscount scales the cost of building a shared structure that is
 // not yet cached. The engine exists for multiple-RPQ sets: a structure
 // built for this clause is expected to be reused by the other queries

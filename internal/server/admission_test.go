@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,12 +256,12 @@ func TestCoalescerFastPath(t *testing.T) {
 // not fail the valid queries evaluated beside it — each request gets
 // its own outcome.
 func TestCoalescerErrorIsolation(t *testing.T) {
-	// MaxDNFClauses 1 makes any alternation-heavy query fail at
-	// evaluation (parse-valid, DNF-bound error).
-	srv := New(core.New(fixtures.Figure1(), core.Options{MaxDNFClauses: 1}), Options{})
+	// 13 concatenated (a|b) factors fail at evaluation: parse-valid,
+	// but the DNF's 8,192 clauses exceed rpq.DefaultMaxClauses.
+	srv := New(core.New(fixtures.Figure1(), core.Options{}), Options{})
 	defer srv.Close()
 
-	queries := []string{"a", "(a|b).(c|d)", "b.c"}
+	queries := []string{"a", strings.Repeat("(a|b).", 12) + "(a|b)", "b.c"}
 	outs := make([]<-chan result, len(queries))
 	for i, q := range queries {
 		outs[i] = submitAsync(srv.adm, context.Background(), q)

@@ -463,11 +463,11 @@ func TestChaosServerProperty(t *testing.T) {
 	seedGraph := chaosGraph()
 	inj := store.NewInjector(99)
 	dir := t.TempDir()
-	d, err := store.OpenDir(dir)
+	d, err := store.OpenDirFaulty(dir, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := store.Open(store.NewFaulty(d, inj), seedGraph, core.Options{}, store.Options{})
+	p, _, err := store.Open(d, seedGraph, core.Options{}, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

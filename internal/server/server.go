@@ -412,7 +412,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeQueryRequest parses a GET's query parameters or a POST's JSON
-// body into a QueryRequest, writing the 400 itself on failure.
+// body into a QueryRequest, writing the 400 itself on failure. /query
+// and both stream endpoints decode through it.
 func (s *Server) decodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, rpq.Expr, bool) {
 	var req QueryRequest
 	if r.Method == http.MethodGet {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"rtcshare/internal/core"
@@ -55,46 +54,6 @@ type streamError struct {
 	// PinnedEpoch and CurrentEpoch are set on epoch_lag aborts.
 	PinnedEpoch  uint64 `json:"pinned_epoch,omitempty"`
 	CurrentEpoch uint64 `json:"current_epoch,omitempty"`
-}
-
-// decodeStreamRequest parses q/limit from GET parameters or the
-// QueryRequest JSON body, writing the 400 itself on failure.
-func (s *Server) decodeStreamRequest(w http.ResponseWriter, r *http.Request) (string, rpq.Expr, int, bool) {
-	var query string
-	var limit int
-	if r.Method == http.MethodGet {
-		p := r.URL.Query()
-		query = p.Get("q")
-		if v := p.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
-				return "", nil, 0, false
-			}
-			limit = n
-		}
-	} else {
-		var req QueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return "", nil, 0, false
-		}
-		query, limit = req.Query, req.Limit
-	}
-	if query == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing query"))
-		return "", nil, 0, false
-	}
-	if limit < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("limit must be non-negative"))
-		return "", nil, 0, false
-	}
-	expr, err := rpq.Parse(query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return "", nil, 0, false
-	}
-	return query, expr, limit, true
 }
 
 // drainToSink runs the drain loop: open-time errors were already
@@ -273,16 +232,17 @@ func (k *streamSink) record(event string, v any) error {
 func (s *Server) streamHandler(sse bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		query, expr, limit, ok := s.decodeStreamRequest(w, r)
+		// A stream honours only query and limit of the request.
+		req, expr, ok := s.decodeQueryRequest(w, r)
 		if !ok {
 			return
 		}
-		stream, ok := s.openStream(w, r, expr, limit)
+		stream, ok := s.openStream(w, r, expr, req.Limit)
 		if !ok {
 			return
 		}
 		s.streams.Add(1)
-		sent := s.drainToSink(stream, query, newStreamSink(w, sse), start)
+		sent := s.drainToSink(stream, req.Query, newStreamSink(w, sse), start)
 		s.streamedPairs.Add(sent)
 		s.lat.observe(pathStreamed, time.Since(start), &core.StageTimer{})
 	}

@@ -681,6 +681,15 @@ func TestServerStreamRequestErrors(t *testing.T) {
 		{"sse bad limit", http.MethodGet, "/query/sse?q=a&limit=no", ""},
 		{"post bad json", http.MethodPost, "/query/stream", "{"},
 		{"post negative limit", http.MethodPost, "/query/stream", `{"query":"a","limit":-1}`},
+		// Streams honour only query and limit, but a value /query
+		// rejects is rejected here too.
+		{"bad offset", http.MethodGet, "/query/stream?q=a&offset=x", ""},
+		{"negative offset", http.MethodGet, "/query/stream?q=a&offset=-1", ""},
+		{"bad ask", http.MethodGet, "/query/stream?q=a&ask=maybe", ""},
+		{"sse bad witness", http.MethodGet, "/query/sse?q=a&witness=2", ""},
+		{"bad src", http.MethodGet, "/query/stream?q=a&src=-1", ""},
+		{"sse bad dst", http.MethodGet, "/query/sse?q=a&dst=4294967296", ""},
+		{"post negative offset", http.MethodPost, "/query/stream", `{"query":"a","offset":-2}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,12 +15,12 @@ const (
 	walFile      = "wal.log"
 )
 
-// Dir is the file-system Store: one directory holding snapshot.bin and
-// wal.log. Appends go through a single O_APPEND descriptor and fsync
-// before returning; snapshots are written to a temp file, synced, and
-// renamed over the old one, then the log is rotated the same way — the
-// directory itself is fsynced after each rename so the swap survives a
-// power cut. A torn tail found at open time is truncated away before
+// Dir is the store: one directory holding snapshot.bin and wal.log,
+// safe for concurrent use. Appends go through a single O_APPEND
+// descriptor and fsync before returning; snapshots are written to a
+// temp file, synced, and renamed over the old one, then the log is
+// rotated the same way — the directory itself is fsynced after each
+// rename so the swap survives a power cut. A torn tail found at open time is truncated away before
 // any new record is appended behind it; a tail torn by a failed append
 // at runtime marks the log dirty, and the next append or Probe truncates
 // back to the last acknowledged record before writing anything new.
@@ -121,7 +121,8 @@ func (d *Dir) fileRename(oldpath, newpath string) error {
 	return os.Rename(oldpath, newpath)
 }
 
-// LoadSnapshot implements Store.
+// LoadSnapshot reads and decodes the current snapshot's graph and
+// epoch, or returns ErrNoSnapshot when none exists.
 func (d *Dir) LoadSnapshot() (*graph.Graph, uint64, error) {
 	data, err := os.ReadFile(d.path(snapshotFile))
 	if os.IsNotExist(err) {
@@ -133,9 +134,10 @@ func (d *Dir) LoadSnapshot() (*graph.Graph, uint64, error) {
 	return decodeSnapshotFile(data)
 }
 
-// WriteSnapshot implements Store: temp + sync + rename for the snapshot,
-// then the same dance to reset the log. A crash between the two renames
-// leaves superseded records (epochs ≤ the new snapshot's) in the log;
+// WriteSnapshot atomically replaces the snapshot with g at epoch and
+// then resets the log, in that order: temp + sync + rename for the
+// snapshot, then the same dance for the log. A crash between the two
+// renames leaves superseded records (epochs ≤ the new snapshot's) in the log;
 // ReplayBatches' epoch filter skips them, so the window is safe. A
 // failure anywhere leaves the previous snapshot intact (the rename is
 // the commit point) and, if the rotation was reached, marks the log for
@@ -229,11 +231,14 @@ func (d *Dir) syncDir() error {
 	return nil
 }
 
-// AppendBatch implements Store: one framed record, fsynced before
-// return. A failed write or sync marks the tail dirty; the next append
-// (or Probe) repairs it back to the last acknowledged record before
-// writing anything new, so garbage from a short write never gets a
-// valid record appended behind it.
+// AppendBatch durably appends one update batch tagged with the epoch
+// the engine reaches by applying it: one framed record, fsynced before
+// return. A failed write or sync truncates the log back to the last
+// acknowledged record before the error is returned, so a rejected batch
+// never replays after a restart. If that repair fails too, the tail
+// stays dirty and the next append (or Probe) repairs it before writing
+// anything new, so garbage from a short write never gets a valid record
+// appended behind it.
 func (d *Dir) AppendBatch(epoch uint64, updates []core.GraphUpdate) error {
 	rec := encodeBatch(epoch, updates)
 	d.mu.Lock()
@@ -243,10 +248,12 @@ func (d *Dir) AppendBatch(epoch uint64, updates []core.GraphUpdate) error {
 	}
 	if _, err := d.fileWrite(d.wal, rec); err != nil {
 		d.walDirty = true
+		_ = d.ensureWALLocked() // a failed repair leaves the tail dirty for the next append or Probe
 		return fmt.Errorf("store: append wal: %w", err)
 	}
 	if err := d.fileSync(d.wal); err != nil {
 		d.walDirty = true
+		_ = d.ensureWALLocked() // a failed repair leaves the tail dirty for the next append or Probe
 		return fmt.Errorf("store: sync wal: %w", err)
 	}
 	d.stats.WALRecords++
@@ -298,12 +305,13 @@ func (d *Dir) ensureWALLocked() error {
 	return nil
 }
 
-// Probe implements Store: repair the log tail if a failure left it
-// dirty, then verify the medium accepts the same write-sync-rename
-// operations the commit paths need. The probe file goes through the
-// injectable operations, so an armed injector keeps the probe failing —
-// exactly the behaviour the degradation ladder wants before re-arming
-// updates.
+// Probe verifies the directory can commit again after a failure: it
+// repairs the log tail if a failure left it dirty, then verifies the
+// medium accepts the same write-sync-rename operations the commit paths
+// need. A nil return means AppendBatch and WriteSnapshot may be
+// retried; Persistent's degradation ladder calls it to re-arm updates.
+// The probe file goes through the injectable operations, so an armed
+// injector keeps the probe failing, and the ladder stays down.
 func (d *Dir) Probe() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -335,8 +343,11 @@ func (d *Dir) Probe() error {
 	return nil
 }
 
-// ReplayBatches implements Store, re-reading the log from disk so a
-// fresh process replays exactly what survived.
+// ReplayBatches streams the logged batches with Epoch > afterEpoch, in
+// log order, stopping at fn's first error. It re-reads the log from
+// disk, so a fresh process replays exactly what survived; a torn or
+// corrupt tail ends the stream silently (it was never acknowledged, or
+// the medium lost it).
 func (d *Dir) ReplayBatches(afterEpoch uint64, fn func(LoggedBatch) error) error {
 	data, err := os.ReadFile(d.path(walFile))
 	if os.IsNotExist(err) {
@@ -357,14 +368,14 @@ func (d *Dir) ReplayBatches(afterEpoch uint64, fn func(LoggedBatch) error) error
 	return nil
 }
 
-// Stats implements Store.
+// Stats reports the directory's size bookkeeping.
 func (d *Dir) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
 }
 
-// Close implements Store.
+// Close releases the log's file descriptor.
 func (d *Dir) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -274,19 +274,19 @@ func TestDirRotationFaultKeepsLogConsistent(t *testing.T) {
 }
 
 // TestPersistentDegradationLadder drives the full read-only ladder
-// through the Faulty wrapper: a WAL append failure degrades the engine
+// through the directory's file operations: a WAL append failure degrades the engine
 // (updates rejected, ErrDegraded, counters on Metrics), queries keep
 // serving the last durable epoch, Probe fails while the fault persists
 // and re-arms updates when it clears, and a restart recovers exactly
 // the acknowledged state.
 func TestPersistentDegradationLadder(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir)
+	inj := NewInjector(3)
+	d, err := OpenDirFaulty(dir, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(3)
-	p, _, err := Open(NewFaulty(d, inj), fixtures.Figure1(), core.Options{}, Options{})
+	p, _, err := Open(d, fixtures.Figure1(), core.Options{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,5 +385,50 @@ func TestPersistentDegradationLadder(t *testing.T) {
 	}
 	if cc := rp.Cache().Counters(); cc.CrossEpochHits != 0 {
 		t.Fatalf("CrossEpochHits = %d after recovery, want 0", cc.CrossEpochHits)
+	}
+}
+
+// TestPersistentRejectedAppendDoesNotReplay: an update whose WAL record
+// landed but whose fsync failed was rejected to the client, so a
+// restart — with no probe or later append in between to repair the
+// tail — must recover the acknowledged epoch, not replay the record.
+func TestPersistentRejectedAppendDoesNotReplay(t *testing.T) {
+	dir := t.TempDir()
+	inj := NewInjector(11)
+	d, err := OpenDirFaulty(dir, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := Open(d, fixtures.Figure1(), core.Options{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rpq.MustParse("d.(b.c)+.c")
+	acked := p.Epoch()
+	fp := fingerprintEngine(t, p.Engine, []rpq.Expr{q})
+
+	inj.FailNth(OpSync, 1)
+	if _, err := p.ApplyUpdates([]core.GraphUpdate{core.InsertEdge(9, "d", 4)}); err == nil {
+		t.Fatal("update accepted despite failed WAL sync")
+	} else if !errors.Is(err, ErrInjected) {
+		t.Fatalf("sync failure not tagged ErrInjected: %v", err)
+	}
+	d.Close()
+
+	rd, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, info, err := Open(rd, nil, core.Options{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if rp.Epoch() != acked || info.ReplayedBatches != 0 {
+		t.Fatalf("restart replayed a rejected batch: epoch %d (acknowledged %d), replayed %d batches",
+			rp.Epoch(), acked, info.ReplayedBatches)
+	}
+	if got := fingerprintEngine(t, rp.Engine, []rpq.Expr{q}); got != fp {
+		t.Fatalf("restart diverged from acknowledged state\nlive:      %s\nrecovered: %s", fp, got)
 	}
 }

@@ -5,19 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-
-	"rtcshare/internal/core"
-	"rtcshare/internal/graph"
 )
 
 // This file is the I/O fault-injection seam of the store: a seedable
 // Injector deciding which file operations fail, consulted by Dir at its
-// write/sync/rename sites (OpenDirFaulty) and by the Faulty Store
-// wrapper at the interface boundary. Both levels exist on purpose — the
-// wrapper exercises Persistent's degradation ladder without a real
-// filesystem in the loop, while the Dir hooks exercise the atomic
-// rotation and WAL tail-repair machinery against real files. Production
-// builds pay nothing: a nil Injector compiles to the direct calls.
+// write/sync/rename sites (OpenDirFaulty). It is the only seam: a fault
+// fails a real file operation, so every test sees what that failure
+// leaves on disk — a torn or unacknowledged WAL tail, a stray temp
+// file — and drives the atomic rotation, the tail repair and
+// Persistent's degradation ladder against it. Production pays nothing:
+// a nil Injector compiles to the direct calls.
 
 // ErrInjected marks a failure manufactured by an Injector. Tests match
 // on it with errors.Is to tell injected faults from real ones.
@@ -152,74 +149,3 @@ func (i *Injector) should(op FaultOp) (fail, short bool) {
 	}
 	return false, false
 }
-
-// Faulty wraps a Store so mutating operations fail according to an
-// Injector — the interface-level counterpart of OpenDirFaulty, placed
-// beneath Persistent to drive its degradation ladder in tests and the
-// chaos benchmark. Read paths (LoadSnapshot, ReplayBatches, Stats) pass
-// through untouched: the ladder is about losing the ability to commit,
-// not the ability to serve.
-type Faulty struct {
-	inner Store
-	inj   *Injector
-}
-
-// NewFaulty wraps inner so its mutating operations consult inj.
-func NewFaulty(inner Store, inj *Injector) *Faulty {
-	return &Faulty{inner: inner, inj: inj}
-}
-
-// Injector returns the wrapper's injector.
-func (f *Faulty) Injector() *Injector { return f.inj }
-
-// fail consults the injector for each listed op, returning the first
-// injected failure.
-func (f *Faulty) fail(ops ...FaultOp) error {
-	for _, op := range ops {
-		if hit, _ := f.inj.should(op); hit {
-			return fmt.Errorf("store: %s: %w", op, ErrInjected)
-		}
-	}
-	return nil
-}
-
-// LoadSnapshot implements Store (never injected).
-func (f *Faulty) LoadSnapshot() (*graph.Graph, uint64, error) { return f.inner.LoadSnapshot() }
-
-// WriteSnapshot implements Store: a snapshot commit performs writes,
-// syncs and renames, so any armed fault can fail it.
-func (f *Faulty) WriteSnapshot(g *graph.Graph, epoch uint64) error {
-	if err := f.fail(OpWrite, OpSync, OpRename); err != nil {
-		return err
-	}
-	return f.inner.WriteSnapshot(g, epoch)
-}
-
-// AppendBatch implements Store: a WAL append is a write plus a sync.
-func (f *Faulty) AppendBatch(epoch uint64, updates []core.GraphUpdate) error {
-	if err := f.fail(OpWrite, OpSync); err != nil {
-		return err
-	}
-	return f.inner.AppendBatch(epoch, updates)
-}
-
-// ReplayBatches implements Store (never injected).
-func (f *Faulty) ReplayBatches(afterEpoch uint64, fn func(LoggedBatch) error) error {
-	return f.inner.ReplayBatches(afterEpoch, fn)
-}
-
-// Probe implements Store: it fails while faults are armed — the
-// degradation ladder must not re-arm updates before the medium
-// recovers — and delegates to the inner probe once they clear.
-func (f *Faulty) Probe() error {
-	if err := f.fail(OpWrite, OpSync, OpRename); err != nil {
-		return err
-	}
-	return f.inner.Probe()
-}
-
-// Stats implements Store.
-func (f *Faulty) Stats() Stats { return f.inner.Stats() }
-
-// Close implements Store.
-func (f *Faulty) Close() error { return f.inner.Close() }

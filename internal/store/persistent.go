@@ -14,7 +14,7 @@ import (
 // mode: a WAL append or snapshot commit failed, so accepting further
 // mutations would let the in-memory state run ahead of what the store
 // can recover. Queries keep serving the last durable epoch; Probe
-// re-arms updates once the backend commits again. rpqd maps this to
+// re-arms updates once the store commits again. rpqd maps this to
 // 503 + Retry-After.
 var ErrDegraded = errors.New("store: degraded (read-only)")
 
@@ -41,7 +41,7 @@ type Options struct {
 type Persistent struct {
 	*core.Engine
 
-	store Store
+	store *Dir
 
 	mu            sync.Mutex // serialises apply+log, snapshot and the degraded state
 	snapshotEvery int
@@ -112,7 +112,7 @@ type PersistInfo struct {
 // back to the seed would discard the log beside it. Without a snapshot
 // this is a cold boot: seed must be non-nil, the engine starts from it,
 // and an initial snapshot is written so the WAL has an anchor.
-func Open(s Store, seed *graph.Graph, opts core.Options, popts Options) (*Persistent, RecoveryInfo, error) {
+func Open(s *Dir, seed *graph.Graph, opts core.Options, popts Options) (*Persistent, RecoveryInfo, error) {
 	start := time.Now()
 	var info RecoveryInfo
 	var eng *core.Engine

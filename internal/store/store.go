@@ -10,22 +10,20 @@
 // the recovered graph and epoch are exactly the ones clients last saw.
 // Shared structures are not persisted; they rebuild on first use.
 //
-// The Store interface keeps backends pluggable; Dir is the file-system
-// backend (one snapshot file plus one log file in a directory, rotated
-// atomically via temp-file + rename). Persistent wraps a core.Engine so
-// every accepted batch is logged before it is applied, with optional
-// automatic snapshot compaction every N batches. See DESIGN.md §11 for
-// the formats and the recovery invariants.
+// Dir is the store: one snapshot file plus one log file in a directory,
+// rotated atomically via temp-file + rename. Persistent wraps a
+// core.Engine so every accepted batch is logged before it is applied,
+// with optional automatic snapshot compaction every N batches. See
+// DESIGN.md §11 for the formats and the recovery invariants.
 package store
 
 import (
 	"errors"
 
 	"rtcshare/internal/core"
-	"rtcshare/internal/graph"
 )
 
-// ErrNoSnapshot is returned by Store.LoadSnapshot when the backend holds
+// ErrNoSnapshot is returned by Dir.LoadSnapshot when the directory holds
 // no snapshot yet — the cold-boot signal, distinct from a corrupt or
 // unreadable snapshot (which is a real error: recovery must not silently
 // fall back to an empty graph).
@@ -43,41 +41,7 @@ type LoggedBatch struct {
 	Updates []core.GraphUpdate
 }
 
-// Store is a persistence backend: one snapshot slot plus one append-only
-// update log. Implementations are safe for concurrent use. The contract
-// recovery depends on: WriteSnapshot atomically replaces the snapshot
-// and then resets the log, in that order — a crash between the two
-// leaves old-epoch records in the log, which ReplayBatches' afterEpoch
-// filter skips.
-type Store interface {
-	// LoadSnapshot reads and decodes the current snapshot's graph and
-	// epoch, or returns ErrNoSnapshot when none exists.
-	LoadSnapshot() (*graph.Graph, uint64, error)
-	// WriteSnapshot atomically replaces the snapshot with g at epoch and
-	// resets the update log (records at epochs ≤ epoch are superseded).
-	WriteSnapshot(g *graph.Graph, epoch uint64) error
-	// AppendBatch durably appends one update batch tagged with the epoch
-	// the engine reached by applying it; it returns only after the
-	// record is committed (fsync).
-	AppendBatch(epoch uint64, updates []core.GraphUpdate) error
-	// ReplayBatches streams the logged batches with Epoch > afterEpoch,
-	// in log order, stopping at fn's first error. A torn or corrupt tail
-	// ends the stream silently: everything before it replays, the tail
-	// is discarded (it was never acknowledged, or the medium lost it).
-	ReplayBatches(afterEpoch uint64, fn func(LoggedBatch) error) error
-	// Probe verifies the backend can commit again after a failure —
-	// repairing any partial state a failed append or rotation left
-	// behind (e.g. a torn WAL tail) and test-writing the medium. A nil
-	// return means AppendBatch and WriteSnapshot may be retried; the
-	// degradation ladder in Persistent calls this to re-arm updates.
-	Probe() error
-	// Stats reports the backend's size bookkeeping.
-	Stats() Stats
-	// Close releases the backend's resources.
-	Close() error
-}
-
-// Stats is a Store's size and activity bookkeeping, served under
+// Stats is a Dir's size and activity bookkeeping, served under
 // /metrics by rpqd.
 type Stats struct {
 	// SnapshotBytes / SnapshotEpoch describe the current snapshot file

@@ -43,6 +43,10 @@
 // call at a time, from as many goroutines as you like: the engine's
 // cache shares closure structures across all of them.
 //
+// OpenStore and OpenEngine make an engine's graph durable: a snapshot
+// plus a write-ahead log of update batches in one directory, from which
+// a restart recovers exactly the epoch clients last observed.
+//
 // See the examples/ directory for complete programs and DESIGN.md for the
 // mapping between the paper and the packages under internal/.
 package rtcshare
@@ -144,9 +148,10 @@ const (
 	NoSharing = core.NoSharing
 )
 
-// Options configure an Engine. The zero value selects RTCSharing and
-// the default DNF bound. Every clause is planned as the paper does:
-// split at its rightmost outermost Kleene closure and join forward.
+// Options configure an Engine; the zero value selects RTCSharing. Every
+// clause is planned as the paper does: split at its rightmost outermost
+// Kleene closure and join forward. A query whose disjunctive normal form
+// exceeds 4,096 clauses is rejected with an error.
 type Options = core.Options
 
 // Stats is the engine's accumulated timing split: SharedData (computing
@@ -401,12 +406,11 @@ type RMATConfig = datagen.RMATConfig
 // distribution; see RMATConfig.
 func GenerateRMAT(cfg RMATConfig) (*Graph, error) { return datagen.RMAT(cfg) }
 
-// Store is a persistence backend for an engine's graph: one snapshot
-// slot (the frozen graph at one epoch) plus an append-only, CRC-framed
-// log of update batches. OpenStore returns the
-// file-directory implementation; the interface keeps other backends
-// pluggable.
-type Store = store.Store
+// Store is the persistence directory of an engine's graph: one snapshot
+// file (the frozen graph at one epoch) plus an append-only, CRC-framed
+// log of update batches, written with atomic rename + fsync. Open one
+// with OpenStore.
+type Store = store.Dir
 
 // StoreStats is a Store's size and activity bookkeeping: snapshot bytes
 // and epoch, snapshots written, and the update-log record/byte counts
@@ -442,15 +446,15 @@ type SnapshotInfo = store.SnapshotInfo
 // the boot.
 type PersistInfo = store.PersistInfo
 
-// ErrNoSnapshot is returned by Store.LoadSnapshot when the backend holds
-// no snapshot yet — the cold-boot signal, distinct from a corrupt
+// ErrNoSnapshot is returned by Store.LoadSnapshot when the directory
+// holds no snapshot yet — the cold-boot signal, distinct from a corrupt
 // snapshot (a real error).
 var ErrNoSnapshot = store.ErrNoSnapshot
 
-// OpenStore opens (creating if needed) a file-directory Store rooted at
-// dir: snapshot.bin plus wal.log, written with atomic rename + fsync. A
-// torn log tail left by a crash is repaired on open.
-func OpenStore(dir string) (Store, error) { return store.OpenDir(dir) }
+// OpenStore opens (creating if needed) the Store rooted at dir:
+// snapshot.bin plus wal.log. A torn log tail left by a crash is
+// repaired on open.
+func OpenStore(dir string) (*Store, error) { return store.OpenDir(dir) }
 
 // OpenEngine boots a PersistentEngine from s. With a resident snapshot,
 // the engine starts over the snapshot's graph at its epoch and replays
@@ -459,7 +463,7 @@ func OpenStore(dir string) (Store, error) { return store.OpenDir(dir) }
 // structures rebuild on first use. With an empty store this is a cold
 // boot: seed must be non-nil and an initial snapshot is written to
 // anchor the log. An unreadable snapshot is an error, never a cold boot.
-func OpenEngine(s Store, seed *Graph, opts Options, popts PersistOptions) (*PersistentEngine, RecoveryInfo, error) {
+func OpenEngine(s *Store, seed *Graph, opts Options, popts PersistOptions) (*PersistentEngine, RecoveryInfo, error) {
 	return store.Open(s, seed, opts, popts)
 }
 
@@ -477,49 +481,8 @@ var ErrDegraded = store.ErrDegraded
 // at admission so one pathological input cannot crash-loop the daemon.
 var ErrQuarantined = server.ErrQuarantined
 
-// ErrInjected marks a failure manufactured by a FaultInjector; tests
-// match on it with errors.Is to tell injected faults from real ones.
-var ErrInjected = store.ErrInjected
-
 // QueryPanicError reports a panic recovered during one query's
 // evaluation: the query text, the panic value and the captured stack.
 // Batch neighbours are unaffected; rpqd answers the panicking query
 // with HTTP 500 and quarantines the string if it keeps crashing.
 type QueryPanicError = core.QueryPanicError
-
-// FaultOp identifies one class of file operation a FaultInjector can
-// fail: FaultWrite, FaultSync or FaultRename.
-type FaultOp = store.FaultOp
-
-// The FaultOp kinds: data writes, fsyncs, and atomic-replace renames.
-const (
-	FaultWrite  = store.OpWrite
-	FaultSync   = store.OpSync
-	FaultRename = store.OpRename
-)
-
-// FaultInjector decides, deterministically from a seed, which store
-// file operations fail — probabilistically (Arm), by countdown
-// (FailNth), optionally tearing writes halfway (ShortWrites). Drive a
-// NewFaultyStore or OpenStoreFaulty with one to exercise the
-// degradation ladder; see DESIGN.md §13.
-type FaultInjector = store.Injector
-
-// NewFaultInjector returns an injector with no faults armed. A fixed
-// seed and a fixed operation sequence reproduce the same fault pattern.
-func NewFaultInjector(seed int64) *FaultInjector { return store.NewInjector(seed) }
-
-// NewFaultyStore wraps any Store so its mutating operations (AppendBatch,
-// WriteSnapshot, Probe) fail according to inj; reads pass through. Place
-// it beneath OpenEngine to test how a deployment behaves when the disk
-// misbehaves.
-func NewFaultyStore(inner Store, inj *FaultInjector) Store { return store.NewFaulty(inner, inj) }
-
-// OpenStoreFaulty is OpenStore with inj consulted at the directory
-// backend's write/sync/rename sites, failing the real file operations
-// themselves — the deeper seam, exercising atomic rotation and WAL
-// tail-repair against real files (NewFaultyStore fails at the Store
-// interface boundary instead).
-func OpenStoreFaulty(dir string, inj *FaultInjector) (Store, error) {
-	return store.OpenDirFaulty(dir, inj)
-}
