@@ -183,6 +183,27 @@ func BenchmarkRTC_FromProduct(b *testing.B) {
 	}
 }
 
+// BenchmarkRTC_FromProductPaper explains core.shared_data_ns.rtc: one
+// cold FromProduct per closure body R of paper-batch at seed 1, over its
+// RMAT_3 graph at 2^11 vertices.
+func BenchmarkRTC_FromProductPaper(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
+		r := rpq.MustParse(q)
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := rtc.FromProduct(g, r, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCore_Join explains core.join_ns: Algorithm 2's
 // Pre_G ⋈ R̄+ ⋈ Post on prebuilt inputs.
 func BenchmarkCore_Join(b *testing.B) {

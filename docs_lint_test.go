@@ -5,8 +5,9 @@ package rtcshare_test
 // exported identifier of the public surface (the root rtcshare package
 // and internal/server) must be documented, the local links of the
 // front-door markdown files must resolve, every `rpqbench -experiment`
-// they quote must exist, and nothing they say may name a retired
-// configuration outside DESIGN §6's evidence paragraphs. A missing
+// they quote must exist, nothing they say may name a retired
+// configuration outside DESIGN §6's evidence paragraphs, and DESIGN may
+// cite no ROADMAP item by its number. A missing
 // comment, a broken link or a stale command line fails the build, so
 // the docs cannot silently regress.
 
@@ -294,6 +295,24 @@ func TestDocRetiredNames(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// roadmapItemNumber matches a citation of a ROADMAP item by number,
+// also across a line break: ROADMAP renumbers its items at every
+// re-anchor, so such a citation goes stale.
+var roadmapItemNumber = regexp.MustCompile(`ROADMAP\s+(item\s+)?\d|\bitem\s+\d`)
+
+// TestDocNoRoadmapItemNumbers checks that DESIGN.md, §6 included, names
+// an open problem in words rather than by its ROADMAP item number.
+func TestDocNoRoadmapItemNumbers(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range roadmapItemNumber.FindAllIndex(data, -1) {
+		line := 1 + strings.Count(string(data[:m[0]]), "\n")
+		t.Errorf("DESIGN.md:%d cites %q; name the open problem in words", line, data[m[0]:m[1]])
 	}
 }
 

@@ -26,6 +26,24 @@ func TestStageTimerSumAdd(t *testing.T) {
 	}
 }
 
+// TestStageTimerClaimRest: the wall time since start that no stage
+// claimed after the sum was read goes to Other, and a call whose stages
+// already claim more than its wall adds nothing.
+func TestStageTimerClaimRest(t *testing.T) {
+	st := StageTimer{QueueNS: 7}
+	start := time.Now().Add(-time.Hour)
+	st.JoinNS = 1000
+	st.claimRest(start, 7*time.Nanosecond)
+	if st.OtherNS < int64(time.Hour)-1000 {
+		t.Fatalf("Other = %dns, want at least an hour less the 1000ns of join", st.OtherNS)
+	}
+	over := StageTimer{JoinNS: int64(time.Hour)}
+	over.claimRest(time.Now(), 0)
+	if over.OtherNS != 0 {
+		t.Fatalf("Other = %dns for a call its stages already cover, want 0", over.OtherNS)
+	}
+}
+
 // TestEvaluateRelTimedCtx: a timed evaluation returns the same relation and
 // epoch as the untimed path, attributes time to the stages a closure
 // query actually exercises, and the stage sum stays within the wall time

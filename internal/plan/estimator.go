@@ -146,9 +146,10 @@ func (est *Estimator) clamp(c Card) Card {
 	return c
 }
 
-// productEdges is the size of e's product graph, the structure
-// rtc.FromProduct builds: the sum, over the arcs of e's automaton, of
-// the arc label's edge count (a label absent from the graph has none).
+// productEdges is the size of e's product graph, which rtc.FromProduct
+// walks without building it: the sum, over the arcs of e's automaton,
+// of the arc label's edge count (a label absent from the graph has
+// none).
 func (est *Estimator) productEdges(e rpq.Expr) float64 {
 	nfa := automata.Compile(e, est.dict)
 	edges := 0

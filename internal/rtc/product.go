@@ -1,6 +1,8 @@
 package rtc
 
 import (
+	"slices"
+
 	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
@@ -19,132 +21,215 @@ import (
 // labels the product is k layers of label edges, Σ|E_lᵢ| edges, where
 // G_R has |R_G|.
 //
-// The product covers the copies reachable from start copies. A vertex u
-// is in V_R when (q₀, u) has an in-edge (some R path ends at u) or
-// reaches a start copy by a non-empty path (some R path starts at u).
-// check is polled while the product is built; on abort FromProduct
-// returns its error and a nil RTC.
+// The product is never materialised. One iterative Tarjan walks it
+// implicitly from the start copies that have an out-edge, reading a
+// copy's successors from g's adjacency through the automaton's arcs, so
+// it covers exactly the copies reachable from start copies. Components
+// close in reverse topological order, so each one's condensation run is
+// emitted as it closes; its start copies go to one flat array that all
+// Members rows slice. A vertex u is in V_R when (q₀, u) has an in-edge
+// (some R path ends at u) or reaches a start copy by a non-empty path
+// (some R path starts at u). check is polled once per expanded copy,
+// weighted by the copy's out-degree + 1, so even a single giant
+// component can be cancelled; on abort FromProduct returns its error
+// and a nil RTC.
 func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) {
+	nfa := automata.Compile(r, g.Dict())
 	n := g.NumVertices()
-	prod, err := productGraph(g, automata.Compile(r, g.Dict()), check)
-	if err != nil {
-		return nil, err
+	// num[c] for the copy c = q·n+v is 0 until visited, its DFS number
+	// (from 1) while on Tarjan's stack, and -(SID+1) once its component
+	// has closed.
+	num := make([]int32, nfa.NumStates()*n)
+	// hasIn[v]: (q₀, v) has an in-edge. Compile's start state has no
+	// incoming arc, so only back edges enter a start copy.
+	hasIn := make([]bool, n)
+	type component struct {
+		end            int32 // its start copies are flat[end of the previous:end]
+		stamp          int32 // the SID+1 of the last component to emit an edge to it
+		start, toStart bool  // it holds a start copy; it reaches one by a non-empty path
 	}
-	pc := scc.Tarjan(prod)
-	cond := scc.Condense(prod, pc)
+	type frame struct {
+		cursor
+		low    int32 // Tarjan's lowlink
+		out    int32 // len(out) when the copy was entered
+		degree int32 // out-edges walked
+		loop   bool  // the copy has an edge to itself
+	}
+	var (
+		comps   []component
+		flat    []graph.VID
+		offsets = []int32{0} // the condensation, as CSR runs over SIDs
+		targets []graph.VID
+		stack   []int32     // Tarjan's stack of copies
+		out     []graph.VID // the closed components the open copies have edges to
+		frames  []frame
+		next    int32
+	)
+	visit := func(c int32) {
+		next++
+		num[c] = next
+		stack = append(stack, c)
+		frames = append(frames, frame{cursor: cursor{c: c, q: c / int32(n)}, low: next, out: int32(len(out))})
+	}
+	for u := 0; u < n; u++ {
+		if num[u] != 0 || !hasOutEdge(g, nfa, graph.VID(u)) {
+			continue
+		}
+		visit(int32(u))
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			if w, ok := f.next(g, nfa, n); ok {
+				f.degree++
+				if int(w) < n {
+					hasIn[w] = true
+				}
+				switch x := num[w]; {
+				case x == 0:
+					visit(w)
+				case x > 0: // on the stack, so in the copy's component
+					f.low = min(f.low, x)
+					f.loop = f.loop || w == f.c
+				default:
+					out = append(out, -x-1)
+				}
+				continue
+			}
+			if check != nil {
+				if err := check(int(f.degree) + 1); err != nil {
+					return nil, err
+				}
+			}
+			c, low, lo, loop := f.c, f.low, f.out, f.loop
+			frames = frames[:len(frames)-1]
+			if low < num[c] {
+				p := &frames[len(frames)-1]
+				p.low = min(p.low, low)
+				continue
+			}
 
-	// toStart[s]: component s reaches a start copy by a non-empty path.
-	// Start copies have the product IDs below n, and Members are sorted,
-	// so a component holds one exactly when its first member is below n.
-	// Successors have lower SIDs than s, except s itself.
-	k := cond.NumVertices()
-	toStart := make([]bool, k)
-	for s := int32(0); int(s) < k; s++ {
-		for _, t := range cond.Successors(s) {
-			if pc.Members[t][0] < graph.VID(n) || (t != s && toStart[t]) {
-				toStart[s] = true
-				break
+			// c roots a component: pop it, then emit its condensation
+			// run. Its successors have closed, so their SIDs and toStart
+			// are final.
+			sid := int32(len(comps))
+			memberLo, size := len(flat), 0
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				num[w] = -sid - 1
+				size++
+				if int(w) < n {
+					flat = append(flat, w)
+				}
+				if w == c {
+					break
+				}
+			}
+			slices.Sort(flat[memberLo:])
+			sc := component{end: int32(len(flat)), start: len(flat) > memberLo}
+			for _, t := range out[lo:] {
+				if comps[t].stamp != sid+1 {
+					comps[t].stamp = sid + 1
+					targets = append(targets, t)
+					sc.toStart = sc.toStart || comps[t].start || comps[t].toStart
+				}
+			}
+			if loop || size > 1 {
+				targets = append(targets, sid)
+				sc.toStart = sc.toStart || sc.start
+			}
+			comps = append(comps, sc)
+			offsets = append(offsets, int32(len(targets)))
+			out = out[:lo]
+			if len(frames) > 0 {
+				out = append(out, sid)
 			}
 		}
 	}
-	comps := &scc.Components{CompOf: make([]int32, n), Members: pc.Members}
-	for u := range comps.CompOf {
-		s := pc.CompOf[u]
-		if s < 0 || (prod.InDegree(graph.VID(u)) == 0 && !toStart[s]) {
-			s = -1
+
+	// Keep the start copies in V_R. Each Members row is its component's
+	// run of flat, capped so that no caller's append can spill into the
+	// next one.
+	sccs := &scc.Components{CompOf: make([]int32, n), Members: make([][]graph.VID, len(comps))}
+	for u := range sccs.CompOf {
+		s := int32(-1)
+		if x := num[u]; x < 0 && (hasIn[u] || comps[-x-1].toStart) {
+			s = -x - 1
 		}
-		comps.CompOf[u] = s
+		sccs.CompOf[u] = s
 	}
-	for s, vs := range comps.Members {
-		m := vs[:0]
-		for _, v := range vs {
-			if v >= graph.VID(n) {
-				break
-			}
-			if comps.CompOf[v] >= 0 {
+	memberLo := int32(0)
+	for s, sc := range comps {
+		m := flat[memberLo:memberLo]
+		for _, v := range flat[memberLo:sc.end] {
+			if sccs.CompOf[v] >= 0 {
 				m = append(m, v)
 			}
 		}
-		if len(m) == 0 {
-			m = nil
+		if len(m) > 0 {
+			sccs.Members[s] = m[:len(m):len(m)]
 		}
-		comps.Members[s] = m
+		memberLo = sc.end
 	}
-	return assemble(comps, cond), nil
+	cond := compact(sccs, offsets, targets)
+	return &RTC{comps: sccs, condensation: cond, reach: newReachTable(cond, sccs.Members)}, nil
 }
 
-// productGraph builds the product of g with nfa over the copies
-// reachable from start copies, plus a back edge from every accepting
-// copy to the start copy of its vertex. The start copy (q₀, v) has
-// product ID v; every other copy gets the next ID when first reached,
-// and copies are expanded in ID order, so the CSR is appended source by
-// source. Compile's start state has no incoming arc, so a start copy is
-// entered by back edges only.
-func productGraph(g *graph.Graph, nfa *automata.NFA, check tc.Checkpoint) (*graph.DiGraph, error) {
-	n, states := g.NumVertices(), nfa.NumStates()
-	// id[q*n+v] is the product ID of (q, v) for q ≥ 1, 0 until reached
-	// (ID 0 is a start copy).
-	id := make([]int32, states*n)
-	type prodCopy struct {
-		state int32
-		v     graph.VID
-	}
-	var copies []prodCopy // the copies with IDs n, n+1, ...
-	idOf := func(q int, v graph.VID) graph.VID {
-		if q == 0 {
-			return v
-		}
-		key := q*n + int(v)
-		if id[key] == 0 {
-			id[key] = int32(n + len(copies))
-			copies = append(copies, prodCopy{int32(q), v})
-		}
-		return id[key]
-	}
+// cursor walks one copy's out-edges in the implicit product: the arcs of
+// its state in order, each through g's adjacency, then the back edge of
+// an accepting copy. It holds no pointer, so a stack of frames is
+// nothing for the garbage collector to scan.
+type cursor struct {
+	c, q   int32 // the copy (q, v), q·n+v
+	arc    int32 // arcs of q taken; one more once the back edge is
+	to     int32 // q'·n for the arc being walked, to q'
+	lo, hi int32 // the arc's neighbours of v not yet walked, in its CSR
+}
 
-	offsets := make([]int32, 1, n+1)
-	var targets []graph.VID
-	// stamp[t] == p+1 once copy p has an edge to t: two arcs can reach
-	// the same copy.
-	stamp := make([]int32, states*n)
-	add := func(p int, t graph.VID) {
-		if stamp[t] != int32(p)+1 {
-			stamp[t] = int32(p) + 1
-			targets = append(targets, t)
+// next returns the copy's next successor, or false once all are walked.
+func (k *cursor) next(g *graph.Graph, nfa *automata.NFA, n int) (int32, bool) {
+	arcs := nfa.Arcs(int(k.q))
+	for k.lo == k.hi {
+		v := k.c - k.q*int32(n)
+		switch {
+		case int(k.arc) < len(arcs):
+			a := arcs[k.arc]
+			k.arc++
+			k.to = int32(a.To * n)
+			k.lo, k.hi = arcRun(g, a, v)
+		case int(k.arc) == len(arcs) && nfa.IsAccept(int(k.q)):
+			k.arc++
+			return v, true // the back edge to (q₀, v)
+		default:
+			return 0, false
 		}
 	}
-	for p := 0; p < n+len(copies); p++ {
-		q, v := 0, graph.VID(p)
-		if p >= n {
-			q, v = int(copies[p-n].state), copies[p-n].v
-		}
-		lo := len(targets)
-		arcs := nfa.Arcs(q)
-		for i := 0; i < len(arcs); {
-			label, inverse := arcs[i].Label, arcs[i].Inverse
-			var neigh []graph.VID
-			switch {
-			case label < 0: // a label absent from the graph
-			case inverse:
-				neigh = g.Predecessors(v, label)
-			default:
-				neigh = g.Successors(v, label)
-			}
-			for ; i < len(arcs) && arcs[i].Label == label && arcs[i].Inverse == inverse; i++ {
-				for _, w := range neigh {
-					add(p, idOf(arcs[i].To, w))
-				}
-			}
-		}
-		if nfa.IsAccept(q) {
-			add(p, v)
-		}
-		offsets = append(offsets, int32(len(targets)))
-		if check != nil {
-			if err := check(len(targets) - lo + 1); err != nil {
-				return nil, err
-			}
+	a := arcs[k.arc-1]
+	_, targets := g.LabelCSR(a.Label, a.Inverse)
+	k.lo++
+	return k.to + targets[k.lo-1], true
+}
+
+// arcRun returns where the vertices an arc leads to from v lie in the
+// CSR of its label; an empty run for a label absent from the graph.
+func arcRun(g *graph.Graph, a automata.Arc, v graph.VID) (lo, hi int32) {
+	offsets, _ := g.LabelCSR(a.Label, a.Inverse)
+	if offsets == nil {
+		return 0, 0
+	}
+	return offsets[v], offsets[v+1]
+}
+
+// hasOutEdge reports whether the start copy (q₀, v) has an out-edge. The
+// DFS roots only at those: a start copy with an in-edge alone is reached
+// from another root, and one with neither is outside the product.
+func hasOutEdge(g *graph.Graph, nfa *automata.NFA, v graph.VID) bool {
+	if nfa.IsAccept(0) {
+		return true
+	}
+	for _, a := range nfa.Arcs(0) {
+		if lo, hi := arcRun(g, a, v); lo < hi {
+			return true
 		}
 	}
-	return graph.DiGraphFromRuns(len(offsets)-1, offsets, targets), nil
+	return false
 }

@@ -166,6 +166,61 @@ func TestFromProductCheckpoint(t *testing.T) {
 	}
 }
 
+// labelChain is n vertices joined by a-edges i → i+1, closed into a
+// ring when ring is set.
+func labelChain(n int, ring bool) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i+1 < n; i++ {
+		b.MustAddEdge(graph.VID(i), "a", graph.VID(i+1))
+	}
+	if ring {
+		b.MustAddEdge(graph.VID(n-1), "a", 0)
+	}
+	return b.Build()
+}
+
+// TestFromProductCheckpointInsideComponent: the product of a 4,096-vertex
+// a-ring with R = a is one SCC of 8,192 copies, and a checkpoint that
+// fails on its second call still aborts the build: FromProduct polls per
+// expanded copy, not per closed component.
+func TestFromProductCheckpointInsideComponent(t *testing.T) {
+	g := labelChain(4096, true)
+	stop := errors.New("stop")
+	calls := 0
+	r, err := FromProduct(g, rpq.MustParse("a"), func(int) error {
+		if calls++; calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || r != nil || calls != 2 {
+		t.Fatalf("FromProduct = %v, %v after %d calls; want nil, the checkpoint's error after 2", r, err, calls)
+	}
+}
+
+// TestFromProductAllocsIndependentOfComponents: on a 4,096-vertex a-path
+// with R = a, which leaves 4,096 components after compaction, a build
+// allocates a bounded number of times, not once or more per component.
+func TestFromProductAllocsIndependentOfComponents(t *testing.T) {
+	g := labelChain(4096, false)
+	r := rpq.MustParse("a")
+	built, err := FromProduct(g, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := built.Components().NumComponents(); k != 4096 {
+		t.Fatalf("%d components, want 4096", k)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := FromProduct(g, r, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 512 {
+		t.Fatalf("FromProduct allocates %.0f times, want under 512", allocs)
+	}
+}
+
 // TestClosureBuiltOnceConcurrently: RTCs are shared across goroutines
 // and TC(Ḡ_R) is built lazily, so concurrent first calls to the size
 // accessors must build it once and agree (run under -race).

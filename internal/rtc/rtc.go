@@ -154,12 +154,16 @@ func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.C
 	}, nil
 }
 
-// assemble is the shared tail of Compute, FromProduct and InsertEdges:
-// it drops the memberless components that cannot matter to a join,
-// then builds the reach table. comps and cond must be in Tarjan's SID
-// order, and comps is reused.
+// assemble is the shared tail of Compute and InsertEdges: it drops the
+// memberless components that cannot matter to a join, then builds the
+// reach table. comps and cond must be in Tarjan's SID order, and comps
+// is reused. A condensation of G_R has no memberless component and is
+// kept as is.
 func assemble(comps *scc.Components, cond *graph.DiGraph) *RTC {
-	cond = compact(comps, cond)
+	if slices.ContainsFunc(comps.Members, func(m []graph.VID) bool { return len(m) == 0 }) {
+		offsets, succ := cond.CSR()
+		cond = compact(comps, offsets, succ)
+	}
 	return &RTC{comps: comps, condensation: cond, reach: newReachTable(cond, comps.Members)}
 }
 
@@ -175,12 +179,10 @@ func assemble(comps *scc.Components, cond *graph.DiGraph) *RTC {
 //
 // Reachability between member-bearing components, and so Ḡ_R, is
 // unchanged, and the SIDs stay in Tarjan's reverse topological order.
-// A condensation of G_R has no memberless component and comes back as is.
-func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
-	if !slices.ContainsFunc(comps.Members, func(m []graph.VID) bool { return len(m) == 0 }) {
-		return cond
-	}
-	k := cond.NumVertices()
+// The condensation comes in as CSR runs: the successors of s are
+// succ[offsets[s]:offsets[s+1]], duplicate-free in any order.
+func compact(comps *scc.Components, offsets []int32, succ []graph.VID) *graph.DiGraph {
+	k := len(offsets) - 1
 	// to[s] is where an edge into s leads once compacted: s itself when
 	// it is kept, the kept component a pass-through forwards to, or -1
 	// for a dead end. Successors have lower SIDs, so they are settled
@@ -191,7 +193,7 @@ func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
 	for s := int32(0); int(s) < k; s++ {
 		if len(comps.Members[s]) == 0 {
 			fwd, branches := int32(-1), false
-			for _, t := range cond.Successors(s) {
+			for _, t := range succ[offsets[s]:offsets[s+1]] {
 				if t == s || to[t] < 0 {
 					continue
 				}
@@ -211,7 +213,7 @@ func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
 		kept++
 	}
 
-	offsets := make([]int32, kept+1)
+	keptOffsets := make([]int32, kept+1)
 	var targets []graph.VID
 	// stamp[t] == s+1 once kept component s has an edge to t.
 	stamp := make([]int32, kept)
@@ -220,7 +222,7 @@ func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
 			continue
 		}
 		ns := newSID[s]
-		for _, t := range cond.Successors(s) {
+		for _, t := range succ[offsets[s]:offsets[s+1]] {
 			if (t == s && len(comps.Members[s]) == 0) || to[t] < 0 {
 				continue
 			}
@@ -229,7 +231,7 @@ func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
 				targets = append(targets, nt)
 			}
 		}
-		offsets[ns+1] = int32(len(targets))
+		keptOffsets[ns+1] = int32(len(targets))
 		comps.Members[ns] = comps.Members[s]
 	}
 	comps.Members = comps.Members[:kept]
@@ -238,7 +240,7 @@ func compact(comps *scc.Components, cond *graph.DiGraph) *graph.DiGraph {
 			comps.CompOf[v] = newSID[s]
 		}
 	}
-	return graph.DiGraphFromRuns(int(kept), offsets, targets)
+	return graph.DiGraphFromRuns(int(kept), keptOffsets, targets)
 }
 
 // reachTable holds, per component, the member-bearing components it
