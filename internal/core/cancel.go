@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
@@ -118,9 +117,7 @@ func (e *Engine) SetEvalHook(hook func(query string)) {
 // the next checkpoint once ctx is done. Either ctx or st may be nil.
 // Panics during the evaluation are recovered into a *QueryPanicError, so
 // a /query that crashes the evaluator fails alone. This is the serving
-// layer's cold-query entry point. The engine time no finer stage claims
-// (memo bookkeeping, call set-up) lands in st's Other stage, so the
-// stages partition the whole call.
+// layer's cold-query entry point.
 func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageTimer) (rel *pairs.Relation, epoch uint64, err error) {
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -128,9 +125,6 @@ func (e *Engine) EvaluateRelTimedCtx(ctx context.Context, q rpq.Expr, st *StageT
 		}
 	}
 	defer recoverPanic(q, &err)
-	if st != nil {
-		defer st.claimRest(time.Now(), st.Sum())
-	}
 	c := e.call(ctx, st)
 	rel, err = c.evaluate(q)
 	return rel, c.epoch, err

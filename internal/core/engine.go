@@ -549,22 +549,24 @@ func (c *evalCall) addSplit(part *time.Duration, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// stageClosureWait attributes time spent waiting on another
-// goroutine's in-flight closure computation (a singleflight hit) to
-// the closure-build stage of the waiter's request — without touching
-// Stats, where the computing call already accounted the work. The
-// waiter's wall clock really did pass here, so the per-request
-// breakdown must see it even though the three-part split must not.
-func (c *evalCall) stageClosureWait(d time.Duration) {
+// stageClosure attributes the closure cache boundary's own time to
+// the closure-build stage of the request: a hit, a wait on another
+// goroutine's in-flight computation (a singleflight hit), or the lookup
+// and bookkeeping around this call's own computation. It does not touch
+// Stats, where the computing call accounts the work. The request's wall
+// clock really did pass here, so the per-request breakdown must see it
+// even though the three-part split must not.
+func (c *evalCall) stageClosure(d time.Duration) {
 	if c.stages != nil {
 		c.stages.ClosureBuildNS += d.Nanoseconds()
 	}
 }
 
-// stageOtherWait is stageClosureWait for sub-relation memo boundaries:
-// wall time a waiter spent on a relation-region singleflight (or a
-// warm memo probe), attributed to Other without double-counting Stats.
-func (c *evalCall) stageOtherWait(d time.Duration) {
+// stageOther is stageClosure for sub-relation memo boundaries: the
+// relation region's own time (a warm memo probe, a singleflight
+// wait, or the lookup and admission around this call's evaluation),
+// attributed to Other without double-counting Stats.
+func (c *evalCall) stageOther(d time.Duration) {
 	if c.stages != nil {
 		c.stages.OtherNS += d.Nanoseconds()
 	}

@@ -222,30 +222,32 @@ func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	if !c.shouldCache() {
 		return c.evaluatePlanned(q, nil)
 	}
+	t0 := time.Now()
 	key := q.String()
 	// The overflow memo holds relations the shared region's budget
 	// declined during this call; normally it is nil and this is one
 	// cheap miss.
 	if rel, ok := c.overflow[key]; ok {
+		c.stageOther(time.Since(t0))
 		return rel, nil
 	}
-	t0 := time.Now()
+	var inner time.Duration
 	// The compute closure runs under the cache's singleflight; a panic
 	// inside it would leave co-waiters blocked forever, so it is recovered
 	// into an error here — the cache then drops the entry and unblocks
 	// every waiter with the error.
-	val, computed, retained, err := c.cache.GetOrComputeRelation(c.epoch, key, func() (v any, err error) {
+	val, _, retained, err := c.cache.GetOrComputeRelation(c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(q, &err)
+		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.evaluatePlanned(q, nil)
 	})
-	if !computed {
-		// A memo hit — or a singleflight wait on another goroutine's
-		// in-flight evaluation. The wall time is real for this request's
-		// breakdown, but Stats must not see it: the computing call
-		// already attributed the work (and on the computed branch this
-		// call's own inner evaluation did).
-		c.stageOtherWait(time.Since(t0))
-	}
+	// The memo boundary's own time — a hit, a singleflight wait on
+	// another goroutine's in-flight evaluation, or the lookup and
+	// admission around this call's own evaluation, whose stages that
+	// evaluation attributed itself. The wall time is real for this
+	// request's breakdown, but Stats must not see it: the computing call
+	// accounts the work.
+	c.stageOther(time.Since(t0) - inner)
 	if err != nil {
 		return nil, err
 	}
@@ -281,24 +283,25 @@ func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 		c.countLookup(false, v.summary, v.structure)
 		return v.structure, nil
 	}
-	key := nsRTC + r.String()
 	t0 := time.Now()
+	key := nsRTC + r.String()
+	var inner time.Duration
 	val, computed, err := c.cache.GetOrCompute(c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(r, &err)
+		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeRTC(r)
 	})
-	if !computed {
-		// Cache hit or singleflight wait: this request's wall clock
-		// passed at the closure boundary, so the stage breakdown charges
-		// it to closure-build, while Stats stays with the engine that
-		// computed the structure.
-		c.stageClosureWait(time.Since(t0))
-	}
 	if err != nil {
+		c.stageClosure(time.Since(t0) - inner)
 		return nil, err
 	}
 	v := val.(*rtcValue)
 	c.countLookup(!computed, v.summary, v.structure)
+	// Cache hit, singleflight wait, or the cache bookkeeping around this
+	// call's own computeRTC: this request's wall clock passed at the
+	// closure boundary, so the stage breakdown charges it to
+	// closure-build, while Stats stays with the computation.
+	c.stageClosure(time.Since(t0) - inner)
 	return v.structure, nil
 }
 
@@ -323,12 +326,11 @@ func (c *evalCall) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 // rtc.FromProduct reads the SCCs of G_R and the reachability between
 // them off the product of G with R's automaton. All of it is
 // Shared_Data, and it polls the engine's cancellation checkpoint (if
-// any) while the product is built. |TC(Ḡ_R)| is not built here;
+// any) while it walks the product. |TC(Ḡ_R)| is not built here;
 // SharedSummaries computes it on demand.
 func (c *evalCall) computeRTC(r rpq.Expr) (*rtcValue, error) {
-	t0 := time.Now()
+	defer func(t0 time.Time) { c.addShared(time.Since(t0)) }(time.Now())
 	structure, err := rtc.FromProduct(c.g, r, c.checkpointFn())
-	c.addShared(time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
@@ -356,18 +358,19 @@ func (c *evalCall) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
 		return v.closure, nil
 	}
 	t0 := time.Now()
+	var inner time.Duration
 	val, computed, err := c.cache.GetOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
 		defer recoverPanic(r, &err)
+		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeFullClosure(r)
 	})
-	if !computed {
-		c.stageClosureWait(time.Since(t0))
-	}
 	if err != nil {
+		c.stageClosure(time.Since(t0) - inner)
 		return nil, err
 	}
 	v := val.(*fullValue)
 	c.countLookup(!computed, v.summary, nil)
+	c.stageClosure(time.Since(t0) - inner)
 	return v.closure, nil
 }
 

@@ -38,8 +38,7 @@ type StageTimer struct {
 	PageNS int64 `json:"page_ns"`
 	// OtherNS is everything else the engine does: automaton traversals,
 	// sub-query evaluation boundaries, FullSharing's edge-level
-	// reduction, unions, and the rest of a timed call (see
-	// EvaluateRelTimedCtx).
+	// reduction, unions.
 	OtherNS int64 `json:"other_ns"`
 }
 
@@ -47,14 +46,6 @@ type StageTimer struct {
 func (t *StageTimer) Sum() time.Duration {
 	return time.Duration(t.QueueNS + t.CoalesceWaitNS + t.PlanNS +
 		t.ClosureBuildNS + t.JoinNS + t.SealNS + t.PageNS + t.OtherNS)
-}
-
-// claimRest adds to Other the part of the wall time since start that
-// no stage claimed after the stages summed to before.
-func (t *StageTimer) claimRest(start time.Time, before time.Duration) {
-	if rest := time.Since(start) - (t.Sum() - before); rest > 0 {
-		t.OtherNS += rest.Nanoseconds()
-	}
 }
 
 // Add folds other into t stage by stage.

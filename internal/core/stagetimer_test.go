@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/rpq"
 )
@@ -23,24 +25,6 @@ func TestStageTimerSumAdd(t *testing.T) {
 	}
 	if b.ClosureBuildNS != 8 || b.PageNS != 14 {
 		t.Fatalf("Add did not fold stage-wise: %+v", b)
-	}
-}
-
-// TestStageTimerClaimRest: the wall time since start that no stage
-// claimed after the sum was read goes to Other, and a call whose stages
-// already claim more than its wall adds nothing.
-func TestStageTimerClaimRest(t *testing.T) {
-	st := StageTimer{QueueNS: 7}
-	start := time.Now().Add(-time.Hour)
-	st.JoinNS = 1000
-	st.claimRest(start, 7*time.Nanosecond)
-	if st.OtherNS < int64(time.Hour)-1000 {
-		t.Fatalf("Other = %dns, want at least an hour less the 1000ns of join", st.OtherNS)
-	}
-	over := StageTimer{JoinNS: int64(time.Hour)}
-	over.claimRest(time.Now(), 0)
-	if over.OtherNS != 0 {
-		t.Fatalf("Other = %dns for a call its stages already cover, want 0", over.OtherNS)
 	}
 }
 
@@ -109,6 +93,42 @@ func TestEvaluateRelTimedCtx(t *testing.T) {
 				t.Errorf("engine wrote serving-layer stages: %+v", st)
 			}
 		})
+	}
+}
+
+// TestStagesCoverEngineCall: the engine's stages account for its whole
+// timed call, cache boundaries and structure summaries included, so
+// what a server sees unattributed is its own overhead. On a 2^11-vertex
+// RMAT graph a cold query takes about half a millisecond and the stages
+// land within 1% of the call's wall time; the bound applies to the
+// worst query of the best of a few fresh engines, since a preemption
+// between two clocks is not a stage.
+func TestStagesCoverEngineCall(t *testing.T) {
+	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 2048, Edges: 16384, Labels: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, bestDetail := 1.0, ""
+	for attempt := 0; attempt < 5 && best > 0.01; attempt++ {
+		e := New(g, Options{})
+		worst, detail := 0.0, ""
+		for _, q := range []string{"l0+", "l1·l2+", "(l0·l1)+"} {
+			var st StageTimer
+			start := time.Now()
+			if _, _, err := e.EvaluateRelTimedCtx(context.Background(), rpq.MustParse(q), &st); err != nil {
+				t.Fatal(err)
+			}
+			wall := time.Since(start)
+			if gap := float64(wall-st.Sum()) / float64(wall); gap >= worst {
+				worst, detail = gap, fmt.Sprintf("%s: stages %v of wall %v (%+v)", q, st.Sum(), wall, st)
+			}
+		}
+		if worst < best {
+			best, bestDetail = worst, detail
+		}
+	}
+	if best > 0.01 {
+		t.Fatalf("stages miss %.1f%% of the engine call at best — %s", 100*best, bestDetail)
 	}
 }
 

@@ -29,10 +29,11 @@ import (
 // emitted as it closes; its start copies go to one flat array that all
 // Members rows slice. A vertex u is in V_R when (q₀, u) has an in-edge
 // (some R path ends at u) or reaches a start copy by a non-empty path
-// (some R path starts at u). check is polled once per expanded copy,
-// weighted by the copy's out-degree + 1, so even a single giant
-// component can be cancelled; on abort FromProduct returns its error
-// and a nil RTC.
+// (some R path starts at u). check is polled as each copy is entered,
+// weighted by that copy and the edges walked since the previous poll,
+// so polls keep pace with the walk even while it descends through a
+// single giant component; on abort FromProduct returns its error and a
+// nil RTC.
 func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) {
 	nfa := automata.Compile(r, g.Dict())
 	n := g.NumVertices()
@@ -50,10 +51,9 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 	}
 	type frame struct {
 		cursor
-		low    int32 // Tarjan's lowlink
-		out    int32 // len(out) when the copy was entered
-		degree int32 // out-edges walked
-		loop   bool  // the copy has an edge to itself
+		low  int32 // Tarjan's lowlink
+		out  int32 // len(out) when the copy was entered
+		loop bool  // the copy has an edge to itself
 	}
 	var (
 		comps   []component
@@ -64,28 +64,42 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 		out     []graph.VID // the closed components the open copies have edges to
 		frames  []frame
 		next    int32
+		walked  int // out-edges walked since check was last polled
 	)
-	visit := func(c int32) {
+	// visit enters copy c, polling check first with the work done since
+	// the last poll: this copy and the edges walked meanwhile.
+	visit := func(c int32) error {
+		if check != nil {
+			if err := check(walked + 1); err != nil {
+				return err
+			}
+			walked = 0
+		}
 		next++
 		num[c] = next
 		stack = append(stack, c)
 		frames = append(frames, frame{cursor: cursor{c: c, q: c / int32(n)}, low: next, out: int32(len(out))})
+		return nil
 	}
 	for u := 0; u < n; u++ {
 		if num[u] != 0 || !hasOutEdge(g, nfa, graph.VID(u)) {
 			continue
 		}
-		visit(int32(u))
+		if err := visit(int32(u)); err != nil {
+			return nil, err
+		}
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if w, ok := f.next(g, nfa, n); ok {
-				f.degree++
+				walked++
 				if int(w) < n {
 					hasIn[w] = true
 				}
 				switch x := num[w]; {
 				case x == 0:
-					visit(w)
+					if err := visit(w); err != nil {
+						return nil, err
+					}
 				case x > 0: // on the stack, so in the copy's component
 					f.low = min(f.low, x)
 					f.loop = f.loop || w == f.c
@@ -93,11 +107,6 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 					out = append(out, -x-1)
 				}
 				continue
-			}
-			if check != nil {
-				if err := check(int(f.degree) + 1); err != nil {
-					return nil, err
-				}
 			}
 			c, low, lo, loop := f.c, f.low, f.out, f.loop
 			frames = frames[:len(frames)-1]
@@ -180,7 +189,7 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 // nothing for the garbage collector to scan.
 type cursor struct {
 	c, q   int32 // the copy (q, v), q·n+v
-	arc    int32 // arcs of q taken; one more once the back edge is
+	arc    int32 // arcs of q taken; one more once the back edge is taken
 	to     int32 // q'·n for the arc being walked, to q'
 	lo, hi int32 // the arc's neighbours of v not yet walked, in its CSR
 }
@@ -222,6 +231,10 @@ func arcRun(g *graph.Graph, a automata.Arc, v graph.VID) (lo, hi int32) {
 // hasOutEdge reports whether the start copy (q₀, v) has an out-edge. The
 // DFS roots only at those: a start copy with an in-edge alone is reached
 // from another root, and one with neither is outside the product.
+// Rooting at every start copy would build the same RTC, but each copy
+// with neither edge would close as a component of its own for compact
+// to drop: on RMAT_3 at 2^11 vertices that costs 13–27% more time per
+// build.
 func hasOutEdge(g *graph.Graph, nfa *automata.NFA, v graph.VID) bool {
 	if nfa.IsAccept(0) {
 		return true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -182,7 +183,7 @@ func labelChain(n int, ring bool) *graph.Graph {
 // TestFromProductCheckpointInsideComponent: the product of a 4,096-vertex
 // a-ring with R = a is one SCC of 8,192 copies, and a checkpoint that
 // fails on its second call still aborts the build: FromProduct polls per
-// expanded copy, not per closed component.
+// entered copy, not per closed component.
 func TestFromProductCheckpointInsideComponent(t *testing.T) {
 	g := labelChain(4096, true)
 	stop := errors.New("stop")
@@ -195,6 +196,31 @@ func TestFromProductCheckpointInsideComponent(t *testing.T) {
 	})
 	if err != stop || r != nil || calls != 2 {
 		t.Fatalf("FromProduct = %v, %v after %d calls; want nil, the checkpoint's error after 2", r, err, calls)
+	}
+}
+
+// TestFromProductPollsOnEntry: the product of a 2^15-vertex a-ring with
+// R = a is one SCC of 2^16 copies that the DFS descends in one path. A
+// checkpoint that fails on its first call must stop the walk before it
+// goes deeper, so the build allocates little beyond its per-copy
+// arrays. Polling only once a copy is left would walk the whole ring
+// first, growing Tarjan's frames to 2^16 entries: over 30 bytes a copy.
+func TestFromProductPollsOnEntry(t *testing.T) {
+	const n = 1 << 15
+	g := labelChain(n, true)
+	r := rpq.MustParse("a")
+	stop := errors.New("stop")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	built, err := FromProduct(g, r, func(int) error { return stop })
+	runtime.ReadMemStats(&after)
+	if err != stop || built != nil {
+		t.Fatalf("FromProduct = %v, %v; want nil, the checkpoint's error", built, err)
+	}
+	// The DFS numbers take 4 bytes a copy and the in-edge flags 1 byte a
+	// vertex: 9 bytes per ring vertex.
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 16*n {
+		t.Fatalf("an abort on the first poll allocated %d bytes, want at most %d", bytes, 16*n)
 	}
 }
 
