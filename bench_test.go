@@ -152,6 +152,27 @@ func BenchmarkTC_FullClosure(b *testing.B) {
 	}
 }
 
+// BenchmarkTC_FullClosurePaper is tc.full_closure_ns at paper-batch's
+// scale: TC(G_R) for three closure bodies R over its RMAT_3 graph at
+// 2^11 vertices, seed 1, G_R built the way the engine builds it.
+func BenchmarkTC_FullClosurePaper(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
+		bld := pairs.NewBuilder(g.NumVertices())
+		eval.New(g, rpq.MustParse(q), eval.Options{}).AppendAll(bld)
+		gr := rtc.EdgeReduceRel(g.NumVertices(), bld.Seal())
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				tc.BFS(gr)
+			}
+		})
+	}
+}
+
 // BenchmarkRTC_Compute explains rtc.compute_ns: Tarjan, condensation and
 // the reach table over G_R, with the zero-value algorithm; the metric
 // builds TC(Ḡ_R) (Table III's right column) outside the timer.

@@ -234,7 +234,8 @@ type fullJoin struct {
 	seen     stampSet    // the current source's frontier
 	mids     []graph.VID // the frontier, in first-reached order
 	endsBuf  []graph.VID
-	endSpans map[graph.VID]endSpan
+	endSpans []endSpan // by vertex; valid where memo marks it
+	memo     stampSet  // the vertices whose Post ends this join holds
 
 	postNS time.Duration // Post traversals: Remainder in the timing split
 }
@@ -247,12 +248,15 @@ type endSpan struct{ start, end int32 }
 func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) *fullJoin {
 	j := c.fullPool.Get().(*fullJoin)
 	j.c, j.preG, j.closure, j.star = c, preG, closure, typ == rpq.ClosureStar
-	j.seen.ensure(c.g.NumVertices())
+	n := c.g.NumVertices()
+	j.seen.ensure(n)
 	if _, eps := post.(rpq.Epsilon); !eps {
 		t0 := time.Now()
 		j.postEv, j.evKey = c.acquireEvaluator(post)
-		if j.endSpans == nil {
-			j.endSpans = make(map[graph.VID]endSpan)
+		j.memo.ensure(n)
+		j.memo.reset()
+		if len(j.endSpans) < n {
+			j.endSpans = make([]endSpan, n)
 		}
 		j.postNS += time.Since(t0)
 	}
@@ -264,7 +268,6 @@ func (j *fullJoin) release() {
 	if j.postEv != nil {
 		c.releaseEvaluator(j.evKey, j.postEv)
 	}
-	clear(j.endSpans)
 	j.mids, j.endsBuf = j.mids[:0], j.endsBuf[:0]
 	j.c, j.preG, j.closure, j.postEv, j.evKey, j.postNS = nil, nil, nil, nil, "", 0
 	c.fullPool.Put(j)
@@ -306,15 +309,14 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 		return rows, nil
 	}
 	for _, vk := range j.mids {
-		span, ok := j.endSpans[vk]
-		if !ok {
+		if j.memo.add(vk) {
 			t0 := time.Now()
-			span.start = int32(len(j.endsBuf))
+			start := int32(len(j.endsBuf))
 			j.endsBuf = j.postEv.AppendReachFrom(vk, j.endsBuf)
-			span.end = int32(len(j.endsBuf))
-			j.endSpans[vk] = span
+			j.endSpans[vk] = endSpan{start, int32(len(j.endsBuf))}
 			j.postNS += time.Since(t0)
 		}
+		span := j.endSpans[vk]
 		ends := j.endsBuf[span.start:span.end]
 		if err := c.checkpoint(len(ends) + 1); err != nil {
 			return rows, err

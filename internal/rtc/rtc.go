@@ -31,8 +31,8 @@ import (
 // the benchmark replay pins the Compute(gr, 0) signature.
 type TCAlgorithm int
 
-// BFSClosure runs a per-vertex BFS over Ḡ_R (Table III's
-// O(|V̄_R|·|Ē_R|) computation).
+// BFSClosure runs tc's BFS, one search per source, over Ḡ_R (Table
+// III's O(|V̄_R|·|Ē_R|) computation).
 const BFSClosure TCAlgorithm = 0
 
 // LightReach bounds the reach table: a component that reaches at most

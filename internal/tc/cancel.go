@@ -3,8 +3,8 @@ package tc
 import "rtcshare/internal/graph"
 
 // Checkpoint is a cooperative-cancellation probe threaded into closure
-// construction: the BFS calls it with an approximate count of rows
-// (closure pairs) produced since the last call, and a non-nil return
+// construction: the BFS calls it with the work done since the last
+// call (pairs found plus edges walked), and a non-nil return
 // aborts the build with that error. The engine layer passes an
 // amortized context poll; nil means uncancellable and costs nothing.
 //
@@ -13,8 +13,8 @@ import "rtcshare/internal/graph"
 // use.
 type Checkpoint func(rows int) error
 
-// BFSCheck is BFS with a cancellation checkpoint consulted once per
-// source vertex.
+// BFSCheck is BFS with a cancellation checkpoint consulted before each
+// 64-source batch and after each level of its search.
 func BFSCheck(d *graph.DiGraph, check Checkpoint) (*Closure, error) {
 	return bfs(d, nil, check)
 }

@@ -1,12 +1,18 @@
-// Package tc computes transitive closures of unlabeled digraphs by a
-// per-vertex breadth-first search, O(|V|·|E|) — the closure computation
-// the paper assigns to both methods in Table III (FullSharing runs it on
-// G_R, RTCSharing on the much smaller Ḡ_R). The closure follows the
-// paper's semantics: (u, w) ∈ TC iff a path of length ≥ 1 leads from u
-// to w, so (u, u) requires a cycle through u.
+// Package tc computes transitive closures of unlabeled digraphs by
+// breadth-first search, O(|V|·|E|) — the closure computation the paper
+// assigns to both methods in Table III (FullSharing runs it on G_R,
+// RTCSharing on the much smaller Ḡ_R). The kernel is word-parallel: it
+// runs the searches of 64 sources at once, one per bit of a uint64 mask
+// per vertex, and emits each row sorted without sorting it. It is still
+// one search per source, with no condensation and no row shared between
+// vertices, so TC(G_R) costs what Table III's FullSharing column says:
+// every reachable pair is found and stored once per source. The closure
+// follows the paper's semantics: (u, w) ∈ TC iff a path of length ≥ 1
+// leads from u to w, so (u, u) requires a cycle through u.
 package tc
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -119,7 +125,9 @@ func (c *Closure) Equal(other *Closure) bool {
 }
 
 // BFS computes the closure by a breadth-first search from every active
-// vertex: O(|V|·|E|) time, the complexity the paper quotes in Table III.
+// vertex, the O(|V|·|E|) computation the paper quotes in Table III. The
+// searches run 64 at a time, one per bit of a word (see bfs), but each
+// source still has its own search and its own row.
 func BFS(d *graph.DiGraph) *Closure {
 	c, _ := bfs(d, nil, nil)
 	return c
@@ -135,55 +143,125 @@ func BFSAmong(d *graph.DiGraph, keep []bool) *Closure {
 	return c
 }
 
+// batchBits is the number of sources one batch searches: one per bit of
+// a mask word.
+const batchBits = 64
+
 // bfs is BFS with an optional vertex filter (nil keeps every vertex)
-// and an optional per-source cancellation checkpoint.
+// and an optional cancellation checkpoint. It is a multi-source BFS
+// (Then et al., VLDB 2014): the sources with an out-edge go in batches
+// of 64, and bit i of a vertex's masks stands for the batch's i-th
+// source. seen[w] holds the sources that reached w by a path of length
+// ≥ 1; frontier[w] and next[w] those that reached it at the current and
+// the next level. A source is not pre-marked seen, so it enters its own
+// row only through a cycle. A batch walks only the vertices it touched
+// and resets only those, so it costs what it reached, never |V|.
+//
+// The rows are emitted without sorting a row: the batch's touched
+// vertices are sorted once, the rows are counted per bit and carved
+// from one exact-size array, and each w is then appended, in ascending
+// order, to the row of every source whose bit seen[w] sets. The keep
+// filter applies at emission.
+//
+// check is polled before each batch and after each level, weighted by
+// the pairs the level found plus the edges it walked, so a batch on one
+// large cycle stays cancellable.
 func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
 	c := &Closure{numVertices: n, succ: make([][]graph.VID, n)}
-	visited := make([]uint32, n)
-	gen := uint32(0)
-	queue := make([]graph.VID, 0, 64)
+	offsets, targets := d.CSR()
 
-	// lastRows is the work of the previous source's search, spent
-	// against the checkpoint budget before starting the next one.
-	lastRows := 1
+	var sources []graph.VID
 	for _, u := range d.ActiveVertices() {
-		if d.OutDegree(u) == 0 || (keep != nil && !keep[u]) {
-			continue
+		if d.OutDegree(u) > 0 && (keep == nil || keep[u]) {
+			sources = append(sources, u)
 		}
-		if err := checkRows(check, lastRows); err != nil {
+	}
+	seen := make([]uint64, n)
+	frontier := make([]uint64, n)
+	next := make([]uint64, n)
+	var touched, level, nextLevel []graph.VID
+
+	for len(sources) > 0 {
+		batch := sources[:min(batchBits, len(sources))]
+		sources = sources[len(batch):]
+		if err := checkRows(check, len(batch)); err != nil {
 			return nil, err
 		}
-		gen++
-		queue = queue[:0]
-		// Seed with u's successors; u itself is reachable only via a
-		// cycle, so it is not pre-marked.
-		var reach []graph.VID
-		for _, w := range d.Successors(u) {
-			if visited[w] != gen {
-				visited[w] = gen
-				queue = append(queue, w)
-				reach = append(reach, w)
-			}
+		for i, u := range batch {
+			frontier[u] = 1 << i
+			level = append(level, u)
 		}
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range d.Successors(v) {
-				if visited[w] != gen {
-					visited[w] = gen
-					queue = append(queue, w)
-					reach = append(reach, w)
+		for len(level) > 0 {
+			work := 0
+			for _, v := range level {
+				f := frontier[v]
+				frontier[v] = 0
+				ws := targets[offsets[v]:offsets[v+1]]
+				work += len(ws)
+				for _, w := range ws {
+					nw := f &^ seen[w]
+					if nw == 0 {
+						continue
+					}
+					if seen[w] == 0 {
+						touched = append(touched, w)
+					}
+					seen[w] |= nw
+					if next[w] == 0 {
+						nextLevel = append(nextLevel, w)
+					}
+					next[w] |= nw
+					work += bits.OnesCount64(nw)
 				}
 			}
+			if err := checkRows(check, work); err != nil {
+				return nil, err
+			}
+			level, nextLevel = nextLevel, level[:0]
+			frontier, next = next, frontier
 		}
-		if keep != nil {
-			reach = slices.DeleteFunc(reach, func(w graph.VID) bool { return !keep[w] })
-		}
-		sort.Slice(reach, func(i, j int) bool { return reach[i] < reach[j] })
-		c.succ[u] = reach
-		c.numPairs += len(reach)
-		lastRows = len(reach) + 1
+		c.numPairs += emitRows(c.succ, batch, touched, seen, keep)
+		touched = touched[:0]
 	}
 	return c, nil
+}
+
+// emitRows writes the rows of one batch into succ and returns the pairs
+// written, resetting seen over the touched vertices as it goes.
+func emitRows(succ [][]graph.VID, batch, touched []graph.VID, seen []uint64, keep []bool) int {
+	slices.Sort(touched)
+	kept := touched[:0]
+	var counts [batchBits]int
+	for _, w := range touched {
+		if keep != nil && !keep[w] {
+			seen[w] = 0
+			continue
+		}
+		kept = append(kept, w)
+		for m := seen[w]; m != 0; m &= m - 1 {
+			counts[bits.TrailingZeros64(m)]++
+		}
+	}
+	var pos [batchBits]int
+	total := 0
+	for i := range batch {
+		pos[i] = total
+		total += counts[i]
+	}
+	backing := make([]graph.VID, total)
+	for i, u := range batch {
+		if counts[i] > 0 {
+			succ[u] = backing[pos[i] : pos[i]+counts[i] : pos[i]+counts[i]]
+		}
+	}
+	for _, w := range kept {
+		for m := seen[w]; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			backing[pos[i]] = w
+			pos[i]++
+		}
+		seen[w] = 0
+	}
+	return total
 }

@@ -1,7 +1,10 @@
 package tc
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -117,8 +120,9 @@ func TestClosureEqual(t *testing.T) {
 	}
 }
 
-// floydWarshall is the oracle for property tests.
-func floydWarshall(d *graph.DiGraph) *pairs.Set {
+// floydWarshall is the oracle for property tests: the closure of d,
+// restricted to the pairs whose both ends keep marks (nil keeps all).
+func floydWarshall(d *graph.DiGraph, keep []bool) *pairs.Set {
 	n := d.NumVertices()
 	reach := make([][]bool, n)
 	for i := range reach {
@@ -140,10 +144,11 @@ func floydWarshall(d *graph.DiGraph) *pairs.Set {
 			}
 		}
 	}
+	kept := func(v int) bool { return keep == nil || keep[v] }
 	out := pairs.NewSet()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if reach[i][j] {
+			if reach[i][j] && kept(i) && kept(j) {
 				out.Add(graph.VID(i), graph.VID(j))
 			}
 		}
@@ -151,18 +156,48 @@ func floydWarshall(d *graph.DiGraph) *pairs.Set {
 	return out
 }
 
+// randomDigraph draws up to 200 vertices, so a graph's sources span up
+// to four 64-source batches with a partial last one, and up to 3|V|
+// edges, so some vertices have no out-edge or no edge at all.
+func randomDigraph(rng *rand.Rand) *graph.DiGraph {
+	n := 1 + rng.Intn(200)
+	b := graph.NewDiBuilder(n)
+	for i := rng.Intn(3*n + 1); i > 0; i-- {
+		b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
+	}
+	return b.Build()
+}
+
+// checkAgainstFloydWarshall reports how c, built over d with filter
+// keep, departs from the Floyd-Warshall closure: a pair set that
+// differs, a row that is unsorted or holds a duplicate, or a NumPairs
+// that is not the rows' total.
+func checkAgainstFloydWarshall(d *graph.DiGraph, keep []bool, c *Closure) string {
+	if !c.ToPairs().Equal(floydWarshall(d, keep)) {
+		return "pairs differ from Floyd-Warshall"
+	}
+	total := 0
+	for v := 0; v < d.NumVertices(); v++ {
+		s := c.From(graph.VID(v))
+		total += len(s)
+		for i := 1; i < len(s); i++ {
+			if s[i] <= s[i-1] {
+				return fmt.Sprintf("row %d unsorted or duplicated: %v", v, s)
+			}
+		}
+	}
+	if total != c.NumPairs() {
+		return fmt.Sprintf("NumPairs = %d, rows hold %d", c.NumPairs(), total)
+	}
+	return ""
+}
+
 // Property: BFS agrees with Floyd-Warshall.
 func TestAlgorithmsAgainstFloydWarshall(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(14)
-		b := graph.NewDiBuilder(n)
-		for i := rng.Intn(40); i > 0; i-- {
-			b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
-		}
-		d := b.Build()
-		if !BFS(d).ToPairs().Equal(floydWarshall(d)) {
-			t.Logf("BFS disagrees with Floyd-Warshall (n=%d)", n)
+		d := randomDigraph(rand.New(rand.NewSource(seed)))
+		if msg := checkAgainstFloydWarshall(d, nil, BFS(d)); msg != "" {
+			t.Logf("BFS, n=%d: %s", d.NumVertices(), msg)
 			return false
 		}
 		return true
@@ -172,20 +207,39 @@ func TestAlgorithmsAgainstFloydWarshall(t *testing.T) {
 	}
 }
 
-// Property: From slices are sorted and duplicate-free, and NumPairs is
-// consistent with them.
-func TestClosureInvariants(t *testing.T) {
+// Property: BFSAmong agrees with Floyd-Warshall filtered by keep, for a
+// keep mask drawn per vertex.
+func TestBFSAmongAgainstFloydWarshall(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		b := graph.NewDiBuilder(n)
-		for i := rng.Intn(60); i > 0; i-- {
-			b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
+		d := randomDigraph(rng)
+		keep := make([]bool, d.NumVertices())
+		for v := range keep {
+			keep[v] = rng.Intn(3) > 0
 		}
-		c := BFS(b.Build())
+		if msg := checkAgainstFloydWarshall(d, keep, BFSAmong(d, keep)); msg != "" {
+			t.Logf("BFSAmong, n=%d: %s", d.NumVertices(), msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: From slices are sorted and duplicate-free, NumPairs is
+// consistent with them, and a vertex without an out-edge has no row.
+func TestClosureInvariants(t *testing.T) {
+	f := func(seed int64) bool {
+		d := randomDigraph(rand.New(rand.NewSource(seed)))
+		c := BFS(d)
 		total := 0
-		for v := 0; v < n; v++ {
+		for v := 0; v < d.NumVertices(); v++ {
 			s := c.From(graph.VID(v))
+			if d.OutDegree(graph.VID(v)) == 0 && len(s) > 0 {
+				return false
+			}
 			total += len(s)
 			for i := 1; i < len(s); i++ {
 				if s[i] <= s[i-1] {
@@ -197,5 +251,90 @@ func TestClosureInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzClosure checks BFS and BFSAmong against Floyd-Warshall over
+// decoded inputs: the first byte sizes the graph (at most 200
+// vertices), every further two bytes are one edge, and bit v%64 of keep
+// marks vertex v for BFSAmong.
+func FuzzClosure(f *testing.F) {
+	f.Add(uint64(0xffff_0000_ffff_0000), []byte{4, 0, 1, 1, 2, 2, 0, 3, 3})
+	f.Add(uint64(0x5555_5555_5555_5555), []byte{199, 0, 70, 70, 140, 140, 0, 64, 65, 198, 63})
+	f.Add(uint64(1), []byte{0})
+	f.Fuzz(func(t *testing.T, keepBits uint64, data []byte) {
+		n := 1
+		if len(data) > 0 {
+			n += int(data[0]) % 200
+			data = data[1:]
+		}
+		b := graph.NewDiBuilder(n)
+		for ; len(data) >= 2; data = data[2:] {
+			b.AddEdge(graph.VID(int(data[0])%n), graph.VID(int(data[1])%n))
+		}
+		d := b.Build()
+		keep := make([]bool, n)
+		for v := range keep {
+			keep[v] = keepBits>>(v%64)&1 != 0
+		}
+		if msg := checkAgainstFloydWarshall(d, nil, BFS(d)); msg != "" {
+			t.Fatalf("BFS: %s", msg)
+		}
+		if msg := checkAgainstFloydWarshall(d, keep, BFSAmong(d, keep)); msg != "" {
+			t.Fatalf("BFSAmong: %s", msg)
+		}
+	})
+}
+
+// ring is the directed cycle 0 → 1 → … → n-1 → 0, whose closure is
+// complete: n² pairs.
+func ring(n int) *graph.DiGraph {
+	b := graph.NewDiBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.VID(i), graph.VID((i+1)%n))
+	}
+	return b.Build()
+}
+
+// TestBFSCheckPollsInsideBatch: on a 2^14-vertex ring every search of
+// the first batch walks the whole ring, and its rows would take
+// 64 · 2^14 · 4 bytes, 256 bytes a vertex. A checkpoint that fails on
+// its second call, the first inside the batch, must abort before that
+// array is allocated. Uncancelled, the rows charged to the checkpoint
+// cover at least every pair the closure holds.
+func TestBFSCheckPollsInsideBatch(t *testing.T) {
+	const n = 1 << 14
+	d := ring(n)
+	stop := errors.New("stop")
+	calls := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := BFSCheck(d, func(int) error {
+		if calls++; calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != stop || c != nil || calls != 2 {
+		t.Fatalf("BFSCheck = %v, %v after %d calls; want nil, the checkpoint's error after 2", c, err, calls)
+	}
+	// The three masks take 24 bytes a vertex, the row headers 24 and the
+	// source list at most 8.
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 128*n {
+		t.Fatalf("an abort inside the first batch allocated %d bytes, want at most %d", bytes, 128*n)
+	}
+
+	small := ring(1000)
+	charged := 0
+	c, err = BFSCheck(small, func(rows int) error {
+		charged += rows
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumPairs() != 1000*1000 || charged < c.NumPairs() {
+		t.Fatalf("NumPairs = %d with %d rows charged; want 10^6 pairs, all charged", c.NumPairs(), charged)
 	}
 }
