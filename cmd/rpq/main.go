@@ -25,6 +25,7 @@ import (
 	"rtcshare/internal/core"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
+	"rtcshare/internal/rpq"
 )
 
 func main() {
@@ -70,15 +71,19 @@ func run(args []string) error {
 
 	engine := core.New(g, core.Options{Strategy: strat})
 	for _, q := range fs.Args() {
+		expr, err := rpq.Parse(q)
+		if err != nil {
+			return err
+		}
 		if *explain {
-			p, err := engine.ExplainAnalyzeQuery(q)
+			p, err := engine.ExplainAnalyze(expr)
 			if err != nil {
 				return err
 			}
 			fmt.Print(p.String())
 			continue
 		}
-		res, err := engine.EvaluateQuery(q)
+		res, err := engine.EvaluateRel(expr)
 		if err != nil {
 			return err
 		}

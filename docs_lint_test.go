@@ -3,7 +3,8 @@ package rtcshare_test
 // The documentation gates of the repository, run by CI as a named step:
 // every Go package must carry a package-level doc comment, every
 // exported identifier of the public surface (the root rtcshare package
-// and internal/server) must be documented, the local links of the
+// and internal/server) must be documented, the root package may export
+// only what its programs and front-door docs name, the local links of the
 // front-door markdown files must resolve, every `rpqbench -experiment`
 // they quote must exist, nothing they say may name a retired
 // configuration outside DESIGN §6's evidence paragraphs, and DESIGN may
@@ -19,6 +20,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,6 +164,125 @@ func declKind(d *ast.FuncDecl) string {
 	return "func"
 }
 
+// facadeAllowlist names the exports of rtcshare.go that no program
+// under examples/ or cmd/, README.md or the package doc names. Each is
+// kept because a caller needs it to call, or check the result of, an
+// API that is named.
+var facadeAllowlist = map[string]string{
+	"Expr":            "parameter of Engine.EvaluateRel, Explain and OpenStream",
+	"ParseQuery":      "the constructor of an Expr",
+	"GraphBuilder":    "result of NewGraphBuilder",
+	"Pair":            "element of Relation.Page",
+	"StreamOptions":   "parameter of Engine.OpenStream",
+	"ResultStream":    "result of Engine.OpenStream",
+	"ErrStreamClosed": "returned by ResultStream.Next after Close",
+	"Server":          "result of NewServer",
+	"Store":           "result of OpenStore, parameter of OpenEngine",
+	"RecoveryInfo":    "result of OpenEngine",
+	"ErrNoSnapshot":   "returned by Store.LoadSnapshot on an empty store",
+	"ErrDegraded":     "returned by PersistentEngine.ApplyUpdates in degraded mode",
+	"QueryPanicError": "error of Engine.EvaluateRelTimedCtx after a recovered panic",
+}
+
+// TestDocFacadeSurface keeps the public package to what its callers
+// use: every name rtcshare.go exports must be used by a program under
+// examples/ or cmd/, named by README.md (as rtcshare.Name or in a code
+// span) or by the package doc, or carry an allowlist reason.
+func TestDocFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "rtcshare.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						exported = append(exported, sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, name := range sp.Names {
+						if name.IsExported() {
+							exported = append(exported, name.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := programUses(t, fset)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := f.Doc.Text()
+	for _, name := range exported {
+		inReadme := regexp.MustCompile("(rtcshare\\.|`)" + name + `\b`).Match(readme)
+		inDoc := regexp.MustCompile(`\b` + name + `\b`).MatchString(doc)
+		_, allowed := facadeAllowlist[name]
+		if !used[name] && !inReadme && !inDoc && !allowed {
+			t.Errorf("rtcshare.go exports %s, which no program under examples/ or cmd/, README.md or the package doc names; delete it or add it to facadeAllowlist with a reason", name)
+		}
+	}
+	for name := range facadeAllowlist {
+		if !slices.Contains(exported, name) {
+			t.Errorf("facadeAllowlist names %s, which rtcshare.go does not export", name)
+		}
+	}
+}
+
+// programUses returns the rtcshare identifiers the non-test Go files
+// under examples/ and cmd/ select.
+func programUses(t *testing.T, fset *token.FileSet) map[string]bool {
+	t.Helper()
+	used := map[string]bool{}
+	for _, root := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			local := ""
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "rtcshare" {
+					local = "rtcshare"
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+				}
+			}
+			if local == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+						used[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return used
+}
+
 // mdLink matches [text](target) markdown links.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
@@ -225,9 +347,11 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // of the row kernel that the product-built RTC retired, the
 // parallel-batch family with its experiment and flag, the engine's
 // per-request forks, rpqd's strategy switch, the store's fault wrapper
-// with its public injection surface, and the DNF bound option. (Spelled
-// in pieces so that a grep for the retired identifiers over the Go
-// sources stays empty.)
+// with its public injection surface, the DNF bound option, engines
+// sharing one cache with the constructors, cache resets and
+// parse-and-explain shorthands that went with them, and the RTC
+// assembled from caller-built parts. (Spelled in pieces so that a grep
+// for the retired identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -267,6 +391,14 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("OpenStore" + "Faulty"),
 	regexp.MustCompile("NewFault" + "Injector"),
 	regexp.MustCompile("MaxDNF" + "Clauses"),
+	regexp.MustCompile("NewWith" + "Cache"),
+	regexp.MustCompile("NewEngineWith" + "Cache"),
+	regexp.MustCompile("NewShared" + "Cache"),
+	regexp.MustCompile("From" + "Parts"),
+	regexp.MustCompile("Clear" + "Caches"),
+	regexp.MustCompile("Reset" + "Stats"),
+	regexp.MustCompile(`Explain` + `Query\b`),
+	regexp.MustCompile("ExplainAnalyze" + "Query"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

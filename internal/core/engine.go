@@ -20,20 +20,21 @@
 //
 // # Concurrency
 //
-// The shared structures live in a SharedCache: immutable once computed,
-// sharded, with singleflight deduplication, so any number of engines —
-// and any number of goroutines calling one engine — can share one cache.
-// An Engine is safe for concurrent use: its timing split and summaries
-// are mutex-guarded, and automaton-product evaluators (which carry
-// mutable traversal scratch) are checked out of a per-version free list,
-// never shared between two running evaluations. Every evaluation at one
+// Each engine owns a SharedCache: its values are immutable once
+// computed, its shards are locked independently, and concurrent misses
+// on one key deduplicate, so every goroutine calling the engine shares
+// each closure structure. An Engine is safe for concurrent use: its
+// timing split and summaries are mutex-guarded, and automaton-product
+// evaluators (which carry mutable traversal scratch) are checked out of
+// a per-version free list, never shared between two running
+// evaluations. Every evaluation at one
 // graph epoch runs on the engine's one version of it; what belongs to a
 // single call — its context, its stage timer, its overflow memo — rides
 // in an evalCall that only that call's goroutine touches.
 //
 // # Dynamic graphs
 //
-// An Engine is no longer pinned to one frozen graph: ApplyUpdates
+// An Engine is not pinned to one frozen graph: ApplyUpdates
 // (update.go) applies a batch of edge inserts/deletes, freezes a new
 // graph version, advances the SharedCache's epoch (carrying or dropping
 // each cached structure) and atomically swaps the engine onto
@@ -229,11 +230,11 @@ type engineVersion struct {
 }
 
 // Engine evaluates regular path queries over one (updatable) graph with
-// one strategy. It is safe for concurrent use: every call at one graph
-// epoch shares the engine's version of it, and carries its own context,
-// stage timer and overflow memo in an evalCall. Engines created with
-// NewWithCache additionally share their closure structures with each
-// other. ApplyUpdates mutates the graph between query batches — see
+// one strategy, sharing closure structures and sealed relations through
+// the SharedCache it owns. It is safe for concurrent use: every call at
+// one graph epoch shares the engine's version of it and its cache, and
+// carries its own context, stage timer and overflow memo in an
+// evalCall. ApplyUpdates mutates the graph between query batches — see
 // update.go.
 type Engine struct {
 	engineShared
@@ -246,33 +247,21 @@ type Engine struct {
 	updMu sync.Mutex
 }
 
-// New returns an Engine over g with a private SharedCache.
-func New(g *graph.Graph, opts Options) *Engine {
-	return NewWithCache(g, opts, NewSharedCache())
-}
+// New returns an Engine over g at graph epoch 0, with an empty cache of
+// its own.
+func New(g *graph.Graph, opts Options) *Engine { return newEngine(g, 0, opts) }
 
-// NewWithCache returns an Engine over g that stores its shared closure
-// structures in cache. Engines over the same graph with the same
-// strategy may share one cache: a sub-query computed by any of them is
-// reused by all, which extends the paper's intra-batch sharing across
-// concurrent query streams. The cache must not be shared between
-// engines with different graphs or strategies — the cache key is the
-// sub-query text, which does not encode those. (After ApplyUpdates the
-// updated engine's epoch diverges from engines still on the old graph;
-// the epoch rules keep them correct, at the price of no sharing between
-// them.)
-func NewWithCache(g *graph.Graph, opts Options, cache *SharedCache) *Engine {
-	if cache == nil {
-		cache = NewSharedCache()
-	}
+// newEngine returns an Engine over g at the given graph epoch, with an
+// empty SharedCache pinned to that epoch.
+func newEngine(g *graph.Graph, epoch uint64, opts Options) *Engine {
 	e := &Engine{
 		engineShared: engineShared{
 			opts:      opts,
-			cache:     cache,
+			cache:     newSharedCache(epoch),
 			summaries: make(map[string]summaryEntry),
 		},
 	}
-	e.ver.Store(newEngineVersion(&e.engineShared, g, cache.CurrentEpoch()))
+	e.ver.Store(newEngineVersion(&e.engineShared, g, epoch))
 	return e
 }
 
@@ -338,7 +327,7 @@ func (e *Engine) Epoch() uint64 { return e.version().epoch }
 // Options returns the engine's configuration.
 func (sh *engineShared) Options() Options { return sh.opts }
 
-// Cache returns the engine's shared-structure cache.
+// Cache returns the engine's cache, whose Counters report its activity.
 func (sh *engineShared) Cache() *SharedCache { return sh.cache }
 
 // Stats returns the accumulated timing split.
@@ -348,30 +337,8 @@ func (sh *engineShared) Stats() Stats {
 	return sh.stats
 }
 
-// ResetStats zeroes the timing split (the caches are kept; use
-// ClearCaches to drop them).
-func (sh *engineShared) ResetStats() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats = Stats{}
-}
-
-// ClearCaches drops all shared structures and memoised sub-results.
-// Because the structures live in the SharedCache, this affects every
-// engine sharing it.
-func (e *Engine) ClearCaches() {
-	e.cache.Reset()
-	e.mu.Lock()
-	e.summaries = make(map[string]summaryEntry)
-	e.mu.Unlock()
-	v := e.version()
-	v.evalMu.Lock()
-	v.evalFree = make(map[string][]*eval.Evaluator)
-	v.evalMu.Unlock()
-}
-
 // SharedSummaries returns one summary per shared structure this engine
-// has used (computed or fetched from the cache), in unspecified order.
+// has used, in unspecified order.
 // An RTC's SharedPairs, |TC(Ḡ_R)|, is computed here on first request.
 func (sh *engineShared) SharedSummaries() []SharedSummary {
 	sh.mu.Lock()
@@ -437,7 +404,7 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	if !v.shouldCache() {
 		return nil, 0, false
 	}
-	val, found := e.cache.LookupRelation(v.epoch, q.String())
+	val, found := e.cache.lookupRelation(v.epoch, q.String())
 	if !found {
 		return nil, 0, false
 	}
@@ -574,8 +541,7 @@ func (c *evalCall) stageOther(d time.Duration) {
 
 // countLookup records a shared-structure cache hit or miss plus the
 // summary of the structure involved (and the RTC, when it is one), so
-// SharedSummaries reflects every structure the engine used regardless
-// of which engine computed it.
+// SharedSummaries reflects every structure the engine used.
 func (sh *engineShared) countLookup(hit bool, sum SharedSummary, structure *rtc.RTC) {
 	sh.mu.Lock()
 	if hit {
@@ -631,10 +597,10 @@ func (v *engineVersion) sharedStructureCached(r rpq.Expr) bool {
 	key := r.String()
 	switch v.opts.Strategy {
 	case RTCSharing:
-		_, ok := v.cache.Lookup(v.epoch, nsRTC+key)
+		_, ok := v.cache.lookup(v.epoch, nsRTC+key)
 		return ok
 	default:
-		_, ok := v.cache.Lookup(v.epoch, nsFull+key)
+		_, ok := v.cache.lookup(v.epoch, nsFull+key)
 		return ok
 	}
 }

@@ -67,15 +67,6 @@ type PlanClause struct {
 	ActualTime                  time.Duration
 }
 
-// ExplainQuery parses and plans a query without executing it.
-func (e *Engine) ExplainQuery(q string) (*Plan, error) {
-	expr, err := rpq.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.Explain(expr)
-}
-
 // Explain plans a query without executing it: building a Plan evaluates
 // nothing and mutates no caches. It plans against the engine's current
 // graph version.
@@ -86,15 +77,6 @@ func (e *Engine) Explain(q rpq.Expr) (*Plan, error) {
 		return nil, err
 	}
 	return v.describePlan(v.planner().Plan(q, clauses)), nil
-}
-
-// ExplainAnalyzeQuery parses, plans and executes a query.
-func (e *Engine) ExplainAnalyzeQuery(q string) (*Plan, error) {
-	expr, err := rpq.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExplainAnalyze(expr)
 }
 
 // ExplainAnalyze plans and executes a query, returning the plan with

@@ -61,7 +61,7 @@ func TestExplainGoldenFigure1(t *testing.T) {
 	g := fixtures.Figure1()
 	for _, tc := range cases {
 		e := New(g, Options{Strategy: RTCSharing})
-		p, err := e.ExplainQuery(tc.query)
+		p, err := explainQuery(e, tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -86,7 +86,7 @@ func TestExplainAnalyzeFigure1(t *testing.T) {
 	g := fixtures.Figure1()
 	e := New(g, Options{})
 
-	p, err := e.ExplainAnalyzeQuery("d.(b.c)+.c")
+	p, err := explainAnalyzeQuery(e, "d.(b.c)+.c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestExplainAnalyzeFigure1(t *testing.T) {
 	if e.Stats().Queries != 1 {
 		t.Errorf("queries = %d, want 1", e.Stats().Queries)
 	}
-	p2, err := e.ExplainQuery("a.(b.c)*")
+	p2, err := explainQuery(e, "a.(b.c)*")
 	if err != nil {
 		t.Fatal(err)
 	}

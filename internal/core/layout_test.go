@@ -94,7 +94,7 @@ func TestRelationOverflowMemo(t *testing.T) {
 	if got := evaluate(); got != 2 {
 		t.Errorf("one evaluation sealed %d relations, want 2 (the query, and d once for both clauses)", got)
 	}
-	if got := e.cache.RelLen(); got != 0 {
+	if got := e.cache.Counters().RelEntries; got != 0 {
 		t.Errorf("relation region retained %d entries despite exhausted budget", got)
 	}
 	// Nothing was kept after the call returned: the next evaluation

@@ -200,34 +200,6 @@ func TestConcurrentEvaluateOnOneEngine(t *testing.T) {
 	}
 }
 
-// TestForkedEnginesShareCache pins the shared-cache contract: a
-// structure computed through one engine is a hit on a second engine
-// over the same cache, and both report it in their summaries.
-func TestForkedEnginesShareCache(t *testing.T) {
-	g := stressGraph(t, 19)
-	parent := New(g, Options{})
-	a, b := NewWithCache(g, Options{}, parent.Cache()), NewWithCache(g, Options{}, parent.Cache())
-
-	if _, err := a.EvaluateQuery("l0.(l1.l2)+.l3"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.EvaluateQuery("l3.(l1.l2)+.l0"); err != nil {
-		t.Fatal(err)
-	}
-	if st := a.Stats(); st.CacheMisses != 1 || st.CacheHits != 0 {
-		t.Errorf("engine a stats = %+v, want 1 miss / 0 hits", st)
-	}
-	if st := b.Stats(); st.CacheMisses != 0 || st.CacheHits != 1 {
-		t.Errorf("engine b stats = %+v, want 0 misses / 1 hit", st)
-	}
-	for name, e := range map[string]*Engine{"a": a, "b": b} {
-		sums := e.SharedSummaries()
-		if len(sums) != 1 || sums[0].R != "l1.l2" {
-			t.Errorf("engine %s summaries = %+v, want exactly R=l1.l2", name, sums)
-		}
-	}
-}
-
 // TestEvaluateBatchParallelErrors checks error propagation: an
 // evaluation error anywhere in the batch — here a DNF blow-up in the
 // last query — fails the whole call at every fan-out.
@@ -265,32 +237,40 @@ func TestEvaluateBatchParallelDegenerate(t *testing.T) {
 }
 
 // TestExplainNoSharingIgnoresSharedEntries pins the Explain fix: an
-// engine that will never reuse structures must not report a sibling's
-// cached entry as its own.
+// engine that will never reuse structures must not report a cached
+// entry as its own, even one resident under the key a sharing engine
+// would probe.
 func TestExplainNoSharingIgnoresSharedEntries(t *testing.T) {
 	g := stressGraph(t, 31)
-	cache := NewSharedCache()
-	warm := NewWithCache(g, Options{}, cache)
-	if _, err := warm.EvaluateQuery("l0.(l1.l2)+.l3"); err != nil {
+	q := rpq.MustParse("l0.(l1.l2)+.l3")
+	warm := New(g, Options{})
+	if _, err := warm.EvaluateRel(q); err != nil {
 		t.Fatal(err)
 	}
-
-	cold := NewWithCache(g, Options{Strategy: NoSharing}, cache)
-	plan, err := cold.ExplainQuery("l0.(l1.l2)+.l3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Clauses[0].SharedCached {
-		t.Errorf("NoSharing engine reports SharedCached=true, but evaluation will recompute")
-	}
-
-	// The sharing sibling does see it.
-	plan, err = warm.Explain(rpq.MustParse("l0.(l1.l2)+.l3"))
+	plan, err := warm.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plan.Clauses[0].SharedCached {
 		t.Errorf("sharing engine does not report the cached structure")
+	}
+
+	// A NoSharing engine's cache never fills by itself; plant the
+	// structure the sharing engine built under the same key.
+	cold := New(g, Options{Strategy: NoSharing})
+	val, ok := warm.Cache().lookup(warm.Epoch(), nsRTC+"l1.l2")
+	if !ok {
+		t.Fatal("RTC for l1.l2 not in the sharing engine's cache")
+	}
+	if _, _, err := cold.Cache().getOrCompute(cold.Epoch(), nsRTC+"l1.l2", func() (any, error) { return val, nil }); err != nil {
+		t.Fatal(err)
+	}
+	plan, err = cold.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Clauses[0].SharedCached {
+		t.Errorf("NoSharing engine reports SharedCached=true, but evaluation will recompute")
 	}
 }
 
@@ -308,28 +288,29 @@ func TestCacheHoldsOnlyStructures(t *testing.T) {
 	if cc.Entries != 1 {
 		t.Errorf("cache entries = %d, want 1 (the RTC only; sub-results live in the relation region)", cc.Entries)
 	}
-	if _, ok := e.Cache().Lookup(0, nsRTC+"l1.l2"); !ok {
+	if cc.RelEntries == 0 {
+		t.Errorf("relation entries = 0, want the sealed sub-results and the result")
+	}
+	if _, ok := e.Cache().lookup(0, nsRTC+"l1.l2"); !ok {
 		t.Errorf("RTC for l1.l2 not in the cache")
 	}
 
-	// A second engine over the same cache shares the whole relation
-	// region: the repeated query is answered from the memoised result
-	// relation, so it performs no structure lookup at all.
-	f := NewWithCache(g, Options{}, e.Cache())
-	relHits := e.Cache().Counters().RelHits
-	res, err := f.EvaluateQuery("l0.(l1.l2)+.l3")
+	// The repeated query is answered from the memoised result relation,
+	// so it performs no structure lookup at all.
+	before := e.Stats()
+	res, err := e.EvaluateQuery("l0.(l1.l2)+.l3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := New(g, Options{}).EvaluateQuery("l0.(l1.l2)+.l3")
 	if err != nil || !res.Equal(want) {
-		t.Fatalf("cache-sharing engine result differs: %v", err)
+		t.Fatalf("memoised result differs: %v", err)
 	}
-	if st := f.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Errorf("cache-sharing engine stats = %+v, want no structure lookups (result relation reused)", st)
+	if st := e.Stats(); st.CacheHits != before.CacheHits || st.CacheMisses != before.CacheMisses {
+		t.Errorf("stats = %+v after %+v, want no structure lookups (result relation reused)", st, before)
 	}
-	if got := e.Cache().Counters().RelHits; got <= relHits {
-		t.Errorf("RelHits = %d, want > %d (second engine served from the relation region)", got, relHits)
+	if got := e.Cache().Counters().RelHits; got <= cc.RelHits {
+		t.Errorf("RelHits = %d, want > %d (served from the relation region)", got, cc.RelHits)
 	}
 }
 

@@ -3,15 +3,13 @@ package core
 import "rtcshare/internal/graph"
 
 // NewAtEpoch returns an Engine over g whose graph epoch starts at epoch
-// instead of 0, with a fresh, empty SharedCache pinned to that epoch. It
+// instead of 0, with an empty cache of its own pinned to that epoch. It
 // is how internal/store boots an engine from a snapshot: the snapshot
 // holds only the graph and its epoch, the write-ahead log replays on top
 // through ApplyUpdates, and every shared structure is rebuilt on demand
 // through the normal cache path.
 func NewAtEpoch(g *graph.Graph, epoch uint64, opts Options) *Engine {
-	cache := NewSharedCache()
-	cache.epoch.Store(epoch)
-	return NewWithCache(g, opts, cache)
+	return newEngine(g, epoch, opts)
 }
 
 // GraphEpoch returns the current graph version and its epoch, read from

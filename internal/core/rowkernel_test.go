@@ -16,7 +16,6 @@ import (
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
 	"rtcshare/internal/rtc"
-	"rtcshare/internal/scc"
 	"rtcshare/internal/tc"
 )
 
@@ -34,9 +33,8 @@ func sealExpr(g *graph.Graph, e rpq.Expr) *pairs.Relation {
 }
 
 // kernelCase is one batch unit Pre·R{+,*}·Post over one graph, with the
-// structures the joins take: the RTC computed from scratch, the same RTC
-// with its SIDs reversed (so no longer numbered topologically), and the
-// full closure.
+// structures the joins take: the RTC computed from scratch and the full
+// closure.
 type kernelCase struct {
 	name      string
 	g         *graph.Graph
@@ -46,7 +44,6 @@ type kernelCase struct {
 
 	preG     *pairs.Relation
 	computed *rtc.RTC
-	permuted *rtc.RTC
 	full     *tc.Closure
 }
 
@@ -58,39 +55,8 @@ func newKernelCase(name string, g *graph.Graph, pre, r, post rpq.Expr, typ rpq.C
 		name: name, g: g, pre: pre, r: r, post: post, typ: typ,
 		preG:     sealExpr(g, pre),
 		computed: computed,
-		permuted: reverseSIDs(computed),
 		full:     tc.BFS(gr),
 	}
-}
-
-// reverseSIDs renumbers every SID s of r as k−1−s and reassembles it
-// through rtc.FromParts, the closure rebuilt as tc.BFS of the permuted
-// condensation: the same components and reachability, with every
-// non-self condensation edge now running from a lower SID to a higher.
-func reverseSIDs(r *rtc.RTC) *rtc.RTC {
-	comps := r.Components()
-	k := int32(comps.NumComponents())
-	perm := &scc.Components{CompOf: make([]int32, len(comps.CompOf)), Members: make([][]graph.VID, k)}
-	for v, s := range comps.CompOf {
-		perm.CompOf[v] = -1
-		if s >= 0 {
-			perm.CompOf[v] = k - 1 - s
-		}
-	}
-	for s, members := range comps.Members {
-		perm.Members[k-1-int32(s)] = members
-	}
-	b := graph.NewDiBuilder(int(k))
-	r.Condensation().Edges(func(s, t graph.VID) bool {
-		b.AddEdge(k-1-s, k-1-t)
-		return true
-	})
-	cond := b.Build()
-	out, err := rtc.FromParts(perm, cond, tc.BFS(cond))
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 func (c kernelCase) query() rpq.Expr {
@@ -99,18 +65,6 @@ func (c kernelCase) query() rpq.Expr {
 		closure = rpq.Star{Sub: c.r}
 	}
 	return rpq.NewConcat(c.pre, closure, c.post)
-}
-
-// topological reports whether every non-self edge of the structure's
-// condensation runs from a higher SID to a lower one — the order
-// rtc.Compute and rtc.InsertEdges guarantee and reverseSIDs breaks.
-func topological(structure *rtc.RTC) bool {
-	ok := true
-	structure.Condensation().Edges(func(s, t graph.VID) bool {
-		ok = s == t || s > t
-		return ok
-	})
-	return ok
 }
 
 // kernelCases crosses random RMAT graphs with Pre/R/Post shapes, both
@@ -205,13 +159,11 @@ func kernelStream(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC
 	return b.Seal()
 }
 
-// TestRowKernelDifferential: for every case and for both the computed
-// and the SID-permuted RTC, EvalBatchUnit's answer equals the
-// pair-level join over TC(G_R), the reference evaluator, the sealed
-// driver with no row budget (everything answered through the closure)
-// and the per-source stream driver.
+// TestRowKernelDifferential: for every case, EvalBatchUnit's answer
+// over the computed RTC equals the pair-level join over TC(G_R), the
+// reference evaluator, the sealed driver with no row budget (everything
+// answered through the closure) and the per-source stream driver.
 func TestRowKernelDifferential(t *testing.T) {
-	nonTopological := 0
 	for _, c := range kernelCases(t) {
 		e := New(c.g, Options{})
 		want, err := e.EvalBatchUnitFull(c.preG, c.full, c.typ, c.post)
@@ -222,30 +174,19 @@ func TestRowKernelDifferential(t *testing.T) {
 		if !want.EqualSet(ref) {
 			t.Fatalf("%s: full join %d pairs, reference %d — the oracles disagree", c.name, want.Len(), ref.Len())
 		}
-		for _, s := range []struct {
-			name      string
-			structure *rtc.RTC
-		}{{"computed", c.computed}, {"permuted", c.permuted}} {
-			if !topological(s.structure) {
-				nonTopological++
-			}
-			got, err := e.EvalBatchUnit(c.preG, s.structure, c.typ, c.post)
-			if err != nil {
-				t.Fatalf("%s %s: %v", c.name, s.name, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s %s: kernel %d pairs, full join %d", c.name, s.name, got.Len(), want.Len())
-			}
-			if fb := kernelSeal(t, e.call(nil, nil), c, s.structure, 0); !fb.Equal(want) {
-				t.Errorf("%s %s: closure fallback %d pairs, full join %d", c.name, s.name, fb.Len(), want.Len())
-			}
-			if st := kernelStream(t, e.call(nil, nil), c, s.structure); !st.Equal(got) {
-				t.Errorf("%s %s: stream driver %d pairs, sealed %d", c.name, s.name, st.Len(), got.Len())
-			}
+		got, err := e.EvalBatchUnit(c.preG, c.computed, c.typ, c.post)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if nonTopological == 0 {
-		t.Fatal("no permuted RTC had a non-topological SID order: the DFS's independence from SID order went untested")
+		if !got.Equal(want) {
+			t.Errorf("%s: kernel %d pairs, full join %d", c.name, got.Len(), want.Len())
+		}
+		if fb := kernelSeal(t, e.call(nil, nil), c, c.computed, 0); !fb.Equal(want) {
+			t.Errorf("%s: closure fallback %d pairs, full join %d", c.name, fb.Len(), want.Len())
+		}
+		if st := kernelStream(t, e.call(nil, nil), c, c.computed); !st.Equal(got) {
+			t.Errorf("%s: stream driver %d pairs, sealed %d", c.name, st.Len(), got.Len())
+		}
 	}
 }
 
@@ -379,32 +320,6 @@ func TestRowKernelCancelInsideDFS(t *testing.T) {
 	}
 }
 
-// TestRowKernelRejectsCyclicCondensation: an RTC whose condensation has
-// a cycle between distinct components — which rtc.Compute never builds,
-// but a caller assembling parts through rtc.FromParts can hand to the
-// exported EvalBatchUnit — fails the join with an error instead of
-// looping or panicking.
-func TestRowKernelRejectsCyclicCondensation(t *testing.T) {
-	const k = 12 // a ring longer than lightReach, so the DFS walks it
-	g := graph.NewBuilder(k).Build()
-	comps := &scc.Components{CompOf: make([]int32, k), Members: make([][]graph.VID, k)}
-	ring := graph.NewDiBuilder(k)
-	for s := 0; s < k; s++ {
-		comps.CompOf[s] = int32(s)
-		comps.Members[s] = []graph.VID{graph.VID(s)}
-		ring.AddEdge(graph.VID(s), graph.VID((s+1)%k))
-	}
-	cond := ring.Build()
-	structure, err := rtc.FromParts(comps, cond, tc.BFS(cond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preG := pairs.RelationFromPairs(k, pairs.Pair{Src: 0, Dst: 0})
-	if _, err := New(g, Options{}).EvalBatchUnit(preG, structure, rpq.ClosurePlus, rpq.Epsilon{}); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("err = %v, want a condensation-cycle error", err)
-	}
-}
-
 // TestRowKernelAttribution: the Post traversals are Remainder, the rest
 // of the join is PreJoin, and the two together fit inside the call.
 func TestRowKernelAttribution(t *testing.T) {
@@ -477,21 +392,18 @@ func TestJoinEntryPointsRejectMismatchedSpaces(t *testing.T) {
 	}
 }
 
-// TestRowSharedResultFeedsFullSharing: a row-shared result leaks into
-// other strategies through the relation region, which is keyed by
-// sub-query text alone. An RTCSharing engine memoises (l0|l1)+.l2 in
-// row-shared form; a FullSharing engine on the same cache, evaluating a
-// query whose closure body is that text, reads it back as R_G and
-// reduces it through CSR. Both answers match the reference evaluator.
+// TestRowSharedResultFeedsFullSharing: a row-shared result is a valid
+// R_G for the pair-level join. An RTCSharing engine seals
+// (l0|l1)+.l2 in row-shared form; a FullSharing engine takes it as R_G,
+// reduces it to G_R through its CSR, closes G_R and joins through
+// EvalBatchUnitFull. Both answers match the reference evaluator.
 func TestRowSharedResultFeedsFullSharing(t *testing.T) {
 	g, err := datagen.RMAT(datagen.RMATConfig{Vertices: 120, Edges: 480, Labels: 3, Seed: 503})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewSharedCache()
 	body := rpq.MustParse("(l0|l1)+.l2")
-	rtcEngine := NewWithCache(g, Options{Strategy: RTCSharing}, cache)
-	shared, err := rtcEngine.EvaluateRel(body)
+	shared, err := New(g, Options{Strategy: RTCSharing}).EvaluateRel(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,20 +413,14 @@ func TestRowSharedResultFeedsFullSharing(t *testing.T) {
 	if shared.ColumnBytes() >= 4*int64(shared.Len()) {
 		t.Fatalf("%s sealed %d column bytes for %d pairs: not row-shared, the route goes untested", body, shared.ColumnBytes(), shared.Len())
 	}
-	if val, ok := cache.LookupRelation(rtcEngine.Epoch(), body.String()); !ok || val != any(shared) {
-		t.Fatalf("the row-shared result is not memoised under %q", body)
-	}
 
-	q := rpq.NewConcat(rpq.MustParse("l1"), rpq.Plus{Sub: body}, rpq.MustParse("l0"))
-	full := NewWithCache(g, Options{Strategy: FullSharing}, cache)
-	hits := cache.Counters().RelHits
-	got, err := full.EvaluateRel(q)
+	pre, post := rpq.MustParse("l1"), rpq.MustParse("l0")
+	closure := tc.BFS(rtc.EdgeReduceRel(g.NumVertices(), shared))
+	got, err := New(g, Options{Strategy: FullSharing}).EvalBatchUnitFull(sealExpr(g, pre), closure, rpq.ClosurePlus, post)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Counters().RelHits == hits {
-		t.Fatalf("FullSharing evaluated %s without reading the memoised body", q)
-	}
+	q := rpq.NewConcat(pre, rpq.Plus{Sub: body}, post)
 	if ref := eval.Reference(g, q); !got.EqualSet(ref) {
 		t.Fatalf("FullSharing %s over the row-shared body: %d pairs, reference %d", q, got.Len(), ref.Len())
 	}

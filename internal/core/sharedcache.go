@@ -10,14 +10,15 @@ import (
 	"rtcshare/internal/pairs"
 )
 
-// SharedCache holds the shared structures of the sharing strategies —
-// the RTCs (SCC tables, condensation and reach table) and the full
-// closures R+_G — keyed by the canonical sub-query text. It is
-// the concurrent form of Algorithm 1's "already computed?" test
-// (lines 9–11): any number of engines may share one cache, and two
-// goroutines that miss on the same key at the same time deduplicate —
-// exactly one runs the computation while the others block until the
-// value is published (singleflight).
+// SharedCache holds an engine's shared structures — the RTCs (SCC
+// tables, condensation and reach table) and the full closures R+_G —
+// keyed by the canonical sub-query text. It is the concurrent form of
+// Algorithm 1's "already computed?" test (lines 9–11): every call on
+// the engine shares it, and two goroutines that miss on the same key at
+// the same time deduplicate — exactly one runs the computation while
+// the others block until the value is published (singleflight). Each
+// engine builds its own cache, so a key never has to encode the graph
+// or the strategy.
 //
 // The cache is safe for concurrent use. Keys are spread over a fixed
 // number of independently locked shards, so lookups of distinct
@@ -29,20 +30,18 @@ import (
 //
 // Next to the structure region the cache keeps a second, independently
 // sharded and counted *relation* region: the sealed columnar sub-query
-// results (R_G, Pre_G, Post_G) of the columnar engine layout. Sealed
-// relations are exactly-sized int32 columns — far lighter than the
-// map sets the seed kept engine-local — so sharing them process-wide
-// lets concurrent engines and calls probe one frozen copy with zero
-// copying. The regions are separate so the structure counters keep
-// their meaning: Counters/Len report
-// closure structures only, exactly as before.
+// and result relations (R_G, Pre_G, Post_G, whole queries). A sealed
+// relation is exactly-sized int32 columns, so concurrent calls probe
+// one frozen copy with zero copying. The regions are separate so the
+// structure counters (Hits, Misses, Entries) count closure structures
+// only.
 //
 // # Epochs
 //
-// Since the graph under a cache can now change (Engine.ApplyUpdates),
-// every entry is tagged with the graph epoch it was computed at, and
-// every access carries the caller's pinned epoch. The rules keep stale
-// structures from ever poisoning a reader:
+// The graph under a cache changes (Engine.ApplyUpdates), so every entry
+// is tagged with the graph epoch it was computed at, and every access
+// carries the caller's pinned epoch. The rules keep stale structures
+// from ever poisoning a reader:
 //
 //   - same epoch: a normal hit (singleflight wait included);
 //   - entry older than the caller: the entry is stale — it is evicted on
@@ -55,7 +54,7 @@ import (
 //
 // A cross-epoch value is therefore never returned; CacheCounters records
 // CrossEpochHits as a regression tripwire and the -race stress suite
-// asserts it stays zero. AdvanceEpoch flips the whole cache to a new
+// asserts it stays zero. advanceEpoch flips the whole cache to a new
 // epoch in one sweep, asking the updater per surviving entry whether to
 // keep it (carried to the new epoch unchanged) or drop it.
 type SharedCache struct {
@@ -79,7 +78,7 @@ type SharedCache struct {
 	crossEpochHits atomic.Int64
 	// staleEvictions counts entries evicted because a newer-epoch caller
 	// found them outdated (lazy invalidation, complementing the eager
-	// sweep of AdvanceEpoch).
+	// sweep of advanceEpoch).
 	staleEvictions atomic.Int64
 }
 
@@ -90,11 +89,10 @@ type SharedCache struct {
 // bytes of the columns it holds (relationCost), so a stream of tiny
 // relations over a huge graph cannot pin unbounded memory through
 // offsets alone, and a row-shared result pays for its distinct rows, not
-// for every pair it answers. Sub-query relations are worst-case O(|V|²),
-// and — unlike the seed's engine-local map sets, which died with their
-// engine — the region is process-wide. The bound is advisory (admissions
-// on different shards may overshoot by a relation); the compact closure
-// structures remain unbounded as before.
+// for every pair it answers. Sub-query relations are worst-case O(|V|²)
+// and live as long as the engine. The bound is advisory (admissions on
+// different shards may overshoot by a relation); the compact closure
+// structures are unbounded.
 const relBudgetBytes = 128 << 20
 
 // relationCost is an entry's charge against relBudgetBytes: the bytes of
@@ -117,7 +115,7 @@ type cacheShard struct {
 
 // cacheEntry is one in-flight or completed computation. done is closed
 // when val/err/retained become readable. epoch is fixed at creation:
-// entries never migrate between epochs in place (AdvanceEpoch installs a
+// entries never migrate between epochs in place (advanceEpoch installs a
 // fresh entry when it carries a value forward).
 type cacheEntry struct {
 	epoch uint64
@@ -131,9 +129,10 @@ type cacheEntry struct {
 	retained bool
 }
 
-// NewSharedCache returns an empty cache at epoch 0.
-func NewSharedCache() *SharedCache {
+// newSharedCache returns an empty cache at the given graph epoch.
+func newSharedCache(epoch uint64) *SharedCache {
 	c := &SharedCache{seed: maphash.MakeSeed()}
+	c.epoch.Store(epoch)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*cacheEntry)
 		c.relShards[i].entries = make(map[string]*cacheEntry)
@@ -149,14 +148,10 @@ func (c *SharedCache) relShard(key string) *cacheShard {
 	return &c.relShards[maphash.String(c.seed, key)%cacheShards]
 }
 
-// CurrentEpoch returns the cache's graph epoch. Engines pin it at
-// construction and at every ApplyUpdates.
-func (c *SharedCache) CurrentEpoch() uint64 { return c.epoch.Load() }
-
-// GetOrCompute returns the cached value for key at the caller's graph
-// epoch, computing it with fn on first use. Concurrent same-epoch calls
-// with the same key run fn once: the first caller computes while the
-// rest wait for its result. computed reports whether this call was the
+// getOrCompute returns the cached structure for key at the caller's
+// graph epoch, computing it with fn on first use. Concurrent same-epoch
+// calls with the same key run fn once: the first caller computes while
+// the rest wait for its result. computed reports whether this call was the
 // one that ran fn — the cache-miss signal the engine's Stats counters
 // record. Entries from older epochs are evicted and recomputed; a caller
 // older than the resident entry computes privately (see the type
@@ -164,24 +159,23 @@ func (c *SharedCache) CurrentEpoch() uint64 { return c.epoch.Load() }
 //
 // If fn fails, every waiter receives the error and the entry is dropped,
 // so a later call retries the computation — except a cancellation
-// error, which waiters never inherit (see getOrCompute). fn runs
-// without any cache lock held and may itself call GetOrCompute with
-// different keys.
-func (c *SharedCache) GetOrCompute(epoch uint64, key string, fn func() (any, error)) (val any, computed bool, err error) {
-	val, computed, _, err = c.getOrCompute(c.shard(key), &c.hits, &c.misses, epoch, key, fn, nil, nil)
+// error, which waiters never inherit (see flight). fn runs without any
+// cache lock held and may itself call getOrCompute with different keys.
+func (c *SharedCache) getOrCompute(epoch uint64, key string, fn func() (any, error)) (val any, computed bool, err error) {
+	val, computed, _, err = c.flight(c.shard(key), &c.hits, &c.misses, epoch, key, fn, nil, nil)
 	return val, computed, err
 }
 
-// GetOrComputeRelation is GetOrCompute against the relation region: the
+// getOrComputeRelation is getOrCompute against the relation region: the
 // same singleflight and epoch discipline, separate shards and separate
 // counters, used by the columnar executor to memoise sealed sub-query
-// relations process-wide. Values are *pairs.Relation by convention.
+// and result relations. Values are *pairs.Relation by convention.
 // Retention is bounded by relBudgetBytes: over budget, the computed
 // relation is returned (and delivered to concurrent waiters) with
 // retained=false and not kept — callers that still want memoisation
 // keep it in their own per-call overflow memo.
-func (c *SharedCache) GetOrComputeRelation(epoch uint64, key string, fn func() (any, error)) (val any, computed, retained bool, err error) {
-	return c.getOrCompute(c.relShard(key), &c.relHits, &c.relMisses, epoch, key, fn, c.admitRelation, c.evictRelation)
+func (c *SharedCache) getOrComputeRelation(epoch uint64, key string, fn func() (any, error)) (val any, computed, retained bool, err error) {
+	return c.flight(c.relShard(key), &c.relHits, &c.relMisses, epoch, key, fn, c.admitRelation, c.evictRelation)
 }
 
 // admitRelation charges a freshly computed relation against the region
@@ -213,7 +207,7 @@ func (c *SharedCache) evictRelation(val any) {
 	}
 }
 
-// getOrCompute is the shared singleflight core. admit, when non-nil,
+// flight is the singleflight core of both regions. admit, when non-nil,
 // runs after a successful computation; returning false evicts the
 // entry (waiters still receive the value, marked unretained) so later
 // calls recompute. evict, when non-nil, runs when a completed retained
@@ -225,7 +219,7 @@ func (c *SharedCache) evictRelation(val any) {
 // value cannot be computed. The failed entry is already dropped, so
 // the waiter retries and computes (or joins a newer flight) under its
 // own context.
-func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, epoch uint64, key string, fn func() (any, error), admit func(any) bool, evict func(any)) (val any, computed, retained bool, err error) {
+func (c *SharedCache) flight(s *cacheShard, hits, misses *atomic.Int64, epoch uint64, key string, fn func() (any, error), admit func(any) bool, evict func(any)) (val any, computed, retained bool, err error) {
 	s.mu.Lock()
 	// Same epoch: a normal hit, waiting out an in-flight computation.
 	for e, ok := s.entries[key]; ok && e.epoch == epoch; e, ok = s.entries[key] {
@@ -266,8 +260,8 @@ func (c *SharedCache) getOrCompute(s *cacheShard, hits, misses *atomic.Int64, ep
 
 	e.val, e.err = fn()
 	s.mu.Lock()
-	// Act only on our own entry: a Reset/AdvanceEpoch during fn may have
-	// swapped or removed it (detaching e), and another goroutine may
+	// Act only on our own entry: an advanceEpoch during fn may have
+	// removed it (detaching e), and another goroutine may
 	// since have installed a fresh entry under the same key. A detached
 	// entry is neither evicted nor admitted — in particular its pairs are
 	// never charged to the relation budget, since they are not resident.
@@ -301,11 +295,11 @@ func (c *SharedCache) dropEntryLocked(s *cacheShard, key string, e *cacheEntry, 
 	}
 }
 
-// Lookup returns the completed value for key at the caller's epoch
+// lookup returns the completed structure for key at the caller's epoch
 // without computing anything. It reports false for absent keys, for
 // computations still in flight (Explain uses it, and Explain must never
 // block on a running query), and for entries of any other epoch.
-func (c *SharedCache) Lookup(epoch uint64, key string) (any, bool) {
+func (c *SharedCache) lookup(epoch uint64, key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -324,11 +318,11 @@ func (c *SharedCache) Lookup(epoch uint64, key string) (any, bool) {
 	}
 }
 
-// LookupRelation is Lookup against the relation region: the completed
+// lookupRelation is lookup against the relation region: the completed
 // sealed relation for key at the caller's epoch, never blocking and
 // never computing. The query service's fast path uses it to answer a
 // request from the memoised result without taking an evaluation slot.
-func (c *SharedCache) LookupRelation(epoch uint64, key string) (any, bool) {
+func (c *SharedCache) lookupRelation(epoch uint64, key string) (any, bool) {
 	s := c.relShard(key)
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -347,25 +341,25 @@ func (c *SharedCache) LookupRelation(epoch uint64, key string) (any, bool) {
 	}
 }
 
-// CacheRegion names the two cache regions for AdvanceEpoch's keep
+// cacheRegion names the two cache regions for advanceEpoch's keep
 // predicate.
-type CacheRegion int
+type cacheRegion int
 
 const (
-	// RegionStructure holds closure structures (RTCs, full closures).
-	RegionStructure CacheRegion = iota
-	// RegionRelation holds sealed sub-query relations.
-	RegionRelation
+	// regionStructure holds closure structures (RTCs, full closures).
+	regionStructure cacheRegion = iota
+	// regionRelation holds sealed sub-query and result relations.
+	regionRelation
 )
 
-// AdvanceEpoch moves the cache to a new graph epoch and sweeps both
+// advanceEpoch moves the cache to a new graph epoch and sweeps both
 // regions, returning the new epoch. Only completed entries computed at
 // exactly fromEpoch — the updating engine's pre-update epoch, the one
 // graph version its deltas describe — are offered to keep: a kept entry
 // is re-stamped at the new epoch in its slot, with the same value and
 // the same relation-budget charge, and any other entry is dropped.
-// Entries at any OTHER old epoch (a straggler's late install, or a
-// diverged engine's) are dropped unconditionally: the caller's deltas
+// Entries at any OTHER old epoch (a straggler's late install) are
+// dropped unconditionally: the caller's deltas
 // say nothing about them, so carrying them would smuggle a
 // multi-epoch-stale value into the new epoch. A nil keep drops
 // everything. In-flight entries are detached: their waiters still
@@ -380,9 +374,9 @@ const (
 // creation for readers still holding it. The caller
 // (Engine.ApplyUpdates) installs the new epoch in its new engine version
 // only after this sweep completes.
-func (c *SharedCache) AdvanceEpoch(fromEpoch uint64, keep func(region CacheRegion, key string) bool) uint64 {
+func (c *SharedCache) advanceEpoch(fromEpoch uint64, keep func(region cacheRegion, key string) bool) uint64 {
 	newEpoch := c.epoch.Add(1)
-	sweep := func(region CacheRegion, shards *[cacheShards]cacheShard, evict func(any)) {
+	sweep := func(region cacheRegion, shards *[cacheShards]cacheShard, evict func(any)) {
 		for i := range shards {
 			s := &shards[i]
 			s.mu.Lock()
@@ -406,63 +400,26 @@ func (c *SharedCache) AdvanceEpoch(fromEpoch uint64, keep func(region CacheRegio
 			s.mu.Unlock()
 		}
 	}
-	sweep(RegionStructure, &c.shards, nil)
-	sweep(RegionRelation, &c.relShards, c.evictRelation)
+	sweep(regionStructure, &c.shards, nil)
+	sweep(regionRelation, &c.relShards, c.evictRelation)
 	return newEpoch
 }
 
-// Len returns the number of cached structure entries, including
-// in-flight ones. Relation-region entries are counted by RelLen.
-func (c *SharedCache) Len() int {
+// countEntries counts the entries of one region's shards, including
+// in-flight ones.
+func countEntries(shards *[cacheShards]cacheShard) int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
+	for i := range shards {
+		s := &shards[i]
 		s.mu.Lock()
 		n += len(s.entries)
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// RelLen returns the number of cached sealed sub-query relations,
-// including in-flight ones.
-func (c *SharedCache) RelLen() int {
-	n := 0
-	for i := range c.relShards {
-		s := &c.relShards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Reset drops every entry of both regions and zeroes the counters; the
-// epoch is kept (it numbers graph versions, not cache generations).
-// Entries still being computed are detached, not interrupted: their
-// waiters get the result, but later lookups recompute.
-func (c *SharedCache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[string]*cacheEntry)
-		s.mu.Unlock()
-		r := &c.relShards[i]
-		r.mu.Lock()
-		r.entries = make(map[string]*cacheEntry)
-		r.mu.Unlock()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.relHits.Store(0)
-	c.relMisses.Store(0)
-	c.relBytes.Store(0)
-	c.crossEpochHits.Store(0)
-	c.staleEvictions.Store(0)
 }
 
 // CacheCounters is a snapshot of a SharedCache's activity: Misses counts
-// GetOrCompute calls that ran the computation, Hits counts calls that
+// structure lookups that ran the computation, Hits counts lookups that
 // reused a cached or in-flight one. Misses therefore equals the number
 // of distinct structures actually computed — the "each R computed
 // exactly once" invariant the concurrency tests assert.
@@ -472,9 +429,9 @@ type CacheCounters struct {
 	Entries int   `json:"entries"`
 
 	// RelHits/RelMisses/RelEntries are the same counters for the
-	// relation region: sealed sub-query relations the columnar layout
-	// memoises. RelMisses equals the number of distinct sub-queries
-	// actually evaluated and sealed.
+	// relation region: the sealed sub-query and result relations.
+	// RelMisses equals the number of distinct sub-queries actually
+	// evaluated and sealed.
 	RelHits    int64 `json:"rel_hits"`
 	RelMisses  int64 `json:"rel_misses"`
 	RelEntries int   `json:"rel_entries"`
@@ -493,10 +450,10 @@ func (c *SharedCache) Counters() CacheCounters {
 	return CacheCounters{
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
-		Entries:        c.Len(),
+		Entries:        countEntries(&c.shards),
 		RelHits:        c.relHits.Load(),
 		RelMisses:      c.relMisses.Load(),
-		RelEntries:     c.RelLen(),
+		RelEntries:     countEntries(&c.relShards),
 		Epoch:          c.epoch.Load(),
 		CrossEpochHits: c.crossEpochHits.Load(),
 		StaleEvictions: c.staleEvictions.Load(),

@@ -26,7 +26,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 		iterations = 200
 		keys       = 10
 	)
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	computes := make([]atomic.Int64, keys)
 
 	var wg sync.WaitGroup
@@ -37,7 +37,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iterations; i++ {
 				k := rng.Intn(keys)
-				v, _, err := cache.GetOrCompute(0, fmt.Sprintf("key-%d", k), func() (any, error) {
+				v, _, err := cache.getOrCompute(0, fmt.Sprintf("key-%d", k), func() (any, error) {
 					computes[k].Add(1)
 					return k * k, nil
 				})
@@ -75,22 +75,22 @@ func TestSharedCacheSingleflight(t *testing.T) {
 // cached: waiters of the failing flight see the error, and the next
 // call retries.
 func TestSharedCacheErrorRetry(t *testing.T) {
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	boom := errors.New("boom")
 	var calls atomic.Int64
 
-	_, computed, err := cache.GetOrCompute(0, "k", func() (any, error) {
+	_, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
 		calls.Add(1)
 		return nil, boom
 	})
 	if !computed || !errors.Is(err, boom) {
 		t.Fatalf("first call: computed=%v err=%v, want computed=true err=boom", computed, err)
 	}
-	if _, ok := cache.Lookup(0, "k"); ok {
+	if _, ok := cache.lookup(0, "k"); ok {
 		t.Fatalf("failed computation was cached")
 	}
 
-	v, computed, err := cache.GetOrCompute(0, "k", func() (any, error) {
+	v, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
 		calls.Add(1)
 		return 42, nil
 	})
@@ -107,7 +107,7 @@ func TestSharedCacheErrorRetry(t *testing.T) {
 // first time it runs; eventually all succeed and the successful value
 // is computed exactly once.
 func TestSharedCacheErrorRetryConcurrent(t *testing.T) {
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	var failed, succeeded atomic.Int64
 
 	var wg sync.WaitGroup
@@ -116,7 +116,7 @@ func TestSharedCacheErrorRetryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				v, _, err := cache.GetOrCompute(0, "k", func() (any, error) {
+				v, _, err := cache.getOrCompute(0, "k", func() (any, error) {
 					if failed.CompareAndSwap(0, 1) {
 						return nil, errors.New("transient")
 					}
@@ -147,12 +147,12 @@ func TestSharedCacheErrorRetryConcurrent(t *testing.T) {
 // the value from its own recompute.
 func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 	for _, cancelErr := range []error{context.Canceled, fmt.Errorf("evaluating: %w", context.DeadlineExceeded)} {
-		cache := NewSharedCache()
+		cache := newSharedCache(0)
 		started := make(chan struct{})
 		release := make(chan struct{})
 		leaderErr := make(chan error, 1)
 		go func() {
-			_, _, err := cache.GetOrCompute(0, "k", func() (any, error) {
+			_, _, err := cache.getOrCompute(0, "k", func() (any, error) {
 				close(started)
 				<-release
 				return nil, cancelErr
@@ -169,7 +169,7 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 		}
 		waiter := make(chan outcome, 1)
 		go func() {
-			v, computed, err := cache.GetOrCompute(0, "k", func() (any, error) {
+			v, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
 				waiterComputes.Add(1)
 				return 42, nil
 			})
@@ -192,7 +192,7 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 		if n := waiterComputes.Load(); n != 1 {
 			t.Fatalf("waiter computed %d times, want 1", n)
 		}
-		if v, ok := cache.Lookup(0, "k"); !ok || v != 42 {
+		if v, ok := cache.lookup(0, "k"); !ok || v != 42 {
 			t.Fatalf("waiter's value not cached: %v, %v", v, ok)
 		}
 	}
@@ -201,44 +201,26 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 // TestSharedCacheLookupInFlight verifies Lookup never blocks on a
 // computation in progress.
 func TestSharedCacheLookupInFlight(t *testing.T) {
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = cache.GetOrCompute(0, "slow", func() (any, error) {
+		_, _, _ = cache.getOrCompute(0, "slow", func() (any, error) {
 			close(started)
 			<-release
 			return 1, nil
 		})
 	}()
 	<-started
-	if _, ok := cache.Lookup(0, "slow"); ok {
+	if _, ok := cache.lookup(0, "slow"); ok {
 		t.Errorf("Lookup returned an in-flight computation")
 	}
 	close(release)
 	<-done
-	if v, ok := cache.Lookup(0, "slow"); !ok || v.(int) != 1 {
+	if v, ok := cache.lookup(0, "slow"); !ok || v.(int) != 1 {
 		t.Errorf("Lookup after completion: %v, %v", v, ok)
-	}
-}
-
-// TestSharedCacheReset verifies Reset drops entries and counters.
-func TestSharedCacheReset(t *testing.T) {
-	cache := NewSharedCache()
-	for i := 0; i < 5; i++ {
-		cache.GetOrCompute(0, fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
-	}
-	if cache.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", cache.Len())
-	}
-	cache.Reset()
-	if cache.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", cache.Len())
-	}
-	if c := cache.Counters(); c.Hits != 0 || c.Misses != 0 {
-		t.Fatalf("counters after Reset = %+v, want zero", c)
 	}
 }
 
@@ -246,15 +228,15 @@ func TestSharedCacheReset(t *testing.T) {
 // callers regardless, but once the resident-bytes budget is exhausted
 // new ones are not retained, so the region cannot grow without bound.
 func TestRelationRegionBudget(t *testing.T) {
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
 
-	val, computed, retained, err := cache.GetOrComputeRelation(0, "r1", func() (any, error) { return rel, nil })
+	val, computed, retained, err := cache.getOrComputeRelation(0, "r1", func() (any, error) { return rel, nil })
 	if err != nil || !computed || !retained || val.(*pairs.Relation) != rel {
 		t.Fatalf("first admission: val=%v computed=%v retained=%v err=%v", val, computed, retained, err)
 	}
-	if cache.RelLen() != 1 || cache.relBytes.Load() != relationCost(rel) {
-		t.Fatalf("after admission: RelLen=%d relBytes=%d want %d", cache.RelLen(), cache.relBytes.Load(), relationCost(rel))
+	if cache.Counters().RelEntries != 1 || cache.relBytes.Load() != relationCost(rel) {
+		t.Fatalf("after admission: RelEntries=%d relBytes=%d want %d", cache.Counters().RelEntries, cache.relBytes.Load(), relationCost(rel))
 	}
 
 	// Exhaust the budget; the next distinct relation is computed and
@@ -262,7 +244,7 @@ func TestRelationRegionBudget(t *testing.T) {
 	cache.relBytes.Store(relBudgetBytes)
 	computes := 0
 	for i := 0; i < 2; i++ {
-		val, computed, retained, err = cache.GetOrComputeRelation(0, "r2", func() (any, error) {
+		val, computed, retained, err = cache.getOrComputeRelation(0, "r2", func() (any, error) {
 			computes++
 			return rel, nil
 		})
@@ -273,31 +255,27 @@ func TestRelationRegionBudget(t *testing.T) {
 	if computes != 2 {
 		t.Fatalf("over-budget relation was retained: %d computes, want 2", computes)
 	}
-	if cache.RelLen() != 1 {
-		t.Fatalf("RelLen = %d, want 1 (only the admitted relation)", cache.RelLen())
+	if cache.Counters().RelEntries != 1 {
+		t.Fatalf("RelEntries = %d, want 1 (only the admitted relation)", cache.Counters().RelEntries)
 	}
 
 	// The admitted entry still hits, and reports itself retained.
-	_, computed, retained, _ = cache.GetOrComputeRelation(0, "r1", func() (any, error) { return nil, nil })
+	_, computed, retained, _ = cache.getOrComputeRelation(0, "r1", func() (any, error) { return nil, nil })
 	if computed || !retained {
 		t.Fatalf("admitted relation should still be cached: computed=%v retained=%v", computed, retained)
 	}
 
-	cache.Reset()
-	if cache.relBytes.Load() != 0 || cache.RelLen() != 0 {
-		t.Fatal("Reset did not clear the relation region")
-	}
 }
 
 // TestSharedCacheEpochRules pins the three epoch access rules and the
-// AdvanceEpoch sweep, including relation-budget uncharging on a drop.
+// advanceEpoch sweep, including relation-budget uncharging on a drop.
 func TestSharedCacheEpochRules(t *testing.T) {
-	cache := NewSharedCache()
-	if _, _, err := cache.GetOrCompute(0, "k", func() (any, error) { return "v0", nil }); err != nil {
+	cache := newSharedCache(0)
+	if _, _, err := cache.getOrCompute(0, "k", func() (any, error) { return "v0", nil }); err != nil {
 		t.Fatal(err)
 	}
 	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
-	if _, _, _, err := cache.GetOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
+	if _, _, _, err := cache.getOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.relBytes.Load(); got != relationCost(rel) {
@@ -305,44 +283,44 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	}
 
 	// Same epoch: hit, no recompute.
-	v, computed, err := cache.GetOrCompute(0, "k", func() (any, error) { return "nope", nil })
+	v, computed, err := cache.getOrCompute(0, "k", func() (any, error) { return "nope", nil })
 	if err != nil || computed || v.(string) != "v0" {
 		t.Fatalf("same-epoch access = (%v, %v, %v)", v, computed, err)
 	}
 
-	// AdvanceEpoch keeps the structure and drops the relation,
+	// advanceEpoch keeps the structure and drops the relation,
 	// uncharging its budget.
-	if newEpoch := cache.AdvanceEpoch(0, func(region CacheRegion, key string) bool {
-		return region == RegionStructure && key == "k"
-	}); newEpoch != 1 || cache.CurrentEpoch() != 1 {
-		t.Fatalf("epoch after advance = %d / %d, want 1", newEpoch, cache.CurrentEpoch())
+	if newEpoch := cache.advanceEpoch(0, func(region cacheRegion, key string) bool {
+		return region == regionStructure && key == "k"
+	}); newEpoch != 1 || cache.Counters().Epoch != 1 {
+		t.Fatalf("epoch after advance = %d / %d, want 1", newEpoch, cache.Counters().Epoch)
 	}
-	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v0" {
+	if v, ok := cache.lookup(1, "k"); !ok || v.(string) != "v0" {
 		t.Fatalf("kept entry = (%v, %v), want v0 at epoch 1", v, ok)
 	}
-	if _, ok := cache.Lookup(0, "k"); ok {
+	if _, ok := cache.lookup(0, "k"); ok {
 		t.Fatal("Lookup returned a value across epochs")
 	}
-	if cache.RelLen() != 0 || cache.relBytes.Load() != 0 {
-		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.RelLen(), cache.relBytes.Load())
+	if cache.Counters().RelEntries != 0 || cache.relBytes.Load() != 0 {
+		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.Counters().RelEntries, cache.relBytes.Load())
 	}
 
 	// Straggler (older epoch than the resident entry): computes
 	// privately and must not evict the newer entry.
-	v, computed, err = cache.GetOrCompute(0, "k", func() (any, error) { return "vOld", nil })
+	v, computed, err = cache.getOrCompute(0, "k", func() (any, error) { return "vOld", nil })
 	if err != nil || !computed || v.(string) != "vOld" {
 		t.Fatalf("straggler access = (%v, %v, %v)", v, computed, err)
 	}
-	if v, ok := cache.Lookup(1, "k"); !ok || v.(string) != "v0" {
+	if v, ok := cache.lookup(1, "k"); !ok || v.(string) != "v0" {
 		t.Fatalf("straggler evicted the newer entry: (%v, %v)", v, ok)
 	}
 
 	// Stale entry (installed at an old epoch by an in-flight laggard) is
 	// lazily evicted by a newer reader.
-	if _, _, err := cache.GetOrCompute(0, "k2", func() (any, error) { return "old", nil }); err != nil {
+	if _, _, err := cache.getOrCompute(0, "k2", func() (any, error) { return "old", nil }); err != nil {
 		t.Fatal(err)
 	}
-	v, computed, err = cache.GetOrCompute(1, "k2", func() (any, error) { return "new", nil })
+	v, computed, err = cache.getOrCompute(1, "k2", func() (any, error) { return "new", nil })
 	if err != nil || !computed || v.(string) != "new" {
 		t.Fatalf("stale-eviction access = (%v, %v, %v)", v, computed, err)
 	}
@@ -357,13 +335,13 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	// updater's pre-update epoch must never be kept — the updater's
 	// deltas describe only the fromEpoch graph, so a carry would smuggle
 	// a multi-epoch-stale value into the new epoch.
-	if _, _, err := cache.GetOrCompute(0, "k3", func() (any, error) { return "twoBehind", nil }); err != nil {
+	if _, _, err := cache.getOrCompute(0, "k3", func() (any, error) { return "twoBehind", nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cache.GetOrCompute(1, "k4", func() (any, error) { return "oneBehind", nil }); err != nil {
+	if _, _, err := cache.getOrCompute(1, "k4", func() (any, error) { return "oneBehind", nil }); err != nil {
 		t.Fatal(err)
 	}
-	if newEpoch := cache.AdvanceEpoch(1, func(region CacheRegion, key string) bool {
+	if newEpoch := cache.advanceEpoch(1, func(region cacheRegion, key string) bool {
 		if key == "k3" {
 			t.Error("keep offered an entry older than fromEpoch")
 		}
@@ -371,24 +349,24 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	}); newEpoch != 2 {
 		t.Fatalf("epoch = %d, want 2", newEpoch)
 	}
-	if _, ok := cache.Lookup(2, "k3"); ok {
+	if _, ok := cache.lookup(2, "k3"); ok {
 		t.Fatal("multi-epoch-stale entry survived the sweep")
 	}
-	if v, ok := cache.Lookup(2, "k4"); !ok || v.(string) != "oneBehind" {
+	if v, ok := cache.lookup(2, "k4"); !ok || v.(string) != "oneBehind" {
 		t.Fatalf("fromEpoch entry not carried: (%v, %v)", v, ok)
 	}
 }
 
 // TestSharedCacheEpochRulesCarryKeepsCharge: a relation kept across
-// AdvanceEpoch stays resident under its original budget charge — no
+// advanceEpoch stays resident under its original budget charge — no
 // uncharge, no second admission — and is served at the new epoch
 // without recomputing; dropping it later returns the charge exactly.
 func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
-	cache := NewSharedCache()
+	cache := newSharedCache(0)
 	// Sources 0, 1 and 3 share the stored run {2, 3}: six pairs held in
 	// 2 destinations, 5 offsets and 4 starts.
 	rel := pairs.RelationFromSharedRuns(4, []int32{0, 2, 4, 4, 6}, []int32{0, 0, 0, 0}, []graph.VID{2, 3})
-	if _, _, _, err := cache.GetOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
+	if _, _, _, err := cache.getOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	charged := cache.relBytes.Load()
@@ -396,27 +374,27 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 		t.Fatalf("relBytes = %d, relationCost = %d, want %d column bytes", charged, relationCost(rel), want)
 	}
 
-	cache.AdvanceEpoch(0, func(region CacheRegion, _ string) bool { return region == RegionRelation })
+	cache.advanceEpoch(0, func(region cacheRegion, _ string) bool { return region == regionRelation })
 	if got := cache.relBytes.Load(); got != charged {
 		t.Fatalf("resident bytes %d after the carry, want %d", got, charged)
 	}
-	val, computed, retained, err := cache.GetOrComputeRelation(1, "r", func() (any, error) {
+	val, computed, retained, err := cache.getOrComputeRelation(1, "r", func() (any, error) {
 		t.Error("carried relation recomputed")
 		return nil, nil
 	})
 	if err != nil || computed || !retained || val != any(rel) {
 		t.Fatalf("new-epoch access = (%p, computed %v, retained %v, %v), want the carried relation", val, computed, retained, err)
 	}
-	if v, ok := cache.LookupRelation(1, "r"); !ok || v != any(rel) {
+	if v, ok := cache.lookupRelation(1, "r"); !ok || v != any(rel) {
 		t.Fatalf("LookupRelation at the new epoch = (%v, %v)", v, ok)
 	}
-	if _, ok := cache.LookupRelation(0, "r"); ok {
+	if _, ok := cache.lookupRelation(0, "r"); ok {
 		t.Fatal("LookupRelation served the carried entry at the old epoch")
 	}
 
-	cache.AdvanceEpoch(1, nil)
-	if cache.RelLen() != 0 || cache.relBytes.Load() != 0 {
-		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.RelLen(), cache.relBytes.Load())
+	cache.advanceEpoch(1, nil)
+	if cache.Counters().RelEntries != 0 || cache.relBytes.Load() != 0 {
+		t.Fatalf("dropped relation still resident: len=%d bytes=%d", cache.Counters().RelEntries, cache.relBytes.Load())
 	}
 	if cc := cache.Counters(); cc.CrossEpochHits != 0 {
 		t.Fatalf("CrossEpochHits = %d, want 0", cc.CrossEpochHits)
@@ -428,7 +406,7 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 // graph's columns for the label.
 func assertLabelEntry(t *testing.T, e *Engine, key string) *pairs.Relation {
 	t.Helper()
-	val, ok := e.Cache().LookupRelation(e.Epoch(), key)
+	val, ok := e.Cache().lookupRelation(e.Epoch(), key)
 	if !ok {
 		t.Fatalf("label relation %s not memoised at epoch %d", key, e.Epoch())
 	}
@@ -469,7 +447,7 @@ func TestLabelRelationChargesNothing(t *testing.T) {
 	if rel := assertLabelEntry(t, e, "a"); rel != carried {
 		t.Error("untouched label relation was not carried")
 	}
-	if _, ok := e.Cache().LookupRelation(e.Epoch(), "^b"); ok {
+	if _, ok := e.Cache().lookupRelation(e.Epoch(), "^b"); ok {
 		t.Fatal("touched label relation ^b was carried")
 	}
 	if _, err := e.EvaluateQuery("^b"); err != nil {

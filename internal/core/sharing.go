@@ -21,9 +21,9 @@ const (
 	nsFull = "full\x00" // *fullValue: the full closure R+_G
 )
 
-// rtcValue and fullValue pair a shared structure with its summary, so an
-// engine that fetches a structure computed by another engine still
-// reports it in SharedSummaries.
+// rtcValue and fullValue pair a shared structure with its summary, so a
+// call that hits a structure another call computed still records it in
+// SharedSummaries.
 type rtcValue struct {
 	structure *rtc.RTC
 	summary   SharedSummary
@@ -209,15 +209,13 @@ func (v *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
 
 // subEvaluateRel evaluates a sub-query (Pre, Post, or FullSharing's R)
 // with the engine's own sharing strategy and seals the result, memoising
-// the sealed relation in the SharedCache's relation region: repeated batch
-// units over the same Pre/Post — and every engine sharing the cache —
-// reuse the same frozen columns with zero copying, under the same
-// singleflight discipline as the closure structures. (The seed memoised
-// map sets per engine because they were heavyweight; a sealed relation
-// is two exactly-sized int32 columns, cheap enough to keep process-wide,
-// and Reset/ClearCaches still drops them.) Sealed relations are
-// immutable by contract; every consumer only reads them. Sub-evaluation
-// time counts as Remainder: both sharing methods perform it identically.
+// the sealed relation in the SharedCache's relation region: repeated
+// batch units over the same Pre/Post, in this call or any other on the
+// engine, reuse the same frozen columns with zero copying, under the
+// same singleflight discipline as the closure structures. Sealed
+// relations are immutable by contract; every consumer only reads them.
+// Sub-evaluation time counts as Remainder: both sharing methods perform
+// it identically.
 func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	if !c.shouldCache() {
 		return c.evaluatePlanned(q, nil)
@@ -236,7 +234,7 @@ func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	// inside it would leave co-waiters blocked forever, so it is recovered
 	// into an error here — the cache then drops the entry and unblocks
 	// every waiter with the error.
-	val, _, retained, err := c.cache.GetOrComputeRelation(c.epoch, key, func() (v any, err error) {
+	val, _, retained, err := c.cache.getOrComputeRelation(c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(q, &err)
 		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.evaluatePlanned(q, nil)
@@ -286,7 +284,7 @@ func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 	t0 := time.Now()
 	key := nsRTC + r.String()
 	var inner time.Duration
-	val, computed, err := c.cache.GetOrCompute(c.epoch, key, func() (v any, err error) {
+	val, computed, err := c.cache.getOrCompute(c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(r, &err)
 		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeRTC(r)
@@ -359,7 +357,7 @@ func (c *evalCall) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
 	}
 	t0 := time.Now()
 	var inner time.Duration
-	val, computed, err := c.cache.GetOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
+	val, computed, err := c.cache.getOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
 		defer recoverPanic(r, &err)
 		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeFullClosure(r)

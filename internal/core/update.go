@@ -142,9 +142,9 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 	t0 = time.Now()
 	// Only entries computed at this engine's pre-update epoch are
 	// offered — they are the ones the effective deltas describe;
-	// anything older (straggler installs, diverged engines) is dropped
-	// by the sweep itself.
-	newEpoch := e.cache.AdvanceEpoch(v.epoch, func(region CacheRegion, key string) bool {
+	// anything older (a straggler's install) is dropped by the sweep
+	// itself.
+	newEpoch := e.cache.advanceEpoch(v.epoch, func(region cacheRegion, key string) bool {
 		return res.keep(region, key, touched)
 	})
 	res.MigrateTime = time.Since(t0)
@@ -194,10 +194,10 @@ func validateUpdates(updates []GraphUpdate, n graph.VID) error {
 // costs one Compute, less than patching it eagerly inside the update
 // (DESIGN §9). It runs under a cache shard lock and must not call back
 // into the cache.
-func (res *UpdateResult) keep(region CacheRegion, key string, touched map[string]bool) bool {
+func (res *UpdateResult) keep(region cacheRegion, key string, touched map[string]bool) bool {
 	// A structure key is nsRTC or nsFull (each ending in '\x00') before
 	// the sub-query text; a relation key is the bare text.
-	if region == RegionStructure {
+	if region == regionStructure {
 		_, key, _ = strings.Cut(key, "\x00")
 	}
 	expr, err := rpq.Parse(key)
@@ -211,9 +211,9 @@ func (res *UpdateResult) keep(region CacheRegion, key string, touched map[string
 		}
 	}
 	switch {
-	case region == RegionRelation && carried:
+	case region == regionRelation && carried:
 		res.RelCarried++
-	case region == RegionRelation:
+	case region == regionRelation:
 		res.RelDropped++
 	case carried:
 		res.Carried++

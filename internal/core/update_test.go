@@ -50,8 +50,8 @@ func TestApplyUpdatesBasic(t *testing.T) {
 	if res.Inserted != 2 || res.Deleted != 0 {
 		t.Fatalf("effective changes = %+v", res)
 	}
-	if res.Epoch != 1 || e.Epoch() != 1 || e.Cache().CurrentEpoch() != 1 {
-		t.Fatalf("epoch not advanced: res=%d engine=%d cache=%d", res.Epoch, e.Epoch(), e.Cache().CurrentEpoch())
+	if res.Epoch != 1 || e.Epoch() != 1 || e.Cache().Counters().Epoch != 1 {
+		t.Fatalf("epoch not advanced: res=%d engine=%d cache=%d", res.Epoch, e.Epoch(), e.Cache().Counters().Epoch)
 	}
 	if lid, ok := e.Graph().Dict().Lookup("a"); !ok || !e.Graph().HasEdge(2, lid, 0) {
 		t.Fatal("new graph version missing inserted edge")

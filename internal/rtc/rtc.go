@@ -16,7 +16,6 @@
 package rtc
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -127,31 +126,6 @@ func (r *RTC) InsertEdges(edges []pairs.Pair) *RTC {
 		slices.Sort(members[s])
 	}
 	return assemble(&scc.Components{CompOf: qOf, Members: members}, cond)
-}
-
-// FromParts assembles an RTC from its three structures — the SCC
-// decomposition of G_R, the condensation Ḡ_R, and TC(Ḡ_R) — built by
-// the caller, checking only that the three agree on the SID space.
-// Nothing else is validated: parts that Compute would never produce (a
-// condensation with a cycle, or SIDs in no topological order) are
-// accepted, which is how tests hand the join deliberately malformed or
-// SID-permuted structures. The reach table is built in the
-// condensation's own topological order, so a component on or above a
-// cycle between distinct components is heavy.
-func FromParts(comps *scc.Components, condensation *graph.DiGraph, closure *tc.Closure) (*RTC, error) {
-	k := comps.NumComponents()
-	if condensation.NumVertices() != k {
-		return nil, fmt.Errorf("rtc: condensation has %d vertices, want %d components", condensation.NumVertices(), k)
-	}
-	if closure.NumVertices() != k {
-		return nil, fmt.Errorf("rtc: closure has %d vertices, want %d components", closure.NumVertices(), k)
-	}
-	return &RTC{
-		comps:        comps,
-		condensation: condensation,
-		reach:        newReachTable(condensation, comps.Members),
-		closure:      closure,
-	}, nil
 }
 
 // assemble is the shared tail of Compute and InsertEdges: it drops the
@@ -348,9 +322,6 @@ func (r *RTC) Condensation() *graph.DiGraph { return r.condensation }
 // member-bearing components only.
 func (r *RTC) Closure() *tc.Closure {
 	r.closureOnce.Do(func() {
-		if r.closure != nil {
-			return
-		}
 		keep := make([]bool, len(r.comps.Members))
 		for s, m := range r.comps.Members {
 			keep[s] = len(m) > 0

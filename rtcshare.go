@@ -78,39 +78,15 @@ type Graph = graph.Graph
 // GraphBuilder accumulates labeled edges and freezes them into a Graph.
 type GraphBuilder = graph.Builder
 
-// MutableGraph is a mutable labeled multigraph supporting interleaved
-// InsertEdge/DeleteEdge, freezable into an immutable Graph any number of
-// times; a freeze rebuilds only the labels edited since the last one —
-// the ingestion side of the dynamic-graph subsystem. (Engines take
-// updates directly through Engine.ApplyUpdates; a MutableGraph is for
-// building and evolving graphs outside an engine.)
-type MutableGraph = graph.Mutable
-
-// GraphStats summarises a graph (|V|, |E|, |Σ|, degree per label).
-type GraphStats = graph.Stats
-
 // NewGraphBuilder returns a builder for a graph with the given number of
 // vertices.
 func NewGraphBuilder(numVertices int) *GraphBuilder {
 	return graph.NewBuilder(numVertices)
 }
 
-// NewMutableGraph returns an empty mutable graph over the dense vertex
-// space [0, numVertices).
-func NewMutableGraph(numVertices int) *MutableGraph {
-	return graph.NewMutable(numVertices)
-}
-
-// MutableFromGraph starts a MutableGraph from a frozen Graph, sharing its
-// columns, so it can start taking updates.
-func MutableFromGraph(g *Graph) *MutableGraph { return graph.MutableFromGraph(g) }
-
 // ReadGraph parses the text edge-list format ("src label dst" lines with
 // an optional "%vertices N" directive).
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
-
-// WriteGraph serialises a graph in the text edge-list format.
-func WriteGraph(w io.Writer, g *Graph) error { return graph.Write(w, g) }
 
 // Expr is a parsed regular path query.
 type Expr = rpq.Expr
@@ -120,9 +96,6 @@ type Expr = rpq.Expr
 // parentheses, and '^label' for inverse paths (traverse an edge
 // backwards, as in SPARQL 1.1 property paths).
 func ParseQuery(q string) (Expr, error) { return rpq.Parse(q) }
-
-// MustParseQuery is ParseQuery but panics on error; for static queries.
-func MustParseQuery(q string) Expr { return rpq.MustParse(q) }
 
 // Pair is an ordered (start vertex, end vertex) result pair.
 type Pair = pairs.Pair
@@ -154,21 +127,11 @@ const (
 // exceeds 4,096 clauses is rejected with an error.
 type Options = core.Options
 
-// Stats is the engine's accumulated timing split: SharedData (computing
-// the shared closure structure), PreJoin (the Pre_G ⋈ R+_G join) and
-// Remainder, plus cache counters.
-type Stats = core.Stats
-
-// SharedSummary describes one cached shared structure: the sub-query R,
-// the shared pair count, and the reduced-graph vertex counts.
-type SharedSummary = core.SharedSummary
-
 // Engine evaluates RPQs over one (updatable) graph, sharing closure
-// structures across queries. It is safe for concurrent use: the shared
-// structures live in a SharedCache (singleflight-deduplicated, so
-// concurrent queries needing the same closure sub-query compute it
-// once), and the per-engine accounting is lock-protected.
-// NewEngineWithCache creates engines that share one cache.
+// structures across queries. It is safe for concurrent use: every call
+// shares the engine's own cache, in which concurrent queries needing
+// the same closure sub-query compute it once, and the engine's
+// accounting is lock-protected.
 //
 // Engine.ApplyUpdates mutates the graph between (or concurrently with)
 // query batches: it freezes a new graph version, advances the cache to
@@ -183,16 +146,6 @@ type Engine = core.Engine
 // with InsertEdge/DeleteEdge.
 type GraphUpdate = core.GraphUpdate
 
-// UpdateOp is the kind of a GraphUpdate.
-type UpdateOp = core.UpdateOp
-
-const (
-	// OpInsertEdge adds a labeled edge (no-op if present).
-	OpInsertEdge = core.OpInsertEdge
-	// OpDeleteEdge removes a labeled edge (no-op if absent).
-	OpDeleteEdge = core.OpDeleteEdge
-)
-
 // InsertEdge returns an insert update for Engine.ApplyUpdates.
 func InsertEdge(src VID, label string, dst VID) GraphUpdate {
 	return core.InsertEdge(src, label, dst)
@@ -203,53 +156,8 @@ func DeleteEdge(src VID, label string, dst VID) GraphUpdate {
 	return core.DeleteEdge(src, label, dst)
 }
 
-// UpdateResult reports what one ApplyUpdates batch did: the new graph
-// epoch, the effective edge changes, and the carried/dropped fate of
-// every cached structure and relation.
-type UpdateResult = core.UpdateResult
-
-// SharedCache holds the shared closure structures (the paper's RTCs and
-// full closures) in one region and the sealed columnar sub-query and
-// result relations in a second, budget-bounded region. Every entry is
-// tagged with the graph epoch it was computed at; Engine.ApplyUpdates
-// advances the epoch, and the access rules guarantee a value is never
-// served across epochs. One cache may back any number of engines over
-// the same graph and options; it is safe for concurrent use and
-// deduplicates concurrent computations of the same sub-query. See
-// DESIGN.md §5 for the concurrency model and §9 for epochs.
-type SharedCache = core.SharedCache
-
-// CacheCounters is a snapshot of a SharedCache's hit/miss counters.
-// Misses equals the number of structures actually computed.
-type CacheCounters = core.CacheCounters
-
-// NewSharedCache returns an empty shared-structure cache for
-// NewEngineWithCache.
-func NewSharedCache() *SharedCache { return core.NewSharedCache() }
-
-// Plan is the output of Engine.Explain / Engine.ExplainQuery: the DNF
-// clauses, the execution per clause (the rightmost-closure batch unit
-// joined through a shared structure, or the automaton product) with
-// estimated cardinalities, and which shared structures are already
-// cached.
-// Explaining never executes or mutates anything;
-// Engine.ExplainAnalyze / Engine.ExplainAnalyzeQuery additionally run
-// the query and fill in the actual cardinalities.
-type Plan = core.Plan
-
-// PlanClause is one batch unit of a Plan.
-type PlanClause = core.PlanClause
-
-// NewEngine returns an engine over g with a private SharedCache.
+// NewEngine returns an engine over g with an empty cache of its own.
 func NewEngine(g *Graph, opts Options) *Engine { return core.New(g, opts) }
-
-// NewEngineWithCache returns an engine over g backed by an existing
-// SharedCache, so independently created engines (one per request
-// goroutine, say) share closure structures. All engines on one cache
-// must use the same graph and strategy.
-func NewEngineWithCache(g *Graph, opts Options, cache *SharedCache) *Engine {
-	return core.NewWithCache(g, opts, cache)
-}
 
 // Evaluate is a one-shot convenience: parse and evaluate a single query
 // with a fresh RTCSharing engine.
@@ -275,46 +183,6 @@ type Server = server.Server
 // value gets the documented defaults.
 type ServerOptions = server.Options
 
-// ServerMetrics is the GET /metrics payload: the graph epoch and shape,
-// the admission statistics, the shared-cache counters (including the
-// CrossEpochHits tripwire), the engine's timing split, the latency
-// histograms (ServerLatencyInfo) and the Go runtime vitals
-// (ServerRuntimeInfo).
-type ServerMetrics = server.Metrics
-
-// StageTimer is the per-request latency breakdown a /query response
-// carries (QueryResponse.Stages) and EvaluateRelTimedCtx fills: one
-// nanosecond counter per pipeline stage (queue, plan, closure-build,
-// join, seal, page, other; coalesce-wait is always 0). The stages
-// partition the request's wall time.
-type StageTimer = core.StageTimer
-
-// HistogramStats is one log-bucketed latency histogram as /metrics
-// renders it: count, mean, interpolated p50/p90/p99 and exact max, in
-// milliseconds.
-type HistogramStats = server.HistogramStats
-
-// StageHistograms is the per-stage section of the /metrics latency
-// payload: one HistogramStats per StageTimer stage, counting only the
-// requests in which that stage actually ran.
-type StageHistograms = server.StageHistograms
-
-// ServerLatencyInfo is the latency section of /metrics: the overall
-// request-latency histogram, its split by serving path (fast_path,
-// direct, ask, streamed, witness), the per-stage histograms, and the
-// encode and first-chunk histograms.
-type ServerLatencyInfo = server.LatencyInfo
-
-// ServerRuntimeInfo is the runtime section of /metrics: goroutine
-// count, heap in use, GC counters and the last GC pause — the vitals
-// latency spikes are correlated against.
-type ServerRuntimeInfo = server.RuntimeInfo
-
-// AdmissionStats is the admission section of ServerMetrics: queries
-// submitted, served from the memo or evaluated, rejected, abandoned,
-// failed, panicked and quarantined.
-type AdmissionStats = server.AdmissionStats
-
 // ResultStream is a pull-based, epoch-pinned enumeration of one query's
 // result, opened with Engine.OpenStream.
 // It yields (src, dst) pairs in exactly the sealed relation's
@@ -331,32 +199,8 @@ type ResultStream = core.ResultStream
 // one option away.
 type StreamOptions = core.StreamOptions
 
-// StreamStats is a stream's progress snapshot: sources joined, rows
-// touched and pairs yielded so far.
-type StreamStats = core.StreamStats
-
 // ErrStreamClosed is returned by ResultStream.Next after Close.
 var ErrStreamClosed = core.ErrStreamClosed
-
-// WitnessPath is one shortest label-path witness for a result pair, as
-// Engine.Witness reconstructs it: the endpoints, the edge labels in
-// order (inverse traversals spelled "^label"), and the graph epoch it
-// was derived at.
-type WitnessPath = core.WitnessPath
-
-// AskResponse is the body of the server's /query?ask=1 existence
-// probe: found true/false plus the rows-scanned instrumentation of the
-// short-circuit evaluator.
-type AskResponse = server.AskResponse
-
-// WitnessResponse is the body of the server's /query?witness=1 path:
-// one shortest label-path witness, or found=false.
-type WitnessResponse = server.WitnessResponse
-
-// StreamingInfo is the streaming-delivery section of /metrics: streams
-// opened, pairs streamed, ASK and witness requests, cursor resumes and
-// epoch aborts (stale cursors plus lag-aborted streams).
-type StreamingInfo = server.StreamingInfo
 
 // NewServer returns the rpqd HTTP handler over engine. The engine may be
 // shared with in-process users; updates through either side keep both
@@ -412,12 +256,6 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) { return datagen.RMAT(cfg) }
 // with OpenStore.
 type Store = store.Dir
 
-// StoreStats is a Store's size and activity bookkeeping: snapshot bytes
-// and epoch, snapshots written, and the update-log record/byte counts
-// since the last rotation. Served under /metrics when rpqd runs with
-// -data.
-type StoreStats = store.Stats
-
 // PersistentEngine wraps an Engine so every effective update batch is
 // durably logged (fsync) before ApplyUpdates returns, with snapshot
 // compaction on demand (Snapshot) or automatically every N batches.
@@ -435,16 +273,6 @@ type PersistOptions = store.Options
 // wall-clock. Recovery restores the graph and epoch only; closure
 // structures rebuild on first use.
 type RecoveryInfo = store.RecoveryInfo
-
-// SnapshotInfo describes one written snapshot: the graph epoch it
-// pinned, its size in bytes, and the write's wall-clock. It is the
-// POST /admin/snapshot response body.
-type SnapshotInfo = store.SnapshotInfo
-
-// PersistInfo is the persistence section of rpqd's /metrics: the store's
-// bookkeeping, the automatic-snapshot position, and the RecoveryInfo of
-// the boot.
-type PersistInfo = store.PersistInfo
 
 // ErrNoSnapshot is returned by Store.LoadSnapshot when the directory
 // holds no snapshot yet — the cold-boot signal, distinct from a corrupt
@@ -474,12 +302,6 @@ func OpenEngine(s *Store, seed *Graph, opts Options, popts PersistOptions) (*Per
 // a successful PersistentEngine.Probe re-arms updates (rpqd probes
 // automatically and answers 503 + Retry-After meanwhile).
 var ErrDegraded = store.ErrDegraded
-
-// ErrQuarantined is returned through /query (as HTTP 422) for a query
-// string that repeatedly panicked the evaluator: the panic is recovered
-// and isolated each time, but a string that keeps crashing is rejected
-// at admission so one pathological input cannot crash-loop the daemon.
-var ErrQuarantined = server.ErrQuarantined
 
 // QueryPanicError reports a panic recovered during one query's
 // evaluation: the query text, the panic value and the captured stack.

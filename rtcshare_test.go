@@ -1,12 +1,13 @@
 package rtcshare_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"rtcshare"
@@ -83,21 +84,24 @@ func TestPublicEngineStats(t *testing.T) {
 }
 
 func TestPublicGraphIO(t *testing.T) {
-	g := fig1(t)
-	var buf bytes.Buffer
-	if err := rtcshare.WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := rtcshare.ReadGraph(&buf)
+	text := "# Fig. 1's d·(b·c)+·c paths\n%vertices 10\n" +
+		"7 d 4\n4 b 1\n1 c 2\n2 c 5\n2 b 5\n2 b 3\n3 b 2\n5 b 6\n5 c 6\n5 c 4\n6 c 3\n"
+	g, err := rtcshare.ReadGraph(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rtcshare.Evaluate(g2, "d.(b.c)+.c")
+	if g.NumVertices() != 10 || g.NumEdges() != 11 {
+		t.Fatalf("read %d vertices, %d edges; want 10, 11", g.NumVertices(), g.NumEdges())
+	}
+	res, err := rtcshare.Evaluate(g, "d.(b.c)+.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 2 {
-		t.Fatalf("round-tripped graph gives %d pairs, want 2", res.Len())
+	if res.Len() != 2 || !res.Contains(7, 5) || !res.Contains(7, 3) {
+		t.Fatalf("read graph gives %v, want {(7,5),(7,3)}", res.Sorted())
+	}
+	if _, err := rtcshare.ReadGraph(strings.NewReader("0 a\n")); err == nil {
+		t.Error("a two-field line was accepted")
 	}
 }
 
@@ -131,7 +135,11 @@ func TestPublicGenerateRMAT(t *testing.T) {
 func TestPublicExplain(t *testing.T) {
 	g := fig1(t)
 	e := rtcshare.NewEngine(g, rtcshare.Options{})
-	plan, err := e.ExplainQuery("d.(b.c)+.c")
+	q, err := rtcshare.ParseQuery("d.(b.c)+.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestPublicExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzed, err := e.ExplainAnalyzeQuery("d.(b.c)+.c")
+	analyzed, err := e.ExplainAnalyze(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,25 +177,50 @@ func TestPublicInverseLabels(t *testing.T) {
 	}
 }
 
-func TestPublicSharedCacheAcrossEngines(t *testing.T) {
+// TestPublicConcurrentQueriesShareCache: eight goroutines query one
+// engine at once. Every goroutine gets the serial answers, and the
+// engine's cache computes each distinct closure structure exactly once.
+func TestPublicConcurrentQueriesShareCache(t *testing.T) {
 	g := fig1(t)
-	cache := rtcshare.NewSharedCache()
-	a := rtcshare.NewEngineWithCache(g, rtcshare.Options{}, cache)
-	b := rtcshare.NewEngineWithCache(g, rtcshare.Options{}, cache)
+	// Three distinct closure sub-queries R: b.c, b and c|b.
+	queries := []string{"d.(b.c)+.c", "a.(b.c)+.b", "d.b+.c", "a.(c|b)+", "(b.c)*.c"}
+	const distinctR = 3
+	want := make([]*rtcshare.Relation, len(queries))
+	for i, q := range queries {
+		res, err := rtcshare.Evaluate(g, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
 
-	if _, err := a.EvaluateQuery("d.(b.c)+.c"); err != nil {
-		t.Fatal(err)
+	e := rtcshare.NewEngine(g, rtcshare.Options{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(queries))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := range queries {
+				i := (j + w) % len(queries)
+				res, err := e.EvaluateQuery(queries[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !res.Equal(want[i]) {
+					errs <- fmt.Errorf("goroutine %d, %s: %v, want %v", w, queries[i], res.Sorted(), want[i].Sorted())
+				}
+			}
+		}(w)
 	}
-	if _, err := b.EvaluateQuery("a.(b.c)+.b"); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	// Engine b must have reused a's RTC for (b.c).
-	if st := b.Stats(); st.CacheHits != 1 || st.CacheMisses != 0 {
-		t.Errorf("engine b stats = %+v, want the shared RTC reused (1 hit, 0 misses)", st)
-	}
-	var c rtcshare.CacheCounters = cache.Counters()
-	if c.Misses == 0 {
-		t.Errorf("cache counters = %+v, want at least one computation recorded", c)
+	if c := e.Cache().Counters(); c.Misses != distinctR {
+		t.Errorf("cache counters = %+v, want %d misses (each R computed once)", c, distinctR)
 	}
 }
 
@@ -229,27 +262,6 @@ func TestPublicApplyUpdates(t *testing.T) {
 		t.Fatal(err)
 	} else if res.Len() != 1 {
 		t.Fatalf("new-label query = %v, want one pair", res.Sorted())
-	}
-}
-
-func TestPublicMutableGraph(t *testing.T) {
-	m := rtcshare.NewMutableGraph(4)
-	if _, err := m.InsertEdge(0, "follows", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.InsertEdge(1, "follows", 2); err != nil {
-		t.Fatal(err)
-	}
-	if removed, err := m.DeleteEdge(0, "follows", 1); err != nil || !removed {
-		t.Fatalf("delete: %v %v", removed, err)
-	}
-	g := m.Freeze()
-	if g.NumEdges() != 1 {
-		t.Fatalf("frozen edges = %d, want 1", g.NumEdges())
-	}
-	m2 := rtcshare.MutableFromGraph(g)
-	if m2.NumEdges() != 1 {
-		t.Fatalf("round-trip edges = %d, want 1", m2.NumEdges())
 	}
 }
 
