@@ -242,6 +242,41 @@ func BenchmarkCore_Join(b *testing.B) {
 	}
 }
 
+// BenchmarkCore_JoinPaper explains core.pre_join_ns.rtc plus
+// core.remainder_ns.rtc: Algorithm 2's join, one sub-benchmark per
+// paper-batch query at seed 1, on prebuilt inputs over its RMAT_3 graph
+// at 2^11 vertices — Pre_G sealed, the RTC built by rtc.FromProduct as
+// RTCSharing builds it. Every Post is one label.
+func BenchmarkCore_JoinPaper(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine := core.New(g, core.Options{})
+	for _, q := range []struct{ pre, r, post string }{
+		{"l3", "l1", "l3"}, {"l3", "l1", "l1"}, {"l0", "l1", "l1"}, {"l2", "l1", "l2"},
+		{"l0", "l0.l2", "l3"}, {"l3", "l0.l2", "l3"}, {"l2", "l0.l2", "l0"}, {"l3", "l0.l2", "l1"},
+		{"l0", "l3.l1.l3", "l2"}, {"l3", "l3.l1.l3", "l1"}, {"l1", "l3.l1.l3", "l1"}, {"l1", "l3.l1.l3", "l3"},
+	} {
+		bld := pairs.NewBuilder(g.NumVertices())
+		eval.New(g, rpq.MustParse(q.pre), eval.Options{}).AppendAll(bld)
+		preG := bld.Seal()
+		structure, err := rtc.FromProduct(g, rpq.MustParse(q.r), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		post := rpq.MustParse(q.post)
+		b.Run(q.pre+".("+q.r+")+."+q.post, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := engine.EvalBatchUnit(preG, structure, rpq.ClosurePlus, post); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCore_JoinSparse is core.join_ns at the other extreme:
 // a.b+.c over 2^20 vertices of which a few hundred have edges
 // (fixtures.SparseChains), 310 result pairs. Its ns/op and B/op must

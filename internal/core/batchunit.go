@@ -74,6 +74,29 @@ func (s *stampSet) add(id int32) bool {
 	return true
 }
 
+// labelPost is a single-label Post as both joins read it: the label's
+// CSR in the graph, which its evaluator hands out, so Post(v) is row v
+// of the graph's columns rather than a traversal. A Post that is not one
+// label leaves ok false; a label the graph lacks has nil columns.
+type labelPost struct {
+	ok      bool
+	offsets []int32
+	targets []graph.VID
+}
+
+func labelPostOf(ev *eval.Evaluator) labelPost {
+	offsets, targets, ok := ev.LabelCSR()
+	return labelPost{ok: ok, offsets: offsets, targets: targets}
+}
+
+// ends returns Post(v), aliasing the graph's storage.
+func (p labelPost) ends(v graph.VID) []graph.VID {
+	if p.offsets == nil {
+		return nil
+	}
+	return p.targets[p.offsets[v]:p.offsets[v+1]]
+}
+
 // resolveUnit resolves a batch unit's inputs through the shared caches:
 // Pre_G (Algorithm 1 line 8, recursive), and R's RTC under RTCSharing or
 // its full closure under Full/NoSharing.
@@ -115,11 +138,12 @@ func (c *evalCall) openClause(cp *plan.ClausePlan) (producer, error) {
 // Pre_G arrives as a sealed relation: the per-start runs the kernel
 // wants are its frozen columns, walked in ascending start order with no
 // bucketing pass. The result is emitted straight into exact-size sealed
-// columns. The Post traversals are Remainder time; everything else —
-// the row DFS, the ORs, the emission — is PreJoin. Engine.EvalBatchUnit
-// exposes it so benchmarks can measure the join in isolation; query
-// evaluation reaches it through Engine.EvaluateRel. Nothing is cached
-// across calls.
+// columns. The traversals of a Post that is not one label are Remainder
+// time; everything else — the row DFS, the ORs, a label Post's CSR
+// reads, the emission — is PreJoin. Engine.EvalBatchUnit exposes it so
+// benchmarks can measure the join in isolation; query evaluation
+// reaches it through Engine.EvaluateRel. Nothing is cached across
+// calls.
 func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	start := time.Now()
 	k := c.acquireKernel(structure, typ, post)
@@ -133,8 +157,9 @@ func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ r
 
 // evalBatchUnitFull is FullSharing's batch-unit evaluation: the same
 // logical join Pre_G ⋈ R+_G ⋈ Post_G, driven by fullJoin at vertex-pair
-// level over the full closure. The Post traversals are Remainder time,
-// building the columns is the seal stage, and the rest is PreJoin.
+// level over the full closure. The traversals of a Post that is not one
+// label are Remainder time, building the columns is the seal stage, and
+// the rest, a label Post's CSR reads included, is PreJoin.
 func (c *evalCall) evalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	start := time.Now()
 	j := c.acquireFull(preG, closure, typ, post)
@@ -156,8 +181,9 @@ type drainScratch struct {
 // drain is the sealed driver of the pair-level and automaton producers:
 // it runs p once per source, ascending, appends each run to pooled
 // scratch, and copies the scratch once into an exact-size column. (The
-// row kernel sizes its runs in a first pass instead — a stored row is
-// a lookup — but these producers cannot afford a second traversal.) The
+// row kernel sizes its runs in a first pass instead — a stored row is a
+// lookup, and its second pass re-gathers only the runs that are not one
+// stored row — but these producers cannot afford a second traversal.) The
 // copy is the seal stage; drain attributes it and returns its duration
 // so the caller can attribute the rest.
 func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
@@ -218,8 +244,10 @@ func (j kernelJoin) release() { j.k.c.releaseKernel(j.k) }
 // redundant-2 operations of Definitions 3 and 4 that Algorithm 2
 // eliminates are all performed here — giving v_i's frontier, its tuples
 // of equation (9); the run is then the union of the frontier's Post ends
-// (equation (10)), each EvalRestrictedRPQ(Post, v_k) memoised per join
-// in one flat buffer addressed by spans. One join owns a fullJoin
+// (equation (10)). A label Post's ends are each frontier vertex's row of
+// the graph's CSR; any other EvalRestrictedRPQ(Post, v_k) is a traversal
+// memoised per join in one flat buffer addressed by spans, the same Post
+// work the row kernel does. One join owns a fullJoin
 // exclusively from acquireFull to release; c, its call, is set on
 // acquire and cleared on release, so the pool never keeps a finished
 // call's context or timer reachable.
@@ -230,6 +258,7 @@ type fullJoin struct {
 	star    bool
 	postEv  *eval.Evaluator // nil when Post is ε
 	evKey   string
+	label   labelPost // set when Post is one label
 
 	seen     stampSet    // the current source's frontier
 	mids     []graph.VID // the frontier, in first-reached order
@@ -237,7 +266,9 @@ type fullJoin struct {
 	endSpans []endSpan // by vertex; valid where memo marks it
 	memo     stampSet  // the vertices whose Post ends this join holds
 
-	postNS time.Duration // Post traversals: Remainder in the timing split
+	// Post traversals, Remainder in the timing split: 0 under an ε or
+	// label Post, whose ends are join work.
+	postNS time.Duration
 }
 
 // endSpan addresses one memoised Post traversal inside endsBuf.
@@ -253,6 +284,9 @@ func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rp
 	if _, eps := post.(rpq.Epsilon); !eps {
 		t0 := time.Now()
 		j.postEv, j.evKey = c.acquireEvaluator(post)
+		if j.label = labelPostOf(j.postEv); j.label.ok {
+			return j
+		}
 		j.memo.ensure(n)
 		j.memo.reset()
 		if len(j.endSpans) < n {
@@ -269,7 +303,7 @@ func (j *fullJoin) release() {
 		c.releaseEvaluator(j.evKey, j.postEv)
 	}
 	j.mids, j.endsBuf = j.mids[:0], j.endsBuf[:0]
-	j.c, j.preG, j.closure, j.postEv, j.evKey, j.postNS = nil, nil, nil, nil, "", 0
+	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.postNS = nil, nil, nil, nil, "", labelPost{}, 0
 	c.fullPool.Put(j)
 }
 
@@ -309,15 +343,20 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 		return rows, nil
 	}
 	for _, vk := range j.mids {
-		if j.memo.add(vk) {
-			t0 := time.Now()
-			start := int32(len(j.endsBuf))
-			j.endsBuf = j.postEv.AppendReachFrom(vk, j.endsBuf)
-			j.endSpans[vk] = endSpan{start, int32(len(j.endsBuf))}
-			j.postNS += time.Since(t0)
+		var ends []graph.VID
+		if j.label.ok {
+			ends = j.label.ends(vk)
+		} else {
+			if j.memo.add(vk) {
+				t0 := time.Now()
+				start := int32(len(j.endsBuf))
+				j.endsBuf = j.postEv.AppendReachFrom(vk, j.endsBuf)
+				j.endSpans[vk] = endSpan{start, int32(len(j.endsBuf))}
+				j.postNS += time.Since(t0)
+			}
+			span := j.endSpans[vk]
+			ends = j.endsBuf[span.start:span.end]
 		}
-		span := j.endSpans[vk]
-		ends := j.endsBuf[span.start:span.end]
 		if err := c.checkpoint(len(ends) + 1); err != nil {
 			return rows, err
 		}

@@ -35,6 +35,10 @@ import (
 //     and each source's run;
 //   - useless-2: members are never expanded; the OR is the dedupe.
 //
+// A label Post is the graph's CSR (labelPost): Post(v) is row v, read
+// where it is needed rather than traversed, so a singleton's PostEnds is
+// its member's row, ORed in place like the members under ε.
+//
 // Rows are sets over the |V| destinations kept as their non-zero 64-bit
 // words, so their memory follows their content; a row equal to the row
 // of a successor (the common case upstream of a giant SCC) is that row,
@@ -53,11 +57,11 @@ const rowBudgetWords = 1 << 20
 
 // A component is light when the RTC's reach table lists the at most
 // rtc.LightReach member-bearing components it reaches, and their
-// PostEnds together cost at most lightCost words (members, for an ε
-// Post). Its row is cheaper to recompute from the table at each use than
-// to memoise, and the DFS does not descend below it — on chain-like
-// graphs, where a row serves one predecessor, memoising every component
-// would cost more than the join it saves.
+// PostEnds together hold at most lightCost ends (members, for an ε
+// Post). Its row is cheaper to recompute from the table at each use
+// than to memoise, and the DFS does not descend below it — on
+// chain-like graphs, where a row serves one predecessor, memoising every
+// component would cost more than the join it saves.
 const lightCost = 64
 
 // Row handles index rowKernel.rows; handle 0 is the empty row. A
@@ -96,12 +100,13 @@ type rowKernel struct {
 	star   bool
 	postEv *eval.Evaluator // nil when Post is ε
 	evKey  string
+	label  labelPost // set when Post is one label
 
 	// comps holds, per SID, 0 until visited and then state + compBase,
 	// negated when the component is cyclic. ends holds, per SID, the
-	// handle + 1 of PostEnds for a non-ε Post, 0 until first used; vpost
-	// the same per vertex for Post(v) of R* Pre-ends that are not
-	// singleton components, allocated on first use.
+	// handle + 1 of a stored PostEnds, 0 until first used; vpost the same
+	// per vertex for Post(v) of R* Pre-ends that are not singleton
+	// components, allocated on first use.
 	comps []int32
 	ends  []int32
 	vpost []int32
@@ -134,8 +139,10 @@ type rowKernel struct {
 	fbSeen  stampSet
 	fbStack []int32
 
-	postNS time.Duration // Post traversals: Remainder in the timing split
-	work   int64         // words ORed plus Post ends and members added
+	// Post traversals, Remainder in the timing split: 0 under an ε or
+	// label Post, whose ends are join work.
+	postNS time.Duration
+	work   int64 // words ORed plus Post ends and members added
 }
 
 // acquireKernel checks a row kernel out of the version's pool, set up
@@ -156,7 +163,9 @@ func (c *evalCall) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post r
 		t0 := time.Now()
 		k.postEv, k.evKey = c.acquireEvaluator(post)
 		k.ends = zeroed(k.ends, len(k.comps))
-		k.postNS += time.Since(t0)
+		if k.label = labelPostOf(k.postEv); !k.label.ok {
+			k.postNS += time.Since(t0)
+		}
 	}
 	return k
 }
@@ -187,7 +196,7 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
-	k.c, k.rtc, k.cond, k.postEv, k.evKey = nil, nil, nil, nil, ""
+	k.c, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, "", labelPost{}
 	k.postNS, k.work = 0, 0
 	c.kernelPool.Put(k)
 }
@@ -260,8 +269,8 @@ func (k *rowKernel) push(s int32) {
 
 // light settles unvisited component t without a DFS when its row is
 // cheap to recompute from the reach table — empty when t reaches no
-// member — and reports whether it did. For a non-ε Post it builds the
-// PostEnds it weighs, which the row needs in any case.
+// member — and reports whether it did. It builds every stored PostEnds
+// it weighs, which the row needs in any case.
 func (k *rowKernel) light(t int32) bool {
 	from, ok := k.rtc.BoundedReach(t)
 	if !ok {
@@ -269,13 +278,7 @@ func (k *rowKernel) light(t int32) bool {
 	}
 	cost := 0
 	for _, u := range from {
-		if k.postEv == nil {
-			cost += len(k.rtc.Members(u))
-		} else {
-			lo, hi := k.span(k.endsOf(u))
-			cost += int(hi - lo)
-		}
-		if cost > lightCost {
+		if cost += k.endsCost(u); cost > lightCost {
 			return false
 		}
 	}
@@ -297,12 +300,10 @@ func (k *rowKernel) finish(s int32) error {
 	work0 := k.work
 	succ := k.cond.Successors(s)
 	// PostEnds are built in the same accumulator as the row, so every
-	// one this row needs is built first.
-	if k.postEv != nil {
-		for _, t := range succ {
-			if _, cyclic := k.state(t); t == s || !cyclic {
-				k.endsOf(t)
-			}
+	// stored one this row needs is built first.
+	for _, t := range succ {
+		if _, cyclic := k.state(t); (t == s || !cyclic) && !k.inPlace(t) {
+			k.endsOf(t)
 		}
 	}
 	cyclic, fallback, alias := false, false, rowEmpty
@@ -378,18 +379,38 @@ func reserve[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, len(s)))
 }
 
-// endsOf returns the handle of PostEnds(s) for a non-ε Post, running
-// the Post traversals from s's members on first use.
+// inPlace reports whether PostEnds(s) is read where it is needed rather
+// than stored: s's members under an ε Post, and under a label Post the
+// CSR row of s's one member, if it has one.
+func (k *rowKernel) inPlace(s int32) bool {
+	return k.postEv == nil || k.label.ok && len(k.rtc.Members(s)) <= 1
+}
+
+// endsCost is what PostEnds(u) adds to a light component's cost: how
+// many ends it has. It builds a stored PostEnds on first use.
+func (k *rowKernel) endsCost(u int32) int {
+	switch {
+	case k.postEv == nil:
+		return len(k.rtc.Members(u))
+	case k.inPlace(u):
+		cost := 0
+		for _, v := range k.rtc.Members(u) {
+			cost += len(k.label.ends(v))
+		}
+		return cost
+	}
+	return int(k.rows[k.endsOf(u)].count)
+}
+
+// endsOf returns the handle of PostEnds(s) stored for a non-ε Post,
+// building it on first use. The kernel reads a label's PostEnds of a
+// singleton in place instead, and stores it only as the whole of
+// Post(v_j) under R*.
 func (k *rowKernel) endsOf(s int32) int32 {
 	if h := k.ends[s]; h != 0 {
 		return h - 1
 	}
-	t0 := time.Now()
-	for _, v := range k.rtc.Members(s) {
-		k.traversePost(v)
-	}
-	h := k.storeBuild()
-	k.postNS += time.Since(t0)
+	h := k.storePost(k.rtc.Members(s))
 	k.ends[s] = h + 1
 	return h
 }
@@ -402,19 +423,32 @@ func (k *rowKernel) vertexPost(v graph.VID) int32 {
 	if h := k.vpost[v]; h != 0 {
 		return h - 1
 	}
-	t0 := time.Now()
-	k.traversePost(v)
-	h := k.storeBuild()
-	k.postNS += time.Since(t0)
+	vs := [1]graph.VID{v}
+	h := k.storePost(vs[:])
 	k.vpost[v] = h + 1
 	return h
 }
 
-// traversePost adds Post(v) to the build accumulator.
-func (k *rowKernel) traversePost(v graph.VID) {
-	k.reach = k.postEv.AppendReachFrom(v, k.reach[:0])
-	k.work += int64(len(k.reach))
-	k.build.AddAll(k.reach)
+// storePost stores ⋃ Post(v) over vs as a row and returns its handle: a
+// label's CSR rows, unclocked, or the timed Post traversals.
+func (k *rowKernel) storePost(vs []graph.VID) int32 {
+	if k.label.ok {
+		for _, v := range vs {
+			ends := k.label.ends(v)
+			k.work += int64(len(ends))
+			k.build.AddAll(ends)
+		}
+		return k.storeBuild()
+	}
+	t0 := time.Now()
+	for _, v := range vs {
+		k.reach = k.postEv.AppendReachFrom(v, k.reach[:0])
+		k.work += int64(len(k.reach))
+		k.build.AddAll(k.reach)
+	}
+	h := k.storeBuild()
+	k.postNS += time.Since(t0)
+	return h
 }
 
 // orRow ORs stored row h into acc.
@@ -424,16 +458,23 @@ func (k *rowKernel) orRow(acc *pairs.RunAccumulator, h int32) {
 	k.work += int64(hi - lo)
 }
 
-// orEnds ORs PostEnds(s) into acc; for a non-ε Post, endsOf(s) must
-// already have run.
+// orEnds ORs PostEnds(s) into acc; unless it is read in place,
+// endsOf(s) must already have run.
 func (k *rowKernel) orEnds(acc *pairs.RunAccumulator, s int32) {
-	if k.postEv == nil {
+	switch {
+	case k.postEv == nil:
 		members := k.rtc.Members(s)
 		acc.AddAll(members)
 		k.work += int64(len(members))
-		return
+	case k.inPlace(s):
+		for _, v := range k.rtc.Members(s) {
+			ends := k.label.ends(v)
+			acc.AddAll(ends)
+			k.work += int64(len(ends))
+		}
+	default:
+		k.orRow(acc, k.ends[s]-1)
 	}
-	k.orRow(acc, k.ends[s]-1)
 }
 
 // orLight answers a light component from the reach table:
@@ -471,7 +512,7 @@ func (k *rowKernel) orFallback(acc *pairs.RunAccumulator, c int32) error {
 				continue
 			}
 			work0 := k.work
-			if k.postEv != nil {
+			if !k.inPlace(t) {
 				k.endsOf(t)
 			}
 			k.orEnds(acc, t)
@@ -570,7 +611,11 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 
 // seal is the sealed driver: one pass sizes every source's run (and, on
 // the way, fills the rows it needs), the second drains the runs into
-// exact-size columns, ascending by source and within each run. A stored
+// exact-size columns, ascending by source and within each run. The first
+// pass leaves in offsets[v+1] the size of v's run, or −h when the run is
+// stored row h (h ≥ 1), so the second copies such a run out of the
+// store with no gather, turns offsets into their prefix sum as it goes,
+// and gathers again only the runs that are not one stored row. A stored
 // row that is the whole run of several sources is written once, where
 // the first of them needs it, and the others point at it
 // (pairs.RelationFromSharedRuns); when no row repeats, the result is a
@@ -578,7 +623,7 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	n := preG.NumVertices()
 	offsets := make([]int32, n+1)
-	stored := 0 // destinations the column will hold
+	total, stored := 0, 0 // destinations the relation holds, and the column
 	var err error
 	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
 		if err = k.c.checkpoint(len(vjs)); err != nil {
@@ -589,7 +634,8 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 			return false
 		}
 		if h >= 0 {
-			offsets[vi+1] = k.rows[h].count
+			offsets[vi+1] = -h
+			total += int(k.rows[h].count)
 			if k.use(h) == 1 {
 				stored += int(k.rows[h].count)
 			}
@@ -599,6 +645,7 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 			return false
 		}
 		offsets[vi+1] = int32(k.run.Count())
+		total += int(offsets[vi+1])
 		stored += int(offsets[vi+1])
 		k.run.Reset()
 		return true
@@ -606,57 +653,53 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
 
 	// starts stays nil unless some row repeats; rowAt[h] is then 1 + the
 	// position of repeated row h once it is written.
 	var starts []int32
-	if stored < int(offsets[n]) {
+	if stored < total {
 		starts = make([]int32, n)
 		k.rowAt = zeroed(k.rowAt, len(k.uses))
 	}
 	dsts := make([]graph.VID, 0, stored)
-	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
-		size := int(offsets[vi+1] - offsets[vi])
+	for v := range n {
+		size, h := offsets[v+1], int32(-1)
+		if size < 0 {
+			h, size = -size, k.rows[-size].count
+		}
+		offsets[v+1] = offsets[v] + size
 		if size == 0 {
-			return true
+			continue
 		}
-		if err = k.c.checkpoint(size); err != nil {
-			return false
-		}
-		// Every row exists after the first pass: this gather only looks
-		// them up.
-		var h int32
-		if h, err = k.gather(vjs); err != nil {
-			return false
+		if err := k.c.checkpoint(int(size)); err != nil {
+			return nil, err
 		}
 		if starts != nil {
 			if h >= 0 && k.uses[h] > 1 {
 				if at := k.rowAt[h]; at > 0 {
-					starts[vi] = at - 1
-					return true
+					starts[v] = at - 1
+					continue
 				}
 				k.rowAt[h] = int32(len(dsts)) + 1
 			}
-			starts[vi] = int32(len(dsts))
+			starts[v] = int32(len(dsts))
 		}
 		if h >= 0 {
 			lo, hi := k.span(h)
 			for i := lo; i < hi; i++ {
 				dsts = pairs.AppendWordBits(dsts, k.idx[i], k.words[i])
 			}
-			return true
+			continue
 		}
-		if err = k.orRun(k.run); err != nil {
-			return false
+		// Every row exists after the first pass: this gather only looks
+		// them up.
+		if _, err := k.gather(preG.DstsOf(graph.VID(v))); err != nil {
+			return nil, err
+		}
+		if err := k.orRun(k.run); err != nil {
+			return nil, err
 		}
 		dsts = k.run.DrainAppend(dsts)
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	if starts == nil {
 		return pairs.RelationFromSortedRuns(n, offsets, dsts), nil

@@ -69,7 +69,8 @@ func (c kernelCase) query() rpq.Expr {
 
 // kernelCases crosses random RMAT graphs with Pre/R/Post shapes, both
 // closure types and ε and non-ε Post — Pre-ends inside and outside V_R,
-// an empty Pre, and SCCs from giant to singleton — and adds a hand-built
+// an empty Pre, SCCs from giant to singleton, and a label Post read
+// forward, inverse (^l2) and absent from the graph (zz) — and adds a hand-built
 // graph holding every component shape by construction: a singleton with
 // a self-loop, one without, a two-member SCC, a sink, and Pre-ends off
 // V_R.
@@ -87,6 +88,8 @@ func kernelCases(t *testing.T) []kernelCase {
 		for _, shape := range []struct{ pre, r, post rpq.Expr }{
 			{l("l0"), l("l1"), eps},
 			{l("l0"), l("l1"), l("l2")},
+			{l("l0"), l("l1"), l("^l2")},
+			{l("l0"), l("l1"), l("zz")},
 			{eps, l("l1.l2"), l("l0")},
 			{l("l2"), l("l0|l1"), l("l1.l0")},
 			{l("zz"), l("l1"), l("l2")}, // empty Pre
@@ -243,6 +246,96 @@ func TestRowKernelProductDifferential(t *testing.T) {
 	}
 	if withIntermediates == 0 {
 		t.Fatal("no product RTC kept an intermediate component: the memberless path went untested")
+	}
+}
+
+// TestLabelPostMatchesTraversedPost: a label Post l is the graph's CSR,
+// read in place by both joins, and must give exactly the join with Post
+// l|zzz — the same ends, through the memoised, timed traversals — and
+// the reference evaluator: the sealed kernel over the computed and the
+// product-built RTC, the budget-0 fallback, the per-source stream driver
+// and the pair-level join. Reading Post in place must not cost row
+// sharing (the sealed columns are no larger than the traversed Post's),
+// and no label Post time is Remainder.
+func TestLabelPostMatchesTraversedPost(t *testing.T) {
+	labels := 0
+	for _, c := range kernelCases(t) {
+		l, ok := c.post.(rpq.Label)
+		if !ok {
+			continue
+		}
+		labels++
+		traversed := c
+		traversed.post = rpq.MustParse(l.String() + "|zzz")
+		if _, _, isLabel := eval.New(c.g, traversed.post, eval.Options{}).LabelCSR(); isLabel {
+			t.Fatalf("%s: %s reads as a label, so the traversal path goes untested", c.name, traversed.post)
+		}
+		ref := eval.Reference(c.g, c.query())
+		if tref := eval.Reference(c.g, traversed.query()); !tref.Equal(ref) {
+			t.Fatalf("%s: reference with Post %s differs from Post %s", c.name, traversed.post, l)
+		}
+		product, err := rtc.FromProduct(c.g, c.r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(c.g, Options{})
+		for _, s := range []struct {
+			name      string
+			structure *rtc.RTC
+		}{{"computed", c.computed}, {"product", product}} {
+			var sealed [2]*pairs.Relation
+			for i, kc := range []kernelCase{c, traversed} {
+				call := e.call(nil, nil)
+				k := call.acquireKernel(s.structure, kc.typ, kc.post)
+				rel, err := k.seal(kc.preG)
+				if err != nil {
+					t.Fatalf("%s %s Post %s: %v", c.name, s.name, kc.post, err)
+				}
+				if i == 0 && k.postNS != 0 {
+					t.Errorf("%s %s: label Post charged %v of Remainder", c.name, s.name, k.postNS)
+				}
+				call.releaseKernel(k)
+				if !rel.EqualSet(ref) {
+					t.Fatalf("%s %s Post %s: %d pairs, reference %d", c.name, s.name, kc.post, rel.Len(), ref.Len())
+				}
+				sealed[i] = rel
+				if fb := kernelSeal(t, e.call(nil, nil), kc, s.structure, 0); !fb.Equal(rel) {
+					t.Errorf("%s %s Post %s: fallback %d pairs, sealed %d", c.name, s.name, kc.post, fb.Len(), rel.Len())
+				}
+				if st := kernelStream(t, e.call(nil, nil), kc, s.structure); !st.Equal(rel) {
+					t.Errorf("%s %s Post %s: stream driver %d pairs, sealed %d", c.name, s.name, kc.post, st.Len(), rel.Len())
+				}
+			}
+			if !sealed[0].Equal(sealed[1]) {
+				t.Errorf("%s %s: Post %s %d pairs, Post %s %d", c.name, s.name, l, sealed[0].Len(), traversed.post, sealed[1].Len())
+			}
+			if got, want := sealed[0].ColumnBytes(), sealed[1].ColumnBytes(); got > want {
+				t.Errorf("%s %s: Post %s sealed %d column bytes, Post %s %d: row sharing lost", c.name, s.name, l, got, traversed.post, want)
+			}
+		}
+		var full [2]*pairs.Relation
+		for i, kc := range []kernelCase{c, traversed} {
+			call := e.call(nil, nil)
+			j := call.acquireFull(kc.preG, kc.full, kc.typ, kc.post)
+			rel, _, err := call.drain(j)
+			if err != nil {
+				t.Fatalf("%s full Post %s: %v", c.name, kc.post, err)
+			}
+			if i == 0 && j.postNS != 0 {
+				t.Errorf("%s: label Post charged %v of Remainder in the pair-level join", c.name, j.postNS)
+			}
+			j.release()
+			full[i] = rel
+		}
+		if !full[0].Equal(full[1]) || !full[0].EqualSet(ref) {
+			t.Errorf("%s: pair-level join Post %s %d pairs, Post %s %d, reference %d", c.name, l, full[0].Len(), traversed.post, full[1].Len(), ref.Len())
+		}
+		if rel, err := e.EvalBatchUnitFull(c.preG, c.full, c.typ, c.post); err != nil || !rel.Equal(full[1]) {
+			t.Errorf("%s: EvalBatchUnitFull Post %s: %v, want the traversed Post's %d pairs", c.name, l, err, full[1].Len())
+		}
+	}
+	if labels == 0 {
+		t.Fatal("no kernel case has a label Post")
 	}
 }
 

@@ -73,6 +73,14 @@ func New(g *graph.Graph, e rpq.Expr, _ Options) *Evaluator {
 	return ev
 }
 
+// LabelCSR hands out the columns a label evaluator reads: ok reports
+// whether the expression is one label, and row v of offsets/targets is
+// then what AppendReachFrom(v) appends. The columns are nil for a label
+// the graph does not have, and alias the graph's storage.
+func (ev *Evaluator) LabelCSR() (offsets []int32, targets []graph.VID, ok bool) {
+	return ev.labelOffsets, ev.labelTargets, ev.label
+}
+
 // Evaluate computes R_G for e on g from every vertex (Definition 2).
 func Evaluate(g *graph.Graph, e rpq.Expr) *pairs.Set {
 	return New(g, e, Options{}).EvaluateAll()

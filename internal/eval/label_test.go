@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,8 @@ import (
 // Property: a single-label evaluator — l or ^l, the label present in the
 // graph or not — reads the label's CSR, allocates no product stamps, and
 // its AppendReachFrom, AppendAll and EvaluateAll all equal the reference
-// oracle on random graphs.
+// oracle on random graphs; the CSR it hands out (LabelCSR) has row v
+// equal to AppendReachFrom(v), and a non-label evaluator hands out none.
 func TestLabelEvaluatorMatchesReference(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	f := func(seed int64) bool {
@@ -30,12 +32,25 @@ func TestLabelEvaluatorMatchesReference(t *testing.T) {
 					t.Logf("%s: label evaluator allocated %d stamps", e, len(ev.stamp))
 					return false
 				}
+				offsets, targets, ok := ev.LabelCSR()
+				if !ok {
+					t.Logf("%s: LabelCSR reports no label", e)
+					return false
+				}
 				reach := pairs.NewSet()
 				var buf []graph.VID
 				for v := range n {
 					buf = ev.AppendReachFrom(graph.VID(v), buf[:0])
 					for _, w := range buf {
 						reach.Add(graph.VID(v), w)
+					}
+					var row []graph.VID
+					if offsets != nil {
+						row = targets[offsets[v]:offsets[v+1]]
+					}
+					if !slices.Equal(row, buf) {
+						t.Logf("seed %d %s: CSR row %d is %v, the traversal %v", seed, e, v, row, buf)
+						return false
 					}
 				}
 				b := pairs.NewBuilder(n)
@@ -50,5 +65,8 @@ func TestLabelEvaluatorMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, ok := New(fixtures.Figure1(), rpq.MustParse("b.c"), Options{}).LabelCSR(); ok {
+		t.Fatal("a concatenation's evaluator reports a label CSR")
 	}
 }
