@@ -10,6 +10,7 @@
 package rtcshare_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -305,38 +306,46 @@ func BenchmarkCore_JoinSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkGraph_Freeze explains graph.freeze_ns: one serve-churn-sized
-// update over RMAT_3 at 2^11 vertices — eight edges, two per label,
-// each inserted if absent and deleted if present — then Freeze. The
-// edges cycle through a fixed pool of 64, so the graph keeps its size.
+// BenchmarkGraph_Freeze explains graph.freeze_ns: one update of batch
+// edges over RMAT_3 at 2^scale vertices, spread over the four labels,
+// each inserted if absent and deleted if present, then Freeze. The
+// edges cycle through a fixed pool of eight batches, so the graph keeps
+// its size. s11/b8 is serve-churn's update; s16/b8 the same batch on a
+// graph 32 times larger, where copying the touched labels' columns is
+// the cost; s11/b4096 a batch rewriting about a sixth of the edges,
+// where sorting the edits is.
 func BenchmarkGraph_Freeze(b *testing.B) {
-	g, err := datagen.PaperRMATN(3, 11, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	labels := g.Dict().Names()
-	rng := rand.New(rand.NewSource(1))
-	pool := make([]graph.Edge, 64)
-	for i := range pool {
-		pool[i] = graph.Edge{Src: graph.VID(rng.Intn(g.NumVertices())), Label: graph.LID(i % len(labels)), Dst: graph.VID(rng.Intn(g.NumVertices()))}
-	}
-	m := graph.MutableFromGraph(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range pool[i*8%len(pool):][:8] {
-			label := labels[e.Label]
-			var err error
-			if m.HasEdge(e.Src, label, e.Dst) {
-				_, err = m.DeleteEdge(e.Src, label, e.Dst)
-			} else {
-				_, err = m.InsertEdge(e.Src, label, e.Dst)
-			}
+	for _, c := range []struct{ scale, batch int }{{11, 8}, {16, 8}, {11, 4096}} {
+		b.Run(fmt.Sprintf("s%d/b%d", c.scale, c.batch), func(b *testing.B) {
+			g, err := datagen.PaperRMATN(3, c.scale, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		m.Freeze()
+			labels := g.Dict().Names()
+			rng := rand.New(rand.NewSource(1))
+			pool := make([]graph.Edge, 8*c.batch)
+			for i := range pool {
+				pool[i] = graph.Edge{Src: graph.VID(rng.Intn(g.NumVertices())), Label: graph.LID(i % len(labels)), Dst: graph.VID(rng.Intn(g.NumVertices()))}
+			}
+			m := graph.MutableFromGraph(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, e := range pool[i*c.batch%len(pool):][:c.batch] {
+					label := labels[e.Label]
+					var err error
+					if m.HasEdge(e.Src, label, e.Dst) {
+						_, err = m.DeleteEdge(e.Src, label, e.Dst)
+					} else {
+						_, err = m.InsertEdge(e.Src, label, e.Dst)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				m.Freeze()
+			}
+		})
 	}
 }
 

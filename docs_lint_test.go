@@ -399,6 +399,7 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("Reset" + "Stats"),
 	regexp.MustCompile(`Explain` + `Query\b`),
 	regexp.MustCompile("ExplainAnalyze" + "Query"),
+	regexp.MustCompile("merge" + "CSR"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

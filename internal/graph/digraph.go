@@ -135,8 +135,10 @@ func (d *DiGraph) CSR() (offsets []int32, targets []VID) {
 // mirror: tOffsets[w]:tOffsets[w+1] index the sources pairing to w in
 // tTargets. Walking sources ascending appends each transposed run in
 // sorted order, so sortedness of the input runs carries over. It is the
-// one source of reverse adjacencies: Builder.Build, Mutable.Freeze,
+// one source of reverse adjacencies built from scratch: Builder.Build,
 // DiBuilder.Build, DiGraphFromCSR, and pairs.Relation's lazy transpose.
+// Mutable.Freeze splices its edits into the base's reverse columns
+// instead.
 func TransposeCSR(numVertices int, offsets []int32, dsts []VID) (tOffsets []int32, tTargets []VID) {
 	tOffsets = make([]int32, numVertices+1)
 	for _, w := range dsts {

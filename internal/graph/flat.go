@@ -67,6 +67,7 @@ func FromFlat(f *FlatGraph) (*Graph, error) {
 		dict:        dict,
 		fwd:         make([]adjacency, len(f.Labels)),
 		rev:         make([]adjacency, len(f.Labels)),
+		labelStats:  make([]LabelStats, len(f.Labels)),
 	}
 	for l := range f.Labels {
 		fwd, rev := f.Fwd[l], f.Rev[l]
@@ -83,8 +84,8 @@ func FromFlat(f *FlatGraph) (*Graph, error) {
 		g.fwd[l] = adjacency{offsets: fwd.Offsets, targets: fwd.Targets}
 		g.rev[l] = adjacency{offsets: rev.Offsets, targets: rev.Targets}
 		g.numEdges += len(fwd.Targets)
+		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
 	}
-	g.labelStats = computeLabelStats(f.NumVertices, g.fwd, g.rev)
 	return g, nil
 }
 

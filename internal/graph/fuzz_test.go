@@ -12,8 +12,9 @@ import (
 // never panic, and the final Freeze must be indistinguishable from
 // Builder.Build over the surviving edge list — including the Build-time
 // LabelStats. Bit 7 of an op's label byte freezes after the op; every
-// graph frozen mid-stream must still match its own edge set at the end,
-// after later freezes merged into the columns it shares.
+// graph frozen mid-stream must still match Builder.Build over its own
+// edge set at the end, every column byte for byte, after later freezes
+// spliced new columns out of the ones it shares.
 func FuzzApplyUpdates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 1, 2, 0, 1, 0x80, 0, 1})
@@ -22,6 +23,11 @@ func FuzzApplyUpdates(f *testing.F) {
 	// Freeze after each op: insert (0,a,2), insert (0,a,1) ahead of it in
 	// the shared run, delete (0,a,2), grow to 12, insert (0,b,11).
 	f.Add([]byte{0, 0x80, 2, 0, 0x80, 1, 0x80, 0x80, 2, 0xcc, 0x81, 0, 0, 0x81, 11})
+	// The splice boundaries of TestMutableFreezeSpliceEdges, freezing
+	// after the base and after the batch.
+	for _, tc := range spliceCases {
+		f.Add(append(fuzzOps(tc.base), fuzzOps(tc.batch)...))
+	}
 
 	labels := []string{"a", "b", "c", "d"}
 	type frozen struct {
@@ -116,4 +122,18 @@ func FuzzApplyUpdates(f *testing.F) {
 			matchesBuild(t, h.g, h.n, h.names, h.edges)
 		}
 	})
+}
+
+// fuzzOps encodes ops as a FuzzApplyUpdates stream that freezes after
+// the last op. A grow has no label; its label byte only carries the
+// freeze bit.
+func fuzzOps(ops []updateOp) []byte {
+	kinds := map[byte]byte{'i': 0, 'd': 2, 'g': 3}
+	labels := map[string]byte{"": 0, "a": 0, "b": 1, "c": 2, "d": 3}
+	var out []byte
+	for _, op := range ops {
+		out = append(out, kinds[op.kind]<<6|byte(op.src), labels[op.label], byte(op.dst))
+	}
+	out[len(out)-2] |= 0x80
+	return out
 }

@@ -306,6 +306,7 @@ func (b *Builder) Build() *Graph {
 		dict:        b.dict,
 		fwd:         make([]adjacency, numLabels),
 		rev:         make([]adjacency, numLabels),
+		labelStats:  make([]LabelStats, numLabels),
 	}
 
 	// Bucket edges per label, then build the forward CSR of each label
@@ -319,35 +320,31 @@ func (b *Builder) Build() *Graph {
 		g.numEdges += len(es)
 		g.fwd[l] = buildCSR(b.numVertices, es)
 		g.rev[l].offsets, g.rev[l].targets = TransposeCSR(b.numVertices, g.fwd[l].offsets, g.fwd[l].targets)
+		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
 	}
-	g.labelStats = computeLabelStats(b.numVertices, g.fwd, g.rev)
 	b.edges = nil
 	return g
 }
 
-// computeLabelStats derives the per-label statistics from the frozen CSR
-// adjacencies: one O(|V|) offset scan per label.
-func computeLabelStats(numVertices int, fwd, rev []adjacency) []LabelStats {
-	stats := make([]LabelStats, len(fwd))
-	for l := range fwd {
-		s := &stats[l]
-		s.Edges = len(fwd[l].targets)
-		for v := 0; v < numVertices; v++ {
-			if d := fwd[l].degree(VID(v)); d > 0 {
-				s.DistinctSrcs++
-				if d > s.MaxOutDegree {
-					s.MaxOutDegree = d
-				}
-			}
-			if d := rev[l].degree(VID(v)); d > 0 {
-				s.DistinctDsts++
-				if d > s.MaxInDegree {
-					s.MaxInDegree = d
-				}
-			}
-		}
+// computeLabelStats derives one label's statistics from its frozen
+// forward and reverse CSR: one scan over the two offset columns, where a
+// row's degree is o[v+1]-o[v]. It is the only statistics code — Build,
+// FromFlat and Mutable.Freeze all call it — so every path to a Graph
+// reports the same LabelStats for the same edges.
+func computeLabelStats(fwd, rev adjacency) LabelStats {
+	// Local accumulators, not the struct's fields: a five-field struct
+	// is not kept in registers. A degree is non-negative, so its
+	// negation's sign bit is 1 exactly when it is non-zero, which counts
+	// without a branch the degree distribution would mispredict.
+	var srcs, dsts, maxOut, maxIn int
+	fo, ro := fwd.offsets, rev.offsets[:len(fwd.offsets)]
+	for v := 1; v < len(fo); v++ {
+		out, in := int(fo[v]-fo[v-1]), int(ro[v]-ro[v-1])
+		srcs += int(uint(-out) >> 63)
+		dsts += int(uint(-in) >> 63)
+		maxOut, maxIn = max(maxOut, out), max(maxIn, in)
 	}
-	return stats
+	return LabelStats{Edges: len(fwd.targets), DistinctSrcs: srcs, DistinctDsts: dsts, MaxOutDegree: maxOut, MaxInDegree: maxIn}
 }
 
 // sortedDedupEdges sorts es by (Src, Dst) in place and drops repeated

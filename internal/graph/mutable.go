@@ -14,8 +14,9 @@ import (
 // always run over an immutable graph version.
 //
 // A Mutable is the last frozen Graph (the base) plus, per label, the
-// edits made since. Freeze rebuilds only the labels with edits, merging
-// them into the base's columns; every other label aliases the base. That
+// edits made since — only the pairs whose presence differs from the
+// base. Freeze rebuilds only the labels with edits, splicing them into
+// copies of the base's columns; every other label aliases the base. That
 // is safe because frozen columns are never written.
 //
 // A Mutable is not safe for concurrent use; callers serialise mutation
@@ -154,10 +155,11 @@ func (m *Mutable) LabelStats(label LID) LabelStats {
 
 // Freeze snapshots the current edges into an immutable Graph, exactly as
 // if the same edge list had been fed to a Builder — identical CSR layout
-// and identical Build-time LabelStats. A label with edits gets its
-// forward columns from one merge pass of the base's runs with the sorted
-// edits, its reverse columns from TransposeCSR and its statistics from
-// one offset scan: O(|V| + |E_l| + |Δ| log |Δ|). Every other label
+// and identical Build-time LabelStats. A label with edits gets both its
+// forward and its reverse columns from spliceCSR, which block-copies the
+// base's columns between the sorted edits, and its statistics from one
+// scan of the two offset columns: O(|V| + |E_l|) of copying plus
+// O(|Δ| log |Δ|) to sort the edits, with no transpose. Every other label
 // aliases the base's columns, padding only the offsets after Grow. With
 // nothing changed, Freeze returns the base itself.
 //
@@ -178,6 +180,7 @@ func (m *Mutable) Freeze() *Graph {
 		rev:         make([]adjacency, numLabels),
 		labelStats:  make([]LabelStats, numLabels),
 	}
+	var keys []uint64
 	for l := range numLabels {
 		var fwd, rev adjacency
 		if l < len(b.fwd) {
@@ -187,62 +190,88 @@ func (m *Mutable) Freeze() *Graph {
 			g.fwd[l], g.rev[l] = padRows(fwd, n), padRows(rev, n)
 			continue
 		}
-		g.fwd[l] = mergeCSR(n, fwd, sortedEdits(m.edits[l]))
-		g.rev[l].offsets, g.rev[l].targets = TransposeCSR(n, g.fwd[l].offsets, g.fwd[l].targets)
-		g.labelStats[l] = computeLabelStats(n, g.fwd[l:l+1], g.rev[l:l+1])[0]
+		// Each edit is packed as src<<32 | dst and sorted once per
+		// direction; swapping the halves orders the reverse pass by
+		// (dst, src).
+		keys = slices.Grow(keys[:0], len(m.edits[l]))
+		size := len(fwd.targets)
+		for k, present := range m.edits[l] {
+			keys = append(keys, uint64(k[0])<<32|uint64(k[1]))
+			if present {
+				size++
+			} else {
+				size--
+			}
+		}
+		slices.Sort(keys)
+		g.fwd[l] = spliceCSR(n, fwd, keys, size)
+		for i, k := range keys {
+			keys[i] = k<<32 | k>>32
+		}
+		slices.Sort(keys)
+		g.rev[l] = spliceCSR(n, rev, keys, size)
+		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
 		clear(m.edits[l])
 	}
 	m.base = g
 	return g
 }
 
-// edgeEdit is one pending edit of a label: (src, dst) becomes present or
-// absent.
-type edgeEdit struct {
-	src, dst VID
-	present  bool
-}
-
-func sortedEdits(ed map[[2]VID]bool) []edgeEdit {
-	out := make([]edgeEdit, 0, len(ed))
-	for k, present := range ed {
-		out = append(out, edgeEdit{src: k[0], dst: k[1], present: present})
-	}
-	slices.SortFunc(out, func(a, b edgeEdit) int {
-		if a.src != b.src {
-			return int(a.src) - int(b.src)
-		}
-		return int(a.dst) - int(b.dst)
-	})
-	return out
-}
-
-// mergeCSR builds an adjacency over n rows from base's runs and edits
-// sorted by (src, dst): an insert names a pair absent from base, a
-// delete one present in it. Rows past base's own count start empty. The
-// base is only read.
-func mergeCSR(n int, base adjacency, edits []edgeEdit) adjacency {
+// spliceCSR returns base's adjacency over n rows with edits applied.
+// Each edit is packed as row<<32 | target, and edits are sorted
+// ascending. Because a Mutable records only differences from its base,
+// an edit whose target is in the row's base run deletes it and any
+// other edit inserts it; size is the edge count after the edits. The
+// base's targets are block-copied between edit positions and its
+// offsets shifted by the running edit count. Rows past base's own count
+// start empty, and a label new since the base has no columns at all.
+// The base is only read.
+func spliceCSR(n int, base adjacency, edits []uint64, size int) adjacency {
+	bo, bt := base.offsets, base.targets
 	offsets := make([]int32, n+1)
-	targets := make([]VID, 0, len(base.targets)+len(edits))
-	for v := range n {
-		var run []VID
-		if v+1 < len(base.offsets) {
-			run = base.neighbors(VID(v))
+	targets := make([]VID, size)
+	end := int32(len(bt))
+	read, write, next, shift := 0, 0, 0, int32(0)
+	for _, e := range edits {
+		row, dst := int(e>>32), VID(uint32(e))
+		next = shiftOffsets(offsets, bo, end, next, row+1, shift)
+		lo, hi := len(bt), len(bt)
+		if row+1 < len(bo) {
+			lo, hi = max(read, int(bo[row])), int(bo[row+1])
 		}
-		for ; len(edits) > 0 && int(edits[0].src) == v; edits = edits[1:] {
-			k, _ := slices.BinarySearch(run, edits[0].dst)
-			targets = append(targets, run[:k]...)
-			if edits[0].present {
-				targets = append(targets, edits[0].dst)
-				run = run[k:]
-			} else {
-				run = run[k+1:]
+		k, found := slices.BinarySearch(bt[lo:hi], dst)
+		write += copy(targets[write:], bt[read:lo+k])
+		if found {
+			read, shift = lo+k+1, shift-1
+		} else {
+			targets[write] = dst
+			read, write, shift = lo+k, write+1, shift+1
+		}
+	}
+	shiftOffsets(offsets, bo, end, next, n+1, shift)
+	copy(targets[write:], bt[read:])
+	return adjacency{offsets: offsets, targets: targets}
+}
+
+// shiftOffsets sets dst[from:to] to the base offsets bo shifted by
+// shift, rows past bo's end reading end, and returns to. An unshifted
+// span is one copy.
+func shiftOffsets(dst, bo []int32, end int32, from, to int, shift int32) int {
+	if m := min(to, len(bo)); from < m {
+		src := bo[from:m]
+		if out := dst[from:m][:len(src)]; shift == 0 {
+			copy(out, src)
+		} else {
+			for i, o := range src {
+				out[i] = o + shift
 			}
 		}
-		targets = append(targets, run...)
-		offsets[v+1] = int32(len(targets))
+		from = m
 	}
-	return adjacency{offsets: offsets, targets: targets}
+	for v := from; v < to; v++ {
+		dst[v] = end + shift
+	}
+	return to
 }
 
 // padRows extends a to n rows, the added rows empty. It returns a itself
@@ -253,10 +282,6 @@ func padRows(a adjacency, n int) adjacency {
 		return a
 	}
 	offsets := make([]int32, n+1)
-	if k := copy(offsets, a.offsets); k > 0 {
-		for v := k; v <= n; v++ {
-			offsets[v] = a.offsets[k-1]
-		}
-	}
+	shiftOffsets(offsets, a.offsets, int32(len(a.targets)), 0, n+1, 0)
 	return adjacency{offsets: offsets, targets: a.targets}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -37,9 +38,10 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 }
 
 // matchesBuild holds g to Builder.Build over edges in an n-vertex space
-// with the given label names: graphsEqual plus every forward and reverse
-// run, so a frozen graph whose columns were written after the fact
-// fails.
+// with the given label names: graphsEqual plus every label's forward and
+// reverse columns, byte for byte and lengths included, so a frozen graph
+// whose columns were written after the fact, mis-sized or left with a
+// stale tail fails.
 func matchesBuild(t *testing.T, g *Graph, n int, names []string, edges map[Edge]bool) {
 	t.Helper()
 	b := NewBuilderWithDict(n, NewDictFrom(names...))
@@ -50,20 +52,129 @@ func matchesBuild(t *testing.T, g *Graph, n int, names []string, edges map[Edge]
 	}
 	want := b.Build()
 	graphsEqual(t, g, want)
-	for l := LID(0); int(l) < want.NumLabels(); l++ {
-		for v := VID(0); int(v) < n; v++ {
-			if !slices.Equal(g.Successors(v, l), want.Successors(v, l)) ||
-				!slices.Equal(g.Predecessors(v, l), want.Predecessors(v, l)) {
-				t.Fatalf("label %q vertex %d: runs differ from Build", names[l], v)
-			}
+	same := func(a, b FlatCSR) bool {
+		return slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.Targets, b.Targets)
+	}
+	gf, wf := g.Flatten(), want.Flatten()
+	for l := range wf.Labels {
+		if !same(gf.Fwd[l], wf.Fwd[l]) || !same(gf.Rev[l], wf.Rev[l]) {
+			t.Fatalf("label %q columns differ from Build:\n got fwd %v rev %v\nwant fwd %v rev %v",
+				names[l], gf.Fwd[l], gf.Rev[l], wf.Fwd[l], wf.Rev[l])
 		}
+	}
+}
+
+// cloneFlat deep-copies a graph's columns, so a later check can tell
+// whether anything wrote them.
+func cloneFlat(g *Graph) *FlatGraph {
+	f := g.Flatten()
+	for l := range f.Labels {
+		f.Fwd[l] = FlatCSR{Offsets: slices.Clone(f.Fwd[l].Offsets), Targets: slices.Clone(f.Fwd[l].Targets)}
+		f.Rev[l] = FlatCSR{Offsets: slices.Clone(f.Rev[l].Offsets), Targets: slices.Clone(f.Rev[l].Targets)}
+	}
+	return f
+}
+
+// updateOp is one Mutable update of a splice case: insert 'i' or delete
+// 'd' the edge (src, label, dst), or 'g' grow the vertex space to src.
+type updateOp struct {
+	kind  byte
+	src   VID
+	label string
+	dst   VID
+}
+
+// spliceCases are the boundaries of Freeze's splice: a base edge set
+// over eight vertices, then one batch on top of it. FuzzApplyUpdates
+// seeds its corpus with the same cases.
+var spliceCases = []struct {
+	name  string
+	base  []updateOp
+	batch []updateOp
+}{
+	{"row 0",
+		[]updateOp{{'i', 0, "a", 1}, {'i', 0, "a", 3}, {'i', 1, "a", 0}, {'i', 5, "a", 7}},
+		[]updateOp{{'i', 0, "a", 0}, {'d', 1, "a", 0}}},
+	{"last row",
+		[]updateOp{{'i', 0, "a", 7}, {'i', 6, "a", 7}, {'i', 7, "a", 1}},
+		[]updateOp{{'i', 7, "a", 7}, {'d', 6, "a", 7}}},
+	{"delete empties a row",
+		[]updateOp{{'i', 2, "a", 4}, {'i', 3, "a", 5}},
+		[]updateOp{{'d', 2, "a", 4}}},
+	{"insert into an empty row",
+		[]updateOp{{'i', 1, "a", 2}, {'i', 5, "a", 6}},
+		[]updateOp{{'i', 3, "a", 4}}},
+	{"one row: before, between, after",
+		[]updateOp{{'i', 4, "a", 2}, {'i', 4, "a", 4}, {'i', 4, "a", 6}, {'i', 3, "a", 4}},
+		[]updateOp{{'i', 4, "a", 1}, {'d', 4, "a", 2}, {'i', 4, "a", 3}, {'d', 4, "a", 6}, {'i', 4, "a", 7}}},
+	{"row past the base after Grow",
+		[]updateOp{{'i', 0, "a", 1}, {'i', 7, "a", 7}},
+		[]updateOp{{'g', 12, "", 0}, {'i', 10, "a", 3}, {'i', 11, "a", 11}, {'i', 2, "a", 9}}},
+	{"first edge of a new label",
+		[]updateOp{{'i', 0, "a", 1}},
+		[]updateOp{{'i', 3, "b", 2}}},
+	{"delete every edge of a label",
+		[]updateOp{{'i', 0, "a", 1}, {'i', 2, "a", 3}, {'i', 0, "b", 2}},
+		[]updateOp{{'d', 0, "a", 1}, {'d', 2, "a", 3}}},
+}
+
+// applyOps runs ops against m, keeping live in step with it.
+func applyOps(t *testing.T, m *Mutable, live map[Edge]bool, ops []updateOp) {
+	t.Helper()
+	for _, op := range ops {
+		var err error
+		switch op.kind {
+		case 'i':
+			_, err = m.InsertEdge(op.src, op.label, op.dst)
+			live[Edge{Src: op.src, Label: m.Dict().Intern(op.label), Dst: op.dst}] = true
+		case 'd':
+			_, err = m.DeleteEdge(op.src, op.label, op.dst)
+			if l, ok := m.Dict().Lookup(op.label); ok {
+				delete(live, Edge{Src: op.src, Label: l, Dst: op.dst})
+			}
+		case 'g':
+			m.Grow(int(op.src))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMutableFreezeSpliceEdges freezes each splice case's batch over a
+// Build-made base: the frozen graph matches Build byte for byte, and the
+// base's columns are exactly what they were.
+func TestMutableFreezeSpliceEdges(t *testing.T) {
+	for _, tc := range spliceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(8)
+			for _, op := range tc.base {
+				b.MustAddEdge(op.src, op.label, op.dst)
+			}
+			g0 := b.Build()
+			before := cloneFlat(g0)
+			m := MutableFromGraph(g0)
+			// Replaying the base's inserts changes nothing in m; it
+			// fills live.
+			live := make(map[Edge]bool)
+			applyOps(t, m, live, tc.base)
+			applyOps(t, m, live, tc.batch)
+			g1 := m.Freeze()
+			if g1 == g0 {
+				t.Fatal("batch froze to the base itself")
+			}
+			matchesBuild(t, g1, m.NumVertices(), m.Dict().Names(), live)
+			if after := g0.Flatten(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("freeze wrote the base's columns:\n%+v\nwant %+v", after, before)
+			}
+		})
 	}
 }
 
 // TestMutableFreezeAliasesUntouched: a batch touching only label a
 // rebuilds a and aliases every other label's columns, and the earlier
 // frozen graphs keep their contents while later batches (including a
-// Grow) merge into columns they share.
+// Grow) splice new columns out of the ones they share.
 func TestMutableFreezeAliasesUntouched(t *testing.T) {
 	n := 32
 	names := []string{"a", "b", "c"}
