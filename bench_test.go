@@ -365,3 +365,42 @@ func BenchmarkCore_JoinFull(b *testing.B) {
 		b.ReportMetric(float64(rel.Len()), "rows_out")
 	}
 }
+
+// BenchmarkCore_JoinFullPaper explains core.pre_join_ns.full (and .none):
+// the pair-level join of FullSharing and NoSharing, one sub-benchmark per
+// paper-batch query at seed 1, on prebuilt inputs over its RMAT_3 graph
+// at 2^11 vertices — Pre_G sealed, TC(G_R) built by tc.BFS over G_R as
+// the engine builds it. Every Post is one label.
+func BenchmarkCore_JoinFullPaper(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine := core.New(g, core.Options{Strategy: core.FullSharing})
+	seal := func(q string) *pairs.Relation {
+		bld := pairs.NewBuilder(g.NumVertices())
+		eval.New(g, rpq.MustParse(q), eval.Options{}).AppendAll(bld)
+		return bld.Seal()
+	}
+	closures := map[string]*tc.Closure{}
+	for _, q := range []struct{ pre, r, post string }{
+		{"l3", "l1", "l3"}, {"l3", "l1", "l1"}, {"l0", "l1", "l1"}, {"l2", "l1", "l2"},
+		{"l0", "l0.l2", "l3"}, {"l3", "l0.l2", "l3"}, {"l2", "l0.l2", "l0"}, {"l3", "l0.l2", "l1"},
+		{"l0", "l3.l1.l3", "l2"}, {"l3", "l3.l1.l3", "l1"}, {"l1", "l3.l1.l3", "l1"}, {"l1", "l3.l1.l3", "l3"},
+	} {
+		closure, ok := closures[q.r]
+		if !ok {
+			closure = tc.BFS(rtc.EdgeReduceRel(g.NumVertices(), seal(q.r)))
+			closures[q.r] = closure
+		}
+		preG, post := seal(q.pre), rpq.MustParse(q.post)
+		b.Run(q.pre+".("+q.r+")+."+q.post, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := engine.EvalBatchUnitFull(preG, closure, rpq.ClosurePlus, post); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"rtcshare/internal/eval"
@@ -23,7 +28,8 @@ import (
 //   - FullSharing and NoSharing: the pair-level join over the full
 //     closure (fullJoin), whose set semantics — which unions happen
 //     where, and therefore which redundant/useless operations it performs
-//     — exactly follow Section IV-B;
+//     — exactly follow Section IV-B; it joins 64 sources at a time, one
+//     per bit of a mask word, and hands their runs out one by one;
 //   - a closure-free clause: one product traversal per source
 //     (automatonJoin).
 //
@@ -113,8 +119,10 @@ func (c *evalCall) resolveUnit(bu rpq.BatchUnit) (preG *pairs.Relation, structur
 }
 
 // openClause resolves one planned clause's inputs and returns its
-// producer, which the caller must release.
-func (c *evalCall) openClause(cp *plan.ClausePlan) (producer, error) {
+// producer, which the caller must release. width caps the sources a
+// pair-level producer joins per batch: fullBatch, or 1 for a caller that
+// may stop after any source.
+func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, error) {
 	if cp.Kind == plan.KindAutomaton {
 		return c.openAutomaton(cp.Clause), nil
 	}
@@ -126,7 +134,9 @@ func (c *evalCall) openClause(cp *plan.ClausePlan) (producer, error) {
 	if structure != nil {
 		return kernelJoin{c.acquireKernel(structure, bu.Type, bu.Post), preG}, nil
 	}
-	return c.acquireFull(preG, closure, bu.Type, bu.Post), nil
+	j := c.acquireFull(preG, closure, bu.Type, bu.Post)
+	j.width = width
+	return j, nil
 }
 
 // evalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
@@ -171,6 +181,26 @@ func (c *evalCall) evalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, 
 	return rel, err
 }
 
+// MaxResultPairs is the most pairs a sealed relation holds: its offsets
+// are int32, so one more pair would wrap every count and position read
+// from them.
+const MaxResultPairs = math.MaxInt32
+
+// ErrResultTooLarge is returned, wrapped with the count that passed
+// MaxResultPairs, by an evaluation whose sealed result would hold more
+// pairs than its offsets can count. It is refused before the columns
+// are written; a stream, which needs no offsets, delivers such a result.
+var ErrResultTooLarge = errors.New("core: result too large to seal")
+
+// checkResultLen refuses a sealed result of pairs pairs past
+// MaxResultPairs.
+func checkResultLen(pairs int) error {
+	if pairs > MaxResultPairs {
+		return fmt.Errorf("%w: %d pairs, at most %d", ErrResultTooLarge, pairs, MaxResultPairs)
+	}
+	return nil
+}
+
 // drainScratch is the pooled state of drain: the run accumulator and the
 // destination column the runs are appended to before the exact copy.
 type drainScratch struct {
@@ -185,20 +215,26 @@ type drainScratch struct {
 // lookup, and its second pass re-gathers only the runs that are not one
 // stored row — but these producers cannot afford a second traversal.) The
 // copy is the seal stage; drain attributes it and returns its duration
-// so the caller can attribute the rest.
+// so the caller can attribute the rest. A result past MaxResultPairs
+// stops the drain at the source that passes it.
 func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
 	sc := c.drainPool.Get().(*drainScratch)
+	defer func() {
+		sc.acc.Reset()
+		sc.dsts = sc.dsts[:0]
+		c.drainPool.Put(sc)
+	}()
 	n := c.g.NumVertices()
 	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
-			sc.acc.Reset()
-			sc.dsts = sc.dsts[:0]
-			c.drainPool.Put(sc)
 			return nil, 0, err
 		}
 		if !sc.acc.Empty() {
 			sc.dsts = sc.acc.DrainAppend(sc.dsts)
+		}
+		if err := checkResultLen(len(sc.dsts)); err != nil {
+			return nil, 0, err
 		}
 		offsets[v+1] = int32(len(sc.dsts))
 	}
@@ -206,8 +242,6 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
 	col := make([]graph.VID, len(sc.dsts))
 	copy(col, sc.dsts)
 	sealNS := time.Since(t0)
-	sc.dsts = sc.dsts[:0]
-	c.drainPool.Put(sc)
 	c.addSeal(sealNS)
 	return pairs.RelationFromSortedRuns(n, offsets, col), sealNS, nil
 }
@@ -238,30 +272,65 @@ func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, err
 
 func (j kernelJoin) release() { j.k.c.releaseKernel(j.k) }
 
-// fullJoin is the pair-level producer of FullSharing and NoSharing. For
-// every Pre_G tuple (v_i, v_j) the entire reachable set From(v_j) is
-// walked and inserted with a duplicate check — the redundant-1 and
-// redundant-2 operations of Definitions 3 and 4 that Algorithm 2
-// eliminates are all performed here — giving v_i's frontier, its tuples
-// of equation (9); the run is then the union of the frontier's Post ends
-// (equation (10)). A label Post's ends are each frontier vertex's row of
-// the graph's CSR; any other EvalRestrictedRPQ(Post, v_k) is a traversal
-// memoised per join in one flat buffer addressed by spans, the same Post
-// work the row kernel does. One join owns a fullJoin
-// exclusively from acquireFull to release; c, its call, is set on
-// acquire and cleared on release, so the pool never keeps a finished
-// call's context or timer reachable.
+// fullBatch is the number of sources one batch of the pair-level join
+// joins: one per bit of a mask word.
+const fullBatch = 64
+
+// fullJoin is the pair-level producer of FullSharing and NoSharing. It
+// joins up to fullBatch consecutive sources with a non-empty Pre_G at
+// once (Then et al.'s multi-source idea, as tc's closure kernel uses
+// it), bit i of a per-vertex uint64 mask standing for the batch's i-th
+// source. For every Pre_G tuple (v_i, v_j) the entire reachable set
+// From(v_j) is walked and bit i ORed into each vertex's frontier mask —
+// the redundant-1 and redundant-2 operations of Definitions 3 and 4 that
+// Algorithm 2 eliminates are all performed here, once per tuple — giving
+// every source's tuples of equation (9) at once. Each frontier vertex's
+// Post ends are then read once per batch, not once per source, and ORed
+// under its frontier mask into per-destination masks (equation (10)). A
+// label Post's ends are the vertex's row of the graph's CSR; any other
+// EvalRestrictedRPQ(Post, v_k) is a traversal memoised per join in one
+// flat buffer addressed by spans, the same Post work the row kernel
+// does. The batch's runs come out ascending by emitting the destination
+// masks in vertex order, found through a one-bit-per-vertex summary of
+// the destinations the batch touched, so a batch costs what it reaches,
+// never |V|.
+//
+// produce(v_i) joins v_i's batch on first use and ORs v_i's run into the
+// caller's accumulator; the rows it reports are v_i's own — its Pre_G ⋈
+// R+ tuples plus its frontier's Post ends — so they sum to what a
+// per-source join touches. A stream with a Limit joins batches one
+// source wide (width 1), so it stops inside one source's expansion. One
+// join owns a fullJoin exclusively from acquireFull to release; c, its
+// call, is set on acquire and cleared on release, so the pool never
+// keeps a finished call's context or timer reachable.
 type fullJoin struct {
 	c       *evalCall
 	preG    *pairs.Relation
 	closure *tc.Closure
 	star    bool
+	width   int             // sources per batch, at most fullBatch
 	postEv  *eval.Evaluator // nil when Post is ε
 	evKey   string
 	label   labelPost // set when Post is one label
 
-	seen     stampSet    // the current source's frontier
-	mids     []graph.VID // the frontier, in first-reached order
+	// Per-vertex masks, all zero between batches: front[v] holds the
+	// sources whose frontier reaches v, endMask[v] those whose run holds
+	// v. dst is the one emitted — front under an ε Post, whose frontier
+	// is the run.
+	front, endMask, dst []uint64
+	mids                []graph.VID           // the frontier, non-ε Post only
+	hit                 *pairs.RunAccumulator // the vertices dst marks
+	n                   int                   // the vertex space hit covers
+	hitIdx              []int32               // hit, drained: its word indexes
+	hitWords            []uint64              // and words
+	out                 [fullBatch]uint64     // emission: one word per source
+
+	// The current batch: its sources, ascending, and per source the rows
+	// it touched and its run as words.
+	srcs []graph.VID
+	rows [fullBatch]int64
+	runs [fullBatch]wordRun
+
 	endsBuf  []graph.VID
 	endSpans []endSpan // by vertex; valid where memo marks it
 	memo     stampSet  // the vertices whose Post ends this join holds
@@ -271,18 +340,30 @@ type fullJoin struct {
 	postNS time.Duration
 }
 
+// wordRun is one source's run as RunAccumulator words.
+type wordRun struct {
+	idx   []int32
+	words []uint64
+}
+
 // endSpan addresses one memoised Post traversal inside endsBuf.
 type endSpan struct{ start, end int32 }
 
 // acquireFull checks a pair-level producer out of the version's pool,
-// set up for one join.
+// set up for one join of fullBatch sources per batch.
 func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) *fullJoin {
 	j := c.fullPool.Get().(*fullJoin)
-	j.c, j.preG, j.closure, j.star = c, preG, closure, typ == rpq.ClosureStar
+	j.c, j.preG, j.closure, j.star, j.width = c, preG, closure, typ == rpq.ClosureStar, fullBatch
 	n := c.g.NumVertices()
-	j.seen.ensure(n)
+	if j.hit == nil || j.n != n {
+		j.n, j.hit = n, pairs.NewRunAccumulator(n)
+	}
+	j.front = zeroed(j.front, n)
+	j.dst = j.front
 	if _, eps := post.(rpq.Epsilon); !eps {
 		t0 := time.Now()
+		j.endMask = zeroed(j.endMask, n)
+		j.dst = j.endMask
 		j.postEv, j.evKey = c.acquireEvaluator(post)
 		if j.label = labelPostOf(j.postEv); j.label.ok {
 			return j
@@ -302,68 +383,179 @@ func (j *fullJoin) release() {
 	if j.postEv != nil {
 		c.releaseEvaluator(j.evKey, j.postEv)
 	}
-	j.mids, j.endsBuf = j.mids[:0], j.endsBuf[:0]
-	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.postNS = nil, nil, nil, nil, "", labelPost{}, 0
+	j.srcs, j.endsBuf = j.srcs[:0], j.endsBuf[:0]
+	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.dst, j.postNS = nil, nil, nil, nil, "", labelPost{}, nil, 0
 	c.fullPool.Put(j)
 }
 
 func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
-	vjs := j.preG.DstsOf(vi)
-	if len(vjs) == 0 {
+	if len(j.preG.DstsOf(vi)) == 0 {
 		return 0, nil
 	}
+	i, ok := slices.BinarySearch(j.srcs, vi)
+	if !ok {
+		if err := j.join(vi); err != nil {
+			j.abort()
+			return 0, err
+		}
+		i = 0
+	}
+	r := &j.runs[i]
+	acc.OrWords(r.idx, r.words)
+	return j.rows[i], nil
+}
+
+// join joins the batch that starts at source v0: the next width sources
+// from v0 on whose Pre_G is not empty.
+func (j *fullJoin) join(v0 graph.VID) error {
 	c := j.c
-	if err := c.checkpoint(len(vjs)); err != nil {
-		return 0, err
+	j.srcs = j.srcs[:0]
+	for v, n := v0, graph.VID(j.preG.NumVertices()); v < n && len(j.srcs) < j.width; v++ {
+		if len(j.preG.DstsOf(v)) > 0 {
+			j.srcs = append(j.srcs, v)
+		}
 	}
-	rows := int64(len(vjs))
-	j.seen.reset()
-	j.mids = j.mids[:0]
-	if j.star {
+	for i, vi := range j.srcs {
+		vjs := j.preG.DstsOf(vi)
+		if err := c.checkpoint(len(vjs)); err != nil {
+			return err
+		}
+		bit := uint64(1) << i
+		rows := int64(len(vjs))
+		if j.star {
+			j.mark(vjs, bit)
+		}
 		for _, vj := range vjs {
-			if j.seen.add(vj) {
-				j.mids = append(j.mids, vj)
+			from := j.closure.From(vj)
+			if err := c.checkpoint(len(from)); err != nil {
+				return err
 			}
+			rows += int64(len(from))
+			j.mark(from, bit)
+		}
+		j.rows[i] = rows
+	}
+	if j.postEv != nil {
+		if err := j.probePost(); err != nil {
+			return err
 		}
 	}
-	for _, vj := range vjs {
-		from := j.closure.From(vj)
-		if err := c.checkpoint(len(from)); err != nil {
-			return rows, err
-		}
-		rows += int64(len(from))
-		for _, vk := range from {
-			if j.seen.add(vk) {
-				j.mids = append(j.mids, vk)
-			}
-		}
-	}
+	j.emit()
+	return nil
+}
+
+// mark ORs bit into the frontier mask of every vertex of vs, recording
+// each vertex the batch reaches first: in hit under an ε Post, whose
+// frontier is the output, and in mids otherwise.
+func (j *fullJoin) mark(vs []graph.VID, bit uint64) {
+	front := j.front
 	if j.postEv == nil {
-		acc.AddAll(j.mids)
-		return rows, nil
-	}
-	for _, vk := range j.mids {
-		var ends []graph.VID
-		if j.label.ok {
-			ends = j.label.ends(vk)
-		} else {
-			if j.memo.add(vk) {
-				t0 := time.Now()
-				start := int32(len(j.endsBuf))
-				j.endsBuf = j.postEv.AppendReachFrom(vk, j.endsBuf)
-				j.endSpans[vk] = endSpan{start, int32(len(j.endsBuf))}
-				j.postNS += time.Since(t0)
+		for _, v := range vs {
+			if front[v] == 0 {
+				j.hit.Add(v)
 			}
-			span := j.endSpans[vk]
-			ends = j.endsBuf[span.start:span.end]
+			front[v] |= bit
 		}
-		if err := c.checkpoint(len(ends) + 1); err != nil {
-			return rows, err
-		}
-		rows += int64(len(ends))
-		acc.AddAll(ends)
+		return
 	}
-	return rows, nil
+	for _, v := range vs {
+		if front[v] == 0 {
+			j.mids = append(j.mids, v)
+		}
+		front[v] |= bit
+	}
+}
+
+// probePost ORs each frontier vertex's Post ends, once per batch, into
+// the end masks under the vertex's frontier mask, and charges every
+// source whose frontier holds the vertex one row per end.
+func (j *fullJoin) probePost() error {
+	c := j.c
+	for _, vk := range j.mids {
+		m := j.front[vk]
+		j.front[vk] = 0
+		ends := j.postEnds(vk)
+		if err := c.checkpoint(len(ends) + 1); err != nil {
+			return err
+		}
+		if len(ends) == 0 {
+			continue
+		}
+		for b := m; b != 0; b &= b - 1 {
+			j.rows[bits.TrailingZeros64(b)] += int64(len(ends))
+		}
+		for _, e := range ends {
+			if j.endMask[e] == 0 {
+				j.hit.Add(e)
+			}
+			j.endMask[e] |= m
+		}
+	}
+	j.mids = j.mids[:0]
+	return nil
+}
+
+// postEnds returns Post(v): the label's CSR row, or the memoised
+// traversal, run on first use.
+func (j *fullJoin) postEnds(v graph.VID) []graph.VID {
+	if j.label.ok {
+		return j.label.ends(v)
+	}
+	if j.memo.add(v) {
+		t0 := time.Now()
+		start := int32(len(j.endsBuf))
+		j.endsBuf = j.postEv.AppendReachFrom(v, j.endsBuf)
+		j.endSpans[v] = endSpan{start, int32(len(j.endsBuf))}
+		j.postNS += time.Since(t0)
+	}
+	span := j.endSpans[v]
+	return j.endsBuf[span.start:span.end]
+}
+
+// emit turns the destination masks into every source's run, ascending —
+// the vertices hit marks, in vertex order, each appended as one bit to
+// the runs of the sources its mask holds — and clears the masks.
+func (j *fullJoin) emit() {
+	for i := range j.srcs {
+		j.runs[i].idx, j.runs[i].words = j.runs[i].idx[:0], j.runs[i].words[:0]
+	}
+	j.hitIdx, j.hitWords = j.hit.DrainWords(j.hitIdx[:0], j.hitWords[:0])
+	dst := j.dst
+	for k, wi := range j.hitIdx {
+		base := int(wi) << 6
+		var union uint64
+		for w := j.hitWords[k]; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			m := dst[base+b]
+			dst[base+b] = 0
+			union |= m
+			for ; m != 0; m &= m - 1 {
+				j.out[bits.TrailingZeros64(m)] |= 1 << b
+			}
+		}
+		for ; union != 0; union &= union - 1 {
+			i := bits.TrailingZeros64(union)
+			r := &j.runs[i]
+			r.idx, r.words = append(r.idx, wi), append(r.words, j.out[i])
+			j.out[i] = 0
+		}
+	}
+}
+
+// abort clears what a batch stopped by an error left in the masks, and
+// forgets the batch.
+func (j *fullJoin) abort() {
+	for _, v := range j.mids {
+		j.front[v] = 0
+	}
+	j.mids = j.mids[:0]
+	j.hitIdx, j.hitWords = j.hit.DrainWords(j.hitIdx[:0], j.hitWords[:0])
+	for k, wi := range j.hitIdx {
+		for w := j.hitWords[k]; w != 0; w &= w - 1 {
+			j.dst[int(wi)<<6+bits.TrailingZeros64(w)] = 0
+		}
+	}
+	j.srcs = j.srcs[:0]
 }
 
 // automatonJoin is the producer of a closure-free clause (Algorithm 1

@@ -172,9 +172,9 @@ func (c *evalCall) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post r
 
 // zeroed returns s resized to n; the pooled slices are kept all-zero
 // between joins, so only growth allocates.
-func zeroed(s []int32, n int) []int32 {
+func zeroed[T int32 | uint64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -619,7 +619,8 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 // row that is the whole run of several sources is written once, where
 // the first of them needs it, and the others point at it
 // (pairs.RelationFromSharedRuns); when no row repeats, the result is a
-// plain CSR.
+// plain CSR. A result past MaxResultPairs is refused between the two
+// passes, before any column is allocated.
 func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 	n := preG.NumVertices()
 	offsets := make([]int32, n+1)
@@ -651,6 +652,9 @@ func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
 		return true
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := checkResultLen(total); err != nil {
 		return nil, err
 	}
 

@@ -91,8 +91,9 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 	}
 
 	var (
-		result *pairs.Relation
-		merge  *pairs.Builder
+		result   *pairs.Relation
+		merge    *pairs.Builder
+		recorded int
 	)
 	for i := range qp.Clauses {
 		// Clause boundary: a cheap cancellation checkpoint between clause
@@ -118,6 +119,14 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 			obs.actuals[i] = act
 		}
 		t0 = time.Now()
+		// The union records every clause's pairs before it deduplicates
+		// them, and its builder counts them in int32.
+		if recorded += clauseG.Len(); recorded > MaxResultPairs {
+			if merge != nil {
+				c.releaseBuilder(merge)
+			}
+			return nil, checkResultLen(recorded)
+		}
 		switch {
 		case result == nil && merge == nil:
 			// First clause: adopt its sealed relation. With a

@@ -121,8 +121,14 @@ func (s *ResultStream) open(q rpq.Expr) error {
 	}
 	qp := c.planner().Plan(q, clauses)
 	s.acc = pairs.NewRunAccumulator(c.g.NumVertices())
+	// A stream with a Limit may stop inside any source, so its pair-level
+	// producers join one source at a time.
+	width := fullBatch
+	if s.limit > 0 {
+		width = 1
+	}
 	for i := range qp.Clauses {
-		p, err := c.openClause(&qp.Clauses[i])
+		p, err := c.openClause(&qp.Clauses[i], width)
 		if err != nil {
 			return err
 		}

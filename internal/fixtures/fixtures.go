@@ -91,3 +91,34 @@ func RandomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 	}
 	return b.Build()
 }
+
+// RingFans builds a graph whose a.b+.c result holds exactly
+// math.MaxInt32 + extra pairs (extra is 0 or 1), while a row-shared seal
+// of it stores under 100k destinations: 2^16 sources have an "a" edge
+// into one two-vertex "b" ring whose members both have the same 2^15−1
+// "c" targets, and one more source has an "a" edge into a second ring
+// with 2^16−1+extra c-targets. So 2^16·(2^15−1) + 2^16−1 + extra pairs.
+// It reaches the sealed-count bound in milliseconds and a few MB; a
+// join that writes every pair, or that does not share rows, cannot.
+func RingFans(extra int) *graph.Graph {
+	const sources = 1 << 16
+	lone, x, y, u, w := sources, sources+1, sources+2, sources+3, sources+4
+	target := func(i int) graph.VID { return graph.VID(sources + 5 + i) }
+	b := graph.NewBuilder(sources + 5 + sources)
+	for s := 0; s < sources; s++ {
+		b.MustAddEdge(graph.VID(s), "a", graph.VID(x))
+	}
+	b.MustAddEdge(graph.VID(lone), "a", graph.VID(u))
+	for _, ring := range [][2]int{{x, y}, {u, w}} {
+		b.MustAddEdge(graph.VID(ring[0]), "b", graph.VID(ring[1]))
+		b.MustAddEdge(graph.VID(ring[1]), "b", graph.VID(ring[0]))
+	}
+	for i := 0; i < sources/2-1; i++ {
+		b.MustAddEdge(graph.VID(x), "c", target(i))
+		b.MustAddEdge(graph.VID(y), "c", target(i))
+	}
+	for i := 0; i < sources-1+extra; i++ {
+		b.MustAddEdge(graph.VID(u), "c", target(i))
+	}
+	return b.Build()
+}

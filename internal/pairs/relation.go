@@ -372,7 +372,9 @@ func (b *Builder) Reset() {
 // Seal freezes the recorded pairs into a Relation — counting sort by
 // src into pooled scratch, an insertion/quick sort per run, one dedup
 // pass — and resets the builder for reuse. The sealed columns are
-// exactly sized and independent of the builder.
+// exactly sized and independent of the builder. Its counts and offsets
+// are int32: a caller that may record more than math.MaxInt32 pairs
+// checks Len first.
 func (b *Builder) Seal() *Relation {
 	n := b.numVertices
 	if len(b.srcs) == 0 {

@@ -323,6 +323,15 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// ResultTooLargeResponse is the body of a 413 from /query or
+// /explain?analyze=1: the result has more pairs than a sealed relation
+// can count. MaxPairs is that bound; the result still streams from
+// /query/stream, which needs no count.
+type ResultTooLargeResponse struct {
+	Error    string `json:"error"`
+	MaxPairs int64  `json:"max_pairs"`
+}
+
 // maxRequestBody bounds /query and /update request bodies (16 MiB —
 // room for very large update batches, far beyond any sane query), so a
 // single connection cannot stream unbounded JSON into memory.
@@ -559,6 +568,10 @@ func queryStatus(err error) int {
 		// this exact string again after repeated evaluator crashes. Not
 		// transient (no Retry-After): retrying gets the same answer.
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, core.ErrResultTooLarge):
+		// Well-formed, but past what a sealed result can count; not
+		// transient.
+		return http.StatusRequestEntityTooLarge
 	case isPanicError(err):
 		// A recovered evaluator panic is a server bug surfaced as a
 		// per-query error, not a client mistake.
@@ -570,11 +583,16 @@ func queryStatus(err error) int {
 }
 
 // writeQueryError answers a failed evaluation with queryStatus's code,
-// plus Retry-After when the failure is a transient 503.
+// plus Retry-After when the failure is a transient 503, and a 413 with
+// the bound it passed.
 func writeQueryError(w http.ResponseWriter, err error) {
 	status := queryStatus(err)
-	if status == http.StatusServiceUnavailable {
+	switch status {
+	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", retryAfterSeconds)
+	case http.StatusRequestEntityTooLarge:
+		writeJSON(w, status, ResultTooLargeResponse{Error: err.Error(), MaxPairs: core.MaxResultPairs})
+		return
 	}
 	writeError(w, status, err)
 }

@@ -410,3 +410,32 @@ func TestServerHugeLimit(t *testing.T) {
 		t.Fatalf("huge limit: count %d, total %d", resp.Count, resp.Total)
 	}
 }
+
+// TestServerResultTooLarge: a result past core.MaxResultPairs is a 413
+// with a structured body from /query and /explain?analyze=1, never a
+// page over a wrapped count; one of exactly core.MaxResultPairs pairs
+// still pages, its count and last cursor position right.
+func TestServerResultTooLarge(t *testing.T) {
+	for _, path := range []string{"/query?q=a.b%2B.c&limit=1", "/explain?analyze=1&q=a.b%2B.c"} {
+		_, ts := testServer(t, fixtures.RingFans(1), Options{})
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body ResultTooLargeResponse
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil {
+			t.Fatalf("%s: status %d (decode %v), want 413", path, resp.StatusCode, derr)
+		}
+		if body.MaxPairs != core.MaxResultPairs || !strings.Contains(body.Error, "too large") {
+			t.Fatalf("%s: body %+v", path, body)
+		}
+	}
+
+	_, ts := testServer(t, fixtures.RingFans(0), Options{})
+	resp, status := postQuery(t, ts.URL, QueryRequest{Query: "a.b+.c", Offset: core.MaxResultPairs - 1, Limit: 5})
+	if status != http.StatusOK || resp.Total != core.MaxResultPairs || resp.Count != 1 || len(resp.Pairs) != 1 || resp.NextCursor != "" {
+		t.Fatalf("2^31-1 pairs: status %d, total %d, count %d, %d pairs, cursor %q", status, resp.Total, resp.Count, len(resp.Pairs), resp.NextCursor)
+	}
+}
