@@ -7,8 +7,8 @@ package rtcshare_test
 // only what its programs and front-door docs name, the local links of the
 // front-door markdown files must resolve, every `rpqbench -experiment`
 // they quote must exist, nothing they say may name a retired
-// configuration outside DESIGN §6's evidence paragraphs, and DESIGN may
-// cite no ROADMAP item by its number. A missing
+// configuration outside DESIGN §6's evidence paragraphs, DESIGN may
+// cite no ROADMAP item by its number, and DESIGN may not grow. A missing
 // comment, a broken link or a stale command line fails the build, so
 // the docs cannot silently regress.
 
@@ -446,6 +446,23 @@ func TestDocNoRoadmapItemNumbers(t *testing.T) {
 	for _, m := range roadmapItemNumber.FindAllIndex(data, -1) {
 		line := 1 + strings.Count(string(data[:m[0]]), "\n")
 		t.Errorf("DESIGN.md:%d cites %q; name the open problem in words", line, data[m[0]:m[1]])
+	}
+}
+
+// designMaxLines is DESIGN.md's length in lines. DESIGN describes the
+// system as it is, so a change that adds to it replaces or removes as
+// much; a change that shortens it lowers the bound.
+const designMaxLines = 2609
+
+// TestDocDesignLength checks that DESIGN.md is at most designMaxLines
+// long.
+func TestDocDesignLength(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, more than %d: replace or remove as much as the change adds", n, designMaxLines)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
@@ -37,6 +36,8 @@ import (
 // source's run into exact-size CSR columns (the row kernel's own
 // two-pass seal, or drain for the other two), ResultStream pulls one
 // source at a time, and ASK is a stream stopped at its first pair.
+// A sealed join is the join bucket of the call's record; a Post
+// traversal inside it is other, and drain's column copy seal.
 
 // producer is one clause's per-source join. produce ORs source vi's
 // destinations into acc and returns the rows it touched (the stream's
@@ -103,6 +104,20 @@ func (p labelPost) ends(v graph.VID) []graph.VID {
 	return p.targets[p.offsets[v]:p.offsets[v+1]]
 }
 
+// acquirePost checks a join's Post evaluator out. Compiling a Post that
+// is traversed is other, like its traversals; a label's evaluator only
+// hands out the graph's CSR, which the join reads as join work.
+func (c *evalCall) acquirePost(post rpq.Expr) (*eval.Evaluator, string, labelPost) {
+	if _, ok := post.(rpq.Label); ok {
+		ev, key := c.acquireEvaluator(post)
+		return ev, key, labelPostOf(ev)
+	}
+	prev := c.enter(bucketOther)
+	ev, key := c.acquireEvaluator(post)
+	c.enter(prev)
+	return ev, key, labelPost{}
+}
+
 // resolveUnit resolves a batch unit's inputs through the shared caches:
 // Pre_G (Algorithm 1 line 8, recursive), and R's RTC under RTCSharing or
 // its full closure under Full/NoSharing.
@@ -155,13 +170,11 @@ func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, error) 
 // reaches it through Engine.EvaluateRel. Nothing is cached across
 // calls.
 func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	start := time.Now()
+	prev := c.enter(bucketJoin)
 	k := c.acquireKernel(structure, typ, post)
 	rel, err := k.seal(preG)
-	postNS := k.postNS
 	c.releaseKernel(k)
-	c.addRemainder(postNS)
-	c.addPreJoin(time.Since(start) - postNS)
+	c.enter(prev)
 	return rel, err
 }
 
@@ -171,13 +184,11 @@ func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ r
 // label are Remainder time, building the columns is the seal stage, and
 // the rest, a label Post's CSR reads included, is PreJoin.
 func (c *evalCall) evalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	start := time.Now()
+	prev := c.enter(bucketJoin)
 	j := c.acquireFull(preG, closure, typ, post)
-	rel, sealNS, err := c.drain(j)
-	postNS := j.postNS
+	rel, err := c.drain(j)
 	j.release()
-	c.addRemainder(postNS)
-	c.addPreJoin(time.Since(start) - postNS - sealNS)
+	c.enter(prev)
 	return rel, err
 }
 
@@ -214,10 +225,9 @@ type drainScratch struct {
 // row kernel sizes its runs in a first pass instead — a stored row is a
 // lookup, and its second pass re-gathers only the runs that are not one
 // stored row — but these producers cannot afford a second traversal.) The
-// copy is the seal stage; drain attributes it and returns its duration
-// so the caller can attribute the rest. A result past MaxResultPairs
-// stops the drain at the source that passes it.
-func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
+// copy is the seal bucket, which pauses the caller's. A result past
+// MaxResultPairs stops the drain at the source that passes it.
+func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	sc := c.drainPool.Get().(*drainScratch)
 	defer func() {
 		sc.acc.Reset()
@@ -228,22 +238,21 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, time.Duration, error) {
 	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if !sc.acc.Empty() {
 			sc.dsts = sc.acc.DrainAppend(sc.dsts)
 		}
 		if err := checkResultLen(len(sc.dsts)); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		offsets[v+1] = int32(len(sc.dsts))
 	}
-	t0 := time.Now()
+	prev := c.enter(bucketSeal)
 	col := make([]graph.VID, len(sc.dsts))
 	copy(col, sc.dsts)
-	sealNS := time.Since(t0)
-	c.addSeal(sealNS)
-	return pairs.RelationFromSortedRuns(n, offsets, col), sealNS, nil
+	c.enter(prev)
+	return pairs.RelationFromSortedRuns(n, offsets, col), nil
 }
 
 // kernelJoin is the RTCSharing producer: the row kernel's gather and
@@ -334,10 +343,6 @@ type fullJoin struct {
 	endsBuf  []graph.VID
 	endSpans []endSpan // by vertex; valid where memo marks it
 	memo     stampSet  // the vertices whose Post ends this join holds
-
-	// Post traversals, Remainder in the timing split: 0 under an ε or
-	// label Post, whose ends are join work.
-	postNS time.Duration
 }
 
 // wordRun is one source's run as RunAccumulator words.
@@ -361,11 +366,9 @@ func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rp
 	j.front = zeroed(j.front, n)
 	j.dst = j.front
 	if _, eps := post.(rpq.Epsilon); !eps {
-		t0 := time.Now()
 		j.endMask = zeroed(j.endMask, n)
 		j.dst = j.endMask
-		j.postEv, j.evKey = c.acquireEvaluator(post)
-		if j.label = labelPostOf(j.postEv); j.label.ok {
+		if j.postEv, j.evKey, j.label = c.acquirePost(post); j.label.ok {
 			return j
 		}
 		j.memo.ensure(n)
@@ -373,7 +376,6 @@ func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rp
 		if len(j.endSpans) < n {
 			j.endSpans = make([]endSpan, n)
 		}
-		j.postNS += time.Since(t0)
 	}
 	return j
 }
@@ -384,7 +386,7 @@ func (j *fullJoin) release() {
 		c.releaseEvaluator(j.evKey, j.postEv)
 	}
 	j.srcs, j.endsBuf = j.srcs[:0], j.endsBuf[:0]
-	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.dst, j.postNS = nil, nil, nil, nil, "", labelPost{}, nil, 0
+	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.dst = nil, nil, nil, nil, "", labelPost{}, nil
 	c.fullPool.Put(j)
 }
 
@@ -502,11 +504,11 @@ func (j *fullJoin) postEnds(v graph.VID) []graph.VID {
 		return j.label.ends(v)
 	}
 	if j.memo.add(v) {
-		t0 := time.Now()
+		prev := j.c.enter(bucketOther)
 		start := int32(len(j.endsBuf))
 		j.endsBuf = j.postEv.AppendReachFrom(v, j.endsBuf)
 		j.endSpans[v] = endSpan{start, int32(len(j.endsBuf))}
-		j.postNS += time.Since(t0)
+		j.c.enter(prev)
 	}
 	span := j.endSpans[v]
 	return j.endsBuf[span.start:span.end]

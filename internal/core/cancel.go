@@ -113,8 +113,9 @@ func (e *Engine) SetEvalHook(hook func(query string)) {
 
 // EvaluateRelTimedCtx is EvaluateRelEpoch with per-stage attribution
 // into st and cooperative cancellation: the call carries ctx and st —
-// so the timer and the context have exactly one writer — and aborts at
-// the next checkpoint once ctx is done. Either ctx or st may be nil.
+// so the timer and the context have exactly one writer, and st receives
+// the call's stage record once, when it returns — and aborts at the
+// next checkpoint once ctx is done. Either ctx or st may be nil.
 // Panics during the evaluation are recovered into a *QueryPanicError, so
 // a /query that crashes the evaluator fails alone. This is the serving
 // layer's cold-query entry point.

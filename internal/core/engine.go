@@ -17,6 +17,9 @@
 //
 // Engines record the paper's three-part timing split (Shared_Data,
 // PreG ⋈ R+G, Remainder) so the evaluation figures can be regenerated.
+// Each call times itself once, in one stage record; the split, the
+// per-request StageTimer and EXPLAIN ANALYZE's actual times are folds of
+// that record.
 //
 // # Concurrency
 //
@@ -24,12 +27,12 @@
 // computed, its shards are locked independently, and concurrent misses
 // on one key deduplicate, so every goroutine calling the engine shares
 // each closure structure. An Engine is safe for concurrent use: its
-// timing split and summaries are mutex-guarded, and automaton-product
-// evaluators (which carry mutable traversal scratch) are checked out of
-// a per-version free list, never shared between two running
-// evaluations. Every evaluation at one
-// graph epoch runs on the engine's one version of it; what belongs to a
-// single call — its context, its stage timer, its overflow memo — rides
+// accounting is mutex-guarded, each call folding its timing into it
+// once, and automaton-product evaluators (which carry mutable traversal
+// scratch) are checked out of a per-version free list, never shared
+// between two running evaluations. Every evaluation at one graph epoch
+// runs on the engine's one version of it; what belongs to a single call
+// — its context, its stage record and timer, its overflow memo — rides
 // in an evalCall that only that call's goroutine touches.
 //
 // # Dynamic graphs
@@ -95,7 +98,8 @@ type Options struct {
 }
 
 // Stats is the paper's timing and size accounting for a sequence of
-// evaluations (Section V-A):
+// evaluations (Section V-A). Each call adds its times once, when it
+// returns, as a fold of its stage record:
 //
 //   - SharedData: computing the shared structure. For RTCSharing that
 //     is the whole RTC build from R's product graph — the product, its
@@ -109,6 +113,9 @@ type Options struct {
 //   - Remainder: everything both methods share — DNF conversion,
 //     evaluating Pre_G, the Post traversals (and, for FullSharing,
 //     evaluating R_G and the pair-level Post join), and result unions.
+//
+// A cache hit, or a wait on another call's computation, is in none of
+// the three: the call that computed the value accounts the work.
 type Stats struct {
 	SharedData time.Duration
 	PreJoin    time.Duration
@@ -285,10 +292,10 @@ func (e *Engine) version() *engineVersion { return e.ver.Load() }
 
 // evalCall is the state of one call into the engine: the graph version
 // it pinned at entry, its cancellation context and checkpoint budget,
-// its stage timer and its overflow memo. Every call at one epoch shares
-// the version — its pools, free lists and planner — while the call
-// itself is driven by one goroutine at a time, so nothing in it is
-// locked. Stats and summaries still go to the engine under its mutex.
+// its stage record and timer, and its overflow memo. Every call at one
+// epoch shares the version — its pools, free lists and planner — while
+// the call itself is driven by one goroutine at a time, so nothing in
+// it is locked. Its record reaches Stats and its timer once per entry.
 type evalCall struct {
 	*engineVersion
 
@@ -297,7 +304,9 @@ type evalCall struct {
 	ctx    context.Context
 	budget int
 
-	// stages, when non-nil, receives the call's per-stage breakdown.
+	// rec is the call's one clock; stages, when non-nil, receives its
+	// per-stage fold.
+	rec    stageRecord
 	stages *StageTimer
 
 	// overflow keeps the sealed relations the relation region's budget
@@ -416,6 +425,7 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 
 // evaluate runs the EvaluateRel pipeline for q on this call.
 func (c *evalCall) evaluate(q rpq.Expr) (*pairs.Relation, error) {
+	defer c.fold()
 	c.begin(q)
 	return c.evaluateRelCached(q)
 }
@@ -435,6 +445,7 @@ func (c *evalCall) begin(q rpq.Expr) {
 // another vertex space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	c := e.call(nil, nil)
+	defer c.fold()
 	if err := c.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
 		return nil, err
 	}
@@ -446,6 +457,7 @@ func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq
 // the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	c := e.call(nil, nil)
+	defer c.fold()
 	if err := c.checkSpaces(preG, closure.NumVertices()); err != nil {
 		return nil, err
 	}
@@ -464,79 +476,6 @@ func (v *engineVersion) checkSpaces(preG *pairs.Relation, structureVertices int)
 		return fmt.Errorf("core: the closure structure covers %d vertices, the graph has %d", structureVertices, n)
 	}
 	return nil
-}
-
-// addShared, addPreJoin and addRemainder attribute elapsed time to the
-// engine's three-part split under the stats lock; when the call has a
-// StageTimer they also attribute it to the matching per-request stage
-// (closure-build, join, other), which only this call writes. addPlan
-// and addSeal are addRemainder with a finer stage — planning and
-// relation sealing still count as Remainder in the paper's split, but
-// the latency breakdown keeps them apart. They run once per clause or
-// structure, never per row.
-func (c *evalCall) addShared(d time.Duration) {
-	c.addSplit(&c.stats.SharedData, d)
-	if c.stages != nil {
-		c.stages.ClosureBuildNS += d.Nanoseconds()
-	}
-}
-
-func (c *evalCall) addPreJoin(d time.Duration) {
-	c.addSplit(&c.stats.PreJoin, d)
-	if c.stages != nil {
-		c.stages.JoinNS += d.Nanoseconds()
-	}
-}
-
-func (c *evalCall) addRemainder(d time.Duration) {
-	c.addSplit(&c.stats.Remainder, d)
-	if c.stages != nil {
-		c.stages.OtherNS += d.Nanoseconds()
-	}
-}
-
-func (c *evalCall) addPlan(d time.Duration) {
-	c.addSplit(&c.stats.Remainder, d)
-	if c.stages != nil {
-		c.stages.PlanNS += d.Nanoseconds()
-	}
-}
-
-func (c *evalCall) addSeal(d time.Duration) {
-	c.addSplit(&c.stats.Remainder, d)
-	if c.stages != nil {
-		c.stages.SealNS += d.Nanoseconds()
-	}
-}
-
-// addSplit adds d to one part of the engine's split under its lock.
-func (c *evalCall) addSplit(part *time.Duration, d time.Duration) {
-	c.mu.Lock()
-	*part += d
-	c.mu.Unlock()
-}
-
-// stageClosure attributes the closure cache boundary's own time to
-// the closure-build stage of the request: a hit, a wait on another
-// goroutine's in-flight computation (a singleflight hit), or the lookup
-// and bookkeeping around this call's own computation. It does not touch
-// Stats, where the computing call accounts the work. The request's wall
-// clock really did pass here, so the per-request breakdown must see it
-// even though the three-part split must not.
-func (c *evalCall) stageClosure(d time.Duration) {
-	if c.stages != nil {
-		c.stages.ClosureBuildNS += d.Nanoseconds()
-	}
-}
-
-// stageOther is stageClosure for sub-relation memo boundaries: the
-// relation region's own time (a warm memo probe, a singleflight
-// wait, or the lookup and admission around this call's evaluation),
-// attributed to Other without double-counting Stats.
-func (c *evalCall) stageOther(d time.Duration) {
-	if c.stages != nil {
-		c.stages.OtherNS += d.Nanoseconds()
-	}
 }
 
 // countLookup records a shared-structure cache hit or miss plus the

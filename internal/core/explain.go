@@ -30,7 +30,9 @@ type Plan struct {
 	Analyzed bool
 	// ActualResultPairs is the executed query's result size.
 	ActualResultPairs int
-	// ActualTime is the executed query's wall-clock time.
+	// ActualTime is the executed query's time, planning to union: the
+	// total its call's stage record charged, the record the engine's
+	// Stats and stage timers fold.
 	ActualTime time.Duration
 }
 
@@ -62,7 +64,8 @@ type PlanClause struct {
 
 	// ActualPrePairs is the materialised Pre relation's size (-1 when the
 	// clause materialised none); ActualPairs is the clause's result size;
-	// ActualTime its execution time. Set by ExplainAnalyze only.
+	// ActualTime its execution time, what the call's stage record charged
+	// across the clause. Set by ExplainAnalyze only.
 	ActualPrePairs, ActualPairs int
 	ActualTime                  time.Duration
 }
@@ -104,23 +107,22 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, q rpq.Expr) (p *Plan, er
 
 // explainAnalyze is ExplainAnalyze on this call.
 func (c *evalCall) explainAnalyze(q rpq.Expr) (*Plan, error) {
+	defer c.fold()
 	c.begin(q)
 	var obs planObserver
-	start := time.Now()
 	rel, err := c.evaluatePlanned(q, &obs)
-	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	p := c.describePlan(obs.plan)
 	p.Analyzed = true
 	p.ActualResultPairs = rel.Len()
-	p.ActualTime = elapsed
+	p.ActualTime = c.charged()
 	for i := range p.Clauses {
 		act := obs.actuals[i]
 		p.Clauses[i].ActualPrePairs = act.Pre
 		p.Clauses[i].ActualPairs = act.Result
-		p.Clauses[i].ActualTime = act.Elapsed
+		p.Clauses[i].ActualTime = act.Charged
 	}
 	return p, nil
 }

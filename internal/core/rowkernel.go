@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"rtcshare/internal/eval"
 	"rtcshare/internal/graph"
@@ -139,10 +138,7 @@ type rowKernel struct {
 	fbSeen  stampSet
 	fbStack []int32
 
-	// Post traversals, Remainder in the timing split: 0 under an ε or
-	// label Post, whose ends are join work.
-	postNS time.Duration
-	work   int64 // words ORed plus Post ends and members added
+	work int64 // words ORed plus Post ends and members added
 }
 
 // acquireKernel checks a row kernel out of the version's pool, set up
@@ -160,12 +156,8 @@ func (c *evalCall) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post r
 	k.rows = append(k.rows[:0], rowSpan{})
 	k.budget = rowBudgetWords
 	if _, eps := post.(rpq.Epsilon); !eps {
-		t0 := time.Now()
-		k.postEv, k.evKey = c.acquireEvaluator(post)
+		k.postEv, k.evKey, k.label = c.acquirePost(post)
 		k.ends = zeroed(k.ends, len(k.comps))
-		if k.label = labelPostOf(k.postEv); !k.label.ok {
-			k.postNS += time.Since(t0)
-		}
 	}
 	return k
 }
@@ -197,7 +189,7 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
 	k.c, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, "", labelPost{}
-	k.postNS, k.work = 0, 0
+	k.work = 0
 	c.kernelPool.Put(k)
 }
 
@@ -430,7 +422,7 @@ func (k *rowKernel) vertexPost(v graph.VID) int32 {
 }
 
 // storePost stores ⋃ Post(v) over vs as a row and returns its handle: a
-// label's CSR rows, unclocked, or the timed Post traversals.
+// label's CSR rows, join work, or the Post traversals, charged to other.
 func (k *rowKernel) storePost(vs []graph.VID) int32 {
 	if k.label.ok {
 		for _, v := range vs {
@@ -440,14 +432,14 @@ func (k *rowKernel) storePost(vs []graph.VID) int32 {
 		}
 		return k.storeBuild()
 	}
-	t0 := time.Now()
+	prev := k.c.enter(bucketOther)
 	for _, v := range vs {
 		k.reach = k.postEv.AppendReachFrom(v, k.reach[:0])
 		k.work += int64(len(k.reach))
 		k.build.AddAll(k.reach)
 	}
 	h := k.storeBuild()
-	k.postNS += time.Since(t0)
+	k.c.enter(prev)
 	return h
 }
 

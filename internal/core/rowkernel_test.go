@@ -291,8 +291,8 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s Post %s: %v", c.name, s.name, kc.post, err)
 				}
-				if i == 0 && k.postNS != 0 {
-					t.Errorf("%s %s: label Post charged %v of Remainder", c.name, s.name, k.postNS)
+				if other := call.rec.ns[bucketOther]; (i == 0) != (other == 0) {
+					t.Errorf("%s %s: Post %s charged %v of Remainder: a label Post charges none, a traversed one its traversals", c.name, s.name, kc.post, time.Duration(other))
 				}
 				call.releaseKernel(k)
 				if !rel.EqualSet(ref) {
@@ -317,12 +317,12 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 		for i, kc := range []kernelCase{c, traversed} {
 			call := e.call(nil, nil)
 			j := call.acquireFull(kc.preG, kc.full, kc.typ, kc.post)
-			rel, _, err := call.drain(j)
+			rel, err := call.drain(j)
 			if err != nil {
 				t.Fatalf("%s full Post %s: %v", c.name, kc.post, err)
 			}
-			if i == 0 && j.postNS != 0 {
-				t.Errorf("%s: label Post charged %v of Remainder in the pair-level join", c.name, j.postNS)
+			if other := call.rec.ns[bucketOther]; (i == 0) != (other == 0) {
+				t.Errorf("%s: Post %s charged %v of Remainder in the pair-level join: a label Post charges none, a traversed one its traversals", c.name, kc.post, time.Duration(other))
 			}
 			j.release()
 			full[i] = rel

@@ -40,7 +40,7 @@ type fullValue struct {
 type clauseActuals struct {
 	Result  int
 	Pre     int
-	Elapsed time.Duration
+	Charged time.Duration
 }
 
 // planObserver captures the chosen plan and per-clause actuals of one
@@ -73,18 +73,17 @@ func (c *evalCall) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 // union the results. Clause results are sealed relations, a
 // single-clause DNF (the common case) returns its relation as-is, and a
 // multi-clause union merges through one pooled builder sealed once.
+// Planning is Remainder, as every strategy plans identically; the
+// clauses run in other, which the stages below them pause.
 func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
-	start := time.Now()
+	prev := c.enter(bucketPlan)
+	defer c.enter(prev)
 	clauses, err := rpq.ToDNF(q)
 	if err != nil {
-		c.addPlan(time.Since(start))
 		return nil, err
 	}
-	// Planning time counts as Remainder: every strategy plans
-	// identically, like the DNF conversion itself. (In the per-request
-	// stage breakdown it is the Plan stage.)
 	qp := c.planner().Plan(q, clauses)
-	c.addPlan(time.Since(start))
+	c.enter(bucketOther)
 	if obs != nil {
 		obs.plan = qp
 		obs.actuals = make([]clauseActuals, len(qp.Clauses))
@@ -105,7 +104,10 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 			}
 			return nil, err
 		}
-		t0 := time.Now()
+		var before time.Duration
+		if obs != nil {
+			before = c.charged()
+		}
 		clauseG, act, err := c.execClause(&qp.Clauses[i])
 		if err != nil {
 			if merge != nil {
@@ -115,10 +117,9 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 		}
 		if obs != nil {
 			act.Result = clauseG.Len()
-			act.Elapsed = time.Since(t0)
+			act.Charged = c.charged() - before
 			obs.actuals[i] = act
 		}
-		t0 = time.Now()
 		// The union records every clause's pairs before it deduplicates
 		// them, and its builder counts them in int32.
 		if recorded += clauseG.Len(); recorded > MaxResultPairs {
@@ -141,13 +142,11 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 		default:
 			merge.AddRelation(clauseG)
 		}
-		c.addRemainder(time.Since(t0))
 	}
 	if merge != nil {
-		t0 := time.Now()
+		c.enter(bucketSeal)
 		result = merge.Seal()
 		c.releaseBuilder(merge)
-		c.addSeal(time.Since(t0))
 	}
 	if result == nil {
 		result = pairs.NewBuilder(c.g.NumVertices()).Seal()
@@ -167,16 +166,12 @@ func (c *evalCall) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActua
 		// is Remainder, building the columns the seal stage. A single
 		// label is a base relation: the graph's CSR is its sealed form,
 		// so it is neither traversed nor sealed.
-		t0 := time.Now()
 		if l, ok := cp.Clause.(rpq.Label); ok {
-			clauseG := c.labelRelation(l)
-			c.addRemainder(time.Since(t0))
-			return clauseG, act, nil
+			return c.labelRelation(l), act, nil
 		}
 		a := c.openAutomaton(cp.Clause)
-		clauseG, sealNS, err := c.drain(a)
+		clauseG, err := c.drain(a)
 		a.release()
-		c.addRemainder(time.Since(t0) - sealNS)
 		return clauseG, act, err
 	}
 
@@ -224,37 +219,31 @@ func (v *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
 // same singleflight discipline as the closure structures. Sealed
 // relations are immutable by contract; every consumer only reads them.
 // Sub-evaluation time counts as Remainder: both sharing methods perform
-// it identically.
+// it identically. The boundary's own time — a hit, a singleflight wait
+// on another goroutine's evaluation, the lookup and admission around
+// this call's own — is the memo bucket, which Stats does not see: the
+// call that evaluated accounts the work.
 func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	if !c.shouldCache() {
 		return c.evaluatePlanned(q, nil)
 	}
-	t0 := time.Now()
+	prev := c.enter(bucketMemo)
+	defer c.enter(prev)
 	key := q.String()
 	// The overflow memo holds relations the shared region's budget
 	// declined during this call; normally it is nil and this is one
 	// cheap miss.
 	if rel, ok := c.overflow[key]; ok {
-		c.stageOther(time.Since(t0))
 		return rel, nil
 	}
-	var inner time.Duration
 	// The compute closure runs under the cache's singleflight; a panic
 	// inside it would leave co-waiters blocked forever, so it is recovered
 	// into an error here — the cache then drops the entry and unblocks
 	// every waiter with the error.
 	val, _, retained, err := c.cache.getOrComputeRelation(c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(q, &err)
-		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.evaluatePlanned(q, nil)
 	})
-	// The memo boundary's own time — a hit, a singleflight wait on
-	// another goroutine's in-flight evaluation, or the lookup and
-	// admission around this call's own evaluation, whose stages that
-	// evaluation attributed itself. The wall time is real for this
-	// request's breakdown, but Stats must not see it: the computing call
-	// accounts the work.
-	c.stageOther(time.Since(t0) - inner)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +269,10 @@ func (sh *engineShared) shouldCache() bool {
 // getRTC returns the shared RTC for R, computing it on first use
 // (Algorithm 1 lines 9–11). Under singleflight, concurrent first uses of
 // the same R compute it exactly once — the engine that ran the
-// computation counts the miss, the ones that waited count hits.
+// computation counts the miss, the ones that waited count hits. The
+// boundary's own time — a hit, a singleflight wait, the bookkeeping
+// around this call's own computeRTC — is the structure bucket: the
+// request's closure-build stage, while Stats stays with the computation.
 func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 	if !c.shouldCache() {
 		v, err := c.computeRTC(r)
@@ -290,25 +282,17 @@ func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 		c.countLookup(false, v.summary, v.structure)
 		return v.structure, nil
 	}
-	t0 := time.Now()
-	key := nsRTC + r.String()
-	var inner time.Duration
-	val, computed, err := c.cache.getOrCompute(c.epoch, key, func() (v any, err error) {
+	prev := c.enter(bucketStructure)
+	defer c.enter(prev)
+	val, computed, err := c.cache.getOrCompute(c.epoch, nsRTC+r.String(), func() (v any, err error) {
 		defer recoverPanic(r, &err)
-		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeRTC(r)
 	})
 	if err != nil {
-		c.stageClosure(time.Since(t0) - inner)
 		return nil, err
 	}
 	v := val.(*rtcValue)
 	c.countLookup(!computed, v.summary, v.structure)
-	// Cache hit, singleflight wait, or the cache bookkeeping around this
-	// call's own computeRTC: this request's wall clock passed at the
-	// closure boundary, so the stage breakdown charges it to
-	// closure-build, while Stats stays with the computation.
-	c.stageClosure(time.Since(t0) - inner)
 	return v.structure, nil
 }
 
@@ -318,14 +302,13 @@ func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
 // the reverse CSR. Like evaluating R_G itself, the reduction counts as
 // Remainder, not Shared_Data (paper Section V-A).
 func (c *evalCall) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
+	prev := c.enter(bucketOther)
+	defer c.enter(prev)
 	rg, err := c.subEvaluateRel(r)
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	gr := rtc.EdgeReduceRel(c.g.NumVertices(), rg)
-	c.addRemainder(time.Since(t0))
-	return gr, nil
+	return rtc.EdgeReduceRel(c.g.NumVertices(), rg), nil
 }
 
 // computeRTC builds R's reduced transitive closure (Algorithm 1 lines
@@ -336,7 +319,8 @@ func (c *evalCall) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 // any) while it walks the product. |TC(Ḡ_R)| is not built here;
 // SharedSummaries computes it on demand.
 func (c *evalCall) computeRTC(r rpq.Expr) (*rtcValue, error) {
-	defer func(t0 time.Time) { c.addShared(time.Since(t0)) }(time.Now())
+	prev := c.enter(bucketBuild)
+	defer c.enter(prev)
 	structure, err := rtc.FromProduct(c.g, r, c.checkpointFn())
 	if err != nil {
 		return nil, err
@@ -364,20 +348,17 @@ func (c *evalCall) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
 		c.countLookup(false, v.summary, nil)
 		return v.closure, nil
 	}
-	t0 := time.Now()
-	var inner time.Duration
+	prev := c.enter(bucketStructure)
+	defer c.enter(prev)
 	val, computed, err := c.cache.getOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
 		defer recoverPanic(r, &err)
-		defer func(t1 time.Time) { inner = time.Since(t1) }(time.Now())
 		return c.computeFullClosure(r)
 	})
 	if err != nil {
-		c.stageClosure(time.Since(t0) - inner)
 		return nil, err
 	}
 	v := val.(*fullValue)
 	c.countLookup(!computed, v.summary, nil)
-	c.stageClosure(time.Since(t0) - inner)
 	return v.closure, nil
 }
 
@@ -392,9 +373,9 @@ func (c *evalCall) computeFullClosure(r rpq.Expr) (*fullValue, error) {
 	// Shared_Data for FullSharing: the closure of the *unreduced* G_R —
 	// Table III's O(|V_R|·|E_R|) computation, checkpointed per level of
 	// each 64-source batch.
-	t0 := time.Now()
+	prev := c.enter(bucketBuild)
 	closure, err := tc.BFSCheck(gr, c.checkpointFn())
-	c.addShared(time.Since(t0))
+	c.enter(prev)
 	if err != nil {
 		return nil, err
 	}

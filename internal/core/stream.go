@@ -103,7 +103,9 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 	}
 
 	defer recoverPanic(q, &err)
+	// Stats see what the open resolves, never the joins of the pulls.
 	c := e.call(ctx, nil)
+	defer c.fold()
 	s := &ResultStream{c: c, epoch: c.epoch, query: q, limit: opts.Limit}
 	if oerr := s.open(q); oerr != nil {
 		s.release()
