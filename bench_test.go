@@ -404,3 +404,38 @@ func BenchmarkCore_JoinFullPaper(b *testing.B) {
 		})
 	}
 }
+
+// unionQueries are single-clause batch units and two-clause unions of
+// them over one closure l1+: an alternation in Pre, a top-level `|`, an
+// alternation in Post and a `?` outside the closure each make a DNF of
+// two clauses.
+var unionQueries = []string{
+	"l2.(l1)+.l0", "l3.(l1)+.l0",
+	"(l2|l3).(l1)+.l0", "l2.(l1)+.l0|l3.(l1)+.l0", "l2.(l1)+.(l0|l3)", "l2.(l1)+.l0.l3?",
+}
+
+// BenchmarkUnion times a cold RTCSharing evaluation, on a fresh engine
+// per iteration, of each of unionQueries over RMAT_3 at 2^11 vertices:
+// the structure build, the clauses' joins and, for a union, the drain
+// that ORs the clauses' runs per source. column_bytes is the result's
+// ColumnBytes, the memory a memoised result holds.
+func BenchmarkUnion(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range unionQueries {
+		expr := rpq.MustParse(q)
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			var rel *pairs.Relation
+			for b.Loop() {
+				if rel, err = core.New(g, core.Options{}).EvaluateRel(expr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rel.ColumnBytes()), "column_bytes")
+			b.ReportMetric(float64(rel.Len()), "pairs")
+		})
+	}
+}

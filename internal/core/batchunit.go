@@ -12,7 +12,6 @@ import (
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/plan"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/rtc"
 	"rtcshare/internal/tc"
 )
 
@@ -22,8 +21,8 @@ import (
 // the OR is the dedupe and draining the accumulator is the sort. Each
 // clause kind has exactly one:
 //
-//   - RTCSharing: the row kernel of rowkernel.go (kernelJoin), which
-//     pushes Post through the condensation;
+//   - RTCSharing: the row kernel of rowkernel.go, which pushes Post
+//     through the condensation;
 //   - FullSharing and NoSharing: the pair-level join over the full
 //     closure (fullJoin), whose set semantics — which unions happen
 //     where, and therefore which redundant/useless operations it performs
@@ -32,12 +31,13 @@ import (
 //   - a closure-free clause: one product traversal per source
 //     (automatonJoin).
 //
-// Every consumer drives these producers. The sealed path drains every
-// source's run into exact-size CSR columns (the row kernel's own
-// two-pass seal, or drain for the other two), ResultStream pulls one
-// source at a time, and ASK is a stream stopped at its first pair.
-// A sealed join is the join bucket of the call's record; a Post
-// traversal inside it is other, and drain's column copy seal.
+// Every consumer drives these producers. The sealed path seals each
+// clause's producer into exact-size CSR columns (sealClause: the row
+// kernel's own two-pass seal, or drain for the other two). A DNF of
+// several clauses is one union producer over its parts: the sealed
+// clauses, which drain ORs once, or the clauses' producers, which
+// ResultStream pulls one source at a time. ASK is a stream stopped at
+// its first pair.
 
 // producer is one clause's per-source join. produce ORs source vi's
 // destinations into acc and returns the rows it touched (the stream's
@@ -118,77 +118,54 @@ func (c *evalCall) acquirePost(post rpq.Expr) (*eval.Evaluator, string, labelPos
 	return ev, key, labelPost{}
 }
 
-// resolveUnit resolves a batch unit's inputs through the shared caches:
-// Pre_G (Algorithm 1 line 8, recursive), and R's RTC under RTCSharing or
-// its full closure under Full/NoSharing.
-func (c *evalCall) resolveUnit(bu rpq.BatchUnit) (preG *pairs.Relation, structure *rtc.RTC, closure *tc.Closure, err error) {
-	if preG, err = c.subEvaluateRel(bu.Pre); err != nil {
-		return nil, nil, nil, err
-	}
-	if c.opts.Strategy == RTCSharing {
-		structure, err = c.getRTC(bu.R)
-	} else {
-		closure, err = c.getFullClosure(bu.R)
-	}
-	return preG, structure, closure, err
-}
-
-// openClause resolves one planned clause's inputs and returns its
-// producer, which the caller must release. width caps the sources a
-// pair-level producer joins per batch: fullBatch, or 1 for a caller that
-// may stop after any source.
-func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, error) {
+// openClause resolves one planned clause's inputs through the shared
+// caches and returns its producer, which the caller must release, with
+// the clause's Pre_G (nil for a closure-free clause): Pre_G (Algorithm 1
+// line 8, recursive), and R's RTC under RTCSharing or its full closure
+// under Full/NoSharing. width caps the sources a pair-level producer
+// joins per batch: fullBatch, or 1 for a caller that may stop after any
+// source.
+func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, *pairs.Relation, error) {
 	if cp.Kind == plan.KindAutomaton {
-		return c.openAutomaton(cp.Clause), nil
+		return c.openAutomaton(cp.Clause), nil, nil
 	}
 	bu := cp.Unit
-	preG, structure, closure, err := c.resolveUnit(bu)
+	preG, err := c.subEvaluateRel(bu.Pre)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if structure != nil {
-		return kernelJoin{c.acquireKernel(structure, bu.Type, bu.Post), preG}, nil
+	if c.opts.Strategy == RTCSharing {
+		structure, err := c.getRTC(bu.R)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c.acquireKernel(preG, structure, bu.Type, bu.Post), preG, nil
+	}
+	closure, err := c.getFullClosure(bu.R)
+	if err != nil {
+		return nil, nil, err
 	}
 	j := c.acquireFull(preG, closure, bu.Type, bu.Post)
 	j.width = width
-	return j, nil
+	return j, preG, nil
 }
 
-// evalBatchUnit implements Algorithm 2 (EvalBatchUnit) for RTCSharing:
-// the join pipeline of equations (6)–(10) over the RTC, with Post pushed
-// through the condensation — each source's result row is the union of
-// per-component rows over its Pre-ends (rowkernel.go, which maps the
-// useless-1/2 and redundant-1/2 eliminations onto those rows).
-//
-// Pre_G arrives as a sealed relation: the per-start runs the kernel
-// wants are its frozen columns, walked in ascending start order with no
-// bucketing pass. The result is emitted straight into exact-size sealed
-// columns. The traversals of a Post that is not one label are Remainder
-// time; everything else — the row DFS, the ORs, a label Post's CSR
-// reads, the emission — is PreJoin. Engine.EvalBatchUnit exposes it so
-// benchmarks can measure the join in isolation; query evaluation
-// reaches it through Engine.EvaluateRel. Nothing is cached across
-// calls.
-func (c *evalCall) evalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	prev := c.enter(bucketJoin)
-	k := c.acquireKernel(structure, typ, post)
-	rel, err := k.seal(preG)
-	c.releaseKernel(k)
-	c.enter(prev)
-	return rel, err
-}
-
-// evalBatchUnitFull is FullSharing's batch-unit evaluation: the same
-// logical join Pre_G ⋈ R+_G ⋈ Post_G, driven by fullJoin at vertex-pair
-// level over the full closure. The traversals of a Post that is not one
-// label are Remainder time, building the columns is the seal stage, and
-// the rest, a label Post's CSR reads included, is PreJoin.
-func (c *evalCall) evalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
-	prev := c.enter(bucketJoin)
-	j := c.acquireFull(preG, closure, typ, post)
-	rel, err := c.drain(j)
-	j.release()
-	c.enter(prev)
+// sealClause is the sealed driver of a clause's producer, which it
+// releases: the row kernel's own two-pass seal, or drain for the
+// pair-level and automaton producers. A join is the join bucket of the
+// call's record and an automaton's traversals stay in the caller's; a
+// Post traversal inside a join is other, and drain's column copy seal.
+func (c *evalCall) sealClause(p producer) (rel *pairs.Relation, err error) {
+	if _, auto := p.(*automatonJoin); !auto {
+		prev := c.enter(bucketJoin)
+		defer c.enter(prev)
+	}
+	if k, ok := p.(*rowKernel); ok {
+		rel, err = k.seal()
+	} else {
+		rel, err = c.drain(p, 0)
+	}
+	p.release()
 	return rel, err
 }
 
@@ -219,21 +196,24 @@ type drainScratch struct {
 	dsts []graph.VID
 }
 
-// drain is the sealed driver of the pair-level and automaton producers:
-// it runs p once per source, ascending, appends each run to pooled
-// scratch, and copies the scratch once into an exact-size column. (The
-// row kernel sizes its runs in a first pass instead — a stored row is a
-// lookup, and its second pass re-gathers only the runs that are not one
-// stored row — but these producers cannot afford a second traversal.) The
-// copy is the seal bucket, which pauses the caller's. A result past
-// MaxResultPairs stops the drain at the source that passes it.
-func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
+// drain is the sealed driver of the pair-level, automaton and union
+// producers: it runs p once per source, ascending, appends each run to
+// pooled scratch, and copies the scratch once into an exact-size column.
+// (The row kernel sizes its runs in a first pass instead — a stored row
+// is a lookup, and its second pass re-gathers only the runs that are not
+// one stored row — but these producers cannot afford a second
+// traversal.) bound, when positive, is at least the result's pairs, and
+// the scratch grows to it once rather than by appends. The copy is the
+// seal bucket, which pauses the caller's. A result past MaxResultPairs
+// stops the drain at the source that passes it.
+func (c *evalCall) drain(p producer, bound int) (*pairs.Relation, error) {
 	sc := c.drainPool.Get().(*drainScratch)
 	defer func() {
 		sc.acc.Reset()
 		sc.dsts = sc.dsts[:0]
 		c.drainPool.Put(sc)
 	}()
+	sc.dsts = slices.Grow(sc.dsts, bound)
 	n := c.g.NumVertices()
 	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
@@ -255,19 +235,61 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	return pairs.RelationFromSortedRuns(n, offsets, col), nil
 }
 
-// kernelJoin is the RTCSharing producer: the row kernel's gather and
-// orRun over source v_i's Pre-ends.
-type kernelJoin struct {
-	k    *rowKernel
-	preG *pairs.Relation
+// union is the producer of a multi-clause DNF: it ORs every part's run
+// for a source into the one accumulator, whose OR dedupes across clauses
+// as it does within one. A stream's parts are its clauses' producers;
+// the sealed path's are its clauses' sealed relations (sealedRuns),
+// drained once. Each source is one cancellation checkpoint, and every
+// part polls for its own work.
+type union struct {
+	c     *evalCall
+	parts []producer
 }
 
-func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
-	vjs := j.preG.DstsOf(vi)
+func (u *union) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	if err := u.c.checkpoint(1); err != nil {
+		return 0, err
+	}
+	var rows int64
+	for _, p := range u.parts {
+		r, err := p.produce(vi, acc)
+		rows += r
+		if err != nil {
+			return rows, err
+		}
+	}
+	return rows, nil
+}
+
+func (u *union) release() {
+	for _, p := range u.parts {
+		p.release()
+	}
+	*u = union{}
+}
+
+// sealedRuns is a sealed clause result as a union part: its run for v is
+// row v of the relation, ORed at a checkpoint weighted by its length.
+type sealedRuns struct {
+	c   *evalCall
+	rel *pairs.Relation
+}
+
+func (s sealedRuns) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	dsts := s.rel.DstsOf(vi)
+	acc.AddAll(dsts)
+	return int64(len(dsts)), s.c.checkpoint(len(dsts))
+}
+
+func (sealedRuns) release() {}
+
+// produce is the RTCSharing producer: the row kernel's gather and
+// orRun over source v_i's Pre-ends.
+func (k *rowKernel) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+	vjs := k.preG.DstsOf(vi)
 	if len(vjs) == 0 {
 		return 0, nil
 	}
-	k := j.k
 	if err := k.c.checkpoint(len(vjs)); err != nil {
 		return 0, err
 	}
@@ -279,7 +301,7 @@ func (j kernelJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, err
 	return int64(len(vjs)) + k.work - work0, err
 }
 
-func (j kernelJoin) release() { j.k.c.releaseKernel(j.k) }
+func (k *rowKernel) release() { k.c.releaseKernel(k) }
 
 // fullBatch is the number of sources one batch of the pair-level join
 // joins: one per bit of a mask word.
@@ -525,18 +547,18 @@ func (j *fullJoin) emit() {
 	dst := j.dst
 	for k, wi := range j.hitIdx {
 		base := int(wi) << 6
-		var union uint64
+		var hitBy uint64
 		for w := j.hitWords[k]; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			m := dst[base+b]
 			dst[base+b] = 0
-			union |= m
+			hitBy |= m
 			for ; m != 0; m &= m - 1 {
 				j.out[bits.TrailingZeros64(m)] |= 1 << b
 			}
 		}
-		for ; union != 0; union &= union - 1 {
-			i := bits.TrailingZeros64(union)
+		for ; hitBy != 0; hitBy &= hitBy - 1 {
+			i := bits.TrailingZeros64(hitBy)
 			r := &j.runs[i]
 			r.idx, r.words = append(r.idx, wi), append(r.words, j.out[i])
 			j.out[i] = 0
@@ -596,16 +618,3 @@ func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64,
 }
 
 func (a *automatonJoin) release() { a.c.releaseEvaluator(a.evKey, a.ev) }
-
-// acquireBuilder checks a relation builder over the engine's vertex
-// space out of the pool; the multi-clause union merges through one.
-// Builders return to the pool empty (Seal resets them), keeping their
-// scratch columns warm.
-func (v *engineVersion) acquireBuilder() *pairs.Builder {
-	return v.builderPool.Get().(*pairs.Builder)
-}
-
-func (v *engineVersion) releaseBuilder(b *pairs.Builder) {
-	b.Reset()
-	v.builderPool.Put(b)
-}

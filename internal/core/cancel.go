@@ -103,7 +103,7 @@ func asPanicError(q rpq.Expr, r any, err *error) {
 
 // SetEvalHook installs a hook called with the canonical query text at
 // the start of every EvaluateRel-pipeline or ExplainAnalyze evaluation
-// on this engine. It exists for fault injection: the chaos tests and
+// and every cold stream on this engine. It exists for fault injection: the chaos tests and
 // the panic-isolation storm make the hook panic for chosen query
 // strings to prove the recovery and quarantine machinery. Install
 // before the engine starts serving; the hook is not synchronised.

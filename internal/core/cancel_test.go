@@ -174,7 +174,7 @@ func TestFullJoinCancelInsideRun(t *testing.T) {
 	}{
 		{"sealed", func(cc *countingCtx) error {
 			c := New(g, Options{Strategy: FullSharing}).call(cc, nil)
-			_, err := c.evalBatchUnitFull(preG, closure, rpq.ClosurePlus, rpq.Epsilon{})
+			_, err := c.sealClause(c.acquireFull(preG, closure, rpq.ClosurePlus, rpq.Epsilon{}))
 			return err
 		}},
 		{"stream", func(cc *countingCtx) error {

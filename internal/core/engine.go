@@ -42,8 +42,8 @@
 // graph version, advances the SharedCache's epoch (carrying or dropping
 // each cached structure) and atomically swaps the engine onto
 // the new version. Everything whose lifetime is bounded by one graph
-// version — the graph itself, evaluator free lists, join-scratch and
-// builder pools, the planner with its statistics —
+// version — the graph itself, evaluator free lists, join and drain
+// scratch pools, the planner with its statistics —
 // lives in an engineVersion; an evaluation pins one version at entry and
 // uses it throughout, so every result is computed entirely against a
 // single graph epoch even while updates land concurrently. The
@@ -121,8 +121,8 @@ type Stats struct {
 	PreJoin    time.Duration
 	Remainder  time.Duration
 
-	// Queries is the number of top-level evaluations: EvaluateRel and
-	// the entry points built on it, memo hits included.
+	// Queries is the number of top-level evaluations: EvaluateRel, the
+	// entry points built on it and streams, memo hits included.
 	Queries int
 	// CacheHits / CacheMisses count shared-structure lookups. Under
 	// singleflight a goroutine that waited for another's in-flight
@@ -193,9 +193,9 @@ type engineShared struct {
 	summaries map[string]summaryEntry
 
 	// evalHook, when non-nil, runs at the start of every
-	// EvaluateRel-pipeline or ExplainAnalyze evaluation — the
-	// fault-injection seam the panic-isolation tests use. Install via
-	// SetEvalHook before serving starts.
+	// EvaluateRel-pipeline or ExplainAnalyze evaluation and every cold
+	// stream — the fault-injection seam the panic-isolation tests use.
+	// Install via SetEvalHook before serving starts.
 	evalHook func(query string)
 }
 
@@ -211,15 +211,13 @@ type engineVersion struct {
 	epoch uint64
 
 	// kernelPool holds the row kernels of the RTCSharing producer,
-	// fullPool the pair-level producers of Full/NoSharing, drainPool the
-	// accumulator and column scratch of the one-pass sealed driver, and
-	// builderPool relation builders sized to this version's vertex space.
+	// fullPool the pair-level producers of Full/NoSharing, and drainPool
+	// the accumulator and column scratch of the one-pass sealed driver.
 	// All are version-local free lists: steady-state batch evaluation
 	// reuses the same columns instead of allocating per call.
-	kernelPool  sync.Pool
-	fullPool    sync.Pool
-	drainPool   sync.Pool
-	builderPool sync.Pool
+	kernelPool sync.Pool
+	fullPool   sync.Pool
+	drainPool  sync.Pool
 
 	// evalMu guards evalFree, a free list of automaton-product
 	// evaluators per expression. Evaluators carry mutable traversal
@@ -283,7 +281,6 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 	v.kernelPool.New = func() any { return &rowKernel{} }
 	v.fullPool.New = func() any { return &fullJoin{} }
 	v.drainPool.New = func() any { return &drainScratch{acc: pairs.NewRunAccumulator(g.NumVertices())} }
-	v.builderPool.New = func() any { return pairs.NewBuilder(g.NumVertices()) }
 	return v
 }
 
@@ -440,8 +437,9 @@ func (c *evalCall) begin(q rpq.Expr) {
 	}
 }
 
-// EvalBatchUnit exposes the columnar Algorithm 2 join on the engine's
-// current graph version; see evalCall.evalBatchUnit. Inputs over
+// EvalBatchUnit runs Algorithm 2 (EvalBatchUnit) for RTCSharing, the
+// row kernel's join (rowkernel.go), on the engine's current graph
+// version, so benchmarks can measure it in isolation. Inputs over
 // another vertex space than the graph's are rejected with an error.
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	c := e.call(nil, nil)
@@ -449,19 +447,21 @@ func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq
 	if err := c.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
 		return nil, err
 	}
-	return c.evalBatchUnit(preG, structure, typ, post)
+	c.enter(bucketJoin)
+	return c.sealClause(c.acquireKernel(preG, structure, typ, post))
 }
 
-// EvalBatchUnitFull exposes FullSharing's pair-level join; see
-// evalCall.evalBatchUnitFull. Inputs over another vertex space than
-// the graph's are rejected with an error.
+// EvalBatchUnitFull is EvalBatchUnit for FullSharing: the same logical
+// join Pre_G ⋈ R+_G ⋈ Post_G, driven by fullJoin at vertex-pair level
+// over the full closure and drained.
 func (e *Engine) EvalBatchUnitFull(preG *pairs.Relation, closure *tc.Closure, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	c := e.call(nil, nil)
 	defer c.fold()
 	if err := c.checkSpaces(preG, closure.NumVertices()); err != nil {
 		return nil, err
 	}
-	return c.evalBatchUnitFull(preG, closure, typ, post)
+	c.enter(bucketJoin)
+	return c.sealClause(c.acquireFull(preG, closure, typ, post))
 }
 
 // checkSpaces verifies, before a join starts, that Pre_G and the closure

@@ -200,7 +200,8 @@ func TestFullJoinAbortLeavesPoolClean(t *testing.T) {
 		e := New(g, Options{Strategy: NoSharing})
 		for failAfter := int64(0); ; failAfter++ {
 			cc := &countingCtx{Context: context.Background(), failAfter: failAfter}
-			_, err := e.call(cc, nil).evalBatchUnitFull(preG, closure, rpq.ClosurePlus, post)
+			c := e.call(cc, nil)
+			_, err := c.sealClause(c.acquireFull(preG, closure, rpq.ClosurePlus, post))
 			if err == nil {
 				if failAfter < 3 {
 					t.Fatalf("Post %s: join finished after %d polls: fixture too light to cancel mid-batch", post, failAfter)
@@ -210,7 +211,7 @@ func TestFullJoinAbortLeavesPoolClean(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Post %s: cancelled at poll %d: %v", post, failAfter+1, err)
 			}
-			rel, err := e.call(nil, nil).evalBatchUnitFull(preG, closure, rpq.ClosurePlus, post)
+			rel, err := e.EvalBatchUnitFull(preG, closure, rpq.ClosurePlus, post)
 			if err != nil || !rel.Equal(want) {
 				t.Fatalf("Post %s: after a cancel at poll %d: %v, %d pairs, want %d", post, failAfter+1, err, rel.Len(), want.Len())
 			}

@@ -94,6 +94,7 @@ type rowFrame struct{ s, pos int32 }
 // never keeps a finished call's context or timer reachable.
 type rowKernel struct {
 	c      *evalCall
+	preG   *pairs.Relation
 	rtc    *rtc.RTC
 	cond   *graph.DiGraph
 	star   bool
@@ -142,11 +143,11 @@ type rowKernel struct {
 }
 
 // acquireKernel checks a row kernel out of the version's pool, set up
-// for one join over structure.
-func (c *evalCall) acquireKernel(structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) *rowKernel {
+// for one join of preG over structure.
+func (c *evalCall) acquireKernel(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) *rowKernel {
 	k := c.kernelPool.Get().(*rowKernel)
 	n := c.g.NumVertices()
-	k.c, k.rtc, k.cond, k.star = c, structure, structure.Condensation(), typ == rpq.ClosureStar
+	k.c, k.preG, k.rtc, k.cond, k.star = c, preG, structure, structure.Condensation(), typ == rpq.ClosureStar
 	k.comps = zeroed(k.comps, k.cond.NumVertices())
 	if k.build == nil || k.n != n {
 		k.n = n
@@ -188,7 +189,7 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
-	k.c, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, "", labelPost{}
+	k.c, k.preG, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, nil, "", labelPost{}
 	k.work = 0
 	c.kernelPool.Put(k)
 }
@@ -613,7 +614,8 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 // (pairs.RelationFromSharedRuns); when no row repeats, the result is a
 // plain CSR. A result past MaxResultPairs is refused between the two
 // passes, before any column is allocated.
-func (k *rowKernel) seal(preG *pairs.Relation) (*pairs.Relation, error) {
+func (k *rowKernel) seal() (*pairs.Relation, error) {
+	preG := k.preG
 	n := preG.NumVertices()
 	offsets := make([]int32, n+1)
 	total, stored := 0, 0 // destinations the relation holds, and the column

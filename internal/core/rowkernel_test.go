@@ -128,10 +128,10 @@ func kernelCases(t *testing.T) []kernelCase {
 // once the budget is spent.
 func kernelSeal(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC, budget int) *pairs.Relation {
 	t.Helper()
-	k := call.acquireKernel(structure, c.typ, c.post)
+	k := call.acquireKernel(c.preG, structure, c.typ, c.post)
 	defer call.releaseKernel(k)
 	k.budget = budget
-	rel, err := k.seal(c.preG)
+	rel, err := k.seal()
 	if err != nil {
 		t.Fatalf("%s: sealed driver: %v", c.name, err)
 	}
@@ -142,7 +142,7 @@ func kernelSeal(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC, 
 // at a time into the caller's accumulator — and collects the runs.
 func kernelStream(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC) *pairs.Relation {
 	t.Helper()
-	k := call.acquireKernel(structure, c.typ, c.post)
+	k := call.acquireKernel(c.preG, structure, c.typ, c.post)
 	defer call.releaseKernel(k)
 	n := c.g.NumVertices()
 	acc := pairs.NewRunAccumulator(n)
@@ -286,8 +286,8 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 			var sealed [2]*pairs.Relation
 			for i, kc := range []kernelCase{c, traversed} {
 				call := e.call(nil, nil)
-				k := call.acquireKernel(s.structure, kc.typ, kc.post)
-				rel, err := k.seal(kc.preG)
+				k := call.acquireKernel(kc.preG, s.structure, kc.typ, kc.post)
+				rel, err := k.seal()
 				if err != nil {
 					t.Fatalf("%s %s Post %s: %v", c.name, s.name, kc.post, err)
 				}
@@ -317,7 +317,7 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 		for i, kc := range []kernelCase{c, traversed} {
 			call := e.call(nil, nil)
 			j := call.acquireFull(kc.preG, kc.full, kc.typ, kc.post)
-			rel, err := call.drain(j)
+			rel, err := call.drain(j, 0)
 			if err != nil {
 				t.Fatalf("%s full Post %s: %v", c.name, kc.post, err)
 			}
@@ -391,7 +391,7 @@ func TestRowKernelCancelInsideDFS(t *testing.T) {
 	structure := rtc.Compute(rtc.EdgeReduceRel(g.NumVertices(), sealExpr(g, rpq.MustParse("b"))), 0)
 	run := func(cc *countingCtx) error {
 		c := New(g, Options{}).call(cc, nil)
-		_, err := c.evalBatchUnit(preG, structure, rpq.ClosurePlus, rpq.Epsilon{})
+		_, err := c.sealClause(c.acquireKernel(preG, structure, rpq.ClosurePlus, rpq.Epsilon{}))
 		return err
 	}
 

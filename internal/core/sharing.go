@@ -70,11 +70,12 @@ func (c *evalCall) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
 // to DNF treating outermost Kleene closures as literals, plan each clause
 // (Algorithm 1's split at the rightmost closure, or the automaton
 // product for a closure-free clause), execute the clause plans, and
-// union the results. Clause results are sealed relations, a
-// single-clause DNF (the common case) returns its relation as-is, and a
-// multi-clause union merges through one pooled builder sealed once.
-// Planning is Remainder, as every strategy plans identically; the
-// clauses run in other, which the stages below them pause.
+// union the results. Each clause is sealed, so EXPLAIN ANALYZE reads its
+// exact actuals; a single-clause DNF (the common case) returns its
+// relation as-is, and a multi-clause one drains a union of the sealed
+// clauses. Planning is Remainder, as every strategy plans identically;
+// the clauses and the union run in other, which the stages below them
+// pause.
 func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relation, error) {
 	prev := c.enter(bucketPlan)
 	defer c.enter(prev)
@@ -89,19 +90,15 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 		obs.actuals = make([]clauseActuals, len(qp.Clauses))
 	}
 
-	var (
-		result   *pairs.Relation
-		merge    *pairs.Builder
-		recorded int
-	)
+	// Two clause results fit on the stack, so a single clause allocates
+	// nothing here.
+	var buf [2]*pairs.Relation
+	rels, summed := buf[:0], 0
 	for i := range qp.Clauses {
 		// Clause boundary: a cheap cancellation checkpoint between clause
 		// executions (the joins and closure builds inside a clause carry
 		// their own, finer-grained checkpoints).
 		if err := c.checkpoint(1); err != nil {
-			if merge != nil {
-				c.releaseBuilder(merge)
-			}
 			return nil, err
 		}
 		var before time.Duration
@@ -110,9 +107,6 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 		}
 		clauseG, act, err := c.execClause(&qp.Clauses[i])
 		if err != nil {
-			if merge != nil {
-				c.releaseBuilder(merge)
-			}
 			return nil, err
 		}
 		if obs != nil {
@@ -120,79 +114,47 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 			act.Charged = c.charged() - before
 			obs.actuals[i] = act
 		}
-		// The union records every clause's pairs before it deduplicates
-		// them, and its builder counts them in int32.
-		if recorded += clauseG.Len(); recorded > MaxResultPairs {
-			if merge != nil {
-				c.releaseBuilder(merge)
-			}
-			return nil, checkResultLen(recorded)
+		// The union's pairs are at most its clauses' summed pairs, which
+		// size its drain: a sum past the bound is refused before anything
+		// is drained.
+		if summed += clauseG.Len(); summed > MaxResultPairs {
+			return nil, checkResultLen(summed)
 		}
-		switch {
-		case result == nil && merge == nil:
-			// First clause: adopt its sealed relation. With a
-			// single-clause DNF — the common case — no union happens at
-			// all.
-			result = clauseG
-		case merge == nil:
-			merge = c.acquireBuilder()
-			merge.AddRelation(result)
-			merge.AddRelation(clauseG)
-			result = nil
-		default:
-			merge.AddRelation(clauseG)
-		}
+		rels = append(rels, clauseG)
 	}
-	if merge != nil {
-		c.enter(bucketSeal)
-		result = merge.Seal()
-		c.releaseBuilder(merge)
+	if len(rels) == 1 {
+		return rels[0], nil
 	}
-	if result == nil {
-		result = pairs.NewBuilder(c.g.NumVertices()).Seal()
+	u := &union{c: c}
+	for _, rel := range rels {
+		u.parts = append(u.parts, sealedRuns{c, rel})
 	}
-	return result, nil
+	return c.drain(u, summed)
 }
 
 // execClause executes one planned clause on the columnar layout. It is
 // the executor half of the plan/execute split: all physical decisions
-// were made by the planner, and this switch only dispatches them to the
-// sealed driver of the clause's producer (batchunit.go).
+// were made by the planner. A single label is a base relation: the
+// graph's CSR is its sealed form, so it is neither traversed nor sealed.
+// Every other clause is its producer (openClause) sealed by sealClause.
+// NoSharing opens the identical per-query pipeline — evaluate R,
+// materialise the closure R+_G, join — but shouldCache() keeps it from
+// reusing anything across queries, which is exactly the paper's baseline
+// behaviour (at one query it costs the same as FullSharing; Fig. 14).
 func (c *evalCall) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActuals, error) {
 	act := clauseActuals{Pre: -1}
-
-	if cp.Kind == plan.KindAutomaton {
-		// Algorithm 1 line 6 (closure-free clause): the product traversal
-		// is Remainder, building the columns the seal stage. A single
-		// label is a base relation: the graph's CSR is its sealed form,
-		// so it is neither traversed nor sealed.
-		if l, ok := cp.Clause.(rpq.Label); ok {
-			return c.labelRelation(l), act, nil
-		}
-		a := c.openAutomaton(cp.Clause)
-		clauseG, err := c.drain(a)
-		a.release()
-		return clauseG, act, err
+	if l, ok := cp.Clause.(rpq.Label); ok {
+		return c.labelRelation(l), act, nil
 	}
-
-	bu := cp.Unit
-	preG, structure, closure, err := c.resolveUnit(bu)
+	p, preG, err := c.openClause(cp, fullBatch)
 	if err != nil {
 		return nil, act, err
 	}
-	act.Pre = preG.Len()
-	var clauseG *pairs.Relation
-	if structure != nil {
-		clauseG, err = c.evalBatchUnit(preG, structure, bu.Type, bu.Post)
-	} else {
-		// NoSharing runs the identical per-query pipeline — evaluate R,
-		// materialise the closure R+_G, join — but shouldCache() keeps it
-		// from reusing anything across queries, which is exactly the
-		// paper's baseline behaviour (at one query it costs the same as
-		// FullSharing; Fig. 14).
-		clauseG, err = c.evalBatchUnitFull(preG, closure, bu.Type, bu.Post)
+	if preG != nil {
+		act.Pre = preG.Len()
 	}
-	return clauseG, act, err
+	rel, err := c.sealClause(p)
+	return rel, act, err
 }
 
 // labelRelation is the relation of a single-label expression, l or ^l:

@@ -25,9 +25,10 @@ import (
 // agree pair-for-pair, prefix included. The per-source pull gives that
 // for free — the sealed relation holds the same set grouped by ascending
 // source, and the stream ORs every clause's destinations for a source
-// into one reusable vertex bitset (the dedup) and pops them in ascending
-// bit order (the sort) — which the differential streaming suite
-// enforces across strategies.
+// through the union producer the sealed path drains, into one reusable
+// vertex bitset (the dedup), and pops them in ascending bit order (the
+// sort) — which the differential streaming suite enforces across
+// strategies.
 
 // ErrStreamClosed is returned by Next after Close.
 var ErrStreamClosed = errors.New("core: result stream closed")
@@ -68,10 +69,9 @@ type ResultStream struct {
 	sealed    *pairs.Relation
 	sealedPos int
 
-	clauses []producer
-
-	// acc holds the undelivered rest of source curSrc's run: the union
-	// of every clause's destinations for it.
+	// src ORs every clause's producer per source; acc holds the
+	// undelivered rest of source curSrc's run.
+	src     union
 	acc     *pairs.RunAccumulator
 	nextSrc int
 	curSrc  graph.VID
@@ -103,10 +103,12 @@ func (e *Engine) OpenStream(ctx context.Context, q rpq.Expr, opts StreamOptions)
 	}
 
 	defer recoverPanic(q, &err)
-	// Stats see what the open resolves, never the joins of the pulls.
+	// Stats see the query and what the open resolves, never the joins of
+	// the pulls.
 	c := e.call(ctx, nil)
 	defer c.fold()
-	s := &ResultStream{c: c, epoch: c.epoch, query: q, limit: opts.Limit}
+	c.begin(q)
+	s := &ResultStream{c: c, epoch: c.epoch, query: q, limit: opts.Limit, src: union{c: c}}
 	if oerr := s.open(q); oerr != nil {
 		s.release()
 		return nil, oerr
@@ -130,11 +132,11 @@ func (s *ResultStream) open(q rpq.Expr) error {
 		width = 1
 	}
 	for i := range qp.Clauses {
-		p, err := c.openClause(&qp.Clauses[i], width)
+		p, _, err := c.openClause(&qp.Clauses[i], width)
 		if err != nil {
 			return err
 		}
-		s.clauses = append(s.clauses, p)
+		s.src.parts = append(s.src.parts, p)
 	}
 	return nil
 }
@@ -227,15 +229,10 @@ func (s *ResultStream) fillRun() error {
 	for s.nextSrc < numV {
 		vi := graph.VID(s.nextSrc)
 		s.nextSrc++
-		if err := s.c.checkpoint(1); err != nil {
+		rows, err := s.src.produce(vi, s.acc)
+		s.stats.Rows += rows
+		if err != nil {
 			return err
-		}
-		for _, p := range s.clauses {
-			rows, err := p.produce(vi, s.acc)
-			s.stats.Rows += rows
-			if err != nil {
-				return err
-			}
 		}
 		if !s.acc.Empty() {
 			s.curSrc = vi
@@ -258,10 +255,8 @@ func (s *ResultStream) Close() {
 }
 
 func (s *ResultStream) release() {
-	for _, p := range s.clauses {
-		p.release()
-	}
-	s.clauses, s.c = nil, nil
+	s.src.release()
+	s.c = nil
 }
 
 // AskCounted reports whether the result of q is non-empty, stopping the

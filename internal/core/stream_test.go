@@ -10,6 +10,7 @@ import (
 
 	"rtcshare/internal/datagen"
 	"rtcshare/internal/eval"
+	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
@@ -339,6 +340,37 @@ func TestStreamCancellation(t *testing.T) {
 	s.Close()
 	if _, _, err := s.Next(buf); err != ErrStreamClosed {
 		t.Fatalf("Next after Close = %v, want ErrStreamClosed", err)
+	}
+}
+
+// TestStreamCountsQuery: a cold stream is one query to Stats and runs
+// the eval hook, as EvaluateRel does; a memo-warm stream counts through
+// its result-memo hit.
+func TestStreamCountsQuery(t *testing.T) {
+	q := rpq.MustParse("d.(b.c)+.c")
+	e := New(fixtures.Figure1(), Options{})
+	var hooked []string
+	e.SetEvalHook(func(q string) { hooked = append(hooked, q) })
+	streamOnce := func() {
+		s, err := e.OpenStream(context.Background(), q, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainStream(t, s, 8)
+	}
+	streamOnce()
+	if got := e.Stats().Queries; got != 1 {
+		t.Fatalf("a cold stream: Queries %d, want 1", got)
+	}
+	if len(hooked) != 1 || hooked[0] != q.String() {
+		t.Fatalf("a cold stream ran the eval hook on %q, want once on %q", hooked, q)
+	}
+	if _, err := e.EvaluateRel(q); err != nil {
+		t.Fatal(err)
+	}
+	streamOnce()
+	if got := e.Stats().Queries; got != 3 {
+		t.Fatalf("after EvaluateRel and a memo-warm stream: Queries %d, want 3", got)
 	}
 }
 
