@@ -154,7 +154,8 @@ func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, *pairs.
 // releases: the row kernel's own two-pass seal, or drain for the
 // pair-level and automaton producers. A join is the join bucket of the
 // call's record and an automaton's traversals stay in the caller's; a
-// Post traversal inside a join is other, and drain's column copy seal.
+// Post traversal inside a join is other, and drain's column expansion
+// seal.
 func (c *evalCall) sealClause(p producer) (rel *pairs.Relation, err error) {
 	if _, auto := p.(*automatonJoin); !auto {
 		prev := c.enter(bucketJoin)
@@ -163,7 +164,7 @@ func (c *evalCall) sealClause(p producer) (rel *pairs.Relation, err error) {
 	if k, ok := p.(*rowKernel); ok {
 		rel, err = k.seal()
 	} else {
-		rel, err = c.drain(p, 0)
+		rel, err = c.drain(p)
 	}
 	p.release()
 	return rel, err
@@ -189,50 +190,115 @@ func checkResultLen(pairs int) error {
 	return nil
 }
 
-// drainScratch is the pooled state of drain: the run accumulator and the
-// destination column the runs are appended to before the exact copy.
+// drainScratch is the pooled state of drain: the run accumulator, and
+// the runs stored so far as words, in column order, indexed by hash.
 type drainScratch struct {
-	acc  *pairs.RunAccumulator
-	dsts []graph.VID
+	acc   *pairs.RunAccumulator
+	idx   []int32  // the stored runs' word indexes, concatenated
+	words []uint64 // and their words
+	runs  []storedRun
+	index map[uint64]int32 // a run hash → the first stored run with it
 }
 
+// storedRun is one run written to drain's column: its words are
+// idx/words[lo:hi], its size destinations start at column position at.
+type storedRun struct{ lo, hi, at, size int32 }
+
 // drain is the sealed driver of the pair-level, automaton and union
-// producers: it runs p once per source, ascending, appends each run to
-// pooled scratch, and copies the scratch once into an exact-size column.
-// (The row kernel sizes its runs in a first pass instead — a stored row
-// is a lookup, and its second pass re-gathers only the runs that are not
-// one stored row — but these producers cannot afford a second
-// traversal.) bound, when positive, is at least the result's pairs, and
-// the scratch grows to it once rather than by appends. The copy is the
-// seal bucket, which pauses the caller's. A result past MaxResultPairs
-// stops the drain at the source that passes it.
-func (c *evalCall) drain(p producer, bound int) (*pairs.Relation, error) {
+// producers: it runs p once per source, ascending, and keeps each run in
+// word form (RunAccumulator.DrainWords). A run equal, word for word, to
+// one stored before is not stored again: the source points at the
+// earlier copy (pairs.RelationFromSharedRuns), as the row kernel's
+// sources that share a row do. Runs are found by a hash of their words;
+// one whose hash an unequal run holds is stored unshared. The column is
+// written once at the end, exactly sized, by expanding only the stored
+// runs; starts is allocated at the first repeated run, so a result with
+// no repeat is the plain CSR. (The row kernel sizes its runs in a first
+// pass instead — a stored row is a lookup — but these producers cannot
+// afford a second traversal.) The expansion is the seal bucket, which
+// pauses the caller's. A result past MaxResultPairs stops the drain at
+// the source that passes it.
+func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	sc := c.drainPool.Get().(*drainScratch)
 	defer func() {
-		sc.acc.Reset()
-		sc.dsts = sc.dsts[:0]
+		sc.reset()
 		c.drainPool.Put(sc)
 	}()
-	sc.dsts = slices.Grow(sc.dsts, bound)
 	n := c.g.NumVertices()
 	offsets := make([]int32, n+1)
+	var starts []int32
+	total, stored := 0, 0 // destinations the relation holds, and the column
 	for v := 0; v < n; v++ {
 		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
 			return nil, err
 		}
+		at, size := int32(stored), int32(0)
 		if !sc.acc.Empty() {
-			sc.dsts = sc.acc.DrainAppend(sc.dsts)
+			var repeat bool
+			if at, size, repeat = sc.store(at); !repeat {
+				stored += int(size)
+			} else if starts == nil {
+				// Until now the runs tiled the column in source order.
+				starts = make([]int32, n)
+				copy(starts, offsets[:v])
+			}
 		}
-		if err := checkResultLen(len(sc.dsts)); err != nil {
+		total += int(size)
+		if err := checkResultLen(total); err != nil {
 			return nil, err
 		}
-		offsets[v+1] = int32(len(sc.dsts))
+		offsets[v+1] = int32(total)
+		if starts != nil {
+			starts[v] = at
+		}
 	}
 	prev := c.enter(bucketSeal)
-	col := make([]graph.VID, len(sc.dsts))
-	copy(col, sc.dsts)
+	col := make([]graph.VID, 0, stored)
+	for i, wi := range sc.idx {
+		col = pairs.AppendWordBits(col, wi, sc.words[i])
+	}
 	c.enter(prev)
-	return pairs.RelationFromSortedRuns(n, offsets, col), nil
+	if starts == nil {
+		return pairs.RelationFromSortedRuns(n, offsets, col), nil
+	}
+	return pairs.RelationFromSharedRuns(n, offsets, starts, col), nil
+}
+
+// store drains the accumulator's run and returns where it lies in the
+// column and its size: at a stored run that equals it, or, stored as a
+// new run, at position at.
+func (sc *drainScratch) store(at int32) (int32, int32, bool) {
+	lo := int32(len(sc.idx))
+	sc.idx, sc.words = sc.acc.DrainWords(sc.idx, sc.words)
+	idx, words := sc.idx[lo:], sc.words[lo:]
+	h := runHash(idx, words)
+	if r, ok := sc.index[h]; !ok {
+		sc.index[h] = int32(len(sc.runs))
+	} else if s := sc.runs[r]; slices.Equal(words, sc.words[s.lo:s.hi]) && slices.Equal(idx, sc.idx[s.lo:s.hi]) {
+		sc.idx, sc.words = sc.idx[:lo], sc.words[:lo]
+		return s.at, s.size, true
+	}
+	size := 0
+	for _, w := range words {
+		size += bits.OnesCount64(w)
+	}
+	sc.runs = append(sc.runs, storedRun{lo, int32(len(sc.idx)), at, int32(size)})
+	return at, int32(size), false
+}
+
+func (sc *drainScratch) reset() {
+	sc.acc.Reset()
+	sc.idx, sc.words, sc.runs = sc.idx[:0], sc.words[:0], sc.runs[:0]
+	clear(sc.index)
+}
+
+// runHash hashes a run in word form.
+func runHash(idx []int32, words []uint64) uint64 {
+	h := uint64(len(idx))
+	for i, wi := range idx {
+		h = bits.RotateLeft64((h^words[i])*0x9e3779b97f4a7c15, 29) ^ uint64(uint32(wi))
+	}
+	return h
 }
 
 // union is the producer of a multi-clause DNF: it ORs every part's run
@@ -269,19 +335,37 @@ func (u *union) release() {
 }
 
 // sealedRuns is a sealed clause result as a union part: its run for v is
-// row v of the relation, ORed at a checkpoint weighted by its length.
+// row v of the relation, ORed as words at a checkpoint weighted by its
+// length. A run that is the previous non-empty source's stored copy —
+// as in a row-shared relation, where consecutive sources mostly share
+// one — is ORed as the words it was converted to then.
 type sealedRuns struct {
-	c   *evalCall
-	rel *pairs.Relation
+	c     *evalCall
+	rel   *pairs.Relation
+	last  []graph.VID // the previous non-empty run
+	idx   []int32     // and its words
+	words []uint64
 }
 
-func (s sealedRuns) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
+func (s *sealedRuns) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
 	dsts := s.rel.DstsOf(vi)
-	acc.AddAll(dsts)
+	if len(dsts) == 0 {
+		return 0, s.c.checkpoint(0)
+	}
+	if len(dsts) != len(s.last) || &dsts[0] != &s.last[0] {
+		s.last, s.idx, s.words = dsts, s.idx[:0], s.words[:0]
+		for _, d := range dsts {
+			if wi := int32(d >> 6); len(s.idx) == 0 || s.idx[len(s.idx)-1] != wi {
+				s.idx, s.words = append(s.idx, wi), append(s.words, 0)
+			}
+			s.words[len(s.words)-1] |= 1 << (d & 63)
+		}
+	}
+	acc.OrWords(s.idx, s.words)
 	return int64(len(dsts)), s.c.checkpoint(len(dsts))
 }
 
-func (sealedRuns) release() {}
+func (*sealedRuns) release() {}
 
 // produce is the RTCSharing producer: the row kernel's gather and
 // orRun over source v_i's Pre-ends.

@@ -212,7 +212,7 @@ type engineVersion struct {
 
 	// kernelPool holds the row kernels of the RTCSharing producer,
 	// fullPool the pair-level producers of Full/NoSharing, and drainPool
-	// the accumulator and column scratch of the one-pass sealed driver.
+	// the accumulator and run store of the one-pass sealed driver.
 	// All are version-local free lists: steady-state batch evaluation
 	// reuses the same columns instead of allocating per call.
 	kernelPool sync.Pool
@@ -280,7 +280,9 @@ func newEngineVersion(sh *engineShared, g *graph.Graph, epoch uint64) *engineVer
 	}
 	v.kernelPool.New = func() any { return &rowKernel{} }
 	v.fullPool.New = func() any { return &fullJoin{} }
-	v.drainPool.New = func() any { return &drainScratch{acc: pairs.NewRunAccumulator(g.NumVertices())} }
+	v.drainPool.New = func() any {
+		return &drainScratch{acc: pairs.NewRunAccumulator(g.NumVertices()), index: make(map[uint64]int32)}
+	}
 	return v
 }
 

@@ -42,10 +42,10 @@ func TestSealRefusesPastMaxInt32(t *testing.T) {
 		t.Fatalf("last page = %v, want the lone source's last pair", last)
 	}
 
-	// A union is drained unshared, its scratch sized by its clauses'
-	// summed pairs, so two clauses of 2^31-1 pairs each are refused
-	// before anything is drained, though their union would fit: sealing
-	// it would write 8 GiB of columns.
+	// A union's size is known only once it is drained, so two clauses
+	// of 2^31-1 pairs each are refused by their summed pairs before
+	// anything is drained, though their union — the same pairs — would
+	// fit.
 	if _, err := e.EvaluateRel(rpq.MustParse("a.b+.c|a.b.b*.c")); !errors.Is(err, ErrResultTooLarge) {
 		t.Fatalf("union of two 2^31-1 pair clauses: err %v, want ErrResultTooLarge", err)
 	}

@@ -317,7 +317,7 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 		for i, kc := range []kernelCase{c, traversed} {
 			call := e.call(nil, nil)
 			j := call.acquireFull(kc.preG, kc.full, kc.typ, kc.post)
-			rel, err := call.drain(j, 0)
+			rel, err := call.drain(j)
 			if err != nil {
 				t.Fatalf("%s full Post %s: %v", c.name, kc.post, err)
 			}

@@ -114,9 +114,9 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 			act.Charged = c.charged() - before
 			obs.actuals[i] = act
 		}
-		// The union's pairs are at most its clauses' summed pairs, which
-		// size its drain: a sum past the bound is refused before anything
-		// is drained.
+		// A union's size is known only once it is drained, and at most
+		// its clauses' summed pairs: a sum past the bound is refused
+		// before anything is drained.
 		if summed += clauseG.Len(); summed > MaxResultPairs {
 			return nil, checkResultLen(summed)
 		}
@@ -127,9 +127,9 @@ func (c *evalCall) evaluatePlanned(q rpq.Expr, obs *planObserver) (*pairs.Relati
 	}
 	u := &union{c: c}
 	for _, rel := range rels {
-		u.parts = append(u.parts, sealedRuns{c, rel})
+		u.parts = append(u.parts, &sealedRuns{c: c, rel: rel})
 	}
-	return c.drain(u, summed)
+	return c.drain(u)
 }
 
 // execClause executes one planned clause on the columnar layout. It is

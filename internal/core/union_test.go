@@ -137,21 +137,20 @@ func TestUnionCancelsInsideOR(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rels []*pairs.Relation
-	summed := 0
 	for _, qs := range []string{"l2.(l1)+.l0", "l3.(l1)+.l0"} {
 		rel, err := e.EvaluateRel(rpq.MustParse(qs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels, summed = append(rels, rel), summed+rel.Len()
+		rels = append(rels, rel)
 	}
 	drainUnion := func(ctx context.Context) error {
 		c := e.call(ctx, nil)
 		u := &union{c: c}
 		for _, rel := range rels {
-			u.parts = append(u.parts, sealedRuns{c, rel})
+			u.parts = append(u.parts, &sealedRuns{c: c, rel: rel})
 		}
-		rel, err := c.drain(u, summed)
+		rel, err := c.drain(u)
 		if err == nil && !rel.Equal(want) {
 			t.Fatalf("union drain: %d pairs, want %d", rel.Len(), want.Len())
 		}
@@ -186,28 +185,40 @@ func TestUnionCancelsInsideOR(t *testing.T) {
 }
 
 // TestUnionCostBound: at 2^11 vertices, a cold union on a fresh engine,
-// structure build included, allocates at most four times its result's
-// column bytes — the clauses' row-shared columns, drain scratch sized by
-// their summed pairs and the exact copy — where recording every clause
-// pair for a sort cost over twenty times. Counted in bytes allocated,
-// not time; skipped under the race detector, whose lossy sync.Pool
-// allocates the pooled join state again.
+// structure build included, allocates at most twice what its clauses
+// allocate cold, each on a fresh engine of its own, and its result
+// holds no more column bytes than theirs together: a drained union
+// stores each distinct run once, as its row-shared clauses do. Counted
+// in bytes allocated, not time; skipped under the race detector, whose
+// lossy sync.Pool allocates the pooled join state again.
 func TestUnionCostBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
 	}
 	g := unionGraph(t, 11, 1)
-	q := rpq.MustParse("(l2|l3).(l1)+.l0")
-	e := New(g, Options{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rel, err := e.EvaluateRel(q)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	cold := func(qs string) (uint64, *pairs.Relation) {
+		e := New(g, Options{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rel, err := e.EvaluateRel(rpq.MustParse(qs))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rel
 	}
-	alloc, cols := after.TotalAlloc-before.TotalAlloc, uint64(rel.ColumnBytes())
-	if alloc > 4*cols {
-		t.Fatalf("cold %s allocated %d bytes, %.1fx its %d column bytes; want at most 4x", q, alloc, float64(alloc)/float64(cols), cols)
+	const q = "(l2|l3).(l1)+.l0"
+	alloc, rel := cold(q)
+	var clauseAlloc uint64
+	var clauseCols int64
+	for _, qs := range []string{"l2.(l1)+.l0", "l3.(l1)+.l0"} {
+		a, r := cold(qs)
+		clauseAlloc, clauseCols = clauseAlloc+a, clauseCols+r.ColumnBytes()
+	}
+	if alloc > 2*clauseAlloc {
+		t.Errorf("cold %s allocated %d bytes, %.1fx its clauses' %d; want at most 2x", q, alloc, float64(alloc)/float64(clauseAlloc), clauseAlloc)
+	}
+	if cols := rel.ColumnBytes(); cols > clauseCols {
+		t.Errorf("%s holds %d column bytes, its clauses %d together; want no more", q, cols, clauseCols)
 	}
 }
