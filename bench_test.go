@@ -155,23 +155,34 @@ func BenchmarkTC_FullClosure(b *testing.B) {
 
 // BenchmarkTC_FullClosurePaper is tc.full_closure_ns at paper-batch's
 // scale: TC(G_R) for three closure bodies R over its RMAT_3 graph at
-// 2^11 vertices, seed 1, G_R built the way the engine builds it.
+// 2^11 vertices, seed 1, G_R built the way the engine builds it. The
+// fourth case, a 2^12-vertex directed cycle, is the sparse guard: every
+// level of its closure stays top-down. (At 2^14 vertices its 2^28 pairs
+// take 1 GB and about 10 s per op.)
 func BenchmarkTC_FullClosurePaper(b *testing.B) {
 	g, err := datagen.PaperRMATN(3, 11, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
-		bld := pairs.NewBuilder(g.NumVertices())
-		eval.New(g, rpq.MustParse(q), eval.Options{}).AppendAll(bld)
-		gr := rtc.EdgeReduceRel(g.NumVertices(), bld.Seal())
-		b.Run(q, func(b *testing.B) {
+	run := func(name string, gr *graph.DiGraph) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				tc.BFS(gr)
 			}
 		})
 	}
+	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
+		bld := pairs.NewBuilder(g.NumVertices())
+		eval.New(g, rpq.MustParse(q), eval.Options{}).AppendAll(bld)
+		run(q, rtc.EdgeReduceRel(g.NumVertices(), bld.Seal()))
+	}
+	const n = 1 << 12
+	ring := graph.NewDiBuilder(n)
+	for i := 0; i < n; i++ {
+		ring.AddEdge(graph.VID(i), graph.VID((i+1)%n))
+	}
+	run("ring", ring.Build())
 }
 
 // BenchmarkRTC_Compute explains rtc.compute_ns: Tarjan, condensation and

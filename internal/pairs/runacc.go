@@ -22,7 +22,10 @@ import (
 type RunAccumulator struct {
 	words []uint64
 	// dirty lists the indexes of the non-zero words: in first-touch order
-	// while filling, ascending from pos once a drain has begun.
+	// while filling, ascending from pos once a drain has begun. ordered
+	// says dirty is already ascending, so a drain need not order it: set
+	// by OrWords into an empty accumulator and by order, cleared by a fill
+	// that appends a word to a non-empty list.
 	dirty   []int32
 	pos     int
 	ordered bool
@@ -46,6 +49,7 @@ func (a *RunAccumulator) Add(v graph.VID) {
 	w := v >> 6
 	if a.words[w] == 0 {
 		a.dirty = append(a.dirty, w)
+		a.ordered = false
 	}
 	a.words[w] |= 1 << (uint32(v) & 63)
 }
@@ -58,9 +62,12 @@ func (a *RunAccumulator) AddAll(vs []graph.VID) {
 }
 
 // OrWords ORs in a run held as words — the form DrainWords produces:
-// words[i] holds destinations 64·idx[i] … 64·idx[i]+63. It costs one OR
-// per word, however many destinations each word holds.
+// words[i] holds destinations 64·idx[i] … 64·idx[i]+63, idx ascending.
+// It costs one OR per word, however many destinations each word holds.
+// Into an empty accumulator the dirty list it leaves is ascending, so
+// the drain that follows does not order it again.
 func (a *RunAccumulator) OrWords(idx []int32, words []uint64) {
+	grew, empty := false, len(a.dirty) == 0
 	for i, wi := range idx {
 		w := words[i]
 		if w == 0 {
@@ -68,8 +75,14 @@ func (a *RunAccumulator) OrWords(idx []int32, words []uint64) {
 		}
 		if a.words[wi] == 0 {
 			a.dirty = append(a.dirty, wi)
+			grew = true
 		}
 		a.words[wi] |= w
+	}
+	if empty {
+		a.ordered = true
+	} else if grew {
+		a.ordered = false
 	}
 }
 

@@ -185,3 +185,70 @@ func TestRunAccumulatorSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per run in steady state, want 0", allocs)
 	}
 }
+
+// TestRunAccumulatorOrWordsOrdered: OrWords into an empty accumulator
+// leaves its dirty list ascending, so no drain orders it again; a fill
+// that then appends a word, by Add or by OrWords, clears that, and every
+// drain — DrainWords, DrainAppend, a Drain cut into parts — still
+// yields exactly the union, ascending.
+func TestRunAccumulatorOrWordsOrdered(t *testing.T) {
+	const numV = 4097
+	rng := rand.New(rand.NewSource(11))
+	acc, src := NewRunAccumulator(numV), NewRunAccumulator(numV)
+	for _, density := range []float64{0.001, 0.02, 0.3, 2} {
+		var a []graph.VID
+		for i := 0; i < 1+int(density*numV); i++ {
+			a = append(a, graph.VID(rng.Intn(numV)))
+		}
+		src.AddAll(a)
+		idx, words := src.DrainWords(nil, nil)
+		want := slices.Compact(slices.Sorted(slices.Values(a)))
+
+		// OrWords → DrainWords.
+		acc.OrWords(idx, words)
+		if !acc.ordered {
+			t.Fatalf("density %v: OrWords into an empty accumulator left it unordered", density)
+		}
+		gotIdx, gotWords := acc.DrainWords(nil, nil)
+		var decoded []graph.VID
+		for i, wi := range gotIdx {
+			decoded = AppendWordBits(decoded, wi, gotWords[i])
+		}
+		if !slices.Equal(decoded, want) {
+			t.Fatalf("density %v: DrainWords after OrWords = %v, want %v", density, decoded, want)
+		}
+
+		// OrWords → Add → DrainAppend, the Add landing before the run's
+		// first word when it can, and into a word the run already holds.
+		low := graph.VID(idx[0])*64 - 1
+		if idx[0] == 0 {
+			low = graph.VID(numV - 1)
+		}
+		acc.OrWords(idx, words)
+		acc.Add(low)
+		acc.Add(a[0])
+		union := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(a), low))))
+		if got := acc.DrainAppend(nil); !slices.Equal(got, union) {
+			t.Fatalf("density %v: OrWords then Add drained %v, want %v", density, got, union)
+		}
+
+		// OrWords → OrWords of a word before the first → DrainAppend.
+		acc.OrWords(idx, words)
+		acc.OrWords([]int32{int32(low >> 6)}, []uint64{1 << (low & 63)})
+		if acc.ordered && int32(low>>6) < idx[0] {
+			t.Fatalf("density %v: an OrWords appending a lower word left the accumulator ordered", density)
+		}
+		if got := acc.DrainAppend(nil); !slices.Equal(got, union) {
+			t.Fatalf("density %v: two OrWords drained %v, want %v", density, got, union)
+		}
+
+		// OrWords → partial Drain, cut at every kind of boundary.
+		acc.OrWords(idx, words)
+		if got := drainAll(acc, 3, []int{1, 7, 64, 3}); !slices.Equal(got, sortDedupe(3, a)) {
+			t.Fatalf("density %v: OrWords then Drain = %v, want %v", density, got, sortDedupe(3, a))
+		}
+		if !acc.Empty() {
+			t.Fatalf("density %v: not empty after a full drain", density)
+		}
+	}
+}

@@ -3,12 +3,17 @@
 // assigns to both methods in Table III (FullSharing runs it on G_R,
 // RTCSharing on the much smaller Ḡ_R). The kernel is word-parallel: it
 // runs the searches of 64 sources at once, one per bit of a uint64 mask
-// per vertex, and emits each row sorted without sorting it. It is still
-// one search per source, with no condensation and no row shared between
-// vertices, so TC(G_R) costs what Table III's FullSharing column says:
-// every reachable pair is found and stored once per source. The closure
-// follows the paper's semantics: (u, w) ∈ TC iff a path of length ≥ 1
-// leads from u to w, so (u, u) requires a cycle through u.
+// per vertex, and emits each row sorted without sorting it. It is also
+// direction-optimizing: a level whose frontier's out-edges exceed
+// 1/alpha of the graph's edges runs bottom-up, each unfinished vertex
+// pulling from its in-edges until the batch covers it, which reads
+// fewer than 2·alpha times the frontier's edges; other levels run
+// top-down. It is still one search per source, with no condensation
+// and no row shared between vertices, so TC(G_R) costs what Table III's
+// FullSharing column says: every reachable pair is found and stored
+// once per source. The closure follows the paper's semantics: (u, w) ∈
+// TC iff a path of length ≥ 1 leads from u to w, so (u, u) requires a
+// cycle through u.
 package tc
 
 import (
@@ -147,6 +152,10 @@ func BFSAmong(d *graph.DiGraph, keep []bool) *Closure {
 // a mask word.
 const batchBits = 64
 
+// alpha is the direction switch of bfs: a level runs bottom-up once the
+// out-edges of its frontier exceed 1/alpha of the graph's edges.
+const alpha = 4
+
 // bfs is BFS with an optional vertex filter (nil keeps every vertex)
 // and an optional cancellation checkpoint. It is a multi-source BFS
 // (Then et al., VLDB 2014): the sources with an out-edge go in batches
@@ -157,6 +166,18 @@ const batchBits = 64
 // row only through a cycle. A batch walks only the vertices it touched
 // and resets only those, so it costs what it reached, never |V|.
 //
+// Each level picks a direction (Beamer, Asanović & Patterson, SC 2012).
+// fe, the frontier's out-degrees, is summed as the level is built. When
+// fe·alpha ≤ |E| the level runs top-down: each frontier vertex pushes
+// its mask along its out-edges. Otherwise the graph is dense enough that
+// most of those edges would land on vertices the batch already covers,
+// and the level runs bottom-up (see bottomUp): each vertex the batch has
+// not finished pulls its predecessors' masks and stops as soon as it is
+// finished. That level reads at most 2·|E| < 2·alpha·fe entries (a head
+// and its in-edges), so a batch still costs what it reaches, to within
+// a constant factor. The direction changes how a level finds its bits,
+// not which bits it finds: it is still one search per source.
+//
 // The rows are emitted without sorting a row: the batch's touched
 // vertices are sorted once, the rows are counted per bit and carved
 // from one exact-size array, and each w is then appended, in ascending
@@ -164,12 +185,18 @@ const batchBits = 64
 // filter applies at emission.
 //
 // check is polled before each batch and after each level, weighted by
-// the pairs the level found plus the edges it walked, so a batch on one
-// large cycle stays cancellable.
+// the pairs the level found plus the edges it walked (top-down) or read
+// (bottom-up), so a batch on one large cycle stays cancellable.
 func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
 	c := &Closure{numVertices: n, succ: make([][]graph.VID, n)}
-	offsets, targets := d.CSR()
+	s := &search{
+		d:        d,
+		seen:     make([]uint64, n),
+		frontier: make([]uint64, n),
+		next:     make([]uint64, n),
+	}
+	s.offsets, s.targets = d.CSR()
 
 	var sources []graph.VID
 	for _, u := range d.ActiveVertices() {
@@ -177,10 +204,6 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 			sources = append(sources, u)
 		}
 	}
-	seen := make([]uint64, n)
-	frontier := make([]uint64, n)
-	next := make([]uint64, n)
-	var touched, level, nextLevel []graph.VID
 
 	for len(sources) > 0 {
 		batch := sources[:min(batchBits, len(sources))]
@@ -188,43 +211,136 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 		if err := checkRows(check, len(batch)); err != nil {
 			return nil, err
 		}
+		fe := 0
 		for i, u := range batch {
-			frontier[u] = 1 << i
-			level = append(level, u)
+			s.frontier[u] = 1 << i
+			s.level = append(s.level, u)
+			fe += d.OutDegree(u)
 		}
-		for len(level) > 0 {
-			work := 0
-			for _, v := range level {
-				f := frontier[v]
-				frontier[v] = 0
-				ws := targets[offsets[v]:offsets[v+1]]
-				work += len(ws)
-				for _, w := range ws {
-					nw := f &^ seen[w]
-					if nw == 0 {
-						continue
-					}
-					if seen[w] == 0 {
-						touched = append(touched, w)
-					}
-					seen[w] |= nw
-					if next[w] == 0 {
-						nextLevel = append(nextLevel, w)
-					}
-					next[w] |= nw
-					work += bits.OnesCount64(nw)
+		full := ^uint64(0) >> (batchBits - len(batch))
+		for len(s.level) > 0 {
+			var work int
+			if fe*alpha > len(s.targets) {
+				if s.heads == nil {
+					s.heads = withInEdges(d)
 				}
+				work, fe = s.bottomUp(full)
+			} else {
+				work, fe = s.topDown()
 			}
 			if err := checkRows(check, work); err != nil {
 				return nil, err
 			}
-			level, nextLevel = nextLevel, level[:0]
-			frontier, next = next, frontier
+			s.level, s.nextLevel = s.nextLevel, s.level[:0]
+			s.frontier, s.next = s.next, s.frontier
 		}
-		c.numPairs += emitRows(c.succ, batch, touched, seen, keep)
-		touched = touched[:0]
+		c.numPairs += emitRows(c.succ, batch, s.touched, s.seen, keep)
+		s.touched = s.touched[:0]
 	}
 	return c, nil
+}
+
+// search is the state of bfs's batches: the graph and its forward CSR,
+// the three masks per vertex, the vertices the batch touched, the
+// current and the next level, and heads, the vertices with an in-edge
+// in ascending order, listed at the first bottom-up level.
+type search struct {
+	d                         *graph.DiGraph
+	offsets                   []int32
+	targets                   []graph.VID
+	seen, frontier, next      []uint64
+	touched, level, nextLevel []graph.VID
+	heads                     []graph.VID
+}
+
+// withInEdges lists d's vertices with an in-edge, ascending.
+func withInEdges(d *graph.DiGraph) []graph.VID {
+	heads := make([]graph.VID, 0, d.NumActive())
+	for _, w := range d.ActiveVertices() {
+		if d.InDegree(w) > 0 {
+			heads = append(heads, w)
+		}
+	}
+	return heads
+}
+
+// topDown runs one level from the frontier along its out-edges, clearing
+// the frontier as it goes. It returns the level's work, the edges it
+// walked plus the bits it found, and fe of the next level.
+func (s *search) topDown() (work, fe int) {
+	offsets, targets := s.offsets, s.targets
+	seen, frontier, next := s.seen, s.frontier, s.next
+	touched, nextLevel := s.touched, s.nextLevel
+	for _, v := range s.level {
+		f := frontier[v]
+		frontier[v] = 0
+		ws := targets[offsets[v]:offsets[v+1]]
+		work += len(ws)
+		for _, w := range ws {
+			nw := f &^ seen[w]
+			if nw == 0 {
+				continue
+			}
+			if seen[w] == 0 {
+				touched = append(touched, w)
+			}
+			seen[w] |= nw
+			if next[w] == 0 {
+				nextLevel = append(nextLevel, w)
+				fe += int(offsets[w+1] - offsets[w])
+			}
+			next[w] |= nw
+			work += bits.OnesCount64(nw)
+		}
+	}
+	s.touched, s.nextLevel = touched, nextLevel
+	return work, fe
+}
+
+// bottomUp runs one level from the other end: every vertex w with an
+// in-edge whose seen[w] is not yet full (every source of the batch)
+// ORs the frontier masks of its predecessors, stopping as soon as
+// seen[w] and what it gathered cover the batch. The new bits go to
+// seen, next and touched as on a top-down level, and the frontier is
+// cleared after the sweep. It returns the level's work, the in-edges it
+// read plus the bits it found, and fe of the next level.
+func (s *search) bottomUp(full uint64) (work, fe int) {
+	d, offsets := s.d, s.offsets
+	seen, frontier, next := s.seen, s.frontier, s.next
+	touched, nextLevel := s.touched, s.nextLevel
+	for _, w := range s.heads {
+		sw := seen[w]
+		if sw == full {
+			continue
+		}
+		var got uint64
+		vs := d.Predecessors(w)
+		read := len(vs)
+		for i, v := range vs {
+			if got |= frontier[v]; sw|got == full {
+				read = i + 1
+				break
+			}
+		}
+		work += read
+		nw := got &^ sw
+		if nw == 0 {
+			continue
+		}
+		if sw == 0 {
+			touched = append(touched, w)
+		}
+		seen[w] = sw | nw
+		nextLevel = append(nextLevel, w)
+		fe += int(offsets[w+1] - offsets[w])
+		next[w] = nw
+		work += bits.OnesCount64(nw)
+	}
+	for _, v := range s.level {
+		frontier[v] = 0
+	}
+	s.touched, s.nextLevel = touched, nextLevel
+	return work, fe
 }
 
 // emitRows writes the rows of one batch into succ and returns the pairs

@@ -156,13 +156,28 @@ func floydWarshall(d *graph.DiGraph, keep []bool) *pairs.Set {
 	return out
 }
 
+// batchSizes are vertex counts around the 64-source batch: one short of
+// a full batch, exactly one, one over, and two and three full batches
+// with a partial one after them.
+var batchSizes = []int{63, 64, 65, 130, 200}
+
 // randomDigraph draws up to 200 vertices, so a graph's sources span up
-// to four 64-source batches with a partial last one, and up to 3|V|
-// edges, so some vertices have no out-edge or no edge at all.
+// to four 64-source batches with a partial last one. Half the graphs
+// are sparse, up to 3|V| edges, so some vertices have no out-edge or no
+// edge at all. The other half are dense, up to |V|²/2 edges, so that
+// levels run bottom-up; half of those take a size from batchSizes, so
+// bottom-up levels are reached in full and in partial batches.
 func randomDigraph(rng *rand.Rand) *graph.DiGraph {
 	n := 1 + rng.Intn(200)
+	m := rng.Intn(3*n + 1)
+	if rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 {
+			n = batchSizes[rng.Intn(len(batchSizes))]
+		}
+		m = rng.Intn(n*n/2 + 1)
+	}
 	b := graph.NewDiBuilder(n)
-	for i := rng.Intn(3*n + 1); i > 0; i-- {
+	for ; m > 0; m-- {
 		b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
 	}
 	return b.Build()
@@ -257,11 +272,21 @@ func TestClosureInvariants(t *testing.T) {
 // FuzzClosure checks BFS and BFSAmong against Floyd-Warshall over
 // decoded inputs: the first byte sizes the graph (at most 200
 // vertices), every further two bytes are one edge, and bit v%64 of keep
-// marks vertex v for BFSAmong.
+// marks vertex v for BFSAmong. An odd count of bytes after the first
+// selects the dense mode: the second byte is then a flag byte whose
+// value sets a density, and before the byte pairs add theirs a PRNG
+// seeded by keep draws density/255 · |V|²/2 edges, so that levels run
+// bottom-up.
 func FuzzClosure(f *testing.F) {
 	f.Add(uint64(0xffff_0000_ffff_0000), []byte{4, 0, 1, 1, 2, 2, 0, 3, 3})
 	f.Add(uint64(0x5555_5555_5555_5555), []byte{199, 0, 70, 70, 140, 140, 0, 64, 65, 198, 63})
 	f.Add(uint64(1), []byte{0})
+	// Dense mode, at sizes around the 64-source batch.
+	f.Add(uint64(0xdead_beef_0bad_f00d), []byte{62, 255})
+	f.Add(uint64(0x0123_4567_89ab_cdef), []byte{63, 128})
+	f.Add(uint64(0xffff_ffff_ffff_ffff), []byte{64, 40, 0, 64, 64, 0})
+	f.Add(uint64(0x5555_5555_5555_5555), []byte{129, 200})
+	f.Add(uint64(7), []byte{199, 16, 198, 199})
 	f.Fuzz(func(t *testing.T, keepBits uint64, data []byte) {
 		n := 1
 		if len(data) > 0 {
@@ -269,6 +294,13 @@ func FuzzClosure(f *testing.F) {
 			data = data[1:]
 		}
 		b := graph.NewDiBuilder(n)
+		if len(data)%2 == 1 {
+			rng := rand.New(rand.NewSource(int64(keepBits)))
+			for m := int(data[0]) * (n * n / 2) / 255; m > 0; m-- {
+				b.AddEdge(graph.VID(rng.Intn(n)), graph.VID(rng.Intn(n)))
+			}
+			data = data[1:]
+		}
 		for ; len(data) >= 2; data = data[2:] {
 			b.AddEdge(graph.VID(int(data[0])%n), graph.VID(int(data[1])%n))
 		}
@@ -336,5 +368,64 @@ func TestBFSCheckPollsInsideBatch(t *testing.T) {
 	}
 	if c.NumPairs() != 1000*1000 || charged < c.NumPairs() {
 		t.Fatalf("NumPairs = %d with %d rows charged; want 10^6 pairs, all charged", c.NumPairs(), charged)
+	}
+}
+
+// complete is the complete digraph on n vertices, self-loops included:
+// every vertex reaches every vertex in one step.
+func complete(n int) *graph.DiGraph {
+	b := graph.NewDiBuilder(n)
+	for u := 0; u < n; u++ {
+		for w := 0; w < n; w++ {
+			b.AddEdge(graph.VID(u), graph.VID(w))
+		}
+	}
+	return b.Build()
+}
+
+// TestBFSCheckPollsBottomUp: on the complete digraph of 128 vertices,
+// two full batches, each batch's frontier covers every edge after its
+// first step, so both of its levels run bottom-up. The checkpoint is
+// polled six times — before each batch and after each of its two
+// levels — and one failing on any of those calls, among them the two
+// right after a first bottom-up level, stops the build with its error.
+// Uncancelled, the weight charged covers every pair and stays within
+// the sources, the pairs and one sweep of the edges per batch: the
+// first level reads at most each vertex's in-edges, and the second,
+// finding every vertex finished, reads none. A top-down second level
+// walks all |E| edges again and exceeds that bound.
+func TestBFSCheckPollsBottomUp(t *testing.T) {
+	const n = 128
+	d := complete(n)
+	stop := errors.New("stop")
+	const polls = 6
+	for k := 1; k <= polls; k++ {
+		calls := 0
+		c, err := BFSCheck(d, func(int) error {
+			if calls++; calls == k {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || c != nil || calls != k {
+			t.Fatalf("BFSCheck failing at call %d = %v, %v after %d calls; want nil and the checkpoint's error", k, c, err, calls)
+		}
+	}
+
+	calls, charged := 0, 0
+	c, err := BFSCheck(d, func(rows int) error {
+		calls++
+		charged += rows
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumPairs() != n*n || calls != polls {
+		t.Fatalf("NumPairs = %d after %d polls; want %d after %d", c.NumPairs(), calls, n*n, polls)
+	}
+	const batches = n / batchBits
+	if bound := n + c.NumPairs() + batches*d.NumEdges(); charged < c.NumPairs() || charged > bound {
+		t.Fatalf("charged %d rows; want between NumPairs %d and %d", charged, c.NumPairs(), bound)
 	}
 }
