@@ -394,21 +394,26 @@ const fullBatch = 64
 // fullJoin is the pair-level producer of FullSharing and NoSharing. It
 // joins up to fullBatch consecutive sources with a non-empty Pre_G at
 // once (Then et al.'s multi-source idea, as tc's closure kernel uses
-// it), bit i of a per-vertex uint64 mask standing for the batch's i-th
-// source. For every Pre_G tuple (v_i, v_j) the entire reachable set
-// From(v_j) is walked and bit i ORed into each vertex's frontier mask —
-// the redundant-1 and redundant-2 operations of Definitions 3 and 4 that
-// Algorithm 2 eliminates are all performed here, once per tuple — giving
-// every source's tuples of equation (9) at once. Each frontier vertex's
-// Post ends are then read once per batch, not once per source, and ORed
-// under its frontier mask into per-destination masks (equation (10)). A
-// label Post's ends are the vertex's row of the graph's CSR; any other
-// EvalRestrictedRPQ(Post, v_k) is a traversal memoised per join in one
-// flat buffer addressed by spans, the same Post work the row kernel
-// does. The batch's runs come out ascending by emitting the destination
-// masks in vertex order, found through a one-bit-per-vertex summary of
-// the destinations the batch touched, so a batch costs what it reaches,
-// never |V|.
+// it). The frontier is source-major: bit c of front[b·64+i] says source
+// i's frontier holds vertex 64·b+c. For every Pre_G tuple (v_i, v_j) the
+// entire reachable set From(v_j) is ORed into source i's bitset, one
+// word of the closure row at a time — the redundant-1 and redundant-2
+// operations of Definitions 3 and 4 that Algorithm 2 eliminates are all
+// performed here, once per tuple, and each tuple is still charged
+// |From(v_j)| rows — giving every source's tuples of equation (9) at
+// once. Under an ε Post the frontier is the output, and each source's
+// run is its bitset's non-zero words. Otherwise each touched 64-vertex
+// block of the frontier is transposed (pairs.Transpose64) into vertex
+// masks, bit i standing for source i; each frontier vertex's Post ends
+// are then read once per batch, not once per source, and ORed under its
+// mask into per-destination masks (equation (10)), whose touched blocks
+// are transposed back into source words. A label Post's ends are the
+// vertex's row of the graph's CSR; any other EvalRestrictedRPQ(Post,
+// v_k) is a traversal memoised per join in one flat buffer addressed by
+// spans, the same Post work the row kernel does. Block summaries
+// (pairs.MarkBlock) list the blocks a batch touched, so the runs come
+// out ascending without a sort and a batch costs what it reaches, never
+// |V|.
 //
 // produce(v_i) joins v_i's batch on first use and ORs v_i's run into the
 // caller's accumulator; the rows it reports are v_i's own — its Pre_G ⋈
@@ -428,17 +433,13 @@ type fullJoin struct {
 	evKey   string
 	label   labelPost // set when Post is one label
 
-	// Per-vertex masks, all zero between batches: front[v] holds the
-	// sources whose frontier reaches v, endMask[v] those whose run holds
-	// v. dst is the one emitted — front under an ε Post, whose frontier
-	// is the run.
-	front, endMask, dst []uint64
-	mids                []graph.VID           // the frontier, non-ε Post only
-	hit                 *pairs.RunAccumulator // the vertices dst marks
-	n                   int                   // the vertex space hit covers
-	hitIdx              []int32               // hit, drained: its word indexes
-	hitWords            []uint64              // and words
-	out                 [fullBatch]uint64     // emission: one word per source
+	// The batch's masks over whole 64-vertex blocks, and their block
+	// summaries, all zero between batches: front, source-major, holds
+	// every source's frontier; endMask, vertex-major and used only
+	// under a non-ε Post, holds at endMask[v] the sources whose run
+	// holds v.
+	front, frontBlocks []uint64
+	endMask, endBlocks []uint64
 
 	// The current batch: its sources, ascending, and per source the rows
 	// it touched and its run as words.
@@ -466,14 +467,12 @@ func (c *evalCall) acquireFull(preG *pairs.Relation, closure *tc.Closure, typ rp
 	j := c.fullPool.Get().(*fullJoin)
 	j.c, j.preG, j.closure, j.star, j.width = c, preG, closure, typ == rpq.ClosureStar, fullBatch
 	n := c.g.NumVertices()
-	if j.hit == nil || j.n != n {
-		j.n, j.hit = n, pairs.NewRunAccumulator(n)
-	}
-	j.front = zeroed(j.front, n)
-	j.dst = j.front
+	nb := (n + 63) / 64
+	j.front = zeroed(j.front, nb*64)
+	j.frontBlocks = zeroed(j.frontBlocks, (nb+63)/64)
 	if _, eps := post.(rpq.Epsilon); !eps {
-		j.endMask = zeroed(j.endMask, n)
-		j.dst = j.endMask
+		j.endMask = zeroed(j.endMask, nb*64)
+		j.endBlocks = zeroed(j.endBlocks, (nb+63)/64)
 		if j.postEv, j.evKey, j.label = c.acquirePost(post); j.label.ok {
 			return j
 		}
@@ -492,7 +491,7 @@ func (j *fullJoin) release() {
 		c.releaseEvaluator(j.evKey, j.postEv)
 	}
 	j.srcs, j.endsBuf = j.srcs[:0], j.endsBuf[:0]
-	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label, j.dst = nil, nil, nil, nil, "", labelPost{}, nil
+	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label = nil, nil, nil, nil, "", labelPost{}
 	c.fullPool.Put(j)
 }
 
@@ -523,83 +522,101 @@ func (j *fullJoin) join(v0 graph.VID) error {
 			j.srcs = append(j.srcs, v)
 		}
 	}
+	front, blocks := j.front, j.frontBlocks
 	for i, vi := range j.srcs {
 		vjs := j.preG.DstsOf(vi)
 		if err := c.checkpoint(len(vjs)); err != nil {
 			return err
 		}
-		bit := uint64(1) << i
 		rows := int64(len(vjs))
 		if j.star {
-			j.mark(vjs, bit)
+			for _, vj := range vjs {
+				front[int(vj>>6)<<6|i] |= 1 << (vj & 63)
+				pairs.MarkBlock(blocks, vj)
+			}
 		}
 		for _, vj := range vjs {
-			from := j.closure.From(vj)
-			if err := c.checkpoint(len(from)); err != nil {
+			idx, words := j.closure.Row(vj)
+			from := 0
+			for k, wi := range idx {
+				f := &front[int(wi)<<6|i]
+				if *f == 0 {
+					pairs.MarkBlock(blocks, graph.VID(wi)<<6)
+				}
+				*f |= words[k]
+				from += bits.OnesCount64(words[k])
+			}
+			rows += int64(from)
+			if err := c.checkpoint(from); err != nil {
 				return err
 			}
-			rows += int64(len(from))
-			j.mark(from, bit)
 		}
 		j.rows[i] = rows
 	}
-	if j.postEv != nil {
-		if err := j.probePost(); err != nil {
-			return err
-		}
+	for i := range j.srcs {
+		j.runs[i].idx, j.runs[i].words = j.runs[i].idx[:0], j.runs[i].words[:0]
 	}
-	j.emit()
+	if j.postEv == nil {
+		j.emit(j.front, j.frontBlocks, false)
+		return nil
+	}
+	if err := j.probePost(); err != nil {
+		return err
+	}
+	j.emit(j.endMask, j.endBlocks, true)
 	return nil
 }
 
-// mark ORs bit into the frontier mask of every vertex of vs, recording
-// each vertex the batch reaches first: in hit under an ε Post, whose
-// frontier is the output, and in mids otherwise.
-func (j *fullJoin) mark(vs []graph.VID, bit uint64) {
-	front := j.front
-	if j.postEv == nil {
-		for _, v := range vs {
-			if front[v] == 0 {
-				j.hit.Add(v)
-			}
-			front[v] |= bit
-		}
-		return
-	}
-	for _, v := range vs {
-		if front[v] == 0 {
-			j.mids = append(j.mids, v)
-		}
-		front[v] |= bit
-	}
-}
-
-// probePost ORs each frontier vertex's Post ends, once per batch, into
-// the end masks under the vertex's frontier mask, and charges every
-// source whose frontier holds the vertex one row per end.
+// probePost reads the frontier one touched block at a time, transposed
+// in place into 64 vertex masks, and resets it: it ORs each frontier
+// vertex's Post ends, once per batch, into the end masks under the
+// vertex's mask, and charges every source whose frontier holds the
+// vertex one row per end. The charge is bit-sliced: plane k marks the
+// block's vertices whose end count has bit k set, so source i is
+// charged Σ_k popcount(its frontier word ∧ plane k)·2^k, one popcount
+// per plane rather than one add per frontier bit. A block it stops
+// inside stays in the summary for abort.
 func (j *fullJoin) probePost() error {
 	c := j.c
-	for _, vk := range j.mids {
-		m := j.front[vk]
-		j.front[vk] = 0
-		ends := j.postEnds(vk)
-		if err := c.checkpoint(len(ends) + 1); err != nil {
-			return err
-		}
-		if len(ends) == 0 {
-			continue
-		}
-		for b := m; b != 0; b &= b - 1 {
-			j.rows[bits.TrailingZeros64(b)] += int64(len(ends))
-		}
-		for _, e := range ends {
-			if j.endMask[e] == 0 {
-				j.hit.Add(e)
+	for k, sum := range j.frontBlocks {
+		for ; sum != 0; sum &= sum - 1 {
+			b := k<<6 | bits.TrailingZeros64(sum)
+			blk := (*[64]uint64)(j.front[b<<6:])
+			bySource := *blk
+			pairs.Transpose64(blk)
+			var planes [32]uint64
+			top := 0
+			for col, m := range blk {
+				if m == 0 {
+					continue
+				}
+				blk[col] = 0
+				ends := j.postEnds(graph.VID(b<<6 | col))
+				if err := c.checkpoint(len(ends) + 1); err != nil {
+					j.frontBlocks[k] = sum
+					return err
+				}
+				for l := len(ends); l != 0; l &= l - 1 {
+					planes[bits.TrailingZeros(uint(l))] |= 1 << col
+				}
+				top = max(top, bits.Len(uint(len(ends))))
+				for _, e := range ends {
+					if j.endMask[e] == 0 {
+						pairs.MarkBlock(j.endBlocks, e)
+					}
+					j.endMask[e] |= m
+				}
 			}
-			j.endMask[e] |= m
+			for i, f := range bySource[:len(j.srcs)] {
+				rows := 0
+				for p, plane := range planes[:top] {
+					rows += bits.OnesCount64(f&plane) << p
+				}
+				j.rows[i] += int64(rows)
+			}
 		}
+		j.frontBlocks[k] = 0
 	}
-	j.mids = j.mids[:0]
 	return nil
 }
 
@@ -620,49 +637,32 @@ func (j *fullJoin) postEnds(v graph.VID) []graph.VID {
 	return j.endsBuf[span.start:span.end]
 }
 
-// emit turns the destination masks into every source's run, ascending —
-// the vertices hit marks, in vertex order, each appended as one bit to
-// the runs of the sources its mask holds — and clears the masks.
-func (j *fullJoin) emit() {
-	for i := range j.srcs {
-		j.runs[i].idx, j.runs[i].words = j.runs[i].idx[:0], j.runs[i].words[:0]
-	}
-	j.hitIdx, j.hitWords = j.hit.DrainWords(j.hitIdx[:0], j.hitWords[:0])
-	dst := j.dst
-	for k, wi := range j.hitIdx {
-		base := int(wi) << 6
-		var hitBy uint64
-		for w := j.hitWords[k]; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			m := dst[base+b]
-			dst[base+b] = 0
-			hitBy |= m
-			for ; m != 0; m &= m - 1 {
-				j.out[bits.TrailingZeros64(m)] |= 1 << b
+// emit turns masks into every source's run, ascending, and resets them
+// and their summary: each block the summary marks, in block order, adds
+// word i to source i's run when it is not zero. Source-major masks (the
+// frontier) are read as they lie; vertex-major ones (the end masks) are
+// transposed first.
+func (j *fullJoin) emit(masks, blocks []uint64, vertexMajor bool) {
+	pairs.DrainBlocks(blocks, func(b int) {
+		blk := (*[64]uint64)(masks[b<<6:])
+		if vertexMajor {
+			pairs.Transpose64(blk)
+		}
+		for i := range j.srcs {
+			if w := blk[i]; w != 0 {
+				r := &j.runs[i]
+				r.idx, r.words = append(r.idx, int32(b)), append(r.words, w)
 			}
 		}
-		for ; hitBy != 0; hitBy &= hitBy - 1 {
-			i := bits.TrailingZeros64(hitBy)
-			r := &j.runs[i]
-			r.idx, r.words = append(r.idx, wi), append(r.words, j.out[i])
-			j.out[i] = 0
-		}
-	}
+		*blk = [64]uint64{}
+	})
 }
 
 // abort clears what a batch stopped by an error left in the masks, and
 // forgets the batch.
 func (j *fullJoin) abort() {
-	for _, v := range j.mids {
-		j.front[v] = 0
-	}
-	j.mids = j.mids[:0]
-	j.hitIdx, j.hitWords = j.hit.DrainWords(j.hitIdx[:0], j.hitWords[:0])
-	for k, wi := range j.hitIdx {
-		for w := j.hitWords[k]; w != 0; w &= w - 1 {
-			j.dst[int(wi)<<6+bits.TrailingZeros64(w)] = 0
-		}
-	}
+	pairs.DrainBlocks(j.frontBlocks, func(b int) { clear(j.front[b<<6 : b<<6+64]) })
+	pairs.DrainBlocks(j.endBlocks, func(b int) { clear(j.endMask[b<<6 : b<<6+64]) })
 	j.srcs = j.srcs[:0]
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rtcshare/internal/eval"
@@ -175,7 +176,52 @@ func TestFullJoinBatchMatchesReference(t *testing.T) {
 // checkpoints — while it marks the frontier or probes Post ends, under
 // an ε Post and a label — leaves no mark in the pooled join state, so
 // the next join on the same engine version matches an uncancelled one.
+// At 65 and 130 vertices, whose last 64-vertex block is partial, the
+// source-major frontier, the end masks and their block summaries are
+// all zero after a completed first batch and after an abort at each of
+// its polls.
 func TestFullJoinAbortLeavesPoolClean(t *testing.T) {
+	for _, n := range []int{65, 130} {
+		b := graph.NewBuilder(n)
+		for v := range n {
+			b.MustAddEdge(graph.VID(v), "b", graph.VID((v+1)%n))
+			for w := range n { // Post c reads n ends a vertex: its probe polls too
+				b.MustAddEdge(graph.VID(v), "c", graph.VID(w))
+			}
+			for i := 1; i <= 8; i++ {
+				b.MustAddEdge(graph.VID(v), "a", graph.VID((v*7+i*11)%n))
+			}
+		}
+		g := b.Build()
+		preG := sealExpr(g, rpq.MustParse("a"))
+		closure := tc.BFS(rtc.EdgeReduceRel(n, sealExpr(g, rpq.MustParse("b"))))
+		for _, post := range []rpq.Expr{rpq.Epsilon{}, rpq.MustParse("c")} {
+			e := New(g, Options{Strategy: NoSharing})
+			acc := pairs.NewRunAccumulator(n)
+			for failAfter := int64(0); ; failAfter++ {
+				c := e.call(&countingCtx{Context: context.Background(), failAfter: failAfter}, nil)
+				j := c.acquireFull(preG, closure, rpq.ClosurePlus, post)
+				_, err := j.produce(0, acc)
+				for name, masks := range map[string][]uint64{"front": j.front, "frontBlocks": j.frontBlocks, "endMask": j.endMask, "endBlocks": j.endBlocks} {
+					if i := slices.IndexFunc(masks, func(w uint64) bool { return w != 0 }); i >= 0 {
+						t.Fatalf("|V|=%d Post %s, cancelled at poll %d (err %v): %s[%d] = %#x after the batch", n, post, failAfter+1, err, name, i, masks[i])
+					}
+				}
+				acc.Reset()
+				j.release()
+				if err == nil {
+					if failAfter < 3 {
+						t.Fatalf("|V|=%d Post %s: batch finished after %d polls: fixture too light to cancel mid-batch", n, post, failAfter)
+					}
+					break
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("|V|=%d Post %s: cancelled at poll %d: %v", n, post, failAfter+1, err)
+				}
+			}
+		}
+	}
+
 	const cycle, sources, fan = 300, 10, 20
 	b := graph.NewBuilder(sources + 2*cycle)
 	for v := 0; v < cycle; v++ {

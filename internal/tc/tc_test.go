@@ -3,6 +3,7 @@ package tc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -105,9 +106,28 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// closureOf builds a closure from rows listed by hand, each sorted
+// ascending, as bfs writes its rows: word by word, then finish.
+func closureOf(n int, rows [][]graph.VID) *Closure {
+	c := newClosure(n)
+	for u, row := range rows {
+		start := len(c.idx)
+		for _, w := range row {
+			if wi := int32(w >> 6); len(c.idx) == start || c.idx[len(c.idx)-1] != wi {
+				c.idx, c.words = append(c.idx, wi), append(c.words, 0)
+			}
+			c.words[len(c.words)-1] |= 1 << (w & 63)
+			c.numPairs++
+		}
+		c.offsets[u+1] = int32(len(c.idx))
+	}
+	c.finish()
+	return c
+}
+
 func TestClosureEqual(t *testing.T) {
 	a := BFS(digraph(3, [][2]graph.VID{{0, 1}, {1, 2}}))
-	byHand := &Closure{numVertices: 3, succ: [][]graph.VID{{1, 2}, {2}, nil}, numPairs: 3}
+	byHand := closureOf(3, [][]graph.VID{{1, 2}, {2}, nil})
 	if !a.Equal(byHand) {
 		t.Error("Equal false negative")
 	}
@@ -115,7 +135,7 @@ func TestClosureEqual(t *testing.T) {
 	if a.Equal(c) {
 		t.Error("Equal false positive")
 	}
-	if a.Equal(&Closure{numVertices: 3, succ: [][]graph.VID{{1}, {2}, {0}}, numPairs: 3}) {
+	if a.Equal(closureOf(3, [][]graph.VID{{1}, {2}, {0}})) {
 		t.Error("Equal false positive on equal pair counts")
 	}
 }
@@ -204,6 +224,45 @@ func checkAgainstFloydWarshall(d *graph.DiGraph, keep []bool, c *Closure) string
 	if total != c.NumPairs() {
 		return fmt.Sprintf("NumPairs = %d, rows hold %d", c.NumPairs(), total)
 	}
+	return checkWordRows(c, keep)
+}
+
+// checkWordRows reports how c's word rows depart from their form: a
+// word index not strictly above the one before it, a zero word, a bit
+// at or past NumVertices, popcounts that do not sum to NumPairs, or,
+// under a keep filter, an unkept vertex with a row or in one.
+func checkWordRows(c *Closure, keep []bool) string {
+	n := c.NumVertices()
+	kept := func(v int) bool { return keep == nil || keep[v] }
+	total := 0
+	for u := range n {
+		idx, words := c.Row(graph.VID(u))
+		if len(idx) > 0 && !kept(u) {
+			return fmt.Sprintf("unkept vertex %d has a row", u)
+		}
+		for k, wi := range idx {
+			if k > 0 && wi <= idx[k-1] {
+				return fmt.Sprintf("row %d: word index %d after %d", u, wi, idx[k-1])
+			}
+			w := words[k]
+			if w == 0 {
+				return fmt.Sprintf("row %d: zero word at index %d", u, wi)
+			}
+			total += bits.OnesCount64(w)
+			for ; w != 0; w &= w - 1 {
+				v := int(wi)<<6 + bits.TrailingZeros64(w)
+				if v >= n {
+					return fmt.Sprintf("row %d: bit %d at or past NumVertices %d", u, v, n)
+				}
+				if !kept(v) {
+					return fmt.Sprintf("row %d holds unkept vertex %d", u, v)
+				}
+			}
+		}
+	}
+	if total != c.NumPairs() {
+		return fmt.Sprintf("NumPairs = %d, row popcounts sum to %d", c.NumPairs(), total)
+	}
 	return ""
 }
 
@@ -245,10 +304,26 @@ func TestBFSAmongAgainstFloydWarshall(t *testing.T) {
 
 // Property: From slices are sorted and duplicate-free, NumPairs is
 // consistent with them, and a vertex without an out-edge has no row.
+// The word rows hold their form (checkWordRows) under BFS and under
+// BFSAmong with a keep mask drawn per vertex.
 func TestClosureInvariants(t *testing.T) {
 	f := func(seed int64) bool {
-		d := randomDigraph(rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed))
+		d := randomDigraph(rng)
 		c := BFS(d)
+		keep := make([]bool, d.NumVertices())
+		for v := range keep {
+			keep[v] = rng.Intn(3) > 0
+		}
+		for _, check := range []struct {
+			c    *Closure
+			keep []bool
+		}{{c, nil}, {BFSAmong(d, keep), keep}} {
+			if msg := checkWordRows(check.c, check.keep); msg != "" {
+				t.Logf("n=%d, keep %v: %s", d.NumVertices(), check.keep != nil, msg)
+				return false
+			}
+		}
 		total := 0
 		for v := 0; v < d.NumVertices(); v++ {
 			s := c.From(graph.VID(v))
@@ -269,8 +344,9 @@ func TestClosureInvariants(t *testing.T) {
 	}
 }
 
-// FuzzClosure checks BFS and BFSAmong against Floyd-Warshall over
-// decoded inputs: the first byte sizes the graph (at most 200
+// FuzzClosure checks BFS and BFSAmong against Floyd-Warshall, and
+// their word rows against their form (checkWordRows), over decoded
+// inputs: the first byte sizes the graph (at most 200
 // vertices), every further two bytes are one edge, and bit v%64 of keep
 // marks vertex v for BFSAmong. An odd count of bytes after the first
 // selects the dense mode: the second byte is then a flag byte whose
@@ -329,11 +405,11 @@ func ring(n int) *graph.DiGraph {
 }
 
 // TestBFSCheckPollsInsideBatch: on a 2^14-vertex ring every search of
-// the first batch walks the whole ring, and its rows would take
-// 64 · 2^14 · 4 bytes, 256 bytes a vertex. A checkpoint that fails on
-// its second call, the first inside the batch, must abort before that
-// array is allocated. Uncancelled, the rows charged to the checkpoint
-// cover at least every pair the closure holds.
+// the first batch walks the whole ring, 2^14 levels. A checkpoint that
+// fails on its second call, the first inside the batch, must abort
+// there, having allocated no more than the search's own state.
+// Uncancelled, the rows charged to the checkpoint cover at least every
+// pair the closure holds.
 func TestBFSCheckPollsInsideBatch(t *testing.T) {
 	const n = 1 << 14
 	d := ring(n)
@@ -351,7 +427,7 @@ func TestBFSCheckPollsInsideBatch(t *testing.T) {
 	if err != stop || c != nil || calls != 2 {
 		t.Fatalf("BFSCheck = %v, %v after %d calls; want nil, the checkpoint's error after 2", c, err, calls)
 	}
-	// The three masks take 24 bytes a vertex, the row headers 24 and the
+	// The three masks take 24 bytes a vertex, the row offsets 4 and the
 	// source list at most 8.
 	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 128*n {
 		t.Fatalf("an abort inside the first batch allocated %d bytes, want at most %d", bytes, 128*n)
