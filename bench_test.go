@@ -436,17 +436,46 @@ func BenchmarkUnion(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, q := range unionQueries {
-		expr := rpq.MustParse(q)
 		b.Run(q, func(b *testing.B) {
-			b.ReportAllocs()
-			var rel *pairs.Relation
-			for b.Loop() {
-				if rel, err = core.New(g, core.Options{}).EvaluateRel(expr); err != nil {
-					b.Fatal(err)
-				}
-			}
+			rel := benchCold(b, g, q)
 			b.ReportMetric(float64(rel.ColumnBytes()), "column_bytes")
 			b.ReportMetric(float64(rel.Len()), "pairs")
 		})
 	}
+}
+
+// BenchmarkCore_SealScale explains server.seal_ns at scale: a cold
+// RTCSharing evaluation, on a fresh engine per iteration, over RMAT_3 at
+// 2^14 vertices, of a batch unit whose sources mostly share one stored
+// row, a closure whose runs have many parts, and a union of two such
+// clauses. col_bytes is the result's ColumnBytes: a run repeated across
+// sources is written once, so it follows the distinct runs, not the
+// pairs.
+func BenchmarkCore_SealScale(b *testing.B) {
+	g, err := datagen.PaperRMATN(3, 14, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{"l2.(l1)+.l0", "(l0|l1)+", "(l2|l3).(l1)+.l0"} {
+		b.Run(q, func(b *testing.B) {
+			rel := benchCold(b, g, q)
+			b.ReportMetric(float64(rel.ColumnBytes()), "col_bytes")
+		})
+	}
+}
+
+// benchCold times a cold RTCSharing evaluation of q over g, on a fresh
+// engine per iteration, and returns the last result.
+func benchCold(b *testing.B, g *graph.Graph, q string) *pairs.Relation {
+	b.Helper()
+	expr := rpq.MustParse(q)
+	b.ReportAllocs()
+	var rel *pairs.Relation
+	for b.Loop() {
+		var err error
+		if rel, err = core.New(g, core.Options{}).EvaluateRel(expr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return rel
 }

@@ -405,6 +405,8 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("kernel" + "Join"),
 	regexp.MustCompile(`\beval` + `BatchUnit`),
 	regexp.MustCompile("resolve" + "Unit"),
+	regexp.MustCompile("Drain" + "Append"),
+	regexp.MustCompile(`rowKernel\.` + `seal\b`),
 }
 
 // TestDocRetiredNames checks that the documents describing the current
@@ -457,7 +459,7 @@ func TestDocNoRoadmapItemNumbers(t *testing.T) {
 // designMaxLines is DESIGN.md's length in lines. DESIGN describes the
 // system as it is, so a change that adds to it replaces or removes as
 // much; a change that shortens it lowers the bound.
-const designMaxLines = 2607
+const designMaxLines = 2605
 
 // TestDocDesignLength checks that DESIGN.md is at most designMaxLines
 // long.

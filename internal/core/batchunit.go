@@ -16,7 +16,7 @@ import (
 )
 
 // This file implements the batch-unit join of Algorithm 2 — one per
-// clause kind — as a per-source producer, and the sealed driver of each.
+// clause kind — as a per-source producer, and their one sealed driver.
 // A producer ORs source v_i's destinations into a pairs.RunAccumulator;
 // the OR is the dedupe and draining the accumulator is the sort. Each
 // clause kind has exactly one:
@@ -31,9 +31,8 @@ import (
 //   - a closure-free clause: one product traversal per source
 //     (automatonJoin).
 //
-// Every consumer drives these producers. The sealed path seals each
-// clause's producer into exact-size CSR columns (sealClause: the row
-// kernel's own two-pass seal, or drain for the other two). A DNF of
+// Every consumer drives these producers. The sealed path drains each
+// clause's producer into exact-size CSR columns (sealClause). A DNF of
 // several clauses is one union producer over its parts: the sealed
 // clauses, which drain ORs once, or the clauses' producers, which
 // ResultStream pulls one source at a time. ASK is a stream stopped at
@@ -41,8 +40,11 @@ import (
 
 // producer is one clause's per-source join. produce ORs source vi's
 // destinations into acc and returns the rows it touched (the stream's
-// StreamStats.Rows); release returns its pooled state.
+// StreamStats.Rows); release returns its pooled state. name, which
+// drain calls first, names vi's run: runs named alike (≥ 0) are equal,
+// so drain produces one once. −1 names no run.
 type producer interface {
+	name(vi graph.VID) (int32, error)
 	produce(vi graph.VID, acc *pairs.RunAccumulator) (rows int64, err error)
 	release()
 }
@@ -150,22 +152,11 @@ func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, *pairs.
 	return j, preG, nil
 }
 
-// sealClause is the sealed driver of a clause's producer, which it
-// releases: the row kernel's own two-pass seal, or drain for the
-// pair-level and automaton producers. A join is the join bucket of the
-// call's record and an automaton's traversals stay in the caller's; a
-// Post traversal inside a join is other, and drain's column expansion
-// seal.
-func (c *evalCall) sealClause(p producer) (rel *pairs.Relation, err error) {
-	if _, auto := p.(*automatonJoin); !auto {
-		prev := c.enter(bucketJoin)
-		defer c.enter(prev)
-	}
-	if k, ok := p.(*rowKernel); ok {
-		rel, err = k.seal()
-	} else {
-		rel, err = c.drain(p)
-	}
+// sealClause drains a clause's producer into its sealed relation and
+// releases it, in the caller's bucket: join for a join, which execClause
+// enters, or the caller's own for an automaton clause.
+func (c *evalCall) sealClause(p producer) (*pairs.Relation, error) {
+	rel, err := c.drain(p)
 	p.release()
 	return rel, err
 }
@@ -191,32 +182,33 @@ func checkResultLen(pairs int) error {
 }
 
 // drainScratch is the pooled state of drain: the run accumulator, and
-// the runs stored so far as words, in column order, indexed by hash.
+// the runs stored so far as words, in column order, indexed by hash and
+// by the producer's run names.
 type drainScratch struct {
 	acc   *pairs.RunAccumulator
 	idx   []int32  // the stored runs' word indexes, concatenated
 	words []uint64 // and their words
 	runs  []storedRun
 	index map[uint64]int32 // a run hash → the first stored run with it
+	named []int32          // by run name + 1: 1 + its stored run, or 0
 }
 
 // storedRun is one run written to drain's column: its words are
 // idx/words[lo:hi], its size destinations start at column position at.
 type storedRun struct{ lo, hi, at, size int32 }
 
-// drain is the sealed driver of the pair-level, automaton and union
-// producers: it runs p once per source, ascending, and keeps each run in
-// word form (RunAccumulator.DrainWords). A run equal, word for word, to
-// one stored before is not stored again: the source points at the
-// earlier copy (pairs.RelationFromSharedRuns), as the row kernel's
-// sources that share a row do. Runs are found by a hash of their words;
-// one whose hash an unequal run holds is stored unshared. The column is
+// drain is the sealed driver of every producer: it runs p once per
+// source, ascending, and keeps each run in word form
+// (RunAccumulator.DrainWords). A run equal, word for word, to one stored
+// before is not stored again: the source points at the earlier copy
+// (pairs.RelationFromSharedRuns). A repeated name finds it by a lookup,
+// with no run produced; any other run by a hash of its words, and one
+// whose hash an unequal run holds is stored unshared. The column is
 // written once at the end, exactly sized, by expanding only the stored
-// runs; starts is allocated at the first repeated run, so a result with
-// no repeat is the plain CSR. (The row kernel sizes its runs in a first
-// pass instead — a stored row is a lookup — but these producers cannot
-// afford a second traversal.) The expansion is the seal bucket, which
-// pauses the caller's. A result past MaxResultPairs stops the drain at
+// runs, in the seal bucket; starts is allocated at the first repeat, so
+// a result with no repeat is the plain CSR. Every source is a
+// checkpoint weighted by its run's size, shared or not, and so is every
+// stored run expanded. A result past MaxResultPairs stops the drain at
 // the source that passes it.
 func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	sc := c.drainPool.Get().(*drainScratch)
@@ -229,15 +221,27 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	var starts []int32
 	total, stored := 0, 0 // destinations the relation holds, and the column
 	for v := 0; v < n; v++ {
-		if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
+		name, err := p.name(graph.VID(v))
+		if err != nil {
 			return nil, err
 		}
+		slot := sc.slot(name)
+		r, repeat := *slot-1, true
+		if r < 0 {
+			if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
+				return nil, err
+			}
+			if !sc.acc.Empty() {
+				if r, repeat = sc.store(int32(stored)); !repeat {
+					stored += int(sc.runs[r].size)
+				}
+				*slot = r + 1
+			}
+		}
 		at, size := int32(stored), int32(0)
-		if !sc.acc.Empty() {
-			var repeat bool
-			if at, size, repeat = sc.store(at); !repeat {
-				stored += int(size)
-			} else if starts == nil {
+		if r >= 0 {
+			at, size = sc.runs[r].at, sc.runs[r].size
+			if repeat && starts == nil {
 				// Until now the runs tiled the column in source order.
 				starts = make([]int32, n)
 				copy(starts, offsets[:v])
@@ -251,23 +255,31 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 		if starts != nil {
 			starts[v] = at
 		}
+		if err := c.checkpoint(int(size)); err != nil {
+			return nil, err
+		}
 	}
 	prev := c.enter(bucketSeal)
+	defer c.enter(prev)
 	col := make([]graph.VID, 0, stored)
-	for i, wi := range sc.idx {
-		col = pairs.AppendWordBits(col, wi, sc.words[i])
+	for _, s := range sc.runs {
+		for i := s.lo; i < s.hi; i++ {
+			col = pairs.AppendWordBits(col, sc.idx[i], sc.words[i])
+		}
+		if err := c.checkpoint(int(s.size)); err != nil {
+			return nil, err
+		}
 	}
-	c.enter(prev)
 	if starts == nil {
 		return pairs.RelationFromSortedRuns(n, offsets, col), nil
 	}
 	return pairs.RelationFromSharedRuns(n, offsets, starts, col), nil
 }
 
-// store drains the accumulator's run and returns where it lies in the
-// column and its size: at a stored run that equals it, or, stored as a
-// new run, at position at.
-func (sc *drainScratch) store(at int32) (int32, int32, bool) {
+// store drains the accumulator's run and returns the stored run that
+// holds it and whether that run was stored before: one that equals it,
+// or a new run placed at column position at.
+func (sc *drainScratch) store(at int32) (int32, bool) {
 	lo := int32(len(sc.idx))
 	sc.idx, sc.words = sc.acc.DrainWords(sc.idx, sc.words)
 	idx, words := sc.idx[lo:], sc.words[lo:]
@@ -276,20 +288,34 @@ func (sc *drainScratch) store(at int32) (int32, int32, bool) {
 		sc.index[h] = int32(len(sc.runs))
 	} else if s := sc.runs[r]; slices.Equal(words, sc.words[s.lo:s.hi]) && slices.Equal(idx, sc.idx[s.lo:s.hi]) {
 		sc.idx, sc.words = sc.idx[:lo], sc.words[:lo]
-		return s.at, s.size, true
+		return r, true
 	}
 	size := 0
 	for _, w := range words {
 		size += bits.OnesCount64(w)
 	}
 	sc.runs = append(sc.runs, storedRun{lo, int32(len(sc.idx)), at, int32(size)})
-	return at, int32(size), false
+	return int32(len(sc.runs) - 1), false
+}
+
+// slot returns where drain keeps 1 + the stored run named name, 0 until
+// there is one. The slot of −1, no name, is emptied on every call.
+func (sc *drainScratch) slot(name int32) *int32 {
+	i := int(name) + 1
+	if i >= len(sc.named) {
+		// Grown in place: the pooled capacity past len is all-zero.
+		sc.named = slices.Grow(sc.named, i+1-len(sc.named))[:i+1]
+	}
+	sc.named[0] = 0
+	return &sc.named[i]
 }
 
 func (sc *drainScratch) reset() {
 	sc.acc.Reset()
 	sc.idx, sc.words, sc.runs = sc.idx[:0], sc.words[:0], sc.runs[:0]
 	clear(sc.index)
+	clear(sc.named)
+	sc.named = sc.named[:0]
 }
 
 // runHash hashes a run in word form.
@@ -326,6 +352,8 @@ func (u *union) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) 
 	}
 	return rows, nil
 }
+
+func (*union) name(graph.VID) (int32, error) { return -1, nil }
 
 func (u *union) release() {
 	for _, p := range u.parts {
@@ -365,23 +393,39 @@ func (s *sealedRuns) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, er
 	return int64(len(dsts)), s.c.checkpoint(len(dsts))
 }
 
+func (*sealedRuns) name(graph.VID) (int32, error) { return -1, nil }
+
 func (*sealedRuns) release() {}
 
-// produce is the RTCSharing producer: the row kernel's gather and
-// orRun over source v_i's Pre-ends.
+// name resolves source v_i's run over its Pre-ends (gather) and names
+// it by the stored row it is exactly, or −1 for a run of several parts
+// or none. The produce(v_i) that follows ORs the resolved run without
+// gathering again.
+func (k *rowKernel) name(vi graph.VID) (int32, error) {
+	vjs := k.preG.DstsOf(vi)
+	if err := k.c.checkpoint(len(vjs)); err != nil {
+		return -1, err
+	}
+	k.resolved = int64(vi) + 1
+	return k.gather(vjs)
+}
+
+// produce is the RTCSharing producer: the row kernel's gather, unless
+// name has just run it, and orRun over source v_i's Pre-ends.
 func (k *rowKernel) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
 	vjs := k.preG.DstsOf(vi)
 	if len(vjs) == 0 {
 		return 0, nil
 	}
-	if err := k.c.checkpoint(len(vjs)); err != nil {
-		return 0, err
-	}
 	work0 := k.work
-	_, err := k.gather(vjs)
+	var err error
+	if k.resolved != int64(vi)+1 {
+		_, err = k.name(vi)
+	}
 	if err == nil {
 		err = k.orRun(acc)
 	}
+	k.resolved = 0
 	return int64(len(vjs)) + k.work - work0, err
 }
 
@@ -494,6 +538,8 @@ func (j *fullJoin) release() {
 	j.c, j.preG, j.closure, j.postEv, j.evKey, j.label = nil, nil, nil, nil, "", labelPost{}
 	c.fullPool.Put(j)
 }
+
+func (*fullJoin) name(graph.VID) (int32, error) { return -1, nil }
 
 func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
 	if len(j.preG.DstsOf(vi)) == 0 {
@@ -691,6 +737,8 @@ func (c *evalCall) openAutomaton(q rpq.Expr) *automatonJoin {
 	}
 	return a
 }
+
+func (*automatonJoin) name(graph.VID) (int32, error) { return -1, nil }
 
 func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
 	if a.seedable != nil && !a.seedable[vi] {

@@ -28,8 +28,11 @@ const checkpointRows = 4096
 
 // checkpoint spends n rows of the call's cancellation budget and polls
 // its context when the budget runs out, returning the context's error to
-// abort the evaluation. With no context attached (every call not started
-// by a Ctx entry point or a stream) it is a nil check.
+// abort the evaluation. The rows past the budget count towards the next
+// interval, so calls of fewer than checkpointRows rows poll exactly once
+// per checkpointRows; a larger call polls once. With no context attached
+// (every call not started by a Ctx entry point or a stream) it is a nil
+// check.
 func (c *evalCall) checkpoint(n int) error {
 	if c.ctx == nil {
 		return nil
@@ -38,7 +41,7 @@ func (c *evalCall) checkpoint(n int) error {
 	if c.budget > 0 {
 		return nil
 	}
-	c.budget = checkpointRows
+	c.budget = checkpointRows + c.budget%checkpointRows
 	return c.ctx.Err()
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,11 +14,14 @@ import (
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
+	"rtcshare/internal/rtc"
 )
 
 // scriptedRuns is a producer whose run for source v is runs[v], added
-// in the order given, duplicates included.
+// in the order given, duplicates included. It names no run.
 type scriptedRuns [][]graph.VID
+
+func (scriptedRuns) name(graph.VID) (int32, error) { return -1, nil }
 
 func (s scriptedRuns) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
 	acc.AddAll(s[vi])
@@ -134,20 +139,20 @@ func TestDrainCollisionStoresUnshared(t *testing.T) {
 	}
 	sc := &drainScratch{acc: pairs.NewRunAccumulator(n), index: map[uint64]int32{}}
 	sc.acc.AddAll(a)
-	if at, size, repeat := sc.store(0); at != 0 || size != 2 || repeat {
-		t.Fatalf("first run: at %d size %d repeat %v", at, size, repeat)
+	if r, repeat := sc.store(0); r != 0 || sc.runs[r].at != 0 || sc.runs[r].size != 2 || repeat {
+		t.Fatalf("first run: run %d %+v repeat %v", r, sc.runs[r], repeat)
 	}
 	// Index a's stored run under b's hash too, as a collision would.
 	sc.index[hashOf(b)] = 0
 	for i, at := range []int32{2, 4} {
 		sc.acc.AddAll(b)
-		if got, size, repeat := sc.store(at); got != at || size != 2 || repeat {
-			t.Fatalf("colliding run %d: at %d size %d repeat %v, want at %d unshared", i, got, size, repeat, at)
+		if r, repeat := sc.store(at); sc.runs[r].at != at || sc.runs[r].size != 2 || repeat {
+			t.Fatalf("colliding run %d: %+v repeat %v, want at %d unshared", i, sc.runs[r], repeat, at)
 		}
 	}
 	sc.acc.AddAll(a)
-	if at, _, repeat := sc.store(6); at != 0 || !repeat {
-		t.Fatalf("a again: at %d repeat %v, want the first run", at, repeat)
+	if r, repeat := sc.store(6); r != 0 || !repeat {
+		t.Fatalf("a again: run %d repeat %v, want the first run", r, repeat)
 	}
 	if len(sc.runs) != 3 {
 		t.Fatalf("%d stored runs, want 3", len(sc.runs))
@@ -223,5 +228,123 @@ func TestDrainSparseAutomatonAllocs(t *testing.T) {
 	}
 	if budget := uint64(4*(numV+1) + numV + 64<<10); least > budget {
 		t.Fatalf("a warm call allocated %d bytes, want at most %d", least, budget)
+	}
+}
+
+// pollMark wraps a producer and records how often cc had been polled
+// when drain named source at.
+type pollMark struct {
+	producer
+	cc    *countingCtx
+	at    graph.VID
+	polls int64
+}
+
+func (p *pollMark) name(vi graph.VID) (int32, error) {
+	if vi == p.at {
+		p.polls = p.cc.polls.Load()
+	}
+	return p.producer.name(vi)
+}
+
+// drainCycleFans drains a.b+ through the row kernel, polling cc, over
+// cycles disjoint "b" cycles of 100 vertices, each entered by the one
+// "a" edge of perCycle sources, and a last vertex with no Pre-end, so
+// the sizing loop ends without a poll. Every source's run is its
+// cycle's one stored row, which names it. It returns the result and how
+// often the sizing loop polled cc.
+func drainCycleFans(t *testing.T, cc *countingCtx, cycles, perCycle int) (*pairs.Relation, int64, error) {
+	t.Helper()
+	const length = 100
+	n := cycles*(length+perCycle) + 1
+	b := graph.NewBuilder(n)
+	for c := 0; c < cycles; c++ {
+		base := c * (length + perCycle)
+		for v := 0; v < length; v++ {
+			b.MustAddEdge(graph.VID(base+v), "b", graph.VID(base+(v+1)%length))
+		}
+		for s := 0; s < perCycle; s++ {
+			b.MustAddEdge(graph.VID(base+length+s), "a", graph.VID(base+s%length))
+		}
+	}
+	g := b.Build()
+	preG := sealExpr(g, rpq.MustParse("a"))
+	structure := rtc.Compute(rtc.EdgeReduceRel(n, sealExpr(g, rpq.MustParse("b"))), 0)
+	c := New(g, Options{}).call(cc, nil)
+	p := &pollMark{producer: c.acquireKernel(preG, structure, rpq.ClosurePlus, rpq.Epsilon{}), cc: cc, at: graph.VID(n - 1)}
+	rel, err := c.sealClause(p)
+	if err == nil && (rel.Len() != cycles*perCycle*length || rel.ColumnBytes() != 4*int64(cycles*length+2*n+1)) {
+		t.Fatalf("%d pairs in %d column bytes, want %d pairs in %d stored runs", rel.Len(), rel.ColumnBytes(), cycles*perCycle*length, cycles)
+	}
+	return rel, p.polls, err
+}
+
+// TestDrainPollsNamedRuns: 4000 sources whose runs all share one named
+// run, produced once, still poll the context at least once per
+// checkpointRows of their 400,000 pairs in the sizing loop.
+func TestDrainPollsNamedRuns(t *testing.T) {
+	cc := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+	rel, sizing, err := drainCycleFans(t, cc, 1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(rel.Len() / checkpointRows); sizing < want {
+		t.Errorf("the sizing loop polled %d times over %d pairs, want at least %d", sizing, rel.Len(), want)
+	}
+}
+
+// TestDrainCancelsExpansion: a row-shared result of 64 stored runs, 6,400
+// pairs, is expanded into its column at polled checkpoints: uncancelled
+// the expansion polls, and a context that fails at its first poll after
+// the sizing loop's stops the expansion there with context.Canceled.
+func TestDrainCancelsExpansion(t *testing.T) {
+	full := &countingCtx{Context: context.Background(), failAfter: 1 << 62}
+	_, sizing, err := drainCycleFans(t, full, 64, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls := full.polls.Load(); polls <= sizing {
+		t.Fatalf("%d polls in all, %d of them sizing: the expansion polled none", polls, sizing)
+	}
+	cc := &countingCtx{Context: context.Background(), failAfter: sizing}
+	if _, _, err := drainCycleFans(t, cc, 64, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if polls := cc.polls.Load(); polls != sizing+1 {
+		t.Fatalf("the drain polled %d times, want it stopped at the expansion's first poll, %d", polls, sizing+1)
+	}
+}
+
+// TestDrainWitnessColumns: on the paper-batch queries at seed 1 over
+// RMAT_3 at 2^11 vertices, and on the union queries, RTCSharing's result
+// holds at most the column bytes of FullSharing's. FullSharing's drain
+// stores each distinct run content once, so it is the witness that the
+// row kernel's named runs lose no sharing.
+func TestDrainWitnessColumns(t *testing.T) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"l3.(l1)+.l3", "l3.(l1)+.l1", "l0.(l1)+.l1", "l2.(l1)+.l2",
+		"l0.(l0.l2)+.l3", "l3.(l0.l2)+.l3", "l2.(l0.l2)+.l0", "l3.(l0.l2)+.l1",
+		"l0.(l3.l1.l3)+.l2", "l3.(l3.l1.l3)+.l1", "l1.(l3.l1.l3)+.l1", "l1.(l3.l1.l3)+.l3",
+	}
+	for _, q := range append(queries, unionTestQueries...) {
+		expr := rpq.MustParse(q)
+		got, err := New(g, Options{Strategy: RTCSharing}).EvaluateRel(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(g, Options{Strategy: FullSharing}).EvaluateRel(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: RTCSharing %d pairs, FullSharing %d", q, got.Len(), want.Len())
+		}
+		if got.ColumnBytes() > want.ColumnBytes() {
+			t.Errorf("%s: RTCSharing %d column bytes, FullSharing's drained result %d", q, got.ColumnBytes(), want.ColumnBytes())
+		}
 	}
 }

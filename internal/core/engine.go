@@ -212,7 +212,7 @@ type engineVersion struct {
 
 	// kernelPool holds the row kernels of the RTCSharing producer,
 	// fullPool the pair-level producers of Full/NoSharing, and drainPool
-	// the accumulator and run store of the one-pass sealed driver.
+	// the accumulator, run store and run names of the sealed driver.
 	// All are version-local free lists: steady-state batch evaluation
 	// reuses the same columns instead of allocating per call.
 	kernelPool sync.Pool

@@ -41,11 +41,12 @@ import (
 // Rows are sets over the |V| destinations kept as their non-zero 64-bit
 // words, so their memory follows their content; a row equal to the row
 // of a successor (the common case upstream of a giant SCC) is that row,
-// stored once. The sealed driver counts every source's run, allocates
-// exact-size columns and drains each run into them in ascending bit
-// order, writing a row that is the whole run of several sources once for
-// all of them; ResultStream ORs the same runs into its own accumulator
-// one source at a time.
+// stored once. The sealed driver is drain, as for every producer: the
+// kernel names a run that is one stored row by the row's handle, so a
+// row that is the whole run of several sources is ORed and written once
+// for all of them, and drain stores a run of several parts once per
+// distinct content. ResultStream ORs the same runs into its own
+// accumulator one source at a time.
 
 // rowBudgetWords caps the words one join stores in component rows — 12
 // bytes each, the word and its index, so at most 12 MiB per join however
@@ -117,23 +118,17 @@ type rowKernel struct {
 	words  []uint64
 	budget int // row words still storable
 
-	n     int                   // the vertex space the accumulators cover
+	n     int                   // the vertex space build covers
 	build *pairs.RunAccumulator // rows and PostEnds under construction
-	run   *pairs.RunAccumulator // the sealed driver's multi-row runs
 	reach []graph.VID           // one Post traversal's output
 
 	// The current source's run: the rows it takes, the light and
 	// fallback components it answers without a row, and R* seeds under
-	// an ε Post.
+	// an ε Post; resolved is 1 + the source name gathered them for.
 	runRows  []int32
 	runComps []int32
 	runBits  []graph.VID
-
-	// The sealed driver's row sharing, per row handle: how many sources
-	// have the row as their whole run, and where a repeated row was
-	// written.
-	uses  []int32
-	rowAt []int32
+	resolved int64
 
 	// The fallback DFS's scratch, allocated by the first fallback.
 	fbSeen  stampSet
@@ -151,7 +146,7 @@ func (c *evalCall) acquireKernel(preG *pairs.Relation, structure *rtc.RTC, typ r
 	k.comps = zeroed(k.comps, k.cond.NumVertices())
 	if k.build == nil || k.n != n {
 		k.n = n
-		k.build, k.run = pairs.NewRunAccumulator(n), pairs.NewRunAccumulator(n)
+		k.build = pairs.NewRunAccumulator(n)
 		k.vpost = nil
 	}
 	k.rows = append(k.rows[:0], rowSpan{})
@@ -178,19 +173,16 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	clear(k.comps)
 	clear(k.ends)
 	clear(k.vpost)
-	clear(k.uses)
-	clear(k.rowAt)
 	if k.postEv != nil {
 		c.releaseEvaluator(k.evKey, k.postEv)
 	}
 	k.build.Reset()
-	k.run.Reset()
-	k.ends, k.stack, k.uses, k.rowAt = k.ends[:0], k.stack[:0], k.uses[:0], k.rowAt[:0]
+	k.ends, k.stack = k.ends[:0], k.stack[:0]
 	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
 	k.c, k.preG, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, nil, "", labelPost{}
-	k.work = 0
+	k.work, k.resolved = 0, 0
 	c.kernelPool.Put(k)
 }
 
@@ -353,23 +345,9 @@ func (k *rowKernel) storeBuild() int32 {
 	if count == 0 {
 		return rowEmpty
 	}
-	// A row has at most count words.
-	k.rows = reserve(k.rows, 1)
-	k.idx, k.words = reserve(k.idx, count), reserve(k.words, count)
 	k.rows = append(k.rows, rowSpan{lo: int32(len(k.idx)), count: int32(count)})
 	k.idx, k.words = k.build.DrainWords(k.idx, k.words)
 	return int32(len(k.rows) - 1)
-}
-
-// reserve makes room for n more elements, at least doubling the
-// capacity when it grows: the store is appended to row by row, and
-// append's 1.25x growth of large slices would allocate about five times
-// its final size.
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return slices.Grow(s, max(n, len(s)))
 }
 
 // inPlace reports whether PostEnds(s) is read where it is needed rather
@@ -600,118 +578,4 @@ func (k *rowKernel) orRun(acc *pairs.RunAccumulator) error {
 	acc.AddAll(k.runBits)
 	k.work += int64(len(k.runBits))
 	return nil
-}
-
-// seal is the sealed driver: one pass sizes every source's run (and, on
-// the way, fills the rows it needs), the second drains the runs into
-// exact-size columns, ascending by source and within each run. The first
-// pass leaves in offsets[v+1] the size of v's run, or −h when the run is
-// stored row h (h ≥ 1), so the second copies such a run out of the
-// store with no gather, turns offsets into their prefix sum as it goes,
-// and gathers again only the runs that are not one stored row. A stored
-// row that is the whole run of several sources is written once, where
-// the first of them needs it, and the others point at it
-// (pairs.RelationFromSharedRuns); when no row repeats, the result is a
-// plain CSR. A result past MaxResultPairs is refused between the two
-// passes, before any column is allocated.
-func (k *rowKernel) seal() (*pairs.Relation, error) {
-	preG := k.preG
-	n := preG.NumVertices()
-	offsets := make([]int32, n+1)
-	total, stored := 0, 0 // destinations the relation holds, and the column
-	var err error
-	preG.EachSrc(func(vi graph.VID, vjs []graph.VID) bool {
-		if err = k.c.checkpoint(len(vjs)); err != nil {
-			return false
-		}
-		var h int32
-		if h, err = k.gather(vjs); err != nil {
-			return false
-		}
-		if h >= 0 {
-			offsets[vi+1] = -h
-			total += int(k.rows[h].count)
-			if k.use(h) == 1 {
-				stored += int(k.rows[h].count)
-			}
-			return true
-		}
-		if err = k.orRun(k.run); err != nil {
-			return false
-		}
-		offsets[vi+1] = int32(k.run.Count())
-		total += int(offsets[vi+1])
-		stored += int(offsets[vi+1])
-		k.run.Reset()
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := checkResultLen(total); err != nil {
-		return nil, err
-	}
-
-	// starts stays nil unless some row repeats; rowAt[h] is then 1 + the
-	// position of repeated row h once it is written.
-	var starts []int32
-	if stored < total {
-		starts = make([]int32, n)
-		k.rowAt = zeroed(k.rowAt, len(k.uses))
-	}
-	dsts := make([]graph.VID, 0, stored)
-	for v := range n {
-		size, h := offsets[v+1], int32(-1)
-		if size < 0 {
-			h, size = -size, k.rows[-size].count
-		}
-		offsets[v+1] = offsets[v] + size
-		if size == 0 {
-			continue
-		}
-		if err := k.c.checkpoint(int(size)); err != nil {
-			return nil, err
-		}
-		if starts != nil {
-			if h >= 0 && k.uses[h] > 1 {
-				if at := k.rowAt[h]; at > 0 {
-					starts[v] = at - 1
-					continue
-				}
-				k.rowAt[h] = int32(len(dsts)) + 1
-			}
-			starts[v] = int32(len(dsts))
-		}
-		if h >= 0 {
-			lo, hi := k.span(h)
-			for i := lo; i < hi; i++ {
-				dsts = pairs.AppendWordBits(dsts, k.idx[i], k.words[i])
-			}
-			continue
-		}
-		// Every row exists after the first pass: this gather only looks
-		// them up.
-		if _, err := k.gather(preG.DstsOf(graph.VID(v))); err != nil {
-			return nil, err
-		}
-		if err := k.orRun(k.run); err != nil {
-			return nil, err
-		}
-		dsts = k.run.DrainAppend(dsts)
-	}
-	if starts == nil {
-		return pairs.RelationFromSortedRuns(n, offsets, dsts), nil
-	}
-	return pairs.RelationFromSharedRuns(n, offsets, starts, dsts), nil
-}
-
-// use counts one more source whose whole run is stored row h and
-// returns how many there are so far.
-func (k *rowKernel) use(h int32) int32 {
-	if int(h) >= len(k.uses) {
-		// Grown in place: the pooled capacity past len is all-zero.
-		k.uses = slices.Grow(k.uses, len(k.rows)-len(k.uses))[:len(k.rows)]
-	}
-	k.uses[h]++
-	return k.uses[h]
 }

@@ -131,7 +131,7 @@ func kernelSeal(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC, 
 	k := call.acquireKernel(c.preG, structure, c.typ, c.post)
 	defer call.releaseKernel(k)
 	k.budget = budget
-	rel, err := k.seal()
+	rel, err := call.drain(k)
 	if err != nil {
 		t.Fatalf("%s: sealed driver: %v", c.name, err)
 	}
@@ -154,8 +154,11 @@ func kernelStream(t *testing.T, call *evalCall, c kernelCase, structure *rtc.RTC
 		if err := k.orRun(acc); err != nil {
 			t.Fatalf("%s: stream run: %v", c.name, err)
 		}
-		for _, vk := range acc.DrainAppend(nil) {
-			b.Add(vi, vk)
+		idx, words := acc.DrainWords(nil, nil)
+		for i, wi := range idx {
+			for _, vk := range pairs.AppendWordBits(nil, wi, words[i]) {
+				b.Add(vi, vk)
+			}
 		}
 		return true
 	})
@@ -287,7 +290,7 @@ func TestLabelPostMatchesTraversedPost(t *testing.T) {
 			for i, kc := range []kernelCase{c, traversed} {
 				call := e.call(nil, nil)
 				k := call.acquireKernel(kc.preG, s.structure, kc.typ, kc.post)
-				rel, err := k.seal()
+				rel, err := call.drain(k)
 				if err != nil {
 					t.Fatalf("%s %s Post %s: %v", c.name, s.name, kc.post, err)
 				}

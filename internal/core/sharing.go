@@ -153,6 +153,10 @@ func (c *evalCall) execClause(cp *plan.ClausePlan) (*pairs.Relation, clauseActua
 	if preG != nil {
 		act.Pre = preG.Len()
 	}
+	if cp.Kind != plan.KindAutomaton {
+		prev := c.enter(bucketJoin)
+		defer c.enter(prev)
+	}
 	rel, err := c.sealClause(p)
 	return rel, act, err
 }

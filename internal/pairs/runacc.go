@@ -108,11 +108,15 @@ func (a *RunAccumulator) Reset() {
 
 // DrainWords appends the run's non-zero words in ascending word order to
 // idx and words — a compact copy OrWords can OR back in — and empties
-// the accumulator. It must not follow a partial Drain.
+// the accumulator. It must not follow a partial Drain. An output that
+// grows at least doubles: callers append run after run to one store, and
+// append's 1.25x growth of large slices would allocate about five times
+// its final size.
 func (a *RunAccumulator) DrainWords(idx []int32, words []uint64) ([]int32, []uint64) {
 	if !a.ordered {
 		a.order()
 	}
+	idx, words = reserve(idx, len(a.dirty)), reserve(words, len(a.dirty))
 	for _, wi := range a.dirty {
 		if w := a.words[wi]; w != 0 {
 			idx = append(idx, wi)
@@ -124,18 +128,13 @@ func (a *RunAccumulator) DrainWords(idx []int32, words []uint64) ([]int32, []uin
 	return idx, words
 }
 
-// DrainAppend appends every remaining destination, ascending, to dst and
-// empties the accumulator.
-func (a *RunAccumulator) DrainAppend(dst []graph.VID) []graph.VID {
-	if !a.ordered {
-		a.order()
+// reserve makes room for n more elements, at least doubling the
+// capacity when it grows.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
 	}
-	for _, wi := range a.dirty[a.pos:] {
-		dst = AppendWordBits(dst, wi, a.words[wi])
-		a.words[wi] = 0
-	}
-	a.dirty, a.pos, a.ordered = a.dirty[:0], 0, false
-	return dst
+	return slices.Grow(s, max(n, len(s)))
 }
 
 // AppendWordBits appends the destinations word w holds at word index

@@ -75,7 +75,7 @@ func TestRunAccumulatorMatchesSortDedupe(t *testing.T) {
 
 // TestRunAccumulatorWords: a run drained as words and ORed back in —
 // alone, and unioned with other runs — is the same destination set;
-// Count is its size; DrainAppend and Reset both leave the accumulator
+// Count is its size; DrainWords and Reset both leave the accumulator
 // empty; AppendWordBits decodes a word run to the same destinations.
 func TestRunAccumulatorWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -110,16 +110,16 @@ func TestRunAccumulatorWords(t *testing.T) {
 			if got := other.Count(); got != len(union) {
 				t.Fatalf("|V|=%d: Count = %d, want %d", numV, got, len(union))
 			}
-			if got := other.DrainAppend(nil); !slices.Equal(got, union) {
+			if got := drainBits(other); !slices.Equal(got, union) {
 				t.Fatalf("|V|=%d: OrWords union drained %v, want %v", numV, got, union)
 			}
 			if !other.Empty() || other.Count() != 0 {
-				t.Fatalf("|V|=%d: DrainAppend left the accumulator non-empty", numV)
+				t.Fatalf("|V|=%d: DrainWords left the accumulator non-empty", numV)
 			}
 
 			other.OrWords(idx, words)
 			other.Reset()
-			if !other.Empty() || len(other.DrainAppend(nil)) != 0 {
+			if !other.Empty() || len(drainBits(other)) != 0 {
 				t.Fatalf("|V|=%d: Reset left destinations behind", numV)
 			}
 		}
@@ -189,7 +189,7 @@ func TestRunAccumulatorSteadyStateAllocs(t *testing.T) {
 // TestRunAccumulatorOrWordsOrdered: OrWords into an empty accumulator
 // leaves its dirty list ascending, so no drain orders it again; a fill
 // that then appends a word, by Add or by OrWords, clears that, and every
-// drain — DrainWords, DrainAppend, a Drain cut into parts — still
+// drain — DrainWords, a Drain cut into parts — still
 // yields exactly the union, ascending.
 func TestRunAccumulatorOrWordsOrdered(t *testing.T) {
 	const numV = 4097
@@ -218,7 +218,7 @@ func TestRunAccumulatorOrWordsOrdered(t *testing.T) {
 			t.Fatalf("density %v: DrainWords after OrWords = %v, want %v", density, decoded, want)
 		}
 
-		// OrWords → Add → DrainAppend, the Add landing before the run's
+		// OrWords → Add → DrainWords, the Add landing before the run's
 		// first word when it can, and into a word the run already holds.
 		low := graph.VID(idx[0])*64 - 1
 		if idx[0] == 0 {
@@ -228,17 +228,17 @@ func TestRunAccumulatorOrWordsOrdered(t *testing.T) {
 		acc.Add(low)
 		acc.Add(a[0])
 		union := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(a), low))))
-		if got := acc.DrainAppend(nil); !slices.Equal(got, union) {
+		if got := drainBits(acc); !slices.Equal(got, union) {
 			t.Fatalf("density %v: OrWords then Add drained %v, want %v", density, got, union)
 		}
 
-		// OrWords → OrWords of a word before the first → DrainAppend.
+		// OrWords → OrWords of a word before the first → DrainWords.
 		acc.OrWords(idx, words)
 		acc.OrWords([]int32{int32(low >> 6)}, []uint64{1 << (low & 63)})
 		if acc.ordered && int32(low>>6) < idx[0] {
 			t.Fatalf("density %v: an OrWords appending a lower word left the accumulator ordered", density)
 		}
-		if got := acc.DrainAppend(nil); !slices.Equal(got, union) {
+		if got := drainBits(acc); !slices.Equal(got, union) {
 			t.Fatalf("density %v: two OrWords drained %v, want %v", density, got, union)
 		}
 
@@ -251,4 +251,15 @@ func TestRunAccumulatorOrWordsOrdered(t *testing.T) {
 			t.Fatalf("density %v: not empty after a full drain", density)
 		}
 	}
+}
+
+// drainBits drains a as words and decodes them: every destination,
+// ascending.
+func drainBits(a *RunAccumulator) []graph.VID {
+	var dsts []graph.VID
+	idx, words := a.DrainWords(nil, nil)
+	for i, wi := range idx {
+		dsts = AppendWordBits(dsts, wi, words[i])
+	}
+	return dsts
 }

@@ -407,35 +407,51 @@ func ring(n int) *graph.DiGraph {
 // TestBFSCheckPollsInsideBatch: on a 2^14-vertex ring every search of
 // the first batch walks the whole ring, 2^14 levels. A checkpoint that
 // fails on its second call, the first inside the batch, must abort
-// there, having allocated no more than the search's own state.
-// Uncancelled, the rows charged to the checkpoint cover at least every
-// pair the closure holds.
+// there, having allocated no more than the search's own state, and
+// less than an abort after the batch, which has written the batch's
+// rows too. Uncancelled, the rows charged to the checkpoint cover at
+// least every pair the closure holds.
 func TestBFSCheckPollsInsideBatch(t *testing.T) {
 	const n = 1 << 14
 	d := ring(n)
 	stop := errors.New("stop")
-	calls := 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c, err := BFSCheck(d, func(int) error {
-		if calls++; calls == 2 {
-			return stop
+	abortAt := func(call int) (calls int, bytes uint64, err error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := BFSCheck(d, func(int) error {
+			if calls++; calls == call {
+				return stop
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if c != nil {
+			t.Fatalf("BFSCheck returned a closure with error %v", err)
 		}
-		return nil
-	})
-	runtime.ReadMemStats(&after)
-	if err != stop || c != nil || calls != 2 {
-		t.Fatalf("BFSCheck = %v, %v after %d calls; want nil, the checkpoint's error after 2", c, err, calls)
+		return calls, after.TotalAlloc - before.TotalAlloc, err
 	}
-	// The three masks take 24 bytes a vertex, the row offsets 4 and the
-	// source list at most 8.
-	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 128*n {
-		t.Fatalf("an abort inside the first batch allocated %d bytes, want at most %d", bytes, 128*n)
+	// The state takes 48 bytes a vertex: 24 for the three masks, 4 for
+	// the row offsets and at most 20 for the source list, whose appends
+	// allocate about five times its final 4. The first batch's rows add
+	// 12 more: 64 rows of 2^14/64 words, each word 8 bytes and its index
+	// 4.
+	const bound = 48 * n
+	calls, bytes, err := abortAt(2)
+	if err != stop || calls != 2 {
+		t.Fatalf("BFSCheck = %v after %d calls; want the checkpoint's error after 2", err, calls)
+	}
+	if bytes > bound {
+		t.Fatalf("an abort inside the first batch allocated %d bytes, want at most %d", bytes, bound)
+	}
+	// The first batch polls before it starts and after each of its n+1
+	// levels, so call n+3 is the second batch's first.
+	if calls, bytes, err := abortAt(n + 3); err != stop || calls != n+3 || bytes <= bound {
+		t.Fatalf("an abort after the first batch: %v after %d calls, %d bytes; want the checkpoint's error after %d, more than %d bytes", err, calls, bytes, n+3, bound)
 	}
 
 	small := ring(1000)
 	charged := 0
-	c, err = BFSCheck(small, func(rows int) error {
+	c, err := BFSCheck(small, func(rows int) error {
 		charged += rows
 		return nil
 	})
