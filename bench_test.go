@@ -55,8 +55,9 @@ func newLayerFixture(b *testing.B) layerFixture {
 	return fx
 }
 
-// BenchmarkEval_RG explains eval.rg_ns: the automaton-product traversal
-// that evaluates the closure body R into a builder.
+// BenchmarkEval_RG explains eval.rg_ns: the automaton-product search,
+// 64 start vertices at a time, that evaluates the closure body R into a
+// builder.
 func BenchmarkEval_RG(b *testing.B) {
 	fx := newLayerFixture(b)
 	bld := pairs.NewBuilder(fx.g.NumVertices())
@@ -412,6 +413,28 @@ func BenchmarkCore_JoinFullPaper(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCore_AutomatonPaper explains eval.rg_ns as the engine pays
+// it: closure-free clauses sealed cold, on a fresh engine per iteration
+// — paper-batch's two closure-free R at 2^11 vertices, seed 1, whose
+// R_G the baselines evaluate before building TC(G_R), and, at 2^14,
+// l2.(l0.l1).(l0.l1)*.l3, whose closure-free Pre l2.l0.l1 is searched
+// from its candidate starts.
+func BenchmarkCore_AutomatonPaper(b *testing.B) {
+	for _, c := range []struct {
+		scale int
+		q     string
+	}{{11, "l0.l2"}, {11, "l3.l1.l3"}, {14, "l2.(l0.l1).(l0.l1)*.l3"}} {
+		g, err := datagen.PaperRMATN(3, c.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("2^%d:%s", c.scale, c.q), func(b *testing.B) {
+			rel := benchCold(b, g, c.q)
+			b.ReportMetric(float64(rel.Len()), "pairs")
 		})
 	}
 }

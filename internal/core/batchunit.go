@@ -28,8 +28,9 @@ import (
 //     where, and therefore which redundant/useless operations it performs
 //     — exactly follow Section IV-B; it joins 64 sources at a time, one
 //     per bit of a mask word, and hands their runs out one by one;
-//   - a closure-free clause: one product traversal per source
-//     (automatonJoin).
+//   - a closure-free clause: the product search of tc's kernel from 64
+//     candidate starts at once, handed out one source at a time like
+//     fullJoin's batches (automatonJoin).
 //
 // Every consumer drives these producers. The sealed path drains each
 // clause's producer into exact-size CSR columns (sealClause). A DNF of
@@ -129,7 +130,9 @@ func (c *evalCall) acquirePost(post rpq.Expr) (*eval.Evaluator, string, labelPos
 // source.
 func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, *pairs.Relation, error) {
 	if cp.Kind == plan.KindAutomaton {
-		return c.openAutomaton(cp.Clause), nil, nil
+		a := c.openAutomaton(cp.Clause)
+		a.width = width
+		return a, nil, nil
 	}
 	bu := cp.Unit
 	preG, err := c.subEvaluateRel(bu.Pre)
@@ -502,6 +505,17 @@ type wordRun struct {
 	words []uint64
 }
 
+// appendBlock appends word i of a block of source words, unless zero,
+// to runs[i].
+func appendBlock(runs []wordRun, b int32, blk *[64]uint64) {
+	for i := range runs {
+		if w := blk[i]; w != 0 {
+			r := &runs[i]
+			r.idx, r.words = append(r.idx, b), append(r.words, w)
+		}
+	}
+}
+
 // endSpan addresses one memoised Post traversal inside endsBuf.
 type endSpan struct{ start, end int32 }
 
@@ -694,12 +708,7 @@ func (j *fullJoin) emit(masks, blocks []uint64, vertexMajor bool) {
 		if vertexMajor {
 			pairs.Transpose64(blk)
 		}
-		for i := range j.srcs {
-			if w := blk[i]; w != 0 {
-				r := &j.runs[i]
-				r.idx, r.words = append(r.idx, int32(b)), append(r.words, w)
-			}
-		}
+		appendBlock(j.runs[:len(j.srcs)], int32(b), blk)
 		*blk = [64]uint64{}
 	})
 }
@@ -713,21 +722,28 @@ func (j *fullJoin) abort() {
 }
 
 // automatonJoin is the producer of a closure-free clause (Algorithm 1
-// line 6): one product traversal per source, from the FIRST-set
-// candidate starts only when the clause admits the restriction
-// (eval.CandidateStarts). Its cancellation checkpoint is weighted by the
-// ends each traversal adds.
+// line 6): its evaluator's product search (eval.Reach) run from width
+// consecutive candidate starts at once — the FIRST-set candidates
+// (eval.CandidateStarts) when the clause admits the restriction, every
+// vertex when it is nullable — each source's ends handed out as its
+// run, as fullJoin hands out a batch. The search polls the checkpoint
+// after each level. At width 1 a source is traversed on its own
+// (eval.AppendReachFrom), a checkpoint weighted by its ends.
 type automatonJoin struct {
 	c        *evalCall
 	ev       *eval.Evaluator
 	evKey    string
 	seedable []bool // nil when every vertex is a candidate start
-	ends     []graph.VID
+	width    int
+	srcs     []graph.VID // the current batch, ascending
+	runs     [fullBatch]wordRun
+	ends     []graph.VID // one source's traversal, at width 1
 }
 
-// openAutomaton returns the producer of closure-free clause q.
+// openAutomaton returns the producer of closure-free clause q, joining
+// fullBatch sources per batch.
 func (c *evalCall) openAutomaton(q rpq.Expr) *automatonJoin {
-	a := &automatonJoin{c: c}
+	a := &automatonJoin{c: c, width: fullBatch}
 	a.ev, a.evKey = c.acquireEvaluator(q)
 	if starts, ok := eval.CandidateStarts(c.g, q); ok {
 		a.seedable = make([]bool, c.g.NumVertices())
@@ -744,9 +760,46 @@ func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64,
 	if a.seedable != nil && !a.seedable[vi] {
 		return 0, nil
 	}
-	a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
-	acc.AddAll(a.ends)
-	return int64(len(a.ends)), a.c.checkpoint(len(a.ends) + 1)
+	if a.width == 1 {
+		a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
+		acc.AddAll(a.ends)
+		return int64(len(a.ends)), a.c.checkpoint(len(a.ends) + 1)
+	}
+	i, ok := slices.BinarySearch(a.srcs, vi)
+	if !ok {
+		if err := a.join(vi); err != nil {
+			return 0, err
+		}
+		i = 0
+	}
+	r := &a.runs[i]
+	acc.OrWords(r.idx, r.words)
+	rows := 0
+	for _, w := range r.words {
+		rows += bits.OnesCount64(w)
+	}
+	return int64(rows), nil
+}
+
+// join searches the batch that starts at source v0: the next width
+// candidate starts from v0 on. A search the checkpoint stops leaves no
+// batch.
+func (a *automatonJoin) join(v0 graph.VID) error {
+	a.srcs = a.srcs[:0]
+	for v, n := v0, graph.VID(a.c.g.NumVertices()); v < n && len(a.srcs) < a.width; v++ {
+		if a.seedable == nil || a.seedable[v] {
+			a.srcs = append(a.srcs, v)
+		}
+	}
+	runs := a.runs[:len(a.srcs)]
+	for i := range runs {
+		runs[i].idx, runs[i].words = runs[i].idx[:0], runs[i].words[:0]
+	}
+	err := a.ev.Reach(a.srcs, a.c.checkpoint, func(b int32, blk *[64]uint64) { appendBlock(runs, b, blk) })
+	if err != nil {
+		a.srcs = a.srcs[:0]
+	}
+	return err
 }
 
 func (a *automatonJoin) release() { a.c.releaseEvaluator(a.evKey, a.ev) }

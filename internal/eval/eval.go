@@ -3,18 +3,26 @@
 // as the NoSharing baseline and as the building block EvalRPQwithoutKC /
 // EvalRestrictedRPQ inside Algorithms 1 and 2.
 //
-// Evaluation traverses the product of the graph and the query automaton:
-// a traversal is a pair (vertex, automaton state), extended along edges
-// whose label transitions the state. Following Example 2, a traversal
-// terminates when its (vertex, state) pair was already visited from the
-// same start vertex, which prevents duplicate results on cyclic graphs.
+// Evaluation searches the product of the graph and the query automaton,
+// whose arcs are the graph's label CSRs: a copy (vertex, automaton
+// state) is reached from a start vertex when a path from it spells a
+// word that drives the automaton from its start state to that state,
+// and the ends are the vertices reached in an accepting state. A copy is
+// expanded at most once per start vertex, which prevents duplicate
+// results on cyclic graphs (Example 2). Batches of start vertices go
+// through tc's word-parallel kernel (tc.Search), 64 at a time, one bit
+// of a mask per copy each; a single start vertex is traversed depth
+// first over per-copy stamps, which a batch of one loses to.
 package eval
 
 import (
+	"math/bits"
+
 	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 	"rtcshare/internal/rpq"
+	"rtcshare/internal/tc"
 )
 
 // Options configure evaluation. There are none; the struct survives
@@ -22,34 +30,32 @@ import (
 type Options struct{}
 
 // Evaluator evaluates one compiled query over one graph, possibly from
-// many different start-vertex sets. It reuses traversal scratch space
-// across calls and is not safe for concurrent use.
+// many different start-vertex sets. It reuses its search state across
+// calls and is not safe for concurrent use.
 type Evaluator struct {
 	g    *graph.Graph
 	expr rpq.Expr
 	nfa  *automata.NFA
 
-	// label is set when the expression is one label, l or ^l: a
-	// traversal from v is then row v of the label's CSR (labelOffsets/
+	// label is set when the expression is one label, l or ^l: the ends
+	// from v are then row v of the label's CSR (labelOffsets/
 	// labelTargets, nil for a label the graph does not have), read with
-	// no product state and no stamps.
+	// no search.
 	label        bool
 	labelOffsets []int32
 	labelTargets []graph.VID
 
-	numStates int
-	// stamp[state*|V|+v] == generation marks (v, state) visited for the
-	// current start vertex; bumping generation clears in O(1). A label
-	// evaluator never allocates it.
+	product *tc.Product
+	search  *tc.Search // built on the first batch
+
+	// One start vertex is traversed depth-first instead: stamp[state*|V|
+	// +v] == generation marks (v, state) visited for the current start
+	// vertex, allocated on the first traversal; bumping generation
+	// clears it in O(1).
 	stamp      []uint32
 	generation uint32
 	stack      []prodState
-
-	// reach temporarily holds AppendReachFrom's output buffer. Keeping
-	// it on the evaluator (exclusively owned during a call) lets the
-	// emit closure capture only the receiver, so it never forces a heap
-	// cell for the buffer variable.
-	reach []graph.VID
+	reach      []graph.VID // AppendReachFrom's buffer during a traversal
 }
 
 type prodState struct {
@@ -59,17 +65,26 @@ type prodState struct {
 
 // New compiles e against g's label dictionary and returns an Evaluator.
 func New(g *graph.Graph, e rpq.Expr, _ Options) *Evaluator {
-	ev := &Evaluator{g: g, expr: e}
-	ev.nfa = automata.Compile(e, g.Dict())
-	ev.numStates = ev.nfa.NumStates()
+	ev := &Evaluator{g: g, expr: e, nfa: automata.Compile(e, g.Dict())}
 	if l, ok := e.(rpq.Label); ok {
 		ev.label = true
 		if lid, found := g.Dict().Lookup(l.Name); found {
 			ev.labelOffsets, ev.labelTargets = g.LabelCSR(lid, l.Inverse)
 		}
-		return ev
 	}
-	ev.stamp = make([]uint32, ev.numStates*g.NumVertices())
+	ev.product = &tc.Product{N: g.NumVertices(), States: make([]tc.State, ev.nfa.NumStates()), Empty: ev.nfa.MatchesEmpty()}
+	for q := range ev.product.States {
+		st := &ev.product.States[q]
+		st.Accept = ev.nfa.IsAccept(q)
+		for _, a := range ev.nfa.Arcs(q) {
+			arc := tc.Arc{To: a.To}
+			arc.Fwd.Offsets, arc.Fwd.Targets = g.LabelCSR(a.Label, a.Inverse)
+			arc.Rev.Offsets, arc.Rev.Targets = g.LabelCSR(a.Label, !a.Inverse)
+			if arc.Fwd.Offsets != nil { // nil: a label absent from the graph
+				st.Arcs = append(st.Arcs, arc)
+			}
+		}
+	}
 	return ev
 }
 
@@ -86,122 +101,121 @@ func Evaluate(g *graph.Graph, e rpq.Expr) *pairs.Set {
 	return New(g, e, Options{}).EvaluateAll()
 }
 
-// EvaluateAll runs the traversal from every vertex of the graph.
+// EvaluateAll evaluates from every vertex of the graph.
 func (ev *Evaluator) EvaluateAll() *pairs.Set {
 	out := pairs.NewSet()
-	for v := 0; v < ev.g.NumVertices(); v++ {
-		ev.fromVertex(graph.VID(v), out)
-	}
+	ev.each(func(src, dst graph.VID) { out.Add(src, dst) })
 	return out
 }
 
 // AppendAll emits R_G into a relation builder instead of a set: every
-// (start, end) the traversal finds is appended raw. The traversal's
-// per-start visited stamps already guarantee each pair is emitted once,
-// so the builder receives a duplicate-free stream and Seal's dedup pass
-// is a no-op. (The engine evaluates per source with AppendReachFrom;
+// (start, end) the search finds is appended raw, each once, so the
+// builder receives a duplicate-free stream and Seal's dedup pass is a
+// no-op. (The engine evaluates a clause in batches with Reach;
 // AppendAll seals R_G whole for the benchmark replay and the tests.)
 func (ev *Evaluator) AppendAll(out *pairs.Builder) {
-	for v := 0; v < ev.g.NumVertices(); v++ {
-		ev.appendVertex(graph.VID(v), out)
+	ev.each(out.Add)
+}
+
+// each calls fn for every pair of R_G: a label's CSR rows, or the
+// product searched from 64 start vertices at a time.
+func (ev *Evaluator) each(fn func(src, dst graph.VID)) {
+	n := ev.g.NumVertices()
+	var batch [64]graph.VID
+	for v0 := 0; v0 < n; v0 += len(batch) {
+		srcs := batch[:min(len(batch), n-v0)]
+		for i := range srcs {
+			srcs[i] = graph.VID(v0 + i)
+			for _, w := range ev.labelRow(srcs[i]) {
+				fn(srcs[i], w)
+			}
+		}
+		if ev.label {
+			continue
+		}
+		ev.Reach(srcs, nil, func(b int32, blk *[64]uint64) {
+			for i, u := range srcs {
+				for w := blk[i]; w != 0; w &= w - 1 {
+					fn(u, graph.VID(b)<<6|graph.VID(bits.TrailingZeros64(w)))
+				}
+			}
+		})
 	}
 }
 
-func (ev *Evaluator) appendVertex(start graph.VID, out *pairs.Builder) {
-	ev.traverse(start, func(end graph.VID) {
-		out.Add(start, end)
-	})
+// labelRow returns a label evaluator's ends from v, aliasing the
+// graph's storage; nil for any other evaluator.
+func (ev *Evaluator) labelRow(v graph.VID) []graph.VID {
+	if ev.labelOffsets == nil {
+		return nil
+	}
+	return ev.labelTargets[ev.labelOffsets[v]:ev.labelOffsets[v+1]]
+}
+
+// Reach searches the product from up to 64 start vertices at once and
+// calls fn(b, blk) for every 64-vertex block b holding an end,
+// ascending: blk[i] holds the block's ends from sources[i],
+// EvalRestrictedRPQ from it. check is polled after every level of the
+// search, weighted by the edges walked plus the ends found; a search it
+// stops returns its error with nothing handed out.
+func (ev *Evaluator) Reach(sources []graph.VID, check tc.Checkpoint, fn func(b int32, blk *[64]uint64)) error {
+	if ev.search == nil {
+		ev.search = tc.NewSearch(ev.product)
+	}
+	return ev.search.Reach(sources, check, fn)
 }
 
 // AppendReachFrom appends the end vertices of paths satisfying the query
 // that start at v — EvalRestrictedRPQ(Post, v) of Algorithm 2 line 14 —
-// to buf and returns the extended buffer. The engine's per-source
-// producers keep one pooled buffer per join (the pair-level join records
-// (offset, end) spans into it), so a traversal allocates nothing once
-// the buffer is warm.
+// to buf and returns the extended buffer: a label's CSR row, or a
+// depth-first traversal of the product from (v, q0), which for one start
+// vertex costs a stamp per copy it visits where a batch of one would
+// pay the batch's blocks. The engine's per-vertex Post producers keep
+// one pooled buffer per join, so a traversal allocates nothing once the
+// buffer is warm.
 func (ev *Evaluator) AppendReachFrom(v graph.VID, buf []graph.VID) []graph.VID {
+	if ev.label {
+		return append(buf, ev.labelRow(v)...)
+	}
 	ev.reach = buf
-	ev.traverse(v, func(end graph.VID) {
-		ev.reach = append(ev.reach, end)
-	})
-	buf = ev.reach
-	ev.reach = nil
+	ev.traverse(v)
+	buf, ev.reach = ev.reach, nil
 	return buf
 }
 
-func (ev *Evaluator) fromVertex(start graph.VID, out *pairs.Set) {
-	ev.traverse(start, func(end graph.VID) {
-		out.Add(start, end)
-	})
-}
-
-// traverse walks the product space from (start, q0), invoking emit for
+// traverse walks the product space from (start, q0), appending to reach
 // every vertex reached in an accepting state. Each (vertex, state) pair
-// is expanded at most once per start vertex. A label evaluator emits
-// start's row of the label's CSR instead: the product of one edge step
-// reaches exactly those vertices, each once.
-func (ev *Evaluator) traverse(start graph.VID, emit func(graph.VID)) {
-	if ev.label {
-		if ev.labelOffsets != nil {
-			for _, w := range ev.labelTargets[ev.labelOffsets[start]:ev.labelOffsets[start+1]] {
-				emit(w)
-			}
-		}
-		return
+// is expanded at most once per start vertex.
+func (ev *Evaluator) traverse(start graph.VID) {
+	n := ev.g.NumVertices()
+	if ev.stamp == nil {
+		ev.stamp = make([]uint32, ev.nfa.NumStates()*n)
 	}
-	ev.generation++
-	if ev.generation == 0 { // uint32 wrap: clear and restart
-		for i := range ev.stamp {
-			ev.stamp[i] = 0
-		}
+	if ev.generation++; ev.generation == 0 { // uint32 wrap: clear and restart
+		clear(ev.stamp)
 		ev.generation = 1
 	}
-	gen := ev.generation
-	n := ev.g.NumVertices()
-
-	mark := func(state int32, v graph.VID) bool {
-		idx := int(state)*n + int(v)
-		if ev.stamp[idx] == gen {
-			return false
-		}
-		ev.stamp[idx] = gen
-		return true
-	}
-
-	ev.stack = ev.stack[:0]
-	mark(0, start)
-	ev.stack = append(ev.stack, prodState{v: start, state: 0})
-
+	ev.stamp[start] = ev.generation
+	ev.stack = append(ev.stack[:0], prodState{v: start})
 	for len(ev.stack) > 0 {
 		top := ev.stack[len(ev.stack)-1]
 		ev.stack = ev.stack[:len(ev.stack)-1]
-		if ev.nfa.IsAccept(int(top.state)) {
-			emit(top.v)
+		if ev.product.States[top.state].Accept {
+			ev.reach = append(ev.reach, top.v)
 		}
-		arcs := ev.nfa.Arcs(int(top.state))
-		for i := 0; i < len(arcs); {
-			label, inverse := arcs[i].Label, arcs[i].Inverse
-			if label < 0 {
-				i++
-				continue // dead transition: label absent from the graph
-			}
-			neigh := ev.neighbors(top.v, label, inverse)
-			for ; i < len(arcs) && arcs[i].Label == label && arcs[i].Inverse == inverse; i++ {
-				for _, w := range neigh {
-					if mark(int32(arcs[i].To), w) {
-						ev.stack = append(ev.stack, prodState{v: w, state: int32(arcs[i].To)})
-					}
+		arcs := ev.product.States[top.state].Arcs
+		for ai := range arcs {
+			a := &arcs[ai]
+			for _, w := range a.Fwd.Targets[a.Fwd.Offsets[top.v]:a.Fwd.Offsets[top.v+1]] {
+				if idx := a.To*n + int(w); ev.stamp[idx] != ev.generation {
+					ev.stamp[idx] = ev.generation
+					ev.stack = append(ev.stack, prodState{v: w, state: int32(a.To)})
 				}
 			}
 		}
 	}
 }
 
-// neighbors resolves a traversal step: forward arcs follow Successors,
-// inverse arcs (the ^label operator) follow Predecessors.
-func (ev *Evaluator) neighbors(v graph.VID, label graph.LID, inverse bool) []graph.VID {
-	if inverse {
-		return ev.g.Predecessors(v, label)
-	}
-	return ev.g.Successors(v, label)
-}
+// Idle reports whether the evaluator's search state holds nothing, as
+// between searches.
+func (ev *Evaluator) Idle() bool { return ev.search == nil || ev.search.Idle() }

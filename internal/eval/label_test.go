@@ -13,7 +13,7 @@ import (
 )
 
 // Property: a single-label evaluator — l or ^l, the label present in the
-// graph or not — reads the label's CSR, allocates no product stamps, and
+// graph or not — reads the label's CSR, builds no product search, and
 // its AppendReachFrom, AppendAll and EvaluateAll all equal the reference
 // oracle on random graphs; the CSR it hands out (LabelCSR) has row v
 // equal to AppendReachFrom(v), and a non-label evaluator hands out none.
@@ -28,8 +28,8 @@ func TestLabelEvaluatorMatchesReference(t *testing.T) {
 				e := rpq.Label{Name: name, Inverse: inverse}
 				want := Reference(g, e)
 				ev := New(g, e, Options{})
-				if ev.stamp != nil {
-					t.Logf("%s: label evaluator allocated %d stamps", e, len(ev.stamp))
+				if ev.search != nil {
+					t.Logf("%s: label evaluator built a product search", e)
 					return false
 				}
 				offsets, targets, ok := ev.LabelCSR()

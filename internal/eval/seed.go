@@ -6,10 +6,10 @@ import (
 )
 
 // This file implements first-step seeding: restricting an all-pairs
-// product traversal to the vertices that can actually take the first
-// step of the expression. For selective queries — a rare first label —
-// this skips almost every start vertex. The engine's producer of a
-// closure-free clause traverses from these candidates only.
+// product search to the vertices that can actually take the first step
+// of the expression. For selective queries — a rare first label — this
+// skips almost every start vertex. The engine's producer of a
+// closure-free clause batches these candidates only.
 
 // firstStep is one admissible opening move of an expression: follow an
 // edge with this label, backwards when Inverse is set.

@@ -102,3 +102,12 @@ func (ev *Evaluator) Witness(src, dst graph.VID) (path []rpq.Label, ok bool) {
 	}
 	return path, true
 }
+
+// neighbors resolves one witness step: forward arcs follow Successors,
+// inverse arcs (the ^label operator) follow Predecessors.
+func (ev *Evaluator) neighbors(v graph.VID, label graph.LID, inverse bool) []graph.VID {
+	if inverse {
+		return ev.g.Predecessors(v, label)
+	}
+	return ev.g.Successors(v, label)
+}

@@ -218,3 +218,11 @@ func (b *DiBuilder) Build() *DiGraph {
 	b.srcs, b.dsts = nil, nil
 	return d
 }
+
+// ReverseCSR returns the reverse adjacency's raw columns: the
+// predecessors of v are targets[offsets[v]:offsets[v+1]], sorted
+// ascending. The slices alias internal storage and must not be
+// modified.
+func (d *DiGraph) ReverseCSR() (offsets []int32, targets []VID) {
+	return d.rev.offsets, d.rev.targets
+}

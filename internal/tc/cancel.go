@@ -3,9 +3,10 @@ package tc
 import "rtcshare/internal/graph"
 
 // Checkpoint is a cooperative-cancellation probe threaded into closure
-// construction: the BFS calls it with the work done since the last
-// call (pairs found plus edges walked or, on a bottom-up level, in-edges
-// read), and a non-nil return aborts the build with that error. The
+// construction and product searches: the search calls it with the work
+// done since the last call (pairs found plus edges walked or, on a
+// bottom-up level, in-edges read), and a non-nil return aborts the
+// build with that error. The
 // engine layer passes an amortized context poll; nil means
 // uncancellable and costs nothing.
 //

@@ -1,22 +1,25 @@
 // Package tc computes transitive closures of unlabeled digraphs by
 // breadth-first search, O(|V|·|E|) — the closure computation the paper
 // assigns to both methods in Table III (FullSharing runs it on G_R,
-// RTCSharing on the much smaller Ḡ_R). The kernel is word-parallel: it
-// runs the searches of 64 sources at once, one per bit of a uint64 mask
-// per vertex. A row is stored as its non-zero 64-bit words, word index
-// plus word, in one backing array with per-row offsets; a batch's rows
-// come out of its vertex masks by one 64×64 bit transpose per touched
-// 64-vertex block (pairs.Transpose64), ascending without a sort. It is
-// also direction-optimizing: a level whose frontier's out-edges exceed
-// 1/alpha of the graph's edges runs bottom-up, each unfinished vertex
-// pulling from its in-edges until the batch covers it, which reads
-// fewer than 2·alpha times the frontier's edges; other levels run
-// top-down. It is still one search per source, with no condensation
-// and no row shared between vertices, so TC(G_R) costs what Table III's
-// FullSharing column says: every reachable pair is found and stored
-// once per source. The closure follows the paper's semantics: (u, w) ∈
-// TC iff a path of length ≥ 1 leads from u to w, so (u, u) requires a
-// cycle through u.
+// RTCSharing on the much smaller Ḡ_R) — with the one search kernel the
+// project has. The kernel (Search) walks a product of a graph with an
+// automaton, of which a digraph is the one-state case; package eval
+// runs RPQs through it. It is word-parallel: it runs the searches of 64
+// sources at once, one per bit of a uint64 mask per copy. A row is
+// stored as its non-zero 64-bit words, word index plus word, in one
+// backing array with per-row offsets; a batch's rows come out of its
+// masks by one 64×64 bit transpose per touched 64-vertex block
+// (pairs.Transpose64), ascending without a sort. It is also
+// direction-optimizing: a level whose frontier's out-edges exceed
+// 1/alpha of the product's edges runs bottom-up, each unfinished copy
+// pulling through its reverse arcs until the batch covers it, which
+// reads fewer than 2·alpha times the frontier's edges; other levels run
+// top-down. It is still one search per source, with no condensation and
+// no row shared between vertices, so TC(G_R) costs what Table III's
+// FullSharing column says: every reachable pair is found and stored once
+// per source. The closure follows the paper's semantics: (u, w) ∈ TC iff
+// a path of length ≥ 1 leads from u to w, so (u, u) requires a cycle
+// through u.
 package tc
 
 import (
@@ -217,56 +220,26 @@ func BFSAmong(d *graph.DiGraph, keep []bool) *Closure {
 // a mask word.
 const batchBits = 64
 
-// alpha is the direction switch of bfs: a level runs bottom-up once the
-// out-edges of its frontier exceed 1/alpha of the graph's edges.
+// alpha is the direction switch of the search: a level runs bottom-up
+// once the out-edges of its frontier exceed 1/alpha of the product's
+// edges.
 const alpha = 4
 
 // bfs is BFS with an optional vertex filter (nil keeps every vertex)
-// and an optional cancellation checkpoint. It is a multi-source BFS
-// (Then et al., VLDB 2014): the sources with an out-edge go in batches
-// of 64, and bit i of a vertex's masks stands for the batch's i-th
-// source. seen[w] holds the sources that reached w by a path of length
-// ≥ 1; frontier[w] and next[w] those that reached it at the current and
-// the next level. A source is not pre-marked seen, so it enters its own
-// row only through a cycle. A batch walks only the vertices it touched
-// and resets only their 64-vertex blocks, found through a one-bit-per-
-// block summary, so it costs what it reached plus |V|/4096 summary
-// words, never |V|.
-//
-// Each level picks a direction (Beamer, Asanović & Patterson, SC 2012).
-// fe, the frontier's out-degrees, is summed as the level is built. When
-// fe·alpha ≤ |E| the level runs top-down: each frontier vertex pushes
-// its mask along its out-edges. Otherwise the graph is dense enough that
-// most of those edges would land on vertices the batch already covers,
-// and the level runs bottom-up (see bottomUp): each vertex the batch has
-// not finished pulls its predecessors' masks and stops as soon as it is
-// finished. That level reads at most 2·|E| < 2·alpha·fe entries (a head
-// and its in-edges), so a batch still costs what it reaches, to within
-// a constant factor. The direction changes how a level finds its bits,
-// not which bits it finds: it is still one search per source.
-//
-// The rows come out as words without a sort or a per-bit pass (see
-// emitRows): each touched block of seen is transposed from vertex masks
-// into source words. The keep filter applies at emission, as a mask.
-//
-// check is polled before each batch and after each level, weighted by
-// the pairs the level found plus the edges it walked (top-down) or read
-// (bottom-up), so a batch on one large cycle stays cancellable.
+// and an optional cancellation checkpoint, polled before each batch and
+// by the search after each level: the sources with an out-edge go in
+// batches of 64 through the search of d's one-state product, and each
+// batch's rows come out as words (emitRows), masked by keep.
 func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
-	nb := (n + 63) / 64
 	c := newClosure(n)
-	s := &search{
-		d:        d,
-		seen:     make([]uint64, nb*64),
-		frontier: make([]uint64, n),
-		next:     make([]uint64, n),
-		blocks:   make([]uint64, (nb+63)/64),
-	}
-	s.offsets, s.targets = d.CSR()
+	arc := Arc{}
+	arc.Fwd.Offsets, arc.Fwd.Targets = d.CSR()
+	arc.Rev.Offsets, arc.Rev.Targets = d.ReverseCSR()
+	s := NewSearch(&Product{N: n, States: []State{{Accept: true, Arcs: []Arc{arc}}}})
 	var keepWords []uint64
 	if keep != nil {
-		keepWords = make([]uint64, nb)
+		keepWords = make([]uint64, (n+63)/64)
 		for v, k := range keep {
 			if k {
 				keepWords[v>>6] |= 1 << (v & 63)
@@ -287,28 +260,8 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 		if err := checkRows(check, len(batch)); err != nil {
 			return nil, err
 		}
-		fe := 0
-		for i, u := range batch {
-			s.frontier[u] = 1 << i
-			s.level = append(s.level, u)
-			fe += d.OutDegree(u)
-		}
-		full := ^uint64(0) >> (batchBits - len(batch))
-		for len(s.level) > 0 {
-			var work int
-			if fe*alpha > len(s.targets) {
-				if s.heads == nil {
-					s.heads = withInEdges(d)
-				}
-				work, fe = s.bottomUp(full)
-			} else {
-				work, fe = s.topDown()
-			}
-			if err := checkRows(check, work); err != nil {
-				return nil, err
-			}
-			s.level, s.nextLevel = s.nextLevel, s.level[:0]
-			s.frontier, s.next = s.next, s.frontier
+		if err := s.run(batch, check); err != nil {
+			return nil, err
 		}
 		s.emitRows(c, batch, keepWords)
 	}
@@ -316,128 +269,339 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	return c, nil
 }
 
-// search is the state of bfs's batches: the graph and its forward CSR,
-// the three masks per vertex (seen padded to whole 64-vertex blocks),
-// the summary of the blocks the batch touched, the current and the next
-// level, heads, the vertices with an in-edge in ascending order, listed
-// at the first bottom-up level, and the touched blocks as emitRows lists
-// them.
-type search struct {
-	d                    *graph.DiGraph
-	offsets              []int32
-	targets              []graph.VID
-	seen, frontier, next []uint64
-	blocks               []uint64
-	level, nextLevel     []graph.VID
-	heads                []graph.VID
-	touched              []int32
+// Product is the space the search walks: one copy (q, v) of every
+// vertex v of [0, N) per state q, state 0 the start. A DiGraph is the
+// one-state product whose one arc is its own CSR; an RPQ's automaton
+// over a labeled graph takes each arc's columns from the graph's label
+// CSRs, the two swapped for ^l.
+type Product struct {
+	N      int
+	States []State
+	Empty  bool // the empty path counts: every seed reaches its own start copy
 }
 
-// withInEdges lists d's vertices with an in-edge, ascending.
-func withInEdges(d *graph.DiGraph) []graph.VID {
-	heads := make([]graph.VID, 0, d.NumActive())
-	for _, w := range d.ActiveVertices() {
-		if d.InDegree(w) > 0 {
-			heads = append(heads, w)
+// State is one state of a Product: whether its copies are ends, and its
+// arcs.
+type State struct {
+	Accept bool
+	Arcs   []Arc
+}
+
+// Arc leads from copy (q, v) to (To, w) for every w in row v of Fwd;
+// Rev is Fwd's transpose, through which a bottom-up level pulls.
+type Arc struct {
+	To       int
+	Fwd, Rev CSR
+}
+
+// CSR is a relation as columns: row v is Targets[Offsets[v]:Offsets[v+1]].
+type CSR struct {
+	Offsets []int32
+	Targets []graph.VID
+}
+
+func (c CSR) row(v graph.VID) []graph.VID { return c.Targets[c.Offsets[v]:c.Offsets[v+1]] }
+
+// Search is a multi-source search over one product (Then et al., VLDB
+// 2014) and its state between searches: up to 64 seeds at once, bit i of
+// a mask standing for seed i. Per state it keeps one seen mask per copy
+// (padded to whole 64-vertex blocks) and the summary of the blocks a
+// search touched, the current and the next level as vertex lists,
+// queued, one bit per copy on the next level, and heads, the vertices
+// with an in-arc, listed at the first bottom-up level. A search resets
+// only the blocks and lists it touched, so it costs what it reached plus
+// |V|/4096 summary words a state, never |V|. Not safe for concurrent
+// use.
+type Search struct {
+	p       *Product
+	states  []copies
+	edges   int     // the product's arc edges, the |E| of the direction switch
+	touched []int32 // the blocks of ends, ascending
+}
+
+type copies struct {
+	seen, blocks, queued []uint64
+	level, next, heads   []graph.VID
+	in                   []inArc // the arcs into the state
+}
+
+type inArc struct {
+	from int
+	rev  CSR
+}
+
+// NewSearch returns an idle search over p.
+func NewSearch(p *Product) *Search {
+	nb := (p.N + 63) / 64
+	s := &Search{p: p, states: make([]copies, len(p.States))}
+	words := make([]uint64, len(p.States)*(nb*64+(nb+63)/64+nb))
+	for q, st := range p.States {
+		c := &s.states[q]
+		c.seen, words = words[:nb*64:nb*64], words[nb*64:]
+		c.blocks, words = words[:(nb+63)/64:(nb+63)/64], words[(nb+63)/64:]
+		c.queued, words = words[:nb:nb], words[nb:]
+		for _, a := range st.Arcs {
+			s.edges += len(a.Fwd.Targets)
+			s.states[a.To].in = append(s.states[a.To].in, inArc{q, a.Rev})
 		}
 	}
-	return heads
+	return s
 }
 
-// topDown runs one level from the frontier along its out-edges, clearing
-// the frontier as it goes. It returns the level's work, the edges it
-// walked plus the bits it found, and fe of the next level.
-func (s *search) topDown() (work, fe int) {
-	offsets, targets := s.offsets, s.targets
-	seen, frontier, next := s.seen, s.frontier, s.next
-	nextLevel := s.nextLevel
-	for _, v := range s.level {
-		f := frontier[v]
-		frontier[v] = 0
-		ws := targets[offsets[v]:offsets[v+1]]
-		work += len(ws)
-		for _, w := range ws {
-			nw := f &^ seen[w]
+// Reach searches from up to 64 seeds at once and calls fn(b, blk) for
+// every 64-vertex block b holding an accepting copy reached, ascending:
+// blk[i] holds the block's vertices that seed i reaches in an accepting
+// state. A search that check stops returns its error with nothing
+// handed out; either way the search is idle when Reach returns.
+func (s *Search) Reach(seeds []graph.VID, check Checkpoint, fn func(b int32, blk *[64]uint64)) error {
+	if err := s.run(seeds, check); err != nil {
+		return err
+	}
+	seen := s.ends()
+	for _, b := range s.touched {
+		fn(b, (*[64]uint64)(seen[int(b)<<6:]))
+	}
+	s.reset(seen)
+	return nil
+}
+
+// Idle reports whether the search holds nothing, as between searches.
+func (s *Search) Idle() bool {
+	for _, c := range s.states {
+		if len(c.level)+len(c.next) > 0 || slices.ContainsFunc(slices.Concat(c.seen, c.blocks, c.queued), func(w uint64) bool { return w != 0 }) {
+			return false
+		}
+	}
+	return len(s.touched) == 0
+}
+
+// run searches from seeds, leaving in each copy's seen mask the seeds
+// that reach it by a path of length ≥ 1, or 0 under Empty. A seed is not
+// pre-marked seen, so where the start state has an in-arc a seed reaches
+// its own copy only through a cycle.
+//
+// Level 0 pushes the seeds' bits top-down; every later level picks a
+// direction (Beamer, Asanović & Patterson, SC 2012) by fe, the
+// frontier's out-degrees, summed as the level is built. When fe·alpha ≤
+// |E| the level runs top-down: each frontier copy pushes its seen mask
+// along its out-arcs. Otherwise most of those edges would land on copies
+// the batch already covers, and the level runs bottom-up: each copy the
+// batch has not finished pulls its predecessors' seen masks through the
+// reverse arcs and stops once finished, reading at most 2·|E| <
+// 2·alpha·fe entries. A whole mask carries, beside the level's new bits,
+// only bits its successors hold already or would get a level later, so
+// the direction changes how a level finds its bits, not which: each bit
+// is still one seed's own search.
+//
+// check is polled after each level, weighted by the bits the level found
+// plus the edges it walked (top-down) or read (bottom-up), so a batch on
+// one large cycle stays cancellable; a stopped search is reset.
+func (s *Search) run(seeds []graph.VID, check Checkpoint) error {
+	full, fe := ^uint64(0)>>(batchBits-len(seeds)), 0
+	start := &s.states[0]
+	start.level = append(start.level, seeds...)
+	for i, u := range seeds {
+		if s.p.Empty {
+			start.seen[u] |= 1 << i
+			pairs.MarkBlock(start.blocks, u)
+		}
+		fe += s.outDegree(0, u)
+	}
+	for level := 0; ; level++ {
+		var work int
+		if level > 0 && fe*alpha > s.edges {
+			work, fe = s.bottomUp(full)
+		} else {
+			work, fe = s.topDown(level == 0)
+		}
+		if err := checkRows(check, work); err != nil {
+			s.reset(nil)
+			return err
+		}
+		if !s.advance() {
+			return nil
+		}
+	}
+}
+
+// outDegree is copy (q, v)'s out-degree over q's arcs.
+func (s *Search) outDegree(q int, v graph.VID) (d int) {
+	for _, a := range s.p.States[q].Arcs {
+		d += int(a.Fwd.Offsets[v+1] - a.Fwd.Offsets[v])
+	}
+	return d
+}
+
+// topDown runs one level from the frontier along its out-arcs; at level
+// 0 (seeding) the frontier is the seeds, whose bits are not seen. It
+// returns the level's work, the edges it walked plus the bits it found,
+// and fe of the next level.
+func (s *Search) topDown(seeding bool) (work, fe int) {
+	for q := range s.states {
+		c, arcs := &s.states[q], s.p.States[q].Arcs
+		for i, v := range c.level {
+			f := c.seen[v]
+			if seeding {
+				f |= 1 << i
+			}
+			for ai := range arcs {
+				a := &arcs[ai]
+				t := &s.states[a.To]
+				seen, queued, next := t.seen, t.queued, t.next
+				ws := a.Fwd.row(v)
+				work += len(ws)
+				for _, w := range ws {
+					sw := seen[w]
+					nw := f &^ sw
+					if nw == 0 {
+						continue
+					}
+					if sw == 0 {
+						pairs.MarkBlock(t.blocks, w)
+					}
+					seen[w] = sw | nw
+					if qw := &queued[w>>6]; *qw>>(w&63)&1 == 0 {
+						*qw |= 1 << (w & 63)
+						next = append(next, w)
+						fe += s.outDegree(a.To, w)
+					}
+					work += bits.OnesCount64(nw)
+				}
+				t.next = next
+			}
+		}
+	}
+	return work, fe
+}
+
+// bottomUp runs one level from the other end: every copy with an in-arc
+// whose seen mask is not yet full (every seed of the batch) ORs its
+// predecessors' seen masks, stopping as soon as it and what it gathered
+// cover the batch. The new bits go to seen, the next level and the block
+// summary as on a top-down level. It returns the level's work, the
+// in-edges it read plus the bits it found, and fe of the next level.
+func (s *Search) bottomUp(full uint64) (work, fe int) {
+	for q := range s.states {
+		c := &s.states[q]
+		if c.heads == nil && len(c.in) > 0 {
+			c.heads = make([]graph.VID, 0)
+			for v := range graph.VID(s.p.N) {
+				if slices.ContainsFunc(c.in, func(a inArc) bool { return len(a.rev.row(v)) > 0 }) {
+					c.heads = append(c.heads, v)
+				}
+			}
+		}
+		for _, w := range c.heads {
+			sw := c.seen[w]
+			if sw == full {
+				continue
+			}
+			var got uint64
+		pull:
+			for _, a := range c.in {
+				from, vs := s.states[a.from].seen, a.rev.row(w)
+				for i, v := range vs {
+					if got |= from[v]; sw|got == full {
+						work += i + 1
+						break pull
+					}
+				}
+				work += len(vs)
+			}
+			nw := got &^ sw
 			if nw == 0 {
 				continue
 			}
-			if seen[w] == 0 {
-				pairs.MarkBlock(s.blocks, w)
+			if sw == 0 {
+				pairs.MarkBlock(c.blocks, w)
 			}
-			seen[w] |= nw
-			if next[w] == 0 {
-				nextLevel = append(nextLevel, w)
-				fe += int(offsets[w+1] - offsets[w])
-			}
-			next[w] |= nw
+			c.seen[w] = sw | nw
+			c.next = append(c.next, w)
+			fe += s.outDegree(q, w)
 			work += bits.OnesCount64(nw)
 		}
 	}
-	s.nextLevel = nextLevel
 	return work, fe
 }
 
-// bottomUp runs one level from the other end: every vertex w with an
-// in-edge whose seen[w] is not yet full (every source of the batch)
-// ORs the frontier masks of its predecessors, stopping as soon as
-// seen[w] and what it gathered cover the batch. The new bits go to
-// seen, next and the block summary as on a top-down level, and the frontier is
-// cleared after the sweep. It returns the level's work, the in-edges it
-// read plus the bits it found, and fe of the next level.
-func (s *search) bottomUp(full uint64) (work, fe int) {
-	d, offsets := s.d, s.offsets
-	seen, frontier, next := s.seen, s.frontier, s.next
-	nextLevel := s.nextLevel
-	for _, w := range s.heads {
-		sw := seen[w]
-		if sw == full {
+// advance makes every state's next level its current one and reports
+// whether any is non-empty.
+func (s *Search) advance() bool {
+	more := false
+	for q := range s.states {
+		c := &s.states[q]
+		c.level, c.next = c.next, c.level[:0]
+		for _, v := range c.level {
+			c.queued[v>>6] &^= 1 << (v & 63)
+		}
+		more = more || len(c.level) > 0
+	}
+	return more
+}
+
+// ends ORs the accepting states' seen masks into the first one's that
+// holds any, transposes each of its touched blocks in place into source
+// words (pairs.Transpose64), lists them ascending in touched, and
+// returns the masks they lie in.
+func (s *Search) ends() []uint64 {
+	var into *copies
+	for q := range s.states {
+		c := &s.states[q]
+		if !s.p.States[q].Accept || !slices.ContainsFunc(c.blocks, func(w uint64) bool { return w != 0 }) {
 			continue
 		}
-		var got uint64
-		vs := d.Predecessors(w)
-		read := len(vs)
-		for i, v := range vs {
-			if got |= frontier[v]; sw|got == full {
-				read = i + 1
-				break
+		if into == nil {
+			into = c
+			continue
+		}
+		pairs.DrainBlocks(c.blocks, func(b int) {
+			into.blocks[b>>6] |= 1 << (b & 63)
+			for i := b << 6; i < b<<6+64; i++ {
+				into.seen[i], c.seen[i] = into.seen[i]|c.seen[i], 0
 			}
-		}
-		work += read
-		nw := got &^ sw
-		if nw == 0 {
-			continue
-		}
-		if sw == 0 {
-			pairs.MarkBlock(s.blocks, w)
-		}
-		seen[w] = sw | nw
-		nextLevel = append(nextLevel, w)
-		fe += int(offsets[w+1] - offsets[w])
-		next[w] = nw
-		work += bits.OnesCount64(nw)
+		})
 	}
-	for _, v := range s.level {
-		frontier[v] = 0
+	if into == nil {
+		return nil
 	}
-	s.nextLevel = nextLevel
-	return work, fe
+	pairs.DrainBlocks(into.blocks, func(b int) {
+		pairs.Transpose64((*[64]uint64)(into.seen[b<<6:]))
+		s.touched = append(s.touched, int32(b))
+	})
+	return into.seen
 }
 
-// emitRows appends the rows of one batch to c and resets seen and the
-// block summary. Each touched block of seen — 64 vertex masks, one bit
-// per source — is transposed in place into 64 source words, one bit per
-// vertex of the block (pairs.Transpose64), and masked by keep (nil keeps
-// every vertex); source i's row is then word i of every touched block,
-// blocks ascending, zero words dropped. It costs one transpose per
-// touched block plus two reads per block and source, however many bits
-// each word holds. The rows' backing arrays grow to at least twice
-// their size when the batch's words do not fit: append's gentler growth
-// of large slices allocated about five times the final rows.
-func (s *search) emitRows(c *Closure, batch []graph.VID, keep []uint64) {
-	seen, touched, words := s.seen, s.touched[:0], 0
-	pairs.DrainBlocks(s.blocks, func(b int) {
-		blk := (*[64]uint64)(seen[b<<6:])
-		pairs.Transpose64(blk)
+// reset clears every block and list a search touched: the blocks of
+// ends, the masks ends returned, which it drained from their summary,
+// and every state's summarised blocks and levels.
+func (s *Search) reset(ends []uint64) {
+	for _, b := range s.touched {
+		clear(ends[b<<6 : b<<6+64])
+	}
+	for q := range s.states {
+		c := &s.states[q]
+		pairs.DrainBlocks(c.blocks, func(b int) { clear(c.seen[b<<6 : b<<6+64]) })
+		for _, v := range c.next {
+			c.queued[v>>6] &^= 1 << (v & 63)
+		}
+		c.level, c.next = c.level[:0], c.next[:0]
+	}
+	s.touched = s.touched[:0]
+}
+
+// emitRows appends the rows of one batch to c and resets the search.
+// The closure's touched blocks come out of ends as source words, masked
+// by keep (nil keeps every vertex); source i's row is then word i of
+// every block, blocks ascending, zero words dropped. It costs one
+// transpose per touched block plus two reads per block and source,
+// however many bits each word holds. The rows' backing arrays grow to at
+// least twice their size when the batch's words do not fit: append's
+// gentler growth of large slices allocated about five times the final
+// rows.
+func (s *Search) emitRows(c *Closure, batch []graph.VID, keep []uint64) {
+	seen, words := s.ends(), 0
+	for _, b := range s.touched {
+		blk := (*[64]uint64)(seen[int(b)<<6:])
 		for i := range batch {
 			if keep != nil {
 				blk[i] &= keep[b]
@@ -446,14 +610,13 @@ func (s *search) emitRows(c *Closure, batch []graph.VID, keep []uint64) {
 				words++
 			}
 		}
-		touched = append(touched, int32(b))
-	})
+	}
 	if need := len(c.idx) + words; need > cap(c.idx) {
 		grow := max(need, 2*cap(c.idx)) - len(c.idx)
 		c.idx, c.words = slices.Grow(c.idx, grow), slices.Grow(c.words, grow)
 	}
 	for i, u := range batch {
-		for _, b := range touched {
+		for _, b := range s.touched {
 			if w := seen[int(b)<<6|i]; w != 0 {
 				c.idx, c.words = append(c.idx, b), append(c.words, w)
 				c.numPairs += bits.OnesCount64(w)
@@ -461,8 +624,5 @@ func (s *search) emitRows(c *Closure, batch []graph.VID, keep []uint64) {
 		}
 		c.offsets[u+1] = int32(len(c.idx))
 	}
-	for _, b := range touched {
-		clear(seen[int(b)<<6 : int(b)<<6+64])
-	}
-	s.touched = touched
+	s.reset(seen)
 }

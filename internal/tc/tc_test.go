@@ -430,12 +430,12 @@ func TestBFSCheckPollsInsideBatch(t *testing.T) {
 		}
 		return calls, after.TotalAlloc - before.TotalAlloc, err
 	}
-	// The state takes 48 bytes a vertex: 24 for the three masks, 4 for
-	// the row offsets and at most 20 for the source list, whose appends
-	// allocate about five times its final 4. The first batch's rows add
-	// 12 more: 64 rows of 2^14/64 words, each word 8 bytes and its index
-	// 4.
-	const bound = 48 * n
+	// The state takes at most 36 bytes a vertex: 8 for the seen masks and
+	// an eighth for the queued bits, 4 for the row offsets and at most 20
+	// for the source list, whose appends allocate about five times its
+	// final 4. The first batch's rows add 12 more: 64 rows of 2^14/64
+	// words, each word 8 bytes and its index 4.
+	const bound = 36 * n
 	calls, bytes, err := abortAt(2)
 	if err != stop || calls != 2 {
 		t.Fatalf("BFSCheck = %v after %d calls; want the checkpoint's error after 2", err, calls)
