@@ -118,21 +118,19 @@ func (ev *Evaluator) AppendAll(out *pairs.Builder) {
 }
 
 // each calls fn for every pair of R_G: a label's CSR rows, or the
-// product searched from 64 start vertices at a time.
+// product searched from 64 candidate start vertices at a time.
 func (ev *Evaluator) each(fn func(src, dst graph.VID)) {
-	n := ev.g.NumVertices()
-	var batch [64]graph.VID
-	for v0 := 0; v0 < n; v0 += len(batch) {
-		srcs := batch[:min(len(batch), n-v0)]
-		for i := range srcs {
-			srcs[i] = graph.VID(v0 + i)
-			for _, w := range ev.labelRow(srcs[i]) {
-				fn(srcs[i], w)
+	if ev.label {
+		for v := range graph.VID(ev.g.NumVertices()) {
+			for _, w := range ev.labelRow(v) {
+				fn(v, w)
 			}
 		}
-		if ev.label {
-			continue
-		}
+		return
+	}
+	for starts := ev.starts(); len(starts) > 0; {
+		srcs := starts[:min(64, len(starts))]
+		starts = starts[len(srcs):]
 		ev.Reach(srcs, nil, func(b int32, blk *[64]uint64) {
 			for i, u := range srcs {
 				for w := blk[i]; w != 0; w &= w - 1 {

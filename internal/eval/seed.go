@@ -21,14 +21,21 @@ import (
 // is nullable, so every vertex matches (v, v) — in which case callers
 // must search from every vertex.
 func CandidateStarts(g *graph.Graph, e rpq.Expr) (starts []graph.VID, ok bool) {
-	p := New(g, e, Options{}).product
-	if p.Empty {
+	ev := New(g, e, Options{})
+	if ev.product.Empty {
 		return nil, false
 	}
-	for v := range graph.VID(g.NumVertices()) {
-		if slices.ContainsFunc(p.States[0].Arcs, func(a tc.Arc) bool { return a.Fwd.Offsets[v+1] > a.Fwd.Offsets[v] }) {
+	return ev.starts(), true
+}
+
+// starts returns the candidate start vertices, ascending: every vertex
+// when the start state accepts.
+func (ev *Evaluator) starts() []graph.VID {
+	var starts []graph.VID
+	for v := range graph.VID(ev.g.NumVertices()) {
+		if ev.product.Empty || slices.ContainsFunc(ev.product.States[0].Arcs, func(a tc.Arc) bool { return a.Fwd.Offsets[v+1] > a.Fwd.Offsets[v] }) {
 			starts = append(starts, v)
 		}
 	}
-	return starts, true
+	return starts
 }
