@@ -349,8 +349,9 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // per-request forks, rpqd's strategy switch, the store's fault wrapper
 // with its public injection surface, the DNF bound option, engines
 // sharing one cache with the constructors, cache resets and
-// parse-and-explain shorthands that went with them, and the RTC
-// assembled from caller-built parts. (Spelled in pieces so that a grep
+// parse-and-explain shorthands that went with them, the RTC assembled
+// from caller-built parts, and the hand-rolled run stores that
+// pairs.WordRuns replaced. (Spelled in pieces so that a grep
 // for the retired identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
@@ -407,6 +408,10 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile("resolve" + "Unit"),
 	regexp.MustCompile("Drain" + "Append"),
 	regexp.MustCompile(`rowKernel\.` + `seal\b`),
+	regexp.MustCompile(`\bword` + `Run\b`),
+	regexp.MustCompile(`\bappend` + `Block\b`),
+	regexp.MustCompile(`\brow` + `Span\b`),
+	regexp.MustCompile(`\bstored` + `Run\b`),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

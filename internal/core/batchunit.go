@@ -188,17 +188,16 @@ func checkResultLen(pairs int) error {
 // the runs stored so far as words, in column order, indexed by hash and
 // by the producer's run names.
 type drainScratch struct {
-	acc   *pairs.RunAccumulator
-	idx   []int32  // the stored runs' word indexes, concatenated
-	words []uint64 // and their words
-	runs  []storedRun
-	index map[uint64]int32 // a run hash → the first stored run with it
-	named []int32          // by run name + 1: 1 + its stored run, or 0
+	acc    *pairs.RunAccumulator
+	stored pairs.WordRuns   // the stored runs, in column order
+	runs   []runPlace       // by stored run: where it lies in the column
+	index  map[uint64]int32 // a run hash → the first stored run with it
+	named  []int32          // by run name + 1: 1 + its stored run, or 0
 }
 
-// storedRun is one run written to drain's column: its words are
-// idx/words[lo:hi], its size destinations start at column position at.
-type storedRun struct{ lo, hi, at, size int32 }
+// runPlace is where one stored run lies in drain's column: its size
+// destinations start at column position at.
+type runPlace struct{ at, size int32 }
 
 // drain is the sealed driver of every producer: it runs p once per
 // source, ascending, and keeps each run in word form
@@ -265,10 +264,8 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	prev := c.enter(bucketSeal)
 	defer c.enter(prev)
 	col := make([]graph.VID, 0, stored)
-	for _, s := range sc.runs {
-		for i := s.lo; i < s.hi; i++ {
-			col = pairs.AppendWordBits(col, sc.idx[i], sc.words[i])
-		}
+	for r, s := range sc.runs {
+		col = sc.stored.AppendRun(col, r)
 		if err := c.checkpoint(int(s.size)); err != nil {
 			return nil, err
 		}
@@ -283,22 +280,17 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 // holds it and whether that run was stored before: one that equals it,
 // or a new run placed at column position at.
 func (sc *drainScratch) store(at int32) (int32, bool) {
-	lo := int32(len(sc.idx))
-	sc.idx, sc.words = sc.acc.DrainWords(sc.idx, sc.words)
-	idx, words := sc.idx[lo:], sc.words[lo:]
+	r := sc.stored.Drain(sc.acc)
+	idx, words := sc.stored.Run(r)
 	h := runHash(idx, words)
-	if r, ok := sc.index[h]; !ok {
-		sc.index[h] = int32(len(sc.runs))
-	} else if s := sc.runs[r]; slices.Equal(words, sc.words[s.lo:s.hi]) && slices.Equal(idx, sc.idx[s.lo:s.hi]) {
-		sc.idx, sc.words = sc.idx[:lo], sc.words[:lo]
-		return r, true
+	if first, ok := sc.index[h]; !ok {
+		sc.index[h] = int32(r)
+	} else if fidx, fwords := sc.stored.Run(int(first)); slices.Equal(words, fwords) && slices.Equal(idx, fidx) {
+		sc.stored.Truncate(r)
+		return first, true
 	}
-	size := 0
-	for _, w := range words {
-		size += bits.OnesCount64(w)
-	}
-	sc.runs = append(sc.runs, storedRun{lo, int32(len(sc.idx)), at, int32(size)})
-	return int32(len(sc.runs) - 1), false
+	sc.runs = append(sc.runs, runPlace{at, int32(sc.stored.Count(r))})
+	return int32(r), false
 }
 
 // slot returns where drain keeps 1 + the stored run named name, 0 until
@@ -315,7 +307,8 @@ func (sc *drainScratch) slot(name int32) *int32 {
 
 func (sc *drainScratch) reset() {
 	sc.acc.Reset()
-	sc.idx, sc.words, sc.runs = sc.idx[:0], sc.words[:0], sc.runs[:0]
+	sc.stored.Reset()
+	sc.runs = sc.runs[:0]
 	clear(sc.index)
 	clear(sc.named)
 	sc.named = sc.named[:0]
@@ -489,31 +482,16 @@ type fullJoin struct {
 	endMask, endBlocks []uint64
 
 	// The current batch: its sources, ascending, and per source the rows
-	// it touched and its run as words.
-	srcs []graph.VID
-	rows [fullBatch]int64
-	runs [fullBatch]wordRun
+	// it touched and its run, run i source i's; blocks lists the blocks
+	// emit hands to the runs.
+	srcs   []graph.VID
+	rows   [fullBatch]int64
+	runs   pairs.WordRuns
+	blocks []int32
 
 	endsBuf  []graph.VID
 	endSpans []endSpan // by vertex; valid where memo marks it
 	memo     stampSet  // the vertices whose Post ends this join holds
-}
-
-// wordRun is one source's run as RunAccumulator words.
-type wordRun struct {
-	idx   []int32
-	words []uint64
-}
-
-// appendBlock appends word i of a block of source words, unless zero,
-// to runs[i].
-func appendBlock(runs []wordRun, b int32, blk *[64]uint64) {
-	for i := range runs {
-		if w := blk[i]; w != 0 {
-			r := &runs[i]
-			r.idx, r.words = append(r.idx, b), append(r.words, w)
-		}
-	}
 }
 
 // endSpan addresses one memoised Post traversal inside endsBuf.
@@ -567,8 +545,7 @@ func (j *fullJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, erro
 		}
 		i = 0
 	}
-	r := &j.runs[i]
-	acc.OrWords(r.idx, r.words)
+	acc.OrWords(j.runs.Run(i))
 	return j.rows[i], nil
 }
 
@@ -613,9 +590,7 @@ func (j *fullJoin) join(v0 graph.VID) error {
 		}
 		j.rows[i] = rows
 	}
-	for i := range j.srcs {
-		j.runs[i].idx, j.runs[i].words = j.runs[i].idx[:0], j.runs[i].words[:0]
-	}
+	j.runs.Reset()
 	if j.postEv == nil {
 		j.emit(j.front, j.frontBlocks, false)
 		return nil
@@ -698,19 +673,22 @@ func (j *fullJoin) postEnds(v graph.VID) []graph.VID {
 }
 
 // emit turns masks into every source's run, ascending, and resets them
-// and their summary: each block the summary marks, in block order, adds
-// word i to source i's run when it is not zero. Source-major masks (the
-// frontier) are read as they lie; vertex-major ones (the end masks) are
-// transposed first.
-func (j *fullJoin) emit(masks, blocks []uint64, vertexMajor bool) {
-	pairs.DrainBlocks(blocks, func(b int) {
-		blk := (*[64]uint64)(masks[b<<6:])
+// and their summary: the blocks the summary marks, in block order, give
+// source i word i of each (pairs.WordRuns.AppendBlocks). Source-major
+// masks (the frontier) are read as they lie; vertex-major ones (the end
+// masks) are transposed first.
+func (j *fullJoin) emit(masks, summary []uint64, vertexMajor bool) {
+	j.blocks = j.blocks[:0]
+	pairs.DrainBlocks(summary, func(b int) {
 		if vertexMajor {
-			pairs.Transpose64(blk)
+			pairs.Transpose64((*[64]uint64)(masks[b<<6:]))
 		}
-		appendBlock(j.runs[:len(j.srcs)], int32(b), blk)
-		*blk = [64]uint64{}
+		j.blocks = append(j.blocks, int32(b))
 	})
+	j.runs.AppendBlocks(masks, j.blocks, len(j.srcs))
+	for _, b := range j.blocks {
+		clear(masks[b<<6 : b<<6+64])
+	}
 }
 
 // abort clears what a batch stopped by an error left in the masks, and
@@ -724,20 +702,19 @@ func (j *fullJoin) abort() {
 // automatonJoin is the producer of a closure-free clause (Algorithm 1
 // line 6): its evaluator's product search (eval.Reach) run from width
 // consecutive candidate starts at once — the FIRST-set candidates
-// (eval.CandidateStarts) when the clause admits the restriction, every
-// vertex when it is nullable — each source's ends handed out as its
-// run, as fullJoin hands out a batch. The search polls the checkpoint
-// after each level. At width 1 a source is traversed on its own
-// (eval.AppendReachFrom), a checkpoint weighted by its ends.
+// (Evaluator.Starts), every vertex when the clause is nullable — each
+// source's ends handed out as its run, as fullJoin hands out a batch.
+// The search polls the checkpoint after each level. At width 1 a source
+// is traversed on its own (eval.AppendReachFrom), a checkpoint weighted
+// by its ends.
 type automatonJoin struct {
-	c        *evalCall
-	ev       *eval.Evaluator
-	evKey    string
-	seedable []bool // nil when every vertex is a candidate start
-	width    int
-	srcs     []graph.VID // the current batch, ascending
-	runs     [fullBatch]wordRun
-	ends     []graph.VID // one source's traversal, at width 1
+	c     *evalCall
+	ev    *eval.Evaluator
+	evKey string
+	width int
+	srcs  []graph.VID    // the current batch, a window of ev.Starts
+	runs  pairs.WordRuns // its runs, run i source i's
+	ends  []graph.VID    // one source's traversal, at width 1
 }
 
 // openAutomaton returns the producer of closure-free clause q, joining
@@ -745,59 +722,41 @@ type automatonJoin struct {
 func (c *evalCall) openAutomaton(q rpq.Expr) *automatonJoin {
 	a := &automatonJoin{c: c, width: fullBatch}
 	a.ev, a.evKey = c.acquireEvaluator(q)
-	if starts, ok := eval.CandidateStarts(c.g, q); ok {
-		a.seedable = make([]bool, c.g.NumVertices())
-		for _, vi := range starts {
-			a.seedable[vi] = true
-		}
-	}
 	return a
 }
 
 func (*automatonJoin) name(graph.VID) (int32, error) { return -1, nil }
 
 func (a *automatonJoin) produce(vi graph.VID, acc *pairs.RunAccumulator) (int64, error) {
-	if a.seedable != nil && !a.seedable[vi] {
-		return 0, nil
-	}
-	if a.width == 1 {
-		a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
-		acc.AddAll(a.ends)
-		return int64(len(a.ends)), a.c.checkpoint(len(a.ends) + 1)
-	}
 	i, ok := slices.BinarySearch(a.srcs, vi)
 	if !ok {
-		if err := a.join(vi); err != nil {
+		k, ok := slices.BinarySearch(a.ev.Starts(), vi)
+		if !ok {
+			return 0, nil
+		}
+		if a.width == 1 {
+			a.ends = a.ev.AppendReachFrom(vi, a.ends[:0])
+			acc.AddAll(a.ends)
+			return int64(len(a.ends)), a.c.checkpoint(len(a.ends) + 1)
+		}
+		if err := a.join(k); err != nil {
 			return 0, err
 		}
 		i = 0
 	}
-	r := &a.runs[i]
-	acc.OrWords(r.idx, r.words)
-	rows := 0
-	for _, w := range r.words {
-		rows += bits.OnesCount64(w)
-	}
-	return int64(rows), nil
+	acc.OrWords(a.runs.Run(i))
+	return int64(a.runs.Count(i)), nil
 }
 
-// join searches the batch that starts at source v0: the next width
-// candidate starts from v0 on. A search the checkpoint stops leaves no
-// batch.
-func (a *automatonJoin) join(v0 graph.VID) error {
-	a.srcs = a.srcs[:0]
-	for v, n := v0, graph.VID(a.c.g.NumVertices()); v < n && len(a.srcs) < a.width; v++ {
-		if a.seedable == nil || a.seedable[v] {
-			a.srcs = append(a.srcs, v)
-		}
-	}
-	runs := a.runs[:len(a.srcs)]
-	for i := range runs {
-		runs[i].idx, runs[i].words = runs[i].idx[:0], runs[i].words[:0]
-	}
-	err := a.ev.Reach(a.srcs, a.c.checkpoint, func(b int32, blk *[64]uint64) { appendBlock(runs, b, blk) })
+// join searches the batch of the width candidate starts from the k-th
+// on. A search the checkpoint stops leaves no batch.
+func (a *automatonJoin) join(k int) error {
+	starts := a.ev.Starts()
+	a.srcs = starts[k:min(k+a.width, len(starts))]
+	a.runs.Reset()
+	err := a.ev.Reach(a.srcs, a.c.checkpoint, &a.runs)
 	if err != nil {
-		a.srcs = a.srcs[:0]
+		a.srcs = nil
 	}
 	return err
 }

@@ -64,7 +64,7 @@ const rowBudgetWords = 1 << 20
 // component would cost more than the join it saves.
 const lightCost = 64
 
-// Row handles index rowKernel.rows; handle 0 is the empty row. A
+// Row handles are runs of rowKernel.rows; handle 0 is the empty row. A
 // component's state is a row handle, rowFallback when its row did not
 // fit the budget, rowLight when it is answered from the reach table by
 // choice, or rowPending while it is on the DFS stack.
@@ -77,13 +77,6 @@ const (
 	// means "not visited".
 	compBase = 4
 )
-
-// rowSpan is one stored row: its words run from idx[lo], words[lo] to
-// the start of the next row (the store is appended row by row).
-type rowSpan struct {
-	lo    int32
-	count int32 // destinations
-}
 
 // rowFrame is one DFS stack entry: a component and its next successor.
 type rowFrame struct{ s, pos int32 }
@@ -113,10 +106,9 @@ type rowKernel struct {
 	vpost []int32
 	stack []rowFrame
 
-	rows   []rowSpan
-	idx    []int32
-	words  []uint64
-	budget int // row words still storable
+	rows   pairs.WordRuns
+	counts []int32 // by row handle: its destinations
+	budget int     // row words still storable
 
 	n     int                   // the vertex space build covers
 	build *pairs.RunAccumulator // rows and PostEnds under construction
@@ -149,7 +141,8 @@ func (c *evalCall) acquireKernel(preG *pairs.Relation, structure *rtc.RTC, typ r
 		k.build = pairs.NewRunAccumulator(n)
 		k.vpost = nil
 	}
-	k.rows = append(k.rows[:0], rowSpan{})
+	k.rows.AppendBlocks(nil, nil, 1)
+	k.counts = append(k.counts, 0)
 	k.budget = rowBudgetWords
 	if _, eps := post.(rpq.Epsilon); !eps {
 		k.postEv, k.evKey, k.label = c.acquirePost(post)
@@ -178,7 +171,8 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	}
 	k.build.Reset()
 	k.ends, k.stack = k.ends[:0], k.stack[:0]
-	k.rows, k.idx, k.words = k.rows[:0], k.idx[:0], k.words[:0]
+	k.rows.Reset()
+	k.counts = k.counts[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
 	k.c, k.preG, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, nil, "", labelPost{}
@@ -202,15 +196,6 @@ func (k *rowKernel) setState(s, row int32, cyclic bool) {
 	} else {
 		k.comps[s] = row + compBase
 	}
-}
-
-// span returns the store range of row h.
-func (k *rowKernel) span(h int32) (lo, hi int32) {
-	lo, hi = k.rows[h].lo, int32(len(k.idx))
-	if int(h)+1 < len(k.rows) {
-		hi = k.rows[h+1].lo
-	}
-	return lo, hi
 }
 
 // ensure fills Row(c) and the rows of everything c reaches, by an
@@ -309,7 +294,7 @@ func (k *rowKernel) finish(s int32) error {
 			}
 		} else {
 			k.orRow(k.build, row)
-			if k.rows[row].count > k.rows[alias].count {
+			if k.counts[row] > k.counts[alias] {
 				alias = row
 			}
 		}
@@ -322,15 +307,16 @@ func (k *rowKernel) finish(s int32) error {
 	switch {
 	case fallback:
 		k.build.Reset()
-	case alias != rowEmpty && k.build.Count() == int(k.rows[alias].count):
+	case alias != rowEmpty && k.build.Count() == int(k.counts[alias]):
 		k.build.Reset()
 		row = alias
 	default:
 		row = k.storeBuild()
-		if lo, hi := k.span(row); int(hi-lo) <= k.budget {
-			k.budget -= int(hi - lo)
+		if _, words := k.rows.Run(int(row)); len(words) <= k.budget {
+			k.budget -= len(words)
 		} else {
-			k.idx, k.words, k.rows = k.idx[:lo], k.words[:lo], k.rows[:row]
+			k.rows.Truncate(int(row))
+			k.counts = k.counts[:row]
 			row = rowFallback
 		}
 	}
@@ -345,9 +331,8 @@ func (k *rowKernel) storeBuild() int32 {
 	if count == 0 {
 		return rowEmpty
 	}
-	k.rows = append(k.rows, rowSpan{lo: int32(len(k.idx)), count: int32(count)})
-	k.idx, k.words = k.build.DrainWords(k.idx, k.words)
-	return int32(len(k.rows) - 1)
+	k.counts = append(k.counts, int32(count))
+	return int32(k.rows.Drain(k.build))
 }
 
 // inPlace reports whether PostEnds(s) is read where it is needed rather
@@ -370,7 +355,7 @@ func (k *rowKernel) endsCost(u int32) int {
 		}
 		return cost
 	}
-	return int(k.rows[k.endsOf(u)].count)
+	return int(k.counts[k.endsOf(u)])
 }
 
 // endsOf returns the handle of PostEnds(s) stored for a non-ε Post,
@@ -424,9 +409,9 @@ func (k *rowKernel) storePost(vs []graph.VID) int32 {
 
 // orRow ORs stored row h into acc.
 func (k *rowKernel) orRow(acc *pairs.RunAccumulator, h int32) {
-	lo, hi := k.span(h)
-	acc.OrWords(k.idx[lo:hi], k.words[lo:hi])
-	k.work += int64(hi - lo)
+	idx, words := k.rows.Run(int(h))
+	acc.OrWords(idx, words)
+	k.work += int64(len(idx))
 }
 
 // orEnds ORs PostEnds(s) into acc; unless it is read in place,

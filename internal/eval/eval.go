@@ -16,8 +16,6 @@
 package eval
 
 import (
-	"math/bits"
-
 	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -45,8 +43,9 @@ type Evaluator struct {
 	labelOffsets []int32
 	labelTargets []graph.VID
 
-	product *tc.Product
-	search  *tc.Search // built on the first batch
+	product tc.Product  // built on first use (walk)
+	starts  []graph.VID // the candidate starts, on the first Starts
+	search  *tc.Search  // built on the first batch
 
 	// One start vertex is traversed depth-first instead: stamp[state*|V|
 	// +v] == generation marks (v, state) visited for the current start
@@ -70,19 +69,6 @@ func New(g *graph.Graph, e rpq.Expr, _ Options) *Evaluator {
 		ev.label = true
 		if lid, found := g.Dict().Lookup(l.Name); found {
 			ev.labelOffsets, ev.labelTargets = g.LabelCSR(lid, l.Inverse)
-		}
-	}
-	ev.product = &tc.Product{N: g.NumVertices(), States: make([]tc.State, ev.nfa.NumStates()), Empty: ev.nfa.MatchesEmpty()}
-	for q := range ev.product.States {
-		st := &ev.product.States[q]
-		st.Accept = ev.nfa.IsAccept(q)
-		for _, a := range ev.nfa.Arcs(q) {
-			arc := tc.Arc{To: a.To}
-			arc.Fwd.Offsets, arc.Fwd.Targets = g.LabelCSR(a.Label, a.Inverse)
-			arc.Rev.Offsets, arc.Rev.Targets = g.LabelCSR(a.Label, !a.Inverse)
-			if arc.Fwd.Offsets != nil { // nil: a label absent from the graph
-				st.Arcs = append(st.Arcs, arc)
-			}
 		}
 	}
 	return ev
@@ -128,16 +114,19 @@ func (ev *Evaluator) each(fn func(src, dst graph.VID)) {
 		}
 		return
 	}
-	for starts := ev.starts(); len(starts) > 0; {
+	var runs pairs.WordRuns
+	var ends []graph.VID
+	for starts := ev.Starts(); len(starts) > 0; {
 		srcs := starts[:min(64, len(starts))]
 		starts = starts[len(srcs):]
-		ev.Reach(srcs, nil, func(b int32, blk *[64]uint64) {
-			for i, u := range srcs {
-				for w := blk[i]; w != 0; w &= w - 1 {
-					fn(u, graph.VID(b)<<6|graph.VID(bits.TrailingZeros64(w)))
-				}
+		runs.Reset()
+		ev.Reach(srcs, nil, &runs)
+		for i, u := range srcs {
+			ends = runs.AppendRun(ends[:0], i)
+			for _, w := range ends {
+				fn(u, w)
 			}
-		})
+		}
 	}
 }
 
@@ -151,16 +140,40 @@ func (ev *Evaluator) labelRow(v graph.VID) []graph.VID {
 }
 
 // Reach searches the product from up to 64 start vertices at once and
-// calls fn(b, blk) for every 64-vertex block b holding an end,
-// ascending: blk[i] holds the block's ends from sources[i],
+// appends to out one run per source, in source order: its ends,
 // EvalRestrictedRPQ from it. check is polled after every level of the
 // search, weighted by the edges walked plus the ends found; a search it
-// stops returns its error with nothing handed out.
-func (ev *Evaluator) Reach(sources []graph.VID, check tc.Checkpoint, fn func(b int32, blk *[64]uint64)) error {
+// stops returns its error with nothing appended.
+func (ev *Evaluator) Reach(sources []graph.VID, check tc.Checkpoint, out *pairs.WordRuns) error {
 	if ev.search == nil {
-		ev.search = tc.NewSearch(ev.product)
+		ev.search = tc.NewSearch(ev.walk())
 	}
-	return ev.search.Reach(sources, check, fn)
+	return ev.search.Reach(sources, check, out)
+}
+
+// Starts returns the vertices at which a match can start
+// (tc.Product.Start), ascending, computed on the first call; the caller
+// must not modify it.
+func (ev *Evaluator) Starts() []graph.VID {
+	if ev.starts == nil {
+		p := ev.walk()
+		ev.starts = []graph.VID{}
+		for v := range graph.VID(p.N) {
+			if p.Start(v) {
+				ev.starts = append(ev.starts, v)
+			}
+		}
+	}
+	return ev.starts
+}
+
+// walk returns the product the evaluator searches, built on first use:
+// a label evaluator reads its CSR, and the sealed path never walks it.
+func (ev *Evaluator) walk() *tc.Product {
+	if ev.product.States == nil {
+		ev.product = tc.NewProduct(ev.g, ev.nfa)
+	}
+	return &ev.product
 }
 
 // AppendReachFrom appends the end vertices of paths satisfying the query
@@ -185,7 +198,7 @@ func (ev *Evaluator) AppendReachFrom(v graph.VID, buf []graph.VID) []graph.VID {
 // every vertex reached in an accepting state. Each (vertex, state) pair
 // is expanded at most once per start vertex.
 func (ev *Evaluator) traverse(start graph.VID) {
-	n := ev.g.NumVertices()
+	n, p := ev.g.NumVertices(), ev.walk()
 	if ev.stamp == nil {
 		ev.stamp = make([]uint32, ev.nfa.NumStates()*n)
 	}
@@ -198,10 +211,10 @@ func (ev *Evaluator) traverse(start graph.VID) {
 	for len(ev.stack) > 0 {
 		top := ev.stack[len(ev.stack)-1]
 		ev.stack = ev.stack[:len(ev.stack)-1]
-		if ev.product.States[top.state].Accept {
+		if p.States[top.state].Accept {
 			ev.reach = append(ev.reach, top.v)
 		}
-		arcs := ev.product.States[top.state].Arcs
+		arcs := p.States[top.state].Arcs
 		for ai := range arcs {
 			a := &arcs[ai]
 			for _, w := range a.Fwd.Targets[a.Fwd.Offsets[top.v]:a.Fwd.Offsets[top.v+1]] {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rtcshare/internal/fixtures"
@@ -12,51 +13,48 @@ import (
 
 func TestCandidateStarts(t *testing.T) {
 	g := fixtures.Figure1()
+	starts := func(q string) []graph.VID { return New(g, rpq.MustParse(q), Options{}).Starts() }
 
 	// "d" has one edge (v7 → v4): only v7 can start.
-	starts, ok := CandidateStarts(g, rpq.MustParse("d.b"))
-	if !ok || len(starts) != 1 || starts[0] != 7 {
-		t.Errorf("starts(d.b) = %v, %v; want [7], true", starts, ok)
+	if got := starts("d.b"); !slices.Equal(got, []graph.VID{7}) {
+		t.Errorf("starts(d.b) = %v; want [7]", got)
 	}
 
-	// Nullable expressions cannot restrict the start set.
-	if _, ok := CandidateStarts(g, rpq.MustParse("d*")); ok {
-		t.Error("d* is nullable; seeding must be refused")
-	}
-	if _, ok := CandidateStarts(g, rpq.MustParse("d?")); ok {
-		t.Error("d? is nullable; seeding must be refused")
-	}
-	if _, ok := CandidateStarts(g, rpq.MustParse("ε")); ok {
-		t.Error("ε is nullable; seeding must be refused")
+	// Nullable expressions cannot restrict the start set: every vertex
+	// matches (v, v).
+	for _, q := range []string{"d*", "d?", "ε"} {
+		if got := starts(q); len(got) != g.NumVertices() {
+			t.Errorf("%s is nullable; starts = %v, want all %d vertices", q, got, g.NumVertices())
+		}
 	}
 
 	// A star prefix pushes the FIRST set into the next part too.
-	starts, ok = CandidateStarts(g, rpq.MustParse("e*.f"))
-	if !ok {
-		t.Fatal("e*.f is not nullable")
-	}
 	// Starters: vertices with an e edge (8) or an f edge (9).
-	if len(starts) != 2 || starts[0] != 8 || starts[1] != 9 {
-		t.Errorf("starts(e*.f) = %v, want [8 9]", starts)
+	if got := starts("e*.f"); !slices.Equal(got, []graph.VID{8, 9}) {
+		t.Errorf("starts(e*.f) = %v, want [8 9]", got)
 	}
 
 	// Inverse first labels look at predecessors.
-	starts, ok = CandidateStarts(g, rpq.MustParse("^d.a"))
-	if !ok || len(starts) != 1 || starts[0] != 4 {
-		t.Errorf("starts(^d.a) = %v, %v; want [4], true", starts, ok)
+	if got := starts("^d.a"); !slices.Equal(got, []graph.VID{4}) {
+		t.Errorf("starts(^d.a) = %v; want [4]", got)
 	}
 
 	// Unknown labels admit no start at all.
-	starts, ok = CandidateStarts(g, rpq.MustParse("nope.d"))
-	if !ok || len(starts) != 0 {
-		t.Errorf("starts(nope.d) = %v, %v; want none, true", starts, ok)
+	if got := starts("nope.d"); len(got) != 0 {
+		t.Errorf("starts(nope.d) = %v; want none", got)
+	}
+
+	// The list is computed once per evaluator.
+	ev := New(g, rpq.MustParse("d.b"), Options{})
+	if a, b := ev.Starts(), ev.Starts(); &a[0] != &b[0] {
+		t.Error("Starts recomputed its list")
 	}
 }
 
 // Property: traversing from the candidate starts only — the engine's
 // producer of a closure-free clause — loses no pair of EvaluateAll on
 // random graphs and random expressions, including nullable and
-// inverse-labeled ones (for which CandidateStarts refuses to restrict).
+// inverse-labeled ones (a nullable one starts at every vertex).
 func TestCandidateStartsSeedingMatchesFull(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 40; seed++ {
@@ -65,14 +63,8 @@ func TestCandidateStartsSeedingMatchesFull(t *testing.T) {
 		e := rpq.RandomExpr(rng, labels, 3)
 		ev := New(g, e, Options{})
 		want := ev.EvaluateAll()
-		starts, ok := CandidateStarts(g, e)
-		if !ok {
-			for v := 0; v < g.NumVertices(); v++ {
-				starts = append(starts, graph.VID(v))
-			}
-		}
 		got := pairs.NewSet()
-		for _, s := range starts {
+		for _, s := range ev.Starts() {
 			for _, end := range ev.AppendReachFrom(s, nil) {
 				got.Add(s, end)
 			}

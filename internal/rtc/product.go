@@ -21,10 +21,11 @@ import (
 // labels the product is k layers of label edges, Σ|E_lᵢ| edges, where
 // G_R has |R_G|.
 //
-// The product is never materialised. One iterative Tarjan walks it
-// implicitly from the start copies that have an out-edge, reading a
-// copy's successors from g's adjacency through the automaton's arcs, so
-// it covers exactly the copies reachable from start copies. Components
+// The product's edges are never materialised. One iterative Tarjan
+// walks it (tc.NewProduct, the product the searches walk) from the
+// start copies that have an out-edge, reading a copy's successors from
+// its state's arcs, each a label CSR of g, so it covers exactly the
+// copies reachable from start copies. Components
 // close in reverse topological order, so each one's condensation run is
 // emitted as it closes; its start copies go to one flat array that all
 // Members rows slice. A vertex u is in V_R when (q₀, u) has an in-edge
@@ -35,15 +36,12 @@ import (
 // single giant component; on abort FromProduct returns its error and a
 // nil RTC.
 func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) {
-	nfa := automata.Compile(r, g.Dict())
-	n := g.NumVertices()
+	p := tc.NewProduct(g, automata.Compile(r, g.Dict()))
+	n := p.N
 	// num[c] for the copy c = q·n+v is 0 until visited, its DFS number
 	// (from 1) while on Tarjan's stack, and -(SID+1) once its component
 	// has closed.
-	num := make([]int32, nfa.NumStates()*n)
-	// hasIn[v]: (q₀, v) has an in-edge. Compile's start state has no
-	// incoming arc, so only back edges enter a start copy.
-	hasIn := make([]bool, n)
+	num := make([]int32, len(p.States)*n)
 	type component struct {
 		end            int32 // its start copies are flat[end of the previous:end]
 		stamp          int32 // the SID+1 of the last component to emit an edge to it
@@ -81,8 +79,15 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 		frames = append(frames, frame{cursor: cursor{c: c, q: c / int32(n)}, low: next, out: int32(len(out))})
 		return nil
 	}
-	for u := 0; u < n; u++ {
-		if num[u] != 0 || !hasOutEdge(g, nfa, graph.VID(u)) {
+	// The walk roots only at the start copies with an out-edge
+	// (tc.Product.Start): one with an in-edge alone is reached from
+	// another root, and one with neither is outside the product. Rooting
+	// at every start copy would build the same RTC, but each copy with
+	// neither edge would close as a component of its own for compact to
+	// drop: on RMAT_3 at 2^11 vertices that costs 13–27% more time per
+	// build.
+	for u := range graph.VID(n) {
+		if num[u] != 0 || !p.Start(u) {
 			continue
 		}
 		if err := visit(int32(u)); err != nil {
@@ -90,11 +95,8 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 		}
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if w, ok := f.next(g, nfa, n); ok {
+			if w, ok := f.next(&p); ok {
 				walked++
-				if int(w) < n {
-					hasIn[w] = true
-				}
 				switch x := num[w]; {
 				case x == 0:
 					if err := visit(w); err != nil {
@@ -155,13 +157,22 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 		}
 	}
 
-	// Keep the start copies in V_R. Each Members row is its component's
-	// run of flat, capped so that no caller's append can spill into the
-	// next one.
+	// Keep the start copies in V_R. (q₀, u) has an in-edge exactly when
+	// an accepting copy (q_f, u) was visited, since Compile's start state
+	// has no incoming arc. Each Members row is its component's run of
+	// flat, capped so that no caller's append can spill into the next.
+	hasIn := func(u int) bool {
+		for q, st := range p.States {
+			if st.Accept && num[q*n+u] != 0 {
+				return true
+			}
+		}
+		return false
+	}
 	sccs := &scc.Components{CompOf: make([]int32, n), Members: make([][]graph.VID, len(comps))}
 	for u := range sccs.CompOf {
 		s := int32(-1)
-		if x := num[u]; x < 0 && (hasIn[u] || comps[-x-1].toStart) {
+		if x := num[u]; x < 0 && (hasIn(u) || comps[-x-1].toStart) {
 			s = -x - 1
 		}
 		sccs.CompOf[u] = s
@@ -183,8 +194,8 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 	return &RTC{comps: sccs, condensation: cond, reach: newReachTable(cond, sccs.Members)}, nil
 }
 
-// cursor walks one copy's out-edges in the implicit product: the arcs of
-// its state in order, each through g's adjacency, then the back edge of
+// cursor walks one copy's out-edges in the product: the arcs of its
+// state in order, each through its label's CSR, then the back edge of
 // an accepting copy. It holds no pointer, so a stack of frames is
 // nothing for the garbage collector to scan.
 type cursor struct {
@@ -195,54 +206,23 @@ type cursor struct {
 }
 
 // next returns the copy's next successor, or false once all are walked.
-func (k *cursor) next(g *graph.Graph, nfa *automata.NFA, n int) (int32, bool) {
-	arcs := nfa.Arcs(int(k.q))
+func (k *cursor) next(p *tc.Product) (int32, bool) {
+	st := &p.States[k.q]
 	for k.lo == k.hi {
-		v := k.c - k.q*int32(n)
+		v := k.c - k.q*int32(p.N)
 		switch {
-		case int(k.arc) < len(arcs):
-			a := arcs[k.arc]
+		case int(k.arc) < len(st.Arcs):
+			a := &st.Arcs[k.arc]
 			k.arc++
-			k.to = int32(a.To * n)
-			k.lo, k.hi = arcRun(g, a, v)
-		case int(k.arc) == len(arcs) && nfa.IsAccept(int(k.q)):
+			k.to = int32(a.To * p.N)
+			k.lo, k.hi = a.Fwd.Offsets[v], a.Fwd.Offsets[v+1]
+		case int(k.arc) == len(st.Arcs) && st.Accept:
 			k.arc++
 			return v, true // the back edge to (q₀, v)
 		default:
 			return 0, false
 		}
 	}
-	a := arcs[k.arc-1]
-	_, targets := g.LabelCSR(a.Label, a.Inverse)
 	k.lo++
-	return k.to + targets[k.lo-1], true
-}
-
-// arcRun returns where the vertices an arc leads to from v lie in the
-// CSR of its label; an empty run for a label absent from the graph.
-func arcRun(g *graph.Graph, a automata.Arc, v graph.VID) (lo, hi int32) {
-	offsets, _ := g.LabelCSR(a.Label, a.Inverse)
-	if offsets == nil {
-		return 0, 0
-	}
-	return offsets[v], offsets[v+1]
-}
-
-// hasOutEdge reports whether the start copy (q₀, v) has an out-edge. The
-// DFS roots only at those: a start copy with an in-edge alone is reached
-// from another root, and one with neither is outside the product.
-// Rooting at every start copy would build the same RTC, but each copy
-// with neither edge would close as a component of its own for compact
-// to drop: on RMAT_3 at 2^11 vertices that costs 13–27% more time per
-// build.
-func hasOutEdge(g *graph.Graph, nfa *automata.NFA, v graph.VID) bool {
-	if nfa.IsAccept(0) {
-		return true
-	}
-	for _, a := range nfa.Arcs(0) {
-		if lo, hi := arcRun(g, a, v); lo < hi {
-			return true
-		}
-	}
-	return false
+	return k.to + int32(st.Arcs[k.arc-1].Fwd.Targets[k.lo-1]), true
 }

@@ -3,12 +3,12 @@
 // assigns to both methods in Table III (FullSharing runs it on G_R,
 // RTCSharing on the much smaller Ḡ_R) — with the one search kernel the
 // project has. The kernel (Search) walks a product of a graph with an
-// automaton, of which a digraph is the one-state case; package eval
-// runs RPQs through it. It is word-parallel: it runs the searches of 64
-// sources at once, one per bit of a uint64 mask per copy. A row is
-// stored as its non-zero 64-bit words, word index plus word, in one
-// backing array with per-row offsets; a batch's rows come out of its
-// masks by one 64×64 bit transpose per touched 64-vertex block
+// automaton (NewProduct), of which a digraph is the one-state case;
+// package eval runs RPQs through it. It is word-parallel: it runs the
+// searches of 64 sources at once, one per bit of a uint64 mask per
+// copy. A row is stored as its non-zero 64-bit words, word index plus
+// word, one run of a pairs.WordRuns per vertex; a batch's rows come out
+// of its masks by one 64×64 bit transpose per touched 64-vertex block
 // (pairs.Transpose64), ascending without a sort. It is also
 // direction-optimizing: a level whose frontier's out-edges exceed
 // 1/alpha of the product's edges runs bottom-up, each unfinished copy
@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sync"
 
+	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
 )
@@ -36,35 +37,14 @@ import (
 // non-zero 64-bit words.
 type Closure struct {
 	numVertices int
-	// Row u is idx/words[offsets[u]:offsets[u+1]]: words[k] holds the
-	// reached vertices 64·idx[k] … 64·idx[k]+63, idx strictly ascending
-	// and no word zero — the form pairs.RunAccumulator.OrWords reads.
-	offsets  []int32
-	idx      []int32
-	words    []uint64
-	numPairs int
+	rows        pairs.WordRuns // run u is row u, empty for a vertex with no row
+	numPairs    int
 
 	// invOnce/inv hold the lazily computed transposed closure, built on
 	// the first Inverted call. Closures are shared immutably across
 	// goroutines, so the transpose is guarded by a Once.
 	invOnce sync.Once
 	inv     *Closure
-}
-
-// newClosure returns an empty closure over n vertices whose rows the
-// caller appends, each row's end recorded in offsets[u+1], and then
-// closes with finish.
-func newClosure(n int) *Closure {
-	return &Closure{numVertices: n, offsets: make([]int32, n+1)}
-}
-
-// finish fills in the offsets of the rows never appended: each is empty
-// and ends where the row before it does, so rows must be appended in
-// ascending vertex order.
-func (c *Closure) finish() {
-	for v := 1; v < len(c.offsets); v++ {
-		c.offsets[v] = max(c.offsets[v], c.offsets[v-1])
-	}
 }
 
 // NumVertices returns the size of the underlying VID space.
@@ -78,20 +58,12 @@ func (c *Closure) NumPairs() int { return c.numPairs }
 // vertices 64·idx[k] … 64·idx[k]+63, idx strictly ascending, no word
 // zero. The caller must not modify the returned slices.
 func (c *Closure) Row(u graph.VID) (idx []int32, words []uint64) {
-	lo, hi := c.offsets[u], c.offsets[u+1]
-	return c.idx[lo:hi], c.words[lo:hi]
+	return c.rows.Run(int(u))
 }
 
 // From returns the vertices reachable from u, sorted ascending, in a
 // new slice: the row expanded, for tests and oracles.
-func (c *Closure) From(u graph.VID) []graph.VID {
-	var out []graph.VID
-	idx, words := c.Row(u)
-	for k, wi := range idx {
-		out = pairs.AppendWordBits(out, wi, words[k])
-	}
-	return out
-}
+func (c *Closure) From(u graph.VID) []graph.VID { return c.rows.AppendRun(nil, int(u)) }
 
 // Inverted returns the transposed closure: (u, w) ∈ c iff (w, u) ∈
 // Inverted. It is computed once, concurrently-safely, and shared by all
@@ -99,61 +71,11 @@ func (c *Closure) From(u graph.VID) []graph.VID {
 // benchmark replay pins this method (tc.invert_ns).
 func (c *Closure) Inverted() *Closure {
 	c.invOnce.Do(func() {
-		n := c.numVertices
-		inv := &Closure{numVertices: n, numPairs: c.numPairs, inv: c}
+		inv := &Closure{numVertices: c.numVertices, rows: c.rows.Transpose(c.numVertices), numPairs: c.numPairs, inv: c}
 		inv.invOnce.Do(func() {}) // inv's own inverse is c; never recompute
-		// The first pass counts each transposed row's words, the second
-		// places them; blocks of sources are visited ascending, so every
-		// transposed row is filled in ascending word order.
-		inv.offsets = make([]int32, n+1)
-		c.transposeBlocks(func(w graph.VID, _ int32, _ uint64) { inv.offsets[w+1]++ })
-		for w := range n {
-			inv.offsets[w+1] += inv.offsets[w]
-		}
-		inv.idx = make([]int32, inv.offsets[n])
-		inv.words = make([]uint64, inv.offsets[n])
-		pos := slices.Clone(inv.offsets[:n])
-		c.transposeBlocks(func(w graph.VID, ui int32, word uint64) {
-			inv.idx[pos[w]], inv.words[pos[w]] = ui, word
-			pos[w]++
-		})
 		c.inv = inv
 	})
 	return c.inv
-}
-
-// transposeBlocks calls fn(w, ui, word) for every non-zero word of the
-// transposed closure: word holds the sources 64·ui … 64·ui+63 that reach
-// w. It takes the rows of 64 sources at a time, ascending, lays each
-// word index's 64 source words out as a 64×64 bit matrix and transposes
-// it into one word per reached vertex.
-func (c *Closure) transposeBlocks(fn func(w graph.VID, ui int32, word uint64)) {
-	nb := (c.numVertices + 63) / 64
-	block := make([]uint64, nb*64)
-	touched := make([]uint64, (nb+63)/64)
-	for ui := range int32(nb) {
-		for r := range int32(64) {
-			u := graph.VID(ui<<6 | r)
-			if int(u) >= c.numVertices {
-				break
-			}
-			idx, words := c.Row(u)
-			for k, wi := range idx {
-				block[wi<<6|r] = words[k]
-				pairs.MarkBlock(touched, graph.VID(wi)<<6)
-			}
-		}
-		pairs.DrainBlocks(touched, func(wi int) {
-			m := (*[64]uint64)(block[wi<<6:])
-			pairs.Transpose64(m)
-			for col, word := range m {
-				if word != 0 {
-					fn(graph.VID(wi<<6|col), ui, word)
-				}
-			}
-			*m = [64]uint64{}
-		})
-	}
 }
 
 // Reachable reports whether a path of length ≥ 1 leads from u to w.
@@ -166,13 +88,12 @@ func (c *Closure) Reachable(u, w graph.VID) bool {
 // Each calls fn for every closure pair in (src, dst) order, stopping
 // early if fn returns false.
 func (c *Closure) Each(fn func(u, w graph.VID) bool) {
-	for u := range c.numVertices {
-		idx, words := c.Row(graph.VID(u))
-		for k, wi := range idx {
-			for w := words[k]; w != 0; w &= w - 1 {
-				if !fn(graph.VID(u), graph.VID(wi)<<6|graph.VID(bits.TrailingZeros64(w))) {
-					return
-				}
+	var row []graph.VID
+	for u := range graph.VID(c.numVertices) {
+		row = c.rows.AppendRun(row[:0], int(u))
+		for _, w := range row {
+			if !fn(u, w) {
+				return
 			}
 		}
 	}
@@ -190,11 +111,9 @@ func (c *Closure) ToPairs() *pairs.Set {
 
 // Equal reports whether two closures contain the same pairs. A row has
 // one form, ascending non-zero words, so equal closures hold equal
-// arrays.
+// stores.
 func (c *Closure) Equal(other *Closure) bool {
-	return c.numVertices == other.numVertices && c.numPairs == other.numPairs &&
-		slices.Equal(c.offsets, other.offsets) && slices.Equal(c.idx, other.idx) &&
-		slices.Equal(c.words, other.words)
+	return c.numVertices == other.numVertices && c.rows.Equal(&other.rows)
 }
 
 // BFS computes the closure by a breadth-first search from every active
@@ -229,10 +148,12 @@ const alpha = 4
 // and an optional cancellation checkpoint, polled before each batch and
 // by the search after each level: the sources with an out-edge go in
 // batches of 64 through the search of d's one-state product, and each
-// batch's rows come out as words (emitRows), masked by keep.
+// batch's rows, masked by keep, go to the closure's store
+// (pairs.WordRuns.AppendBlocks) at their sources, the vertices between
+// them given empty rows.
 func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
-	c := newClosure(n)
+	c := &Closure{numVertices: n}
 	arc := Arc{}
 	arc.Fwd.Offsets, arc.Fwd.Targets = d.CSR()
 	arc.Rev.Offsets, arc.Rev.Targets = d.ReverseCSR()
@@ -263,9 +184,29 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 		if err := s.run(batch, check); err != nil {
 			return nil, err
 		}
-		s.emitRows(c, batch, keepWords)
+		seen := s.ends()
+		if keep != nil {
+			for _, b := range s.touched {
+				for i := range batch {
+					seen[int(b)<<6|i] &= keepWords[b]
+				}
+			}
+		}
+		for i := 0; i < len(batch); { // a run of consecutive sources at once
+			j := i + 1
+			for j < len(batch) && batch[j] == batch[j-1]+1 {
+				j++
+			}
+			c.rows.AppendBlocks(nil, nil, int(batch[i])-c.rows.Len())
+			c.rows.AppendBlocks(seen[i:], s.touched, j-i)
+			i = j
+		}
+		s.reset(seen)
 	}
-	c.finish()
+	c.rows.AppendBlocks(nil, nil, n-c.rows.Len())
+	for u := range n {
+		c.numPairs += c.rows.Count(u)
+	}
 	return c, nil
 }
 
@@ -298,6 +239,40 @@ type Arc struct {
 type CSR struct {
 	Offsets []int32
 	Targets []graph.VID
+}
+
+// NewProduct returns the product of g with nfa: state q's arcs are the
+// NFA's, each reading its label's CSR in g, the forward and reverse
+// columns swapped for an inverse label; an arc whose label g lacks is
+// dropped, since it leads nowhere. All states' arcs share one array.
+func NewProduct(g *graph.Graph, nfa *automata.NFA) Product {
+	p := Product{N: g.NumVertices(), States: make([]State, nfa.NumStates()), Empty: nfa.MatchesEmpty()}
+	arcs := 0
+	for q := range p.States {
+		arcs += len(nfa.Arcs(q))
+	}
+	all := make([]Arc, 0, arcs)
+	for q := range p.States {
+		lo := len(all)
+		for _, a := range nfa.Arcs(q) {
+			arc := Arc{To: a.To}
+			arc.Fwd.Offsets, arc.Fwd.Targets = g.LabelCSR(a.Label, a.Inverse)
+			arc.Rev.Offsets, arc.Rev.Targets = g.LabelCSR(a.Label, !a.Inverse)
+			if arc.Fwd.Offsets != nil {
+				all = append(all, arc)
+			}
+		}
+		p.States[q] = State{Accept: nfa.IsAccept(q), Arcs: all[lo:len(all):len(all)]}
+	}
+	return p
+}
+
+// Start reports whether a match can start at v: whether v's start copy
+// has an out-arc, or always under Empty. After ε-elimination the start
+// state's arcs are the expression's first steps (its FIRST set), so a
+// search or a walk of the product need root only at these vertices.
+func (p *Product) Start(v graph.VID) bool {
+	return p.Empty || slices.ContainsFunc(p.States[0].Arcs, func(a Arc) bool { return a.Fwd.Offsets[v+1] > a.Fwd.Offsets[v] })
 }
 
 func (c CSR) row(v graph.VID) []graph.VID { return c.Targets[c.Offsets[v]:c.Offsets[v+1]] }
@@ -348,19 +323,17 @@ func NewSearch(p *Product) *Search {
 	return s
 }
 
-// Reach searches from up to 64 seeds at once and calls fn(b, blk) for
-// every 64-vertex block b holding an accepting copy reached, ascending:
-// blk[i] holds the block's vertices that seed i reaches in an accepting
-// state. A search that check stops returns its error with nothing
-// handed out; either way the search is idle when Reach returns.
-func (s *Search) Reach(seeds []graph.VID, check Checkpoint, fn func(b int32, blk *[64]uint64)) error {
+// Reach searches from up to 64 seeds at once and appends one run per
+// seed to out, in seed order (pairs.WordRuns.AppendBlocks): the
+// vertices the seed reaches in an accepting state. A search that check
+// stops returns its error with nothing appended; either way the search
+// is idle when Reach returns.
+func (s *Search) Reach(seeds []graph.VID, check Checkpoint, out *pairs.WordRuns) error {
 	if err := s.run(seeds, check); err != nil {
 		return err
 	}
 	seen := s.ends()
-	for _, b := range s.touched {
-		fn(b, (*[64]uint64)(seen[int(b)<<6:]))
-	}
+	out.AppendBlocks(seen, s.touched, len(seeds))
 	s.reset(seen)
 	return nil
 }
@@ -542,7 +515,8 @@ func (s *Search) advance() bool {
 // ends ORs the accepting states' seen masks into the first one's that
 // holds any, transposes each of its touched blocks in place into source
 // words (pairs.Transpose64), lists them ascending in touched, and
-// returns the masks they lie in.
+// returns the masks they lie in: the start state's, with none touched,
+// when no accepting copy was reached.
 func (s *Search) ends() []uint64 {
 	var into *copies
 	for q := range s.states {
@@ -562,7 +536,7 @@ func (s *Search) ends() []uint64 {
 		})
 	}
 	if into == nil {
-		return nil
+		return s.states[0].seen
 	}
 	pairs.DrainBlocks(into.blocks, func(b int) {
 		pairs.Transpose64((*[64]uint64)(into.seen[b<<6:]))
@@ -587,42 +561,4 @@ func (s *Search) reset(ends []uint64) {
 		c.level, c.next = c.level[:0], c.next[:0]
 	}
 	s.touched = s.touched[:0]
-}
-
-// emitRows appends the rows of one batch to c and resets the search.
-// The closure's touched blocks come out of ends as source words, masked
-// by keep (nil keeps every vertex); source i's row is then word i of
-// every block, blocks ascending, zero words dropped. It costs one
-// transpose per touched block plus two reads per block and source,
-// however many bits each word holds. The rows' backing arrays grow to at
-// least twice their size when the batch's words do not fit: append's
-// gentler growth of large slices allocated about five times the final
-// rows.
-func (s *Search) emitRows(c *Closure, batch []graph.VID, keep []uint64) {
-	seen, words := s.ends(), 0
-	for _, b := range s.touched {
-		blk := (*[64]uint64)(seen[int(b)<<6:])
-		for i := range batch {
-			if keep != nil {
-				blk[i] &= keep[b]
-			}
-			if blk[i] != 0 {
-				words++
-			}
-		}
-	}
-	if need := len(c.idx) + words; need > cap(c.idx) {
-		grow := max(need, 2*cap(c.idx)) - len(c.idx)
-		c.idx, c.words = slices.Grow(c.idx, grow), slices.Grow(c.words, grow)
-	}
-	for i, u := range batch {
-		for _, b := range s.touched {
-			if w := seen[int(b)<<6|i]; w != 0 {
-				c.idx, c.words = append(c.idx, b), append(c.words, w)
-				c.numPairs += bits.OnesCount64(w)
-			}
-		}
-		c.offsets[u+1] = int32(len(c.idx))
-	}
-	s.reset(seen)
 }

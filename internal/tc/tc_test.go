@@ -106,22 +106,18 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-// closureOf builds a closure from rows listed by hand, each sorted
-// ascending, as bfs writes its rows: word by word, then finish.
+// closureOf builds a closure from rows listed by hand, one run per
+// vertex, as bfs stores its rows.
 func closureOf(n int, rows [][]graph.VID) *Closure {
-	c := newClosure(n)
-	for u, row := range rows {
-		start := len(c.idx)
-		for _, w := range row {
-			if wi := int32(w >> 6); len(c.idx) == start || c.idx[len(c.idx)-1] != wi {
-				c.idx, c.words = append(c.idx, wi), append(c.words, 0)
-			}
-			c.words[len(c.words)-1] |= 1 << (w & 63)
-			c.numPairs++
+	c := &Closure{numVertices: n}
+	acc := pairs.NewRunAccumulator(n)
+	for u := range n {
+		if u < len(rows) {
+			acc.AddAll(rows[u])
+			c.numPairs += len(rows[u])
 		}
-		c.offsets[u+1] = int32(len(c.idx))
+		c.rows.Drain(acc)
 	}
-	c.finish()
 	return c
 }
 
