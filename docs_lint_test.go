@@ -350,9 +350,11 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // with its public injection surface, the DNF bound option, engines
 // sharing one cache with the constructors, cache resets and
 // parse-and-explain shorthands that went with them, the RTC assembled
-// from caller-built parts, and the hand-rolled run stores that
-// pairs.WordRuns replaced. (Spelled in pieces so that a grep
-// for the retired identifiers over the Go sources stays empty.)
+// from caller-built parts, the hand-rolled run stores that
+// pairs.WordRuns replaced, and the cache's second region type, key
+// prefixes and per-strategy structure lookups that one cacheRegion and
+// one shared-structure lookup replaced. (Spelled in pieces so that a
+// grep for the retired identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
 	regexp.MustCompile("Layout" + "MapSet"),
@@ -412,6 +414,18 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`\bappend` + `Block\b`),
 	regexp.MustCompile(`\brow` + `Span\b`),
 	regexp.MustCompile(`\bstored` + `Run\b`),
+	regexp.MustCompile("getOrCompute" + "Relation"),
+	regexp.MustCompile("lookup" + "Relation"),
+	regexp.MustCompile(`(^|[^-A-Za-z])fli` + `ght\(`),
+	regexp.MustCompile(`\brel` + `Shards?\b`),
+	regexp.MustCompile("count" + "Entries"),
+	regexp.MustCompile("dropEntry" + "Locked"),
+	regexp.MustCompile(`\bregion` + `(Structure|Relation)\b`),
+	regexp.MustCompile(`\bns` + `(RTC|Full)\b`),
+	regexp.MustCompile(`\b(rtc|full)` + `Value\b`),
+	regexp.MustCompile(`\bget` + `RTC\b`),
+	regexp.MustCompile("getFull" + "Closure"),
+	regexp.MustCompile("evaluateRel" + "Cached"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

@@ -139,18 +139,14 @@ func (c *evalCall) openClause(cp *plan.ClausePlan, width int) (producer, *pairs.
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.opts.Strategy == RTCSharing {
-		structure, err := c.getRTC(bu.R)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.acquireKernel(preG, structure, bu.Type, bu.Post), preG, nil
-	}
-	closure, err := c.getFullClosure(bu.R)
+	shared, err := c.getShared(bu.R)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := c.acquireFull(preG, closure, bu.Type, bu.Post)
+	if shared.rtc != nil {
+		return c.acquireKernel(preG, shared.rtc, bu.Type, bu.Post), preG, nil
+	}
+	j := c.acquireFull(preG, shared.closure, bu.Type, bu.Post)
 	j.width = width
 	return j, preG, nil
 }

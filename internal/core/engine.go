@@ -412,7 +412,7 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 	if !v.shouldCache() {
 		return nil, 0, false
 	}
-	val, found := e.cache.lookupRelation(v.epoch, q.String())
+	val, found := e.cache.lookup(&e.cache.relations, v.epoch, q.String())
 	if !found {
 		return nil, 0, false
 	}
@@ -426,7 +426,7 @@ func (e *Engine) CachedResult(q rpq.Expr) (*pairs.Relation, uint64, bool) {
 func (c *evalCall) evaluate(q rpq.Expr) (*pairs.Relation, error) {
 	defer c.fold()
 	c.begin(q)
-	return c.evaluateRelCached(q)
+	return c.subEvaluateRel(q)
 }
 
 // begin counts one top-level query and runs the eval hook on it.
@@ -483,14 +483,14 @@ func (v *engineVersion) checkSpaces(preG *pairs.Relation, structureVertices int)
 // countLookup records a shared-structure cache hit or miss plus the
 // summary of the structure involved (and the RTC, when it is one), so
 // SharedSummaries reflects every structure the engine used.
-func (sh *engineShared) countLookup(hit bool, sum SharedSummary, structure *rtc.RTC) {
+func (sh *engineShared) countLookup(hit bool, v *sharedValue) {
 	sh.mu.Lock()
 	if hit {
 		sh.stats.CacheHits++
 	} else {
 		sh.stats.CacheMisses++
 	}
-	sh.summaries[sum.R] = summaryEntry{sum, structure}
+	sh.summaries[v.summary.R] = summaryEntry{v.summary, v.rtc}
 	sh.mu.Unlock()
 }
 
@@ -529,19 +529,12 @@ func (v *engineVersion) planner() *plan.Planner {
 }
 
 // sharedStructureCached reports whether the shared closure structure for
-// r is already in the cache — at this version's epoch — under the
-// engine's strategy. NoSharing engines never have sunk structures.
+// r is already in the cache at this version's epoch. NoSharing engines
+// never have sunk structures.
 func (v *engineVersion) sharedStructureCached(r rpq.Expr) bool {
 	if !v.shouldCache() {
 		return false
 	}
-	key := r.String()
-	switch v.opts.Strategy {
-	case RTCSharing:
-		_, ok := v.cache.lookup(v.epoch, nsRTC+key)
-		return ok
-	default:
-		_, ok := v.cache.lookup(v.epoch, nsFull+key)
-		return ok
-	}
+	_, ok := v.cache.lookup(&v.cache.structures, v.epoch, r.String())
+	return ok
 }

@@ -299,10 +299,10 @@ func TestRTCSharingNeverMaterialisesR(t *testing.T) {
 		if _, err := e.EvaluateQuery("d.(b.c)+.c"); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := e.Cache().lookupRelation(e.Epoch(), "d"); !ok {
+		if _, ok := e.Cache().lookup(&e.Cache().relations, e.Epoch(), "d"); !ok {
 			t.Errorf("%v: Pre relation d not memoised", c.strategy)
 		}
-		if _, ok := e.Cache().lookupRelation(e.Epoch(), "b.c"); ok != c.wantR {
+		if _, ok := e.Cache().lookup(&e.Cache().relations, e.Epoch(), "b.c"); ok != c.wantR {
 			t.Errorf("%v: relation b·c memoised = %v, want %v", c.strategy, ok, c.wantR)
 		}
 	}

@@ -27,39 +27,41 @@ func explainAnalyzeQuery(e *Engine, q string) (*Plan, error) {
 }
 
 func TestExplainBasic(t *testing.T) {
-	g := fixtures.Figure1()
-	e := New(g, Options{Strategy: RTCSharing})
-	plan, err := explainQuery(e, "d.(b.c)+.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Clauses) != 1 {
-		t.Fatalf("clauses = %d, want 1", len(plan.Clauses))
-	}
-	c := plan.Clauses[0]
-	if c.Pre != "d" || c.R != "b.c" || c.Type != "+" || c.Post != "c" {
-		t.Errorf("decomposition wrong: %+v", c)
-	}
-	if c.SharedCached {
-		t.Error("RTC reported cached before any evaluation")
-	}
-	if c.PreHasKleene {
-		t.Error("Pre=d has no Kleene closure")
-	}
+	for _, strategy := range []Strategy{RTCSharing, FullSharing} {
+		g := fixtures.Figure1()
+		e := New(g, Options{Strategy: strategy})
+		plan, err := explainQuery(e, "d.(b.c)+.c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Clauses) != 1 {
+			t.Fatalf("%v: clauses = %d, want 1", strategy, len(plan.Clauses))
+		}
+		c := plan.Clauses[0]
+		if c.Pre != "d" || c.R != "b.c" || c.Type != "+" || c.Post != "c" {
+			t.Errorf("%v: decomposition wrong: %+v", strategy, c)
+		}
+		if c.SharedCached {
+			t.Errorf("%v: shared structure reported cached before any evaluation", strategy)
+		}
+		if c.PreHasKleene {
+			t.Errorf("%v: Pre=d has no Kleene closure", strategy)
+		}
 
-	// After evaluation, the same plan must report the cache hit.
-	if _, err := e.EvaluateQuery("d.(b.c)+.c"); err != nil {
-		t.Fatal(err)
-	}
-	plan, err = explainQuery(e, "a.(b.c)*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Clauses[0].SharedCached {
-		t.Error("RTC for b.c should be reported cached")
-	}
-	if plan.Clauses[0].Type != "*" {
-		t.Errorf("Type = %q, want *", plan.Clauses[0].Type)
+		// After evaluation, the same plan must report the cache hit.
+		if _, err := e.EvaluateQuery("d.(b.c)+.c"); err != nil {
+			t.Fatal(err)
+		}
+		plan, err = explainQuery(e, "a.(b.c)*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Clauses[0].SharedCached {
+			t.Errorf("%v: shared structure for b.c should be reported cached", strategy)
+		}
+		if plan.Clauses[0].Type != "*" {
+			t.Errorf("%v: Type = %q, want *", strategy, plan.Clauses[0].Type)
+		}
 	}
 }
 

@@ -258,11 +258,11 @@ func TestExplainNoSharingIgnoresSharedEntries(t *testing.T) {
 	// A NoSharing engine's cache never fills by itself; plant the
 	// structure the sharing engine built under the same key.
 	cold := New(g, Options{Strategy: NoSharing})
-	val, ok := warm.Cache().lookup(warm.Epoch(), nsRTC+"l1.l2")
+	val, ok := warm.Cache().lookup(&warm.Cache().structures, warm.Epoch(), "l1.l2")
 	if !ok {
 		t.Fatal("RTC for l1.l2 not in the sharing engine's cache")
 	}
-	if _, _, err := cold.Cache().getOrCompute(cold.Epoch(), nsRTC+"l1.l2", func() (any, error) { return val, nil }); err != nil {
+	if _, _, _, err := cold.Cache().getOrCompute(&cold.Cache().structures, cold.Epoch(), "l1.l2", func() (any, error) { return val, nil }); err != nil {
 		t.Fatal(err)
 	}
 	plan, err = cold.Explain(q)
@@ -291,7 +291,7 @@ func TestCacheHoldsOnlyStructures(t *testing.T) {
 	if cc.RelEntries == 0 {
 		t.Errorf("relation entries = 0, want the sealed sub-results and the result")
 	}
-	if _, ok := e.Cache().lookup(0, nsRTC+"l1.l2"); !ok {
+	if _, ok := e.Cache().lookup(&e.Cache().structures, 0, "l1.l2"); !ok {
 		t.Errorf("RTC for l1.l2 not in the cache")
 	}
 

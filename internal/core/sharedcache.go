@@ -10,31 +10,31 @@ import (
 	"rtcshare/internal/pairs"
 )
 
-// SharedCache holds an engine's shared structures — the RTCs (SCC
-// tables, condensation and reach table) and the full closures R+_G —
-// keyed by the canonical sub-query text. It is the concurrent form of
-// Algorithm 1's "already computed?" test (lines 9–11): every call on
-// the engine shares it, and two goroutines that miss on the same key at
-// the same time deduplicate — exactly one runs the computation while
-// the others block until the value is published (singleflight). Each
-// engine builds its own cache, so a key never has to encode the graph
-// or the strategy.
+// SharedCache holds an engine's shared values keyed by canonical
+// sub-query text, in two regions of one type (cacheRegion): structures
+// holds the closure structures — an RTC (SCC tables, condensation and
+// reach table) under RTCSharing, the full closure R+_G under FullSharing
+// — and relations holds the sealed columnar sub-query and result
+// relations (R_G, Pre_G, Post_G, whole queries). It is the concurrent
+// form of Algorithm 1's "already computed?" test (lines 9–11): every
+// call on the engine shares it, and two goroutines that miss on the same
+// key at the same time deduplicate — exactly one runs the computation
+// while the others block until the value is published (singleflight).
+// Each engine builds its own cache with one strategy, so a key never has
+// to encode the graph or the strategy; the two regions keep a
+// FullSharing engine's R_G and TC(G_R), both keyed by R's text, apart,
+// and count structures and relations separately.
 //
-// The cache is safe for concurrent use. Keys are spread over a fixed
-// number of independently locked shards, so lookups of distinct
-// sub-queries do not contend; a shard's lock is never held while a value
-// is being computed, so a compute may recursively use the cache (nested
-// Kleene closures depend only on strictly smaller sub-expressions, which
-// rules out cyclic waits). Values stored in the cache are immutable by
-// contract: engines only ever read them.
-//
-// Next to the structure region the cache keeps a second, independently
-// sharded and counted *relation* region: the sealed columnar sub-query
-// and result relations (R_G, Pre_G, Post_G, whole queries). A sealed
-// relation is exactly-sized int32 columns, so concurrent calls probe
-// one frozen copy with zero copying. The regions are separate so the
-// structure counters (Hits, Misses, Entries) count closure structures
-// only.
+// The cache is safe for concurrent use. Each region spreads its keys
+// over a fixed number of independently locked shards, so lookups of
+// distinct sub-queries do not contend; a shard's lock is never held
+// while a value is being computed, so a compute may recursively use the
+// cache (nested Kleene closures depend only on strictly smaller
+// sub-expressions, which rules out cyclic waits). Values stored in the
+// cache are immutable by contract: engines only ever read them. A sealed
+// relation is exactly-sized int32 columns, so concurrent calls probe one
+// frozen copy with zero copying; the relation region alone is bounded,
+// by relBudgetBytes.
 //
 // # Epochs
 //
@@ -58,16 +58,11 @@ import (
 // epoch in one sweep, asking the updater per surviving entry whether to
 // keep it (carried to the new epoch unchanged) or drop it.
 type SharedCache struct {
-	seed      maphash.Seed
-	epoch     atomic.Uint64
-	shards    [cacheShards]cacheShard
-	relShards [cacheShards]cacheShard
+	seed       maphash.Seed
+	epoch      atomic.Uint64
+	structures cacheRegion
+	relations  cacheRegion
 
-	hits   atomic.Int64
-	misses atomic.Int64
-
-	relHits   atomic.Int64
-	relMisses atomic.Int64
 	// relBytes tracks the column bytes resident in the relation region,
 	// for the admission budget below.
 	relBytes atomic.Int64
@@ -80,6 +75,21 @@ type SharedCache struct {
 	// found them outdated (lazy invalidation, complementing the eager
 	// sweep of advanceEpoch).
 	staleEvictions atomic.Int64
+}
+
+// cacheRegion is one keyspace of the cache: its shards and its hit and
+// miss counters. admit, when non-nil, runs under the owning shard's lock
+// after a successful computation; returning false evicts the entry
+// (waiters still receive the value, marked unretained) so later calls
+// recompute. evict, when non-nil, runs when a completed retained entry
+// is dropped, returning its budget charge. Only the relation region sets
+// them.
+type cacheRegion struct {
+	shards [cacheShards]cacheShard
+	hits   atomic.Int64
+	misses atomic.Int64
+	admit  func(any) bool
+	evict  func(any)
 }
 
 // relBudgetBytes is the soft bound on the relation region (128 MiB):
@@ -133,49 +143,97 @@ type cacheEntry struct {
 func newSharedCache(epoch uint64) *SharedCache {
 	c := &SharedCache{seed: maphash.MakeSeed()}
 	c.epoch.Store(epoch)
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cacheEntry)
-		c.relShards[i].entries = make(map[string]*cacheEntry)
+	for i := range cacheShards {
+		c.structures.shards[i].entries = make(map[string]*cacheEntry)
+		c.relations.shards[i].entries = make(map[string]*cacheEntry)
 	}
+	c.relations.admit, c.relations.evict = c.admitRelation, c.evictRelation
 	return c
 }
 
-func (c *SharedCache) shard(key string) *cacheShard {
-	return &c.shards[maphash.String(c.seed, key)%cacheShards]
+func (c *SharedCache) shard(r *cacheRegion, key string) *cacheShard {
+	return &r.shards[maphash.String(c.seed, key)%cacheShards]
 }
 
-func (c *SharedCache) relShard(key string) *cacheShard {
-	return &c.relShards[maphash.String(c.seed, key)%cacheShards]
-}
-
-// getOrCompute returns the cached structure for key at the caller's
-// graph epoch, computing it with fn on first use. Concurrent same-epoch
-// calls with the same key run fn once: the first caller computes while
-// the rest wait for its result. computed reports whether this call was the
+// getOrCompute returns region r's value for key at the caller's graph
+// epoch, computing it with fn on first use. Concurrent same-epoch calls
+// with the same key run fn once: the first caller computes while the
+// rest wait for its result. computed reports whether this call was the
 // one that ran fn — the cache-miss signal the engine's Stats counters
-// record. Entries from older epochs are evicted and recomputed; a caller
-// older than the resident entry computes privately (see the type
-// comment's epoch rules).
+// record. retained reports whether the value stays cached: a structure
+// always does, a relation only within relBudgetBytes — over budget, the
+// computed relation is returned (and delivered to concurrent waiters)
+// with retained=false and not kept, and callers that still want
+// memoisation keep it in their own per-call overflow memo. Entries from
+// older epochs are evicted and recomputed; a caller older than the
+// resident entry computes privately, unretained (see the type comment's
+// epoch rules).
 //
 // If fn fails, every waiter receives the error and the entry is dropped,
-// so a later call retries the computation — except a cancellation
-// error, which waiters never inherit (see flight). fn runs without any
-// cache lock held and may itself call getOrCompute with different keys.
-func (c *SharedCache) getOrCompute(epoch uint64, key string, fn func() (any, error)) (val any, computed bool, err error) {
-	val, computed, _, err = c.flight(c.shard(key), &c.hits, &c.misses, epoch, key, fn, nil, nil)
-	return val, computed, err
-}
+// so a later call retries the computation. A waiter does not inherit the
+// computing caller's cancellation, though: fn polls its own caller's
+// context, so a context.Canceled or DeadlineExceeded from it says that
+// caller walked away, not that the value cannot be computed. The failed
+// entry is already dropped, so the waiter retries and computes (or joins
+// a newer flight) under its own context. fn runs without any cache lock
+// held and may itself call getOrCompute with different keys.
+func (c *SharedCache) getOrCompute(r *cacheRegion, epoch uint64, key string, fn func() (any, error)) (val any, computed, retained bool, err error) {
+	s := c.shard(r, key)
+	s.mu.Lock()
+	// Same epoch: a normal hit, waiting out an in-flight computation.
+	for e, ok := s.entries[key]; ok && e.epoch == epoch; e, ok = s.entries[key] {
+		s.mu.Unlock()
+		<-e.done
+		if e.epoch != epoch {
+			// Unreachable by construction (entry epochs are fixed at
+			// creation); counted so a future regression is loud.
+			c.crossEpochHits.Add(1)
+		}
+		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
+			r.hits.Add(1)
+			return e.val, false, e.retained, e.err
+		}
+		s.mu.Lock()
+	}
+	if e, ok := s.entries[key]; ok {
+		if e.epoch > epoch {
+			// The caller is pinned to an older graph version than the
+			// resident entry. Compute privately: the straggler may not
+			// reuse the newer value, and must not evict it either.
+			s.mu.Unlock()
+			r.misses.Add(1)
+			val, err = fn()
+			return val, true, false, err
+		}
+		// Stale entry from before an update: evict and recompute. An
+		// in-flight stale computation is detached, not interrupted — its
+		// waiters still get their (old-epoch) value, but it will not land
+		// in the map or charge the budget.
+		c.staleEvictions.Add(1)
+		r.dropLocked(s, key, e)
+	}
+	e := &cacheEntry{epoch: epoch, done: make(chan struct{})}
+	s.entries[key] = e
+	s.mu.Unlock()
+	r.misses.Add(1)
 
-// getOrComputeRelation is getOrCompute against the relation region: the
-// same singleflight and epoch discipline, separate shards and separate
-// counters, used by the columnar executor to memoise sealed sub-query
-// and result relations. Values are *pairs.Relation by convention.
-// Retention is bounded by relBudgetBytes: over budget, the computed
-// relation is returned (and delivered to concurrent waiters) with
-// retained=false and not kept — callers that still want memoisation
-// keep it in their own per-call overflow memo.
-func (c *SharedCache) getOrComputeRelation(epoch uint64, key string, fn func() (any, error)) (val any, computed, retained bool, err error) {
-	return c.flight(c.relShard(key), &c.relHits, &c.relMisses, epoch, key, fn, c.admitRelation, c.evictRelation)
+	e.val, e.err = fn()
+	s.mu.Lock()
+	// Act only on our own entry: an advanceEpoch during fn may have
+	// removed it (detaching e), and another goroutine may
+	// since have installed a fresh entry under the same key. A detached
+	// entry is neither evicted nor admitted — in particular its pairs are
+	// never charged to the relation budget, since they are not resident.
+	if s.entries[key] == e {
+		if e.err != nil || (r.admit != nil && !r.admit(e.val)) {
+			delete(s.entries, key)
+		} else {
+			e.retained = true
+		}
+	}
+	s.mu.Unlock()
+	close(e.done)
+	return e.val, true, e.retained, e.err
 }
 
 // admitRelation charges a freshly computed relation against the region
@@ -207,87 +265,17 @@ func (c *SharedCache) evictRelation(val any) {
 	}
 }
 
-// flight is the singleflight core of both regions. admit, when non-nil,
-// runs after a successful computation; returning false evicts the
-// entry (waiters still receive the value, marked unretained) so later
-// calls recompute. evict, when non-nil, runs when a completed retained
-// entry is dropped, returning its budget charge.
-//
-// A waiter does not inherit the computing caller's cancellation: fn
-// polls its own caller's context, so a context.Canceled or
-// DeadlineExceeded from it says that caller walked away, not that the
-// value cannot be computed. The failed entry is already dropped, so
-// the waiter retries and computes (or joins a newer flight) under its
-// own context.
-func (c *SharedCache) flight(s *cacheShard, hits, misses *atomic.Int64, epoch uint64, key string, fn func() (any, error), admit func(any) bool, evict func(any)) (val any, computed, retained bool, err error) {
-	s.mu.Lock()
-	// Same epoch: a normal hit, waiting out an in-flight computation.
-	for e, ok := s.entries[key]; ok && e.epoch == epoch; e, ok = s.entries[key] {
-		s.mu.Unlock()
-		<-e.done
-		if e.epoch != epoch {
-			// Unreachable by construction (entry epochs are fixed at
-			// creation); counted so a future regression is loud.
-			c.crossEpochHits.Add(1)
-		}
-		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
-			hits.Add(1)
-			return e.val, false, e.retained, e.err
-		}
-		s.mu.Lock()
-	}
-	if e, ok := s.entries[key]; ok {
-		if e.epoch > epoch {
-			// The caller is pinned to an older graph version than the
-			// resident entry. Compute privately: the straggler may not
-			// reuse the newer value, and must not evict it either.
-			s.mu.Unlock()
-			misses.Add(1)
-			val, err = fn()
-			return val, true, false, err
-		}
-		// Stale entry from before an update: evict and recompute. An
-		// in-flight stale computation is detached, not interrupted — its
-		// waiters still get their (old-epoch) value, but it will not land
-		// in the map or charge the budget.
-		c.staleEvictions.Add(1)
-		c.dropEntryLocked(s, key, e, evict)
-	}
-	e := &cacheEntry{epoch: epoch, done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	misses.Add(1)
-
-	e.val, e.err = fn()
-	s.mu.Lock()
-	// Act only on our own entry: an advanceEpoch during fn may have
-	// removed it (detaching e), and another goroutine may
-	// since have installed a fresh entry under the same key. A detached
-	// entry is neither evicted nor admitted — in particular its pairs are
-	// never charged to the relation budget, since they are not resident.
-	if s.entries[key] == e {
-		if e.err != nil || (admit != nil && !admit(e.val)) {
-			delete(s.entries, key)
-		} else {
-			e.retained = true
-		}
-	}
-	s.mu.Unlock()
-	close(e.done)
-	return e.val, true, e.retained, e.err
-}
-
-// dropEntryLocked removes an entry from its shard (whose lock the caller
-// holds), returning a retained relation's budget charge.
-func (c *SharedCache) dropEntryLocked(s *cacheShard, key string, e *cacheEntry, evict func(any)) {
+// dropLocked removes an entry from its shard (whose lock the caller
+// holds), returning a retained entry's budget charge.
+func (r *cacheRegion) dropLocked(s *cacheShard, key string, e *cacheEntry) {
 	delete(s.entries, key)
-	if evict == nil {
+	if r.evict == nil {
 		return
 	}
 	select {
 	case <-e.done:
 		if e.err == nil && e.retained {
-			evict(e.val)
+			r.evict(e.val)
 		}
 	default:
 		// In flight: it has not been admitted, so there is nothing to
@@ -295,35 +283,15 @@ func (c *SharedCache) dropEntryLocked(s *cacheShard, key string, e *cacheEntry, 
 	}
 }
 
-// lookup returns the completed structure for key at the caller's epoch
-// without computing anything. It reports false for absent keys, for
-// computations still in flight (Explain uses it, and Explain must never
-// block on a running query), and for entries of any other epoch.
-func (c *SharedCache) lookup(epoch uint64, key string) (any, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok || e.epoch != epoch {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return nil, false
-		}
-		return e.val, true
-	default:
-		return nil, false
-	}
-}
-
-// lookupRelation is lookup against the relation region: the completed
-// sealed relation for key at the caller's epoch, never blocking and
-// never computing. The query service's fast path uses it to answer a
-// request from the memoised result without taking an evaluation slot.
-func (c *SharedCache) lookupRelation(epoch uint64, key string) (any, bool) {
-	s := c.relShard(key)
+// lookup returns region r's completed, retained value for key at the
+// caller's epoch without computing anything. It reports false for absent
+// keys, for computations still in flight (Explain uses it, and Explain
+// must never block on a running query), and for entries of any other
+// epoch. The query service's fast path uses it on the relation region to
+// answer a request from the memoised result without taking an
+// evaluation slot.
+func (c *SharedCache) lookup(r *cacheRegion, epoch uint64, key string) (any, bool) {
+	s := c.shard(r, key)
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	s.mu.Unlock()
@@ -341,25 +309,14 @@ func (c *SharedCache) lookupRelation(epoch uint64, key string) (any, bool) {
 	}
 }
 
-// cacheRegion names the two cache regions for advanceEpoch's keep
-// predicate.
-type cacheRegion int
-
-const (
-	// regionStructure holds closure structures (RTCs, full closures).
-	regionStructure cacheRegion = iota
-	// regionRelation holds sealed sub-query and result relations.
-	regionRelation
-)
-
 // advanceEpoch moves the cache to a new graph epoch and sweeps both
 // regions, returning the new epoch. Only completed entries computed at
 // exactly fromEpoch — the updating engine's pre-update epoch, the one
-// graph version its deltas describe — are offered to keep: a kept entry
-// is re-stamped at the new epoch in its slot, with the same value and
-// the same relation-budget charge, and any other entry is dropped.
-// Entries at any OTHER old epoch (a straggler's late install) are
-// dropped unconditionally: the caller's deltas
+// graph version its deltas describe — are offered to keep, with their
+// region: a kept entry is re-stamped at the new epoch in its slot, with
+// the same value and the same relation-budget charge, and any other
+// entry is dropped. Entries at any OTHER old epoch (a straggler's late
+// install) are dropped unconditionally: the caller's deltas
 // say nothing about them, so carrying them would smuggle a
 // multi-epoch-stale value into the new epoch. A nil keep drops
 // everything. In-flight entries are detached: their waiters still
@@ -374,11 +331,11 @@ const (
 // creation for readers still holding it. The caller
 // (Engine.ApplyUpdates) installs the new epoch in its new engine version
 // only after this sweep completes.
-func (c *SharedCache) advanceEpoch(fromEpoch uint64, keep func(region cacheRegion, key string) bool) uint64 {
+func (c *SharedCache) advanceEpoch(fromEpoch uint64, keep func(region *cacheRegion, key string) bool) uint64 {
 	newEpoch := c.epoch.Add(1)
-	sweep := func(region cacheRegion, shards *[cacheShards]cacheShard, evict func(any)) {
-		for i := range shards {
-			s := &shards[i]
+	for _, r := range [...]*cacheRegion{&c.structures, &c.relations} {
+		for i := range r.shards {
+			s := &r.shards[i]
 			s.mu.Lock()
 			for key, e := range s.entries {
 				if e.epoch >= newEpoch {
@@ -391,26 +348,23 @@ func (c *SharedCache) advanceEpoch(fromEpoch uint64, keep func(region cacheRegio
 					delete(s.entries, key)
 					continue
 				}
-				if e.err == nil && e.epoch == fromEpoch && keep != nil && keep(region, key) {
+				if e.err == nil && e.epoch == fromEpoch && keep != nil && keep(r, key) {
 					s.entries[key] = &cacheEntry{epoch: newEpoch, done: e.done, val: e.val, retained: true}
 					continue
 				}
-				c.dropEntryLocked(s, key, e, evict)
+				r.dropLocked(s, key, e)
 			}
 			s.mu.Unlock()
 		}
 	}
-	sweep(regionStructure, &c.shards, nil)
-	sweep(regionRelation, &c.relShards, c.evictRelation)
 	return newEpoch
 }
 
-// countEntries counts the entries of one region's shards, including
-// in-flight ones.
-func countEntries(shards *[cacheShards]cacheShard) int {
+// len counts the region's entries, including in-flight ones.
+func (r *cacheRegion) len() int {
 	n := 0
-	for i := range shards {
-		s := &shards[i]
+	for i := range r.shards {
+		s := &r.shards[i]
 		s.mu.Lock()
 		n += len(s.entries)
 		s.mu.Unlock()
@@ -448,12 +402,12 @@ type CacheCounters struct {
 // Counters returns a snapshot of the cache's hit/miss counters.
 func (c *SharedCache) Counters() CacheCounters {
 	return CacheCounters{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Entries:        countEntries(&c.shards),
-		RelHits:        c.relHits.Load(),
-		RelMisses:      c.relMisses.Load(),
-		RelEntries:     countEntries(&c.relShards),
+		Hits:           c.structures.hits.Load(),
+		Misses:         c.structures.misses.Load(),
+		Entries:        c.structures.len(),
+		RelHits:        c.relations.hits.Load(),
+		RelMisses:      c.relations.misses.Load(),
+		RelEntries:     c.relations.len(),
 		Epoch:          c.epoch.Load(),
 		CrossEpochHits: c.crossEpochHits.Load(),
 		StaleEvictions: c.staleEvictions.Load(),

@@ -37,7 +37,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iterations; i++ {
 				k := rng.Intn(keys)
-				v, _, err := cache.getOrCompute(0, fmt.Sprintf("key-%d", k), func() (any, error) {
+				v, _, _, err := cache.getOrCompute(&cache.structures, 0, fmt.Sprintf("key-%d", k), func() (any, error) {
 					computes[k].Add(1)
 					return k * k, nil
 				})
@@ -79,18 +79,18 @@ func TestSharedCacheErrorRetry(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 
-	_, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
+	_, computed, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) {
 		calls.Add(1)
 		return nil, boom
 	})
 	if !computed || !errors.Is(err, boom) {
 		t.Fatalf("first call: computed=%v err=%v, want computed=true err=boom", computed, err)
 	}
-	if _, ok := cache.lookup(0, "k"); ok {
+	if _, ok := cache.lookup(&cache.structures, 0, "k"); ok {
 		t.Fatalf("failed computation was cached")
 	}
 
-	v, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
+	v, computed, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) {
 		calls.Add(1)
 		return 42, nil
 	})
@@ -116,7 +116,7 @@ func TestSharedCacheErrorRetryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				v, _, err := cache.getOrCompute(0, "k", func() (any, error) {
+				v, _, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) {
 					if failed.CompareAndSwap(0, 1) {
 						return nil, errors.New("transient")
 					}
@@ -152,7 +152,7 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 		release := make(chan struct{})
 		leaderErr := make(chan error, 1)
 		go func() {
-			_, _, err := cache.getOrCompute(0, "k", func() (any, error) {
+			_, _, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) {
 				close(started)
 				<-release
 				return nil, cancelErr
@@ -169,7 +169,7 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 		}
 		waiter := make(chan outcome, 1)
 		go func() {
-			v, computed, err := cache.getOrCompute(0, "k", func() (any, error) {
+			v, computed, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) {
 				waiterComputes.Add(1)
 				return 42, nil
 			})
@@ -192,7 +192,7 @@ func TestSharedCacheWaiterIgnoresLeaderCancel(t *testing.T) {
 		if n := waiterComputes.Load(); n != 1 {
 			t.Fatalf("waiter computed %d times, want 1", n)
 		}
-		if v, ok := cache.lookup(0, "k"); !ok || v != 42 {
+		if v, ok := cache.lookup(&cache.structures, 0, "k"); !ok || v != 42 {
 			t.Fatalf("waiter's value not cached: %v, %v", v, ok)
 		}
 	}
@@ -207,19 +207,19 @@ func TestSharedCacheLookupInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = cache.getOrCompute(0, "slow", func() (any, error) {
+		_, _, _, _ = cache.getOrCompute(&cache.structures, 0, "slow", func() (any, error) {
 			close(started)
 			<-release
 			return 1, nil
 		})
 	}()
 	<-started
-	if _, ok := cache.lookup(0, "slow"); ok {
+	if _, ok := cache.lookup(&cache.structures, 0, "slow"); ok {
 		t.Errorf("Lookup returned an in-flight computation")
 	}
 	close(release)
 	<-done
-	if v, ok := cache.lookup(0, "slow"); !ok || v.(int) != 1 {
+	if v, ok := cache.lookup(&cache.structures, 0, "slow"); !ok || v.(int) != 1 {
 		t.Errorf("Lookup after completion: %v, %v", v, ok)
 	}
 }
@@ -231,7 +231,7 @@ func TestRelationRegionBudget(t *testing.T) {
 	cache := newSharedCache(0)
 	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
 
-	val, computed, retained, err := cache.getOrComputeRelation(0, "r1", func() (any, error) { return rel, nil })
+	val, computed, retained, err := cache.getOrCompute(&cache.relations, 0, "r1", func() (any, error) { return rel, nil })
 	if err != nil || !computed || !retained || val.(*pairs.Relation) != rel {
 		t.Fatalf("first admission: val=%v computed=%v retained=%v err=%v", val, computed, retained, err)
 	}
@@ -244,7 +244,7 @@ func TestRelationRegionBudget(t *testing.T) {
 	cache.relBytes.Store(relBudgetBytes)
 	computes := 0
 	for i := 0; i < 2; i++ {
-		val, computed, retained, err = cache.getOrComputeRelation(0, "r2", func() (any, error) {
+		val, computed, retained, err = cache.getOrCompute(&cache.relations, 0, "r2", func() (any, error) {
 			computes++
 			return rel, nil
 		})
@@ -260,7 +260,7 @@ func TestRelationRegionBudget(t *testing.T) {
 	}
 
 	// The admitted entry still hits, and reports itself retained.
-	_, computed, retained, _ = cache.getOrComputeRelation(0, "r1", func() (any, error) { return nil, nil })
+	_, computed, retained, _ = cache.getOrCompute(&cache.relations, 0, "r1", func() (any, error) { return nil, nil })
 	if computed || !retained {
 		t.Fatalf("admitted relation should still be cached: computed=%v retained=%v", computed, retained)
 	}
@@ -271,11 +271,11 @@ func TestRelationRegionBudget(t *testing.T) {
 // advanceEpoch sweep, including relation-budget uncharging on a drop.
 func TestSharedCacheEpochRules(t *testing.T) {
 	cache := newSharedCache(0)
-	if _, _, err := cache.getOrCompute(0, "k", func() (any, error) { return "v0", nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) { return "v0", nil }); err != nil {
 		t.Fatal(err)
 	}
 	rel := pairs.RelationFromPairs(4, pairs.Pair{Src: 1, Dst: 2}, pairs.Pair{Src: 2, Dst: 3})
-	if _, _, _, err := cache.getOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.relations, 0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.relBytes.Load(); got != relationCost(rel) {
@@ -283,22 +283,22 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	}
 
 	// Same epoch: hit, no recompute.
-	v, computed, err := cache.getOrCompute(0, "k", func() (any, error) { return "nope", nil })
+	v, computed, _, err := cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) { return "nope", nil })
 	if err != nil || computed || v.(string) != "v0" {
 		t.Fatalf("same-epoch access = (%v, %v, %v)", v, computed, err)
 	}
 
 	// advanceEpoch keeps the structure and drops the relation,
 	// uncharging its budget.
-	if newEpoch := cache.advanceEpoch(0, func(region cacheRegion, key string) bool {
-		return region == regionStructure && key == "k"
+	if newEpoch := cache.advanceEpoch(0, func(region *cacheRegion, key string) bool {
+		return region == &cache.structures && key == "k"
 	}); newEpoch != 1 || cache.Counters().Epoch != 1 {
 		t.Fatalf("epoch after advance = %d / %d, want 1", newEpoch, cache.Counters().Epoch)
 	}
-	if v, ok := cache.lookup(1, "k"); !ok || v.(string) != "v0" {
+	if v, ok := cache.lookup(&cache.structures, 1, "k"); !ok || v.(string) != "v0" {
 		t.Fatalf("kept entry = (%v, %v), want v0 at epoch 1", v, ok)
 	}
-	if _, ok := cache.lookup(0, "k"); ok {
+	if _, ok := cache.lookup(&cache.structures, 0, "k"); ok {
 		t.Fatal("Lookup returned a value across epochs")
 	}
 	if cache.Counters().RelEntries != 0 || cache.relBytes.Load() != 0 {
@@ -307,20 +307,20 @@ func TestSharedCacheEpochRules(t *testing.T) {
 
 	// Straggler (older epoch than the resident entry): computes
 	// privately and must not evict the newer entry.
-	v, computed, err = cache.getOrCompute(0, "k", func() (any, error) { return "vOld", nil })
+	v, computed, _, err = cache.getOrCompute(&cache.structures, 0, "k", func() (any, error) { return "vOld", nil })
 	if err != nil || !computed || v.(string) != "vOld" {
 		t.Fatalf("straggler access = (%v, %v, %v)", v, computed, err)
 	}
-	if v, ok := cache.lookup(1, "k"); !ok || v.(string) != "v0" {
+	if v, ok := cache.lookup(&cache.structures, 1, "k"); !ok || v.(string) != "v0" {
 		t.Fatalf("straggler evicted the newer entry: (%v, %v)", v, ok)
 	}
 
 	// Stale entry (installed at an old epoch by an in-flight laggard) is
 	// lazily evicted by a newer reader.
-	if _, _, err := cache.getOrCompute(0, "k2", func() (any, error) { return "old", nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.structures, 0, "k2", func() (any, error) { return "old", nil }); err != nil {
 		t.Fatal(err)
 	}
-	v, computed, err = cache.getOrCompute(1, "k2", func() (any, error) { return "new", nil })
+	v, computed, _, err = cache.getOrCompute(&cache.structures, 1, "k2", func() (any, error) { return "new", nil })
 	if err != nil || !computed || v.(string) != "new" {
 		t.Fatalf("stale-eviction access = (%v, %v, %v)", v, computed, err)
 	}
@@ -335,13 +335,13 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	// updater's pre-update epoch must never be kept — the updater's
 	// deltas describe only the fromEpoch graph, so a carry would smuggle
 	// a multi-epoch-stale value into the new epoch.
-	if _, _, err := cache.getOrCompute(0, "k3", func() (any, error) { return "twoBehind", nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.structures, 0, "k3", func() (any, error) { return "twoBehind", nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cache.getOrCompute(1, "k4", func() (any, error) { return "oneBehind", nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.structures, 1, "k4", func() (any, error) { return "oneBehind", nil }); err != nil {
 		t.Fatal(err)
 	}
-	if newEpoch := cache.advanceEpoch(1, func(region cacheRegion, key string) bool {
+	if newEpoch := cache.advanceEpoch(1, func(region *cacheRegion, key string) bool {
 		if key == "k3" {
 			t.Error("keep offered an entry older than fromEpoch")
 		}
@@ -349,10 +349,10 @@ func TestSharedCacheEpochRules(t *testing.T) {
 	}); newEpoch != 2 {
 		t.Fatalf("epoch = %d, want 2", newEpoch)
 	}
-	if _, ok := cache.lookup(2, "k3"); ok {
+	if _, ok := cache.lookup(&cache.structures, 2, "k3"); ok {
 		t.Fatal("multi-epoch-stale entry survived the sweep")
 	}
-	if v, ok := cache.lookup(2, "k4"); !ok || v.(string) != "oneBehind" {
+	if v, ok := cache.lookup(&cache.structures, 2, "k4"); !ok || v.(string) != "oneBehind" {
 		t.Fatalf("fromEpoch entry not carried: (%v, %v)", v, ok)
 	}
 }
@@ -366,7 +366,7 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 	// Sources 0, 1 and 3 share the stored run {2, 3}: six pairs held in
 	// 2 destinations, 5 offsets and 4 starts.
 	rel := pairs.RelationFromSharedRuns(4, []int32{0, 2, 4, 4, 6}, []int32{0, 0, 0, 0}, []graph.VID{2, 3})
-	if _, _, _, err := cache.getOrComputeRelation(0, "r", func() (any, error) { return rel, nil }); err != nil {
+	if _, _, _, err := cache.getOrCompute(&cache.relations, 0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	charged := cache.relBytes.Load()
@@ -374,21 +374,21 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 		t.Fatalf("relBytes = %d, relationCost = %d, want %d column bytes", charged, relationCost(rel), want)
 	}
 
-	cache.advanceEpoch(0, func(region cacheRegion, _ string) bool { return region == regionRelation })
+	cache.advanceEpoch(0, func(region *cacheRegion, _ string) bool { return region == &cache.relations })
 	if got := cache.relBytes.Load(); got != charged {
 		t.Fatalf("resident bytes %d after the carry, want %d", got, charged)
 	}
-	val, computed, retained, err := cache.getOrComputeRelation(1, "r", func() (any, error) {
+	val, computed, retained, err := cache.getOrCompute(&cache.relations, 1, "r", func() (any, error) {
 		t.Error("carried relation recomputed")
 		return nil, nil
 	})
 	if err != nil || computed || !retained || val != any(rel) {
 		t.Fatalf("new-epoch access = (%p, computed %v, retained %v, %v), want the carried relation", val, computed, retained, err)
 	}
-	if v, ok := cache.lookupRelation(1, "r"); !ok || v != any(rel) {
+	if v, ok := cache.lookup(&cache.relations, 1, "r"); !ok || v != any(rel) {
 		t.Fatalf("LookupRelation at the new epoch = (%v, %v)", v, ok)
 	}
-	if _, ok := cache.lookupRelation(0, "r"); ok {
+	if _, ok := cache.lookup(&cache.relations, 0, "r"); ok {
 		t.Fatal("LookupRelation served the carried entry at the old epoch")
 	}
 
@@ -406,7 +406,7 @@ func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 // graph's columns for the label.
 func assertLabelEntry(t *testing.T, e *Engine, key string) *pairs.Relation {
 	t.Helper()
-	val, ok := e.Cache().lookupRelation(e.Epoch(), key)
+	val, ok := e.Cache().lookup(&e.Cache().relations, e.Epoch(), key)
 	if !ok {
 		t.Fatalf("label relation %s not memoised at epoch %d", key, e.Epoch())
 	}
@@ -447,7 +447,7 @@ func TestLabelRelationChargesNothing(t *testing.T) {
 	if rel := assertLabelEntry(t, e, "a"); rel != carried {
 		t.Error("untouched label relation was not carried")
 	}
-	if _, ok := e.Cache().lookupRelation(e.Epoch(), "^b"); ok {
+	if _, ok := e.Cache().lookup(&e.Cache().relations, e.Epoch(), "^b"); ok {
 		t.Fatal("touched label relation ^b was carried")
 	}
 	if _, err := e.EvaluateQuery("^b"); err != nil {

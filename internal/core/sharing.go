@@ -11,25 +11,12 @@ import (
 	"rtcshare/internal/tc"
 )
 
-// Cache-key namespaces. The SharedCache's structure region holds two
-// kinds of values keyed by sub-query text; the prefixes keep them apart.
-// '\x00' cannot appear in a canonical expression string. (Sealed
-// sub-query relations live in the cache's separate relation region,
-// keyed by the bare sub-query text.)
-const (
-	nsRTC  = "rtc\x00"  // *rtcValue: SCC tables, condensation, reach table
-	nsFull = "full\x00" // *fullValue: the full closure R+_G
-)
-
-// rtcValue and fullValue pair a shared structure with its summary, so a
-// call that hits a structure another call computed still records it in
-// SharedSummaries.
-type rtcValue struct {
-	structure *rtc.RTC
-	summary   SharedSummary
-}
-
-type fullValue struct {
+// sharedValue is one shared structure for R with its summary, so a call
+// that hits a structure another call computed still records it in
+// SharedSummaries. Exactly one of rtc (RTCSharing's reduced transitive
+// closure) and closure (the baselines' full closure R+_G) is set.
+type sharedValue struct {
+	rtc     *rtc.RTC
 	closure *tc.Closure
 	summary SharedSummary
 }
@@ -49,20 +36,6 @@ type clauseActuals struct {
 type planObserver struct {
 	plan    *plan.QueryPlan
 	actuals []clauseActuals
-}
-
-// evaluateRelCached is the columnar top-level entry: on caching engines
-// the whole query memoises through the relation region exactly like a
-// sub-query — a query result depends only on the adjacency of the
-// labels it mentions, so the epoch migration's label-disjointness rule
-// applies to it verbatim, and a query untouched by an update batch is
-// answered from the carried sealed relation with zero recomputation.
-// NoSharing engines evaluate directly.
-func (c *evalCall) evaluateRelCached(q rpq.Expr) (*pairs.Relation, error) {
-	if !c.shouldCache() {
-		return c.evaluatePlanned(q, nil)
-	}
-	return c.subEvaluateRel(q)
 }
 
 // evaluatePlanned implements Algorithm 1 (RTCSharing) and its
@@ -177,13 +150,19 @@ func (v *engineVersion) labelRelation(l rpq.Label) *pairs.Relation {
 	return pairs.NewBuilder(n).Seal()
 }
 
-// subEvaluateRel evaluates a sub-query (Pre, Post, or FullSharing's R)
-// with the engine's own sharing strategy and seals the result, memoising
-// the sealed relation in the SharedCache's relation region: repeated
-// batch units over the same Pre/Post, in this call or any other on the
-// engine, reuse the same frozen columns with zero copying, under the
-// same singleflight discipline as the closure structures. Sealed
-// relations are immutable by contract; every consumer only reads them.
+// subEvaluateRel evaluates a query or sub-query (Pre, Post, or
+// FullSharing's R) with the engine's own sharing strategy and seals the
+// result, memoising the sealed relation in the SharedCache's relation
+// region. A whole query memoises exactly like a sub-query: its result
+// depends only on the adjacency of the labels it mentions, so the epoch
+// migration's label-disjointness rule applies to it verbatim, and a
+// query untouched by an update batch is answered from the carried sealed
+// relation with zero recomputation. Repeated batch units over the same
+// Pre/Post, in this call or any other on the engine, reuse the same
+// frozen columns with zero copying, under the same singleflight
+// discipline as the closure structures. Sealed relations are immutable
+// by contract; every consumer only reads them. NoSharing engines
+// evaluate directly.
 // Sub-evaluation time counts as Remainder: both sharing methods perform
 // it identically. The boundary's own time — a hit, a singleflight wait
 // on another goroutine's evaluation, the lookup and admission around
@@ -206,7 +185,7 @@ func (c *evalCall) subEvaluateRel(q rpq.Expr) (*pairs.Relation, error) {
 	// inside it would leave co-waiters blocked forever, so it is recovered
 	// into an error here — the cache then drops the entry and unblocks
 	// every waiter with the error.
-	val, _, retained, err := c.cache.getOrComputeRelation(c.epoch, key, func() (v any, err error) {
+	val, _, retained, err := c.cache.getOrCompute(&c.cache.relations, c.epoch, key, func() (v any, err error) {
 		defer recoverPanic(q, &err)
 		return c.evaluatePlanned(q, nil)
 	})
@@ -232,34 +211,39 @@ func (sh *engineShared) shouldCache() bool {
 	return sh.opts.Strategy != NoSharing
 }
 
-// getRTC returns the shared RTC for R, computing it on first use
-// (Algorithm 1 lines 9–11). Under singleflight, concurrent first uses of
-// the same R compute it exactly once — the engine that ran the
-// computation counts the miss, the ones that waited count hits. The
+// getShared returns R's shared structure, computing it on first use
+// (Algorithm 1 lines 9–11): the RTC under RTCSharing, the full closure
+// R+_G = TC(G_R) under the baselines. Under singleflight, concurrent
+// first uses of the same R compute it exactly once — the engine that ran
+// the computation counts the miss, the ones that waited count hits. The
 // boundary's own time — a hit, a singleflight wait, the bookkeeping
-// around this call's own computeRTC — is the structure bucket: the
+// around this call's own computation — is the structure bucket: the
 // request's closure-build stage, while Stats stays with the computation.
-func (c *evalCall) getRTC(r rpq.Expr) (*rtc.RTC, error) {
+// NoSharing computes the full closure afresh every time.
+func (c *evalCall) getShared(r rpq.Expr) (*sharedValue, error) {
 	if !c.shouldCache() {
-		v, err := c.computeRTC(r)
+		v, err := c.computeFullClosure(r)
 		if err != nil {
 			return nil, err
 		}
-		c.countLookup(false, v.summary, v.structure)
-		return v.structure, nil
+		c.countLookup(false, v)
+		return v, nil
 	}
 	prev := c.enter(bucketStructure)
 	defer c.enter(prev)
-	val, computed, err := c.cache.getOrCompute(c.epoch, nsRTC+r.String(), func() (v any, err error) {
+	val, computed, _, err := c.cache.getOrCompute(&c.cache.structures, c.epoch, r.String(), func() (v any, err error) {
 		defer recoverPanic(r, &err)
-		return c.computeRTC(r)
+		if c.opts.Strategy == RTCSharing {
+			return c.computeRTC(r)
+		}
+		return c.computeFullClosure(r)
 	})
 	if err != nil {
 		return nil, err
 	}
-	v := val.(*rtcValue)
-	c.countLookup(!computed, v.summary, v.structure)
-	return v.structure, nil
+	v := val.(*sharedValue)
+	c.countLookup(!computed, v)
+	return v, nil
 }
 
 // reduceR evaluates R and performs the edge-level reduction G → G_R for
@@ -284,15 +268,15 @@ func (c *evalCall) reduceR(r rpq.Expr) (*graph.DiGraph, error) {
 // Shared_Data, and it polls the engine's cancellation checkpoint (if
 // any) while it walks the product. |TC(Ḡ_R)| is not built here;
 // SharedSummaries computes it on demand.
-func (c *evalCall) computeRTC(r rpq.Expr) (*rtcValue, error) {
+func (c *evalCall) computeRTC(r rpq.Expr) (*sharedValue, error) {
 	prev := c.enter(bucketBuild)
 	defer c.enter(prev)
 	structure, err := rtc.FromProduct(c.g, r, c.checkpointFn())
 	if err != nil {
 		return nil, err
 	}
-	return &rtcValue{
-		structure: structure,
+	return &sharedValue{
+		rtc: structure,
 		summary: SharedSummary{
 			R:                   r.String(),
 			ReducedVertices:     structure.NumReducedVertices(),
@@ -302,35 +286,9 @@ func (c *evalCall) computeRTC(r rpq.Expr) (*rtcValue, error) {
 	}, nil
 }
 
-// getFullClosure returns the shared full closure R+_G = TC(G_R) for
-// FullSharing, computing it on first use with the same singleflight
-// discipline as getRTC.
-func (c *evalCall) getFullClosure(r rpq.Expr) (*tc.Closure, error) {
-	if !c.shouldCache() {
-		v, err := c.computeFullClosure(r)
-		if err != nil {
-			return nil, err
-		}
-		c.countLookup(false, v.summary, nil)
-		return v.closure, nil
-	}
-	prev := c.enter(bucketStructure)
-	defer c.enter(prev)
-	val, computed, err := c.cache.getOrCompute(c.epoch, nsFull+r.String(), func() (v any, err error) {
-		defer recoverPanic(r, &err)
-		return c.computeFullClosure(r)
-	})
-	if err != nil {
-		return nil, err
-	}
-	v := val.(*fullValue)
-	c.countLookup(!computed, v.summary, nil)
-	return v.closure, nil
-}
-
 // computeFullClosure evaluates R and materialises the full closure of
 // the edge-level reduced graph G_R.
-func (c *evalCall) computeFullClosure(r rpq.Expr) (*fullValue, error) {
+func (c *evalCall) computeFullClosure(r rpq.Expr) (*sharedValue, error) {
 	gr, err := c.reduceR(r)
 	if err != nil {
 		return nil, err
@@ -346,7 +304,7 @@ func (c *evalCall) computeFullClosure(r rpq.Expr) (*fullValue, error) {
 		return nil, err
 	}
 
-	return &fullValue{
+	return &sharedValue{
 		closure: closure,
 		summary: SharedSummary{
 			R:                   r.String(),

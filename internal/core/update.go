@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"rtcshare/internal/graph"
@@ -146,8 +145,8 @@ func (e *Engine) ApplyUpdates(updates []GraphUpdate) (UpdateResult, error) {
 	// offered — they are the ones the effective deltas describe;
 	// anything older (a straggler's install) is dropped by the sweep
 	// itself.
-	newEpoch := e.cache.advanceEpoch(v.epoch, func(region cacheRegion, key string) bool {
-		return res.keep(region, key, touched)
+	newEpoch := e.cache.advanceEpoch(v.epoch, func(region *cacheRegion, key string) bool {
+		return res.keep(region == &e.cache.relations, key, touched)
 	})
 	res.MigrateTime = time.Since(t0)
 	res.Epoch = newEpoch
@@ -194,14 +193,11 @@ func validateUpdates(updates []GraphUpdate, n graph.VID) error {
 // mentions — and dropped otherwise, to be rebuilt by the next query
 // that needs it. Inserts drop too: rebuilding a structure on first use
 // costs one Compute, less than patching it eagerly inside the update
-// (DESIGN §9). It runs under a cache shard lock and must not call back
-// into the cache.
-func (res *UpdateResult) keep(region cacheRegion, key string, touched map[string]bool) bool {
-	// A structure key is nsRTC or nsFull (each ending in '\x00') before
-	// the sub-query text; a relation key is the bare text.
-	if region == regionStructure {
-		_, key, _ = strings.Cut(key, "\x00")
-	}
+// (DESIGN §9). A key in either region is the sub-query's text; relation
+// says the entry is a sealed relation rather than a closure structure.
+// It runs under a cache shard lock and must not call back into the
+// cache.
+func (res *UpdateResult) keep(relation bool, key string, touched map[string]bool) bool {
 	expr, err := rpq.Parse(key)
 	carried := err == nil
 	if carried {
@@ -213,9 +209,9 @@ func (res *UpdateResult) keep(region cacheRegion, key string, touched map[string
 		}
 	}
 	switch {
-	case region == regionRelation && carried:
+	case relation && carried:
 		res.RelCarried++
-	case region == regionRelation:
+	case relation:
 		res.RelDropped++
 	case carried:
 		res.Carried++
