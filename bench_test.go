@@ -213,7 +213,7 @@ func BenchmarkRTC_FromProduct(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(structure.Condensation().NumVertices()), "components")
+		b.ReportMetric(float64(structure.NumComponents()), "components")
 	}
 }
 

@@ -353,7 +353,9 @@ func TestDocExperimentsRegistered(t *testing.T) {
 // from caller-built parts, the hand-rolled run stores that
 // pairs.WordRuns replaced, and the cache's second region type, key
 // prefixes and per-strategy structure lookups that one cacheRegion and
-// one shared-structure lookup replaced. (Spelled in pieces so that a
+// one shared-structure lookup replaced, and the per-source offsets a
+// row-shared relation kept beside its starts before run handles
+// replaced both. (Spelled in pieces so that a
 // grep for the retired identifiers over the Go sources stays empty.)
 var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`BENCH_[A-Za-z*_]+\.json`),
@@ -426,6 +428,7 @@ var retiredNames = []*regexp.Regexp{
 	regexp.MustCompile(`\bget` + `RTC\b`),
 	regexp.MustCompile("getFull" + "Closure"),
 	regexp.MustCompile("evaluateRel" + "Cached"),
+	regexp.MustCompile("src" + "Offsets"),
 }
 
 // TestDocRetiredNames checks that the documents describing the current

@@ -198,16 +198,19 @@ type runPlace struct{ at, size int32 }
 // drain is the sealed driver of every producer: it runs p once per
 // source, ascending, and keeps each run in word form
 // (RunAccumulator.DrainWords). A run equal, word for word, to one stored
-// before is not stored again: the source points at the earlier copy
-// (pairs.RelationFromSharedRuns). A repeated name finds it by a lookup,
-// with no run produced; any other run by a hash of its words, and one
-// whose hash an unequal run holds is stored unshared. The column is
-// written once at the end, exactly sized, by expanding only the stored
-// runs, in the seal bucket; starts is allocated at the first repeat, so
-// a result with no repeat is the plain CSR. Every source is a
-// checkpoint weighted by its run's size, shared or not, and so is every
-// stored run expanded. A result past MaxResultPairs stops the drain at
-// the source that passes it.
+// before is not stored again: the source's handle names the earlier
+// copy. A repeated name finds it by a lookup, with no run produced; any
+// other run by a hash of its words, and one whose hash an unequal run
+// holds is stored unshared. The handles are written straight from the
+// runs table, into the one column that becomes the offsets of the plain
+// form when that form is the smaller (pairs.PlainColumnBytes against
+// pairs.SharedColumnBytes): a result with no repeat is always plain.
+// The column is written once at the end, exactly sized, in the seal
+// bucket, by expanding the stored runs once each for the row-shared form
+// (pairs.RelationFromSharedRuns) and once per source for the plain one.
+// Every source is a checkpoint weighted by its run's size, shared or
+// not, and so is every run expanded. A result past MaxResultPairs stops
+// the drain at the source that passes it.
 func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	sc := c.drainPool.Get().(*drainScratch)
 	defer func() {
@@ -215,43 +218,35 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 		c.drainPool.Put(sc)
 	}()
 	n := c.g.NumVertices()
-	offsets := make([]int32, n+1)
-	var starts []int32
-	total, stored := 0, 0 // destinations the relation holds, and the column
+	// cols[v] is source v's handle: 1 + its stored run, 0 for none.
+	cols := make([]int32, n+1)
+	total, stored := 0, 0 // destinations the relation holds, and the stored runs
 	for v := 0; v < n; v++ {
 		name, err := p.name(graph.VID(v))
 		if err != nil {
 			return nil, err
 		}
 		slot := sc.slot(name)
-		r, repeat := *slot-1, true
+		r := *slot - 1
 		if r < 0 {
 			if _, err := p.produce(graph.VID(v), sc.acc); err != nil {
 				return nil, err
 			}
 			if !sc.acc.Empty() {
+				var repeat bool
 				if r, repeat = sc.store(int32(stored)); !repeat {
 					stored += int(sc.runs[r].size)
 				}
 				*slot = r + 1
 			}
 		}
-		at, size := int32(stored), int32(0)
+		size := int32(0)
 		if r >= 0 {
-			at, size = sc.runs[r].at, sc.runs[r].size
-			if repeat && starts == nil {
-				// Until now the runs tiled the column in source order.
-				starts = make([]int32, n)
-				copy(starts, offsets[:v])
-			}
+			cols[v], size = r+1, sc.runs[r].size
 		}
 		total += int(size)
 		if err := checkResultLen(total); err != nil {
 			return nil, err
-		}
-		offsets[v+1] = int32(total)
-		if starts != nil {
-			starts[v] = at
 		}
 		if err := c.checkpoint(int(size)); err != nil {
 			return nil, err
@@ -259,17 +254,33 @@ func (c *evalCall) drain(p producer) (*pairs.Relation, error) {
 	}
 	prev := c.enter(bucketSeal)
 	defer c.enter(prev)
-	col := make([]graph.VID, 0, stored)
-	for r, s := range sc.runs {
-		col = sc.stored.AppendRun(col, r)
-		if err := c.checkpoint(int(s.size)); err != nil {
-			return nil, err
+	if pairs.SharedColumnBytes(n, len(sc.runs), stored) < pairs.PlainColumnBytes(n, total) {
+		col := make([]graph.VID, 0, stored)
+		runOffsets := make([]int32, len(sc.runs)+2)
+		for r, s := range sc.runs {
+			col = sc.stored.AppendRun(col, r)
+			runOffsets[r+2] = s.at + s.size
+			if err := c.checkpoint(int(s.size)); err != nil {
+				return nil, err
+			}
 		}
+		return pairs.RelationFromSharedRuns(n, cols[:n], runOffsets, col), nil
 	}
-	if starts == nil {
-		return pairs.RelationFromSortedRuns(n, offsets, col), nil
+	// The plain form: each source's run in turn, and its handle replaced
+	// in place by the offset past it.
+	col := make([]graph.VID, 0, total)
+	h := cols[0]
+	cols[0] = 0
+	for v := 1; v <= n; v++ {
+		if h > 0 {
+			col = sc.stored.AppendRun(col, int(h-1))
+			if err := c.checkpoint(int(sc.runs[h-1].size)); err != nil {
+				return nil, err
+			}
+		}
+		h, cols[v] = cols[v], int32(len(col))
 	}
-	return pairs.RelationFromSharedRuns(n, offsets, starts, col), nil
+	return pairs.RelationFromSortedRuns(n, cols, col), nil
 }
 
 // store drains the accumulator's run and returns the stored run that

@@ -34,7 +34,8 @@ func (scriptedRuns) release() {}
 // one once and points the later sources at it, and the relation reads
 // as the plain CSR of the same pairs on every accessor. Runs that are
 // all distinct — including runs over the same words with different
-// bits — seal plain, and empty runs hold no column.
+// bits — seal plain, as do runs whose repeats save fewer bytes than the
+// handles cost, and empty runs hold no column.
 func TestDrainSharesRepeatedRuns(t *testing.T) {
 	const n = 200
 	a := []graph.VID{130, 5, 199, 70, 5}
@@ -50,6 +51,7 @@ func TestDrainSharesRepeatedRuns(t *testing.T) {
 		name   string
 		runs   scriptedRuns
 		stored int // destinations in the column; −1 when the result is plain
+		nruns  int // the stored runs of a row-shared result
 	}{
 		// a and b repeat across the growth of the run index, between
 		// distinct one-pair runs and empty ones.
@@ -63,8 +65,8 @@ func TestDrainSharesRepeatedRuns(t *testing.T) {
 				return []graph.VID{graph.VID(v)}
 			}
 			return nil
-		}), 4 + 8 + 33},
-		{"distinct", runs(func(v int) []graph.VID { return []graph.VID{graph.VID(v), graph.VID(min(v+1, n-1))} }), -1},
+		}), 4 + 8 + 33, 2 + 33},
+		{"distinct", runs(func(v int) []graph.VID { return []graph.VID{graph.VID(v), graph.VID(min(v+1, n-1))} }), -1, 0},
 		// Every run is word 0 or words 0 and 1, with different bits.
 		{"same words, different bits", runs(func(v int) []graph.VID {
 			if v < 64 {
@@ -72,15 +74,23 @@ func TestDrainSharesRepeatedRuns(t *testing.T) {
 			}
 			u := graph.VID(v - 64)
 			return []graph.VID{u % 64, 64 + u/64, 0}
-		}), -1},
-		{"empty", runs(func(int) []graph.VID { return nil }), -1},
+		}), -1, 0},
+		{"empty", runs(func(int) []graph.VID { return nil }), -1, 0},
+		// One repeat among distinct runs saves less than the handles
+		// cost, so the result seals plain, the repeat expanded again.
+		{"one repeat, sealed plain", runs(func(v int) []graph.VID {
+			if v == 0 || v == n-1 {
+				return b
+			}
+			return []graph.VID{graph.VID(v)}
+		}), -1, 0},
 		// The first repeat comes after empty runs, and empty runs follow.
 		{"empty around a repeat", runs(func(v int) []graph.VID {
 			if v == 2 || v == 4 || v == 150 {
 				return a
 			}
 			return nil
-		}), 4},
+		}), 4, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var ps []pairs.Pair
@@ -94,9 +104,12 @@ func TestDrainSharesRepeatedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Plain: the column and n+1 offsets. Row-shared: the stored
+			// runs, n handles, a count per block of 64 sources but the
+			// first, and the stored runs' offsets after an empty run's.
 			cols := 4 * int64(plain.Len()+n+1)
 			if c.stored >= 0 {
-				cols = 4 * int64(c.stored+n+1+n)
+				cols = 4 * int64(c.stored+n+(n+63)/64-1+c.nruns+2)
 			}
 			if got := rel.ColumnBytes(); got != cols {
 				t.Errorf("%d column bytes, want %d", got, cols)
@@ -273,7 +286,9 @@ func drainCycleFans(t *testing.T, cc *countingCtx, cycles, perCycle int) (*pairs
 	c := New(g, Options{}).call(cc, nil)
 	p := &pollMark{producer: c.acquireKernel(preG, structure, rpq.ClosurePlus, rpq.Epsilon{}), cc: cc, at: graph.VID(n - 1)}
 	rel, err := c.sealClause(p)
-	if err == nil && (rel.Len() != cycles*perCycle*length || rel.ColumnBytes() != 4*int64(cycles*length+2*n+1)) {
+	// The stored runs, n handles, a count per block of 64 sources but
+	// the first, and one offset per stored run and two for the empty one.
+	if err == nil && (rel.Len() != cycles*perCycle*length || rel.ColumnBytes() != 4*int64(cycles*length+n+(n+63)/64-1+cycles+2)) {
 		t.Fatalf("%d pairs in %d column bytes, want %d pairs in %d stored runs", rel.Len(), rel.ColumnBytes(), cycles*perCycle*length, cycles)
 	}
 	return rel, p.polls, err

@@ -446,7 +446,7 @@ func (c *evalCall) begin(q rpq.Expr) {
 func (e *Engine) EvalBatchUnit(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) (*pairs.Relation, error) {
 	c := e.call(nil, nil)
 	defer c.fold()
-	if err := c.checkSpaces(preG, len(structure.Components().CompOf)); err != nil {
+	if err := c.checkSpaces(preG, structure.NumVertices()); err != nil {
 		return nil, err
 	}
 	c.enter(bucketJoin)

@@ -90,7 +90,6 @@ type rowKernel struct {
 	c      *evalCall
 	preG   *pairs.Relation
 	rtc    *rtc.RTC
-	cond   *graph.DiGraph
 	star   bool
 	postEv *eval.Evaluator // nil when Post is ε
 	evKey  string
@@ -134,8 +133,8 @@ type rowKernel struct {
 func (c *evalCall) acquireKernel(preG *pairs.Relation, structure *rtc.RTC, typ rpq.ClosureType, post rpq.Expr) *rowKernel {
 	k := c.kernelPool.Get().(*rowKernel)
 	n := c.g.NumVertices()
-	k.c, k.preG, k.rtc, k.cond, k.star = c, preG, structure, structure.Condensation(), typ == rpq.ClosureStar
-	k.comps = zeroed(k.comps, k.cond.NumVertices())
+	k.c, k.preG, k.rtc, k.star = c, preG, structure, typ == rpq.ClosureStar
+	k.comps = zeroed(k.comps, structure.NumComponents())
 	if k.build == nil || k.n != n {
 		k.n = n
 		k.build = pairs.NewRunAccumulator(n)
@@ -175,7 +174,7 @@ func (c *evalCall) releaseKernel(k *rowKernel) {
 	k.counts = k.counts[:0]
 	k.runRows, k.runComps, k.runBits, k.reach = k.runRows[:0], k.runComps[:0], k.runBits[:0], k.reach[:0]
 	k.fbStack = k.fbStack[:0]
-	k.c, k.preG, k.rtc, k.cond, k.postEv, k.evKey, k.label = nil, nil, nil, nil, nil, "", labelPost{}
+	k.c, k.preG, k.rtc, k.postEv, k.evKey, k.label = nil, nil, nil, nil, "", labelPost{}
 	k.work, k.resolved = 0, 0
 	c.kernelPool.Put(k)
 }
@@ -210,7 +209,7 @@ func (k *rowKernel) ensure(c int32) error {
 	k.push(c)
 	for len(k.stack) > 0 {
 		f := &k.stack[len(k.stack)-1]
-		succ := k.cond.Successors(f.s)
+		succ := k.rtc.Successors(f.s)
 		if int(f.pos) < len(succ) {
 			t := succ[f.pos]
 			f.pos++
@@ -255,7 +254,7 @@ func (k *rowKernel) light(t int32) bool {
 	if len(from) == 0 {
 		k.setState(t, rowEmpty, false)
 	} else {
-		k.setState(t, rowLight, k.cond.HasEdge(t, t))
+		k.setState(t, rowLight, k.rtc.HasEdge(t, t))
 	}
 	return true
 }
@@ -268,7 +267,7 @@ func (k *rowKernel) light(t int32) bool {
 // many destinations.
 func (k *rowKernel) finish(s int32) error {
 	work0 := k.work
-	succ := k.cond.Successors(s)
+	succ := k.rtc.Successors(s)
 	// PostEnds are built in the same accumulator as the row, so every
 	// stored one this row needs is built first.
 	for _, t := range succ {
@@ -463,7 +462,7 @@ func (k *rowKernel) orFallback(acc *pairs.RunAccumulator, c int32) error {
 	for len(k.fbStack) > 0 {
 		s := k.fbStack[len(k.fbStack)-1]
 		k.fbStack = k.fbStack[:len(k.fbStack)-1]
-		for _, t := range k.cond.Successors(s) {
+		for _, t := range k.rtc.Successors(s) {
 			if t != s && !k.fbSeen.add(t) {
 				continue
 			}

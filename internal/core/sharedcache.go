@@ -106,10 +106,11 @@ type cacheRegion struct {
 const relBudgetBytes = 128 << 20
 
 // relationCost is an entry's charge against relBudgetBytes: the bytes of
-// its sealed columns. The lazy transpose is not charged — the charge is
-// fixed at admission, so the eviction can return it exactly — and a
-// label relation, whose columns are the graph's (labelRelation), is
-// charged 0.
+// its sealed columns (Relation.ColumnBytes). The lazily built columns —
+// the transpose, and a row-shared relation's per-source CSR — are not
+// charged: the charge is fixed at admission, so the eviction can return
+// it exactly. A label relation, whose columns are the graph's
+// (labelRelation), is charged 0.
 func relationCost(rel *pairs.Relation) int64 {
 	return rel.ColumnBytes()
 }

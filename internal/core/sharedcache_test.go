@@ -364,13 +364,14 @@ func TestSharedCacheEpochRules(t *testing.T) {
 func TestSharedCacheEpochRulesCarryKeepsCharge(t *testing.T) {
 	cache := newSharedCache(0)
 	// Sources 0, 1 and 3 share the stored run {2, 3}: six pairs held in
-	// 2 destinations, 5 offsets and 4 starts.
-	rel := pairs.RelationFromSharedRuns(4, []int32{0, 2, 4, 4, 6}, []int32{0, 0, 0, 0}, []graph.VID{2, 3})
+	// 2 destinations, 4 handles and 3 run offsets (one block of sources,
+	// so no block count).
+	rel := pairs.RelationFromSharedRuns(4, []int32{1, 1, 0, 1}, []int32{0, 0, 2}, []graph.VID{2, 3})
 	if _, _, _, err := cache.getOrCompute(&cache.relations, 0, "r", func() (any, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	charged := cache.relBytes.Load()
-	if want := int64(4 * (2 + 5 + 4)); charged != want || relationCost(rel) != want {
+	if want := int64(4 * (2 + 4 + 3)); charged != want || relationCost(rel) != want {
 		t.Fatalf("relBytes = %d, relationCost = %d, want %d column bytes", charged, relationCost(rel), want)
 	}
 

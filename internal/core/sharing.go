@@ -281,7 +281,7 @@ func (c *evalCall) computeRTC(r rpq.Expr) (*sharedValue, error) {
 			R:                   r.String(),
 			ReducedVertices:     structure.NumReducedVertices(),
 			EdgeReducedVertices: structure.NumActiveVertices(),
-			AvgSCCSize:          structure.Components().AverageSize(),
+			AvgSCCSize:          structure.AverageSCCSize(),
 		},
 	}, nil
 }

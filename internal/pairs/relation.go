@@ -1,6 +1,7 @@
 package pairs
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -16,22 +17,30 @@ import (
 // it per call. A dst-side transpose (the mirror CSR) is built lazily on
 // first SrcsOf/EachDst and cached, so it is paid for once per relation.
 //
-// srcOffsets is the prefix sum of the run lengths: run v holds
-// srcOffsets[v+1]-srcOffsets[v] pairs from global position srcOffsets[v]
-// on, so Len and the paging seek read it alone. starts says where each
-// run lies in dsts. In a plain CSR the runs tile dsts in source order and
-// starts aliases srcOffsets[:numVertices]; in a row-shared relation
-// (RelationFromSharedRuns) sources with equal runs point at one stored
-// copy, so dsts is shorter than the relation.
+// A relation has one of two forms, and (offsets, dsts) is a CSR in both:
+//
+//   - plain: run v is dsts[offsets[v]:offsets[v+1]], so offsets is the
+//     prefix sum of the run lengths (len NumVertices+1) and Len and the
+//     paging seek read it alone;
+//   - row-shared (RelationFromSharedRuns): sources with equal runs hold
+//     one stored copy. handles[v] names source v's stored run h,
+//     dsts[offsets[h]:offsets[h+1]], run 0 being the empty run, and
+//     blockStarts counts the pairs before each block of 64 sources but
+//     the first, for the paging seek. A source costs 4 bytes for its
+//     handle and 1/16 byte of block counts, where the plain form's
+//     offset costs 4 bytes and its run is stored again for every source
+//     that repeats it.
 //
 // Relations are safe for concurrent use: the columns never change after
 // Seal, and the lazily built columns are guarded by Onces. Callers must
 // not modify any returned slice.
 type Relation struct {
 	numVertices int
-	srcOffsets  []int32     // len numVertices+1
-	starts      []int32     // len numVertices
+	numPairs    int
+	offsets     []int32     // the CSR offsets: per source, or per stored run
 	dsts        []graph.VID // sorted, duplicate-free within each run
+	handles     []int32     // row-shared only: len numVertices
+	blockStarts []int32     // row-shared only: len max(⌈numVertices/64⌉-1, 0)
 	// borrowed marks columns the relation aliases but does not own
 	// (RelationFromBorrowedRuns): they cost it no bytes.
 	borrowed bool
@@ -40,16 +49,17 @@ type Relation struct {
 	dstOffsets []int32
 	srcs       []graph.VID
 
-	flatOnce sync.Once
-	flat     []graph.VID // a row-shared relation's runs in source order
+	flatOnce    sync.Once
+	flatOffsets []int32     // a row-shared relation's offsets per source
+	flat        []graph.VID // and its runs in source order
 }
 
 // emptyRelation backs every sealed relation over a zero-vertex space.
 var emptyRelation = plainRelation(0, []int32{0}, nil)
 
 // plainRelation wraps CSR columns whose runs tile dsts in source order.
-func plainRelation(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
-	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, starts: srcOffsets[:numVertices], dsts: dsts}
+func plainRelation(numVertices int, offsets []int32, dsts []graph.VID) *Relation {
+	return &Relation{numVertices: numVertices, numPairs: int(offsets[numVertices]), offsets: offsets, dsts: dsts}
 }
 
 // NumVertices returns the size of the VID space the relation is defined
@@ -57,32 +67,52 @@ func plainRelation(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relat
 func (r *Relation) NumVertices() int { return r.numVertices }
 
 // Len returns the number of pairs.
-func (r *Relation) Len() int { return int(r.srcOffsets[r.numVertices]) }
+func (r *Relation) Len() int { return r.numPairs }
 
-// shared reports whether sources share stored runs, i.e. whether starts
-// is a column of its own rather than an alias of srcOffsets.
-func (r *Relation) shared() bool { return len(r.dsts) != r.Len() }
-
-// ColumnBytes returns the bytes the relation's sealed columns hold:
-// dsts, srcOffsets and, for a row-shared relation, starts. The lazily
-// built transpose and flattened column are not counted, and borrowed
-// columns (RelationFromBorrowedRuns) count 0: their owner holds them.
+// ColumnBytes returns the bytes the relation's sealed columns hold: 4
+// per entry of dsts and offsets and, for a row-shared relation, of
+// handles and blockStarts — PlainColumnBytes or SharedColumnBytes of
+// its shape. The lazily built transpose and, for a row-shared relation,
+// the per-source offsets and flattened column that CSR builds are not
+// counted, and borrowed columns (RelationFromBorrowedRuns) count 0:
+// their owner holds them.
 func (r *Relation) ColumnBytes() int64 {
 	if r.borrowed {
 		return 0
 	}
-	n := len(r.dsts) + len(r.srcOffsets)
-	if r.shared() {
-		n += len(r.starts)
+	return 4 * int64(len(r.dsts)+len(r.offsets)+len(r.handles)+len(r.blockStarts))
+}
+
+// PlainColumnBytes is ColumnBytes of a plain relation over numVertices
+// sources holding pairs pairs.
+func PlainColumnBytes(numVertices, pairs int) int64 {
+	return 4 * int64(numVertices+1+pairs)
+}
+
+// SharedColumnBytes is ColumnBytes of a row-shared relation over
+// numVertices sources whose runs are runs distinct non-empty stored runs
+// holding stored destinations in all.
+func SharedColumnBytes(numVertices, runs, stored int) int64 {
+	return 4 * int64(numVertices+numBlockStarts(numVertices)+runs+2+stored)
+}
+
+// numBlockStarts is the length of a row-shared relation's blockStarts.
+func numBlockStarts(numVertices int) int { return max((numVertices+63)/64-1, 0) }
+
+// run returns source v's stored run in the CSR: v itself in the plain
+// form.
+func (r *Relation) run(v int) int {
+	if r.handles == nil {
+		return v
 	}
-	return 4 * int64(n)
+	return int(r.handles[v])
 }
 
 // DstsOf returns the end vertices paired with start vertex v, sorted
 // ascending. O(1): it is a sub-slice of the dsts column.
 func (r *Relation) DstsOf(v graph.VID) []graph.VID {
-	s := r.starts[v]
-	return r.dsts[s : s+r.srcOffsets[v+1]-r.srcOffsets[v]]
+	h := r.run(int(v))
+	return r.dsts[r.offsets[h]:r.offsets[h+1]]
 }
 
 // SrcsOf returns the start vertices paired with end vertex w, sorted
@@ -145,11 +175,12 @@ func (r *Relation) Each(fn func(src, dst graph.VID) bool) {
 // modify the run; returning false stops the iteration.
 func (r *Relation) EachSrc(fn func(src graph.VID, dsts []graph.VID) bool) {
 	for v := 0; v < r.numVertices; v++ {
-		size := r.srcOffsets[v+1] - r.srcOffsets[v]
-		if size == 0 {
+		h := r.run(v)
+		lo, hi := r.offsets[h], r.offsets[h+1]
+		if lo == hi {
 			continue
 		}
-		if !fn(graph.VID(v), r.dsts[r.starts[v]:r.starts[v]+size]) {
+		if !fn(graph.VID(v), r.dsts[lo:hi]) {
 			return
 		}
 	}
@@ -193,21 +224,22 @@ func (r *Relation) Dsts() []graph.VID {
 // CSR exposes the relation as plain src-side CSR columns: offsets (len
 // NumVertices+1) and the destination column, runs in source order. Both
 // alias internal storage and must not be modified; the edge-level
-// reduction builds G_R directly from them. A row-shared relation
-// flattens its runs on the first call and keeps the copy.
+// reduction builds G_R directly from them. A row-shared relation builds
+// both columns on the first call and keeps them.
 func (r *Relation) CSR() (offsets []int32, dsts []graph.VID) {
-	if !r.shared() {
-		return r.srcOffsets, r.dsts
+	if r.handles == nil {
+		return r.offsets, r.dsts
 	}
 	r.flatOnce.Do(func() {
+		offsets := make([]int32, r.numVertices+1)
 		flat := make([]graph.VID, 0, r.Len())
-		r.EachSrc(func(_ graph.VID, run []graph.VID) bool {
-			flat = append(flat, run...)
-			return true
-		})
-		r.flat = flat
+		for v, h := range r.handles {
+			flat = append(flat, r.dsts[r.offsets[h]:r.offsets[h+1]]...)
+			offsets[v+1] = int32(len(flat))
+		}
+		r.flatOffsets, r.flat = offsets, flat
 	})
-	return r.srcOffsets, r.flat
+	return r.flatOffsets, r.flat
 }
 
 // Page returns the pairs at positions [offset, offset+limit) of the
@@ -252,10 +284,7 @@ func (r *Relation) PageInto(offset int, buf []Pair) int {
 	if len(buf) > n-offset {
 		buf = buf[:n-offset]
 	}
-	// The first run overlapping the page: the smallest v whose run ends
-	// past offset.
-	v := sort.Search(r.numVertices, func(v int) bool { return int(r.srcOffsets[v+1]) > offset })
-	skip := offset - int(r.srcOffsets[v])
+	v, skip := r.seek(offset)
 	written := 0
 	for ; written < len(buf); v++ {
 		run := r.DstsOf(graph.VID(v))[skip:]
@@ -267,6 +296,31 @@ func (r *Relation) PageInto(offset int, buf []Pair) int {
 		written += len(run)
 	}
 	return written
+}
+
+// seek returns the first source whose run overlaps position offset <
+// Len of the global (src, dst) order, and how many of its pairs come
+// before offset: a binary search over the plain offsets, or over the
+// row-shared blockStarts and then along at most 64 runs.
+func (r *Relation) seek(offset int) (v, skip int) {
+	if r.handles == nil {
+		v = sort.Search(r.numVertices, func(v int) bool { return int(r.offsets[v+1]) > offset })
+		return v, offset - int(r.offsets[v])
+	}
+	// b blocks start at or before offset: block b overlaps it.
+	b := sort.Search(len(r.blockStarts), func(b int) bool { return int(r.blockStarts[b]) > offset })
+	skip = offset
+	if b > 0 {
+		skip -= int(r.blockStarts[b-1])
+	}
+	for v = b << 6; ; v++ {
+		h := r.handles[v]
+		size := int(r.offsets[h+1] - r.offsets[h])
+		if skip < size {
+			return v, skip
+		}
+		skip -= size
+	}
 }
 
 // Sorted returns the pairs in (src, dst) order.
@@ -435,14 +489,14 @@ func (b *Builder) Seal() *Relation {
 
 // RelationFromSortedRuns adopts CSR columns a producer wrote already
 // sealed — offsets exact, every run strictly ascending, every
-// destination in range — as a Relation, with no validation and no copy,
-// as graph.DiGraphFromCSR does for a DiGraph. The caller must not
+// destination in range — as a plain Relation, with no validation and no
+// copy, as graph.DiGraphFromCSR does for a DiGraph. The caller must not
 // modify the columns afterwards.
-func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
-	if len(srcOffsets) != numVertices+1 || len(dsts) != int(srcOffsets[numVertices]) {
+func RelationFromSortedRuns(numVertices int, offsets []int32, dsts []graph.VID) *Relation {
+	if len(offsets) != numVertices+1 || len(dsts) != int(offsets[numVertices]) {
 		panic("pairs: CSR column length mismatch")
 	}
-	return plainRelation(numVertices, srcOffsets, dsts)
+	return plainRelation(numVertices, offsets, dsts)
 }
 
 // RelationFromBorrowedRuns is RelationFromSortedRuns over columns that
@@ -451,24 +505,42 @@ func RelationFromSortedRuns(numVertices int, srcOffsets []int32, dsts []graph.VI
 // exposes them exactly as RelationFromSortedRuns would, but ColumnBytes
 // reports 0, so a cache that budgets relations by their columns is not
 // charged for memory it does not hold.
-func RelationFromBorrowedRuns(numVertices int, srcOffsets []int32, dsts []graph.VID) *Relation {
-	r := RelationFromSortedRuns(numVertices, srcOffsets, dsts)
+func RelationFromBorrowedRuns(numVertices int, offsets []int32, dsts []graph.VID) *Relation {
+	r := RelationFromSortedRuns(numVertices, offsets, dsts)
 	r.borrowed = true
 	return r
 }
 
-// RelationFromSharedRuns is RelationFromSortedRuns for a producer that
-// stores an equal run once for all the sources that have it: run v holds
-// srcOffsets[v+1]-srcOffsets[v] destinations from dsts[starts[v]] on,
-// and runs may coincide. srcOffsets stays the prefix sum of the run
-// lengths, so the relation counts and pages as a plain CSR does. dsts
-// must be shorter than the relation — some run is shared; a producer
-// whose runs are all distinct writes the plain form instead.
-func RelationFromSharedRuns(numVertices int, srcOffsets, starts []int32, dsts []graph.VID) *Relation {
-	if len(srcOffsets) != numVertices+1 || len(starts) != numVertices || len(dsts) >= int(srcOffsets[numVertices]) {
+// RelationFromSharedRuns adopts the columns of a producer that stores
+// an equal run once for all the sources that have it, as a row-shared
+// Relation: runOffsets and dsts are the CSR of the stored runs — run h
+// is dsts[runOffsets[h]:runOffsets[h+1]], each strictly ascending, and
+// run 0 is empty — and handles[v] is source v's run, 0 for a source
+// with no pair. It adds the per-64-source counts in one pass over
+// handles, and takes the columns as RelationFromSortedRuns does. The
+// relation must hold at most math.MaxInt32 pairs. A producer picks this
+// form when it is the smaller (SharedColumnBytes against
+// PlainColumnBytes).
+func RelationFromSharedRuns(numVertices int, handles, runOffsets []int32, dsts []graph.VID) *Relation {
+	runs := len(runOffsets) - 1
+	if len(handles) != numVertices || runs < 1 || runOffsets[0] != 0 || runOffsets[1] != 0 || int(runOffsets[runs]) != len(dsts) {
 		panic("pairs: shared-run column length mismatch")
 	}
-	return &Relation{numVertices: numVertices, srcOffsets: srcOffsets, starts: starts, dsts: dsts}
+	blockStarts := make([]int32, numBlockStarts(numVertices))
+	total := 0
+	for v, h := range handles {
+		if v&63 == 0 && v > 0 {
+			blockStarts[v>>6-1] = int32(total)
+		}
+		if uint(h) >= uint(runs) {
+			panic("pairs: shared-run handle out of range")
+		}
+		total += int(runOffsets[h+1] - runOffsets[h])
+		if total > math.MaxInt32 {
+			panic("pairs: shared-run relation past math.MaxInt32 pairs")
+		}
+	}
+	return &Relation{numVertices: numVertices, numPairs: total, offsets: runOffsets, dsts: dsts, handles: handles, blockStarts: blockStarts}
 }
 
 // RelationFromPairs seals a pair list into a Relation.

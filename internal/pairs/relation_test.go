@@ -434,22 +434,26 @@ func TestRelationPageEdgeCases(t *testing.T) {
 // and points every source with that run at the copy.
 func sharedForm(rel *Relation) *Relation {
 	n := rel.NumVertices()
-	offsets, _ := rel.CSR()
-	starts := make([]int32, n)
+	handles := make([]int32, n)
+	runOffsets := []int32{0, 0}
 	var dsts []graph.VID
 	at := make(map[string]int32)
 	for v := 0; v < n; v++ {
 		run := rel.DstsOf(graph.VID(v))
-		key := fmt.Sprint(run)
-		s, ok := at[key]
-		if !ok {
-			s = int32(len(dsts))
-			at[key] = s
-			dsts = append(dsts, run...)
+		if len(run) == 0 {
+			continue
 		}
-		starts[v] = s
+		key := fmt.Sprint(run)
+		h, ok := at[key]
+		if !ok {
+			h = int32(len(runOffsets) - 1)
+			at[key] = h
+			dsts = append(dsts, run...)
+			runOffsets = append(runOffsets, int32(len(dsts)))
+		}
+		handles[v] = h
 	}
-	return RelationFromSharedRuns(n, offsets, starts, dsts)
+	return RelationFromSharedRuns(n, handles, runOffsets, dsts)
 }
 
 // repeatedRuns draws a relation over n vertices whose sources take one
@@ -556,11 +560,123 @@ func TestSharedRunsMatchPlain(t *testing.T) {
 	}
 }
 
+// sharedRowOf is source v's run over n vertices in
+// TestSharedRelationMatchesPlain: every seventh source empty, one run
+// for every fifth (non-adjacent sources), one run for sources 62–66,
+// which straddle the first block boundary, one for the even sources of a
+// partial last block of 64, and a run of its own otherwise.
+func sharedRowOf(v, n int) []graph.VID {
+	last := n &^ 63
+	switch {
+	case v%7 == 3:
+		return nil
+	case v >= 62 && v <= 66:
+		return []graph.VID{1, 2, 3}
+	case n%64 != 0 && v >= last && v%2 == 0:
+		return []graph.VID{graph.VID(n / 2)}
+	case v%5 == 0:
+		return slices.Compact([]graph.VID{0, graph.VID(n - 1)})
+	}
+	run := []graph.VID{graph.VID(v), graph.VID(v * 7 % n)}
+	slices.Sort(run)
+	return slices.Compact(run)
+}
+
+// TestSharedRelationMatchesPlain: a row-shared relation, built from its
+// columns, agrees with the same pairs sealed by Builder on every
+// accessor, pages alike from every offset at limits across a block of
+// 64 sources, and holds exactly its column bytes: its stored runs, a
+// handle per source, a count per block of 64 sources but the first, and
+// an offset per stored run plus two for the empty run.
+func TestSharedRelationMatchesPlain(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		b := NewBuilder(n)
+		distinct := map[string]bool{}
+		stored := 0
+		for v := range n {
+			run := sharedRowOf(v, n)
+			for _, w := range run {
+				b.Add(graph.VID(v), w)
+			}
+			if key := fmt.Sprint(run); len(run) > 0 && !distinct[key] {
+				distinct[key] = true
+				stored += len(run)
+			}
+		}
+		plain := b.Seal()
+		shared := sharedForm(plain)
+		ctx := fmt.Sprintf("n=%d", n)
+		if want := int64(4 * (stored + n + max((n+63)/64-1, 0) + len(distinct) + 2)); shared.ColumnBytes() != want {
+			t.Errorf("%s: %d column bytes, want %d", ctx, shared.ColumnBytes(), want)
+		}
+		if shared.Len() != plain.Len() || !shared.Equal(plain) || !plain.Equal(shared) {
+			t.Fatalf("%s: %d pairs, plain %d, or unequal", ctx, shared.Len(), plain.Len())
+		}
+		for v := range graph.VID(n) {
+			if !slices.Equal(shared.DstsOf(v), plain.DstsOf(v)) || !slices.Equal(shared.SrcsOf(v), plain.SrcsOf(v)) {
+				t.Fatalf("%s: vertex %d: DstsOf %v SrcsOf %v, want %v and %v", ctx, v, shared.DstsOf(v), shared.SrcsOf(v), plain.DstsOf(v), plain.SrcsOf(v))
+			}
+			for w := range graph.VID(n) {
+				if shared.Contains(v, w) != plain.Contains(v, w) {
+					t.Fatalf("%s: Contains(%d, %d) = %v", ctx, v, w, shared.Contains(v, w))
+				}
+			}
+		}
+		type run struct {
+			v    graph.VID
+			list []graph.VID
+		}
+		collect := func(each func(func(graph.VID, []graph.VID) bool)) []run {
+			var out []run
+			each(func(v graph.VID, list []graph.VID) bool {
+				out = append(out, run{v, slices.Clone(list)})
+				return true
+			})
+			return out
+		}
+		sameRuns := func(a, b []run) bool {
+			return slices.EqualFunc(a, b, func(x, y run) bool { return x.v == y.v && slices.Equal(x.list, y.list) })
+		}
+		if !sameRuns(collect(shared.EachSrc), collect(plain.EachSrc)) || !sameRuns(collect(shared.EachDst), collect(plain.EachDst)) {
+			t.Fatalf("%s: EachSrc or EachDst differs", ctx)
+		}
+		var each []Pair
+		shared.Each(func(src, dst graph.VID) bool {
+			each = append(each, Pair{src, dst})
+			return true
+		})
+		sorted := plain.Sorted()
+		if !slices.Equal(each, sorted) || !slices.Equal(shared.Sorted(), sorted) {
+			t.Fatalf("%s: Each or Sorted differs", ctx)
+		}
+		so, sd := shared.CSR()
+		po, pd := plain.CSR()
+		if !slices.Equal(so, po) || !slices.Equal(sd, pd) {
+			t.Fatalf("%s: CSR differs", ctx)
+		}
+		for off := 0; off <= plain.Len(); off++ {
+			for _, limit := range []int{1, 63, 64, 65, 0} {
+				want := plain.Page(off, limit)
+				if got := shared.Page(off, limit); !slices.Equal(got, want) {
+					t.Fatalf("%s: Page(%d, %d) = %v, want %v", ctx, off, limit, got, want)
+				}
+				buf := make([]Pair, limit)
+				if limit == 0 {
+					buf = make([]Pair, plain.Len()+1)
+				}
+				if got := buf[:shared.PageInto(off, buf)]; !slices.Equal(got, want) {
+					t.Fatalf("%s: PageInto(%d, %d) = %v, want %v", ctx, off, len(buf), got, want)
+				}
+			}
+		}
+	}
+}
+
 // A shared relation differing from a plain one in a single pair is
 // unequal both ways.
 func TestSharedRunsEqualDetectsDifference(t *testing.T) {
 	plain := RelationFromPairs(3, Pair{0, 1}, Pair{0, 2}, Pair{1, 1}, Pair{1, 2}, Pair{2, 1}, Pair{2, 0})
-	shared := RelationFromSharedRuns(3, []int32{0, 2, 4, 6}, []int32{0, 0, 0}, []graph.VID{1, 2})
+	shared := RelationFromSharedRuns(3, []int32{1, 1, 1}, []int32{0, 0, 2}, []graph.VID{1, 2})
 	if shared.Equal(plain) || plain.Equal(shared) {
 		t.Fatal("relations differing in source 2's run compare equal")
 	}
@@ -570,16 +686,20 @@ func TestSharedRunsEqualDetectsDifference(t *testing.T) {
 }
 
 // RelationFromSharedRuns refuses columns that do not describe a shared
-// relation: wrong lengths, or a dsts column as long as the relation.
+// relation: wrong lengths, a non-empty run 0, or a handle past the
+// stored runs.
 func TestRelationFromSharedRunsRejectsBadColumns(t *testing.T) {
 	for _, c := range []struct {
-		name            string
-		offsets, starts []int32
-		dsts            []graph.VID
+		name                string
+		handles, runOffsets []int32
+		dsts                []graph.VID
 	}{
-		{"short starts", []int32{0, 1, 2}, []int32{0}, []graph.VID{0}},
-		{"short offsets", []int32{0, 2}, []int32{0, 0}, []graph.VID{0}},
-		{"nothing shared", []int32{0, 1, 2}, []int32{0, 1}, []graph.VID{0, 1}},
+		{"short handles", []int32{1}, []int32{0, 0, 1}, []graph.VID{0}},
+		{"offsets past dsts", []int32{1, 1}, []int32{0, 0, 2}, []graph.VID{0}},
+		{"no empty run", []int32{1, 1}, []int32{0}, nil},
+		{"run 0 not empty", []int32{0, 0}, []int32{0, 1}, []graph.VID{0}},
+		{"handle out of range", []int32{1, 2}, []int32{0, 0, 1}, []graph.VID{0}},
+		{"negative handle", []int32{1, -1}, []int32{0, 0, 1}, []graph.VID{0}},
 	} {
 		func() {
 			defer func() {
@@ -587,7 +707,7 @@ func TestRelationFromSharedRunsRejectsBadColumns(t *testing.T) {
 					t.Errorf("%s: no panic", c.name)
 				}
 			}()
-			RelationFromSharedRuns(2, c.offsets, c.starts, c.dsts)
+			RelationFromSharedRuns(2, c.handles, c.runOffsets, c.dsts)
 		}()
 	}
 }

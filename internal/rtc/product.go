@@ -6,7 +6,6 @@ import (
 	"rtcshare/internal/automata"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/rpq"
-	"rtcshare/internal/scc"
 	"rtcshare/internal/tc"
 )
 
@@ -25,12 +24,12 @@ import (
 // walks it (tc.NewProduct, the product the searches walk) from the
 // start copies that have an out-edge, reading a copy's successors from
 // its state's arcs, each a label CSR of g, so it covers exactly the
-// copies reachable from start copies. Components
-// close in reverse topological order, so each one's condensation run is
-// emitted as it closes; its start copies go to one flat array that all
-// Members rows slice. A vertex u is in V_R when (q₀, u) has an in-edge
-// (some R path ends at u) or reaches a start copy by a non-empty path
-// (some R path starts at u). check is polled as each copy is entered,
+// copies reachable from start copies. Components close in reverse
+// topological order, so each one's condensation run is emitted as it
+// closes; its start copies go to one flat array, which becomes the
+// member column. A vertex u is in V_R when (q₀, u) has an in-edge (some
+// R path ends at u) or reaches a start copy by a non-empty path (some R
+// path starts at u). check is polled as each copy is entered,
 // weighted by that copy and the edges walked since the previous poll,
 // so polls keep pace with the walk even while it descends through a
 // single giant component; on abort FromProduct returns its error and a
@@ -159,8 +158,9 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 
 	// Keep the start copies in V_R. (q₀, u) has an in-edge exactly when
 	// an accepting copy (q_f, u) was visited, since Compile's start state
-	// has no incoming arc. Each Members row is its component's run of
-	// flat, capped so that no caller's append can spill into the next.
+	// has no incoming arc. flat is filtered to them in place; the member
+	// column is its exact copy, and compact keeps the member offsets of
+	// only the components it keeps.
 	hasIn := func(u int) bool {
 		for q, st := range p.States {
 			if st.Accept && num[q*n+u] != 0 {
@@ -169,29 +169,28 @@ func FromProduct(g *graph.Graph, r rpq.Expr, check tc.Checkpoint) (*RTC, error) 
 		}
 		return false
 	}
-	sccs := &scc.Components{CompOf: make([]int32, n), Members: make([][]graph.VID, len(comps))}
-	for u := range sccs.CompOf {
+	compOf := make([]int32, n)
+	for u := range compOf {
 		s := int32(-1)
 		if x := num[u]; x < 0 && (hasIn(u) || comps[-x-1].toStart) {
 			s = -x - 1
 		}
-		sccs.CompOf[u] = s
+		compOf[u] = s
 	}
-	memberLo := int32(0)
+	memberOff := make([]int32, len(comps)+1)
+	m, memberLo := 0, int32(0)
 	for s, sc := range comps {
-		m := flat[memberLo:memberLo]
 		for _, v := range flat[memberLo:sc.end] {
-			if sccs.CompOf[v] >= 0 {
-				m = append(m, v)
+			if compOf[v] >= 0 {
+				flat[m] = v
+				m++
 			}
 		}
-		if len(m) > 0 {
-			sccs.Members[s] = m[:len(m):len(m)]
-		}
+		memberOff[s+1] = int32(m)
 		memberLo = sc.end
 	}
-	cond := compact(sccs, offsets, targets)
-	return &RTC{comps: sccs, condensation: cond, reach: newReachTable(cond, sccs.Members)}, nil
+	members, cond := compact(compOf, runs{memberOff, slices.Clone(flat[:m])}, runs{offsets, targets})
+	return newRTC(compOf, members, cond), nil
 }
 
 // cursor walks one copy's out-edges in the product: the arcs of its

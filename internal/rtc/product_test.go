@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"rtcshare/internal/datagen"
 	"rtcshare/internal/fixtures"
 	"rtcshare/internal/graph"
 	"rtcshare/internal/pairs"
@@ -274,4 +275,42 @@ func TestClosureBuiltOnceConcurrently(t *testing.T) {
 			t.Fatal("TC(Ḡ_R) built more than once")
 		}
 	}
+}
+
+// TestFromProductHoldsKeptComponents: on RMAT_3 at 2^11 vertices, the
+// live heap an RTC holds is its columns and nothing sized by R's product
+// graph — 4 bytes per vertex of G, per member, per condensation edge and
+// per reach-table entry, 8 per kept component for the member and
+// successor offsets and 8 more for its reach span — within 4 KiB for the
+// struct and allocation rounding. The heap is read after two collections
+// with the RTC referenced and again without it. Not parallel: another
+// test's garbage would be counted.
+func TestFromProductHoldsKeptComponents(t *testing.T) {
+	g, err := datagen.PaperRMATN(3, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
+		r, err := FromProduct(g, rpq.MustParse(q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		with := live()
+		k, members, edges, reach := r.NumComponents(), r.NumActiveVertices(), len(r.cond.at), len(r.reach.sids)
+		runtime.KeepAlive(r)
+		held := with - live()
+		bound := int64(4*g.NumVertices()+4*members+4*edges+4*reach+16*k+8) + 4<<10
+		t.Logf("%s: %d components, %d members, %d edges, %d reach entries: %d bytes held, bound %d", q, k, members, edges, reach, held, bound)
+		if held > bound {
+			t.Errorf("%s: the RTC holds %d bytes, want at most %d", q, held, bound)
+		}
+	}
+	runtime.KeepAlive(g)
 }
