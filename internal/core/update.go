@@ -77,9 +77,9 @@ type UpdateResult struct {
 // ApplyUpdates applies a batch of edge updates to the engine's graph:
 // it applies them to a graph.Mutable over the current version's graph,
 // freezes a new immutable graph version (splicing the batch into copies
-// of the changed labels' forward and reverse columns, so a batch costs
-// a block copy of those labels plus sorting its edits, and aliasing
-// every other label's columns), advances the SharedCache to a
+// of the changed labels' forward columns, so a batch costs a block copy
+// of those labels plus sorting its edits, and aliasing every other
+// label's columns), advances the SharedCache to a
 // new epoch — carrying every cached entry whose sub-query mentions no
 // updated label and dropping the rest — and atomically swaps the engine
 // onto the new version. Queries already in flight finish against the

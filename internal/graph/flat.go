@@ -13,10 +13,10 @@ type FlatCSR struct {
 
 // FlatGraph is the raw-column view of a frozen Graph: the vertex count,
 // the label names in LID order, and one forward plus one reverse CSR per
-// label. Flatten produces it (aliasing the graph's columns); FromFlat
-// validates one and assembles a Graph around its columns. LabelStats are
-// not part of the flat form — they are derived from the CSR in one cheap
-// offset scan, so a snapshot never stores data it can recompute.
+// label. Flatten produces it; FromFlat validates one and assembles a
+// Graph around its forward columns. LabelStats are not part of the flat
+// form — they are derived from the forward CSR in one cheap scan, so a
+// snapshot never stores data it can recompute.
 type FlatGraph struct {
 	NumVertices int
 	Labels      []string
@@ -24,8 +24,11 @@ type FlatGraph struct {
 	Rev         []FlatCSR
 }
 
-// Flatten exposes g's frozen CSR columns without copying. The returned
-// slices alias the graph's internal storage and must not be modified.
+// Flatten exposes g's CSR columns without copying them: the forward
+// columns and every reverse built so far alias the graph's internal
+// storage and must not be modified. A reverse not yet built is
+// transposed for the caller and not kept, so flattening leaves g's
+// ColumnBytes as it was.
 func (g *Graph) Flatten() *FlatGraph {
 	f := &FlatGraph{
 		NumVertices: g.numVertices,
@@ -33,23 +36,26 @@ func (g *Graph) Flatten() *FlatGraph {
 		Fwd:         make([]FlatCSR, len(g.fwd)),
 		Rev:         make([]FlatCSR, len(g.rev)),
 	}
-	for l := range g.fwd {
-		f.Fwd[l] = FlatCSR{Offsets: g.fwd[l].offsets, Targets: g.fwd[l].targets}
-		f.Rev[l] = FlatCSR{Offsets: g.rev[l].offsets, Targets: g.rev[l].targets}
+	for l, a := range g.fwd {
+		f.Fwd[l] = FlatCSR{Offsets: a.offsets, Targets: a.targets}
+		if r := g.rev[l].adj.Load(); r != nil {
+			f.Rev[l] = FlatCSR{Offsets: r.offsets, Targets: r.targets}
+		} else {
+			f.Rev[l].Offsets, f.Rev[l].Targets = TransposeCSR(g.numVertices, a.offsets, a.targets)
+		}
 	}
 	return f
 }
 
-// FromFlat validates f and builds a Graph sharing its columns (the
-// caller must not modify them afterwards). Validation covers everything
-// the query paths rely on structurally: offsets monotone and spanning
-// the targets exactly, targets in range, runs strictly increasing
-// (binary searches require sorted duplicate-free runs), labels distinct
-// and valid per-edge counts matching between the forward and reverse
-// adjacency of each label. The reverse columns are trusted to be the
-// transpose beyond those checks: a well-formed but wrong transpose can
-// yield wrong answers, never an out-of-range access. LabelStats are
-// recomputed rather than deserialized.
+// FromFlat validates f and builds a Graph sharing its forward columns
+// (the caller must not modify them afterwards). Validation covers
+// everything the query paths rely on structurally: offsets monotone and
+// spanning the targets exactly, targets in range, runs strictly
+// increasing (binary searches require sorted duplicate-free runs),
+// labels distinct, and each reverse CSR the exact transpose of its
+// forward one. The graph keeps no reverse column of f: each is rebuilt
+// from the forward columns on its first read, like a built graph's.
+// LabelStats are recomputed rather than deserialized.
 func FromFlat(f *FlatGraph) (*Graph, error) {
 	if f.NumVertices < 0 {
 		return nil, fmt.Errorf("graph: flat graph has negative vertex count %d", f.NumVertices)
@@ -66,9 +72,10 @@ func FromFlat(f *FlatGraph) (*Graph, error) {
 		numVertices: f.NumVertices,
 		dict:        dict,
 		fwd:         make([]adjacency, len(f.Labels)),
-		rev:         make([]adjacency, len(f.Labels)),
+		rev:         make([]*reverse, len(f.Labels)),
 		labelStats:  make([]LabelStats, len(f.Labels)),
 	}
+	in := make([]int32, f.NumVertices)
 	for l := range f.Labels {
 		fwd, rev := f.Fwd[l], f.Rev[l]
 		if err := ValidateCSR(f.NumVertices, f.NumVertices, fwd.Offsets, fwd.Targets, true); err != nil {
@@ -81,12 +88,33 @@ func FromFlat(f *FlatGraph) (*Graph, error) {
 			return nil, fmt.Errorf("graph: label %q has %d forward but %d reverse edges",
 				f.Labels[l], len(fwd.Targets), len(rev.Targets))
 		}
+		if err := checkTranspose(fwd, rev, in); err != nil {
+			return nil, fmt.Errorf("graph: label %q reverse adjacency: %w", f.Labels[l], err)
+		}
 		g.fwd[l] = adjacency{offsets: fwd.Offsets, targets: fwd.Targets}
-		g.rev[l] = adjacency{offsets: rev.Offsets, targets: rev.Targets}
+		g.rev[l] = &reverse{fwd: g.fwd[l]}
 		g.numEdges += len(fwd.Targets)
-		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
+		g.labelStats[l] = computeLabelStats(g.fwd[l], in)
 	}
 	return g, nil
+}
+
+// checkTranspose reports whether rev is the transpose of fwd, two
+// validated CSRs over the same rows with as many targets each, without
+// building one: fwd's edges, visited by ascending source, must fill each
+// reverse row in order. seen holds a zero per row and is left zeroed.
+func checkTranspose(fwd, rev FlatCSR, seen []int32) error {
+	defer clear(seen)
+	for u := range len(fwd.Offsets) - 1 {
+		for _, w := range fwd.Targets[fwd.Offsets[u]:fwd.Offsets[u+1]] {
+			at := rev.Offsets[w] + seen[w]
+			if at >= rev.Offsets[w+1] || rev.Targets[at] != VID(u) {
+				return fmt.Errorf("not the transpose of the forward adjacency at edge (%d, %d)", u, w)
+			}
+			seen[w]++
+		}
+	}
+	return nil
 }
 
 // ValidateCSR checks raw CSR columns for structural soundness: exactly

@@ -9,15 +9,19 @@
 // triples are unique.
 //
 // Graphs are built with a Builder and frozen into an immutable CSR
-// (compressed sparse row) representation with both forward and reverse
-// adjacency per label, which is the access pattern the automaton-product
-// evaluator and the reductions need.
+// (compressed sparse row) representation holding each label's forward
+// adjacency, the access pattern of the automaton-product search, the
+// RTC's product walk and the row kernel. A label's reverse adjacency is
+// transposed from its forward one on the first read (Predecessors,
+// LabelCSR with inverse) and kept from then on.
 package graph
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // VID identifies a vertex. VIDs are dense: a graph with n vertices uses
@@ -35,15 +39,18 @@ type Edge struct {
 }
 
 // Graph is an immutable edge-labeled directed multigraph in CSR form.
-// Build one with a Builder.
+// Build one with a Builder. Its forward columns are held from
+// construction; a label's reverse is built on its first read, once, and
+// concurrent readers are safe.
 type Graph struct {
 	numVertices int
 	numEdges    int
 	dict        *Dict
 
-	// fwd[l] holds the forward adjacency of label l; rev[l] the reverse.
+	// fwd[l] holds the forward adjacency of label l; rev[l] builds and
+	// keeps its reverse.
 	fwd []adjacency
-	rev []adjacency
+	rev []*reverse
 
 	// labelStats[l] summarises label l's edge relation; computed once in
 	// Build so the query planner's cardinality estimator is free at plan
@@ -53,7 +60,7 @@ type Graph struct {
 
 // LabelStats summarises one label's edge relation — the base statistics
 // the cardinality estimator of internal/plan builds on. All counts are
-// computed once at Build time.
+// computed once, from the forward columns, when the graph is built.
 type LabelStats struct {
 	// Edges is the number of edges carrying the label.
 	Edges int
@@ -99,6 +106,30 @@ func (a adjacency) degree(v VID) int {
 	return int(a.offsets[v+1] - a.offsets[v])
 }
 
+// bytes is the 4 B per entry a's columns hold.
+func (a adjacency) bytes() int64 { return 4 * int64(len(a.offsets)+len(a.targets)) }
+
+// reverse is one label's reverse adjacency: the transpose of the
+// forward columns it holds, built on the first read and kept from then
+// on. Freeze hands an untouched label's reverse to the next version, so
+// whichever version reads it first builds it for all of them.
+type reverse struct {
+	fwd  adjacency
+	once sync.Once
+	adj  atomic.Pointer[adjacency] // nil until built
+}
+
+// get returns the reverse adjacency, transposing the forward one on the
+// first call; concurrent first calls build it once.
+func (r *reverse) get() adjacency {
+	r.once.Do(func() {
+		var a adjacency
+		a.offsets, a.targets = TransposeCSR(len(r.fwd.offsets)-1, r.fwd.offsets, r.fwd.targets)
+		r.adj.Store(&a)
+	})
+	return *r.adj.Load()
+}
+
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return g.numVertices }
 
@@ -122,30 +153,47 @@ func (g *Graph) Successors(v VID, label LID) []VID {
 }
 
 // Predecessors returns the vertices u such that e(u, label, v) ∈ E,
-// sorted ascending. The returned slice aliases internal storage and must
-// not be modified.
+// sorted ascending, building the label's reverse adjacency on its first
+// read. The returned slice aliases internal storage and must not be
+// modified.
 func (g *Graph) Predecessors(v VID, label LID) []VID {
 	if int(label) >= len(g.rev) {
 		return nil
 	}
-	return g.rev[label].neighbors(v)
+	return g.rev[label].get().neighbors(v)
 }
 
 // LabelCSR returns one label's edge relation as CSR columns: the
-// forward adjacency, or with inverse the reverse one. Row v is
-// targets[offsets[v]:offsets[v+1]], sorted ascending and duplicate-free,
-// and offsets has NumVertices()+1 entries. A label outside the graph
-// returns nil columns. Both alias internal storage and must not be
-// modified: the engine answers a single-label expression from them.
+// forward adjacency, or with inverse the reverse one, built on its
+// first read. Row v is targets[offsets[v]:offsets[v+1]], sorted
+// ascending and duplicate-free, and offsets has NumVertices()+1
+// entries. A label outside the graph returns nil columns. Both alias
+// internal storage and must not be modified: the engine answers a
+// single-label expression from them.
 func (g *Graph) LabelCSR(label LID, inverse bool) (offsets []int32, targets []VID) {
 	if label < 0 || int(label) >= len(g.fwd) {
 		return nil, nil
 	}
 	a := g.fwd[label]
 	if inverse {
-		a = g.rev[label]
+		a = g.rev[label].get()
 	}
 	return a.offsets, a.targets
+}
+
+// ColumnBytes returns the bytes g's adjacency columns hold, 4 per
+// offset and target entry: every label's forward columns and each
+// reverse built so far. Columns a version shares with another count in
+// each.
+func (g *Graph) ColumnBytes() int64 {
+	var n int64
+	for l, a := range g.fwd {
+		n += a.bytes()
+		if r := g.rev[l].adj.Load(); r != nil {
+			n += r.bytes()
+		}
+	}
+	return n
 }
 
 // HasEdge reports whether e(src, label, dst) ∈ E.
@@ -171,7 +219,7 @@ func (g *Graph) LabelEdgeCount(label LID) int {
 	return len(g.fwd[label].targets)
 }
 
-// LabelStats returns the Build-time statistics of the given label's edge
+// LabelStats returns the build-time statistics of the given label's edge
 // relation. Unknown labels report the zero statistics (the empty
 // relation).
 func (g *Graph) LabelStats(label LID) LabelStats {
@@ -305,44 +353,49 @@ func (b *Builder) Build() *Graph {
 		numVertices: b.numVertices,
 		dict:        b.dict,
 		fwd:         make([]adjacency, numLabels),
-		rev:         make([]adjacency, numLabels),
+		rev:         make([]*reverse, numLabels),
 		labelStats:  make([]LabelStats, numLabels),
 	}
 
-	// Bucket edges per label, then build the forward CSR of each label
-	// and transpose it into the reverse one.
+	// Bucket edges per label, then build the forward CSR of each label.
 	perLabel := make([][]Edge, numLabels)
 	for _, e := range b.edges {
 		perLabel[e.Label] = append(perLabel[e.Label], e)
 	}
+	in := make([]int32, b.numVertices)
 	for l := 0; l < numLabels; l++ {
 		es := sortedDedupEdges(perLabel[l])
 		g.numEdges += len(es)
 		g.fwd[l] = buildCSR(b.numVertices, es)
-		g.rev[l].offsets, g.rev[l].targets = TransposeCSR(b.numVertices, g.fwd[l].offsets, g.fwd[l].targets)
-		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
+		g.rev[l] = &reverse{fwd: g.fwd[l]}
+		g.labelStats[l] = computeLabelStats(g.fwd[l], in)
 	}
 	b.edges = nil
 	return g
 }
 
-// computeLabelStats derives one label's statistics from its frozen
-// forward and reverse CSR: one scan over the two offset columns, where a
-// row's degree is o[v+1]-o[v]. It is the only statistics code — Build,
-// FromFlat and Mutable.Freeze all call it — so every path to a Graph
-// reports the same LabelStats for the same edges.
-func computeLabelStats(fwd, rev adjacency) LabelStats {
+// computeLabelStats derives one label's statistics from its forward
+// CSR: out-degrees from the offsets, where a row's degree is
+// o[v+1]-o[v], and in-degrees counted from the targets into in, which
+// holds a zero per row and is left zeroed. It is the only statistics
+// code — Build, FromFlat and Mutable.Freeze all call it — so every path
+// to a Graph reports the same LabelStats for the same edges.
+func computeLabelStats(fwd adjacency, in []int32) LabelStats {
+	for _, w := range fwd.targets {
+		in[w]++
+	}
 	// Local accumulators, not the struct's fields: a five-field struct
 	// is not kept in registers. A degree is non-negative, so its
 	// negation's sign bit is 1 exactly when it is non-zero, which counts
 	// without a branch the degree distribution would mispredict.
 	var srcs, dsts, maxOut, maxIn int
-	fo, ro := fwd.offsets, rev.offsets[:len(fwd.offsets)]
+	fo := fwd.offsets
 	for v := 1; v < len(fo); v++ {
-		out, in := int(fo[v]-fo[v-1]), int(ro[v]-ro[v-1])
+		out, deg := int(fo[v]-fo[v-1]), int(in[v-1])
+		in[v-1] = 0
 		srcs += int(uint(-out) >> 63)
-		dsts += int(uint(-in) >> 63)
-		maxOut, maxIn = max(maxOut, out), max(maxIn, in)
+		dsts += int(uint(-deg) >> 63)
+		maxOut, maxIn = max(maxOut, out), max(maxIn, deg)
 	}
 	return LabelStats{Edges: len(fwd.targets), DistinctSrcs: srcs, DistinctDsts: dsts, MaxOutDegree: maxOut, MaxInDegree: maxIn}
 }
@@ -361,7 +414,7 @@ func sortedDedupEdges(es []Edge) []Edge {
 }
 
 // buildCSR builds the forward adjacency of edges sorted by (Src, Dst)
-// without duplicates; TransposeCSR derives the reverse one.
+// without duplicates.
 func buildCSR(numVertices int, es []Edge) adjacency {
 	offsets := make([]int32, numVertices+1)
 	targets := make([]VID, len(es))

@@ -16,8 +16,9 @@ import (
 // A Mutable is the last frozen Graph (the base) plus, per label, the
 // edits made since — only the pairs whose presence differs from the
 // base. Freeze rebuilds only the labels with edits, splicing them into
-// copies of the base's columns; every other label aliases the base. That
-// is safe because frozen columns are never written.
+// copies of the base's forward columns; every other label aliases the
+// base's columns and shares its reverse. That is safe because frozen
+// columns are never written.
 //
 // A Mutable is not safe for concurrent use; callers serialise mutation
 // (Engine.ApplyUpdates does so internally).
@@ -154,14 +155,15 @@ func (m *Mutable) LabelStats(label LID) LabelStats {
 }
 
 // Freeze snapshots the current edges into an immutable Graph, exactly as
-// if the same edge list had been fed to a Builder — identical CSR layout
-// and identical Build-time LabelStats. A label with edits gets both its
-// forward and its reverse columns from spliceCSR, which block-copies the
-// base's columns between the sorted edits, and its statistics from one
-// scan of the two offset columns: O(|V| + |E_l|) of copying plus
-// O(|Δ| log |Δ|) to sort the edits, with no transpose. Every other label
-// aliases the base's columns, padding only the offsets after Grow. With
-// nothing changed, Freeze returns the base itself.
+// if the same edge list had been fed to a Builder — identical forward
+// CSR layout, identical LabelStats and the same reverse once read. A
+// label with edits gets its forward columns from spliceCSR, which
+// block-copies the base's columns between the sorted edits, its
+// statistics from one scan of the new columns, and a reverse not yet
+// built: O(|V| + |E_l|) of copying plus O(|Δ| log |Δ|) to sort the
+// edits, with no transpose. Every other label keeps the base's columns
+// and its reverse, built or not, padding only the offsets after Grow.
+// With nothing changed, Freeze returns the base itself.
 //
 // The frozen graph becomes the new base. Its dict is a clone, so later
 // inserts interning new labels never mutate a frozen graph's dictionary.
@@ -177,22 +179,23 @@ func (m *Mutable) Freeze() *Graph {
 		numEdges:    m.numEdges,
 		dict:        NewDictFrom(m.dict.Names()...),
 		fwd:         make([]adjacency, numLabels),
-		rev:         make([]adjacency, numLabels),
+		rev:         make([]*reverse, numLabels),
 		labelStats:  make([]LabelStats, numLabels),
 	}
 	var keys []uint64
+	var in []int32
 	for l := range numLabels {
-		var fwd, rev adjacency
+		var fwd adjacency
+		var rev *reverse
 		if l < len(b.fwd) {
 			fwd, rev, g.labelStats[l] = b.fwd[l], b.rev[l], b.labelStats[l]
 		}
 		if l >= len(m.edits) || len(m.edits[l]) == 0 {
-			g.fwd[l], g.rev[l] = padRows(fwd, n), padRows(rev, n)
+			g.fwd[l] = padRows(fwd, n)
+			g.rev[l] = rev.carry(g.fwd[l])
 			continue
 		}
-		// Each edit is packed as src<<32 | dst and sorted once per
-		// direction; swapping the halves orders the reverse pass by
-		// (dst, src).
+		// Each edit is packed as src<<32 | dst and sorted once.
 		keys = slices.Grow(keys[:0], len(m.edits[l]))
 		size := len(fwd.targets)
 		for k, present := range m.edits[l] {
@@ -205,16 +208,34 @@ func (m *Mutable) Freeze() *Graph {
 		}
 		slices.Sort(keys)
 		g.fwd[l] = spliceCSR(n, fwd, keys, size)
-		for i, k := range keys {
-			keys[i] = k<<32 | k>>32
+		g.rev[l] = &reverse{fwd: g.fwd[l]}
+		if in == nil {
+			in = make([]int32, n)
 		}
-		slices.Sort(keys)
-		g.rev[l] = spliceCSR(n, rev, keys, size)
-		g.labelStats[l] = computeLabelStats(g.fwd[l], g.rev[l])
+		g.labelStats[l] = computeLabelStats(g.fwd[l], in)
 		clear(m.edits[l])
 	}
 	m.base = g
 	return g
+}
+
+// carry returns the reverse of a label Freeze leaves untouched, whose
+// forward columns fwd are r's own, padded to more rows after Grow: r
+// itself when fwd has r's rows, otherwise a new reverse over fwd that
+// starts from r's padded when r was built. A nil r, a label new since
+// the base, gives a reverse not yet built.
+func (r *reverse) carry(fwd adjacency) *reverse {
+	if r != nil && len(r.fwd.offsets) == len(fwd.offsets) {
+		return r
+	}
+	next := &reverse{fwd: fwd}
+	if r != nil {
+		if a := r.adj.Load(); a != nil {
+			padded := padRows(*a, len(fwd.offsets)-1)
+			next.once.Do(func() { next.adj.Store(&padded) })
+		}
+	}
+	return next
 }
 
 // spliceCSR returns base's adjacency over n rows with edits applied.

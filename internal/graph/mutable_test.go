@@ -219,8 +219,10 @@ func TestMutableFreezeAliasesUntouched(t *testing.T) {
 	shares := func(x, y []int32) bool { return len(x) > 0 && &x[0] == &y[0] }
 	f0, f1 := g0.Flatten(), g1.Flatten()
 	for l := range names {
+		r0Offsets, r0Targets := g0.LabelCSR(LID(l), true)
+		r1Offsets, r1Targets := g1.LabelCSR(LID(l), true)
 		aliased := shares(f0.Fwd[l].Offsets, f1.Fwd[l].Offsets) && shares(f0.Fwd[l].Targets, f1.Fwd[l].Targets) &&
-			shares(f0.Rev[l].Offsets, f1.Rev[l].Offsets) && shares(f0.Rev[l].Targets, f1.Rev[l].Targets)
+			shares(r0Offsets, r1Offsets) && shares(r0Targets, r1Targets)
 		if touched := l == 0; aliased == touched {
 			t.Fatalf("label %q: aliased=%v after a batch touching only a", names[l], aliased)
 		}

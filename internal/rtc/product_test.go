@@ -281,10 +281,15 @@ func TestClosureBuiltOnceConcurrently(t *testing.T) {
 // live heap an RTC holds is its columns and nothing sized by R's product
 // graph — 4 bytes per vertex of G, per member, per condensation edge and
 // per reach-table entry, 8 per kept component for the member and
-// successor offsets and 8 more for its reach span — within 4 KiB for the
-// struct and allocation rounding. The heap is read after two collections
-// with the RTC referenced and again without it. Not parallel: another
-// test's garbage would be counted.
+// successor offsets and 8 more for its reach span — within 2.5 KiB for
+// the struct and allocation rounding, which take 1.1–2.0 KB here. A
+// member-offset column sized to the product's components, 4 bytes per
+// component compaction drops, holds 3.1–4.4 KB over the columns and
+// fails. The heap is read after two collections with the RTC referenced
+// and again without it. About one reading in ten comes out 5 KB low
+// (the runtime allocated between the two), none high, so the largest of
+// three builds is what an RTC holds. Not parallel: another test's
+// garbage would be counted.
 func TestFromProductHoldsKeptComponents(t *testing.T) {
 	g, err := datagen.PaperRMATN(3, 11, 1)
 	if err != nil {
@@ -298,15 +303,19 @@ func TestFromProductHoldsKeptComponents(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	for _, q := range []string{"l1", "l0.l2", "l3.l1.l3"} {
-		r, err := FromProduct(g, rpq.MustParse(q), nil)
-		if err != nil {
-			t.Fatal(err)
+		var held int64
+		var k, members, edges, reach int
+		for range 3 {
+			r, err := FromProduct(g, rpq.MustParse(q), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			with := live()
+			k, members, edges, reach = r.NumComponents(), r.NumActiveVertices(), len(r.cond.at), len(r.reach.sids)
+			runtime.KeepAlive(r)
+			held = max(held, with-live())
 		}
-		with := live()
-		k, members, edges, reach := r.NumComponents(), r.NumActiveVertices(), len(r.cond.at), len(r.reach.sids)
-		runtime.KeepAlive(r)
-		held := with - live()
-		bound := int64(4*g.NumVertices()+4*members+4*edges+4*reach+16*k+8) + 4<<10
+		bound := int64(4*g.NumVertices()+4*members+4*edges+4*reach+16*k+8) + 2560
 		t.Logf("%s: %d components, %d members, %d edges, %d reach entries: %d bytes held, bound %d", q, k, members, edges, reach, held, bound)
 		if held > bound {
 			t.Errorf("%s: the RTC holds %d bytes, want at most %d", q, held, bound)

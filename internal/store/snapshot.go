@@ -18,9 +18,11 @@ import (
 //
 // followed by the body: the frozen graph's flat CSR columns — the vertex
 // count, the label count, then per label in LID order its name and its
-// forward and reverse offsets/targets slabs. Every slab is a
+// forward and reverse offsets/targets slabs (graph.Flatten transposes a
+// reverse the graph has not built, without keeping it). Every slab is a
 // length-prefixed int32 run the loader reads with one copy and hands to
-// graph.FromFlat, never re-deriving what the writer already laid out.
+// graph.FromFlat, which checks each reverse against its forward slab
+// and keeps the forward ones.
 // Label names are length-prefixed raw bytes, so labels the text format
 // rejects (whitespace, leading '#') round-trip unharmed. A file of any
 // other version is refused, never read as a graph: recovery must not

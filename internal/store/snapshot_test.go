@@ -111,6 +111,36 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesIgnoreBuiltReverses: a snapshot carries every
+// label's reverse columns whether or not the graph has built them. Two
+// graphs over the same edges, one with every reverse read and one with
+// none, encode to the same bytes, and encoding builds nothing: the
+// graph's ColumnBytes stay as they were.
+func TestSnapshotBytesIgnoreBuiltReverses(t *testing.T) {
+	unbuilt, built := fixtures.Figure1(), fixtures.Figure1()
+	for l := range built.NumLabels() {
+		built.LabelCSR(graph.LID(l), true)
+	}
+	before := unbuilt.ColumnBytes()
+	if built.ColumnBytes() <= before {
+		t.Fatalf("reading every reverse left ColumnBytes at %d, the unbuilt graph's %d", built.ColumnBytes(), before)
+	}
+	a, b := encodeSnapshotFile(unbuilt, 3), encodeSnapshotFile(built, 3)
+	if string(a) != string(b) {
+		t.Fatalf("the unbuilt graph encodes to %d bytes, the built one to %d: they differ", len(a), len(b))
+	}
+	if got := unbuilt.ColumnBytes(); got != before {
+		t.Fatalf("writing a snapshot moved ColumnBytes from %d to %d", before, got)
+	}
+	got, _, err := decodeSnapshotFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ColumnBytes() != before {
+		t.Fatalf("a loaded snapshot holds %d column bytes, want the forward columns' %d", got.ColumnBytes(), before)
+	}
+}
+
 // TestSnapshotOddLabels: the text format (graph.Write) refuses labels
 // with whitespace or a leading '#', but the binary snapshot must carry
 // them verbatim — they are legal in-memory labels reachable via

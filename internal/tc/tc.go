@@ -154,10 +154,10 @@ const alpha = 4
 func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 	n := d.NumVertices()
 	c := &Closure{numVertices: n}
+	cols := digraphColumns{d}
 	arc := Arc{}
-	arc.Fwd.Offsets, arc.Fwd.Targets = d.CSR()
-	arc.Rev.Offsets, arc.Rev.Targets = d.ReverseCSR()
-	s := NewSearch(&Product{N: n, States: []State{{Accept: true, Arcs: []Arc{arc}}}})
+	arc.Fwd.Offsets, arc.Fwd.Targets = cols.LabelCSR(0, false)
+	s := NewSearch(&Product{N: n, States: []State{{Accept: true, Arcs: []Arc{arc}}}, cols: cols})
 	var keepWords []uint64
 	if keep != nil {
 		keepWords = make([]uint64, (n+63)/64)
@@ -214,11 +214,29 @@ func bfs(d *graph.DiGraph, keep []bool, check Checkpoint) (*Closure, error) {
 // vertex v of [0, N) per state q, state 0 the start. A DiGraph is the
 // one-state product whose one arc is its own CSR; an RPQ's automaton
 // over a labeled graph takes each arc's columns from the graph's label
-// CSRs, the two swapped for ^l.
+// CSRs, the reverse ones for ^l.
 type Product struct {
 	N      int
 	States []State
 	Empty  bool // the empty path counts: every seed reaches its own start copy
+
+	cols columns // what the arcs read, for their reverses
+}
+
+// columns is what a product's arcs read: a label's CSR, forward or
+// transposed. *graph.Graph is one; a DiGraph is the one-label case.
+type columns interface {
+	LabelCSR(label graph.LID, inverse bool) (offsets []int32, targets []graph.VID)
+}
+
+// digraphColumns reads a DiGraph as a graph of one label.
+type digraphColumns struct{ d *graph.DiGraph }
+
+func (c digraphColumns) LabelCSR(_ graph.LID, inverse bool) ([]int32, []graph.VID) {
+	if inverse {
+		return c.d.ReverseCSR()
+	}
+	return c.d.CSR()
 }
 
 // State is one state of a Product: whether its copies are ends, and its
@@ -228,11 +246,16 @@ type State struct {
 	Arcs   []Arc
 }
 
-// Arc leads from copy (q, v) to (To, w) for every w in row v of Fwd;
-// Rev is Fwd's transpose, through which a bottom-up level pulls.
+// Arc leads from copy (q, v) to (To, w) for every w in row v of Fwd,
+// the product's columns of label, transposed under inverse. Only a
+// bottom-up level pulls through Fwd's transpose, and a search reads it
+// from the product's columns on its first such level, so a product
+// searched top-down only never builds one.
 type Arc struct {
-	To       int
-	Fwd, Rev CSR
+	To      int
+	Fwd     CSR
+	label   graph.LID
+	inverse bool
 }
 
 // CSR is a relation as columns: row v is Targets[Offsets[v]:Offsets[v+1]].
@@ -242,11 +265,11 @@ type CSR struct {
 }
 
 // NewProduct returns the product of g with nfa: state q's arcs are the
-// NFA's, each reading its label's CSR in g, the forward and reverse
-// columns swapped for an inverse label; an arc whose label g lacks is
-// dropped, since it leads nowhere. All states' arcs share one array.
+// NFA's, each reading its label's forward CSR in g, the reverse one for
+// an inverse label; an arc whose label g lacks is dropped, since it
+// leads nowhere. All states' arcs share one array.
 func NewProduct(g *graph.Graph, nfa *automata.NFA) Product {
-	p := Product{N: g.NumVertices(), States: make([]State, nfa.NumStates()), Empty: nfa.MatchesEmpty()}
+	p := Product{N: g.NumVertices(), States: make([]State, nfa.NumStates()), Empty: nfa.MatchesEmpty(), cols: g}
 	arcs := 0
 	for q := range p.States {
 		arcs += len(nfa.Arcs(q))
@@ -255,9 +278,8 @@ func NewProduct(g *graph.Graph, nfa *automata.NFA) Product {
 	for q := range p.States {
 		lo := len(all)
 		for _, a := range nfa.Arcs(q) {
-			arc := Arc{To: a.To}
+			arc := Arc{To: a.To, label: a.Label, inverse: a.Inverse}
 			arc.Fwd.Offsets, arc.Fwd.Targets = g.LabelCSR(a.Label, a.Inverse)
-			arc.Rev.Offsets, arc.Rev.Targets = g.LabelCSR(a.Label, !a.Inverse)
 			if arc.Fwd.Offsets != nil {
 				all = append(all, arc)
 			}
@@ -302,7 +324,8 @@ type copies struct {
 
 type inArc struct {
 	from int
-	rev  CSR
+	arc  *Arc
+	rev  CSR // arc's Fwd transposed, read on the first bottom-up level
 }
 
 // NewSearch returns an idle search over p.
@@ -315,9 +338,10 @@ func NewSearch(p *Product) *Search {
 		c.seen, words = words[:nb*64:nb*64], words[nb*64:]
 		c.blocks, words = words[:(nb+63)/64:(nb+63)/64], words[(nb+63)/64:]
 		c.queued, words = words[:nb:nb], words[nb:]
-		for _, a := range st.Arcs {
+		for i := range st.Arcs {
+			a := &st.Arcs[i]
 			s.edges += len(a.Fwd.Targets)
-			s.states[a.To].in = append(s.states[a.To].in, inArc{q, a.Rev})
+			s.states[a.To].in = append(s.states[a.To].in, inArc{from: q, arc: a})
 		}
 	}
 	return s
@@ -457,6 +481,10 @@ func (s *Search) bottomUp(full uint64) (work, fe int) {
 	for q := range s.states {
 		c := &s.states[q]
 		if c.heads == nil && len(c.in) > 0 {
+			for i := range c.in {
+				in := &c.in[i]
+				in.rev.Offsets, in.rev.Targets = s.p.cols.LabelCSR(in.arc.label, !in.arc.inverse)
+			}
 			c.heads = make([]graph.VID, 0)
 			for v := range graph.VID(s.p.N) {
 				if slices.ContainsFunc(c.in, func(a inArc) bool { return len(a.rev.row(v)) > 0 }) {
